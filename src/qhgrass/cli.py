@@ -128,15 +128,16 @@ def _cmd_snow(args) -> dict:
 
 def _cmd_hodge(args) -> dict:
     inputs = {"k": args.k, "n": args.n, "section": args.section, "seed": args.seed}
-    genus = hodge.chi_y(args.k, args.n, section=args.section, seed=args.seed)
-    results = {"chi_y": _poly(genus)}
-    if args.section:
-        dia = hodge.diamond(args.k, args.n, seed=args.seed)
-        results["diamond_column"] = dia.column()
-        results["middle_off_diagonal"] = [
-            {"p": p, "q": q, "h": v} for p, q, v in dia.middle_off_diagonal()
-        ]
-        results["hodge_tate"] = dia.is_hodge_tate()
+    if not args.section:
+        genus = hodge.chi_y(args.k, args.n, seed=args.seed)
+        return _document("hodge", inputs, {"chi_y": _poly(genus)})
+    dia = hodge.diamond(args.k, args.n, seed=args.seed)
+    results = {
+        "chi_y": _poly(dia.genus),
+        "diamond_column": dia.column(),
+        "middle_off_diagonal": [{"p": p, "q": q, "h": v} for p, q, v in dia.middle_off_diagonal()],
+        "hodge_tate": dia.is_hodge_tate(),
+    }
     return _document("hodge", inputs, results)
 
 

@@ -188,10 +188,12 @@ def _interpolated_genus(k, n, section, xs, degree) -> UniPoly:
 
 @dataclass(frozen=True)
 class HodgeDiamond:
-    """Hodge numbers h^{p,q} of a smooth hyperplane section."""
+    """Hodge numbers h^{p,q} of a smooth hyperplane section, with the chi_y
+    genus they were solved from."""
 
     dim: int
     entries: tuple[tuple[int, ...], ...]
+    genus: UniPoly
 
     def h(self, p: int, q: int) -> int:
         return self.entries[p][q]
@@ -244,7 +246,7 @@ def diamond(k: int, n: int, seed: int = DEFAULT_SEED) -> HodgeDiamond:
     for p in range(d + 1):
         if h[p][d - p] != h[d - p][p]:
             raise InternalConsistencyError("Hodge symmetry failed on the middle row")
-    result = HodgeDiamond(d, tuple(tuple(row) for row in h))
+    result = HodgeDiamond(d, tuple(tuple(row) for row in h), genus)
     euler = sum(
         (-1) ** (p + q) * result.entries[p][q] for p in range(d + 1) for q in range(d + 1)
     )

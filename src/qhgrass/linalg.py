@@ -1,19 +1,46 @@
 """Exact dense linear algebra over the rationals.
 
 Matrices are plain lists of rows; entries are ints or Fractions and never
-floats.  Characteristic polynomials come in two independent flavours
-(fraction-free elimination and the division-free Berkowitz recursion) so each
-can serve as an oracle for the other.
+floats.  Integral values stay ints: every division goes through exact_div,
+which refuses floats and returns an int whenever the quotient is integral, and
+elimination steps hand back ints for integral entries, so a Fraction entry is
+always genuinely non-integral.  Characteristic polynomials come in two
+independent flavours (fraction-free elimination and the division-free
+Berkowitz recursion) so each can serve as an oracle for the other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, InvalidInputError
 from .polynomials import UniPoly
 
 Matrix = list
+
+
+def _integral(x):
+    """x as an int when it is an integral Fraction, otherwise x itself."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _integral_entries(row: list) -> list:
+    """The row with its integral Fractions turned into ints."""
+    return [_integral(x) for x in row] if Fraction in map(type, row) else row
+
+
+def exact_div(a, b):
+    """The exact quotient a / b: an int when it is integral, else a Fraction.
+
+    Both arguments must be ints or Fractions; a float raises TypeError, so no
+    float can enter the exact core through a division.
+    """
+    if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+        raise TypeError(f"exact division needs ints or Fractions, got {a!r} / {b!r}")
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _integral(Fraction(a) / b)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -31,15 +58,22 @@ def mat_copy(a: Matrix) -> Matrix:
     return [row[:] for row in a]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_combine(terms, base: Matrix | None = None) -> Matrix:
+    """base + sum of c * m over the (c, m) pairs of terms, in one pass.
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
+    All matrices share one shape; base defaults to zero, in which case terms
+    must not be empty.  Integral entries of the result are ints.
+    """
+    terms = list(terms)
+    shape = base if base is not None else terms[0][1]
+    live = [(c, m) for c, m in terms if c]
+    out = []
+    for i in range(len(shape)):
+        acc = list(base[i]) if base is not None else [0] * len(shape[i])
+        for c, m in live:
+            acc = [a + c * x if x else a for a, x in zip(acc, m[i])]
+        out.append(_integral_entries(acc))
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -65,10 +99,12 @@ def mat_vec(a: Matrix, v: list) -> list:
                 aik = a[i][k]
                 if aik:
                     out[i] += aik * vk
-    return out
+    return _integral_entries(out)
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:
+    if e < 0:
+        raise InvalidInputError(f"matrix power needs a nonnegative exponent, got {e}")
     result = identity(len(a))
     base = a
     while e > 0:
@@ -94,7 +130,7 @@ def is_zero_matrix(a: Matrix) -> bool:
 
 def rref(a: Matrix) -> tuple[list[int], Matrix]:
     """Reduced row echelon form; returns (pivot column indices, reduced rows)."""
-    m = [[Fraction(x) for x in row] for row in a]
+    m = [_integral_entries(list(row)) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -104,17 +140,24 @@ def rref(a: Matrix) -> tuple[list[int], Matrix]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        _eliminate(m, r, c)
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return pivots, m[:r]
+
+
+def _eliminate(m: Matrix, r: int, c: int) -> None:
+    """Scale row r to a leading 1 in column c and clear column c elsewhere."""
+    lead = m[r][c]
+    if lead != 1:
+        m[r] = [exact_div(x, lead) for x in m[r]]
+    prow = m[r]
+    for i in range(len(m)):
+        f = m[i][c]
+        if i != r and f != 0:
+            m[i] = [_integral(x - f * y) if y else x for x, y in zip(m[i], prow)]
 
 
 def rank(a: Matrix) -> int:
@@ -133,8 +176,8 @@ def kernel_basis(a: Matrix) -> list[list]:
     free = [c for c in range(cols) if c not in pivots]
     vecs = []
     for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+        v = [0] * cols
+        v[f] = 1
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
         vecs.append(v)
@@ -151,7 +194,7 @@ def solve(a: Matrix, b: list) -> list:
     pivots, red = rref(aug)
     if cols in pivots:
         raise InternalConsistencyError("inconsistent linear system")
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     if len(pivots) < cols:
@@ -164,18 +207,13 @@ def solve(a: Matrix, b: list) -> list:
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    m = [_integral_entries(list(row)) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for c in range(n):
         pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
         if pivot is None:
             raise InternalConsistencyError("matrix is singular")
         m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        _eliminate(m, c, c)
     return [row[n:] for row in m]
 
 
@@ -207,6 +245,8 @@ def det_bareiss(a: Matrix):
     if n == 0:
         return 1
     m = mat_copy(a)
+    # over the integers every division is exact in Z, which is checked
+    integral = all(type(x) is int for row in a for x in row)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -219,13 +259,16 @@ def det_bareiss(a: Matrix):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev) if isinstance(num, int) and isinstance(prev, int) else (num / prev, 0)
-                if r:
-                    raise InternalConsistencyError("Bareiss division not exact")
+                if integral:
+                    q, r = divmod(num, prev)
+                    if r:
+                        raise InternalConsistencyError("Bareiss division not exact")
+                else:
+                    q = exact_div(num, prev)
                 m[i][j] = q
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _integral(sign * m[n - 1][n - 1])
 
 
 def charpoly(a: Matrix) -> UniPoly:

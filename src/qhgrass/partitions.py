@@ -51,8 +51,8 @@ class Box:
     n: int
 
     def __post_init__(self):
-        if self.k < 1 or self.n < self.k:
-            raise InvalidInputError(f"bad box parameters k={self.k}, n={self.n}")
+        if not 1 <= self.k <= self.n - 1:
+            raise InvalidInputError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
 
     @property
     def cols(self) -> int:

@@ -273,14 +273,12 @@ def mult_operators(box: Box, q_value=1) -> dict[Partition, Matrix]:
             continue
         p = len(lam)
         lam_prime = canonical(tuple(a - 1 for a in lam))
-        prod = linalg.mat_mul(E[p], ops[lam_prime])
-        for (mu, d), coeff in quantum_pieri(p, lam_prime, box).terms.items():
-            if d == 0 and mu == lam:
-                continue
-            correction = coeff * q_value**d
-            if correction:
-                prod = linalg.mat_sub(prod, linalg.mat_scale(ops[mu], correction))
-        ops[lam] = prod
+        corrections = [
+            (-coeff * q_value**d, ops[mu])
+            for (mu, d), coeff in quantum_pieri(p, lam_prime, box).terms.items()
+            if not (d == 0 and mu == lam)
+        ]
+        ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(E[p], ops[lam_prime]))
     return ops
 
 
@@ -288,12 +286,8 @@ def mult_operator(a: ClassVector, q_value=1) -> Matrix:
     """Matrix of quantum multiplication by the class a at the given q."""
     ops = mult_operators(a.box, q_value)
     n = len(schubert_basis(a.box))
-    out = linalg.zeros(n, n)
-    for (lam, qp), coeff in a.terms.items():
-        c = coeff * q_value**qp
-        if c:
-            out = linalg.mat_add(out, linalg.mat_scale(ops[lam], c))
-    return out
+    terms = [(coeff * q_value**qp, ops[lam]) for (lam, qp), coeff in a.terms.items()]
+    return linalg.mat_combine(terms, linalg.zeros(n, n))
 
 
 def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
@@ -316,14 +310,14 @@ def evaluate_e_polynomial(poly: dict[tuple[int, ...], int], box: Box, q_value=1)
     """Evaluate a polynomial in e_1..e_k on the commuting Pieri matrices."""
     E = _pieri_matrices(box, q_value)
     n = len(schubert_basis(box))
-    out = linalg.zeros(n, n)
+    terms = []
     for expo, coeff in poly.items():
         term = linalg.identity(n)
         for p, count in enumerate(expo, start=1):
             for _ in range(count):
                 term = linalg.mat_mul(E[p], term)
-        out = linalg.mat_add(out, linalg.mat_scale(term, coeff))
-    return out
+        terms.append((coeff, term))
+    return linalg.mat_combine(terms, linalg.zeros(n, n))
 
 
 def presentation_check(box: Box, q_value=1) -> bool:
@@ -335,8 +329,8 @@ def presentation_check(box: Box, q_value=1) -> bool:
         if not linalg.is_zero_matrix(mat):
             return False
     mat = evaluate_e_polynomial(sigma_e_polynomial(n, k), box, q_value)
-    expected = linalg.mat_scale(linalg.identity(dim), (-1) ** (k + 1) * q_value)
-    return linalg.is_zero_matrix(linalg.mat_sub(mat, expected))
+    expected = [((-1) ** k * q_value, linalg.identity(dim))]
+    return linalg.is_zero_matrix(linalg.mat_combine(expected, mat))
 
 
 def graded_pieces(box: Box) -> dict[int, tuple[Partition, ...]]:
@@ -403,10 +397,10 @@ def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
     if constraints:
         perp_coords = linalg.kernel_basis(constraints)
     else:
-        perp_coords = [[Fraction(int(i == j)) for j in range(len(piece))] for i in range(len(piece))]
+        perp_coords = linalg.identity(len(piece))
     perp = []
     for coords in perp_coords:
-        v = [Fraction(0)] * n
+        v = [0] * n
         for c, lam in zip(coords, piece):
             v[idx[lam]] = c
         perp.append(v)
@@ -419,11 +413,32 @@ def commuting(ops: list[Matrix]) -> bool:
     )
 
 
+def trace_form_gram(ops: list[Matrix]) -> Matrix:
+    """Gram matrix trace(ops[a] ops[b]) of a regular representation, in O(d^3).
+
+    ops[c] must be multiplication by the c-th basis element, written in that
+    same basis.  Column b of ops[a] is then the product of basis elements a
+    and b, so ops[a] ops[b] = sum_c ops[a][c][b] ops[c], and row a of the Gram
+    matrix is t^T ops[a] with t_c = trace(ops[c]).
+    """
+    d = len(ops)
+    if any(len(op) != d for op in ops):
+        raise InvalidInputError("trace-form Gram needs one d x d operator per basis element")
+    t = [linalg.trace(op) for op in ops]
+    # the matrix with rows ops[a][c] (over a), weighted by t_c, summed over c
+    return linalg.mat_combine([(tc, [op[c] for op in ops]) for c, tc in enumerate(t)])
+
+
 def semisimple_test(
     ops: list[Matrix], pairing: Matrix | None = None, commuting_generators: list[Matrix] | None = None
 ) -> bool:
     """Trace-form criterion: the algebra spanned by the commuting multiplication
     operators is semisimple iff the Gram matrix trace(ops_i ops_j) is nonsingular.
+
+    The operators must form the regular representation (ops[c] multiplies by
+    the c-th basis element, in that basis), so that ops[a] ops[b] =
+    sum_c ops[a][c][b] ops[c] and the Gram matrix is t^T ops[a] row by row,
+    t_c = trace(ops[c]): O(d^3) instead of d^2 trace products.
 
     Commutativity is asserted, not assumed; when the operators are known to be
     polynomials in a smaller generating family, pass commuting_generators to
@@ -437,9 +452,7 @@ def semisimple_test(
             right = linalg.mat_mul(pairing, op)
             if left != right:
                 raise InvalidInputError("operators are not self-adjoint for the pairing")
-    m = len(ops)
-    gram = [[linalg.trace_product(ops[i], ops[j]) for j in range(m)] for i in range(m)]
-    return linalg.det_bareiss(gram) != 0
+    return linalg.det_bareiss(trace_form_gram(ops)) != 0
 
 
 def qh_semisimple(box: Box, q_value=1) -> bool:

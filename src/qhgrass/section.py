@@ -129,7 +129,9 @@ class SectionRing:
                 lead = next(i for i, c in enumerate(vec) if c != 0)
                 pivots.append(lead)
                 rel = {
-                    parts[j]: -vec[j] / vec[lead] for j in range(lead + 1, len(parts)) if vec[j]
+                    parts[j]: linalg.exact_div(-vec[j], vec[lead])
+                    for j in range(lead + 1, len(parts))
+                    if vec[j]
                 }
                 self.relations[parts[lead]] = rel
             self.degree_basis[m] = tuple(p for i, p in enumerate(parts) if i not in pivots)
@@ -290,64 +292,54 @@ class SectionRing:
         """Solve for the multiplication operators of all degree-m basis classes.
 
         Every identity e_p * j(s_mu) = sum of basis classes, with mu a basis
-        class of degree m - p, is an operator equation whose degree-m terms are
-        the unknowns and whose lower-degree terms are already built.  The ring
-        is generated by e_1..e_k, so these equations determine the unknowns;
-        redundant equations must be consistent, which is a free check on the
-        whole Pieri implementation.
+        class of degree m - p, is an operator equation R . X = K whose
+        degree-m terms X are the unknowns and whose known side K, built once,
+        collects the lower-degree terms.  Only the small system [R | I] is
+        row-reduced; the identity block records each reduced row as a
+        combination of equations, so a pivot row gives its unknown as that
+        combination of known matrices.  The ring is generated by e_1..e_k, so
+        the equations determine the unknowns; a row whose R part vanishes
+        states that its combination of known matrices is zero, which is a free
+        check on the whole Pieri implementation.
         """
-        dim = len(self.basis)
-        unknowns = list(self.degree_basis[m])
+        unknowns = self.degree_basis[m]
         uidx = {lam: i for i, lam in enumerate(unknowns)}
-        pivots: dict[int, tuple[list, Matrix]] = {}
+        rows: list[list] = []
+        knowns: list[Matrix] = []
         for p in range(1, self.k + 1):
             if m - p < 0:
                 continue
             for mu in self.degree_basis[m - p]:
-                known = linalg.mat_mul(self.e_ops[p], self.label_ops[mu])
-                row = [Fraction(0)] * len(unknowns)
+                row = [0] * len(unknowns)
+                lower = []
                 for (lab, qp), coeff in self.pieri_on_label(p, mu).terms.items():
                     c = coeff * self.q_value**qp
                     if qp == 0 and self.label_degree(lab) == m:
                         row[uidx[lab]] += c
-                    elif c:
-                        known = linalg.mat_sub(known, linalg.mat_scale(self.label_ops[lab], c))
-                for col in sorted(pivots):
-                    if row[col]:
-                        prow, pmat = pivots[col]
-                        factor = row[col]
-                        row = [a - factor * b for a, b in zip(row, prow)]
-                        known = linalg.mat_sub(known, linalg.mat_scale(pmat, factor))
-                lead = next((i for i, c in enumerate(row) if c), None)
-                if lead is None:
-                    if not linalg.is_zero_matrix(known):
-                        raise InternalConsistencyError(
-                            f"inconsistent Pieri operator equations in degree {m}"
-                        )
-                    continue
-                inv = 1 / row[lead]
-                pivots[lead] = ([c * inv for c in row], linalg.mat_scale(known, inv))
-        if len(pivots) != len(unknowns):
+                    else:
+                        lower.append((-c, self.label_ops[lab]))
+                rows.append(row)
+                knowns.append(
+                    linalg.mat_combine(lower, linalg.mat_mul(self.e_ops[p], self.label_ops[mu]))
+                )
+        count = len(unknowns)
+        tagged = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
+        pivots, reduced = linalg.rref(tagged)
+        if sum(1 for col in pivots if col < count) != count:
             raise InternalConsistencyError(f"operators in degree {m} are underdetermined")
-        for col in sorted(pivots, reverse=True):
-            prow, pmat = pivots[col]
-            for other in sorted(pivots):
-                if other == col:
-                    continue
-                orow, omat = pivots[other]
-                if orow[col]:
-                    factor = orow[col]
-                    pivots[other] = (
-                        [a - factor * b for a, b in zip(orow, prow)],
-                        linalg.mat_sub(omat, linalg.mat_scale(pmat, factor)),
-                    )
-        for col, (prow, pmat) in pivots.items():
-            self.label_ops[unknowns[col]] = pmat
+        for col, red in zip(pivots, reduced):
+            combined = linalg.mat_combine(zip(red[count:], knowns))
+            if col < count:
+                self.label_ops[unknowns[col]] = combined
+            elif not linalg.is_zero_matrix(combined):
+                raise InternalConsistencyError(
+                    f"inconsistent Pieri operator equations in degree {m}"
+                )
 
     def mult_operator(self, coords) -> Matrix:
         """Multiplication operator of an ambient element in basis coordinates."""
         dim = len(self.basis)
-        out = linalg.zeros(dim, dim)
+        terms = []
         for coeff, lab in zip(coords, self.basis):
             if not coeff:
                 continue
@@ -355,8 +347,8 @@ class SectionRing:
                 raise UndeterminedProductError(
                     "multiplication by the primitive class is undetermined by the source"
                 )
-            out = linalg.mat_add(out, linalg.mat_scale(self.label_ops[lab], coeff))
-        return out
+            terms.append((coeff, self.label_ops[lab]))
+        return linalg.mat_combine(terms, linalg.zeros(dim, dim))
 
     def mult_operator_of_label(self, lab) -> Matrix:
         coords = [0] * len(self.basis)
@@ -377,7 +369,7 @@ class SectionRing:
                 )
             for expo, c in self.lifts[lab].items():
                 poly[expo] = poly.get(expo, 0) + coeff * c
-        out = linalg.zeros(dim, dim)
+        terms = []
         powers: dict[tuple[int, int], Matrix] = {}
 
         def power(p, count):
@@ -392,8 +384,8 @@ class SectionRing:
             for p in range(2, self.k + 1):
                 if expo[p - 1]:
                     term = linalg.mat_mul(term, power(p, expo[p - 1]))
-            out = linalg.mat_add(out, linalg.mat_scale(term, coeff))
-        return out
+            terms.append((coeff, term))
+        return linalg.mat_combine(terms, linalg.zeros(dim, dim))
 
     # -- graded pieces -------------------------------------------------------
 
@@ -473,18 +465,18 @@ def lefschetz_relation_check(n: int) -> bool:
     dim = len(ring.basis)
 
     def evaluate(poly):
-        out = linalg.zeros(dim, dim)
+        terms = []
         for expo, coeff in poly.items():
             term = linalg.identity(dim)
             for p, count in enumerate(expo, start=1):
                 for _ in range(count):
                     term = linalg.mat_mul(ring.e_ops[p], term)
-            out = linalg.mat_add(out, linalg.mat_scale(term, coeff))
-        return out
+            terms.append((coeff, term))
+        return linalg.mat_combine(terms, linalg.zeros(dim, dim))
 
     h_top = evaluate(_H_POLYS[n])
     h_prev = evaluate(_H_POLYS[n - 1])
-    q_e1 = linalg.mat_scale(ring.e_ops[1], ring.q_value)
+    q_e1 = linalg.mat_combine([(ring.q_value, ring.e_ops[1])], linalg.zeros(dim, dim))
     return linalg.is_zero_matrix(h_prev) and h_top == q_e1
 
 
@@ -502,12 +494,10 @@ def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     if constraints:
         perp_coords = linalg.kernel_basis(constraints)
     else:
-        perp_coords = [
-            [Fraction(int(i == j)) for j in range(len(piece))] for i in range(len(piece))
-        ]
+        perp_coords = linalg.identity(len(piece))
     perp = []
     for coords in perp_coords:
-        v = [Fraction(0)] * dim
+        v = [0] * dim
         for c, lab in zip(coords, piece):
             v[ring.index[lab]] = c
         perp.append(v)
@@ -530,15 +520,15 @@ def _coordinates(span_vectors: list[list], targets: list[list]) -> list[list]:
     return [solver.coords(t) for t in targets]
 
 
-def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int]:
-    """Trace-form test on the subalgebra generated by the perp space and e_1.
+def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list, list]:
+    """Multiplication operators of the subalgebra generated by the perp space
+    and e_1, in the subalgebra's own coordinates (the basis of
+    perp_subalgebra_basis, in that order), and its generators e_1 and the perp
+    classes.
 
-    Multiplication operators are computed in the subalgebra's own coordinates:
-    the restriction of e_1 and of each perp generator is extracted once, and
+    The restriction of e_1 and of each perp generator is extracted once, and
     the remaining operators are products of those restrictions.
     """
-    ring = build_ring(k, n)
-    _, perp = radical_and_perp(k, n)
     w = perp_subalgebra_basis(ring, perp)
     sub_dim = len(w)
     solver = linalg.ColumnSpanSolver(w)
@@ -554,9 +544,21 @@ def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int]:
     for i in range(ring.r_y):
         ops.extend(linalg.mat_mul(power, g) for g in r_gen)
         power = linalg.mat_mul(r_e1, power)
+    return ops, [r_e1] + r_gen
+
+
+def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
+    """Trace-form test on the subalgebra generated by the perp space and e_1.
+
+    Returns the verdict, the subalgebra's dimension and the dimension of the
+    radical it was split from.
+    """
     from .quantum import semisimple_test
 
-    return semisimple_test(ops, commuting_generators=[r_e1] + r_gen), sub_dim
+    ring = build_ring(k, n)
+    rad, perp = radical_and_perp(k, n)
+    ops, generators = perp_subalgebra_operators(ring, perp)
+    return semisimple_test(ops, commuting_generators=generators), len(ops), len(rad)
 
 
 def full_ring_semisimple(k: int, n: int) -> bool:
@@ -604,12 +606,11 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
             k, n, ok, "trace-form", "nondegenerate trace form on the 30-dimensional ring"
             if ok else "degenerate trace form",
         )
-    ok, sub_dim = perp_subalgebra_semisimple(k, n)
-    rad, _ = radical_and_perp(k, n)
+    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(k, n)
     return SemisimplicityReport(
         k, n, ok, "trace-form+monodromy",
         f"nondegenerate trace form on the {sub_dim}-dimensional perp subalgebra; "
-        f"{len(rad)}-dimensional radical semisimple by the external monodromy argument"
+        f"{rad_dim}-dimensional radical semisimple by the external monodromy argument"
         if ok else "degenerate trace form on the perp subalgebra",
     )
 

@@ -207,8 +207,8 @@ def test_criterion_9_semisimplicity_verdicts():
     for box in AMBIENT_BOXES:
         assert qh_semisimple(box), box
     assert full_ring_semisimple(3, 7)
-    ok, sub_dim = perp_subalgebra_semisimple(3, 8)
-    assert ok and sub_dim == 49
+    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(3, 8)
+    assert ok and sub_dim == 49 and rad_dim == 2
     # Betti witnesses with the tabulated dimension counts
     from qhgrass.hodge import section_profile
 

@@ -101,6 +101,32 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
 
 
+def test_degenerate_box_and_negative_power_exit_2(capsys):
+    code, out, err = run_cli(capsys, "qh", "presentation", "--k", "3", "--n", "3")
+    assert code == 2 and not out and "error" in err
+    for section in ([], ["--section"]):
+        code, out, err = run_cli(
+            capsys, "qh", "charpoly", "--k", "3", "--n", "7", *section, "--power", "-1"
+        )
+        assert code == 2 and not out and "error" in err, section
+
+
+def test_hodge_section_localizes_once(capsys, monkeypatch):
+    from qhgrass import hodge
+
+    calls = []
+    original = hodge.chi_y
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hodge, "chi_y", counting)
+    code, out, _ = run_cli(capsys, "hodge", "--k", "2", "--n", "5", "--section", "--format", "json")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["results"]["chi_y"] == [int(c) for c in original(2, 5, section=True).coeffs]
+
+
 def test_unknown_command_exits_2(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "qh", "nonsense")[0] == 2

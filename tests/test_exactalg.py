@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhgrass import linalg
-from qhgrass.errors import InternalConsistencyError
+from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.polynomials import UniPoly, interpolate, poly_from_roots
 
 
@@ -108,3 +109,96 @@ def test_mat_pow():
     a = [[1, 1], [0, 1]]
     assert linalg.mat_pow(a, 5) == [[1, 5], [0, 1]]
     assert linalg.mat_pow(a, 0) == linalg.identity(2)
+    with pytest.raises(InvalidInputError):
+        linalg.mat_pow(a, -1)
+
+
+def test_exact_div_types():
+    assert linalg.exact_div(6, 3) == 2 and type(linalg.exact_div(6, 3)) is int
+    assert linalg.exact_div(-7, 2) == Fraction(-7, 2)
+    assert type(linalg.exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert linalg.exact_div(Fraction(3, 2), 3) == Fraction(1, 2)
+    for a, b in [(1.0, 2), (1, 2.0), (0.5, 0.5)]:
+        with pytest.raises(TypeError):
+            linalg.exact_div(a, b)
+    with pytest.raises(ZeroDivisionError):
+        linalg.exact_div(1, 0)
+
+
+def test_mat_combine():
+    a = [[1, 2], [3, 4]]
+    b = [[0, 1], [1, 0]]
+    out = linalg.mat_combine([(Fraction(1, 2), a), (Fraction(1, 2), b)], [[1, 0], [0, 1]])
+    assert out == [[Fraction(3, 2), Fraction(3, 2)], [2, 3]]
+    assert type(out[1][0]) is int
+    assert linalg.mat_combine([(0, a), (-1, b)]) == [[0, -1], [-1, 0]]
+
+
+def _entries(x):
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _entries(v)
+    else:
+        yield x
+
+
+def _int_first(x) -> bool:
+    """No float, and no Fraction that is an integer in disguise."""
+    return all(
+        type(e) is int or (type(e) is Fraction and e.denominator != 1) for e in _entries(x)
+    )
+
+
+_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3])),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    rows = draw(st.integers(1, 4))
+    cols = rows if square else draw(st.integers(1, 4))
+    return [[draw(_scalars) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_rref_and_kernel_are_exact_and_int_first(a):
+    pivots, red = linalg.rref(a)
+    assert len(pivots) == len(red) == linalg.rank(a)
+    assert all(red[r][c] == 1 for r, c in enumerate(pivots))
+    kernel = linalg.kernel_basis(a)
+    assert len(kernel) == len(a[0]) - len(pivots)
+    for v in kernel:
+        assert all(x == 0 for x in linalg.mat_vec(a, v))
+    assert _int_first(red) and _int_first(kernel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(square=True), st.lists(_scalars, min_size=4, max_size=4))
+def test_solve_round_trips(a, x):
+    x = x[: len(a)]
+    b = linalg.mat_vec(a, x)
+    if linalg.det_bareiss(a) == 0:
+        return
+    assert linalg.solve(a, b) == x
+    assert _int_first(linalg.solve(a, b))
+    inv = linalg.mat_inverse(a)
+    assert linalg.mat_mul(a, inv) == linalg.identity(len(a)) and _int_first(inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m)))
+def test_integral_results_are_ints(entries):
+    # L * U with unit triangular integer factors is unimodular: its inverse
+    # and the solutions of integer systems are integral and must be int-typed
+    m = int(len(entries) ** 0.5)
+    lower = [[1 if i == j else (entries[i * m + j] if i > j else 0) for j in range(m)] for i in range(m)]
+    upper = [[1 if i == j else (entries[i * m + j] if i < j else 0) for j in range(m)] for i in range(m)]
+    a = linalg.mat_mul(lower, upper)
+    assert all(type(x) is int for row in linalg.mat_inverse(a) for x in row)
+    x = entries[:m]
+    assert [type(v) for v in linalg.solve(a, linalg.mat_vec(a, x))] == [int] * m
+    fractional = [[Fraction(v) for v in row] for row in a]
+    assert all(type(v) is int for row in linalg.rref(fractional)[1] for v in row)

@@ -4,9 +4,16 @@ import pytest
 
 from qhgrass import linalg
 from qhgrass.errors import InvalidInputError, UndeterminedProductError
-from qhgrass.partitions import size
+from qhgrass.partitions import Box, size
 from qhgrass.polynomials import UniPoly
-from qhgrass.quantum import ClassVector, cup_e, star_e
+from qhgrass.quantum import (
+    ClassVector,
+    cup_e,
+    mult_operators,
+    schubert_basis,
+    star_e,
+    trace_form_gram,
+)
 from qhgrass.section import (
     BETA,
     ambient_basis,
@@ -15,6 +22,7 @@ from qhgrass.section import (
     full_ring_semisimple,
     lefschetz_relation_check,
     perp_iso_check,
+    perp_subalgebra_operators,
     perp_subalgebra_semisimple,
     radical_and_perp,
     section_charpoly,
@@ -231,8 +239,8 @@ def test_perp_isomorphism_checks():
 
 def test_semisimplicity_routes():
     assert full_ring_semisimple(3, 7)
-    ok, dim = perp_subalgebra_semisimple(3, 8)
-    assert ok and dim == 49
+    ok, dim, rad_dim = perp_subalgebra_semisimple(3, 8)
+    assert ok and dim == 49 and rad_dim == 2
     with pytest.raises(UndeterminedProductError):
         full_ring_semisimple(3, 8)
     with pytest.raises(UndeterminedProductError):
@@ -300,3 +308,42 @@ def test_section_class_arithmetic():
     assert ring.unit().homogeneous_degree() == 0
     mixed = a + b
     assert mixed.homogeneous_degree() is None
+
+
+def _entries(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _entries(v)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_built_ring_is_int_first(n):
+    # integral values are ints and only genuinely non-integral ones are
+    # Fractions; no float anywhere
+    ring = build_ring(3, n)
+    for name in ("label_ops", "e_ops", "pairing", "relations"):
+        for e in _entries(getattr(ring, name)):
+            assert type(e) is int or (type(e) is Fraction and e.denominator != 1), (name, e)
+
+
+def _trace_product_gram(ops):
+    return [[linalg.trace_product(a, b) for b in ops] for a in ops]
+
+
+def test_trace_form_gram_matches_trace_products():
+    for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]:
+        box = Box(k, n)
+        table = mult_operators(box)
+        ops = [table[lam] for lam in schubert_basis(box)]
+        assert trace_form_gram(ops) == _trace_product_gram(ops), (k, n)
+    ring7 = build_ring(3, 7)
+    ops7 = [ring7.mult_operator_of_label(lab) for lab in ring7.basis]
+    assert trace_form_gram(ops7) == _trace_product_gram(ops7)
+    _, perp = radical_and_perp(3, 8)
+    ops8, _ = perp_subalgebra_operators(build_ring(3, 8), perp)
+    assert len(ops8) == 49
+    assert trace_form_gram(ops8) == _trace_product_gram(ops8)
