@@ -9,11 +9,14 @@ weight sum(x_i, i in S).  Summing the holomorphic Lefschetz contributions
 
 over fixed points gives an equivariant character; the numeric genus is its
 value in the non-equivariant limit t -> 1.  The limit is taken exactly: with
-the x_i specialized to distinct random integers, each contribution is expanded
-as a Laurent series in u = t - 1 and the pole parts must cancel in the sum,
-which is asserted term by term.  The y-polynomial is recovered by exact
-interpolation from integer y-samples, constrained by Serre symmetry, with one
-extra sample as a checksum and integrality of every coefficient enforced.
+the x_i specialized to distinct random integers (one draw; a failure is a
+bug), each contribution is a Laurent series in u = t - 1 and the pole parts
+must cancel in the sum, asserted term by term.  One pass over the fixed points
+serves every integer y-sample: the y-independent series are built once per
+fixed point, and each sample divides by its unit through one scaled integer
+inverse, so series products stay in ints.  The y-polynomial is interpolated
+exactly from the samples under Serre symmetry, with one extra sample as a
+checksum and integrality of every coefficient enforced.
 
 Sign conventions are pinned by two built-in anchors: the ambient genus must
 equal the box-partition count polynomial, and chi_y(0) = 1; any mismatch is a
@@ -34,7 +37,6 @@ from .polynomials import UniPoly
 from .screen import BettiProfile
 
 DEFAULT_SEED = 20250809
-_RETRY_BUDGET = 5
 
 
 def _binomial_row(m: int, order: int) -> list[int]:
@@ -50,7 +52,7 @@ def _binomial_row(m: int, order: int) -> list[int]:
     return row
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
+def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if ai:
@@ -61,17 +63,17 @@ def _series_mul(a: list, b: list, order: int) -> list:
     return out
 
 
-def _series_inverse(a: list, order: int) -> list:
+def _scaled_inverse(a: list[int], order: int) -> list[int]:
+    """Integers b' with 1/a = sum_j b'_j u^j / e0^(order+1), e0 = a[0].
+
+    b'_j = b_j e0^(order-j) for the integer recursion b_0 = 1,
+    b_j = -sum_{i>=1} a_i e0^(i-1) b_{j-i}; so the division by e0 is exact.
+    """
     if not a or a[0] == 0:
         raise InternalConsistencyError("series inversion needs a unit")
-    inv0 = Fraction(1, 1) / a[0]
-    out = [inv0] + [Fraction(0)] * order
+    out = [a[0] ** order]
     for j in range(1, order + 1):
-        acc = 0
-        for i in range(1, min(j, len(a) - 1) + 1):
-            if a[i]:
-                acc += a[i] * out[j - i]
-        out[j] = -inv0 * acc
+        out.append(-sum(a[i] * out[j - i] for i in range(1, min(j, len(a) - 1) + 1)) // a[0])
     return out
 
 
@@ -81,13 +83,15 @@ def draw_torus_weights(n: int, seed: int) -> list[int]:
     return rng.sample(range(1, 12 * n + 1), n)
 
 
-def _chi_y_value(k: int, n: int, section: bool, xs: list[int], y: int) -> Fraction:
-    """Exact value of the fixed-point sum at one integer y, at t = 1.
+def _fixed_point_sums(k: int, n: int, section: bool, xs: list[int], ys: list[int]) -> list[Fraction]:
+    """Exact value of the fixed-point sum at t = 1 for each integer sample y.
 
     Each contribution is u^{-d} (ambient) or u^{-(d-1)} (section, whose
-    numerator carries one factor of u) times a regular series in u = t - 1;
-    the sum of the stored series is accumulated, its pole part is checked to
-    cancel exactly, and its constant Laurent coefficient is returned.
+    numerator carries one factor of u) times a regular series in u = t - 1:
+    the numerator prod (1 + y (1+u)^-w) [times H = (1 - (1+u)^h) / u] over
+    the unit D = prod (1 - (1+u)^-w) / u [times 1 + y (1+u)^h].  The weights,
+    D and H are built once per fixed point; the pole part of every sum is
+    checked to cancel exactly, and its constant Laurent coefficient returned.
     """
     d = k * (n - k)
     order = d if not section else d - 1
@@ -99,30 +103,35 @@ def _chi_y_value(k: int, n: int, section: bool, xs: list[int], y: int) -> Fracti
             rows[m] = _binomial_row(m, order + 1)
         return rows[m]
 
-    total = [Fraction(0)] * (order + 1)
+    totals = [[Fraction(0)] * (order + 1) for _ in ys]
     for subset in combinations(range(n), k):
-        outside = [j for j in range(n) if j not in subset]
-        weights = [xs[j] - xs[i] for i in subset for j in outside]
-        num = [1]
-        denom_unit = [1]
-        for w in weights:
-            r = row(-w)
-            num = _series_mul(num, [1 + y] + [y * c for c in r[1:]], order)
+        tails = [row(xs[i] - xs[j])[1:] for i in subset for j in range(n) if j not in subset]
+        denom = [1]
+        for tail in tails:
             # (1 - (1+u)^-w) / u, a unit since w != 0
-            denom_unit = _series_mul(denom_unit, [-c for c in r[1:]], order)
+            denom = _series_mul(denom, [-c for c in tail], order)
         if section:
-            h = sum(xs[i] for i in subset)
-            r = row(h)
-            num = _series_mul(num, [-c for c in r[1:]], order)  # (1 - (1+u)^h) / u
-            denom_unit = _series_mul(denom_unit, [1 + y] + [y * c for c in r[1:]], order)
-        contribution = _series_mul(num, _series_inverse(denom_unit, order), order)
-        total = [a + b for a, b in zip(total, contribution)]
-    for j in range(order):
-        if total[j] != 0:
-            raise InternalConsistencyError(
-                f"pole part did not cancel at order u^{j - order} (k={k}, n={n}, y={y})"
-            )
-    return total[order]
+            h_tail = row(sum(xs[i] for i in subset))[1:]
+            h_series = [-c for c in h_tail]  # (1 - (1+u)^h) / u
+        for y, total in zip(ys, totals):
+            num = [1]
+            for tail in tails:
+                num = _series_mul(num, [1 + y] + [y * c for c in tail], order)
+            unit = denom
+            if section:
+                num = _series_mul(num, h_series, order)
+                unit = _series_mul(denom, [1 + y] + [y * c for c in h_tail], order)
+            scale = unit[0] ** (order + 1)
+            for m, c in enumerate(_series_mul(num, _scaled_inverse(unit, order), order)):
+                if c:
+                    total[m] += Fraction(c, scale)
+    for y, total in zip(ys, totals):
+        for j in range(order):
+            if total[j] != 0:
+                raise InternalConsistencyError(
+                    f"pole part did not cancel at order u^{j - order} (k={k}, n={n}, y={y})"
+                )
+    return [total[order] for total in totals]
 
 
 def chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_SEED) -> UniPoly:
@@ -133,37 +142,12 @@ def chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_SEED) -> Un
     degree = d - 1 if section else d
     if section and degree < 0:
         raise InvalidInputError("section of a point")
-    last_error: Exception | None = None
-    for attempt in range(_RETRY_BUDGET):
-        xs = draw_torus_weights(n, seed + attempt)
-        try:
-            poly = _interpolated_genus(k, n, section, xs, degree)
-            break
-        except InternalConsistencyError as exc:
-            last_error = exc
-    else:
-        raise InternalConsistencyError(
-            f"localization failed after {_RETRY_BUDGET} parameter draws: {last_error}"
-        )
-    if poly(0) != 1:
-        raise InternalConsistencyError("chi_y(0) != 1: sign conventions are broken")
-    if not section:
-        expected = UniPoly(
-            [(-1) ** p * len(box_partitions_of_size(k, n, p)) for p in range(d + 1)]
-        )
-        if poly != expected:
-            raise InternalConsistencyError("ambient chi_y does not match box-partition counts")
-    return poly
-
-
-def _interpolated_genus(k, n, section, xs, degree) -> UniPoly:
     # unknown coefficients c_p for p <= degree/2; c_{degree-p} = (-1)^degree c_p
     unknowns = degree // 2 + 1
     ys = list(range(unknowns + 2))
-    values = {y: _chi_y_value(k, n, section, xs, y) for y in ys}
+    values = _fixed_point_sums(k, n, section, draw_torus_weights(n, seed), ys)
     sign = (-1) ** degree
     rows = []
-    rhs = []
     for y in ys:
         row = []
         for p in range(unknowns):
@@ -173,9 +157,8 @@ def _interpolated_genus(k, n, section, xs, degree) -> UniPoly:
             else:
                 row.append(Fraction(y) ** p + sign * Fraction(y) ** mirror)
         rows.append(row)
-        rhs.append(values[y])
     # tall exact system: Serre symmetry is imposed, every sample must agree
-    solution = linalg.solve(rows, rhs)
+    solution = linalg.solve(rows, values)
     coeffs = [Fraction(0)] * (degree + 1)
     for p, c in enumerate(solution):
         coeffs[p] = c
@@ -183,6 +166,14 @@ def _interpolated_genus(k, n, section, xs, degree) -> UniPoly:
     poly = UniPoly(coeffs)
     if any(isinstance(c, Fraction) and c.denominator != 1 for c in poly.coeffs):
         raise InternalConsistencyError("chi_y has a non-integer coefficient")
+    if poly(0) != 1:
+        raise InternalConsistencyError("chi_y(0) != 1: sign conventions are broken")
+    if not section:
+        expected = UniPoly(
+            [(-1) ** p * len(box_partitions_of_size(k, n, p)) for p in range(d + 1)]
+        )
+        if poly != expected:
+            raise InternalConsistencyError("ambient chi_y does not match box-partition counts")
     return poly
 
 

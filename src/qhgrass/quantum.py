@@ -456,6 +456,11 @@ def semisimple_test(
 
 
 def qh_semisimple(box: Box, q_value=1) -> bool:
-    """Trace-form semisimplicity of QH(Gr(k, n)) at the given q."""
+    """Trace-form semisimplicity of QH(Gr(k, n)) at the given q.
+
+    mult_operators builds every operator as a polynomial in the Pieri
+    matrices e_1..e_k, so commutativity is asserted on those generators.
+    """
     ops = mult_operators(box, q_value)
-    return semisimple_test([ops[lam] for lam in schubert_basis(box)])
+    generators = list(_pieri_matrices(box, q_value).values())
+    return semisimple_test([ops[lam] for lam in schubert_basis(box)], commuting_generators=generators)

@@ -101,6 +101,7 @@ class SectionRing:
         self.r_y = n - 1
         self.dim_y = k * (n - k) - 1
         self.prim_dim = PRIMITIVE_DIM[(k, n)]
+        self._pieri: dict[tuple[int, object], SectionClass] = {}
         self._build_quotient()
         self._build_basis()
         self._build_operators()
@@ -177,18 +178,21 @@ class SectionRing:
     # -- products ----------------------------------------------------------
 
     def pieri_on_label(self, p: int, lab) -> SectionClass:
-        """e_p * (basis label), q symbolic."""
+        """e_p * (basis label), q symbolic.  Computed once per (p, label) and
+        shared between callers, which must not mutate it."""
         if not 1 <= p <= self.k:
             raise InvalidInputError(f"Pieri index p={p} outside [1, {self.k}]")
         if lab == BETA:
             return SectionClass(self)
-        lam = ClassVector.schubert(self.box, lab)
-        classical = cup_e(p, lam)
-        lam_h = cup_e(1, lam)
-        quantum = star_e(p, lam_h) - cup_e(p, lam_h)
-        if any(qp == 0 for (_, qp) in quantum.terms):
-            raise InternalConsistencyError("classical parts did not cancel in section Pieri")
-        return self.reduce(classical + quantum)
+        if (p, lab) not in self._pieri:
+            lam = ClassVector.schubert(self.box, lab)
+            classical = cup_e(p, lam)
+            lam_h = cup_e(1, lam)
+            quantum = star_e(p, lam_h) - cup_e(p, lam_h)
+            if any(qp == 0 for (_, qp) in quantum.terms):
+                raise InternalConsistencyError("classical parts did not cancel in section Pieri")
+            self._pieri[(p, lab)] = self.reduce(classical + quantum)
+        return self._pieri[(p, lab)]
 
     def pieri(self, p: int, x: SectionClass) -> SectionClass:
         out = SectionClass(self)

@@ -1,9 +1,12 @@
+from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhgrass import hodge
-from qhgrass.errors import InvalidInputError
+from qhgrass import cli, hodge
+from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
     DEFAULT_SEED,
     chi_y,
@@ -159,3 +162,94 @@ def test_section_profile_matches_sg_transfer():
 
 def test_seed_flag_changes_nothing(capfd):
     assert chi_y(2, 4, seed=DEFAULT_SEED) == chi_y(2, 4, seed=DEFAULT_SEED + 17)
+
+
+# -- the Fraction route, kept as the oracle of the integer kernel ---------------
+
+
+def _series_inverse(a: list, order: int) -> list:
+    if not a or a[0] == 0:
+        raise InternalConsistencyError("series inversion needs a unit")
+    inv0 = Fraction(1, 1) / a[0]
+    out = [inv0] + [Fraction(0)] * order
+    for j in range(1, order + 1):
+        acc = 0
+        for i in range(1, min(j, len(a) - 1) + 1):
+            if a[i]:
+                acc += a[i] * out[j - i]
+        out[j] = -inv0 * acc
+    return out
+
+
+def _chi_y_value(k: int, n: int, section: bool, xs: list[int], y: int) -> Fraction:
+    """The fixed-point sum at one sample y, rebuilding every series for that y
+    and dividing by the denominator through its Fraction inverse."""
+    d = k * (n - k)
+    order = d if not section else d - 1
+    total = [Fraction(0)] * (order + 1)
+    for subset in combinations(range(n), k):
+        outside = [j for j in range(n) if j not in subset]
+        num = [1]
+        denom_unit = [1]
+        for w in [xs[j] - xs[i] for i in subset for j in outside]:
+            r = hodge._binomial_row(-w, order + 1)
+            num = hodge._series_mul(num, [1 + y] + [y * c for c in r[1:]], order)
+            denom_unit = hodge._series_mul(denom_unit, [-c for c in r[1:]], order)
+        if section:
+            r = hodge._binomial_row(sum(xs[i] for i in subset), order + 1)
+            num = hodge._series_mul(num, [-c for c in r[1:]], order)
+            denom_unit = hodge._series_mul(denom_unit, [1 + y] + [y * c for c in r[1:]], order)
+        contribution = hodge._series_mul(num, _series_inverse(denom_unit, order), order)
+        total = [a + b for a, b in zip(total, contribution)]
+    assert not any(total[:order]), (k, n, y)
+    return total[order]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-50, 50).filter(bool),
+    st.lists(st.integers(-10**6, 10**6), max_size=10),
+    st.integers(0, 12),
+)
+def test_scaled_inverse_matches_fraction_inverse(a0, rest, order):
+    a = [a0] + rest
+    scaled = hodge._scaled_inverse(a, order)
+    assert all(isinstance(b, int) for b in scaled)
+    assert [Fraction(b, a0 ** (order + 1)) for b in scaled] == _series_inverse(a, order)
+
+
+def test_scaled_inverse_needs_a_unit():
+    for a in ([], [0], [0, 1, 2]):
+        with pytest.raises(InternalConsistencyError, match="needs a unit"):
+            hodge._scaled_inverse(a, 3)
+
+
+@pytest.mark.parametrize(
+    "k, n, section", [(1, 5, False), (2, 5, False), (2, 6, True), (3, 6, False), (3, 7, True), (2, 8, True)]
+)
+def test_fixed_point_sums_match_per_sample_oracle(k, n, section):
+    # k(n-k) <= 12; every sample of one pass must equal its own Fraction-route sum
+    degree = k * (n - k) - int(section)
+    ys = list(range(degree // 2 + 3))
+    for seed in (3, 101, DEFAULT_SEED):
+        xs = hodge.draw_torus_weights(n, seed)
+        values = hodge._fixed_point_sums(k, n, section, xs, ys)
+        assert values == [_chi_y_value(k, n, section, xs, y) for y in ys], (k, n, section, seed)
+
+
+def test_inconsistent_localization_is_raised_after_one_draw(monkeypatch):
+    draws = []
+
+    def repeated_weight(n, seed):
+        draws.append(seed)
+        return [5] * 2 + list(range(6, 4 + n))
+
+    monkeypatch.setattr(hodge, "draw_torus_weights", repeated_weight)
+    for section in (False, True):
+        draws.clear()
+        with pytest.raises(InternalConsistencyError):
+            chi_y(2, 5, section=section, seed=11)
+        assert draws == [11]
+    draws.clear()
+    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5", "--seed", "11"]) == 1
+    assert draws == [11]

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from qhgrass import linalg
+from qhgrass import linalg, quantum
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import Box, canonical, size
 from qhgrass.polynomials import UniPoly
@@ -375,6 +375,21 @@ def test_semisimple_test_rejects_non_self_adjoint():
 def test_qh_semisimple_small():
     assert qh_semisimple(Box(2, 4))
     assert qh_semisimple(Box(3, 7))
+
+
+def test_qh_semisimple_checks_commutativity_on_pieri_generators(monkeypatch):
+    seen = []
+
+    def recording(ops):
+        seen.append(ops)
+        return commuting(ops)
+
+    monkeypatch.setattr(quantum, "commuting", recording)
+    for box in (Box(2, 5), Box(3, 7), Box(4, 8)):
+        seen.clear()
+        assert qh_semisimple(box)
+        generators = [[list(row) for row in pieri_matrix(box, p)] for p in range(1, box.k + 1)]
+        assert seen == [generators], box
 
 
 def test_cup_e_is_classical_part():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhgrass import linalg
+from qhgrass import linalg, section
 from qhgrass.errors import InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, size
 from qhgrass.polynomials import UniPoly
@@ -16,6 +16,7 @@ from qhgrass.quantum import (
 )
 from qhgrass.section import (
     BETA,
+    SectionRing,
     ambient_basis,
     betti_numbers,
     build_ring,
@@ -347,3 +348,28 @@ def test_trace_form_gram_matches_trace_products():
     ops8, _ = perp_subalgebra_operators(build_ring(3, 8), perp)
     assert len(ops8) == 49
     assert trace_form_gram(ops8) == _trace_product_gram(ops8)
+
+
+def test_section_pieri_computed_once_per_label(monkeypatch):
+    star_calls = []
+    requested = set()
+    original = SectionRing.pieri_on_label
+
+    def counting_star_e(p, x):
+        star_calls.append(p)
+        return star_e(p, x)
+
+    def recording(self, p, lab):
+        requested.add((p, lab))
+        return original(self, p, lab)
+
+    monkeypatch.setattr(section, "star_e", counting_star_e)
+    monkeypatch.setattr(SectionRing, "pieri_on_label", recording)
+    ring = SectionRing(3, 8)
+    assert len(star_calls) == len({(p, lab) for p, lab in requested if lab != BETA})
+    # the shared results are never altered by the callers that read them
+    for (p, lab), image in ring._pieri.items():
+        lam = ClassVector.schubert(ring.box, lab)
+        lam_h = cup_e(1, lam)
+        fresh = ring.reduce(cup_e(p, lam) + star_e(p, lam_h) - cup_e(p, lam_h))
+        assert image == fresh, (p, lab)
