@@ -125,19 +125,6 @@ def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     }
 
 
-def is_core(lam: Partition, ell: int) -> bool:
-    """True iff no cell of lam has hook length ell (early-exit cell scan)."""
-    if ell <= 0:
-        raise InvalidInputError(f"core parameter must be positive, got {ell}")
-    lam = canonical(lam)
-    tr = transpose(lam)
-    for i, row_len in enumerate(lam, start=1):
-        for j in range(1, row_len + 1):
-            if row_len - j + tr[j - 1] - i + 1 == ell:
-                return False
-    return True
-
-
 def to_beta_set(lam: Partition, box: Box) -> tuple[int, ...]:
     """First-column hook lengths a_i = lam_i + k - i + 1, strictly decreasing in [1, n]."""
     lam = box.require(lam)
@@ -152,12 +139,6 @@ def from_beta_set(beta, box: Box) -> Partition:
     if len(beta) != box.k or beta[0] > box.n or beta[-1] < 1:
         raise InvalidInputError(f"{beta} is not a {box.k}-subset of [1, {box.n}]")
     return canonical(tuple(beta[i] - (box.k - i) for i in range(box.k)))
-
-
-def is_core_beta(lam: Partition, ell: int, box: Box) -> bool:
-    """Core test through the beta set: a in A and a-ell >= 1 force a-ell in A."""
-    beta = set(to_beta_set(lam, box))
-    return all(a - ell in beta for a in beta if a - ell >= 1)
 
 
 def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
@@ -179,26 +160,45 @@ def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     return out
 
 
+# (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; 10^6 take ~1.5 s
+MAX_CORE_CANDIDATES = 1_000_000
+
+
+def _count_small_partitions(k: int, cols: int, budget: int) -> int:
+    """Partitions of at most `budget` cells with at most k parts, each at most cols."""
+    ways = [[1] + [0] * budget] + [[0] * (budget + 1) for _ in range(k)]  # [parts][cells]
+    for v in range(1, min(cols, budget) + 1):
+        for r in range(1, k + 1):
+            for s in range(v, budget + 1):
+                ways[r][s] += ways[r - 1][s - v]
+    return sum(map(sum, ways))
+
+
 def core_search(box: Box) -> list[tuple[Partition, int]]:
     """Large (n-i)-core partitions in the box, the obstruction to vanishing.
 
-    Scans i from n-1 down to 1 and returns each (lam, i) with
-    |lam| >= k(n-k) - i and lam an (n-i)-core, partitions in lexicographically
-    decreasing order within each i.  The size bound keeps the candidate set
-    tiny (at most the partitions of i cells), so large boxes stay cheap.
-    Nonempty exactly for (k, n) in {(3,6), (4,8), (3,9)}.
+    Each (lam, i) with |lam| >= k(n-k) - i and lam an (n-i)-core, i from n-1 down
+    to 1 and lam lexicographically decreasing; nonempty exactly for (k, n) in
+    {(3,6), (4,8), (3,9)}.  One pass over the box complements mu of at most n-1
+    cells: lam's beta set {lam_m + k-m+1} is the bitmask A with bits n-k+m-mu_m,
+    and lam is an ell-core iff (A >> ell) & ~A & ~1 == 0, i.e. A is closed under
+    a -> a-ell on [1, n] (James-Kerber 2.7).  Refused over MAX_CORE_CANDIDATES.
     """
     k, n = box.k, box.n
     if not (3 <= k and 2 * k <= n):
         raise InvalidInputError(f"core_search needs 3 <= k <= n/2, got k={k}, n={n}")
-    full = k * (n - k)
-    out = []
-    for i in range(n - 1, 0, -1):
-        candidates: list[Partition] = []
-        for p in range(max(full - i, 0), full + 1):
-            candidates.extend(box_partitions_of_size(k, n, p))
-        candidates.sort(reverse=True)
-        for lam in candidates:
-            if is_core(lam, n - i):
-                out.append((lam, i))
-    return out
+    if (count := _count_small_partitions(k, n - k, n - 1)) > MAX_CORE_CANDIDATES:
+        raise InvalidInputError(f"core_search({k}, {n}) has {count} candidates, over {MAX_CORE_CANDIDATES}")
+    hits: list[list[Partition]] = [[] for _ in range(n)]
+
+    def visit(mu, beta, cells):
+        for i in range(max(cells, 1), n):
+            if not (beta >> (n - i)) & ~beta & ~1:
+                hits[i].append(box.dual(mu))
+        if len(mu) < k:
+            bit = n - k + len(mu) + 1  # the next row's beta bit while its mu part is 0
+            for a in range(1, min(mu[-1] if mu else n - k, n - 1 - cells) + 1):
+                visit(mu + (a,), beta ^ (1 << bit) ^ (1 << (bit - a)), cells + a)
+
+    visit((), ((1 << k) - 1) << (n - k + 1), 0)
+    return [(lam, i) for i in range(n - 1, 0, -1) for lam in sorted(hits[i], reverse=True)]

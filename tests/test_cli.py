@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
+import time
 from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from qhgrass import cli
 
@@ -109,6 +114,43 @@ def test_degenerate_box_and_negative_power_exit_2(capsys):
             capsys, "qh", "charpoly", "--k", "3", "--n", "7", *section, "--power", "-1"
         )
         assert code == 2 and not out and "error" in err, section
+
+
+def test_oversized_core_search_exits_2_at_once(capsys):
+    t0 = time.process_time()
+    code, out, err = run_cli(capsys, "core-search", "--k", "50", "--n", "100")
+    assert code == 2 and not out and "candidates" in err
+    assert time.process_time() - t0 < 2
+
+
+small_ints = st.integers(-3, 12).map(str)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["core-search", "snow", "betti", "screen"]))
+    if command == "core-search":
+        big = st.integers(-3, 26).map(str)
+        argv = [command, "--k", draw(big), "--n", draw(big)]
+    elif command == "snow":
+        argv = [command, "--k", draw(small_ints), "--n", draw(small_ints),
+                "--p", draw(small_ints), "--twist", draw(small_ints)]
+    else:
+        kind = draw(st.sampled_from("ABCDEFGQ")) + draw(st.integers(-2, 10).map(str))
+        argv = [command, "--type", kind, "--node", draw(small_ints)]
+    return argv + [draw(st.sampled_from(["--format=json", "--format=table"]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_small_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and "--format=json" in argv:
+        json.loads(out.getvalue())
 
 
 def test_hodge_section_localizes_once(capsys, monkeypatch):

@@ -1,24 +1,62 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import (
+    MAX_CORE_CANDIDATES,
     Box,
+    _count_small_partitions,
     box_partitions,
     box_partitions_of_size,
     canonical,
     core_search,
     from_beta_set,
     hook_lengths,
-    is_core,
-    is_core_beta,
     size,
     snow_witnesses,
     to_beta_set,
     transpose,
 )
+
+
+# -- oracles: the two classical core tests that core_search's bitmask replaces --
+
+
+def is_core(lam, ell):
+    """True iff no cell of lam has hook length ell (early-exit cell scan)."""
+    if ell <= 0:
+        raise InvalidInputError(f"core parameter must be positive, got {ell}")
+    lam = canonical(lam)
+    tr = transpose(lam)
+    for i, row_len in enumerate(lam, start=1):
+        for j in range(1, row_len + 1):
+            if row_len - j + tr[j - 1] - i + 1 == ell:
+                return False
+    return True
+
+
+def is_core_beta(lam, ell, box):
+    """Core test through the beta set: a in A and a-ell >= 1 force a-ell in A."""
+    beta = set(to_beta_set(lam, box))
+    return all(a - ell in beta for a in beta if a - ell >= 1)
+
+
+def core_hits(k, n, test):
+    """(lam, i) over the partitions of at least k(n-k) - i cells that pass
+    test(lam, n - i), i descending and lam lexicographically decreasing."""
+    full = k * (n - k)
+    out = []
+    for i in range(n - 1, 0, -1):
+        found = [
+            lam
+            for p in range(max(full - i, 0), full + 1)
+            for lam in box_partitions_of_size(k, n, p)
+            if test(lam, n - i)
+        ]
+        out.extend((lam, i) for lam in sorted(found, reverse=True))
+    return out
 
 
 @st.composite
@@ -162,15 +200,37 @@ def test_core_search_agrees_with_beta_oracle():
     for k in range(3, 8):
         for n in range(2 * k, 15):
             box = Box(k, n)
-            full = k * (n - k)
-            oracle = []
-            for i in range(n - 1, 0, -1):
-                found = []
-                for p in range(max(full - i, 0), full + 1):
-                    found.extend(
-                        lam
-                        for lam in box_partitions_of_size(k, n, p)
-                        if is_core_beta(lam, n - i, box)
-                    )
-                oracle.extend((lam, i) for lam in sorted(found, reverse=True))
+            oracle = core_hits(k, n, lambda lam, ell: is_core_beta(lam, ell, box))
             assert core_search(box) == oracle, (k, n)
+
+
+@st.composite
+def core_boxes(draw):
+    n = draw(st.integers(6, 24))
+    return draw(st.integers(3, n // 2)), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(core_boxes())
+@example((12, 24))
+def test_core_search_agrees_with_cell_scan(box):
+    # the order of the list (i descending, lam lexicographically decreasing)
+    # is part of the contract, so the lists are compared as they are
+    k, n = box
+    assert core_search(Box(k, n)) == core_hits(k, n, is_core)
+
+
+def test_candidate_count_matches_enumeration():
+    for k, n in [(3, 6), (3, 9), (4, 8), (5, 13), (12, 24)]:
+        enumerated = sum(
+            len(box_partitions_of_size(k, n, p)) for p in range(k * (n - k) - (n - 1), k * (n - k) + 1)
+        )
+        assert _count_small_partitions(k, n - k, n - 1) == enumerated, (k, n)
+
+
+def test_core_search_refuses_oversized_boxes():
+    assert _count_small_partitions(12, 12, 23) <= MAX_CORE_CANDIDATES
+    count = _count_small_partitions(50, 50, 99)
+    assert count > MAX_CORE_CANDIDATES
+    with pytest.raises(InvalidInputError, match=str(count)):
+        core_search(Box(50, 100))

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from qhgrass import linalg, section
+from qhgrass import hodge, linalg, section
 from qhgrass.errors import InvalidInputError, UndeterminedProductError
-from qhgrass.partitions import Box, size
+from qhgrass.partitions import Box, box_partitions_of_size, size
 from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
     ClassVector,
@@ -55,6 +55,21 @@ def test_ring_dimensions_and_graded_ranks():
         ring = build_ring(k, n)
         assert len(ring.basis) == total
         assert list(betti_numbers(ring)) == ranks
+
+
+def test_section_constants_match_localization():
+    # the quotient-ring route (basis size, PRIMITIVE_DIM) against the Hodge
+    # diamond from localization
+    for n, total, prim in [(6, 18, 1), (7, 30, 0), (8, 51, 1)]:
+        even_betti = hodge.section_profile(3, n).even_betti
+        dim_y = len(even_betti) - 1
+        assert len(build_ring(3, n).basis) == sum(even_betti) == total, n
+        if dim_y % 2:
+            expected = 0
+        else:
+            mid = dim_y // 2
+            expected = even_betti[mid] - len(box_partitions_of_size(3, n, mid))
+        assert section.PRIMITIVE_DIM[(3, n)] == expected == prim, n
 
 
 def test_build_ring_rejects_unsupported():
