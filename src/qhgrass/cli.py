@@ -6,23 +6,31 @@ it verbatim, --format table renders it through a pure function of the
 document, so the two modes always agree.
 
 Exit codes: 0 success, 2 invalid input or usage, 1 internal consistency
-failure (which is always a bug, never bad user input).
+failure (which is always a bug, never bad user input), and 141 (128 + SIGPIPE,
+as for any program killed by it) when the reader closes the pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from fractions import Fraction
 
-from . import hodge, quantum, screen, section
+from . import hodge, linalg, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .partitions import Box, core_search, snow_witnesses
 from .polynomials import UniPoly
 from .rootdata import GrassmannianId, dimension, fano_index, parse_type, poincare_polynomial
 
 SCHEMA_VERSION = "1"
+
+# a charpoly whose coefficients may have more digits is refused before any power
+# is taken; the bound is about four times the true size on Gr(2, 4)
+MAX_CHARPOLY_DIGITS = 20_000
+SEED_HELP = "accepted and echoed; has no effect"
 
 
 def _rat(value) -> int | str:
@@ -82,7 +90,7 @@ def _cmd_screen(args) -> dict:
     if args.section:
         if args.k is None or args.n is None:
             raise InvalidInputError("screen --section requires --k and --n")
-        profile = hodge.section_profile(args.k, args.n, seed=args.seed)
+        profile = hodge.section_profile(args.k, args.n)
         inputs = {"section": True, "k": args.k, "n": args.n, "seed": args.seed}
     else:
         if args.type is None or args.node is None:
@@ -129,9 +137,9 @@ def _cmd_snow(args) -> dict:
 def _cmd_hodge(args) -> dict:
     inputs = {"k": args.k, "n": args.n, "section": args.section, "seed": args.seed}
     if not args.section:
-        genus = hodge.chi_y(args.k, args.n, seed=args.seed)
+        genus = hodge.chi_y(args.k, args.n)
         return _document("hodge", inputs, {"chi_y": _poly(genus)})
-    dia = hodge.diamond(args.k, args.n, seed=args.seed)
+    dia = hodge.diamond(args.k, args.n)
     results = {
         "chi_y": _poly(dia.genus),
         "diamond_column": dia.column(),
@@ -139,6 +147,11 @@ def _cmd_hodge(args) -> dict:
         "hodge_tate": dia.is_hodge_tate(),
     }
     return _document("hodge", inputs, results)
+
+
+def _log_norm(op) -> float:
+    """log10 of the largest absolute row sum, which bounds every eigenvalue."""
+    return math.log10(max(1, max(sum(abs(x) for x in row) for row in op)))
 
 
 def _cmd_qh_charpoly(args) -> dict:
@@ -150,15 +163,23 @@ def _cmd_qh_charpoly(args) -> dict:
         "with_e2": args.with_e2,
     }
     if args.section:
-        poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
+        ring = section.build_ring(args.k, args.n)
+        e1, e2, piece = ring.e_ops[1], ring.e_ops[2], ring.residue_piece(0)
     else:
         box = Box(args.k, args.n)
-        from . import linalg
-
-        op = linalg.mat_pow([list(r) for r in quantum.pieri_matrix(box, 1, 1)], args.power)
+        e1, piece = [list(r) for r in quantum.pieri_matrix(box, 1, 1)], quantum.graded_pieces(box)[0]
+        e2 = [list(r) for r in quantum.pieri_matrix(box, 2, 1)] if args.with_e2 else None
+    # coefficient j is at most C(dim, j) times the j-th power of the eigenvalue bound
+    eigenvalue = args.power * _log_norm(e1) + (_log_norm(e2) if args.with_e2 else 0)
+    if (digits := int(len(piece) * (eigenvalue + math.log10(2))) + 1) > MAX_CHARPOLY_DIGITS:
+        raise InvalidInputError(f"charpoly coefficients of up to {digits} digits, over {MAX_CHARPOLY_DIGITS}")
+    if args.section:
+        poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
+    else:
+        op = linalg.mat_pow(e1, args.power)
         if args.with_e2:
-            op = linalg.mat_mul(op, [list(r) for r in quantum.pieri_matrix(box, 2, 1)])
-        poly = quantum.char_poly_on_piece(op, quantum.graded_pieces(box)[0], box)
+            op = linalg.mat_mul(op, e2)
+        poly = quantum.char_poly_on_piece(op, piece, box)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 
@@ -298,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", action="store_true", help="screen a Gr(k,n) hyperplane section")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=hodge.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=hodge.DEFAULT_SEED, help=SEED_HELP)
     add_format(p)
     p.set_defaults(handler=_cmd_screen)
 
@@ -324,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--section", action="store_true")
-    p.add_argument("--seed", type=int, default=hodge.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=hodge.DEFAULT_SEED, help=SEED_HELP)
     add_format(p)
     p.set_defaults(handler=_cmd_hodge)
 
@@ -375,15 +396,28 @@ def run(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        sys.stdout.write(render_table(doc))
+    # answers are never truncated; MAX_CHARPOLY_DIGITS bounds them before they are computed
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else render_table(doc)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text)
     return 0
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: drop what is left instead of failing at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

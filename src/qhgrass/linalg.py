@@ -4,9 +4,9 @@ Matrices are plain lists of rows; entries are ints or Fractions and never
 floats.  Integral values stay ints: every division goes through exact_div,
 which refuses floats and returns an int whenever the quotient is integral, and
 elimination steps hand back ints for integral entries, so a Fraction entry is
-always genuinely non-integral.  Characteristic polynomials come in two
-independent flavours (fraction-free elimination and the division-free
-Berkowitz recursion) so each can serve as an oracle for the other.
+always genuinely non-integral.  Characteristic polynomials come from
+fraction-free elimination; the tests check them against the division-free
+Berkowitz recursion.
 """
 
 from __future__ import annotations
@@ -296,30 +296,3 @@ def charpoly(a: Matrix) -> UniPoly:
     if out.leading() != 1:
         raise InternalConsistencyError("characteristic polynomial is not monic")
     return out
-
-
-def charpoly_berkowitz(a: Matrix) -> UniPoly:
-    """Monic characteristic polynomial by the division-free Berkowitz recursion."""
-    n = len(a)
-    if n == 0:
-        return UniPoly.one()
-    poly = [1, -a[0][0]]  # highest degree first
-    for i in range(1, n):
-        sub = [row[:i] for row in a[:i]]
-        row_r = a[i][:i]
-        col_c = [a[j][i] for j in range(i)]
-        diag = a[i][i]
-        col = [1, -diag]
-        v = col_c
-        for _ in range(i):
-            col.append(-sum(r * x for r, x in zip(row_r, v)))
-            v = mat_vec(sub, v)
-        new = [0] * (i + 2)
-        for r in range(i + 2):
-            acc = 0
-            for s in range(min(r, i) + 1):
-                if r - s < len(col):
-                    acc += col[r - s] * poly[s]
-            new[r] = acc
-        poly = new
-    return UniPoly(list(reversed(poly)))

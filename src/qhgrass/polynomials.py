@@ -35,10 +35,6 @@ class UniPoly:
     def x() -> "UniPoly":
         return UniPoly([0, 1])
 
-    @staticmethod
-    def monomial(degree: int, coeff=1) -> "UniPoly":
-        return UniPoly([0] * degree + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial conventionally of degree -1."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .polynomials import UniPoly
 from .rootdata import DynkinType, GrassmannianId, dimension, fano_index, poincare_polynomial
 
 NO_OBSTRUCTION = "NoObstruction"
@@ -163,7 +162,3 @@ def exceptional_table() -> list[ExceptionalRow]:
 
 def projective_space_profile(m: int) -> BettiProfile:
     return BettiProfile((1,) * (m + 1), m + 1, f"P{m}")
-
-
-def poincare_profile(poly: UniPoly, index: int, label: str = "") -> BettiProfile:
-    return BettiProfile(tuple(int(c) for c in poly.coeffs), index, label)

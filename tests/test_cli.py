@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -141,9 +144,7 @@ def fuzz_argv(draw):
     return argv + [draw(st.sampled_from(["--format=json", "--format=table"]))]
 
 
-@settings(max_examples=300, deadline=None)
-@given(fuzz_argv())
-def test_cli_fuzz_small_arguments(argv):
+def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
@@ -151,6 +152,68 @@ def test_cli_fuzz_small_arguments(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code == 0 and "--format=json" in argv:
         json.loads(out.getvalue())
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_cli_fuzz_small_arguments(argv):
+    _run_quietly(argv)
+
+
+def _draw_box(draw, max_n):
+    # mostly valid boxes, some degenerate or negative
+    n = draw(st.one_of(st.integers(2, max_n), st.integers(-1, max_n)))
+    k = draw(st.one_of(st.integers(1, max(n - 1, 1)), st.integers(-1, max(n, 1))))
+    return k, n
+
+
+@st.composite
+def fuzz_hodge_charpoly_argv(draw):
+    fmt = draw(st.sampled_from(["--format=json", "--format=table"]))
+    section = draw(st.sampled_from([[], ["--section"]]))
+    if draw(st.booleans()):
+        k, n = _draw_box(draw, 12)
+        return ["hodge", "--k", str(k), "--n", str(n), *section, "--seed", draw(small_ints), fmt]
+    k, n = draw(st.sampled_from([(3, 6), (3, 7), (3, 8)])) if section else _draw_box(draw, 8)
+    with_e2 = draw(st.sampled_from([[], ["--with-e2"]]))
+    # e_1^power (* e_2) keeps the residue-0 piece when its degree is a multiple of n
+    aligned = st.integers(-2, 5).map(lambda m: m * n - 2 * len(with_e2))
+    power = draw(st.one_of(aligned, st.integers(-3, 40), st.sampled_from([10**5, 10**7])))
+    return ["qh", "charpoly", "--k", str(k), "--n", str(n), *section, "--power", str(power),
+            *with_e2, fmt]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzz_hodge_charpoly_argv())
+def test_cli_fuzz_hodge_and_charpoly(argv):
+    _run_quietly(argv)
+
+
+def test_huge_charpoly_is_refused_and_large_one_printed_whole(capsys):
+    t0 = time.process_time()
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "2", "--n", "4", "--power", "100000",
+                             "--format", "json")
+    assert code == 2 and not out and "digits" in err and "Traceback" not in err
+    assert time.process_time() - t0 < 2
+    # past Python's default 4,300-digit limit for int-to-str conversion
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "2", "--n", "4", "--power", "30000",
+                             "--format", "json")
+    assert code == 0 and not err
+    coeffs = json.loads(out, parse_int=str)["results"]["charpoly"]  # digits kept as text
+    assert max(len(c.lstrip("-")) for c in coeffs) > 4300 and coeffs[-1] == "1"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qhgrass.cli", "hodge", "--k", "3", "--n", "6", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b"", err.decode()
 
 
 def test_hodge_section_localizes_once(capsys, monkeypatch):

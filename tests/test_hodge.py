@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -5,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhgrass import cli, hodge
+from qhgrass import cli, hodge, linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
     DEFAULT_SEED,
@@ -13,9 +15,8 @@ from qhgrass.hodge import (
     diamond,
     is_hodge_tate,
     section_profile,
-    vanishing_check,
 )
-from qhgrass.partitions import box_partitions_of_size
+from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses
 from qhgrass.polynomials import UniPoly
 from qhgrass.screen import periodic_betti, screen, sg_betti
 
@@ -121,6 +122,20 @@ def test_fast_path_skips_localization(monkeypatch):
     assert cert.detail == (25 - 10, 9, 1)
 
 
+def vanishing_check(k: int, n: int) -> bool:
+    """Exhaustive combinatorial confirmation of the twisted-form vanishing used
+    by the middle-row fast path, through the nonvanishing witness search."""
+    dim_x = k * (n - k)
+    if dim_x <= 2 * n:
+        raise InvalidInputError("vanishing check applies only when k(n-k) > 2n")
+    box = Box(k, n)
+    for p in range(2, n + 1):
+        for j in range(1, p):
+            if snow_witnesses(box, dim_x - j, p - j):
+                return False
+    return True
+
+
 def test_vanishing_check():
     assert vanishing_check(3, 10)
     assert vanishing_check(4, 9)
@@ -129,12 +144,17 @@ def test_vanishing_check():
 
 
 def test_borderline_diamonds_show_unit_middle_entry():
-    # full localization on the two cases just past the boundary must reproduce
-    # the middle-row Hodge number 1 that the fast path asserts
-    d = diamond(3, 10)
-    assert d.h(21 - 10, 10 - 1) == 1
-    d = diamond(4, 9)
-    assert d.h(20 - 9, 9 - 1) == 1
+    # every box past the boundary with n <= 12, from (3, 10) and (4, 9) on: the
+    # full diamond must reproduce the middle-row Hodge number 1 that the
+    # middle-row-jump certificate claims without computing it
+    boxes = [(k, n) for n in range(4, 13) for k in range(2, n // 2 + 1) if k * (n - k) > 2 * n]
+    assert len(boxes) == 11
+    for k, n in boxes:
+        ht, cert = is_hodge_tate(k, n)
+        assert not ht and cert.method == "middle-row-jump"
+        p, q, h = cert.detail
+        assert (p, q, h) == (k * (n - k) - n, n - 1, 1)
+        assert diamond(k, n).h(p, q) == h, (k, n)
 
 
 def test_section_profiles_and_screen():
@@ -162,6 +182,180 @@ def test_section_profile_matches_sg_transfer():
 
 def test_seed_flag_changes_nothing(capfd):
     assert chi_y(2, 4, seed=DEFAULT_SEED) == chi_y(2, 4, seed=DEFAULT_SEED + 17)
+
+
+# -- the localization oracle ----------------------------------------------------
+#
+# The torus with weights x_1, ..., x_n acts on Gr(k, n) with one fixed point per
+# k-subset S, tangent weights x_j - x_i for i in S, j outside, and Pluecker line
+# weight sum(x_i, i in S).  Summing the holomorphic Lefschetz contributions
+#
+#     prod (1 + y t^-w) / (1 - t^-w)    [times (1 - t^h) / (1 + y t^h) for the
+#                                        degree-one section, h the line weight]
+#
+# over fixed points gives an equivariant character; the genus is its value at
+# t -> 1, taken exactly: with the x_i specialized to distinct random integers
+# (one draw; a failure is a bug), each contribution is a Laurent series in
+# u = t - 1 whose pole parts must cancel in the sum.  One pass over the fixed
+# points serves every integer y-sample through one scaled integer inverse per
+# sample, and the y-polynomial is interpolated exactly under Serre symmetry with
+# one extra sample as a checksum.  It shares nothing with the Borel-Weil-Bott
+# route of `hodge.chi_y` beyond the answer.
+
+
+def _binomial_row(m: int, order: int) -> list[int]:
+    """Coefficients of (1 + u)^m up to degree `order` (m may be negative)."""
+    row = [1]
+    c = 1
+    for j in range(1, order + 1):
+        num = c * (m - j + 1)
+        c, r = divmod(num, j)
+        if r:
+            raise InternalConsistencyError("binomial recursion left a remainder")
+        row.append(c)
+    return row
+
+
+def _series_mul(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            top = order - i
+            for j, bj in enumerate(b[: top + 1]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _scaled_inverse(a: list[int], order: int) -> list[int]:
+    """Integers b' with 1/a = sum_j b'_j u^j / e0^(order+1), e0 = a[0].
+
+    b'_j = b_j e0^(order-j) for the integer recursion b_0 = 1,
+    b_j = -sum_{i>=1} a_i e0^(i-1) b_{j-i}; so the division by e0 is exact.
+    """
+    if not a or a[0] == 0:
+        raise InternalConsistencyError("series inversion needs a unit")
+    out = [a[0] ** order]
+    for j in range(1, order + 1):
+        out.append(-sum(a[i] * out[j - i] for i in range(1, min(j, len(a) - 1) + 1)) // a[0])
+    return out
+
+
+def draw_torus_weights(n: int, seed: int) -> list[int]:
+    """Distinct nonzero integer specializations of the torus weights."""
+    rng = random.Random(seed)
+    return rng.sample(range(1, 12 * n + 1), n)
+
+
+def _fixed_point_sums(k: int, n: int, section: bool, xs: list[int], ys: list[int]) -> list[Fraction]:
+    """Exact value of the fixed-point sum at t = 1 for each integer sample y.
+
+    Each contribution is u^{-d} (ambient) or u^{-(d-1)} (section, whose
+    numerator carries one factor of u) times a regular series in u = t - 1:
+    the numerator prod (1 + y (1+u)^-w) [times H = (1 - (1+u)^h) / u] over
+    the unit D = prod (1 - (1+u)^-w) / u [times 1 + y (1+u)^h].  The weights,
+    D and H are built once per fixed point; the pole part of every sum is
+    checked to cancel exactly, and its constant Laurent coefficient returned.
+    """
+    d = k * (n - k)
+    order = d if not section else d - 1
+    rows: dict[int, list[int]] = {}
+
+    def row(m):
+        # one term beyond the truncation order: factors divided by u shift down
+        if m not in rows:
+            rows[m] = _binomial_row(m, order + 1)
+        return rows[m]
+
+    totals = [[Fraction(0)] * (order + 1) for _ in ys]
+    for subset in combinations(range(n), k):
+        tails = [row(xs[i] - xs[j])[1:] for i in subset for j in range(n) if j not in subset]
+        denom = [1]
+        for tail in tails:
+            # (1 - (1+u)^-w) / u, a unit since w != 0
+            denom = _series_mul(denom, [-c for c in tail], order)
+        if section:
+            h_tail = row(sum(xs[i] for i in subset))[1:]
+            h_series = [-c for c in h_tail]  # (1 - (1+u)^h) / u
+        for y, total in zip(ys, totals):
+            num = [1]
+            for tail in tails:
+                num = _series_mul(num, [1 + y] + [y * c for c in tail], order)
+            unit = denom
+            if section:
+                num = _series_mul(num, h_series, order)
+                unit = _series_mul(denom, [1 + y] + [y * c for c in h_tail], order)
+            scale = unit[0] ** (order + 1)
+            for m, c in enumerate(_series_mul(num, _scaled_inverse(unit, order), order)):
+                if c:
+                    total[m] += Fraction(c, scale)
+    for y, total in zip(ys, totals):
+        for j in range(order):
+            if total[j] != 0:
+                raise InternalConsistencyError(
+                    f"pole part did not cancel at order u^{j - order} (k={k}, n={n}, y={y})"
+                )
+    return [total[order] for total in totals]
+
+
+def localized_chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_SEED) -> UniPoly:
+    """chi_y by localization, interpolated from integer samples of y."""
+    degree = k * (n - k) - int(section)
+    # unknown coefficients c_p for p <= degree/2; c_{degree-p} = (-1)^degree c_p
+    unknowns = degree // 2 + 1
+    ys = list(range(unknowns + 2))
+    values = _fixed_point_sums(k, n, section, draw_torus_weights(n, seed), ys)
+    sign = (-1) ** degree
+    rows = []
+    for y in ys:
+        row = []
+        for p in range(unknowns):
+            mirror = degree - p
+            row.append(Fraction(y) ** p + (sign * Fraction(y) ** mirror if mirror != p else 0))
+        rows.append(row)
+    # tall exact system: Serre symmetry is imposed, every sample must agree
+    solution = linalg.solve(rows, values)
+    coeffs = [Fraction(0)] * (degree + 1)
+    for p, c in enumerate(solution):
+        coeffs[p] = c
+        coeffs[degree - p] = sign * c if degree - p != p else c
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalConsistencyError("chi_y has a non-integer coefficient")
+    return UniPoly(coeffs)
+
+
+@pytest.mark.parametrize(
+    "k, n, section",
+    [(1, 5, True), (2, 6, True), (3, 7, True), (2, 8, True), (3, 8, True), (2, 5, False), (3, 6, False)],
+)
+def test_bwb_chi_y_matches_localization(k, n, section):
+    assert chi_y(k, n, section=section).coeffs == localized_chi_y(k, n, section).coeffs
+
+
+def test_bwb_anchors_catch_a_wrong_sum(monkeypatch, capsys):
+    # a slipped term in either Euler-characteristic sum must trip an anchor (box
+    # counts or Serre symmetry) rather than reach the output; the CLI exits 1
+    original = hodge._euler_sums
+
+    def slipped(k, n, section):
+        at_zero, alternating = original(k, n, section)
+        (alternating if section else at_zero)[2] += 1
+        return at_zero, alternating
+
+    monkeypatch.setattr(hodge, "_euler_sums", slipped)
+    for k, n, section in [(2, 5, False), (3, 6, False), (2, 5, True), (3, 7, True)]:
+        with pytest.raises(InternalConsistencyError):
+            chi_y(k, n, section=section)
+    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
+    assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_oversized_chi_y_is_refused_up_front():
+    t0 = time.process_time()
+    with pytest.raises(InvalidInputError, match="2035800 box partitions"):
+        chi_y(7, 30, section=True)
+    assert time.process_time() - t0 < 0.5
+    assert comb(14, 7) <= hodge.MAX_BWB_PARTITIONS  # (7, 14) stays admitted
 
 
 # -- the Fraction route, kept as the oracle of the integer kernel ---------------
@@ -192,14 +386,14 @@ def _chi_y_value(k: int, n: int, section: bool, xs: list[int], y: int) -> Fracti
         num = [1]
         denom_unit = [1]
         for w in [xs[j] - xs[i] for i in subset for j in outside]:
-            r = hodge._binomial_row(-w, order + 1)
-            num = hodge._series_mul(num, [1 + y] + [y * c for c in r[1:]], order)
-            denom_unit = hodge._series_mul(denom_unit, [-c for c in r[1:]], order)
+            r = _binomial_row(-w, order + 1)
+            num = _series_mul(num, [1 + y] + [y * c for c in r[1:]], order)
+            denom_unit = _series_mul(denom_unit, [-c for c in r[1:]], order)
         if section:
-            r = hodge._binomial_row(sum(xs[i] for i in subset), order + 1)
-            num = hodge._series_mul(num, [-c for c in r[1:]], order)
-            denom_unit = hodge._series_mul(denom_unit, [1 + y] + [y * c for c in r[1:]], order)
-        contribution = hodge._series_mul(num, _series_inverse(denom_unit, order), order)
+            r = _binomial_row(sum(xs[i] for i in subset), order + 1)
+            num = _series_mul(num, [-c for c in r[1:]], order)
+            denom_unit = _series_mul(denom_unit, [1 + y] + [y * c for c in r[1:]], order)
+        contribution = _series_mul(num, _series_inverse(denom_unit, order), order)
         total = [a + b for a, b in zip(total, contribution)]
     assert not any(total[:order]), (k, n, y)
     return total[order]
@@ -213,7 +407,7 @@ def _chi_y_value(k: int, n: int, section: bool, xs: list[int], y: int) -> Fracti
 )
 def test_scaled_inverse_matches_fraction_inverse(a0, rest, order):
     a = [a0] + rest
-    scaled = hodge._scaled_inverse(a, order)
+    scaled = _scaled_inverse(a, order)
     assert all(isinstance(b, int) for b in scaled)
     assert [Fraction(b, a0 ** (order + 1)) for b in scaled] == _series_inverse(a, order)
 
@@ -221,7 +415,7 @@ def test_scaled_inverse_matches_fraction_inverse(a0, rest, order):
 def test_scaled_inverse_needs_a_unit():
     for a in ([], [0], [0, 1, 2]):
         with pytest.raises(InternalConsistencyError, match="needs a unit"):
-            hodge._scaled_inverse(a, 3)
+            _scaled_inverse(a, 3)
 
 
 @pytest.mark.parametrize(
@@ -232,8 +426,8 @@ def test_fixed_point_sums_match_per_sample_oracle(k, n, section):
     degree = k * (n - k) - int(section)
     ys = list(range(degree // 2 + 3))
     for seed in (3, 101, DEFAULT_SEED):
-        xs = hodge.draw_torus_weights(n, seed)
-        values = hodge._fixed_point_sums(k, n, section, xs, ys)
+        xs = draw_torus_weights(n, seed)
+        values = _fixed_point_sums(k, n, section, xs, ys)
         assert values == [_chi_y_value(k, n, section, xs, y) for y in ys], (k, n, section, seed)
 
 
@@ -244,12 +438,9 @@ def test_inconsistent_localization_is_raised_after_one_draw(monkeypatch):
         draws.append(seed)
         return [5] * 2 + list(range(6, 4 + n))
 
-    monkeypatch.setattr(hodge, "draw_torus_weights", repeated_weight)
+    monkeypatch.setitem(globals(), "draw_torus_weights", repeated_weight)
     for section in (False, True):
         draws.clear()
         with pytest.raises(InternalConsistencyError):
-            chi_y(2, 5, section=section, seed=11)
+            localized_chi_y(2, 5, section=section, seed=11)
         assert draws == [11]
-    draws.clear()
-    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5", "--seed", "11"]) == 1
-    assert draws == [11]
