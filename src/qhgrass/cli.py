@@ -30,6 +30,9 @@ SCHEMA_VERSION = "1"
 # a charpoly whose coefficients may have more digits is refused before any power
 # is taken; the bound is about four times the true size on Gr(2, 4)
 MAX_CHARPOLY_DIGITS = 20_000
+# qh semisimple and qh presentation build dense d x d operators on the d = C(n, k)
+# Schubert classes, about d^3 exact operations; Gr(5, 10) (d = 252) takes seconds
+MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 
 
@@ -149,6 +152,17 @@ def _cmd_hodge(args) -> dict:
     return _document("hodge", inputs, results)
 
 
+def _ambient_box(args) -> Box:
+    """The box of Gr(k, n), refused before any work when its operators are too large."""
+    box = Box(args.k, args.n)
+    if (d := math.comb(box.n, box.k)) > MAX_AMBIENT_DIM:
+        raise InvalidInputError(
+            f"Gr({box.k},{box.n}) has {d} Schubert classes, over {MAX_AMBIENT_DIM}: "
+            f"about {d**3:.1e} exact operations (d^3)"
+        )
+    return box
+
+
 def _log_norm(op) -> float:
     """log10 of the largest absolute row sum, which bounds every eigenvalue."""
     return math.log10(max(1, max(sum(abs(x) for x in row) for row in op)))
@@ -164,11 +178,16 @@ def _cmd_qh_charpoly(args) -> dict:
     }
     if args.section:
         ring = section.build_ring(args.k, args.n)
-        e1, e2, piece = ring.e_ops[1], ring.e_ops[2], ring.residue_piece(0)
+        e1, e2, piece, q_degree = ring.e_ops[1], ring.e_ops[2], ring.residue_piece(0), ring.r_y
     else:
         box = Box(args.k, args.n)
         e1, piece = [list(r) for r in quantum.pieri_matrix(box, 1, 1)], quantum.graded_pieces(box)[0]
         e2 = [list(r) for r in quantum.pieri_matrix(box, 2, 1)] if args.with_e2 else None
+        q_degree = box.n
+    # the operator raises degrees by power (+ 2 for e_2); only a multiple of the
+    # degree of q keeps the residue-0 piece
+    if (degree := args.power + 2 * args.with_e2) % q_degree:
+        raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {q_degree} = deg q")
     # coefficient j is at most C(dim, j) times the j-th power of the eigenvalue bound
     eigenvalue = args.power * _log_norm(e1) + (_log_norm(e2) if args.with_e2 else 0)
     if (digits := int(len(piece) * (eigenvalue + math.log10(2))) + 1) > MAX_CHARPOLY_DIGITS:
@@ -184,7 +203,7 @@ def _cmd_qh_charpoly(args) -> dict:
 
 
 def _cmd_qh_presentation(args) -> dict:
-    ok = quantum.presentation_check(Box(args.k, args.n))
+    ok = quantum.presentation_check(_ambient_box(args))
     return _document(
         "qh presentation", {"k": args.k, "n": args.n}, {"holds": bool(ok)}
     )
@@ -205,7 +224,7 @@ def _cmd_qh_semisimple(args) -> dict:
             "detail": report.detail,
         }
     else:
-        ok = quantum.qh_semisimple(Box(args.k, args.n))
+        ok = quantum.qh_semisimple(_ambient_box(args))
         results = {"semisimple": bool(ok), "method": "trace-form", "detail": ""}
     return _document("qh semisimple", inputs, results)
 

@@ -93,10 +93,13 @@ class UniPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        lead = Fraction(other.leading())
+        lead = other.leading()
+        # over Z a leading coefficient of +-1 keeps every step in the integers
+        integral = lead in (1, -1) and all(type(c) is int for c in rem + list(other.coeffs))
         quot = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         for i in range(len(rem) - len(other.coeffs), -1, -1):
-            c = Fraction(rem[i + len(other.coeffs) - 1]) / lead
+            top = rem[i + len(other.coeffs) - 1]
+            c = top * lead if integral else Fraction(top) / lead
             if c == 0:
                 continue
             quot[i] = c

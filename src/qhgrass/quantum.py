@@ -8,9 +8,10 @@ sigma_{1^p} (Chern classes of the dual tautological subbundle):
 where mu ranges over additions of p cells to lam with no two in the same row,
 and nu over partitions of |lam| + p - n whose transpose interlaces the
 transpose of lam shifted down by one (possible only when lam_1 = n - k).
-General products are obtained by evaluating Giambelli determinants in the
-commuting Pieri operators, so no Littlewood-Richardson rule is needed and the
-quantum Giambelli property is a checkable invariant rather than an input.
+General products come from the multiplication operators of mult_operators,
+built by a triangular Pieri recursion, so no Littlewood-Richardson rule is
+needed; the Giambelli route lives with the tests as an independent check, so
+the quantum Giambelli property is a checked invariant rather than an input.
 
 The quantum parameter q has degree n.  Matrices specialize q to an exact
 rational (default 1); class-level products keep q symbolic.
@@ -183,64 +184,6 @@ def cup_e(p: int, x: ClassVector) -> ClassVector:
 
 
 @lru_cache(maxsize=None)
-def giambelli_expr(lam: Partition, box: Box) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """sigma_lam as a polynomial in E_1..E_k: dual Jacobi-Trudi determinant
-    det(E_{lam~_i - i + j}), returned as (exponent vector, coefficient) pairs."""
-    lam = box.require(lam)
-    if not lam:
-        return (((0,) * box.k, 1),)
-    tr = transpose(lam)
-    m = lam[0]
-    monomials: dict[tuple[int, ...], int] = {}
-
-    def entry(i, j):
-        # 0-indexed; E_0 = 1, out-of-range indices vanish
-        return tr[i] - (i + 1) + (j + 1)
-
-    def expand(row, used, sign, expo):
-        if row == m:
-            monomials[expo] = monomials.get(expo, 0) + sign
-            return
-        for j in range(m):
-            if used & (1 << j):
-                continue
-            e = entry(row, j)
-            if e < 0 or e > box.k:
-                continue
-            new = expo
-            if e > 0:
-                new = expo[: e - 1] + (expo[e - 1] + 1,) + expo[e:]
-            swaps = bin(used >> (j + 1)).count("1")
-            expand(row + 1, used | (1 << j), sign * (-1) ** (swaps % 2), new)
-
-    expand(0, 0, 1, (0,) * box.k)
-    return tuple(sorted((e, c) for e, c in monomials.items() if c))
-
-
-def apply_e_monomial(expo, x: ClassVector) -> ClassVector:
-    for p, count in enumerate(expo, start=1):
-        for _ in range(count):
-            x = star_e(p, x)
-    return x
-
-
-def star_schubert(lam: Partition, x: ClassVector) -> ClassVector:
-    """sigma_lam * x through the Giambelli polynomial in Pieri operators."""
-    out = ClassVector(x.box)
-    for expo, coeff in giambelli_expr(lam, x.box):
-        out = out + apply_e_monomial(expo, x).scale(coeff)
-    return out
-
-
-def star(a: ClassVector, b: ClassVector) -> ClassVector:
-    """Full quantum product, q symbolic."""
-    out = ClassVector(a.box)
-    for (lam, qp), coeff in a.terms.items():
-        out = out + star_schubert(lam, b).shift_q(qp).scale(coeff)
-    return out
-
-
-@lru_cache(maxsize=None)
 def pieri_matrix(box: Box, p: int, q_value=1) -> tuple[tuple, ...]:
     """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q."""
     basis = schubert_basis(box)
@@ -306,31 +249,40 @@ def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
     return table[m]
 
 
-def evaluate_e_polynomial(poly: dict[tuple[int, ...], int], box: Box, q_value=1) -> Matrix:
-    """Evaluate a polynomial in e_1..e_k on the commuting Pieri matrices."""
-    E = _pieri_matrices(box, q_value)
-    n = len(schubert_basis(box))
-    terms = []
-    for expo, coeff in poly.items():
-        term = linalg.identity(n)
-        for p, count in enumerate(expo, start=1):
-            for _ in range(count):
-                term = linalg.mat_mul(E[p], term)
-        terms.append((coeff, term))
-    return linalg.mat_combine(terms, linalg.zeros(n, n))
+def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]:
+    """Evaluate polynomials in e_1..e_k on commuting matrices, generators[p]
+    standing for e_p.  A monomial e_1^a_1 ... e_k^a_k is read as a word and
+    built from its longest prefix already built, by any of the polynomials,
+    so monomials that share a prefix share its products."""
+    dim = len(generators[1])
+    built: dict[tuple[int, ...], Matrix] = {}
+    out = []
+    for poly in polys:
+        terms = []
+        for expo, coeff in poly.items():
+            prefix, term = [0] * len(expo), None
+            for p, count in enumerate(expo, start=1):
+                for _ in range(count):
+                    prefix[p - 1] += 1
+                    key = tuple(prefix)
+                    if key not in built:
+                        factor = generators[p]
+                        built[key] = factor if term is None else linalg.mat_mul(factor, term)
+                    term = built[key]
+            terms.append((coeff, linalg.identity(dim) if term is None else term))
+        out.append(linalg.mat_combine(terms, linalg.zeros(dim, dim)))
+    return out
 
 
 def presentation_check(box: Box, q_value=1) -> bool:
     """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q."""
     n, k = box.n, box.k
-    dim = len(schubert_basis(box))
-    for m in range(n - k + 1, n):
-        mat = evaluate_e_polynomial(sigma_e_polynomial(m, k), box, q_value)
-        if not linalg.is_zero_matrix(mat):
-            return False
-    mat = evaluate_e_polynomial(sigma_e_polynomial(n, k), box, q_value)
-    expected = [((-1) ** k * q_value, linalg.identity(dim))]
-    return linalg.is_zero_matrix(linalg.mat_combine(expected, mat))
+    polys = [sigma_e_polynomial(m, k) for m in range(n - k + 1, n + 1)]
+    *vanishing, top = evaluate_e_polynomials(polys, _pieri_matrices(box, q_value))
+    if not all(map(linalg.is_zero_matrix, vanishing)):
+        return False
+    expected = [((-1) ** k * q_value, linalg.identity(len(top)))]
+    return linalg.is_zero_matrix(linalg.mat_combine(expected, top))
 
 
 def graded_pieces(box: Box) -> dict[int, tuple[Partition, ...]]:
@@ -368,43 +320,9 @@ def pairing_matrix(box: Box) -> Matrix:
     return mat
 
 
-def pairing_q1(a: ClassVector, b: ClassVector):
-    """Poincare pairing extended bilinearly with q specialized to 1."""
-    av = a.specialize_q(1)
-    bv = b.specialize_q(1)
-    return sum(av[lam] * bv.get(a.box.dual(lam), 0) for lam in av)
-
-
 def sigma1_triple_integral(lam: Partition, mu: Partition, box: Box) -> int:
     """Integral over X of s_lam * s_mu * s_1 (classical cup product)."""
     return 1 if box.dual(mu) in vertical_strip_additions(lam, 1, box) else 0
-
-
-def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
-    """Kernel of the N-th power of quantum multiplication by sigma_1, plus the
-    orthogonal complement of that kernel inside the residue-0 graded piece."""
-    basis = schubert_basis(box)
-    n = len(basis)
-    e1 = [list(row) for row in pieri_matrix(box, 1, q_value)]
-    rad = linalg.kernel_basis(linalg.mat_pow(e1, n))
-    idx = basis_index(box)
-    pairing = pairing_matrix(box)
-    piece = graded_pieces(box)[0]
-    constraints = []
-    for u in rad:
-        pu = linalg.mat_vec(pairing, u)
-        constraints.append([pu[idx[lam]] for lam in piece])
-    if constraints:
-        perp_coords = linalg.kernel_basis(constraints)
-    else:
-        perp_coords = linalg.identity(len(piece))
-    perp = []
-    for coords in perp_coords:
-        v = [0] * n
-        for c, lam in zip(coords, piece):
-            v[idx[lam]] = c
-        perp.append(v)
-    return rad, perp
 
 
 def commuting(ops: list[Matrix]) -> bool:

@@ -12,6 +12,13 @@ section Pieri rule
 whose right-hand side only needs ambient Pieri operations.  The quantum
 parameter q_Y has degree n - 1; matrices specialize it (default 1).
 
+The multiplication operator of every ambient basis class is solved degree by
+degree from these identities (SectionRing._operators_for_degree).  The solve
+runs on sparse operators, rows as {column: value}, because a label operator
+is about 9 % nonzero for n = 8; each result is stored as a dense matrix.  The
+Poincare pairing <a, b> = integral over X of s_a s_b s_1 is evaluated only
+where |a| + |b| = dim Y, since it vanishes by degree elsewhere.
+
 beta * beta is not determined by the source material and is deliberately not
 modeled; every implemented operator is multiplication by a class generated by
 e_1, e_2, e_3, under which beta maps to zero.
@@ -31,7 +38,7 @@ from .polynomials import UniPoly
 from .quantum import (
     ClassVector,
     cup_e,
-    giambelli_expr,
+    evaluate_e_polynomials,
     sigma1_triple_integral,
     sigma_e_polynomial,
     star_e,
@@ -106,7 +113,7 @@ class SectionRing:
         self._build_basis()
         self._build_operators()
         self._build_pairing()
-        self._build_lifts()
+        self._build_label_ops()
 
     # -- quotient structure ------------------------------------------------
 
@@ -194,12 +201,6 @@ class SectionRing:
             self._pieri[(p, lab)] = self.reduce(classical + quantum)
         return self._pieri[(p, lab)]
 
-    def pieri(self, p: int, x: SectionClass) -> SectionClass:
-        out = SectionClass(self)
-        for (lab, qp), coeff in x.terms.items():
-            out = out + self.pieri_on_label(p, lab).shift_q(qp).scale(coeff)
-        return out
-
     def unit(self) -> SectionClass:
         return SectionClass(self, {((), 0): 1})
 
@@ -222,22 +223,18 @@ class SectionRing:
                     mat[self.index[mu]][col] += coeff * self.q_value**qp
             self.e_ops[p] = mat
 
-    def apply_monomial(self, expo, x: SectionClass) -> SectionClass:
-        for p, count in enumerate(expo, start=1):
-            for _ in range(count):
-                x = self.pieri(p, x)
-        return x
-
     # -- pairing and integration --------------------------------------------
 
     def _build_pairing(self):
+        """<a, b> is the integral over X of s_a s_b s_1, which vanishes unless
+        |a| + |b| = dim Y; beta pairs to 1 with itself and 0 with the rest."""
         dim = len(self.basis)
         mat = linalg.zeros(dim, dim)
         for i, a in enumerate(self.basis):
             for j, b in enumerate(self.basis):
                 if a == BETA or b == BETA:
                     mat[i][j] = 1 if (a == BETA and b == BETA) else 0
-                else:
+                elif size(a) + size(b) == self.dim_y:
                     mat[i][j] = sigma1_triple_integral(a, b, self.box)
         self.pairing = mat
         if linalg.det_bareiss(mat) == 0:
@@ -255,90 +252,80 @@ class SectionRing:
         yv = y.to_vector(self.q_value)
         return sum(a * b for a, b in zip(xv, linalg.mat_vec(self.pairing, yv)))
 
-    # -- lifting basis classes to star-polynomials in e_1..e_k ---------------
+    # -- multiplication operators of the basis classes -----------------------
 
-    def _build_lifts(self):
-        """For each ambient basis class, a polynomial in e_1..e_k representing
-        it as a star-polynomial applied to the unit, built by degree-increasing
-        triangular lifting: the classical Giambelli determinant, minus the
-        already-lifted lower-degree classes its quantum corrections produce.
-
-        Multiplication operators for all ambient basis classes are built along
-        the way by the same first-column Pieri recursion as in the ambient
-        ring, which is much cheaper than evaluating the lift polynomials on
-        matrices; the two routes are cross-checked in the test suite.
+    def _build_label_ops(self):
+        """Multiplication operators of every ambient basis class, degree by
+        degree.  The solve works on sparse copies of the operators (rows as
+        {column: value}; a label operator is about 9 % nonzero for n = 8),
+        which are dropped when the build ends; label_ops keeps the dense ones.
         """
-        self.lifts: dict[Partition, dict[tuple[int, ...], Fraction]] = {(): {(0,) * self.k: 1}}
-        self.label_ops: dict[Partition, Matrix] = {(): linalg.identity(len(self.basis))}
+        dim = len(self.basis)
+        self.label_ops: dict[Partition, Matrix] = {(): linalg.identity(dim)}
+        sparse = {(): [{i: 1} for i in range(dim)]}
+        e_sparse = {p: _cleaned([dict(enumerate(row)) for row in op]) for p, op in self.e_ops.items()}
         for m in range(1, self.dim_y + 1):
-            for lam in sorted(self.degree_basis[m]):
-                self._lift_one(lam)
-            self._operators_for_degree(m)
+            for lam, rows in self._operators_for_degree(m, sparse, e_sparse).items():
+                sparse[lam] = rows
+                self.label_ops[lam] = [[row.get(j, 0) for j in range(dim)] for row in rows]
 
-    def _lift_one(self, lam: Partition):
-        m = size(lam)
-        poly: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in giambelli_expr(lam, self.box):
-            poly[expo] = poly.get(expo, 0) + coeff
-        value = SectionClass(self)
-        for expo, coeff in poly.items():
-            value = value + self.apply_monomial(expo, self.unit()).scale(coeff)
-        rest = value - SectionClass(self, {(lam, 0): 1})
-        for (lab, qp), coeff in rest.terms.items():
-            if lab == BETA or qp == 0 or self.label_degree(lab) >= m:
-                raise InternalConsistencyError(f"lift of {lam} has unexpected term {lab} q^{qp}")
-        for (lab, qp), coeff in rest.terms.items():
-            for expo, c in self.lifts[lab].items():
-                poly[expo] = poly.get(expo, 0) - coeff * c * self.q_value**qp
-        self.lifts[lam] = {e: c for e, c in poly.items() if c}
-
-    def _operators_for_degree(self, m: int):
-        """Solve for the multiplication operators of all degree-m basis classes.
+    def _operators_for_degree(self, m: int, sparse: dict, e_sparse: dict) -> dict:
+        """Sparse multiplication operators of all degree-m basis classes.
 
         Every identity e_p * j(s_mu) = sum of basis classes, with mu a basis
         class of degree m - p, is an operator equation R . X = K whose
-        degree-m terms X are the unknowns and whose known side K, built once,
-        collects the lower-degree terms.  Only the small system [R | I] is
+        degree-m terms X are the unknowns and whose known side
+        K = e_p L_mu - sum c L_lab collects the lower-degree terms.  K is one
+        sparse product over the nonzeros of e_p and of the rows of L_mu, less
+        the sparse lower operators.  Only the small system [R | I] is
         row-reduced; the identity block records each reduced row as a
         combination of equations, so a pivot row gives its unknown as that
-        combination of known matrices.  The ring is generated by e_1..e_k, so
-        the equations determine the unknowns; a row whose R part vanishes
-        states that its combination of known matrices is zero, which is a free
-        check on the whole Pieri implementation.
+        sparse combination of known sides.  The ring is generated by
+        e_1..e_k, so the equations determine the unknowns; a row whose R part
+        vanishes states that its combination of known sides is zero, which is
+        a free check on the whole Pieri implementation.
         """
         unknowns = self.degree_basis[m]
         uidx = {lam: i for i, lam in enumerate(unknowns)}
         rows: list[list] = []
-        knowns: list[Matrix] = []
+        knowns: list[list[dict]] = []
         for p in range(1, self.k + 1):
             if m - p < 0:
                 continue
             for mu in self.degree_basis[m - p]:
                 row = [0] * len(unknowns)
-                lower = []
+                known = [{} for _ in self.basis]
+                for acc, erow in zip(known, e_sparse[p]):
+                    for i, x in erow.items():
+                        for j, y in sparse[mu][i].items():
+                            acc[j] = acc.get(j, 0) + x * y
                 for (lab, qp), coeff in self.pieri_on_label(p, mu).terms.items():
                     c = coeff * self.q_value**qp
                     if qp == 0 and self.label_degree(lab) == m:
                         row[uidx[lab]] += c
-                    else:
-                        lower.append((-c, self.label_ops[lab]))
+                    elif c:
+                        _add_scaled(known, -c, sparse[lab])
                 rows.append(row)
-                knowns.append(
-                    linalg.mat_combine(lower, linalg.mat_mul(self.e_ops[p], self.label_ops[mu]))
-                )
+                knowns.append(_cleaned(known))
         count = len(unknowns)
         tagged = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
         pivots, reduced = linalg.rref(tagged)
         if sum(1 for col in pivots if col < count) != count:
             raise InternalConsistencyError(f"operators in degree {m} are underdetermined")
+        solved = {}
         for col, red in zip(pivots, reduced):
-            combined = linalg.mat_combine(zip(red[count:], knowns))
+            combined = [{} for _ in self.basis]
+            for c, known in zip(red[count:], knowns):
+                if c:
+                    _add_scaled(combined, c, known)
+            combined = _cleaned(combined)
             if col < count:
-                self.label_ops[unknowns[col]] = combined
-            elif not linalg.is_zero_matrix(combined):
+                solved[unknowns[col]] = combined
+            elif any(combined):
                 raise InternalConsistencyError(
                     f"inconsistent Pieri operator equations in degree {m}"
                 )
+        return solved
 
     def mult_operator(self, coords) -> Matrix:
         """Multiplication operator of an ambient element in basis coordinates."""
@@ -359,43 +346,23 @@ class SectionRing:
         coords[self.index[lab]] = 1
         return self.mult_operator(coords)
 
-    def lift_operator(self, coords) -> Matrix:
-        """Same operator, but through the lift polynomials evaluated on the
-        commuting e-operators (the slow route; kept as an independent oracle)."""
-        dim = len(self.basis)
-        poly: dict[tuple[int, ...], Fraction] = {}
-        for coeff, lab in zip(coords, self.basis):
-            if not coeff:
-                continue
-            if lab == BETA:
-                raise UndeterminedProductError(
-                    "multiplication by the primitive class is undetermined by the source"
-                )
-            for expo, c in self.lifts[lab].items():
-                poly[expo] = poly.get(expo, 0) + coeff * c
-        terms = []
-        powers: dict[tuple[int, int], Matrix] = {}
-
-        def power(p, count):
-            if count == 0:
-                return linalg.identity(dim)
-            if (p, count) not in powers:
-                powers[(p, count)] = linalg.mat_mul(self.e_ops[p], power(p, count - 1))
-            return powers[(p, count)]
-
-        for expo, coeff in poly.items():
-            term = power(1, expo[0])
-            for p in range(2, self.k + 1):
-                if expo[p - 1]:
-                    term = linalg.mat_mul(term, power(p, expo[p - 1]))
-            terms.append((coeff, term))
-        return linalg.mat_combine(terms, linalg.zeros(dim, dim))
-
     # -- graded pieces -------------------------------------------------------
 
     def residue_piece(self, residue: int = 0) -> tuple:
         """Labels whose degree is congruent to the residue mod r_Y."""
         return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r_y == residue)
+
+
+def _add_scaled(acc: list[dict], c, rows: list[dict]) -> None:
+    """acc += c * rows, over the nonzeros of rows."""
+    for out, row in zip(acc, rows):
+        for j, y in row.items():
+            out[j] = out.get(j, 0) + c * y
+
+
+def _cleaned(rows: list[dict]) -> list[dict]:
+    """The rows without zeros and with integral Fractions made ints."""
+    return [{j: linalg._integral(x) for j, x in row.items() if x} for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -466,20 +433,8 @@ def lefschetz_relation_check(n: int) -> bool:
         if poly != sigma_e_polynomial(m, 3):
             raise InternalConsistencyError(f"stored h_{m} differs from the derived relation")
     ring = build_ring(3, n)
+    h_prev, h_top = evaluate_e_polynomials([_H_POLYS[n - 1], _H_POLYS[n]], ring.e_ops)
     dim = len(ring.basis)
-
-    def evaluate(poly):
-        terms = []
-        for expo, coeff in poly.items():
-            term = linalg.identity(dim)
-            for p, count in enumerate(expo, start=1):
-                for _ in range(count):
-                    term = linalg.mat_mul(ring.e_ops[p], term)
-            terms.append((coeff, term))
-        return linalg.mat_combine(terms, linalg.zeros(dim, dim))
-
-    h_top = evaluate(_H_POLYS[n])
-    h_prev = evaluate(_H_POLYS[n - 1])
     q_e1 = linalg.mat_combine([(ring.q_value, ring.e_ops[1])], linalg.zeros(dim, dim))
     return linalg.is_zero_matrix(h_prev) and h_top == q_e1
 
@@ -516,12 +471,6 @@ def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:
         vectors.extend([list(v) for v in current])
         current = [linalg.mat_vec(ring.e_ops[1], v) for v in current]
     return vectors
-
-
-def _coordinates(span_vectors: list[list], targets: list[list]) -> list[list]:
-    """Coordinates of each target in the span (exact; raises if outside)."""
-    solver = linalg.ColumnSpanSolver(span_vectors)
-    return [solver.coords(t) for t in targets]
 
 
 def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list, list]:
@@ -617,93 +566,3 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
         f"{rad_dim}-dimensional radical semisimple by the external monodromy argument"
         if ok else "degenerate trace form on the perp subalgebra",
     )
-
-
-def perp_iso_check(k: int, n: int) -> bool:
-    """Certify the isomorphism A^0(X) -> A^0_perp(Y) through cyclic generators.
-
-    The generator is sigma_1^{r_X} for n = 7 and sigma_1^{r_X - 2} * sigma_{1^2}
-    for n = 8; the check is that its powers span both sides, that the two
-    characteristic polynomials agree, and that the images of sigma_1^{r_X}
-    have identical expansions in the two power bases.
-    """
-    from .quantum import graded_pieces, pieri_matrix, schubert_basis
-
-    if (k, n) not in ((3, 7), (3, 8)):
-        raise InvalidInputError("perp isomorphism check implemented for Gr(3,7) and Gr(3,8)")
-    box = Box(k, n)
-    ring = build_ring(k, n)
-    basis_x = schubert_basis(box)
-    piece_x = graded_pieces(box)[0]
-    dim0 = len(piece_x)
-    e1x = [list(r) for r in pieri_matrix(box, 1, 1)]
-    e2x = [list(r) for r in pieri_matrix(box, 2, 1)]
-    if n == 7:
-        gen_x = linalg.mat_pow(e1x, n)
-        gen_y = linalg.mat_pow(ring.e_ops[1], n - 1)
-    else:
-        gen_x = linalg.mat_mul(linalg.mat_pow(e1x, n - 2), e2x)
-        gen_y = linalg.mat_mul(linalg.mat_pow(ring.e_ops[1], n - 3), ring.e_ops[2])
-
-    # ambient side: powers of the generator applied to the unit
-    idx_x = {lam: i for i, lam in enumerate(basis_x)}
-    unit_x = [0] * len(basis_x)
-    unit_x[idx_x[()]] = 1
-    powers_x = [unit_x]
-    for _ in range(dim0 - 1):
-        powers_x.append(linalg.mat_vec(gen_x, powers_x[-1]))
-    coords_x = [[v[idx_x[lam]] for lam in piece_x] for v in powers_x]
-    if linalg.rank(coords_x) != dim0:
-        return False
-    char_x = linalg.charpoly(_restrict_indices(gen_x, [idx_x[lam] for lam in piece_x]))
-
-    # section side: powers of the generator, projected away from the radical
-    rad, perp = radical_and_perp(k, n)
-    project = _perp_projector(ring, rad)
-    unit_y = ring.unit().to_vector(1)
-    powers_y = [unit_y]
-    for _ in range(dim0 - 1):
-        powers_y.append(linalg.mat_vec(gen_y, powers_y[-1]))
-    perp_powers = [project(v) for v in powers_y]
-    if linalg.rank(perp_powers) != dim0:
-        return False
-    # matrix of the generator on the perp space, then compare spectra
-    images = [project(linalg.mat_vec(gen_y, v)) for v in perp]
-    coords = _coordinates(perp, images)
-    char_y = linalg.charpoly([list(col) for col in zip(*coords)])
-    if char_x != char_y:
-        return False
-    # identical linear expansions of sigma_1^{r_X} and ((j sigma_1)^{r_Y})_perp
-    # in the two power bases
-    target_x = linalg.mat_vec(linalg.mat_pow(e1x, n), unit_x)
-    expansion_x = linalg.solve([list(col) for col in zip(*powers_x)], target_x)
-    target_y = project(linalg.mat_vec(linalg.mat_pow(ring.e_ops[1], n - 1), unit_y))
-    expansion_y = linalg.solve([list(col) for col in zip(*perp_powers)], target_y)
-    return expansion_x == expansion_y
-
-
-def _restrict_indices(op: Matrix, cols: list[int]) -> Matrix:
-    return [[op[r][c] for c in cols] for r in cols]
-
-
-def _perp_projector(ring: SectionRing, rad: list[list]):
-    """Projection onto the pairing-orthogonal complement of the radical."""
-    if not rad:
-        return lambda v: list(v)
-    gram = [[_pair_vec(ring, u, w) for w in rad] for u in rad]
-    if linalg.det_bareiss(gram) == 0:
-        raise InternalConsistencyError("pairing is degenerate on the radical")
-
-    def project(v):
-        rhs = [_pair_vec(ring, v, u) for u in rad]
-        coeffs = linalg.solve(gram, rhs)
-        out = list(v)
-        for c, u in zip(coeffs, rad):
-            out = [x - c * y for x, y in zip(out, u)]
-        return out
-
-    return project
-
-
-def _pair_vec(ring: SectionRing, u, v):
-    return sum(a * b for a, b in zip(u, linalg.mat_vec(ring.pairing, v)))

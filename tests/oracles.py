@@ -1,0 +1,293 @@
+"""Independent routes that the tests compare with the production code.
+
+Nothing in qhgrass calls these.  Each repeats a production result by another
+route:
+
+- giambelli_expr, star_schubert and star multiply ambient classes through the
+  Giambelli determinant in the Pieri operators; quantum.mult_operators uses
+  the first-column Pieri recursion instead.
+- pairing_q1 and radical are the class-level pairing and the radical of
+  QH(Gr(k, n)).
+- build_lifts and lift_operator write each section basis class as a
+  polynomial in e_1..e_k and evaluate it on the e-operators; SectionRing
+  solves for its label operators directly.
+- perp_iso_check certifies A^0(X) = A^0_perp(Y) through cyclic generators.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from qhgrass import linalg
+from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
+from qhgrass.linalg import Matrix
+from qhgrass.partitions import Box, Partition, transpose
+from qhgrass.quantum import (
+    ClassVector,
+    basis_index,
+    graded_pieces,
+    pairing_matrix,
+    pieri_matrix,
+    schubert_basis,
+    star_e,
+)
+from qhgrass.section import BETA, SectionClass, SectionRing, build_ring, radical_and_perp
+
+# -- the ambient ring through Giambelli determinants ---------------------------
+
+
+@lru_cache(maxsize=None)
+def giambelli_expr(lam: Partition, box: Box) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """sigma_lam as a polynomial in E_1..E_k: dual Jacobi-Trudi determinant
+    det(E_{lam~_i - i + j}), returned as (exponent vector, coefficient) pairs."""
+    lam = box.require(lam)
+    if not lam:
+        return (((0,) * box.k, 1),)
+    tr = transpose(lam)
+    m = lam[0]
+    monomials: dict[tuple[int, ...], int] = {}
+
+    def entry(i, j):
+        # 0-indexed; E_0 = 1, out-of-range indices vanish
+        return tr[i] - (i + 1) + (j + 1)
+
+    def expand(row, used, sign, expo):
+        if row == m:
+            monomials[expo] = monomials.get(expo, 0) + sign
+            return
+        for j in range(m):
+            if used & (1 << j):
+                continue
+            e = entry(row, j)
+            if e < 0 or e > box.k:
+                continue
+            new = expo
+            if e > 0:
+                new = expo[: e - 1] + (expo[e - 1] + 1,) + expo[e:]
+            swaps = bin(used >> (j + 1)).count("1")
+            expand(row + 1, used | (1 << j), sign * (-1) ** (swaps % 2), new)
+
+    expand(0, 0, 1, (0,) * box.k)
+    return tuple(sorted((e, c) for e, c in monomials.items() if c))
+
+
+def apply_e_monomial(expo, x: ClassVector) -> ClassVector:
+    for p, count in enumerate(expo, start=1):
+        for _ in range(count):
+            x = star_e(p, x)
+    return x
+
+
+def star_schubert(lam: Partition, x: ClassVector) -> ClassVector:
+    """sigma_lam * x through the Giambelli polynomial in Pieri operators."""
+    out = ClassVector(x.box)
+    for expo, coeff in giambelli_expr(lam, x.box):
+        out = out + apply_e_monomial(expo, x).scale(coeff)
+    return out
+
+
+def star(a: ClassVector, b: ClassVector) -> ClassVector:
+    """Full quantum product, q symbolic."""
+    out = ClassVector(a.box)
+    for (lam, qp), coeff in a.terms.items():
+        out = out + star_schubert(lam, b).shift_q(qp).scale(coeff)
+    return out
+
+
+def pairing_q1(a: ClassVector, b: ClassVector):
+    """Poincare pairing extended bilinearly with q specialized to 1."""
+    av = a.specialize_q(1)
+    bv = b.specialize_q(1)
+    return sum(av[lam] * bv.get(a.box.dual(lam), 0) for lam in av)
+
+
+def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
+    """Kernel of the N-th power of quantum multiplication by sigma_1, plus the
+    orthogonal complement of that kernel inside the residue-0 graded piece."""
+    basis = schubert_basis(box)
+    n = len(basis)
+    e1 = [list(row) for row in pieri_matrix(box, 1, q_value)]
+    rad = linalg.kernel_basis(linalg.mat_pow(e1, n))
+    idx = basis_index(box)
+    pairing = pairing_matrix(box)
+    piece = graded_pieces(box)[0]
+    constraints = []
+    for u in rad:
+        pu = linalg.mat_vec(pairing, u)
+        constraints.append([pu[idx[lam]] for lam in piece])
+    if constraints:
+        perp_coords = linalg.kernel_basis(constraints)
+    else:
+        perp_coords = linalg.identity(len(piece))
+    perp = []
+    for coords in perp_coords:
+        v = [0] * n
+        for c, lam in zip(coords, piece):
+            v[idx[lam]] = c
+        perp.append(v)
+    return rad, perp
+
+
+# -- the section ring through lift polynomials --------------------------------
+
+
+def section_pieri(ring: SectionRing, p: int, x: SectionClass) -> SectionClass:
+    """e_p * x for a section class x, q symbolic."""
+    out = SectionClass(ring)
+    for (lab, qp), coeff in x.terms.items():
+        out = out + ring.pieri_on_label(p, lab).shift_q(qp).scale(coeff)
+    return out
+
+
+def apply_monomial(ring: SectionRing, expo, x: SectionClass) -> SectionClass:
+    for p, count in enumerate(expo, start=1):
+        for _ in range(count):
+            x = section_pieri(ring, p, x)
+    return x
+
+
+def build_lifts(ring: SectionRing) -> dict[Partition, dict[tuple[int, ...], int]]:
+    """For each ambient basis class, a polynomial in e_1..e_k representing it
+    as a star-polynomial applied to the unit, built by degree-increasing
+    triangular lifting: the classical Giambelli determinant, minus the
+    already-lifted lower-degree classes its quantum corrections produce."""
+    lifts = {(): {(0,) * ring.k: 1}}
+    for m in range(1, ring.dim_y + 1):
+        for lam in sorted(ring.degree_basis[m]):
+            poly: dict[tuple[int, ...], int] = {}
+            for expo, coeff in giambelli_expr(lam, ring.box):
+                poly[expo] = poly.get(expo, 0) + coeff
+            value = SectionClass(ring)
+            for expo, coeff in poly.items():
+                value = value + apply_monomial(ring, expo, ring.unit()).scale(coeff)
+            rest = value - SectionClass(ring, {(lam, 0): 1})
+            for (lab, qp), coeff in rest.terms.items():
+                if lab == BETA or qp == 0 or ring.label_degree(lab) >= m:
+                    raise InternalConsistencyError(f"lift of {lam} has unexpected term {lab} q^{qp}")
+            for (lab, qp), coeff in rest.terms.items():
+                for expo, c in lifts[lab].items():
+                    poly[expo] = poly.get(expo, 0) - coeff * c * ring.q_value**qp
+            lifts[lam] = {e: c for e, c in poly.items() if c}
+    return lifts
+
+
+def lift_operator(ring: SectionRing, lifts: dict, coords) -> Matrix:
+    """The multiplication operator of an ambient element in basis
+    coordinates, through the lift polynomials evaluated on the commuting
+    e-operators."""
+    dim = len(ring.basis)
+    poly: dict[tuple[int, ...], int] = {}
+    for coeff, lab in zip(coords, ring.basis):
+        if not coeff:
+            continue
+        if lab == BETA:
+            raise UndeterminedProductError(
+                "multiplication by the primitive class is undetermined by the source"
+            )
+        for expo, c in lifts[lab].items():
+            poly[expo] = poly.get(expo, 0) + coeff * c
+    terms = []
+    powers: dict[tuple[int, int], Matrix] = {}
+
+    def power(p, count):
+        if count == 0:
+            return linalg.identity(dim)
+        if (p, count) not in powers:
+            powers[(p, count)] = linalg.mat_mul(ring.e_ops[p], power(p, count - 1))
+        return powers[(p, count)]
+
+    for expo, coeff in poly.items():
+        term = power(1, expo[0])
+        for p in range(2, ring.k + 1):
+            if expo[p - 1]:
+                term = linalg.mat_mul(term, power(p, expo[p - 1]))
+        terms.append((coeff, term))
+    return linalg.mat_combine(terms, linalg.zeros(dim, dim))
+
+
+# -- A^0(X) = A^0_perp(Y) -----------------------------------------------------
+
+
+def perp_iso_check(k: int, n: int) -> bool:
+    """Certify the isomorphism A^0(X) -> A^0_perp(Y) through cyclic generators.
+
+    The generator is sigma_1^{r_X} for n = 7 and sigma_1^{r_X - 2} * sigma_{1^2}
+    for n = 8; the check is that its powers span both sides, that the two
+    characteristic polynomials agree, and that the images of sigma_1^{r_X}
+    have identical expansions in the two power bases.
+    """
+    if (k, n) not in ((3, 7), (3, 8)):
+        raise InvalidInputError("perp isomorphism check implemented for Gr(3,7) and Gr(3,8)")
+    box = Box(k, n)
+    ring = build_ring(k, n)
+    basis_x = schubert_basis(box)
+    piece_x = graded_pieces(box)[0]
+    dim0 = len(piece_x)
+    e1x = [list(r) for r in pieri_matrix(box, 1, 1)]
+    e2x = [list(r) for r in pieri_matrix(box, 2, 1)]
+    if n == 7:
+        gen_x = linalg.mat_pow(e1x, n)
+        gen_y = linalg.mat_pow(ring.e_ops[1], n - 1)
+    else:
+        gen_x = linalg.mat_mul(linalg.mat_pow(e1x, n - 2), e2x)
+        gen_y = linalg.mat_mul(linalg.mat_pow(ring.e_ops[1], n - 3), ring.e_ops[2])
+
+    # ambient side: powers of the generator applied to the unit
+    idx_x = {lam: i for i, lam in enumerate(basis_x)}
+    unit_x = [0] * len(basis_x)
+    unit_x[idx_x[()]] = 1
+    powers_x = [unit_x]
+    for _ in range(dim0 - 1):
+        powers_x.append(linalg.mat_vec(gen_x, powers_x[-1]))
+    coords_x = [[v[idx_x[lam]] for lam in piece_x] for v in powers_x]
+    if linalg.rank(coords_x) != dim0:
+        return False
+    cols_x = [idx_x[lam] for lam in piece_x]
+    char_x = linalg.charpoly([[gen_x[r][c] for c in cols_x] for r in cols_x])
+
+    # section side: powers of the generator, projected away from the radical
+    rad, perp = radical_and_perp(k, n)
+    project = _perp_projector(ring, rad)
+    unit_y = ring.unit().to_vector(1)
+    powers_y = [unit_y]
+    for _ in range(dim0 - 1):
+        powers_y.append(linalg.mat_vec(gen_y, powers_y[-1]))
+    perp_powers = [project(v) for v in powers_y]
+    if linalg.rank(perp_powers) != dim0:
+        return False
+    # matrix of the generator on the perp space, then compare spectra
+    solver = linalg.ColumnSpanSolver(perp)
+    coords = [solver.coords(project(linalg.mat_vec(gen_y, v))) for v in perp]
+    char_y = linalg.charpoly([list(col) for col in zip(*coords)])
+    if char_x != char_y:
+        return False
+    # identical linear expansions of sigma_1^{r_X} and ((j sigma_1)^{r_Y})_perp
+    # in the two power bases
+    target_x = linalg.mat_vec(linalg.mat_pow(e1x, n), unit_x)
+    expansion_x = linalg.solve([list(col) for col in zip(*powers_x)], target_x)
+    target_y = project(linalg.mat_vec(linalg.mat_pow(ring.e_ops[1], n - 1), unit_y))
+    expansion_y = linalg.solve([list(col) for col in zip(*perp_powers)], target_y)
+    return expansion_x == expansion_y
+
+
+def _perp_projector(ring: SectionRing, rad: list[list]):
+    """Projection onto the pairing-orthogonal complement of the radical."""
+    if not rad:
+        return lambda v: list(v)
+    gram = [[_pair_vec(ring, u, w) for w in rad] for u in rad]
+    if linalg.det_bareiss(gram) == 0:
+        raise InternalConsistencyError("pairing is degenerate on the radical")
+
+    def project(v):
+        rhs = [_pair_vec(ring, v, u) for u in rad]
+        coeffs = linalg.solve(gram, rhs)
+        out = list(v)
+        for c, u in zip(coeffs, rad):
+            out = [x - c * y for x, y in zip(out, u)]
+        return out
+
+    return project
+
+
+def _pair_vec(ring: SectionRing, u, v):
+    return sum(a * b for a, b in zip(u, linalg.mat_vec(ring.pairing, v)))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qhgrass import cli
+from qhgrass import cli, linalg
+from qhgrass.partitions import Box
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,41 @@ def test_oversized_core_search_exits_2_at_once(capsys):
     assert time.process_time() - t0 < 2
 
 
+def test_oversized_grassmannian_is_refused_at_once(capsys):
+    for command in ("semisimple", "presentation"):
+        t0 = time.process_time()
+        code, out, err = run_cli(capsys, "qh", command, "--k", "6", "--n", "14")
+        assert code == 2 and not out and "3003" in err and "d^3" in err, command
+        assert time.process_time() - t0 < 2
+    # admitted: Gr(5, 10) and every box of the ambient workload (k <= 4, n <= 8)
+    for k, n in [(5, 10)] + [(k, n) for k in range(1, 5) for n in range(k + 1, 9)]:
+        assert cli._ambient_box(argparse.Namespace(k=k, n=n)) == Box(k, n)
+
+
+def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypatch):
+    calls = []
+    original = linalg.mat_pow
+
+    def recording(a, e):
+        calls.append(e)
+        return original(a, e)
+
+    monkeypatch.setattr(linalg, "mat_pow", recording)
+    for argv in (
+        ["--k", "3", "--n", "7", "--power", "6"],
+        ["--k", "3", "--n", "8", "--power", "8", "--with-e2"],
+        ["--k", "3", "--n", "7", "--section", "--power", "7"],
+        ["--k", "3", "--n", "8", "--section", "--power", "7", "--with-e2"],
+    ):
+        code, out, err = run_cli(capsys, "qh", "charpoly", *argv)
+        assert code == 2 and not out and "deg q" in err, argv
+    assert calls == []
+    # aligned powers go on to the matrix power
+    assert run_cli(capsys, "qh", "charpoly", "--k", "3", "--n", "7", "--power", "7")[0] == 0
+    assert run_cli(capsys, "qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "6")[0] == 0
+    assert calls == [7, 6]
+
+
 small_ints = st.integers(-3, 12).map(str)
 
 
@@ -186,6 +223,26 @@ def fuzz_hodge_charpoly_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(fuzz_hodge_charpoly_argv())
 def test_cli_fuzz_hodge_and_charpoly(argv):
+    _run_quietly(argv)
+
+
+@st.composite
+def fuzz_presentation_semisimple_argv(draw):
+    fmt = draw(st.sampled_from(["--format=json", "--format=table"]))
+    if draw(st.booleans()):
+        k, n = _draw_box(draw, 8)
+        return ["qh", "presentation", "--k", str(k), "--n", str(n), fmt]
+    section = draw(st.sampled_from([[], ["--section"]]))
+    if section and draw(st.booleans()):
+        k, n = draw(st.sampled_from([(3, 6), (3, 7), (3, 8)]))
+    else:
+        k, n = _draw_box(draw, 8)
+    return ["qh", "semisimple", "--k", str(k), "--n", str(n), *section, fmt]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzz_presentation_semisimple_argv())
+def test_cli_fuzz_presentation_and_semisimple(argv):
     _run_quietly(argv)
 
 

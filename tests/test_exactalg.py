@@ -30,6 +30,36 @@ def test_unipoly_division():
         UniPoly([1, 0, 1]).div_exact(UniPoly([1, 1]))
 
 
+def _fraction_divmod(a: UniPoly, b: UniPoly):
+    """Long division with every step in Fractions (the route for non-unit
+    leading coefficients)."""
+    rem = list(a.coeffs)
+    lead = Fraction(b.leading())
+    quot = [0] * max(0, len(rem) - len(b.coeffs) + 1)
+    for i in range(len(rem) - len(b.coeffs), -1, -1):
+        c = Fraction(rem[i + len(b.coeffs) - 1]) / lead
+        quot[i] = c
+        for j, x in enumerate(b.coeffs):
+            rem[i + j] -= c * x
+    return UniPoly(quot), UniPoly(rem)
+
+
+int_coeffs = st.lists(st.integers(-10**6, 10**6), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_coeffs, int_coeffs, st.sampled_from([1, -1, 2, -3]))
+def test_unipoly_divmod_integer_route_matches_fractions(a, b, lead):
+    num, den = UniPoly(a), UniPoly(b + [lead])
+    q, r = num.divmod(den)
+    assert (q, r) == _fraction_divmod(num, den)
+    assert q * den + r == num and r.degree < den.degree
+    if lead in (1, -1):  # the integer route: no Fraction anywhere
+        assert all(type(c) is int for c in q.coeffs + r.coeffs)
+    # an exact quotient over Z[x], as in the Bareiss steps of charpoly
+    assert (num * den).div_exact(den) == num
+
+
 def test_unipoly_palindromic_and_pretty():
     assert UniPoly([1, 3, 1]).is_palindromic()
     assert not UniPoly([1, 2, 3]).is_palindromic()

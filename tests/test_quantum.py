@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from oracles import giambelli_expr, pairing_q1, radical, star, star_schubert
 from qhgrass import linalg, quantum
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import Box, canonical, size
@@ -13,23 +14,18 @@ from qhgrass.quantum import (
     char_poly_on_piece,
     commuting,
     cup_e,
-    giambelli_expr,
     graded_pieces,
     mult_operator,
     mult_operators,
-    pairing_q1,
     pieri_matrix,
     presentation_check,
     qh_semisimple,
     quantum_pieri,
-    radical,
     restrict_to_piece,
     schubert_basis,
     semisimple_test,
     sigma1_triple_integral,
     sigma_e_polynomial,
-    star,
-    star_schubert,
     vertical_strip_additions,
 )
 
@@ -232,11 +228,50 @@ def test_presentation_check_examples():
     # sigma_7 reduces to q itself for Gr(3,7): sigma_n + (-1)^k q = 0 means
     # the operator of sigma_7 equals q times the identity
     box = Box(3, 7)
-    mat = None
-    from qhgrass.quantum import evaluate_e_polynomial
-
-    mat = evaluate_e_polynomial(sigma_e_polynomial(7, 3), box, 1)
+    generators = {p: [list(row) for row in pieri_matrix(box, p, 1)] for p in (1, 2, 3)}
+    (mat,) = quantum.evaluate_e_polynomials([sigma_e_polynomial(7, 3)], generators)
     assert mat == linalg.identity(len(schubert_basis(box)))
+
+
+def _per_monomial_evaluation(poly, generators):
+    dim = len(generators[1])
+    terms = []
+    for expo, coeff in poly.items():
+        term = linalg.identity(dim)
+        for p, count in enumerate(expo, start=1):
+            for _ in range(count):
+                term = linalg.mat_mul(generators[p], term)
+        terms.append((coeff, term))
+    return linalg.mat_combine(terms, linalg.zeros(dim, dim))
+
+
+def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):
+    from qhgrass.section import _H_POLYS, build_ring
+
+    box = Box(4, 8)
+    ambient = {p: [list(row) for row in pieri_matrix(box, p, 1)] for p in range(1, 5)}
+    cases = [
+        ([sigma_e_polynomial(8, 4)], ambient, 32),
+        ([_H_POLYS[8]], build_ring(3, 8).e_ops, 26),
+        ([sigma_e_polynomial(m, 4) for m in range(5, 9)], ambient, 48),
+        ([_H_POLYS[7], _H_POLYS[8]], build_ring(3, 8).e_ops, 34),
+        ([{(0, 0, 0): 3, (1, 0, 0): -1}], build_ring(3, 7).e_ops, 0),
+    ]
+    for polys, generators, expected_products in cases:
+        expected = [_per_monomial_evaluation(poly, generators) for poly in polys]
+        products = []
+        original = linalg.mat_mul
+
+        def counting(a, b):
+            products.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(linalg, "mat_mul", counting)
+        assert quantum.evaluate_e_polynomials(polys, generators) == expected
+        monkeypatch.setattr(linalg, "mat_mul", original)
+        assert len(products) == expected_products
+        naive = sum(sum(expo) for poly in polys for expo in poly)
+        assert len(products) < naive
 
 
 def test_sigma_e_polynomial_small():

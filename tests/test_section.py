@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import build_lifts, lift_operator, perp_iso_check, section_pieri
 from qhgrass import hodge, linalg, section
-from qhgrass.errors import InvalidInputError, UndeterminedProductError
+from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, box_partitions_of_size, size
 from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
@@ -16,13 +17,13 @@ from qhgrass.quantum import (
 )
 from qhgrass.section import (
     BETA,
+    SectionClass,
     SectionRing,
     ambient_basis,
     betti_numbers,
     build_ring,
     full_ring_semisimple,
     lefschetz_relation_check,
-    perp_iso_check,
     perp_subalgebra_operators,
     perp_subalgebra_semisimple,
     radical_and_perp,
@@ -109,7 +110,7 @@ def test_section_pieri_identities_from_source():
 
     # e_{1,1} * j s_(4,4,2) = q (j s_(3,2) + j s_(4,1)) cup j s_1
     #                          - q j s_(3,1) cup j s_(1,1)
-    lhs = ring.pieri(2, ring.schubert((4, 4, 2)))
+    lhs = section_pieri(ring, 2, ring.schubert((4, 4, 2)))
     part_a = cup_e(1, ClassVector(ring.box, {((3, 2), 0): 1, ((4, 1), 0): 1}))
     part_b = cup_e(2, ClassVector.schubert(ring.box, (3, 1)))
     rhs = ring.reduce(part_a - part_b).shift_q(1)
@@ -120,7 +121,7 @@ def test_pieri_kills_primitive_class():
     for n in (6, 8):
         ring = build_ring(3, n)
         for p in (1, 2, 3):
-            assert ring.pieri(p, ring.beta()).is_zero()
+            assert section_pieri(ring, p, ring.beta()).is_zero()
     with pytest.raises(InvalidInputError):
         build_ring(3, 7).beta()
 
@@ -285,17 +286,40 @@ def test_beta_multiplication_undetermined():
 
 def test_lift_operator_agrees_with_recursion():
     ring = build_ring(3, 7)
+    lifts = build_lifts(ring)
     for lab in ring.basis:
         coords = [0] * len(ring.basis)
         coords[ring.index[lab]] = 1
-        assert ring.lift_operator(coords) == ring.label_ops[lab], lab
+        assert lift_operator(ring, lifts, coords) == ring.label_ops[lab], lab
     ring8 = build_ring(3, 8)
+    lifts8 = build_lifts(ring8)
     for lab in ring8.basis:
         if lab == BETA or size(lab) > 4:
             continue
         coords = [0] * len(ring8.basis)
         coords[ring8.index[lab]] = 1
-        assert ring8.lift_operator(coords) == ring8.label_ops[lab], lab
+        assert lift_operator(ring8, lifts8, coords) == ring8.label_ops[lab], lab
+
+
+def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monkeypatch):
+    original = SectionRing.pieri_on_label
+
+    def dropped(self, p, lab):  # e_1 * 1 = 0 leaves sigma_1 without an equation
+        return SectionClass(self) if (p, lab) == (1, ()) else original(self, p, lab)
+
+    monkeypatch.setattr(SectionRing, "pieri_on_label", dropped)
+    with pytest.raises(InternalConsistencyError, match="underdetermined"):
+        SectionRing(3, 7)
+    # one extra (label, q power) term in the image of one (p, label)
+    for p, lab, extra in [(1, (), ((1,), 0)), (2, (2, 1), ((3, 2), 0)), (3, (4, 1), ((2,), 1))]:
+
+        def perturbed(self, pp, ll, p=p, lab=lab, extra=extra):
+            image = original(self, pp, ll)
+            return image + SectionClass(self, {extra: 1}) if (pp, ll) == (p, lab) else image
+
+        monkeypatch.setattr(SectionRing, "pieri_on_label", perturbed)
+        with pytest.raises(InternalConsistencyError, match="inconsistent"):
+            SectionRing(3, 7)
 
 
 def test_reduce_kills_top_ambient_degree():
