@@ -30,8 +30,11 @@ SCHEMA_VERSION = "1"
 # a charpoly whose coefficients may have more digits is refused before any power
 # is taken; the bound is about four times the true size on Gr(2, 4)
 MAX_CHARPOLY_DIGITS = 20_000
-# qh semisimple and qh presentation build dense d x d operators on the d = C(n, k)
-# Schubert classes, about d^3 exact operations; Gr(5, 10) (d = 252) takes seconds
+# and so is one whose work, piece dimension^3 x digits, is larger: Gr(5, 10) at
+# power 100 (3.2e7) takes about 2 s, at power 1000 (3.2e8) over a minute
+MAX_CHARPOLY_WORK = 5 * 10**7
+# ambient qh commands build dense d x d operators on the d = C(n, k) Schubert
+# classes, about d^3 exact operations; Gr(5, 10) (d = 252) takes seconds
 MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 
@@ -180,7 +183,7 @@ def _cmd_qh_charpoly(args) -> dict:
         ring = section.build_ring(args.k, args.n)
         e1, e2, piece, q_degree = ring.e_ops[1], ring.e_ops[2], ring.residue_piece(0), ring.r_y
     else:
-        box = Box(args.k, args.n)
+        box = _ambient_box(args)
         e1, piece = [list(r) for r in quantum.pieri_matrix(box, 1, 1)], quantum.graded_pieces(box)[0]
         e2 = [list(r) for r in quantum.pieri_matrix(box, 2, 1)] if args.with_e2 else None
         q_degree = box.n
@@ -192,6 +195,9 @@ def _cmd_qh_charpoly(args) -> dict:
     eigenvalue = args.power * _log_norm(e1) + (_log_norm(e2) if args.with_e2 else 0)
     if (digits := int(len(piece) * (eigenvalue + math.log10(2))) + 1) > MAX_CHARPOLY_DIGITS:
         raise InvalidInputError(f"charpoly coefficients of up to {digits} digits, over {MAX_CHARPOLY_DIGITS}")
+    if (work := len(piece) ** 3 * digits) > MAX_CHARPOLY_WORK:
+        raise InvalidInputError(
+            f"charpoly work of about {work:.1e} (piece dim^3 x digits), over {MAX_CHARPOLY_WORK:.0e}")
     if args.section:
         poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
     else:

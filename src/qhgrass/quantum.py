@@ -358,9 +358,10 @@ def semisimple_test(
     sum_c ops[a][c][b] ops[c] and the Gram matrix is t^T ops[a] row by row,
     t_c = trace(ops[c]): O(d^3) instead of d^2 trace products.
 
-    Commutativity is asserted, not assumed; when the operators are known to be
-    polynomials in a smaller generating family, pass commuting_generators to
-    assert it there instead of on all pairs.
+    Commutativity is asserted, not assumed: on all pairs, or only on
+    commuting_generators when every operator is a polynomial in them (the
+    Pieri matrices of Gr(k, n), e_1..e_3 of a section ring).  The Gram matrix
+    splits by residue of degree mod deg q, so det_bareiss factors it by blocks.
     """
     if not commuting(ops if commuting_generators is None else commuting_generators):
         raise InvalidInputError("multiplication operators do not commute")

@@ -515,7 +515,9 @@ def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
 
 
 def full_ring_semisimple(k: int, n: int) -> bool:
-    """Trace-form test on the whole section ring (only when beta is absent)."""
+    """Trace-form test on the whole section ring (only when beta is absent).
+    Every label operator is solved as a polynomial in e_1, e_2, e_3
+    (_build_label_ops), so commutativity is asserted on those three only."""
     ring = build_ring(k, n)
     if ring.prim_dim:
         raise UndeterminedProductError(
@@ -524,7 +526,7 @@ def full_ring_semisimple(k: int, n: int) -> bool:
     from .quantum import semisimple_test
 
     ops = [ring.mult_operator_of_label(lab) for lab in ring.basis]
-    return semisimple_test(ops)
+    return semisimple_test(ops, commuting_generators=[ring.e_ops[p] for p in (1, 2, 3)])
 
 
 @dataclass(frozen=True)

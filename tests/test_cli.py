@@ -139,6 +139,18 @@ def test_oversized_grassmannian_is_refused_at_once(capsys):
         assert cli._ambient_box(argparse.Namespace(k=k, n=n)) == Box(k, n)
 
 
+def test_charpoly_work_is_refused_up_front(capsys):
+    t0 = time.perf_counter()
+    # 18,182 digits pass MAX_CHARPOLY_DIGITS, but 26^3 x 18,182 is over the work bound
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "5", "--n", "10", "--power", "1000")
+    assert code == 2 and not out and "3.2e+08" in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1
+    # the ambient operator's size is bounded before it is built
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "6", "--n", "14", "--power", "14")
+    assert code == 2 and not out and "3003" in err
+    assert time.perf_counter() - t0 < 1
+
+
 def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypatch):
     calls = []
     original = linalg.mat_pow

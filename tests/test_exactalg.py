@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -260,3 +261,141 @@ def test_integral_results_are_ints(entries):
     assert [type(v) for v in linalg.solve(a, linalg.mat_vec(a, x))] == [int] * m
     fractional = [[Fraction(v) for v in row] for row in a]
     assert all(type(v) is int for row in linalg.rref(fractional)[1] for v in row)
+
+
+# -- block-split determinant, sparse products, scaled span solver -------------
+
+
+def _leibniz(a):
+    """det(a) as the sum over permutations, for small matrices."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def _single_block_det(a):
+    """The determinant by Bareiss elimination on the whole matrix, unsplit."""
+    return linalg._bareiss(a)
+
+
+@st.composite
+def _permuted_block_diagonal(draw):
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    n = sum(sizes)
+    a = linalg.zeros(n, n)
+    start = 0
+    for m in sizes:
+        for i in range(start, start + m):
+            for j in range(start, start + m):
+                a[i][j] = draw(_scalars)
+        start += m
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_permuted_block_diagonal())
+def test_det_splits_into_blocks_like_the_single_block_oracle(a):
+    det = linalg.det_bareiss(a)
+    assert det == _single_block_det(a) and _int_first([det])
+    if len(a) <= 6:
+        assert det == _leibniz(a)
+
+
+def test_det_block_split_edge_cases():
+    assert linalg.det_bareiss([]) == 1
+    assert linalg.det_bareiss([[Fraction(-3, 2)]]) == Fraction(-3, 2)
+    assert linalg.det_bareiss([[0]]) == 0
+    assert type(linalg.det_bareiss([[Fraction(4, 2)]])) is int
+    assert linalg.det_bareiss([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0  # zero row
+    assert linalg.det_bareiss([[0, 1], [1, 0]]) == -1  # two 1 x 1 blocks, odd column order
+    # rows {0, 1} meet column {0} only, row 2 meets columns {1, 2}: det 0
+    non_square = [[1, 0, 0], [2, 0, 0], [0, 3, 4]]
+    assert linalg.det_bareiss(non_square) == 0 == _single_block_det(non_square)
+    with pytest.raises(InvalidInputError):
+        linalg.det_bareiss([[1, 2]])
+
+
+def test_det_of_ring_grams_and_pairing_matches_the_oracle():
+    from qhgrass import quantum, section
+    from qhgrass.partitions import Box
+
+    ring7, ring8 = section.build_ring(3, 7), section.build_ring(3, 8)
+    _, perp = section.radical_and_perp(3, 8)
+    box = Box(4, 8)
+    ambient = quantum.mult_operators(box)
+    matrices = {
+        "(3,8) pairing": ring8.pairing,
+        "(3,7) trace form": quantum.trace_form_gram(
+            [ring7.mult_operator_of_label(lab) for lab in ring7.basis]
+        ),
+        "(3,8) perp trace form": quantum.trace_form_gram(section.perp_subalgebra_operators(ring8, perp)[0]),
+        "Gr(4,8) trace form": quantum.trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
+    }
+    for name, mat in matrices.items():
+        det = linalg.det_bareiss(mat)
+        assert det != 0 and det == _single_block_det(mat), name
+        assert len(linalg._nonzero_blocks(mat)) > 1, name  # the split route is taken
+
+
+@st.composite
+def _product_pair(draw):
+    rows, inner, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = [[draw(_scalars) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(_scalars) for _ in range(cols)] for _ in range(inner)]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_product_pair())
+def test_mat_mul_matches_the_triple_sum_and_is_int_first(pair):
+    a, b = pair
+    naive = [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+    out = linalg.mat_mul(a, b)
+    assert out == naive and _int_first(out)
+
+
+def test_mat_pow_of_section_e1_is_int_first():
+    from qhgrass import section
+
+    power = linalg.mat_pow(section.build_ring(3, 8).e_ops[1], 51)
+    assert _int_first(power)
+    assert any(type(x) is Fraction for row in power for x in row)  # genuinely non-integral entries stay
+
+
+@st.composite
+def _column_family(draw):
+    rows = draw(st.integers(1, 5))
+    count = draw(st.integers(1, rows))
+    columns = [[draw(_scalars) for _ in range(rows)] for _ in range(count)]
+    weights = [draw(_scalars) for _ in range(count)]
+    extra = [draw(_scalars) for _ in range(rows)]
+    return columns, weights, extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(_column_family())
+def test_scaled_span_solver_matches_the_fraction_inverse(family):
+    columns, weights, extra = family
+    if linalg.rank(columns) < len(columns):
+        with pytest.raises(InternalConsistencyError):
+            linalg.ColumnSpanSolver(columns)
+        return
+    solver = linalg.ColumnSpanSolver(columns)
+    assert all(type(x) is int for row in solver.scaled for x in row)
+    inverse = linalg.mat_inverse([[col[r] for col in columns] for r in solver.rows])
+    target = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(len(columns[0]))]
+    coords = solver.coords(target)
+    assert coords == weights == linalg.mat_vec(inverse, [target[r] for r in solver.rows])
+    assert _int_first(coords)
+    if linalg.rank(columns + [extra]) > len(columns):
+        with pytest.raises(InternalConsistencyError):
+            solver.coords(extra)
+    else:
+        assert solver.coords(extra) == linalg.mat_vec(inverse, [extra[r] for r in solver.rows])

@@ -1,14 +1,16 @@
+import copy
 from fractions import Fraction
 
 import pytest
 
 from oracles import build_lifts, lift_operator, perp_iso_check, section_pieri
-from qhgrass import hodge, linalg, section
+from qhgrass import hodge, linalg, quantum, section
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, box_partitions_of_size, size
 from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
     ClassVector,
+    commuting,
     cup_e,
     mult_operators,
     schubert_basis,
@@ -262,6 +264,29 @@ def test_semisimplicity_routes():
         full_ring_semisimple(3, 8)
     with pytest.raises(UndeterminedProductError):
         full_ring_semisimple(3, 6)
+
+
+def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
+    seen = []
+
+    def recording(ops):
+        seen.append(ops)
+        return commuting(ops)
+
+    monkeypatch.setattr(quantum, "commuting", recording)
+    ring = build_ring(3, 7)
+    assert full_ring_semisimple(3, 7)
+    assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
+    # every label operator is a polynomial in e_1, e_2, e_3, so a generator
+    # that fails to commute must be caught there
+    bad = copy.copy(ring)
+    bad.e_ops = dict(ring.e_ops)
+    bad.e_ops[2] = [row[:] for row in ring.e_ops[2]]
+    bad.e_ops[2][0][-1] += 1
+    assert not commuting([bad.e_ops[1], bad.e_ops[2], bad.e_ops[3]])
+    monkeypatch.setattr(section, "build_ring", lambda k, n: bad)
+    with pytest.raises(InvalidInputError):
+        full_ring_semisimple(3, 7)
 
 
 def test_section_semisimplicity_reports():
