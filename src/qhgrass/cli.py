@@ -5,6 +5,13 @@ rationals rendered as "numerator/denominator" strings); --format json prints
 it verbatim, --format table renders it through a pure function of the
 document, so the two modes always agree.
 
+One table, COMMANDS, names every command's help, arguments, handler and table
+renderer.  A run builds only the parser of the command it invokes, since
+building every subparser costs more than most commands compute; any other
+argv gets the whole tree, so help and error text read the same.  Handlers are
+looked up by name each time a parser is built, so a patched module-level
+`_cmd_*` function is the one that runs.
+
 Exit codes: 0 success, 2 invalid input or usage, 1 internal consistency
 failure (which is always a bug, never bad user input), and 141 (128 + SIGPIPE,
 as for any program killed by it) when the reader closes the pipe early.
@@ -244,7 +251,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render_rows(headers: list[str], rows: list[list]) -> list[str]:
+def _render_rows(headers: list[str], rows: list) -> list[str]:
     table = [headers] + [[_format_cell(c) for c in row] for row in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
     lines = []
@@ -255,160 +262,155 @@ def _render_rows(headers: list[str], rows: list[list]) -> list[str]:
     return lines
 
 
+def _joined(label: str, values: list) -> str:
+    return f"{label}: " + " ".join(str(v) for v in values)
+
+
+def _betti_lines(r: dict) -> list[str]:
+    return [f"{r['label']}: dim={r['dim']} index={r['index']}"] + _render_rows(
+        ["2j", "b_2j"], [[2 * j, b] for j, b in enumerate(r["even_betti"])])
+
+
+def _screen_lines(r: dict) -> list[str]:
+    lines = [f"{r['label']}: index={r['index']}", _joined("even betti", r["even_betti"]),
+             f"outcome: {r['outcome']}"]
+    if w := r.get("witness"):
+        lines.append(f"witness: tilde_b({w['i']}) = {w['lhs']} > {w['rhs']} = tilde_b({w['d']}*{w['i']})")
+    return lines
+
+
+def _exceptional_lines(r: dict) -> list[str]:
+    keys = ("label", "dim", "index", "i", "tilde_b", "tilde_b_neg", "verdict")
+    return _render_rows(["case", "dim", "r", "i", "tilde_b(i)", "tilde_b(-i)", "verdict"],
+                        [[row[key] for key in keys] for row in r["rows"]])
+
+
+def _witness_lines(key: str):
+    def lines(r: dict) -> list[str]:
+        rows = [[str(tuple(w["partition"])), w[key]] for w in r["witnesses"]]
+        return _render_rows(["partition", key], rows) if rows else ["(no witnesses)"]
+    return lines
+
+
+def _hodge_lines(r: dict) -> list[str]:
+    lines = _render_rows(["p", "chi(Omega^p)"], list(enumerate(r["chi_y"])))
+    if "diamond_column" in r:
+        lines.append(_joined("diamond column", r["diamond_column"]))
+        lines += [f"h^({e['p']},{e['q']}) = {e['h']}" for e in r["middle_off_diagonal"]]
+        lines.append("hodge-tate: " + _format_cell(r["hodge_tate"]))
+    return lines
+
+
+def _semisimple_lines(r: dict) -> list[str]:
+    lines = ["semisimple: " + _format_cell(r["semisimple"]), f"method: {r['method']}"]
+    return lines + ([f"detail: {r['detail']}"] if r["detail"] else [])
+
+
+def _holds_lines(r: dict) -> list[str]:
+    return ["holds: " + _format_cell(r["holds"])]
+
+
+# -- the command table -----------------------------------------------------------
+
+_INT, _REQUIRED_INT, _FLAG = {"type": int}, {"type": int, "required": True}, {"action": "store_true"}
+_K, _N, _SECTION = ("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT), ("--section", _FLAG)
+_SEED = ("--seed", {"type": int, "default": hodge.DEFAULT_SEED, "help": SEED_HELP})
+
+# name -> (help, argument specs, handler name, table renderer).  A "qh <leaf>"
+# name is a leaf of the qh group, and every leaf also takes --format.
+COMMANDS = {
+    "betti": (
+        "Betti numbers, dimension and Fano index of G/P_k",
+        [("--type", {"required": True, "help": "Dynkin type, e.g. E7 or C5"}), ("--node", _REQUIRED_INT)],
+        "_cmd_betti", _betti_lines),
+    "screen": (
+        "semisimplicity obstruction from Betti numbers",
+        [("--type", {}), ("--node", _INT),
+         ("--section", {**_FLAG, "help": "screen a Gr(k,n) hyperplane section"}),
+         ("--k", _INT), ("--n", _INT), _SEED],
+        "_cmd_screen", _screen_lines),
+    "exceptional-table": (
+        "the 13 exceptional screen witnesses", [], "_cmd_exceptional_table", _exceptional_lines),
+    "core-search": (
+        "large core partitions in the k x (n-k) box", [_K, _N], "_cmd_core_search", _witness_lines("i")),
+    "snow": (
+        "nonvanishing witnesses for twisted forms on Gr(k,n)",
+        [_K, _N, ("--p", _REQUIRED_INT), ("--twist", _REQUIRED_INT)], "_cmd_snow", _witness_lines("j")),
+    "hodge": (
+        "chi_y genus (and Hodge diamond of the section)", [_K, _N, _SECTION, _SEED], "_cmd_hodge", _hodge_lines),
+    "qh charpoly": (
+        "characteristic polynomial on the residue-0 piece",
+        [_K, _N, _SECTION, ("--power", _REQUIRED_INT), ("--with-e2", _FLAG)], "_cmd_qh_charpoly",
+        lambda r: [_joined("charpoly (lowest degree first)", r["charpoly"])]),
+    "qh presentation": (
+        "verify the quantum presentation relations", [_K, _N], "_cmd_qh_presentation", _holds_lines),
+    "qh lefschetz": (
+        "quantum Lefschetz identities for sections", [("--n", {**_REQUIRED_INT, "choices": (7, 8)})],
+        "_cmd_qh_lefschetz", _holds_lines),
+    "qh semisimple": (
+        "trace-form semisimplicity verdicts", [_K, _N, _SECTION], "_cmd_qh_semisimple", _semisimple_lines),
+}
+QH_HELP = "quantum cohomology computations"
+
+
 def render_table(doc: dict) -> str:
     command = doc["command"]
     inputs = doc["inputs"]
-    results = doc["results"]
     lines = [f"# {command}"]
     if inputs:
         lines.append("inputs: " + ", ".join(f"{k}={_format_cell(v)}" for k, v in inputs.items()))
-    if command == "betti":
-        lines.append(f"{results['label']}: dim={results['dim']} index={results['index']}")
-        lines += _render_rows(
-            ["2j", "b_2j"], [[2 * j, b] for j, b in enumerate(results["even_betti"])]
-        )
-    elif command == "screen":
-        lines.append(f"{results['label']}: index={results['index']}")
-        lines.append("even betti: " + " ".join(str(b) for b in results["even_betti"]))
-        lines.append(f"outcome: {results['outcome']}")
-        if "witness" in results:
-            w = results["witness"]
-            lines.append(
-                f"witness: tilde_b({w['i']}) = {w['lhs']} > {w['rhs']} = "
-                f"tilde_b({w['d']}*{w['i']})"
-            )
-    elif command == "exceptional-table":
-        lines += _render_rows(
-            ["case", "dim", "r", "i", "tilde_b(i)", "tilde_b(-i)", "verdict"],
-            [
-                [r["label"], r["dim"], r["index"], r["i"], r["tilde_b"], r["tilde_b_neg"], r["verdict"]]
-                for r in results["rows"]
-            ],
-        )
-    elif command in ("core-search", "snow"):
-        key = "i" if command == "core-search" else "j"
-        rows = [[str(tuple(w["partition"])), w[key]] for w in results["witnesses"]]
-        lines += _render_rows(["partition", key], rows) if rows else ["(no witnesses)"]
-    elif command == "hodge":
-        lines += _render_rows(
-            ["p", "chi(Omega^p)"], [[p, c] for p, c in enumerate(results["chi_y"])]
-        )
-        if "diamond_column" in results:
-            lines.append(
-                "diamond column: " + " ".join(str(h) for h in results["diamond_column"])
-            )
-            if results["middle_off_diagonal"]:
-                for entry in results["middle_off_diagonal"]:
-                    lines.append(f"h^({entry['p']},{entry['q']}) = {entry['h']}")
-            lines.append("hodge-tate: " + _format_cell(results["hodge_tate"]))
-    elif command == "qh charpoly":
-        lines.append(
-            "charpoly (lowest degree first): "
-            + " ".join(str(c) for c in results["charpoly"])
-        )
-    elif command in ("qh presentation", "qh lefschetz"):
-        lines.append("holds: " + _format_cell(results["holds"]))
-    elif command == "qh semisimple":
-        lines.append("semisimple: " + _format_cell(results["semisimple"]))
-        lines.append(f"method: {results['method']}")
-        if results["detail"]:
-            lines.append(f"detail: {results['detail']}")
+    if command in COMMANDS:
+        lines += COMMANDS[command][3](doc["results"])
     else:
-        lines.append(json.dumps(results, indent=2))
+        lines.append(json.dumps(doc["results"], indent=2))
     return "\n".join(lines) + "\n"
 
 
 # -- argument parsing ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _subparsers(parser, dest: str, names: list[str], lazy: bool):
+    # a lazy tree shows the whole choice list, so its usage lines read the same
+    metavar = "{" + ",".join(dict.fromkeys(names)) + "}" if lazy else None
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the command that argv names, or of every command.
+
+    When argv starts with the words of a command, only that leaf is built
+    (with the qh parser above a qh leaf).  Anything else, such as no argv,
+    -h, a typo or a bare qh, gets the whole tree, so help, usage and errors
+    read the same either way.
+    """
+    names = [name for name in COMMANDS if argv and name.split() == argv[: name.count(" ") + 1]]
+    lazy = bool(names)
+    names = names or list(COMMANDS)
     parser = argparse.ArgumentParser(
         prog="qhgrass",
         description="Exact quantum cohomology and Hodge-theoretic invariants of "
         "Grassmannians and their hyperplane sections.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    sub = _subparsers(parser, "command", [name.split()[0] for name in COMMANDS], lazy)
+    qh_sub = None
+    for name in names:
+        help_text, specs, handler, _ = COMMANDS[name]
+        group, _, leaf = name.rpartition(" ")
+        if group and qh_sub is None:
+            qh = sub.add_parser(group, help=QH_HELP)
+            qh_sub = _subparsers(qh, "qh_command", [n.split()[1] for n in COMMANDS if " " in n], lazy)
+        p = (qh_sub if group else sub).add_parser(leaf, help=help_text)
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("betti", help="Betti numbers, dimension and Fano index of G/P_k")
-    p.add_argument("--type", required=True, help="Dynkin type, e.g. E7 or C5")
-    p.add_argument("--node", required=True, type=int)
-    add_format(p)
-    p.set_defaults(handler=_cmd_betti)
-
-    p = sub.add_parser("screen", help="semisimplicity obstruction from Betti numbers")
-    p.add_argument("--type")
-    p.add_argument("--node", type=int)
-    p.add_argument("--section", action="store_true", help="screen a Gr(k,n) hyperplane section")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int, default=hodge.DEFAULT_SEED, help=SEED_HELP)
-    add_format(p)
-    p.set_defaults(handler=_cmd_screen)
-
-    p = sub.add_parser("exceptional-table", help="the 13 exceptional screen witnesses")
-    add_format(p)
-    p.set_defaults(handler=_cmd_exceptional_table)
-
-    p = sub.add_parser("core-search", help="large core partitions in the k x (n-k) box")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    add_format(p)
-    p.set_defaults(handler=_cmd_core_search)
-
-    p = sub.add_parser("snow", help="nonvanishing witnesses for twisted forms on Gr(k,n)")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--twist", required=True, type=int)
-    add_format(p)
-    p.set_defaults(handler=_cmd_snow)
-
-    p = sub.add_parser("hodge", help="chi_y genus (and Hodge diamond of the section)")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--section", action="store_true")
-    p.add_argument("--seed", type=int, default=hodge.DEFAULT_SEED, help=SEED_HELP)
-    add_format(p)
-    p.set_defaults(handler=_cmd_hodge)
-
-    qh = sub.add_parser("qh", help="quantum cohomology computations")
-    qh_sub = qh.add_subparsers(dest="qh_command", required=True)
-
-    p = qh_sub.add_parser("charpoly", help="characteristic polynomial on the residue-0 piece")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--section", action="store_true")
-    p.add_argument("--power", required=True, type=int)
-    p.add_argument("--with-e2", dest="with_e2", action="store_true")
-    add_format(p)
-    p.set_defaults(handler=_cmd_qh_charpoly)
-
-    p = qh_sub.add_parser("presentation", help="verify the quantum presentation relations")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    add_format(p)
-    p.set_defaults(handler=_cmd_qh_presentation)
-
-    p = qh_sub.add_parser("lefschetz", help="quantum Lefschetz identities for sections")
-    p.add_argument("--n", required=True, type=int, choices=(7, 8))
-    add_format(p)
-    p.set_defaults(handler=_cmd_qh_lefschetz)
-
-    p = qh_sub.add_parser("semisimple", help="trace-form semisimplicity verdicts")
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--section", action="store_true")
-    add_format(p)
-    p.set_defaults(handler=_cmd_qh_semisimple)
-
+        # looked up at build time, so a patched module global is the one called
+        p.set_defaults(handler=globals()[handler])
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

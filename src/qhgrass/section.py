@@ -376,17 +376,6 @@ def ambient_basis(k: int, n: int):
     return ring.degree_basis, ring.relations
 
 
-def betti_numbers(ring: SectionRing) -> tuple[int, ...]:
-    """Even Betti numbers of Y read off the graded ring dimensions."""
-    out = []
-    for m in range(ring.dim_y + 1):
-        b = len(ring.degree_basis[m])
-        if ring.prim_dim and m == ring.dim_y // 2:
-            b += ring.prim_dim
-        out.append(b)
-    return tuple(out)
-
-
 def _restrict(ring: SectionRing, op: Matrix, labels) -> Matrix:
     cols = [ring.index[lab] for lab in labels]
     inside = set(cols)
@@ -543,10 +532,11 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
     if (k, n) not in SUPPORTED:
         raise InvalidInputError(f"no section semisimplicity report for ({k}, {n})")
     if n == 6:
-        from .screen import BettiProfile, periodic_betti, screen
+        # the Betti numbers alone decide it, read off the Hodge diamond
+        from .hodge import section_profile
+        from .screen import periodic_betti, screen
 
-        ring = build_ring(k, n)
-        profile = BettiProfile(betti_numbers(ring), ring.r_y, "section of Gr(3,6)")
+        profile = section_profile(k, n)
         verdict = screen(profile)
         if not verdict.is_witness:
             raise InternalConsistencyError("expected a Betti witness for the Gr(3,6) section")

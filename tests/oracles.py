@@ -12,6 +12,8 @@ route:
   polynomial in e_1..e_k and evaluate it on the e-operators; SectionRing
   solves for its label operators directly.
 - perp_iso_check certifies A^0(X) = A^0_perp(Y) through cyclic generators.
+- betti_numbers reads the even Betti numbers of a section off its graded
+  ring; section_semisimplicity takes them from the Hodge diamond.
 """
 
 from __future__ import annotations
@@ -291,3 +293,14 @@ def _perp_projector(ring: SectionRing, rad: list[list]):
 
 def _pair_vec(ring: SectionRing, u, v):
     return sum(a * b for a, b in zip(u, linalg.mat_vec(ring.pairing, v)))
+
+
+def betti_numbers(ring) -> tuple[int, ...]:
+    """Even Betti numbers of Y read off the graded ring dimensions."""
+    out = []
+    for m in range(ring.dim_y + 1):
+        b = len(ring.degree_basis[m])
+        if ring.prim_dim and m == ring.dim_y // 2:
+            b += ring.prim_dim
+        out.append(b)
+    return tuple(out)

@@ -336,3 +336,69 @@ def test_rational_serialization():
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
+
+
+# one valid command line per command of cli.COMMANDS
+EVERY_COMMAND = [
+    ["betti", "--type", "E6", "--node", "2"],
+    ["screen", "--section", "--k", "3", "--n", "6"],
+    ["exceptional-table"],
+    ["core-search", "--k", "3", "--n", "9"],
+    ["snow", "--k", "3", "--n", "9", "--p", "12", "--twist", "3"],
+    ["hodge", "--k", "3", "--n", "6", "--section"],
+    ["qh", "charpoly", "--k", "3", "--n", "7", "--power", "5", "--with-e2"],
+    ["qh", "presentation", "--k", "2", "--n", "5"],
+    ["qh", "lefschetz", "--n", "7"],
+    ["qh", "semisimple", "--k", "2", "--n", "4"],
+]
+
+
+def _record_add_parser(monkeypatch) -> list:
+    added = []
+    original = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        added.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    return added
+
+
+def test_run_builds_only_the_invoked_command(capsys, monkeypatch):
+    assert {" ".join(argv[:2] if argv[0] == "qh" else argv[:1]) for argv in EVERY_COMMAND} == set(cli.COMMANDS)
+    added = _record_add_parser(monkeypatch)
+    for argv in EVERY_COMMAND:
+        for _ in range(2):  # each run builds its own parser
+            added.clear()
+            assert cli.run(argv + ["--format", "json"]) == 0, argv
+            assert added == (argv[:2] if argv[0] == "qh" else argv[:1]), argv
+    capsys.readouterr()
+    assert not any(isinstance(v, argparse.ArgumentParser) for v in vars(cli).values())
+
+
+def test_build_parser_without_argv_builds_every_command(monkeypatch):
+    added = _record_add_parser(monkeypatch)
+    cli.build_parser()
+    assert added == ["betti", "screen", "exceptional-table", "core-search", "snow", "hodge",
+                     "qh", "charpoly", "presentation", "lefschetz", "semisimple"]
+    for argv in ([], ["--help"], ["frobnicate"], ["qh"], ["qh", "--help"], ["qh charpoly"], ["Betti"]):
+        added.clear()
+        cli.build_parser(argv)
+        assert len(added) == 11, argv
+
+
+def test_lazy_and_full_parsers_agree():
+    for argv in EVERY_COMMAND:
+        argv = argv + ["--format", "json"]
+        lazy, full = cli.build_parser(argv).parse_args(argv), cli.build_parser().parse_args(argv)
+        assert vars(lazy) == vars(full), argv
+
+
+def test_entry_point_prints_what_run_prints(capsys):
+    argv = ["qh", "semisimple", "--k", "3", "--n", "7", "--format", "json"]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qhgrass.cli", *argv], capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, expected, b"")

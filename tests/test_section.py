@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import build_lifts, lift_operator, perp_iso_check, section_pieri
+from oracles import betti_numbers, build_lifts, lift_operator, perp_iso_check, section_pieri
 from qhgrass import hodge, linalg, quantum, section
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, box_partitions_of_size, size
@@ -22,7 +22,6 @@ from qhgrass.section import (
     SectionClass,
     SectionRing,
     ambient_basis,
-    betti_numbers,
     build_ring,
     full_ring_semisimple,
     lefschetz_relation_check,
@@ -299,6 +298,22 @@ def test_section_semisimplicity_reports():
     assert r8.semisimple is True and "49" in r8.detail and "radical" in r8.detail
     with pytest.raises(InvalidInputError):
         section_semisimplicity(2, 6)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_ring_betti_numbers_match_the_hodge_diamond(n):
+    # section_semisimplicity(3, 6) screens the diamond's numbers, not the ring's
+    assert betti_numbers(build_ring(3, n)) == hodge.section_profile(3, n).even_betti
+
+
+def test_gr36_section_verdict_builds_no_ring(capsys, monkeypatch):
+    from qhgrass import cli
+
+    calls = []
+    monkeypatch.setattr(section, "build_ring", lambda *args: calls.append(args))
+    monkeypatch.setattr(section, "SectionRing", lambda *args: calls.append(args))
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "6", "--format", "json"]) == 0
+    assert calls == [] and '"method": "betti-screen"' in capsys.readouterr().out
 
 
 def test_beta_multiplication_undetermined():
