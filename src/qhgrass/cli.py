@@ -383,7 +383,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     -h, a typo or a bare qh, gets the whole tree, so help, usage and errors
     read the same either way.
     """
-    names = [name for name in COMMANDS if argv and name.split() == argv[: name.count(" ") + 1]]
+    names = [name for name in COMMANDS if argv and name.split() == argv[: len(name.split())]]
     lazy = bool(names)
     names = names or list(COMMANDS)
     parser = argparse.ArgumentParser(
