@@ -26,7 +26,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import hodge, linalg, quantum, screen, section
+from . import hodge, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .partitions import Box, core_search, snow_witnesses
 from .polynomials import UniPoly
@@ -186,20 +186,16 @@ def _cmd_qh_charpoly(args) -> dict:
         "power": args.power,
         "with_e2": args.with_e2,
     }
-    if args.section:
-        ring = section.build_ring(args.k, args.n)
-        e1, e2, piece, q_degree = ring.e_ops[1], ring.e_ops[2], ring.residue_piece(0), ring.r_y
-    else:
-        box = _ambient_box(args)
-        e1, piece = [list(r) for r in quantum.pieri_matrix(box, 1, 1)], quantum.graded_pieces(box)[0]
-        e2 = [list(r) for r in quantum.pieri_matrix(box, 2, 1)] if args.with_e2 else None
-        q_degree = box.n
+    alg = section.build_ring(args.k, args.n) if args.section else quantum.grassmannian(_ambient_box(args))
+    if args.with_e2 and 2 not in alg.e_ops:
+        raise InvalidInputError(f"Pieri index p=2 outside [1, {alg.k}]")
+    piece = alg.residue_piece(0)
     # the operator raises degrees by power (+ 2 for e_2); only a multiple of the
     # degree of q keeps the residue-0 piece
-    if (degree := args.power + 2 * args.with_e2) % q_degree:
-        raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {q_degree} = deg q")
+    if (degree := args.power + 2 * args.with_e2) % alg.r:
+        raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {alg.r} = deg q")
     # coefficient j is at most C(dim, j) times the j-th power of the eigenvalue bound
-    eigenvalue = args.power * _log_norm(e1) + (_log_norm(e2) if args.with_e2 else 0)
+    eigenvalue = args.power * _log_norm(alg.e_ops[1]) + (_log_norm(alg.e_ops[2]) if args.with_e2 else 0)
     if (digits := int(len(piece) * (eigenvalue + math.log10(2))) + 1) > MAX_CHARPOLY_DIGITS:
         raise InvalidInputError(f"charpoly coefficients of up to {digits} digits, over {MAX_CHARPOLY_DIGITS}")
     if (work := len(piece) ** 3 * digits) > MAX_CHARPOLY_WORK:
@@ -208,10 +204,7 @@ def _cmd_qh_charpoly(args) -> dict:
     if args.section:
         poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
     else:
-        op = linalg.mat_pow(e1, args.power)
-        if args.with_e2:
-            op = linalg.mat_mul(op, e2)
-        poly = quantum.char_poly_on_piece(op, piece, box)
+        poly = alg.e_charpoly(args.power, args.with_e2)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 

@@ -1,20 +1,27 @@
-"""Small quantum cohomology of Gr(k, n) with exact rational coefficients.
+"""Quantum cohomology of Gr(k, n) and of its sections as one graded algebra.
 
-Everything is driven by the quantum Pieri rule for the special classes
-sigma_{1^p} (Chern classes of the dual tautological subbundle):
+GradedAlgebra is a graded Frobenius algebra with exact rational coefficients,
+generated by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual
+tautological subbundle).  It holds the basis labels and their degrees, the
+degree r of the quantum parameter q and the exact rational q_value that its
+matrices specialize q to (default 1), the e-operators, the Poincare pairing
+and the multiplication operator of every label that has one.  All of it comes from the
+Pieri images e_p * label = {(label, q power): coeff}.  It has two
+constructors: grassmannian(box) for Gr(k, n), and section.build_ring for a
+smooth hyperplane section of Gr(3, n).
+
+For Gr(k, n) the images are given by the quantum Pieri rule
 
     sigma_{1^p} * sigma_lam = sum_mu sigma_mu + q sum_nu sigma_nu,
 
 where mu ranges over additions of p cells to lam with no two in the same row,
 and nu over partitions of |lam| + p - n whose transpose interlaces the
-transpose of lam shifted down by one (possible only when lam_1 = n - k).
-General products come from the multiplication operators of mult_operators,
-built by a triangular Pieri recursion, so no Littlewood-Richardson rule is
+transpose of lam shifted down by one (possible only when lam_1 = n - k); q has
+degree n.  Label operators come from one triangular Pieri recursion
+(mult_operators) for both constructors, so no Littlewood-Richardson rule is
 needed; the Giambelli route lives with the tests as an independent check, so
 the quantum Giambelli property is a checked invariant rather than an input.
-
-The quantum parameter q has degree n.  Matrices specialize q to an exact
-rational (default 1); class-level products keep q symbolic.
+Class-level products (ClassVector, star_e) keep q symbolic.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
-from .errors import InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions, canonical, size, transpose
 from .polynomials import UniPoly
@@ -34,11 +41,6 @@ from .polynomials import UniPoly
 def schubert_basis(box: Box) -> tuple[Partition, ...]:
     """Schubert basis ordered by degree, lexicographically decreasing within."""
     return tuple(sorted(box_partitions(box.k, box.n), key=lambda lam: (size(lam), tuple(-a for a in lam))))
-
-
-@lru_cache(maxsize=None)
-def basis_index(box: Box) -> dict[Partition, int]:
-    return {lam: i for i, lam in enumerate(schubert_basis(box))}
 
 
 def vertical_strip_additions(lam: Partition, p: int, box: Box) -> list[Partition]:
@@ -81,13 +83,14 @@ def quantum_rim_partitions(lam: Partition, p: int, box: Box) -> list[Partition]:
 
 
 class ClassVector:
-    """Exact linear combination of (partition, q-power) basis elements."""
+    """Exact linear combination of (label, q-power) basis elements; the labels
+    are partitions in the box, and for a section ring also its beta."""
 
     __slots__ = ("box", "terms")
 
     def __init__(self, box: Box, terms=None):
         self.box = box
-        self.terms: dict[tuple[Partition, int], Fraction | int] = {}
+        self.terms: dict[tuple[object, int], Fraction | int] = {}
         if terms:
             for key, coeff in terms.items():
                 if coeff:
@@ -122,35 +125,15 @@ class ClassVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_degree(self) -> int | None:
-        """Common value of |lam| + n * q_power, or None if mixed."""
-        degrees = {size(lam) + self.box.n * qp for (lam, qp) in self.terms}
-        if len(degrees) > 1:
-            return None
-        return degrees.pop() if degrees else 0
-
-    def specialize_q(self, q_value) -> dict[Partition, Fraction | int]:
-        out: dict[Partition, Fraction | int] = {}
-        for (lam, qp), coeff in self.terms.items():
-            val = coeff * q_value**qp
-            if val:
-                out[lam] = out.get(lam, 0) + val
-        return {lam: v for lam, v in out.items() if v}
-
-    def to_vector(self, q_value=1) -> list:
-        coords = [0] * len(schubert_basis(self.box))
-        idx = basis_index(self.box)
-        for lam, coeff in self.specialize_q(q_value).items():
-            coords[idx[lam]] += coeff
-        return coords
-
     def __repr__(self):
         def fmt(key, coeff):
-            lam, qp = key
+            lab, qp = key
             q = f"q^{qp}*" if qp > 1 else ("q*" if qp == 1 else "")
-            return f"{coeff}*{q}s{lam}"
+            return f"{coeff}*{q}" + (f"s{lab}" if isinstance(lab, tuple) else lab)
 
-        return " + ".join(fmt(k, v) for k, v in sorted(self.terms.items())) or "0"
+        # beta is a string label, so sort by repr rather than by the labels
+        terms = sorted(self.terms.items(), key=lambda item: (repr(item[0][0]), item[0][1]))
+        return " + ".join(fmt(k, v) for k, v in terms) or "0"
 
 
 def quantum_pieri(p: int, lam: Partition, box: Box) -> ClassVector:
@@ -183,54 +166,143 @@ def cup_e(p: int, x: ClassVector) -> ClassVector:
     return out
 
 
+def pieri_operator(basis, images, q_value) -> Matrix:
+    """The matrix whose column j is images[j], the Pieri image
+    {(label, q power): coeff} of basis[j], at q = q_value."""
+    index = {lab: i for i, lab in enumerate(basis)}
+    mat = linalg.zeros(len(basis), len(basis))
+    for col, image in enumerate(images):
+        for (lab, qp), coeff in image.items():
+            mat[index[lab]][col] += coeff * q_value**qp
+    return mat
+
+
 @lru_cache(maxsize=None)
 def pieri_matrix(box: Box, p: int, q_value=1) -> tuple[tuple, ...]:
     """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q."""
     basis = schubert_basis(box)
-    idx = basis_index(box)
-    mat = linalg.zeros(len(basis), len(basis))
-    for col, lam in enumerate(basis):
-        for nu, coeff in quantum_pieri(p, lam, box).specialize_q(q_value).items():
-            mat[idx[nu]][col] += coeff
-    return tuple(tuple(row) for row in mat)
+    images = [quantum_pieri(p, lam, box).terms for lam in basis]
+    return tuple(map(tuple, pieri_operator(basis, images, q_value)))
 
 
-def _pieri_matrices(box: Box, q_value) -> dict[int, Matrix]:
-    return {p: [list(row) for row in pieri_matrix(box, p, q_value)] for p in range(1, box.k + 1)}
+class GradedAlgebra:
+    """A graded Frobenius algebra generated by e_1..e_k, at q = q_value.
+
+    A constructor supplies the basis, the degree r of q, the e-operators (by
+    pieri_operator from the images of pieri_on_label) and the pairing.
+    label_ops, the multiplication operator of every partition label, comes
+    from mult_operators when first read.  This class is Gr(k, n) as built by
+    grassmannian; section.SectionRing overrides pieri_on_label and
+    label_degree.
+    """
+
+    def __init__(self, box: Box, basis, r: int, q_value, e_ops: dict[int, Matrix], pairing: Matrix):
+        self.box, self.k = box, box.k
+        self.basis = tuple(basis)
+        self.index = {lab: i for i, lab in enumerate(self.basis)}
+        self.r, self.q_value = r, q_value
+        self.e_ops = e_ops
+        self.pairing = pairing
+
+    def label_degree(self, lab) -> int:
+        return size(lab)
+
+    def pieri_on_label(self, p: int, lab) -> ClassVector:
+        """e_p * (basis label), q symbolic."""
+        return quantum_pieri(p, lab, self.box)
+
+    @property
+    def label_ops(self) -> dict:
+        """Multiplication operator of every partition label (mult_operators)."""
+        return mult_operators(self)
+
+    def vector(self, x: ClassVector) -> list:
+        """Basis coordinates of a class at q = q_value."""
+        coords = [0] * len(self.basis)
+        for (lab, qp), coeff in x.terms.items():
+            coords[self.index[lab]] += coeff * self.q_value**qp
+        return coords
+
+    def mult_operator(self, coords) -> Matrix:
+        """Multiplication operator of the element with these basis coordinates."""
+        ops, terms = self.label_ops, []
+        for coeff, lab in zip(coords, self.basis):
+            if not coeff:
+                continue
+            if lab not in ops:
+                raise UndeterminedProductError(f"multiplication by {lab} is undetermined by the source")
+            terms.append((coeff, ops[lab]))
+        return linalg.mat_combine(terms, linalg.zeros(len(self.basis), len(self.basis)))
+
+    def residue_piece(self, residue: int = 0) -> tuple:
+        """Labels whose degree is congruent to the residue mod r."""
+        return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r == residue)
+
+    def restrict(self, op: Matrix, piece) -> Matrix:
+        """Restriction of an operator to the span of the piece's labels."""
+        cols = [self.index[lab] for lab in piece]
+        inside = set(cols)
+        if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
+            raise InvalidInputError("operator does not preserve the requested piece")
+        return [[op[r][c] for c in cols] for r in cols]
+
+    def charpoly_on_piece(self, op: Matrix, piece) -> UniPoly:
+        """Exact monic characteristic polynomial of the restriction to a piece."""
+        return linalg.charpoly(self.restrict(op, piece))
+
+    def e_charpoly(self, power: int, with_e2: bool = False) -> UniPoly:
+        """Characteristic polynomial of e_1^power (optionally * e_2) on the
+        residue-0 piece."""
+        op = linalg.mat_pow(self.e_ops[1], power)
+        if with_e2:
+            op = linalg.mat_mul(op, self.e_ops[2])
+        return self.charpoly_on_piece(op, self.residue_piece(0))
 
 
 @lru_cache(maxsize=None)
-def mult_operators(box: Box, q_value=1) -> dict[Partition, Matrix]:
-    """Multiplication operator of every Schubert class, by triangular recursion.
-
-    Removing the first column of lam and re-adding it by the Pieri rule
-    expresses M_lam through E_p M_{lam'} minus same-degree corrections that are
-    lexicographically smaller and quantum corrections of lower degree, so a
-    single pass in (degree, lex) order fills the whole table.
-    """
+def grassmannian(box: Box, q_value=1) -> GradedAlgebra:
+    """QH(Gr(k, n)) at the given q: the Schubert basis, q of degree n, the
+    Pieri matrices, and the pairing <s_lam, s_mu> = [mu = dual(lam)]."""
     basis = schubert_basis(box)
-    E = _pieri_matrices(box, q_value)
-    ops: dict[Partition, Matrix] = {(): linalg.identity(len(basis))}
-    for lam in sorted(basis, key=lambda l: (size(l), l)):
-        if not lam:
-            continue
-        p = len(lam)
-        lam_prime = canonical(tuple(a - 1 for a in lam))
-        corrections = [
-            (-coeff * q_value**d, ops[mu])
-            for (mu, d), coeff in quantum_pieri(p, lam_prime, box).terms.items()
-            if not (d == 0 and mu == lam)
-        ]
-        ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(E[p], ops[lam_prime]))
-    return ops
+    e_ops = {p: [list(row) for row in pieri_matrix(box, p, q_value)] for p in range(1, box.k + 1)}
+    index = {lam: i for i, lam in enumerate(basis)}
+    pairing = linalg.zeros(len(basis), len(basis))
+    for i, lam in enumerate(basis):
+        pairing[i][index[box.dual(lam)]] = 1
+    return GradedAlgebra(box, basis, box.n, q_value, e_ops, pairing)
 
 
-def mult_operator(a: ClassVector, q_value=1) -> Matrix:
-    """Matrix of quantum multiplication by the class a at the given q."""
-    ops = mult_operators(a.box, q_value)
-    n = len(schubert_basis(a.box))
-    terms = [(coeff * q_value**qp, ops[lam]) for (lam, qp), coeff in a.terms.items()]
-    return linalg.mat_combine(terms, linalg.zeros(n, n))
+@lru_cache(maxsize=None)
+def mult_operators(alg: GradedAlgebra) -> dict:
+    """Multiplication operator of every partition label, by triangular recursion.
+
+    Removing the first column of lam (p = len(lam) cells) leaves lam', and
+    e_p * lam' = lam + sum c q^d mu, where every other mu of the same degree
+    is lexicographically smaller and every q term has lower degree.  So
+
+        L_lam = E_p L_lam' - sum c q^d L_mu
+
+    fills the table in one pass in (degree, lex) order, checking that lam has
+    coefficient 1 and that every mu is already built.  By induction L_lam is
+    a polynomial in e_1..e_k that sends the unit to lam; once e_1..e_k are
+    asserted to commute, it is multiplication by lam on every class the unit
+    reaches.  Labels that are not partitions (the section's beta) get no
+    operator.  The table is in basis order.
+    """
+    if not commuting(list(alg.e_ops.values())):
+        raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
+    ops = {(): linalg.identity(len(alg.basis))}
+    partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
+    for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
+        p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
+        image = dict(alg.pieri_on_label(p, lam_prime).terms)
+        if image.pop((lam, 0), 0) != 1 or lam_prime not in ops or any(mu not in ops for mu, _ in image):
+            raise InternalConsistencyError(
+                f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
+            )
+        corrections = [(-coeff * alg.q_value**d, ops[mu]) for (mu, d), coeff in image.items()]
+        ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(alg.e_ops[p], ops[lam_prime]))
+    return {lab: ops[lab] for lab in alg.basis if lab in ops}
 
 
 def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
@@ -278,46 +350,11 @@ def presentation_check(box: Box, q_value=1) -> bool:
     """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q."""
     n, k = box.n, box.k
     polys = [sigma_e_polynomial(m, k) for m in range(n - k + 1, n + 1)]
-    *vanishing, top = evaluate_e_polynomials(polys, _pieri_matrices(box, q_value))
+    *vanishing, top = evaluate_e_polynomials(polys, grassmannian(box, q_value).e_ops)
     if not all(map(linalg.is_zero_matrix, vanishing)):
         return False
     expected = [((-1) ** k * q_value, linalg.identity(len(top)))]
     return linalg.is_zero_matrix(linalg.mat_combine(expected, top))
-
-
-def graded_pieces(box: Box) -> dict[int, tuple[Partition, ...]]:
-    """Partition of the Schubert basis into residue classes of degree mod n."""
-    pieces: dict[int, list[Partition]] = {i: [] for i in range(box.n)}
-    for lam in schubert_basis(box):
-        pieces[size(lam) % box.n].append(lam)
-    return {i: tuple(piece) for i, piece in pieces.items()}
-
-
-def restrict_to_piece(op: Matrix, piece, box: Box) -> Matrix:
-    """Restriction of an operator to the span of the given basis partitions."""
-    idx = basis_index(box)
-    cols = [idx[lam] for lam in piece]
-    inside = set(cols)
-    for c in cols:
-        for r in range(len(op)):
-            if op[r][c] and r not in inside:
-                raise InvalidInputError("operator does not preserve the requested piece")
-    return [[op[r][c] for c in cols] for r in cols]
-
-
-def char_poly_on_piece(op: Matrix, piece, box: Box) -> UniPoly:
-    """Exact monic characteristic polynomial of the restriction to a piece."""
-    return linalg.charpoly(restrict_to_piece(op, piece, box))
-
-
-def pairing_matrix(box: Box) -> Matrix:
-    """Poincare pairing on the Schubert basis: <s_lam, s_mu> = [mu = dual(lam)]."""
-    basis = schubert_basis(box)
-    idx = basis_index(box)
-    mat = linalg.zeros(len(basis), len(basis))
-    for i, lam in enumerate(basis):
-        mat[i][idx[box.dual(lam)]] = 1
-    return mat
 
 
 def sigma1_triple_integral(lam: Partition, mu: Partition, box: Box) -> int:
@@ -347,39 +384,21 @@ def trace_form_gram(ops: list[Matrix]) -> Matrix:
     return linalg.mat_combine([(tc, [op[c] for op in ops]) for c, tc in enumerate(t)])
 
 
-def semisimple_test(
-    ops: list[Matrix], pairing: Matrix | None = None, commuting_generators: list[Matrix] | None = None
-) -> bool:
-    """Trace-form criterion: the algebra spanned by the commuting multiplication
-    operators is semisimple iff the Gram matrix trace(ops_i ops_j) is nonsingular.
+def semisimple_test(ops: list[Matrix]) -> bool:
+    """Trace-form criterion: a commutative algebra is semisimple iff the Gram
+    matrix trace(ops_i ops_j) of its regular representation is nonsingular.
 
-    The operators must form the regular representation (ops[c] multiplies by
-    the c-th basis element, in that basis), so that ops[a] ops[b] =
-    sum_c ops[a][c][b] ops[c] and the Gram matrix is t^T ops[a] row by row,
-    t_c = trace(ops[c]): O(d^3) instead of d^2 trace products.
-
-    Commutativity is asserted, not assumed: on all pairs, or only on
-    commuting_generators when every operator is a polynomial in them (the
-    Pieri matrices of Gr(k, n), e_1..e_3 of a section ring).  The Gram matrix
-    splits by residue of degree mod deg q, so det_bareiss factors it by blocks.
+    ops[c] multiplies by the c-th basis element, in that basis, and the
+    operators commute; the caller asserts that on generators (mult_operators
+    on e_1..e_k, perp_subalgebra_semisimple on the perp generators).  The Gram
+    matrix splits by residue of degree mod deg q, so det_bareiss factors it by
+    blocks.
     """
-    if not commuting(ops if commuting_generators is None else commuting_generators):
-        raise InvalidInputError("multiplication operators do not commute")
-    if pairing is not None:
-        for op in ops:
-            left = linalg.mat_mul([list(r) for r in zip(*op)], pairing)
-            right = linalg.mat_mul(pairing, op)
-            if left != right:
-                raise InvalidInputError("operators are not self-adjoint for the pairing")
     return linalg.det_bareiss(trace_form_gram(ops)) != 0
 
 
 def qh_semisimple(box: Box, q_value=1) -> bool:
-    """Trace-form semisimplicity of QH(Gr(k, n)) at the given q.
-
-    mult_operators builds every operator as a polynomial in the Pieri
-    matrices e_1..e_k, so commutativity is asserted on those generators.
-    """
-    ops = mult_operators(box, q_value)
-    generators = list(_pieri_matrices(box, q_value).values())
-    return semisimple_test([ops[lam] for lam in schubert_basis(box)], commuting_generators=generators)
+    """Trace-form semisimplicity of QH(Gr(k, n)) at the given q."""
+    alg = grassmannian(box, q_value)
+    ops = alg.label_ops
+    return semisimple_test([ops[lam] for lam in alg.basis])

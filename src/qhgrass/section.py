@@ -12,21 +12,34 @@ section Pieri rule
 whose right-hand side only needs ambient Pieri operations.  The quantum
 parameter q_Y has degree n - 1; matrices specialize it (default 1).
 
-The multiplication operator of every ambient basis class is solved degree by
-degree from these identities (SectionRing._operators_for_degree).  The solve
-runs on sparse operators, rows as {column: value}, because a label operator
-is about 9 % nonzero for n = 8; each result is stored as a dense matrix.  The
-Poincare pairing <a, b> = integral over X of s_a s_b s_1 is evaluated only
+SectionRing is the second constructor of quantum.GradedAlgebra, beside
+Gr(k, n) itself.  Its e-operators are the Pieri images above, and the
+multiplication operator L_lam of every ambient basis class comes from the same
+triangular recursion, L_lam = E_p L_lam' - sum c q^d L_mu
+(quantum.mult_operators).  Two facts certify it on the ambient classes.  The
+unit is cyclic: by induction L_lam is a polynomial in e_1..e_k sending the
+unit to lam, because column lam' of E_p is the Pieri image of lam'.  And
+e_1..e_k commute, which the recursion asserts once per ring.  Together they
+give every Pieri identity e_p L_mu = sum c q^d L_lab there: both sides are
+polynomials in e_1..e_k that agree on the unit, hence on every class the unit
+reaches.  Every e_p kills beta, so each L_lam acts on beta by the constant
+term of its polynomial; the tests check the identities on the whole ring,
+beta's row and column included.  The recursion also checks that lam has
+coefficient 1 in e_p * lam' and that every correction is a class it has
+already built.
+
+The Poincare pairing <a, b> = integral over X of s_a s_b s_1 is evaluated only
 where |a| + |b| = dim Y, since it vanishes by degree elsewhere.
 
 beta * beta is not determined by the source material and is deliberately not
-modeled; every implemented operator is multiplication by a class generated by
-e_1, e_2, e_3, under which beta maps to zero.
+modeled; beta gets no operator of its own, and every implemented operator is
+multiplication by a class generated by e_1, e_2, e_3, under which beta maps to
+zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,8 +50,13 @@ from .partitions import Box, Partition, box_partitions_of_size, size
 from .polynomials import UniPoly
 from .quantum import (
     ClassVector,
+    GradedAlgebra,
+    commuting,
     cup_e,
     evaluate_e_polynomials,
+    mult_operators,
+    pieri_operator,
+    semisimple_test,
     sigma1_triple_integral,
     sigma_e_polynomial,
     star_e,
@@ -52,68 +70,24 @@ SUPPORTED = {(3, 6), (3, 7), (3, 8)}
 PRIMITIVE_DIM = {(3, 6): 1, (3, 7): 0, (3, 8): 1}
 
 
-@dataclass
-class SectionClass:
-    """Linear combination of section basis labels with explicit q_Y powers."""
-
-    ring: "SectionRing"
-    terms: dict[tuple, Fraction | int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {k: v for k, v in self.terms.items() if v}
-
-    def __add__(self, other: "SectionClass") -> "SectionClass":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return SectionClass(self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SectionClass":
-        return SectionClass(self.ring, {k: c * v for k, v in self.terms.items()})
-
-    def shift_q(self, d: int) -> "SectionClass":
-        return SectionClass(self.ring, {(lab, qp + d): v for (lab, qp), v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, SectionClass) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def homogeneous_degree(self) -> int | None:
-        degs = {self.ring.label_degree(lab) + self.ring.r_y * qp for (lab, qp) in self.terms}
-        if len(degs) > 1:
-            return None
-        return degs.pop() if degs else 0
-
-    def to_vector(self, q_value=1) -> list:
-        coords = [0] * len(self.ring.basis)
-        for (lab, qp), coeff in self.terms.items():
-            coords[self.ring.index[lab]] += coeff * q_value**qp
-        return coords
-
-
-class SectionRing:
+class SectionRing(GradedAlgebra):
     """Basis, relations and Pieri operators for the section of Gr(k, n)."""
 
     def __init__(self, k: int, n: int, q_value=1):
         if (k, n) not in SUPPORTED:
             raise InvalidInputError(f"no section ring for (k, n) = ({k}, {n})")
-        self.k, self.n = k, n
-        self.box = Box(k, n)
-        self.q_value = q_value
-        self.r_y = n - 1
+        self.box, self.k = Box(k, n), k
         self.dim_y = k * (n - k) - 1
         self.prim_dim = PRIMITIVE_DIM[(k, n)]
-        self._pieri: dict[tuple[int, object], SectionClass] = {}
+        self._pieri: dict[tuple[int, object], ClassVector] = {}
         self._build_quotient()
-        self._build_basis()
-        self._build_operators()
-        self._build_pairing()
-        self._build_label_ops()
+        basis = self._quotient_basis()
+        e_ops = {
+            p: pieri_operator(basis, [self.pieri_on_label(p, lab).terms for lab in basis], q_value)
+            for p in range(1, k + 1)
+        }
+        super().__init__(self.box, basis, n - 1, q_value, e_ops, self._pairing(basis))
+        mult_operators(self)  # label_ops, built and certified with the ring
 
     # -- quotient structure ------------------------------------------------
 
@@ -144,24 +118,21 @@ class SectionRing:
                 self.relations[parts[lead]] = rel
             self.degree_basis[m] = tuple(p for i, p in enumerate(parts) if i not in pivots)
 
-    def _build_basis(self):
+    def _quotient_basis(self) -> tuple:
         labels: list = []
         for m in range(self.dim_y + 1):
             labels.extend(self.degree_basis[m])
             if self.prim_dim and m == self.dim_y // 2:
                 labels.append(BETA)
-        self.basis = tuple(labels)
-        self.index = {lab: i for i, lab in enumerate(labels)}
-        expected = {(3, 6): 18, (3, 7): 30, (3, 8): 51}[(self.k, self.n)]
-        if len(self.basis) != expected:
-            raise InternalConsistencyError(
-                f"section ring dimension {len(self.basis)}, expected {expected}"
-            )
+        expected = {6: 18, 7: 30, 8: 51}[self.box.n]
+        if len(labels) != expected:
+            raise InternalConsistencyError(f"section ring dimension {len(labels)}, expected {expected}")
+        return tuple(labels)
 
     def label_degree(self, lab) -> int:
         return self.dim_y // 2 if lab == BETA else size(lab)
 
-    def reduce(self, x: ClassVector) -> SectionClass:
+    def reduce(self, x: ClassVector) -> ClassVector:
         """Push an ambient class to the quotient, keeping q powers."""
         out: dict[tuple, Fraction | int] = {}
 
@@ -180,17 +151,17 @@ class SectionRing:
 
         for (lam, qp), coeff in x.terms.items():
             add(lam, qp, coeff)
-        return SectionClass(self, out)
+        return ClassVector(self.box, out)
 
     # -- products ----------------------------------------------------------
 
-    def pieri_on_label(self, p: int, lab) -> SectionClass:
+    def pieri_on_label(self, p: int, lab) -> ClassVector:
         """e_p * (basis label), q symbolic.  Computed once per (p, label) and
         shared between callers, which must not mutate it."""
         if not 1 <= p <= self.k:
             raise InvalidInputError(f"Pieri index p={p} outside [1, {self.k}]")
         if lab == BETA:
-            return SectionClass(self)
+            return ClassVector(self.box)
         if (p, lab) not in self._pieri:
             lam = ClassVector.schubert(self.box, lab)
             classical = cup_e(p, lam)
@@ -201,168 +172,27 @@ class SectionRing:
             self._pieri[(p, lab)] = self.reduce(classical + quantum)
         return self._pieri[(p, lab)]
 
-    def unit(self) -> SectionClass:
-        return SectionClass(self, {((), 0): 1})
-
-    def schubert(self, lam, q_power: int = 0, coeff=1) -> SectionClass:
+    def schubert(self, lam, q_power: int = 0, coeff=1) -> ClassVector:
         return self.reduce(ClassVector.schubert(self.box, lam, q_power, coeff))
 
-    def beta(self) -> SectionClass:
+    def beta(self) -> ClassVector:
         if not self.prim_dim:
-            raise InvalidInputError(f"no primitive class for (3, {self.n})")
-        return SectionClass(self, {(BETA, 0): 1})
+            raise InvalidInputError(f"no primitive class for (3, {self.box.n})")
+        return ClassVector(self.box, {(BETA, 0): 1})
 
-    def _build_operators(self):
-        dim = len(self.basis)
-        self.e_ops: dict[int, Matrix] = {}
-        for p in range(1, self.k + 1):
-            mat = linalg.zeros(dim, dim)
-            for col, lab in enumerate(self.basis):
-                image = self.pieri_on_label(p, lab)
-                for (mu, qp), coeff in image.terms.items():
-                    mat[self.index[mu]][col] += coeff * self.q_value**qp
-            self.e_ops[p] = mat
-
-    # -- pairing and integration --------------------------------------------
-
-    def _build_pairing(self):
+    def _pairing(self, basis) -> Matrix:
         """<a, b> is the integral over X of s_a s_b s_1, which vanishes unless
         |a| + |b| = dim Y; beta pairs to 1 with itself and 0 with the rest."""
-        dim = len(self.basis)
-        mat = linalg.zeros(dim, dim)
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
+        mat = linalg.zeros(len(basis), len(basis))
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
                 if a == BETA or b == BETA:
                     mat[i][j] = 1 if (a == BETA and b == BETA) else 0
                 elif size(a) + size(b) == self.dim_y:
                     mat[i][j] = sigma1_triple_integral(a, b, self.box)
-        self.pairing = mat
         if linalg.det_bareiss(mat) == 0:
             raise InternalConsistencyError("section Poincare pairing is degenerate")
-
-    def integral(self, x: SectionClass):
-        """Integral over Y: coefficient of the top-degree class (q discarded
-        after specialization)."""
-        (top,) = self.degree_basis[self.dim_y]
-        coords = x.to_vector(self.q_value)
-        return coords[self.index[top]]
-
-    def pair(self, x: SectionClass, y: SectionClass):
-        xv = x.to_vector(self.q_value)
-        yv = y.to_vector(self.q_value)
-        return sum(a * b for a, b in zip(xv, linalg.mat_vec(self.pairing, yv)))
-
-    # -- multiplication operators of the basis classes -----------------------
-
-    def _build_label_ops(self):
-        """Multiplication operators of every ambient basis class, degree by
-        degree.  The solve works on sparse copies of the operators (rows as
-        {column: value}; a label operator is about 9 % nonzero for n = 8),
-        which are dropped when the build ends; label_ops keeps the dense ones.
-        """
-        dim = len(self.basis)
-        self.label_ops: dict[Partition, Matrix] = {(): linalg.identity(dim)}
-        sparse = {(): [{i: 1} for i in range(dim)]}
-        e_sparse = {p: _cleaned([dict(enumerate(row)) for row in op]) for p, op in self.e_ops.items()}
-        for m in range(1, self.dim_y + 1):
-            for lam, rows in self._operators_for_degree(m, sparse, e_sparse).items():
-                sparse[lam] = rows
-                self.label_ops[lam] = [[row.get(j, 0) for j in range(dim)] for row in rows]
-
-    def _operators_for_degree(self, m: int, sparse: dict, e_sparse: dict) -> dict:
-        """Sparse multiplication operators of all degree-m basis classes.
-
-        Every identity e_p * j(s_mu) = sum of basis classes, with mu a basis
-        class of degree m - p, is an operator equation R . X = K whose
-        degree-m terms X are the unknowns and whose known side
-        K = e_p L_mu - sum c L_lab collects the lower-degree terms.  K is one
-        sparse product over the nonzeros of e_p and of the rows of L_mu, less
-        the sparse lower operators.  Only the small system [R | I] is
-        row-reduced; the identity block records each reduced row as a
-        combination of equations, so a pivot row gives its unknown as that
-        sparse combination of known sides.  The ring is generated by
-        e_1..e_k, so the equations determine the unknowns; a row whose R part
-        vanishes states that its combination of known sides is zero, which is
-        a free check on the whole Pieri implementation.
-        """
-        unknowns = self.degree_basis[m]
-        uidx = {lam: i for i, lam in enumerate(unknowns)}
-        rows: list[list] = []
-        knowns: list[list[dict]] = []
-        for p in range(1, self.k + 1):
-            if m - p < 0:
-                continue
-            for mu in self.degree_basis[m - p]:
-                row = [0] * len(unknowns)
-                known = [{} for _ in self.basis]
-                for acc, erow in zip(known, e_sparse[p]):
-                    for i, x in erow.items():
-                        for j, y in sparse[mu][i].items():
-                            acc[j] = acc.get(j, 0) + x * y
-                for (lab, qp), coeff in self.pieri_on_label(p, mu).terms.items():
-                    c = coeff * self.q_value**qp
-                    if qp == 0 and self.label_degree(lab) == m:
-                        row[uidx[lab]] += c
-                    elif c:
-                        _add_scaled(known, -c, sparse[lab])
-                rows.append(row)
-                knowns.append(_cleaned(known))
-        count = len(unknowns)
-        tagged = [row + [int(i == j) for j in range(len(rows))] for i, row in enumerate(rows)]
-        pivots, reduced = linalg.rref(tagged)
-        if sum(1 for col in pivots if col < count) != count:
-            raise InternalConsistencyError(f"operators in degree {m} are underdetermined")
-        solved = {}
-        for col, red in zip(pivots, reduced):
-            combined = [{} for _ in self.basis]
-            for c, known in zip(red[count:], knowns):
-                if c:
-                    _add_scaled(combined, c, known)
-            combined = _cleaned(combined)
-            if col < count:
-                solved[unknowns[col]] = combined
-            elif any(combined):
-                raise InternalConsistencyError(
-                    f"inconsistent Pieri operator equations in degree {m}"
-                )
-        return solved
-
-    def mult_operator(self, coords) -> Matrix:
-        """Multiplication operator of an ambient element in basis coordinates."""
-        dim = len(self.basis)
-        terms = []
-        for coeff, lab in zip(coords, self.basis):
-            if not coeff:
-                continue
-            if lab == BETA:
-                raise UndeterminedProductError(
-                    "multiplication by the primitive class is undetermined by the source"
-                )
-            terms.append((coeff, self.label_ops[lab]))
-        return linalg.mat_combine(terms, linalg.zeros(dim, dim))
-
-    def mult_operator_of_label(self, lab) -> Matrix:
-        coords = [0] * len(self.basis)
-        coords[self.index[lab]] = 1
-        return self.mult_operator(coords)
-
-    # -- graded pieces -------------------------------------------------------
-
-    def residue_piece(self, residue: int = 0) -> tuple:
-        """Labels whose degree is congruent to the residue mod r_Y."""
-        return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r_y == residue)
-
-
-def _add_scaled(acc: list[dict], c, rows: list[dict]) -> None:
-    """acc += c * rows, over the nonzeros of rows."""
-    for out, row in zip(acc, rows):
-        for j, y in row.items():
-            out[j] = out.get(j, 0) + c * y
-
-
-def _cleaned(rows: list[dict]) -> list[dict]:
-    """The rows without zeros and with integral Fractions made ints."""
-    return [{j: linalg._integral(x) for j, x in row.items() if x} for row in rows]
+        return mat
 
 
 @lru_cache(maxsize=None)
@@ -370,29 +200,9 @@ def build_ring(k: int, n: int, q_value=1) -> SectionRing:
     return SectionRing(k, n, q_value)
 
 
-def ambient_basis(k: int, n: int):
-    """Graded quotient basis and the relations for excluded classes."""
-    ring = build_ring(k, n)
-    return ring.degree_basis, ring.relations
-
-
-def _restrict(ring: SectionRing, op: Matrix, labels) -> Matrix:
-    cols = [ring.index[lab] for lab in labels]
-    inside = set(cols)
-    for c in cols:
-        for r in range(len(op)):
-            if op[r][c] and r not in inside:
-                raise InvalidInputError("operator does not preserve the requested piece")
-    return [[op[r][c] for c in cols] for r in cols]
-
-
 def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPoly:
     """Characteristic polynomial of e_1^power (optionally * e_2) on A^0(Y)."""
-    ring = build_ring(k, n)
-    op = linalg.mat_pow(ring.e_ops[1], power)
-    if with_e2:
-        op = linalg.mat_mul(op, ring.e_ops[2])
-    return linalg.charpoly(_restrict(ring, op, ring.residue_piece(0)))
+    return build_ring(k, n).e_charpoly(power, with_e2)
 
 
 # The explicit lifts of the presentation relations in e_1, e_2, e_3, printed
@@ -456,7 +266,7 @@ def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:
     """Basis e_1^i * v over 0 <= i < r_Y and v in the perp space."""
     vectors = []
     current = [list(v) for v in perp]
-    for _ in range(ring.r_y):
+    for _ in range(ring.r):
         vectors.extend([list(v) for v in current])
         current = [linalg.mat_vec(ring.e_ops[1], v) for v in current]
     return vectors
@@ -483,7 +293,7 @@ def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list
     r_gen = [restrict(ring.mult_operator(list(v))) for v in perp]
     ops = []
     power = linalg.identity(sub_dim)
-    for i in range(ring.r_y):
+    for _ in range(ring.r):
         ops.extend(linalg.mat_mul(power, g) for g in r_gen)
         power = linalg.mat_mul(r_e1, power)
     return ops, [r_e1] + r_gen
@@ -493,29 +303,28 @@ def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     """Trace-form test on the subalgebra generated by the perp space and e_1.
 
     Returns the verdict, the subalgebra's dimension and the dimension of the
-    radical it was split from.
+    radical it was split from.  Every operator is a polynomial in the
+    generators, so commutativity is asserted on those.
     """
-    from .quantum import semisimple_test
-
     ring = build_ring(k, n)
     rad, perp = radical_and_perp(k, n)
     ops, generators = perp_subalgebra_operators(ring, perp)
-    return semisimple_test(ops, commuting_generators=generators), len(ops), len(rad)
+    if not commuting(generators):
+        raise InternalConsistencyError("the perp subalgebra's generators do not commute")
+    return semisimple_test(ops), len(ops), len(rad)
 
 
 def full_ring_semisimple(k: int, n: int) -> bool:
     """Trace-form test on the whole section ring (only when beta is absent).
-    Every label operator is solved as a polynomial in e_1, e_2, e_3
-    (_build_label_ops), so commutativity is asserted on those three only."""
+    The label operators are polynomials in e_1, e_2, e_3, whose commutativity
+    the ring build asserted (quantum.mult_operators)."""
     ring = build_ring(k, n)
     if ring.prim_dim:
         raise UndeterminedProductError(
             "full-ring trace form needs beta * beta, which the source leaves undetermined"
         )
-    from .quantum import semisimple_test
-
-    ops = [ring.mult_operator_of_label(lab) for lab in ring.basis]
-    return semisimple_test(ops, commuting_generators=[ring.e_ops[p] for p in (1, 2, 3)])
+    ops = ring.label_ops
+    return semisimple_test([ops[lab] for lab in ring.basis])
 
 
 @dataclass(frozen=True)
@@ -546,9 +355,9 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
             f"tilde_b(1)={tb[1]} != tilde_b(-1)={tb[-1 % profile.index]}",
         )
     if n == 7:
-        ok = full_ring_semisimple(k, n)
+        ok, dim = full_ring_semisimple(k, n), len(build_ring(k, n).basis)
         return SemisimplicityReport(
-            k, n, ok, "trace-form", "nondegenerate trace form on the 30-dimensional ring"
+            k, n, ok, "trace-form", f"nondegenerate trace form on the {dim}-dimensional ring"
             if ok else "degenerate trace form",
         )
     ok, sub_dim, rad_dim = perp_subalgebra_semisimple(k, n)

@@ -9,8 +9,8 @@ route:
 - pairing_q1 and radical are the class-level pairing and the radical of
   QH(Gr(k, n)).
 - build_lifts and lift_operator write each section basis class as a
-  polynomial in e_1..e_k and evaluate it on the e-operators; SectionRing
-  solves for its label operators directly.
+  polynomial in e_1..e_k and evaluate it on the e-operators; the section
+  ring builds its label operators by the first-column Pieri recursion.
 - perp_iso_check certifies A^0(X) = A^0_perp(Y) through cyclic generators.
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
@@ -24,16 +24,8 @@ from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, transpose
-from qhgrass.quantum import (
-    ClassVector,
-    basis_index,
-    graded_pieces,
-    pairing_matrix,
-    pieri_matrix,
-    schubert_basis,
-    star_e,
-)
-from qhgrass.section import BETA, SectionClass, SectionRing, build_ring, radical_and_perp
+from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
+from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
 
 # -- the ambient ring through Giambelli determinants ---------------------------
 
@@ -98,9 +90,12 @@ def star(a: ClassVector, b: ClassVector) -> ClassVector:
 
 def pairing_q1(a: ClassVector, b: ClassVector):
     """Poincare pairing extended bilinearly with q specialized to 1."""
-    av = a.specialize_q(1)
-    bv = b.specialize_q(1)
-    return sum(av[lam] * bv.get(a.box.dual(lam), 0) for lam in av)
+    return sum(
+        ca * cb
+        for (lam, _), ca in a.terms.items()
+        for (mu, _), cb in b.terms.items()
+        if mu == a.box.dual(lam)
+    )
 
 
 def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
@@ -110,9 +105,8 @@ def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
     n = len(basis)
     e1 = [list(row) for row in pieri_matrix(box, 1, q_value)]
     rad = linalg.kernel_basis(linalg.mat_pow(e1, n))
-    idx = basis_index(box)
-    pairing = pairing_matrix(box)
-    piece = graded_pieces(box)[0]
+    alg = grassmannian(box, q_value)
+    idx, pairing, piece = alg.index, alg.pairing, alg.residue_piece(0)
     constraints = []
     for u in rad:
         pu = linalg.mat_vec(pairing, u)
@@ -133,15 +127,15 @@ def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
 # -- the section ring through lift polynomials --------------------------------
 
 
-def section_pieri(ring: SectionRing, p: int, x: SectionClass) -> SectionClass:
+def section_pieri(ring: SectionRing, p: int, x: ClassVector) -> ClassVector:
     """e_p * x for a section class x, q symbolic."""
-    out = SectionClass(ring)
+    out = ClassVector(ring.box)
     for (lab, qp), coeff in x.terms.items():
         out = out + ring.pieri_on_label(p, lab).shift_q(qp).scale(coeff)
     return out
 
 
-def apply_monomial(ring: SectionRing, expo, x: SectionClass) -> SectionClass:
+def apply_monomial(ring: SectionRing, expo, x: ClassVector) -> ClassVector:
     for p, count in enumerate(expo, start=1):
         for _ in range(count):
             x = section_pieri(ring, p, x)
@@ -159,10 +153,10 @@ def build_lifts(ring: SectionRing) -> dict[Partition, dict[tuple[int, ...], int]
             poly: dict[tuple[int, ...], int] = {}
             for expo, coeff in giambelli_expr(lam, ring.box):
                 poly[expo] = poly.get(expo, 0) + coeff
-            value = SectionClass(ring)
+            value = ClassVector(ring.box)
             for expo, coeff in poly.items():
-                value = value + apply_monomial(ring, expo, ring.unit()).scale(coeff)
-            rest = value - SectionClass(ring, {(lam, 0): 1})
+                value = value + apply_monomial(ring, expo, ClassVector.unit(ring.box)).scale(coeff)
+            rest = value - ClassVector(ring.box, {(lam, 0): 1})
             for (lab, qp), coeff in rest.terms.items():
                 if lab == BETA or qp == 0 or ring.label_degree(lab) >= m:
                     raise InternalConsistencyError(f"lift of {lam} has unexpected term {lab} q^{qp}")
@@ -223,7 +217,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     box = Box(k, n)
     ring = build_ring(k, n)
     basis_x = schubert_basis(box)
-    piece_x = graded_pieces(box)[0]
+    piece_x = grassmannian(box).residue_piece(0)
     dim0 = len(piece_x)
     e1x = [list(r) for r in pieri_matrix(box, 1, 1)]
     e2x = [list(r) for r in pieri_matrix(box, 2, 1)]
@@ -250,7 +244,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     # section side: powers of the generator, projected away from the radical
     rad, perp = radical_and_perp(k, n)
     project = _perp_projector(ring, rad)
-    unit_y = ring.unit().to_vector(1)
+    unit_y = ring.vector(ClassVector.unit(ring.box))
     powers_y = [unit_y]
     for _ in range(dim0 - 1):
         powers_y.append(linalg.mat_vec(gen_y, powers_y[-1]))

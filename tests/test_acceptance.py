@@ -13,7 +13,7 @@ from qhgrass.quantum import (
     ClassVector,
     commuting,
     cup_e,
-    mult_operators,
+    grassmannian,
     pieri_matrix,
     presentation_check,
     qh_semisimple,
@@ -178,18 +178,18 @@ def test_criterion_7_section_characteristic_polynomials():
     assert section_charpoly(3, 8, 5, with_e2=True) == x_sq * poly38_e2
     # the ambient polynomials they extend, bit for bit
     b37, b38 = Box(3, 7), Box(3, 8)
-    from qhgrass.quantum import char_poly_on_piece, graded_pieces
+    alg37, alg38 = grassmannian(b37), grassmannian(b38)
 
     e1 = [list(r) for r in pieri_matrix(b37, 1, 1)]
-    assert char_poly_on_piece(linalg.mat_pow(e1, 7), graded_pieces(b37)[0], b37) == poly37
+    assert alg37.charpoly_on_piece(linalg.mat_pow(e1, 7), alg37.residue_piece(0)) == poly37
     e1 = [list(r) for r in pieri_matrix(b38, 1, 1)]
     e2 = [list(r) for r in pieri_matrix(b38, 2, 1)]
     assert (
-        char_poly_on_piece(linalg.mat_pow(e1, 8), graded_pieces(b38)[0], b38) == poly38_e1
+        alg38.charpoly_on_piece(linalg.mat_pow(e1, 8), alg38.residue_piece(0)) == poly38_e1
     )
     assert (
-        char_poly_on_piece(
-            linalg.mat_mul(linalg.mat_pow(e1, 6), e2), graded_pieces(b38)[0], b38
+        alg38.charpoly_on_piece(
+            linalg.mat_mul(linalg.mat_pow(e1, 6), e2), alg38.residue_piece(0)
         )
         == poly38_e2
     )
@@ -239,9 +239,9 @@ def test_criterion_10_property_suites():
     # Frobenius symmetry: all triples of basis classes on Gr(2,4) and Gr(3,6)
     for box in [Box(2, 4), Box(3, 6)]:
         basis = schubert_basis(box)
-        ops = mult_operators(box, 1)
+        ops = grassmannian(box, 1).label_ops
         idx = {lam: i for i, lam in enumerate(basis)}
-        vecs = {lam: ClassVector.schubert(box, lam).to_vector(1) for lam in basis}
+        vecs = {lam: grassmannian(box, 1).vector(ClassVector.schubert(box, lam)) for lam in basis}
 
         def triple(a, b, c):
             ab = linalg.mat_vec(ops[a], vecs[b])

@@ -329,11 +329,11 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     ring7, ring8 = section.build_ring(3, 7), section.build_ring(3, 8)
     _, perp = section.radical_and_perp(3, 8)
     box = Box(4, 8)
-    ambient = quantum.mult_operators(box)
+    ambient = quantum.grassmannian(box).label_ops
     matrices = {
         "(3,8) pairing": ring8.pairing,
         "(3,7) trace form": quantum.trace_form_gram(
-            [ring7.mult_operator_of_label(lab) for lab in ring7.basis]
+            [ring7.label_ops[lab] for lab in ring7.basis]
         ),
         "(3,8) perp trace form": quantum.trace_form_gram(section.perp_subalgebra_operators(ring8, perp)[0]),
         "Gr(4,8) trace form": quantum.trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),

@@ -12,6 +12,7 @@ from qhgrass.quantum import (
     ClassVector,
     commuting,
     cup_e,
+    grassmannian,
     mult_operators,
     schubert_basis,
     star_e,
@@ -19,9 +20,7 @@ from qhgrass.quantum import (
 )
 from qhgrass.section import (
     BETA,
-    SectionClass,
     SectionRing,
-    ambient_basis,
     build_ring,
     full_ring_semisimple,
     lefschetz_relation_check,
@@ -45,6 +44,21 @@ GAMMA_38 = {
     (5, 5, 4): 2, (3, 2, 2): -1, (3, 3, 1): 1, (4, 2, 1): 1,
     (4, 3): -2, (5, 1, 1): -3, (5, 2): 2,
 }
+
+
+def _integral(ring, x):
+    """Integral over Y: the coefficient of the top-degree class at the ring's q."""
+    (top,) = ring.degree_basis[ring.dim_y]
+    return ring.vector(x)[ring.index[top]]
+
+
+def _pair(ring, x, y):
+    return sum(a * b for a, b in zip(ring.vector(x), linalg.mat_vec(ring.pairing, ring.vector(y))))
+
+
+def _degrees(ring, x):
+    """The degrees deg(label) + r * (q power) of the terms of a class."""
+    return {ring.label_degree(lab) + ring.r * qp for lab, qp in x.terms}
 
 
 def test_ring_dimensions_and_graded_ranks():
@@ -82,7 +96,8 @@ def test_build_ring_rejects_unsupported():
 
 
 def test_degree_six_relation_golden():
-    degree_basis, relations = ambient_basis(3, 7)
+    ring = build_ring(3, 7)
+    degree_basis, relations = ring.degree_basis, ring.relations
     assert degree_basis[6] == ((4, 1, 1), (3, 3), (3, 2, 1), (2, 2, 2))
     assert relations[(4, 2)] == {
         (4, 1, 1): 2, (3, 3): 1, (3, 2, 1): -1, (2, 2, 2): 1,
@@ -99,7 +114,7 @@ def test_residue_zero_pieces_golden():
 
 
 def test_ambient_dimension_38():
-    degree_basis, _ = ambient_basis(3, 8)
+    degree_basis = build_ring(3, 8).degree_basis
     assert sum(len(v) for v in degree_basis.values()) == 50
 
 
@@ -191,7 +206,7 @@ def test_classical_limit_is_quotient_cup_product():
         mat = ring0.e_ops[p]
         for col, lab in enumerate(ring0.basis):
             expected = ring0.reduce(cup_e(p, ClassVector.schubert(ring0.box, lab)))
-            vec = expected.to_vector(0)
+            vec = ring0.vector(expected)
             assert [mat[r][col] for r in range(len(ring0.basis))] == vec
 
 
@@ -223,7 +238,7 @@ def test_radical_38_matches_source_vector():
     beta_vec = [0] * len(ring.basis)
     beta_vec[ring.index[BETA]] = 1
     gamma = ring.reduce(ClassVector(ring.box, {(lam, 0): c for lam, c in GAMMA_38.items()}))
-    gamma_vec = gamma.to_vector(1)
+    gamma_vec = ring.vector(gamma)
     span = [list(col) for col in zip(*rad)]
     for target in (beta_vec, gamma_vec):
         coords = linalg.solve(span, target)  # raises if outside the radical
@@ -231,12 +246,12 @@ def test_radical_38_matches_source_vector():
     # the classical integral of j*gamma is 2; its square is 3 j*gamma, whose
     # integral (equivalently the trace of multiplication by j*gamma, or the
     # pairing of j*gamma with itself) is 6, certifying non-nilpotence
-    assert ring.integral(gamma) == 2
+    assert _integral(ring, gamma) == 2
     op = ring.mult_operator(gamma_vec)
     assert linalg.trace(op) == 6
     square = linalg.mat_vec(op, gamma_vec)
     assert square == [3 * c for c in gamma_vec]
-    assert ring.pair(gamma, gamma) == 6
+    assert _pair(ring, gamma, gamma) == 6
     # e_1 is invertible off the radical: rank drops by exactly the radical
     assert linalg.rank(ring.e_ops[1]) == len(ring.basis) - 2
 
@@ -272,20 +287,22 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
         seen.append(ops)
         return commuting(ops)
 
+    # the ring build asserts it once, in the label-operator recursion, and
+    # the full-ring test relies on that
     monkeypatch.setattr(quantum, "commuting", recording)
+    build_ring.cache_clear()
     ring = build_ring(3, 7)
     assert full_ring_semisimple(3, 7)
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
     # every label operator is a polynomial in e_1, e_2, e_3, so a generator
-    # that fails to commute must be caught there
+    # that fails to commute must be caught by the recursion
     bad = copy.copy(ring)
     bad.e_ops = dict(ring.e_ops)
     bad.e_ops[2] = [row[:] for row in ring.e_ops[2]]
     bad.e_ops[2][0][-1] += 1
     assert not commuting([bad.e_ops[1], bad.e_ops[2], bad.e_ops[3]])
-    monkeypatch.setattr(section, "build_ring", lambda k, n: bad)
-    with pytest.raises(InvalidInputError):
-        full_ring_semisimple(3, 7)
+    with pytest.raises(InternalConsistencyError, match="do not commute"):
+        mult_operators(bad)
 
 
 def test_section_semisimplicity_reports():
@@ -344,22 +361,55 @@ def test_lift_operator_agrees_with_recursion():
 def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monkeypatch):
     original = SectionRing.pieri_on_label
 
-    def dropped(self, p, lab):  # e_1 * 1 = 0 leaves sigma_1 without an equation
-        return SectionClass(self) if (p, lab) == (1, ()) else original(self, p, lab)
-
-    monkeypatch.setattr(SectionRing, "pieri_on_label", dropped)
-    with pytest.raises(InternalConsistencyError, match="underdetermined"):
-        SectionRing(3, 7)
-    # one extra (label, q power) term in the image of one (p, label)
-    for p, lab, extra in [(1, (), ((1,), 0)), (2, (2, 1), ((3, 2), 0)), (3, (4, 1), ((2,), 1))]:
-
-        def perturbed(self, pp, ll, p=p, lab=lab, extra=extra):
+    def perturb(n, p, lab, change, match):
+        def perturbed(self, pp, ll):
             image = original(self, pp, ll)
-            return image + SectionClass(self, {extra: 1}) if (pp, ll) == (p, lab) else image
+            return change(self, image) if (pp, ll) == (p, lab) else image
 
         monkeypatch.setattr(SectionRing, "pieri_on_label", perturbed)
-        with pytest.raises(InternalConsistencyError, match="inconsistent"):
-            SectionRing(3, 7)
+        with pytest.raises(InternalConsistencyError, match=match):
+            SectionRing(3, n)
+
+    # e_1 * 1 = 0 leaves sigma_1 without an equation
+    perturb(7, 1, (), lambda ring, image: ClassVector(ring.box), "do not commute")
+    # one extra (label, q power) term in the image of one (p, label)
+    for p, lab, extra in [(1, (), ((1,), 0)), (2, (2, 1), ((3, 2), 0)), (3, (4, 1), ((2,), 1))]:
+        added = {extra: 1}
+        perturb(7, p, lab, lambda ring, image: image + ClassVector(ring.box, added), "inconsistent")
+    # a beta term in e_3 * sigma_1, which has no operator to correct by
+    perturb(6, 3, (1,), lambda ring, image: image + ring.beta(), "inconsistent")
+    for n in (6, 7, 8):
+        # one dropped term, and one doubled term
+        term = {((3, 2), 0): 1}
+        perturb(n, 2, (2, 1), lambda ring, image: image - ClassVector(ring.box, term), "inconsistent")
+        perturb(n, 1, (3, 1), lambda ring, image: image + ClassVector(ring.box, term), "inconsistent")
+    monkeypatch.setattr(SectionRing, "pieri_on_label", original)
+
+    # the recursion's own checks, on images that leave the e-operators intact
+    ring = copy.copy(build_ring(3, 8))
+    image = original(ring, 2, (3,))
+    for wrong in (image.scale(2), image + ring.beta()):
+        ring.pieri_on_label = lambda p, lab: wrong if (p, lab) == (2, (3,)) else original(ring, p, lab)
+        with pytest.raises(InternalConsistencyError, match=r"e_2 \* s\(3,\) does not determine s\(4, 1\)"):
+            mult_operators(ring)
+
+
+def test_label_operators_satisfy_every_pieri_identity():
+    # e_p L_mu = sum c q^d L_lab for every p and every basis class mu: the
+    # identities the recursion is certified to satisfy, beta rows and columns
+    # included
+    for n in (6, 7, 8):
+        ring = build_ring(3, n)
+        dim = len(ring.basis)
+        for p in (1, 2, 3):
+            for mu, op in ring.label_ops.items():
+                image = ring.pieri_on_label(p, mu).terms
+                expected = linalg.mat_combine(
+                    [(c * ring.q_value**d, ring.label_ops[lab]) for (lab, d), c in image.items()],
+                    linalg.zeros(dim, dim),
+                )
+                assert linalg.mat_mul(ring.e_ops[p], op) == expected, (n, p, mu)
+        assert set(ring.label_ops) == set(ring.basis) - {BETA}
 
 
 def test_reduce_kills_top_ambient_degree():
@@ -370,8 +420,8 @@ def test_reduce_kills_top_ambient_degree():
 
 def test_integral_and_pairing():
     ring = build_ring(3, 7)
-    assert ring.integral(ring.schubert((4, 4, 3))) == 1
-    assert ring.integral(ring.unit()) == 0
+    assert _integral(ring, ring.schubert((4, 4, 3))) == 1
+    assert _integral(ring, ClassVector.unit(ring.box)) == 0
     # Poincare duality: the pairing matrix is nonsingular (asserted at build
     # time too, but stated here as the property)
     assert linalg.det_bareiss(ring.pairing) != 0
@@ -385,9 +435,11 @@ def test_section_class_arithmetic():
     assert c == b
     assert a.scale(0).is_zero()
     assert (a + a).scale(Fraction(1, 2)) == a
-    assert ring.unit().homogeneous_degree() == 0
-    mixed = a + b
-    assert mixed.homogeneous_degree() is None
+    assert _degrees(ring, ClassVector.unit(ring.box)) == {0}
+    assert _degrees(ring, a) == {3} and _degrees(ring, b.shift_q(1)) == {6}
+    assert len(_degrees(ring, a + b)) > 1
+    # one class type for both rings, beta terms included
+    assert repr(ring.beta() + b.shift_q(1)) == "1*beta + 1*q*s(1,)"
 
 
 def _entries(x):
@@ -417,11 +469,11 @@ def _trace_product_gram(ops):
 def test_trace_form_gram_matches_trace_products():
     for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]:
         box = Box(k, n)
-        table = mult_operators(box)
+        table = grassmannian(box).label_ops
         ops = [table[lam] for lam in schubert_basis(box)]
         assert trace_form_gram(ops) == _trace_product_gram(ops), (k, n)
     ring7 = build_ring(3, 7)
-    ops7 = [ring7.mult_operator_of_label(lab) for lab in ring7.basis]
+    ops7 = [ring7.label_ops[lab] for lab in ring7.basis]
     assert trace_form_gram(ops7) == _trace_product_gram(ops7)
     _, perp = radical_and_perp(3, 8)
     ops8, _ = perp_subalgebra_operators(build_ring(3, 8), perp)
