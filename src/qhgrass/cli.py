@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import hodge, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
-from .partitions import Box, core_search, snow_witnesses
+from .partitions import Box, core_search, size, snow_witnesses
 from .polynomials import UniPoly
 from .rootdata import GrassmannianId, dimension, fano_index, parse_type, poincare_polynomial
 
@@ -186,16 +186,23 @@ def _cmd_qh_charpoly(args) -> dict:
         "power": args.power,
         "with_e2": args.with_e2,
     }
-    alg = section.build_ring(args.k, args.n) if args.section else quantum.grassmannian(_ambient_box(args))
-    if args.with_e2 and 2 not in alg.e_ops:
-        raise InvalidInputError(f"Pieri index p=2 outside [1, {alg.k}]")
-    piece = alg.residue_piece(0)
+    if args.section:
+        alg = section.build_ring(args.k, args.n)
+        k, r, piece, e_ops = alg.k, alg.r, alg.residue_piece(0), alg.e_ops
+    else:
+        # the refusals read only the basis and e_1 (and e_2), so Gr(k, n) is built once they pass
+        box = _ambient_box(args)
+        k, r = box.k, box.n
+        piece = [lam for lam in quantum.schubert_basis(box) if size(lam) % r == 0]
+        e_ops = {p: quantum.pieri_matrix(box, p) for p in range(1, min(k, 1 + args.with_e2) + 1)}
+    if args.with_e2 and 2 not in e_ops:
+        raise InvalidInputError(f"Pieri index p=2 outside [1, {k}]")
     # the operator raises degrees by power (+ 2 for e_2); only a multiple of the
     # degree of q keeps the residue-0 piece
-    if (degree := args.power + 2 * args.with_e2) % alg.r:
-        raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {alg.r} = deg q")
+    if (degree := args.power + 2 * args.with_e2) % r:
+        raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {r} = deg q")
     # coefficient j is at most C(dim, j) times the j-th power of the eigenvalue bound
-    eigenvalue = args.power * _log_norm(alg.e_ops[1]) + (_log_norm(alg.e_ops[2]) if args.with_e2 else 0)
+    eigenvalue = args.power * _log_norm(e_ops[1]) + (_log_norm(e_ops[2]) if args.with_e2 else 0)
     if (digits := int(len(piece) * (eigenvalue + math.log10(2))) + 1) > MAX_CHARPOLY_DIGITS:
         raise InvalidInputError(f"charpoly coefficients of up to {digits} digits, over {MAX_CHARPOLY_DIGITS}")
     if (work := len(piece) ** 3 * digits) > MAX_CHARPOLY_WORK:
@@ -204,7 +211,7 @@ def _cmd_qh_charpoly(args) -> dict:
     if args.section:
         poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
     else:
-        poly = alg.e_charpoly(args.power, args.with_e2)
+        poly = quantum.grassmannian(box).e_charpoly(args.power, args.with_e2)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 

@@ -6,8 +6,11 @@ which refuses floats and returns an int whenever the quotient is integral, and
 products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
-connected blocks of the pattern.  Characteristic polynomials come from
-fraction-free elimination; the tests check them against the Berkowitz recursion.
+connected blocks of the pattern.  The Pieri recursions (quantum.mult_operators
+and quantum.evaluate_e_polynomials) run on sparse rows {column: value} through
+sparse_mul and sparse_combine, and only their results are made dense.
+Characteristic polynomials come from fraction-free elimination; the tests
+check them against the Berkowitz recursion.
 """
 
 from __future__ import annotations
@@ -91,6 +94,56 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
+def sparse_rows(a: Matrix) -> list[dict]:
+    """a's rows as {column: value} over their nonzeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def dense(rows: list[dict], cols: int) -> Matrix:
+    """The matrix with these sparse rows and cols columns."""
+    out = []
+    for row in rows:
+        full = [0] * cols
+        for j, x in row.items():
+            full[j] = x
+        out.append(full)
+    return out
+
+
+def _integral_row(acc: dict) -> dict:
+    """The nonzeros of a sparse row, integral Fractions turned into ints."""
+    if type(sum(acc.values())) is int:
+        return {j: x for j, x in acc.items() if x}
+    return {j: _integral(x) for j, x in acc.items() if x}
+
+
+def sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """a @ b on sparse rows: each row of a combines the rows of b its nonzeros
+    name, so the work is the number of nonzero products; integral entries of
+    the product are ints and zeros are dropped."""
+    out = []
+    for arow in a:
+        acc: dict = {}
+        for k, x in arow.items():
+            for j, y in b[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(_integral_row(acc))
+    return out
+
+
+def sparse_combine(terms, base: list[dict]) -> list[dict]:
+    """base + sum of c * m over the (c, m) pairs of terms, on sparse rows."""
+    live = [(c, m) for c, m in terms if c]
+    out = []
+    for i, row in enumerate(base):
+        acc = dict(row)
+        for c, m in live:
+            for j, x in m[i].items():
+                acc[j] = acc[j] + c * x if j in acc else c * x
+        out.append(_integral_row(acc))
+    return out
+
+
 def mat_vec(a: Matrix, v: list) -> list:
     out = [0] * len(a)
     for k, vk in enumerate(v):
@@ -160,12 +213,6 @@ def _eliminate(m: Matrix, r: int, c: int) -> None:
             m[i] = [_integral(x - f * y) if y else x for x, y in zip(m[i], prow)]
 
 
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[0])
-
-
 def kernel_basis(a: Matrix) -> list[list]:
     """Basis of the right null space, echelonized so that each vector has a
     leading 1 in the earliest possible coordinate."""
@@ -185,23 +232,6 @@ def kernel_basis(a: Matrix) -> list[list]:
         return []
     _, echelon = rref(vecs)
     return echelon
-
-
-def solve(a: Matrix, b: list) -> list:
-    """Solve a @ x = b exactly (a square or tall with full column rank)."""
-    cols = len(a[0])
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    pivots, red = rref(aug)
-    if cols in pivots:
-        raise InternalConsistencyError("inconsistent linear system")
-    x = [0] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    if len(pivots) < cols:
-        raise InternalConsistencyError("linear system is underdetermined")
-    if any(sum(row[j] * x[j] for j in range(cols)) != bi for row, bi in zip(a, b)):
-        raise InternalConsistencyError("exact solve verification failed")
-    return x
 
 
 def mat_inverse(a: Matrix) -> Matrix:

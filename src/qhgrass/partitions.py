@@ -1,4 +1,4 @@
-"""Partitions in a box: hooks, cores, beta sets, and the nonvanishing searches.
+"""Partitions in a box: hooks, cores, and the nonvanishing searches.
 
 Partitions are stored canonically as tuples of positive integers in weakly
 decreasing order (trailing zeros stripped), so they can serve as dictionary
@@ -125,22 +125,6 @@ def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     }
 
 
-def to_beta_set(lam: Partition, box: Box) -> tuple[int, ...]:
-    """First-column hook lengths a_i = lam_i + k - i + 1, strictly decreasing in [1, n]."""
-    lam = box.require(lam)
-    k = box.k
-    padded = lam + (0,) * (k - len(lam))
-    return tuple(padded[i] + (k - i) for i in range(k))
-
-
-def from_beta_set(beta, box: Box) -> Partition:
-    """Inverse of to_beta_set on k-subsets of [1, n]."""
-    beta = tuple(sorted(set(int(a) for a in beta), reverse=True))
-    if len(beta) != box.k or beta[0] > box.n or beta[-1] < 1:
-        raise InvalidInputError(f"{beta} is not a {box.k}-subset of [1, {box.n}]")
-    return canonical(tuple(beta[i] - (box.k - i) for i in range(box.k)))
-
-
 def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     """Witnesses for nonvanishing twisted Hodge cohomology of Gr(k, n).
 
@@ -160,7 +144,8 @@ def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     return out
 
 
-# (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; 10^6 take ~1.5 s
+# (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; boxes just
+# under the bound, such as (20, 50) with 999,350, take about 0.1 s pruned (3.6 s not)
 MAX_CORE_CANDIDATES = 1_000_000
 
 
@@ -183,6 +168,17 @@ def core_search(box: Box) -> list[tuple[Partition, int]]:
     cells: lam's beta set {lam_m + k-m+1} is the bitmask A with bits n-k+m-mu_m,
     and lam is an ell-core iff (A >> ell) & ~A & ~1 == 0, i.e. A is closed under
     a -> a-ell on [1, n] (James-Kerber 2.7).  Refused over MAX_CORE_CANDIDATES.
+
+    The bitmask alone decides a hit; the search only skips pairs it would
+    reject, by the overhang lemma.  The cells of row j right of column
+    lam_{j+1} (lam_{k+1} = 0) have hook lengths 1, ..., lam_j - lam_{j+1}, and
+    likewise for columns, so an (n-i)-core has every such overhang below n - i.
+    Read off mu, the overhangs are n-k - mu_1, each mu_m - mu_{m+1}, mu_len
+    when len mu < k, and how many of mu's k parts equal each of 0..n-k-1.  So
+    at mu with largest overhang g only i in [max(|mu|, 1), n-1-g] can hit, and
+    a subtree is cut when |mu| plus the overhang its descendants all keep (the
+    differences behind the last part, n-k - mu_1 and the multiplicity of each
+    part below n-k) exceeds n - 1, since appending parts only adds cells.
     """
     k, n = box.k, box.n
     if not (3 <= k and 2 * k <= n):
@@ -191,14 +187,20 @@ def core_search(box: Box) -> list[tuple[Partition, int]]:
         raise InvalidInputError(f"core_search({k}, {n}) has {count} candidates, over {MAX_CORE_CANDIDATES}")
     hits: list[list[Partition]] = [[] for _ in range(n)]
 
-    def visit(mu, beta, cells):
-        for i in range(max(cells, 1), n):
+    def visit(mu, beta, cells, fixed, run):
+        # fixed: the largest overhang every descendant keeps; run: parts equal to the last
+        last = mu[-1] if mu else n - k
+        g = max(fixed, last, k - len(mu)) if len(mu) < k else fixed
+        for i in range(max(cells, 1), n - g):
             if not (beta >> (n - i)) & ~beta & ~1:
                 hits[i].append(box.dual(mu))
         if len(mu) < k:
             bit = n - k + len(mu) + 1  # the next row's beta bit while its mu part is 0
-            for a in range(1, min(mu[-1] if mu else n - k, n - 1 - cells) + 1):
-                visit(mu + (a,), beta ^ (1 << bit) ^ (1 << (bit - a)), cells + a)
+            for a in range(1, min(last, n - 1 - cells) + 1):
+                run_a = run + 1 if a == last else 1
+                fixed_a = max(fixed, last - a, run_a if a < n - k else 0)
+                if cells + a + fixed_a < n:
+                    visit(mu + (a,), beta ^ (1 << bit) ^ (1 << (bit - a)), cells + a, fixed_a, run_a)
 
-    visit((), ((1 << k) - 1) << (n - k + 1), 0)
+    visit((), ((1 << k) - 1) << (n - k + 1), 0, 0, 0)
     return [(lam, i) for i in range(n - 1, 0, -1) for lam in sorted(hits[i], reverse=True)]

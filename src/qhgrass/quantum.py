@@ -21,6 +21,9 @@ degree n.  Label operators come from one triangular Pieri recursion
 (mult_operators) for both constructors, so no Littlewood-Richardson rule is
 needed; the Giambelli route lives with the tests as an independent check, so
 the quantum Giambelli property is a checked invariant rather than an input.
+That recursion and the polynomial evaluation in e_1..e_k
+(evaluate_e_polynomials) run on sparse rows, since the operators are mostly
+zero, and hand back dense matrices.
 Class-level products (ClassVector, star_e) keep q symbolic.
 """
 
@@ -287,11 +290,14 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     a polynomial in e_1..e_k that sends the unit to lam; once e_1..e_k are
     asserted to commute, it is multiplication by lam on every class the unit
     reaches.  Labels that are not partitions (the section's beta) get no
-    operator.  The table is in basis order.
+    operator.  The recursion runs on sparse rows (linalg.sparse_mul), and the
+    table holds each operator made dense once, in basis order.
     """
     if not commuting(list(alg.e_ops.values())):
         raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
-    ops = {(): linalg.identity(len(alg.basis))}
+    dim = len(alg.basis)
+    e_rows = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()}
+    ops = {(): linalg.sparse_rows(linalg.identity(dim))}
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
         p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
@@ -301,8 +307,8 @@ def mult_operators(alg: GradedAlgebra) -> dict:
                 f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
             )
         corrections = [(-coeff * alg.q_value**d, ops[mu]) for (mu, d), coeff in image.items()]
-        ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(alg.e_ops[p], ops[lam_prime]))
-    return {lab: ops[lab] for lab in alg.basis if lab in ops}
+        ops[lam] = linalg.sparse_combine(corrections, linalg.sparse_mul(e_rows[p], ops[lam_prime]))
+    return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 
 def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
@@ -325,9 +331,12 @@ def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]
     """Evaluate polynomials in e_1..e_k on commuting matrices, generators[p]
     standing for e_p.  A monomial e_1^a_1 ... e_k^a_k is read as a word and
     built from its longest prefix already built, by any of the polynomials,
-    so monomials that share a prefix share its products."""
+    so monomials that share a prefix share its products, each one sparse_mul
+    on sparse rows; only the evaluated polynomials are made dense."""
     dim = len(generators[1])
-    built: dict[tuple[int, ...], Matrix] = {}
+    rows = {p: linalg.sparse_rows(op) for p, op in generators.items()}
+    unit = linalg.sparse_rows(linalg.identity(dim))
+    built: dict[tuple[int, ...], list[dict]] = {}
     out = []
     for poly in polys:
         terms = []
@@ -338,11 +347,10 @@ def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]
                     prefix[p - 1] += 1
                     key = tuple(prefix)
                     if key not in built:
-                        factor = generators[p]
-                        built[key] = factor if term is None else linalg.mat_mul(factor, term)
+                        built[key] = rows[p] if term is None else linalg.sparse_mul(rows[p], term)
                     term = built[key]
-            terms.append((coeff, linalg.identity(dim) if term is None else term))
-        out.append(linalg.mat_combine(terms, linalg.zeros(dim, dim)))
+            terms.append((coeff, unit if term is None else term))
+        out.append(linalg.dense(linalg.sparse_combine(terms, [{} for _ in range(dim)]), dim))
     return out
 
 

@@ -14,6 +14,10 @@ route:
 - perp_iso_check certifies A^0(X) = A^0_perp(Y) through cyclic generators.
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
+- rank and solve are exact row reduction through linalg.rref.
+- to_beta_set, from_beta_set and core_search_unpruned are the beta-set
+  bijection and the bitmask core search without the overhang prune, which
+  visits every box complement of at most n - 1 cells.
 """
 
 from __future__ import annotations
@@ -23,9 +27,73 @@ from functools import lru_cache
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
-from qhgrass.partitions import Box, Partition, transpose
+from qhgrass.partitions import Box, Partition, canonical, transpose
 from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
+
+# -- exact linear systems -------------------------------------------------------
+
+
+def rank(a: Matrix) -> int:
+    if not a:
+        return 0
+    return len(linalg.rref(a)[0])
+
+
+def solve(a: Matrix, b: list) -> list:
+    """Solve a @ x = b exactly (a square or tall with full column rank)."""
+    cols = len(a[0])
+    aug = [list(row) + [bi] for row, bi in zip(a, b)]
+    pivots, red = linalg.rref(aug)
+    if cols in pivots:
+        raise InternalConsistencyError("inconsistent linear system")
+    x = [0] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    if len(pivots) < cols:
+        raise InternalConsistencyError("linear system is underdetermined")
+    if any(sum(row[j] * x[j] for j in range(cols)) != bi for row, bi in zip(a, b)):
+        raise InternalConsistencyError("exact solve verification failed")
+    return x
+
+
+# -- beta sets and the unpruned core search --------------------------------------
+
+
+def to_beta_set(lam: Partition, box: Box) -> tuple[int, ...]:
+    """First-column hook lengths a_i = lam_i + k - i + 1, strictly decreasing in [1, n]."""
+    lam = box.require(lam)
+    k = box.k
+    padded = lam + (0,) * (k - len(lam))
+    return tuple(padded[i] + (k - i) for i in range(k))
+
+
+def from_beta_set(beta, box: Box) -> Partition:
+    """Inverse of to_beta_set on k-subsets of [1, n]."""
+    beta = tuple(sorted(set(int(a) for a in beta), reverse=True))
+    if len(beta) != box.k or beta[0] > box.n or beta[-1] < 1:
+        raise InvalidInputError(f"{beta} is not a {box.k}-subset of [1, {box.n}]")
+    return canonical(tuple(beta[i] - (box.k - i) for i in range(box.k)))
+
+
+def core_search_unpruned(box: Box) -> list[tuple[Partition, int]]:
+    """partitions.core_search's bitmask test on every complement mu of at most
+    n - 1 cells and every i in [max(|mu|, 1), n - 1], in the same order."""
+    k, n = box.k, box.n
+    hits: list[list[Partition]] = [[] for _ in range(n)]
+
+    def visit(mu, beta, cells):
+        for i in range(max(cells, 1), n):
+            if not (beta >> (n - i)) & ~beta & ~1:
+                hits[i].append(box.dual(mu))
+        if len(mu) < k:
+            bit = n - k + len(mu) + 1
+            for a in range(1, min(mu[-1] if mu else n - k, n - 1 - cells) + 1):
+                visit(mu + (a,), beta ^ (1 << bit) ^ (1 << (bit - a)), cells + a)
+
+    visit((), ((1 << k) - 1) << (n - k + 1), 0)
+    return [(lam, i) for i in range(n - 1, 0, -1) for lam in sorted(hits[i], reverse=True)]
+
 
 # -- the ambient ring through Giambelli determinants ---------------------------
 
@@ -236,7 +304,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     for _ in range(dim0 - 1):
         powers_x.append(linalg.mat_vec(gen_x, powers_x[-1]))
     coords_x = [[v[idx_x[lam]] for lam in piece_x] for v in powers_x]
-    if linalg.rank(coords_x) != dim0:
+    if rank(coords_x) != dim0:
         return False
     cols_x = [idx_x[lam] for lam in piece_x]
     char_x = linalg.charpoly([[gen_x[r][c] for c in cols_x] for r in cols_x])
@@ -249,7 +317,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     for _ in range(dim0 - 1):
         powers_y.append(linalg.mat_vec(gen_y, powers_y[-1]))
     perp_powers = [project(v) for v in powers_y]
-    if linalg.rank(perp_powers) != dim0:
+    if rank(perp_powers) != dim0:
         return False
     # matrix of the generator on the perp space, then compare spectra
     solver = linalg.ColumnSpanSolver(perp)
@@ -260,9 +328,9 @@ def perp_iso_check(k: int, n: int) -> bool:
     # identical linear expansions of sigma_1^{r_X} and ((j sigma_1)^{r_Y})_perp
     # in the two power bases
     target_x = linalg.mat_vec(linalg.mat_pow(e1x, n), unit_x)
-    expansion_x = linalg.solve([list(col) for col in zip(*powers_x)], target_x)
+    expansion_x = solve([list(col) for col in zip(*powers_x)], target_x)
     target_y = project(linalg.mat_vec(linalg.mat_pow(ring.e_ops[1], n - 1), unit_y))
-    expansion_y = linalg.solve([list(col) for col in zip(*perp_powers)], target_y)
+    expansion_y = solve([list(col) for col in zip(*perp_powers)], target_y)
     return expansion_x == expansion_y
 
 
@@ -276,7 +344,7 @@ def _perp_projector(ring: SectionRing, rad: list[list]):
 
     def project(v):
         rhs = [_pair_vec(ring, v, u) for u in rad]
-        coeffs = linalg.solve(gram, rhs)
+        coeffs = solve(gram, rhs)
         out = list(v)
         for c, u in zip(coeffs, rad):
             out = [x - c * y for x, y in zip(out, u)]

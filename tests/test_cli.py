@@ -151,6 +151,19 @@ def test_charpoly_work_is_refused_up_front(capsys):
     assert time.perf_counter() - t0 < 1
 
 
+def test_ambient_charpoly_refusals_never_build_the_grassmannian(capsys, monkeypatch):
+    from qhgrass import quantum
+
+    calls = []
+    monkeypatch.setattr(quantum, "grassmannian", lambda *args: calls.append(args))
+    # the degree refusal, then the work refusal
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "5", "--n", "10", "--power", "11")
+    assert code == 2 and not out and err.count("\n") == 1 and "not a multiple of 10 = deg q" in err
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "5", "--n", "10", "--power", "1000")
+    assert code == 2 and not out and err.count("\n") == 1 and "3.2e+08" in err
+    assert calls == []
+
+
 def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypatch):
     calls = []
     original = linalg.mat_pow

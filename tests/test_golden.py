@@ -7,7 +7,9 @@ section commands of the benchmark, `qh semisimple` and `qh presentation` for
 every box with k <= 4 and n <= 8, and two ambient `qh charpoly` commands, all
 with `--format json`; each must exit 0.  RINGS covers repr() of the solved
 section rings, entry types and dict order included, and LIFTS the lift
-polynomials of the test oracle.
+polynomials of the test oracle.  AMBIENT_LABEL_OPS covers repr() of the label
+operators of Gr(3, 8) and Gr(4, 8), taken before those operators were built on
+sparse rows.
 
 TABLES and USAGE pin the rest of the CLI surface, each as the digest of
 json.dumps([exit code, stdout, stderr]): `--format table` of every DOCUMENTS
@@ -25,6 +27,8 @@ import pytest
 
 from oracles import build_lifts
 from qhgrass import cli
+from qhgrass.partitions import Box
+from qhgrass.quantum import grassmannian
 from qhgrass.section import SectionRing
 
 DOCUMENTS = {
@@ -313,6 +317,11 @@ RINGS = {
     (8, "relations"): "2e22a4c1d0a1f0890fd18b178ce7c28502cc284f640b9a8107be41a4125f2d2e",
 }
 
+AMBIENT_LABEL_OPS = {
+    (3, 8): "1864fc5fbfbd5bb29c85d7cc41c7bf23f00ce6cc4a5262620c383fe22d46f0e6",
+    (4, 8): "1d90269a27d88d19ed5538f11dc23a497d1affed78a5fac1fd4e5eeddca5e6b9",
+}
+
 LIFTS = {
     6: "32d37709dbe11b1544c603d12f6a653456e42bbcc311aa41379db12106802b40",
     7: "235e32fae998ef0927570f6be3cc978c2991985904af59e9a941b792b44ac52f",
@@ -362,3 +371,9 @@ def test_section_rings_are_identical(n):
     for name in ("label_ops", "e_ops", "pairing", "relations"):
         assert _sha(repr(getattr(ring, name))) == RINGS[(n, name)], name
     assert _sha(repr(build_lifts(ring))) == LIFTS[n]
+
+
+@pytest.mark.parametrize("k, n", sorted(AMBIENT_LABEL_OPS))
+def test_ambient_label_ops_are_identical(k, n):
+    # label_ops is a dict of dense matrices in basis order
+    assert _sha(repr(grassmannian(Box(k, n)).label_ops)) == AMBIENT_LABEL_OPS[(k, n)]

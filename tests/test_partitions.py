@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import core_search_unpruned, from_beta_set, to_beta_set
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import (
     MAX_CORE_CANDIDATES,
@@ -12,11 +13,9 @@ from qhgrass.partitions import (
     box_partitions_of_size,
     canonical,
     core_search,
-    from_beta_set,
     hook_lengths,
     size,
     snow_witnesses,
-    to_beta_set,
     transpose,
 )
 
@@ -218,6 +217,29 @@ def test_core_search_agrees_with_cell_scan(box):
     # is part of the contract, so the lists are compared as they are
     k, n = box
     assert core_search(Box(k, n)) == core_hits(k, n, is_core)
+
+
+def test_overhangs_carry_every_hook_length_below_them():
+    # the lemma core_search prunes by: the cells of row j right of column
+    # lam_{j+1} have hook lengths 1..lam_j - lam_{j+1}, and likewise for columns
+    for n in range(2, 11):
+        for k in range(1, n):
+            for lam in box_partitions(k, n):
+                hooks = hook_lengths(lam)
+                tr = transpose(lam)
+                for lengths, cells in ((lam, lambda j, c: (j, c)), (tr, lambda b, r: (r, b))):
+                    padded = lengths + (0,)
+                    for j in range(1, len(lengths) + 1):
+                        overhang = padded[j - 1] - padded[j]
+                        found = {hooks[cells(j, c)] for c in range(padded[j] + 1, padded[j - 1] + 1)}
+                        assert found == set(range(1, overhang + 1)), (k, n, lam, j)
+
+
+def test_core_search_equals_the_unpruned_search():
+    for n in range(6, 29):
+        for k in range(3, n // 2 + 1):
+            box = Box(k, n)
+            assert core_search(box) == core_search_unpruned(box), (k, n)
 
 
 def test_candidate_count_matches_enumeration():

@@ -263,15 +263,15 @@ def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):
     for polys, generators, expected_products in cases:
         expected = [_per_monomial_evaluation(poly, generators) for poly in polys]
         products = []
-        original = linalg.mat_mul
+        original = linalg.sparse_mul
 
         def counting(a, b):
             products.append(1)
             return original(a, b)
 
-        monkeypatch.setattr(linalg, "mat_mul", counting)
+        monkeypatch.setattr(linalg, "sparse_mul", counting)
         assert quantum.evaluate_e_polynomials(polys, generators) == expected
-        monkeypatch.setattr(linalg, "mat_mul", original)
+        monkeypatch.setattr(linalg, "sparse_mul", original)
         assert len(products) == expected_products
         naive = sum(sum(expo) for poly in polys for expo in poly)
         assert len(products) < naive
