@@ -18,6 +18,9 @@ route:
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
   bijection and the bitmask core search without the overhang prune, which
   visits every box complement of at most n - 1 cells.
+
+SMALL_TYPES lists the 38 Dynkin types whose 220 G/P_k the root-data tests
+cover.
 """
 
 from __future__ import annotations
@@ -29,7 +32,18 @@ from qhgrass.errors import InternalConsistencyError, InvalidInputError, Undeterm
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, canonical, transpose
 from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
+from qhgrass.rootdata import DynkinType
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
+
+# A1-A11, B2-B9, C2-C9, D4-D9, E6-E8, F4 and G2: 220 G/P_k in all
+SMALL_TYPES = tuple(
+    DynkinType(family, rank)
+    for family, ranks in (
+        ("A", range(1, 12)), ("B", range(2, 10)), ("C", range(2, 10)), ("D", range(4, 10)),
+        ("E", range(6, 9)), ("F", (4,)), ("G", (2,)),
+    )
+    for rank in ranks
+)
 
 # -- exact linear systems -------------------------------------------------------
 

@@ -15,6 +15,12 @@ TABLES and USAGE pin the rest of the CLI surface, each as the digest of
 json.dumps([exit code, stdout, stderr]): `--format table` of every DOCUMENTS
 command and of a few more, and the help, usage and error paths.  Both were
 taken before the command table replaced the hand-written parser.
+
+BETTI pins `betti` and `screen --format json` on every node of each of
+oracles.SMALL_TYPES, 220 G/P_k in all: per family, the digest of the
+json.dumps'd list of [argv, exit code, stdout, stderr].  It was taken while
+the Poincare polynomial still came from the fundamental degrees of G and of
+the Levi.
 """
 
 import contextlib
@@ -25,7 +31,7 @@ import sys
 
 import pytest
 
-from oracles import build_lifts
+from oracles import SMALL_TYPES, build_lifts
 from qhgrass import cli
 from qhgrass.partitions import Box
 from qhgrass.quantum import grassmannian
@@ -302,6 +308,16 @@ USAGE = {
     "qh semisimple --k 2 --n 4 --format xml": (2, "3532d6693018d3b9e1701433e1cf1f0c3c6bb0877eb9e4a4602b410f5e21f561"),
 }
 
+BETTI = {
+    "A": "386615b261169c8a75a026cc29516c99242b2e1a02233df21aace9825722f357",
+    "B": "eaaa00608a821f82f448501e2a71f5825c16ee4ffbabdf4b80852675d1bd27f6",
+    "C": "d475d0301584e642250126a7adebd5ec3e4a5f144dcfaeca93857b9c8d879ccc",
+    "D": "319bab0b57c9730962f07492d3fd295427c58b34626e391e10686f5b36cd1887",
+    "E": "fe6dd72e486a4b1178c85aab27e530092d605f55dfbd591e0085639c9ec1835a",
+    "F": "9896b1a766ac9701c85f66bd1562a8682e28854cdd20d3760bbd1da17b52b70e",
+    "G": "82377347a0b76469c8cdafa090a7bfae0c758197c55c35b5e788e2ac69aebdeb",
+}
+
 RINGS = {
     (6, "label_ops"): "0bda336495ce2ac1b5aa6700aee71810326f57ea628615846d2a122bf5ae812b",
     (6, "e_ops"): "6d22a747f68f643f5f354c0ea49d7c53c5f82e59a5023fc787f795e14b3c5e34",
@@ -363,6 +379,22 @@ def test_usage_paths_are_byte_identical(monkeypatch):
         assert got_code == code, command
         if sys.version_info[:2] == USAGE_PYTHON:
             assert got_digest == digest, command
+
+
+@pytest.mark.parametrize("family", sorted(BETTI))
+def test_betti_and_screen_documents_are_byte_identical(family):
+    outcomes = []
+    for t in SMALL_TYPES:
+        if t.family != family:
+            continue
+        for node in range(1, t.rank + 1):
+            for command in ("betti", "screen"):
+                argv = [command, "--type", str(t), "--node", str(node), "--format", "json"]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.run(argv)
+                outcomes.append([" ".join(argv), code, out.getvalue(), err.getvalue()])
+    assert _sha(json.dumps(outcomes)) == BETTI[family]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
