@@ -146,26 +146,3 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.pretty()})"
-
-
-def poly_from_roots(roots) -> UniPoly:
-    out = UniPoly.one()
-    for r in roots:
-        out = out * UniPoly([-r, 1])
-    return out
-
-
-def interpolate(points) -> UniPoly:
-    """Lagrange interpolation through exact (x, y) points with distinct x."""
-    points = [(Fraction(x), Fraction(y)) for x, y in points]
-    out = UniPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = UniPoly([yi])
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * UniPoly([Fraction(-xj, 1) / (xi - xj), Fraction(1, 1) / (xi - xj)])
-        out = out + term
-    return out

@@ -1,13 +1,24 @@
 """Root systems of types A-G and numerical invariants of G/P_k.
 
 Simple roots are indexed by Bourbaki node labels.  Roots are kept as integer
-coordinate vectors over the simple-root basis, with the invariant form given
-by the symmetrized Cartan matrix normalized so short roots have squared
-length 2; all pairings against coroots are then exact integers.
+coordinate vectors over the simple-root basis, and everything derives from
+the integer Cartan matrix, which the Dynkin diagram and the root lengths give
+directly.
+
+The Betti numbers come from root heights.  Macdonald (The Poincare series of
+a Coxeter group, Math. Ann. 1972) gives sum_{w in W} t^l(w) as the product of
+[ht beta + 1]_t / [ht beta]_t over the positive roots, with
+[m]_t = 1 + t + ... + t^(m-1).  The Schubert cells of G/P_k are indexed by
+W / W_P with dimension the length of the shortest coset representative, so
+P(G/P_k; t) = P_W(t) / P_{W_P}(t).  The positive roots of the Levi are those
+with beta_k = 0, and the height of such a root is the sum of its simple-root
+coefficients, the same in the Levi as in G.  Their factors cancel, and what is
+left is the product over the nilradical roots, beta_k > 0.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,44 +103,20 @@ def _root_lengths(t: DynkinType) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def gram_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """Symmetric matrix of inner products (alpha_i, alpha_j)."""
+def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i), an integer.
+
+    An edge carries as many bonds as the squared length ratio of its ends, so
+    its entry is -ratio in the shorter root's row and -1 in the other's.
+    """
     n = t.rank
     d = _root_lengths(t)
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = d[i]
+    cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for a, b in _edges(t):
         i, j = a - 1, b - 1
-        # bond multiplicity equals the length ratio, so 4 (a_i, a_j)^2 = ratio * d_i * d_j
-        ratio = max(d[i], d[j]) // min(d[i], d[j])
-        val = -_exact_sqrt(ratio * d[i] * d[j] // 4)
-        g[i][j] = g[j][i] = val
-    return tuple(tuple(row) for row in g)
-
-
-def _exact_sqrt(m: int) -> int:
-    r = int(round(m ** 0.5))
-    if r * r != m:
-        raise InternalConsistencyError(f"edge inner product {m} is not a perfect square")
-    return r
-
-
-@lru_cache(maxsize=None)
-def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i), an integer."""
-    g = gram_matrix(t)
-    n = t.rank
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = 2 * g[i][j]
-            if num % g[i][i]:
-                raise InternalConsistencyError("Cartan entry is not integral")
-            row.append(num // g[i][i])
-        out.append(tuple(row))
-    return tuple(out)
+        cartan[i][j] = -max(1, d[j] // d[i])
+        cartan[j][i] = -max(1, d[i] // d[j])
+    return tuple(tuple(row) for row in cartan)
 
 
 _POSITIVE_ROOT_COUNT = {
@@ -183,99 +170,6 @@ def positive_roots(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(ordered)
 
 
-def fundamental_degrees(t: DynkinType) -> tuple[int, ...]:
-    """Degrees of basic Weyl-group invariants (exponents + 1)."""
-    n = t.rank
-    if t.family == "A":
-        return tuple(range(2, n + 2))
-    if t.family in ("B", "C"):
-        return tuple(range(2, 2 * n + 1, 2))
-    if t.family == "D":
-        return tuple(sorted(list(range(2, 2 * n - 1, 2)) + [n]))
-    return {
-        ("E", 6): (2, 5, 6, 8, 9, 12),
-        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
-        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
-        ("F", 4): (2, 6, 8, 12),
-        ("G", 2): (2, 6),
-    }[(t.family, n)]
-
-
-def _classify_component(nodes: list[int], t: DynkinType) -> tuple[int, ...]:
-    """Fundamental degrees of the subsystem generated by the given nodes."""
-    cartan = cartan_matrix(t)
-    size = len(nodes)
-    if size == 1:
-        return (2,)
-    adj = {a: [] for a in nodes}
-    mults = []
-    for a in nodes:
-        for b in nodes:
-            if a < b and cartan[a - 1][b - 1] != 0:
-                adj[a].append(b)
-                adj[b].append(a)
-                mults.append(cartan[a - 1][b - 1] * cartan[b - 1][a - 1])
-    if any(m == 3 for m in mults):
-        return fundamental_degrees(DynkinType("G", 2))
-    if any(m == 2 for m in mults):
-        # a terminal double edge gives the B/C degree sequence 2, 4, ..., 2*size;
-        # an interior one would be F4, which never occurs as a proper Levi
-        double = [
-            (a, b)
-            for a in nodes
-            for b in adj[a]
-            if a < b and cartan[a - 1][b - 1] * cartan[b - 1][a - 1] == 2
-        ]
-        (a, b), = double
-        if len(adj[a]) > 1 and len(adj[b]) > 1:
-            raise InternalConsistencyError(f"interior double edge in Levi component {nodes}")
-        return tuple(range(2, 2 * size + 1, 2))
-    degs = sorted(len(adj[a]) for a in nodes)
-    if degs[-1] <= 2:
-        return fundamental_degrees(DynkinType("A", size))
-    branch = next(a for a in nodes if len(adj[a]) == 3)
-    arms = []
-    for start in adj[branch]:
-        length, prev, cur = 1, branch, start
-        while True:
-            step = [b for b in adj[cur] if b != prev]
-            if not step:
-                break
-            prev, cur = cur, step[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return fundamental_degrees(DynkinType("D", size))
-    if arms[0] == 1 and arms[1] == 2 and size in (6, 7, 8):
-        return fundamental_degrees(DynkinType("E", size))
-    raise InternalConsistencyError(f"unrecognized Levi component on nodes {nodes}")
-
-
-def levi_degree_multiset(g: GrassmannianId) -> list[int]:
-    """Fundamental degrees of the semisimple part of the Levi of P_k."""
-    t = g.type
-    remaining = [a for a in range(1, t.rank + 1) if a != g.node]
-    cartan = cartan_matrix(t)
-    seen: set[int] = set()
-    degrees: list[int] = []
-    for a in remaining:
-        if a in seen:
-            continue
-        comp = [a]
-        seen.add(a)
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for b in remaining:
-                if b not in seen and cartan[x - 1][b - 1] != 0:
-                    seen.add(b)
-                    comp.append(b)
-                    stack.append(b)
-        degrees.extend(_classify_component(sorted(comp), t))
-    return degrees
-
-
 def dimension(g: GrassmannianId) -> int:
     """Complex dimension: positive roots with positive alpha_k coefficient."""
     k = g.node - 1
@@ -295,27 +189,25 @@ def fano_index(g: GrassmannianId) -> int:
 
 
 def poincare_polynomial(g: GrassmannianId) -> UniPoly:
-    """Polynomial whose t^i coefficient is the even Betti number b_{2i}(G/P_k)."""
-    numerator = UniPoly.one()
-    for d in fundamental_degrees(g.type):
-        numerator = numerator * _one_minus_t_power(d)
-    denominator = _one_minus_t_power(1)
-    for d in levi_degree_multiset(g):
-        denominator = denominator * _one_minus_t_power(d)
+    """Polynomial whose t^i coefficient is the even Betti number b_{2i}(G/P_k).
+
+    With c_h the number of nilradical roots of height h, the product of
+    [h + 1]_t / [h]_t over those roots telescopes to
+    prod_{m >= 2} [m]_t^(c_{m-1} - c_m); the negative powers divide exactly.
+    """
+    k = g.node - 1
+    heights = Counter(sum(beta) for beta in positive_roots(g.type) if beta[k] > 0)
+    numerator = denominator = UniPoly.one()
+    for m in range(2, max(heights) + 2):
+        exponent = heights[m - 1] - heights[m]
+        bracket = UniPoly([1] * m)
+        for _ in range(exponent):
+            numerator = numerator * bracket
+        for _ in range(-exponent):
+            denominator = denominator * bracket
     quotient = numerator.div_exact(denominator)
     if quotient.degree != dimension(g):
         raise InternalConsistencyError(f"Poincare polynomial degree mismatch for {g}")
     if not quotient.is_palindromic():
         raise InternalConsistencyError(f"Poincare polynomial of {g} is not palindromic")
     return quotient
-
-
-def _one_minus_t_power(d: int) -> UniPoly:
-    return UniPoly([1] + [0] * (d - 1) + [-1])
-
-
-def gaussian_binomial(n: int, k: int) -> UniPoly:
-    """The t-binomial coefficient; Poincare polynomial of Gr(k, n)."""
-    if not 0 < k < n:
-        raise InvalidInputError(f"need 0 < k < n, got k={k}, n={n}")
-    return poincare_polynomial(GrassmannianId(DynkinType("A", n - 1), k))

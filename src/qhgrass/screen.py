@@ -78,35 +78,6 @@ def profile_of(g: GrassmannianId) -> BettiProfile:
     return BettiProfile(tuple(int(c) for c in poly.coeffs), fano_index(g), str(g))
 
 
-def sg_betti(n: int) -> tuple[BettiProfile, BettiProfile]:
-    """Betti profiles of the symplectic Grassmannian SG(2, 2n) and of its
-    smooth hyperplane section.
-
-    SG(2, 2n) is itself a hyperplane section of Gr(2, 2n); its section profile
-    is obtained by the Euler-number-preserving transfer: Betti numbers agree
-    below the middle, the middle absorbs the vanished class, and the rest is
-    filled in palindromically.
-    """
-    if n < 3:
-        raise InvalidInputError(f"SG(2, 2n) transfer needs n >= 3, got {n}")
-    x = profile_of(GrassmannianId(DynkinType("C", n), 2))
-    dim_x = len(x.even_betti) - 1
-    if dim_x != 4 * n - 5 or x.index != 2 * n - 1:
-        raise InvalidInputError(f"unexpected SG(2,{2*n}) invariants")
-    dim_y = dim_x - 1
-    mid = 2 * n - 3
-    b_y = [0] * (dim_y + 1)
-    for i in range(mid):
-        b_y[i] = x.even_betti[i]
-    b_y[mid] = x.even_betti[mid] + x.even_betti[mid + 1]
-    for i in range(mid + 1, dim_y + 1):
-        b_y[i] = b_y[dim_y - i]
-    y = BettiProfile(tuple(b_y), 2 * n - 2, f"section of SG(2,{2*n})")
-    if y.euler != x.euler:
-        raise InvalidInputError("section profile does not preserve the Euler number")
-    return x, y
-
-
 # The 13 exceptional G/P_k whose non-semisimplicity the screen certifies,
 # with the residue the source table displays (4 for F4/P4, 1 elsewhere).
 EXCEPTIONAL_WITNESS_CASES = (
@@ -158,7 +129,3 @@ def exceptional_table() -> list[ExceptionalRow]:
         verdict = WITNESS if lhs != rhs else NO_OBSTRUCTION
         rows.append(ExceptionalRow(str(g), dimension(g), p.index, residue, lhs, rhs, verdict))
     return rows
-
-
-def projective_space_profile(m: int) -> BettiProfile:
-    return BettiProfile((1,) * (m + 1), m + 1, f"P{m}")

@@ -19,12 +19,23 @@ route:
   bijection and the bitmask core search without the overhang prune, which
   visits every box complement of at most n - 1 cells.
 
+- gram_matrix and cartan_from_gram derive the Cartan matrix from the
+  invariant form; rootdata.cartan_matrix reads it off the Dynkin diagram.
+- poincare_by_degrees divides the fundamental degrees of G by those of the
+  Levi, which levi_degree_multiset finds by classifying Dynkin subdiagrams;
+  rootdata.poincare_polynomial takes a product over root heights.
+- gaussian_binomial, sg_betti, projective_space_profile, poly_from_roots and
+  interpolate have no production caller: the t-binomial by the degree route,
+  the SG(2, 2n) and P^m Betti profiles, and polynomials from roots and from
+  points.
+
 SMALL_TYPES lists the 38 Dynkin types whose 220 G/P_k the root-data tests
 cover.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from qhgrass import linalg
@@ -32,7 +43,9 @@ from qhgrass.errors import InternalConsistencyError, InvalidInputError, Undeterm
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, canonical, transpose
 from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
-from qhgrass.rootdata import DynkinType
+from qhgrass.polynomials import UniPoly
+from qhgrass.rootdata import DynkinType, GrassmannianId, _edges, _root_lengths
+from qhgrass.screen import BettiProfile, profile_of
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
 
 # A1-A11, B2-B9, C2-C9, D4-D9, E6-E8, F4 and G2: 220 G/P_k in all
@@ -107,6 +120,225 @@ def core_search_unpruned(box: Box) -> list[tuple[Partition, int]]:
 
     visit((), ((1 << k) - 1) << (n - k + 1), 0)
     return [(lam, i) for i in range(n - 1, 0, -1) for lam in sorted(hits[i], reverse=True)]
+
+
+# -- root data: the Gram matrix and the fundamental degrees ----------------------
+
+
+@lru_cache(maxsize=None)
+def gram_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """Symmetric matrix of inner products (alpha_i, alpha_j)."""
+    n = t.rank
+    d = _root_lengths(t)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = d[i]
+    for a, b in _edges(t):
+        i, j = a - 1, b - 1
+        # bond multiplicity equals the length ratio, so 4 (a_i, a_j)^2 = ratio * d_i * d_j
+        ratio = max(d[i], d[j]) // min(d[i], d[j])
+        val = -_exact_sqrt(ratio * d[i] * d[j] // 4)
+        g[i][j] = g[j][i] = val
+    return tuple(tuple(row) for row in g)
+
+
+def _exact_sqrt(m: int) -> int:
+    r = int(round(m ** 0.5))
+    if r * r != m:
+        raise InternalConsistencyError(f"edge inner product {m} is not a perfect square")
+    return r
+
+
+@lru_cache(maxsize=None)
+def cartan_from_gram(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i), an integer."""
+    g = gram_matrix(t)
+    n = t.rank
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            num = 2 * g[i][j]
+            if num % g[i][i]:
+                raise InternalConsistencyError("Cartan entry is not integral")
+            row.append(num // g[i][i])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def fundamental_degrees(t: DynkinType) -> tuple[int, ...]:
+    """Degrees of basic Weyl-group invariants (exponents + 1)."""
+    n = t.rank
+    if t.family == "A":
+        return tuple(range(2, n + 2))
+    if t.family in ("B", "C"):
+        return tuple(range(2, 2 * n + 1, 2))
+    if t.family == "D":
+        return tuple(sorted(list(range(2, 2 * n - 1, 2)) + [n]))
+    return {
+        ("E", 6): (2, 5, 6, 8, 9, 12),
+        ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+        ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+        ("F", 4): (2, 6, 8, 12),
+        ("G", 2): (2, 6),
+    }[(t.family, n)]
+
+
+def _classify_component(nodes: list[int], t: DynkinType) -> tuple[int, ...]:
+    """Fundamental degrees of the subsystem generated by the given nodes."""
+    cartan = cartan_from_gram(t)
+    size = len(nodes)
+    if size == 1:
+        return (2,)
+    adj = {a: [] for a in nodes}
+    mults = []
+    for a in nodes:
+        for b in nodes:
+            if a < b and cartan[a - 1][b - 1] != 0:
+                adj[a].append(b)
+                adj[b].append(a)
+                mults.append(cartan[a - 1][b - 1] * cartan[b - 1][a - 1])
+    if any(m == 3 for m in mults):
+        return fundamental_degrees(DynkinType("G", 2))
+    if any(m == 2 for m in mults):
+        # a terminal double edge gives the B/C degree sequence 2, 4, ..., 2*size;
+        # an interior one would be F4, which never occurs as a proper Levi
+        double = [
+            (a, b)
+            for a in nodes
+            for b in adj[a]
+            if a < b and cartan[a - 1][b - 1] * cartan[b - 1][a - 1] == 2
+        ]
+        (a, b), = double
+        if len(adj[a]) > 1 and len(adj[b]) > 1:
+            raise InternalConsistencyError(f"interior double edge in Levi component {nodes}")
+        return tuple(range(2, 2 * size + 1, 2))
+    degs = sorted(len(adj[a]) for a in nodes)
+    if degs[-1] <= 2:
+        return fundamental_degrees(DynkinType("A", size))
+    branch = next(a for a in nodes if len(adj[a]) == 3)
+    arms = []
+    for start in adj[branch]:
+        length, prev, cur = 1, branch, start
+        while True:
+            step = [b for b in adj[cur] if b != prev]
+            if not step:
+                break
+            prev, cur = cur, step[0]
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return fundamental_degrees(DynkinType("D", size))
+    if arms[0] == 1 and arms[1] == 2 and size in (6, 7, 8):
+        return fundamental_degrees(DynkinType("E", size))
+    raise InternalConsistencyError(f"unrecognized Levi component on nodes {nodes}")
+
+
+def levi_degree_multiset(g: GrassmannianId) -> list[int]:
+    """Fundamental degrees of the semisimple part of the Levi of P_k."""
+    t = g.type
+    remaining = [a for a in range(1, t.rank + 1) if a != g.node]
+    cartan = cartan_from_gram(t)
+    seen: set[int] = set()
+    degrees: list[int] = []
+    for a in remaining:
+        if a in seen:
+            continue
+        comp = [a]
+        seen.add(a)
+        stack = [a]
+        while stack:
+            x = stack.pop()
+            for b in remaining:
+                if b not in seen and cartan[x - 1][b - 1] != 0:
+                    seen.add(b)
+                    comp.append(b)
+                    stack.append(b)
+        degrees.extend(_classify_component(sorted(comp), t))
+    return degrees
+
+
+def poincare_by_degrees(g: GrassmannianId) -> UniPoly:
+    """prod (1 - t^d) over the degrees of G, divided by (1 - t) and the same
+    product over the degrees of the Levi."""
+    numerator = UniPoly.one()
+    for d in fundamental_degrees(g.type):
+        numerator = numerator * _one_minus_t_power(d)
+    denominator = _one_minus_t_power(1)
+    for d in levi_degree_multiset(g):
+        denominator = denominator * _one_minus_t_power(d)
+    return numerator.div_exact(denominator)
+
+
+def _one_minus_t_power(d: int) -> UniPoly:
+    return UniPoly([1] + [0] * (d - 1) + [-1])
+
+
+def gaussian_binomial(n: int, k: int) -> UniPoly:
+    """The t-binomial coefficient; Poincare polynomial of Gr(k, n)."""
+    if not 0 < k < n:
+        raise InvalidInputError(f"need 0 < k < n, got k={k}, n={n}")
+    return poincare_by_degrees(GrassmannianId(DynkinType("A", n - 1), k))
+
+
+# -- Betti profiles and polynomials with no production caller -------------------
+
+
+def sg_betti(n: int) -> tuple[BettiProfile, BettiProfile]:
+    """Betti profiles of the symplectic Grassmannian SG(2, 2n) and of its
+    smooth hyperplane section.
+
+    SG(2, 2n) is itself a hyperplane section of Gr(2, 2n); its section profile
+    is obtained by the Euler-number-preserving transfer: Betti numbers agree
+    below the middle, the middle absorbs the vanished class, and the rest is
+    filled in palindromically.
+    """
+    if n < 3:
+        raise InvalidInputError(f"SG(2, 2n) transfer needs n >= 3, got {n}")
+    x = profile_of(GrassmannianId(DynkinType("C", n), 2))
+    dim_x = len(x.even_betti) - 1
+    if dim_x != 4 * n - 5 or x.index != 2 * n - 1:
+        raise InvalidInputError(f"unexpected SG(2,{2*n}) invariants")
+    dim_y = dim_x - 1
+    mid = 2 * n - 3
+    b_y = [0] * (dim_y + 1)
+    for i in range(mid):
+        b_y[i] = x.even_betti[i]
+    b_y[mid] = x.even_betti[mid] + x.even_betti[mid + 1]
+    for i in range(mid + 1, dim_y + 1):
+        b_y[i] = b_y[dim_y - i]
+    y = BettiProfile(tuple(b_y), 2 * n - 2, f"section of SG(2,{2*n})")
+    if y.euler != x.euler:
+        raise InvalidInputError("section profile does not preserve the Euler number")
+    return x, y
+
+
+def projective_space_profile(m: int) -> BettiProfile:
+    return BettiProfile((1,) * (m + 1), m + 1, f"P{m}")
+
+
+def poly_from_roots(roots) -> UniPoly:
+    out = UniPoly.one()
+    for r in roots:
+        out = out * UniPoly([-r, 1])
+    return out
+
+
+def interpolate(points) -> UniPoly:
+    """Lagrange interpolation through exact (x, y) points with distinct x."""
+    points = [(Fraction(x), Fraction(y)) for x, y in points]
+    out = UniPoly.zero()
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        term = UniPoly([yi])
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = term * UniPoly([Fraction(-xj, 1) / (xi - xj), Fraction(1, 1) / (xi - xj)])
+        out = out + term
+    return out
 
 
 # -- the ambient ring through Giambelli determinants ---------------------------

@@ -4,7 +4,7 @@ no tolerances appear anywhere."""
 
 import time
 
-from oracles import star_schubert
+from oracles import sg_betti, star_schubert
 from qhgrass import hodge, linalg
 from qhgrass.hodge import chi_y, diamond, is_hodge_tate
 from qhgrass.partitions import Box, core_search, size
@@ -29,7 +29,6 @@ from qhgrass.screen import (
     periodic_betti,
     profile_of,
     screen,
-    sg_betti,
 )
 from qhgrass.section import (
     BETA,

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import rank, solve
+from oracles import interpolate, poly_from_roots, rank, solve
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
-from qhgrass.polynomials import UniPoly, interpolate, poly_from_roots
+from qhgrass.polynomials import UniPoly
 
 
 def test_unipoly_basics():

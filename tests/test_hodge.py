@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import solve
+from oracles import sg_betti, solve
 from qhgrass import cli, hodge
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
@@ -19,7 +19,7 @@ from qhgrass.hodge import (
 )
 from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses
 from qhgrass.polynomials import UniPoly
-from qhgrass.screen import periodic_betti, screen, sg_betti
+from qhgrass.screen import periodic_betti, screen
 
 CHI_Y_39_SECTION = UniPoly(
     [1, -1, 2, -3, 4, -5, 7, -7, 6, -6, 7, -7, 5, -4, 3, -2, 1, -1]

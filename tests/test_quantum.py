@@ -159,7 +159,7 @@ def test_graded_pieces_golden():
     for box in BOXES:
         pieces = _graded_pieces(box)
         assert sum(len(p) for p in pieces.values()) == comb(box.n, box.k)
-        from qhgrass.rootdata import gaussian_binomial
+        from oracles import gaussian_binomial
         from qhgrass.screen import BettiProfile, periodic_betti
 
         profile = BettiProfile(

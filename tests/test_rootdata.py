@@ -1,14 +1,20 @@
 import pytest
 
+from oracles import (
+    SMALL_TYPES,
+    cartan_from_gram,
+    fundamental_degrees,
+    gaussian_binomial,
+    poincare_by_degrees,
+)
 from qhgrass.errors import InvalidInputError
 from qhgrass.polynomials import UniPoly
 from qhgrass.rootdata import (
     DynkinType,
     GrassmannianId,
+    cartan_matrix,
     dimension,
     fano_index,
-    fundamental_degrees,
-    gaussian_binomial,
     parse_type,
     poincare_polynomial,
     positive_roots,
@@ -103,7 +109,7 @@ def test_poincare_palindromic_and_euler():
         p = poincare_polynomial(g)
         assert p.is_palindromic(), g
         assert p.degree == dimension(g)
-        from qhgrass.rootdata import levi_degree_multiset
+        from oracles import levi_degree_multiset
 
         euler = prod(fundamental_degrees(g.type))
         for d in levi_degree_multiset(g):
@@ -127,3 +133,21 @@ def test_poincare_coefficients_are_betti_numbers():
     # Gr(2,4) is a 4-dimensional quadric: betti 1,1,2,1,1
     g = GrassmannianId(DynkinType("A", 3), 2)
     assert poincare_polynomial(g).coeffs == (1, 1, 2, 1, 1)
+
+
+def test_cartan_matrix_equals_the_gram_route():
+    assert len(SMALL_TYPES) == 38
+    for t in SMALL_TYPES:
+        assert cartan_matrix(t) == cartan_from_gram(t), t
+
+
+def test_poincare_polynomial_equals_the_degree_route():
+    # the height product against G's degrees over the Levi's, on 220 G/P_k
+    count = 0
+    for t in SMALL_TYPES:
+        for node in range(1, t.rank + 1):
+            g = GrassmannianId(t, node)
+            got, want = poincare_polynomial(g).coeffs, poincare_by_degrees(g).coeffs
+            assert got == want and all(type(c) is int for c in got), g
+            count += 1
+    assert count == 220

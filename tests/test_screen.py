@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import projective_space_profile, sg_betti
 from qhgrass.errors import InvalidInputError
 from qhgrass.rootdata import DynkinType, GrassmannianId
 from qhgrass.screen import (
@@ -10,9 +11,7 @@ from qhgrass.screen import (
     exceptional_table,
     periodic_betti,
     profile_of,
-    projective_space_profile,
     screen,
-    sg_betti,
 )
 
 EXPECTED_TABLE = {
