@@ -18,7 +18,6 @@ route:
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
   bijection and the bitmask core search without the overhang prune, which
   visits every box complement of at most n - 1 cells.
-
 - gram_matrix and cartan_from_gram derive the Cartan matrix from the
   invariant form; rootdata.cartan_matrix reads it off the Dynkin diagram.
 - poincare_by_degrees divides the fundamental degrees of G by those of the
@@ -42,8 +41,8 @@ from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, canonical, transpose
-from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
 from qhgrass.polynomials import UniPoly
+from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
 from qhgrass.rootdata import DynkinType, GrassmannianId, _edges, _root_lengths
 from qhgrass.screen import BettiProfile, profile_of
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
