@@ -5,31 +5,33 @@ generated by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual
 tautological subbundle).  It holds the basis labels and their degrees, the
 degree r of the quantum parameter q and the exact rational q_value that its
 matrices specialize q to (default 1), the e-operators, the Poincare pairing
-and the multiplication operator of every label that has one.  All of it comes from the
-Pieri images e_p * label = {(label, q power): coeff}.  It has two
+and the multiplication operator of every label that has one.  It has two
 constructors: grassmannian(box) for Gr(k, n), and section.build_ring for a
 smooth hyperplane section of Gr(3, n).
 
-For Gr(k, n) the images are given by the quantum Pieri rule
+The Pieri matrices P_p = pieri_matrix(box, p, q_value) are the one source of
+Pieri images for both.  Column lam of P_p is the quantum Pieri rule
 
     sigma_{1^p} * sigma_lam = sum_mu sigma_mu + q sum_nu sigma_nu,
 
 where mu ranges over additions of p cells to lam with no two in the same row,
 and nu over partitions of |lam| + p - n whose transpose interlaces the
 transpose of lam shifted down by one (possible only when lam_1 = n - k); q has
-degree n.  Label operators come from one triangular Pieri recursion
-(mult_operators) for both constructors, so no Littlewood-Richardson rule is
-needed; the Giambelli route lives with the tests as an independent check, so
-the quantum Giambelli property is a checked invariant rather than an input.
-That recursion and the polynomial evaluation in e_1..e_k
-(evaluate_e_polynomials) run on sparse rows, since the operators are mostly
-zero, and hand back dense matrices.
-Class-level products (ClassVector, star_e) keep q symbolic.
+degree n.  At q_value = 0 the same function gives the classical cup product
+C_p.  grassmannian takes P_1..P_k as its e-operators, and the section ring
+writes its own as products of P_p, C_p and C_1 (see section).
+
+Label operators come from one triangular Pieri recursion (mult_operators) for
+both constructors, which reads each image it needs off a column of an
+e-operator, so no Littlewood-Richardson rule is needed; the Giambelli route
+lives with the tests as an independent check, so the quantum Giambelli
+property is a checked invariant rather than an input.  That recursion and the
+polynomial evaluation in e_1..e_k (evaluate_e_polynomials) run on sparse
+rows, since the operators are mostly zero, and hand back dense matrices.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -85,118 +87,39 @@ def quantum_rim_partitions(lam: Partition, p: int, box: Box) -> list[Partition]:
     return sorted(out, reverse=True)
 
 
-class ClassVector:
-    """Exact linear combination of (label, q-power) basis elements; the labels
-    are partitions in the box, and for a section ring also its beta."""
-
-    __slots__ = ("box", "terms")
-
-    def __init__(self, box: Box, terms=None):
-        self.box = box
-        self.terms: dict[tuple[object, int], Fraction | int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = coeff
-
-    @staticmethod
-    def schubert(box: Box, lam: Partition, q_power: int = 0, coeff=1) -> "ClassVector":
-        return ClassVector(box, {(box.require(lam), q_power): coeff})
-
-    @staticmethod
-    def unit(box: Box) -> "ClassVector":
-        return ClassVector.schubert(box, ())
-
-    def __add__(self, other: "ClassVector") -> "ClassVector":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return ClassVector(self.box, out)
-
-    def __sub__(self, other: "ClassVector") -> "ClassVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ClassVector":
-        return ClassVector(self.box, {key: c * v for key, v in self.terms.items()})
-
-    def shift_q(self, d: int) -> "ClassVector":
-        return ClassVector(self.box, {(lam, qp + d): v for (lam, qp), v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ClassVector) and self.box == other.box and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        def fmt(key, coeff):
-            lab, qp = key
-            q = f"q^{qp}*" if qp > 1 else ("q*" if qp == 1 else "")
-            return f"{coeff}*{q}" + (f"s{lab}" if isinstance(lab, tuple) else lab)
-
-        # beta is a string label, so sort by repr rather than by the labels
-        terms = sorted(self.terms.items(), key=lambda item: (repr(item[0][0]), item[0][1]))
-        return " + ".join(fmt(k, v) for k, v in terms) or "0"
-
-
-def quantum_pieri(p: int, lam: Partition, box: Box) -> ClassVector:
-    """sigma_{1^p} * sigma_lam as a q-graded class; all coefficients are 1."""
+def quantum_pieri(p: int, lam: Partition, box: Box) -> dict[tuple[Partition, int], int]:
+    """sigma_{1^p} * sigma_lam as {(mu, q power): 1}; all coefficients are 1."""
     if not 1 <= p <= box.k:
         raise InvalidInputError(f"Pieri index p={p} outside [1, {box.k}]")
     lam = box.require(lam)
-    terms: dict[tuple[Partition, int], int] = {}
-    for mu in vertical_strip_additions(lam, p, box):
-        terms[(mu, 0)] = 1
-    for nu in quantum_rim_partitions(lam, p, box):
-        terms[(nu, 1)] = 1
-    return ClassVector(box, terms)
-
-
-def star_e(p: int, x: ClassVector) -> ClassVector:
-    """Quantum multiplication of a class vector by sigma_{1^p}, q symbolic."""
-    out = ClassVector(x.box)
-    for (lam, qp), coeff in x.terms.items():
-        out = out + quantum_pieri(p, lam, x.box).shift_q(qp).scale(coeff)
-    return out
-
-
-def cup_e(p: int, x: ClassVector) -> ClassVector:
-    """Classical multiplication by sigma_{1^p} (the q-degree-0 Pieri part)."""
-    out = ClassVector(x.box)
-    for (lam, qp), coeff in x.terms.items():
-        for mu in vertical_strip_additions(lam, p, x.box):
-            out = out + ClassVector.schubert(x.box, mu, qp, coeff)
-    return out
-
-
-def pieri_operator(basis, images, q_value) -> Matrix:
-    """The matrix whose column j is images[j], the Pieri image
-    {(label, q power): coeff} of basis[j], at q = q_value."""
-    index = {lab: i for i, lab in enumerate(basis)}
-    mat = linalg.zeros(len(basis), len(basis))
-    for col, image in enumerate(images):
-        for (lab, qp), coeff in image.items():
-            mat[index[lab]][col] += coeff * q_value**qp
-    return mat
+    terms = {(mu, 0): 1 for mu in vertical_strip_additions(lam, p, box)}
+    terms.update({(nu, 1): 1 for nu in quantum_rim_partitions(lam, p, box)})
+    return terms
 
 
 @lru_cache(maxsize=None)
 def pieri_matrix(box: Box, p: int, q_value=1) -> tuple[tuple, ...]:
-    """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q."""
+    """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q:
+    column lam is quantum_pieri(p, lam) with q^d read as q_value^d.  At
+    q_value = 0 it is the classical Pieri rule, cup product by sigma_{1^p}."""
     basis = schubert_basis(box)
-    images = [quantum_pieri(p, lam, box).terms for lam in basis]
-    return tuple(map(tuple, pieri_operator(basis, images, q_value)))
+    index = {lam: i for i, lam in enumerate(basis)}
+    mat = linalg.zeros(len(basis), len(basis))
+    for col, lam in enumerate(basis):
+        for mu, d in quantum_pieri(p, lam, box):
+            mat[index[mu]][col] = q_value**d if d else 1
+    return tuple(map(tuple, mat))
 
 
 class GradedAlgebra:
     """A graded Frobenius algebra generated by e_1..e_k, at q = q_value.
 
-    A constructor supplies the basis, the degree r of q, the e-operators (by
-    pieri_operator from the images of pieri_on_label) and the pairing.
-    label_ops, the multiplication operator of every partition label, comes
-    from mult_operators when first read.  This class is Gr(k, n) as built by
-    grassmannian; section.SectionRing overrides pieri_on_label and
-    label_degree.
+    A constructor supplies the basis, the degree r of q, the e-operators and
+    the pairing; column j of e_ops[p] is the Pieri image e_p * basis[j] at
+    q = q_value.  label_ops, the multiplication operator of every partition
+    label, comes from mult_operators when first read.  grassmannian builds
+    Gr(k, n); section.SectionRing, which overrides label_degree, builds a
+    hyperplane section.
     """
 
     def __init__(self, box: Box, basis, r: int, q_value, e_ops: dict[int, Matrix], pairing: Matrix):
@@ -210,21 +133,10 @@ class GradedAlgebra:
     def label_degree(self, lab) -> int:
         return size(lab)
 
-    def pieri_on_label(self, p: int, lab) -> ClassVector:
-        """e_p * (basis label), q symbolic."""
-        return quantum_pieri(p, lab, self.box)
-
     @property
     def label_ops(self) -> dict:
         """Multiplication operator of every partition label (mult_operators)."""
         return mult_operators(self)
-
-    def vector(self, x: ClassVector) -> list:
-        """Basis coordinates of a class at q = q_value."""
-        coords = [0] * len(self.basis)
-        for (lab, qp), coeff in x.terms.items():
-            coords[self.index[lab]] += coeff * self.q_value**qp
-        return coords
 
     def mult_operator(self, coords) -> Matrix:
         """Multiplication operator of the element with these basis coordinates."""
@@ -281,7 +193,8 @@ def mult_operators(alg: GradedAlgebra) -> dict:
 
     Removing the first column of lam (p = len(lam) cells) leaves lam', and
     e_p * lam' = lam + sum c q^d mu, where every other mu of the same degree
-    is lexicographically smaller and every q term has lower degree.  So
+    is lexicographically smaller and every q term has lower degree.  That
+    image is column lam' of E_p = e_ops[p], read at q = q_value.  So
 
         L_lam = E_p L_lam' - sum c q^d L_mu
 
@@ -301,12 +214,13 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
         p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
-        image = dict(alg.pieri_on_label(p, lam_prime).terms)
-        if image.pop((lam, 0), 0) != 1 or lam_prime not in ops or any(mu not in ops for mu, _ in image):
+        col = alg.index.get(lam_prime)
+        image = {lab: row[col] for lab, row in zip(alg.basis, alg.e_ops[p]) if col is not None and row[col]}
+        if image.pop(lam, 0) != 1 or lam_prime not in ops or any(mu not in ops for mu in image):
             raise InternalConsistencyError(
                 f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
             )
-        corrections = [(-coeff * alg.q_value**d, ops[mu]) for (mu, d), coeff in image.items()]
+        corrections = [(-coeff, ops[mu]) for mu, coeff in image.items()]
         ops[lam] = linalg.sparse_combine(corrections, linalg.sparse_mul(e_rows[p], ops[lam_prime]))
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
@@ -363,11 +277,6 @@ def presentation_check(box: Box, q_value=1) -> bool:
         return False
     expected = [((-1) ** k * q_value, linalg.identity(len(top)))]
     return linalg.is_zero_matrix(linalg.mat_combine(expected, top))
-
-
-def sigma1_triple_integral(lam: Partition, mu: Partition, box: Box) -> int:
-    """Integral over X of s_lam * s_mu * s_1 (classical cup product)."""
-    return 1 if box.dual(mu) in vertical_strip_additions(lam, 1, box) else 0
 
 
 def commuting(ops: list[Matrix]) -> bool:

@@ -130,9 +130,18 @@ _POSITIVE_ROOT_COUNT = {
 }
 
 
+# The root search time grows about as rank^3.4: A59, with 1,770 positive
+# roots, takes about a second; E8, the largest exceptional type, has 120.
+MAX_POSITIVE_ROOTS = 1_800
+
+
 @lru_cache(maxsize=None)
 def positive_roots(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """All positive roots in simple-root coordinates, by increasing height."""
+    """All positive roots in simple-root coordinates, by increasing height.
+    A type with more than MAX_POSITIVE_ROOTS is refused before the search."""
+    expected = _POSITIVE_ROOT_COUNT[t.family](t.rank)
+    if expected > MAX_POSITIVE_ROOTS:
+        raise InvalidInputError(f"{t} has {expected} positive roots, over {MAX_POSITIVE_ROOTS}")
     n = t.rank
     cartan = cartan_matrix(t)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -162,7 +171,6 @@ def positive_roots(t: DynkinType) -> tuple[tuple[int, ...], ...]:
                         nxt.append(up)
         ordered.extend(sorted(nxt, reverse=True))
         layer = nxt
-    expected = _POSITIVE_ROOT_COUNT[t.family](n)
     if len(ordered) != expected:
         raise InternalConsistencyError(
             f"{t}: found {len(ordered)} positive roots, expected {expected}"

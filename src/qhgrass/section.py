@@ -2,7 +2,9 @@
 
 The ambient part of H*(Y) is modeled as H*(X) / ker(cup sigma_1), with one
 primitive middle class beta when the middle Betti number of Y exceeds the
-ambient rank there (n = 6 and n = 8).  Products are driven entirely by the
+ambient rank there (n = 6 and n = 8).  Both that number and the expected
+dimension of the ring are read off the Hodge diamond (hodge.diamond), so the
+ring and the diamond check each other.  Products are driven entirely by the
 section Pieri rule
 
     e_p * j(s_lam) = j(s_{1^p} cup s_lam)
@@ -10,23 +12,32 @@ section Pieri rule
     e_p * beta = 0,
 
 whose right-hand side only needs ambient Pieri operations.  The quantum
-parameter q_Y has degree n - 1; matrices specialize it (default 1).
+parameter q_Y has degree n - 1; matrices specialize it (default 1).  With the
+ambient Pieri matrices P_p = pieri_matrix(box, p, q_value), their classical
+parts C_p = pieri_matrix(box, p, 0) and C_1, the rule is one matrix identity
+
+    E_p = R (C_p + (P_p - C_p) C_1) J,
+
+where J puts each partition label of the quotient basis in as its ambient
+class (beta's column is zero) and R takes a basis label to itself, a relation
+pivot to its relation and the top ambient degree, which restricts to zero on
+Y, to 0.  The quotient's cup-sigma_1 blocks and the pairing are read off C_1
+as well.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, beside
-Gr(k, n) itself.  Its e-operators are the Pieri images above, and the
-multiplication operator L_lam of every ambient basis class comes from the same
-triangular recursion, L_lam = E_p L_lam' - sum c q^d L_mu
-(quantum.mult_operators).  Two facts certify it on the ambient classes.  The
-unit is cyclic: by induction L_lam is a polynomial in e_1..e_k sending the
-unit to lam, because column lam' of E_p is the Pieri image of lam'.  And
+Gr(k, n) itself.  The multiplication operator L_lam of every ambient basis
+class comes from the same triangular recursion, L_lam = E_p L_lam' - sum c
+q^d L_mu (quantum.mult_operators), with e_p * lam' read off column lam' of
+E_p.  Two facts certify it on the ambient classes.  The unit is cyclic: by
+induction L_lam is a polynomial in e_1..e_k sending the unit to lam.  And
 e_1..e_k commute, which the recursion asserts once per ring.  Together they
 give every Pieri identity e_p L_mu = sum c q^d L_lab there: both sides are
 polynomials in e_1..e_k that agree on the unit, hence on every class the unit
 reaches.  Every e_p kills beta, so each L_lam acts on beta by the constant
 term of its polynomial; the tests check the identities on the whole ring,
-beta's row and column included.  The recursion also checks that lam has
-coefficient 1 in e_p * lam' and that every correction is a class it has
-already built.
+beta's row and column included, and check E_p against the section Pieri rule
+applied class by class.  The recursion also checks that lam has coefficient 1
+in e_p * lam' and that every correction is a class it has already built.
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 is evaluated only
 where |a| + |b| = dim Y, since it vanishes by degree elsewhere.
@@ -43,31 +54,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
+from . import hodge, linalg, screen
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, size
 from .polynomials import UniPoly
 from .quantum import (
-    ClassVector,
     GradedAlgebra,
     commuting,
-    cup_e,
     evaluate_e_polynomials,
     mult_operators,
-    pieri_operator,
+    pieri_matrix,
+    schubert_basis,
     semisimple_test,
-    sigma1_triple_integral,
     sigma_e_polynomial,
-    star_e,
 )
 
 BETA = "beta"
 
 SUPPORTED = {(3, 6), (3, 7), (3, 8)}
-
-# dim H_prim(Y): one middle primitive class except in the odd-dimensional case
-PRIMITIVE_DIM = {(3, 6): 1, (3, 7): 0, (3, 8): 1}
 
 
 class SectionRing(GradedAlgebra):
@@ -78,33 +83,52 @@ class SectionRing(GradedAlgebra):
             raise InvalidInputError(f"no section ring for (k, n) = ({k}, {n})")
         self.box, self.k = Box(k, n), k
         self.dim_y = k * (n - k) - 1
-        self.prim_dim = PRIMITIVE_DIM[(k, n)]
-        self._pieri: dict[tuple[int, object], ClassVector] = {}
-        self._build_quotient()
-        basis = self._quotient_basis()
-        e_ops = {
-            p: pieri_operator(basis, [self.pieri_on_label(p, lab).terms for lab in basis], q_value)
-            for p in range(1, k + 1)
-        }
-        super().__init__(self.box, basis, n - 1, q_value, e_ops, self._pairing(basis))
+        self._ambient_index = {lam: i for i, lam in enumerate(schubert_basis(self.box))}
+        cup1 = pieri_matrix(self.box, 1, 0)
+        self._build_quotient(cup1)
+        basis = self._quotient_basis(hodge.diamond(k, n))
+        e_ops = self._e_operators(basis, q_value, cup1)
+        super().__init__(self.box, basis, n - 1, q_value, e_ops, self._pairing(basis, cup1))
         mult_operators(self)  # label_ops, built and certified with the ring
+
+    def _e_operators(self, basis, q_value, cup1) -> dict[int, Matrix]:
+        """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri rule."""
+        ambient, at = schubert_basis(self.box), self._ambient_index
+        index = {lab: i for i, lab in enumerate(basis)}
+        # R: a basis label to itself, a relation pivot to its relation, the
+        # top ambient degree to 0; J: each partition label to its ambient class
+        reduction = linalg.zeros(len(basis), len(ambient))
+        for col, lam in enumerate(ambient):
+            if lam in index:
+                reduction[index[lam]][col] = 1
+            for lab, c in self.relations.get(lam, {}).items():
+                reduction[index[lab]][col] = c
+        inclusion = linalg.zeros(len(ambient), len(basis))
+        for j, lab in enumerate(basis):
+            if lab != BETA:
+                inclusion[at[lab]][j] = 1
+        e_ops = {}
+        for p in range(1, self.k + 1):
+            full, classical = pieri_matrix(self.box, p, q_value), pieri_matrix(self.box, p, 0)
+            correction = linalg.mat_combine([(1, full), (-1, classical)])
+            raw = linalg.mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
+            e_ops[p] = linalg.mat_mul(reduction, linalg.mat_mul(raw, inclusion))
+        return e_ops
 
     # -- quotient structure ------------------------------------------------
 
-    def _build_quotient(self):
+    def _build_quotient(self, cup1):
         """Per degree, split the Schubert classes into quotient basis members
         and relations expressing the discarded ones (the lexicographically
-        largest kernel representatives) through smaller basis members."""
+        largest kernel representatives) through smaller basis members; the
+        kernel is reduced, so no relation names another discarded class."""
         self.degree_basis: dict[int, tuple[Partition, ...]] = {}
         self.relations: dict[Partition, dict[Partition, Fraction]] = {}
+        at = self._ambient_index
         for m in range(self.dim_y + 1):
             parts = box_partitions_of_size(self.box.k, self.box.n, m)
             above = box_partitions_of_size(self.box.k, self.box.n, m + 1)
-            row_index = {mu: i for i, mu in enumerate(above)}
-            mat = linalg.zeros(len(above), len(parts))
-            for col, lam in enumerate(parts):
-                for (mu, qp), coeff in cup_e(1, ClassVector.schubert(self.box, lam)).terms.items():
-                    mat[row_index[mu]][col] += coeff
+            mat = [[cup1[at[mu]][at[lam]] for lam in parts] for mu in above]
             kernel = linalg.kernel_basis(mat) if above else []
             pivots = []
             for vec in kernel:
@@ -118,78 +142,39 @@ class SectionRing(GradedAlgebra):
                 self.relations[parts[lead]] = rel
             self.degree_basis[m] = tuple(p for i, p in enumerate(parts) if i not in pivots)
 
-    def _quotient_basis(self) -> tuple:
+    def _quotient_basis(self, diamond: hodge.HodgeDiamond) -> tuple:
+        """Set prim_dim, the middle Betti number of Y less the ambient rank
+        there, and return the quotient basis by degree with beta in the middle
+        when prim_dim is not 0; its dimension must be the diamond's total."""
+        mid = self.dim_y // 2
+        middle_betti = sum(diamond.h(p, self.dim_y - p) for p in range(self.dim_y + 1))
+        self.prim_dim = 0 if self.dim_y % 2 else middle_betti - len(self.degree_basis[mid])
         labels: list = []
         for m in range(self.dim_y + 1):
             labels.extend(self.degree_basis[m])
-            if self.prim_dim and m == self.dim_y // 2:
+            if self.prim_dim and m == mid:
                 labels.append(BETA)
-        expected = {6: 18, 7: 30, 8: 51}[self.box.n]
-        if len(labels) != expected:
-            raise InternalConsistencyError(f"section ring dimension {len(labels)}, expected {expected}")
+        if len(labels) != diamond.total():
+            raise InternalConsistencyError(
+                f"section ring dimension {len(labels)}, expected {diamond.total()}"
+            )
         return tuple(labels)
 
     def label_degree(self, lab) -> int:
         return self.dim_y // 2 if lab == BETA else size(lab)
 
-    def reduce(self, x: ClassVector) -> ClassVector:
-        """Push an ambient class to the quotient, keeping q powers."""
-        out: dict[tuple, Fraction | int] = {}
-
-        def add(lam, qp, coeff):
-            if size(lam) > self.dim_y:
-                # top ambient degree restricts to zero on Y
-                if size(lam) > self.dim_y + 1:
-                    raise InternalConsistencyError("class beyond the ambient top degree")
-                return
-            if lam in self.relations:
-                for mu, c in self.relations[lam].items():
-                    add(mu, qp, coeff * c)
-            else:
-                key = (lam, qp)
-                out[key] = out.get(key, 0) + coeff
-
-        for (lam, qp), coeff in x.terms.items():
-            add(lam, qp, coeff)
-        return ClassVector(self.box, out)
-
-    # -- products ----------------------------------------------------------
-
-    def pieri_on_label(self, p: int, lab) -> ClassVector:
-        """e_p * (basis label), q symbolic.  Computed once per (p, label) and
-        shared between callers, which must not mutate it."""
-        if not 1 <= p <= self.k:
-            raise InvalidInputError(f"Pieri index p={p} outside [1, {self.k}]")
-        if lab == BETA:
-            return ClassVector(self.box)
-        if (p, lab) not in self._pieri:
-            lam = ClassVector.schubert(self.box, lab)
-            classical = cup_e(p, lam)
-            lam_h = cup_e(1, lam)
-            quantum = star_e(p, lam_h) - cup_e(p, lam_h)
-            if any(qp == 0 for (_, qp) in quantum.terms):
-                raise InternalConsistencyError("classical parts did not cancel in section Pieri")
-            self._pieri[(p, lab)] = self.reduce(classical + quantum)
-        return self._pieri[(p, lab)]
-
-    def schubert(self, lam, q_power: int = 0, coeff=1) -> ClassVector:
-        return self.reduce(ClassVector.schubert(self.box, lam, q_power, coeff))
-
-    def beta(self) -> ClassVector:
-        if not self.prim_dim:
-            raise InvalidInputError(f"no primitive class for (3, {self.box.n})")
-        return ClassVector(self.box, {(BETA, 0): 1})
-
-    def _pairing(self, basis) -> Matrix:
-        """<a, b> is the integral over X of s_a s_b s_1, which vanishes unless
-        |a| + |b| = dim Y; beta pairs to 1 with itself and 0 with the rest."""
+    def _pairing(self, basis, cup1) -> Matrix:
+        """<a, b> is the integral over X of s_a s_b s_1, the coefficient of
+        dual(b) in s_1 cup s_a, which vanishes unless |a| + |b| = dim Y; beta
+        pairs to 1 with itself and 0 with the rest."""
+        at = self._ambient_index
         mat = linalg.zeros(len(basis), len(basis))
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 if a == BETA or b == BETA:
                     mat[i][j] = 1 if (a == BETA and b == BETA) else 0
                 elif size(a) + size(b) == self.dim_y:
-                    mat[i][j] = sigma1_triple_integral(a, b, self.box)
+                    mat[i][j] = cup1[at[self.box.dual(b)]][at[a]]
         if linalg.det_bareiss(mat) == 0:
             raise InternalConsistencyError("section Poincare pairing is degenerate")
         return mat
@@ -342,14 +327,11 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
         raise InvalidInputError(f"no section semisimplicity report for ({k}, {n})")
     if n == 6:
         # the Betti numbers alone decide it, read off the Hodge diamond
-        from .hodge import section_profile
-        from .screen import periodic_betti, screen
-
-        profile = section_profile(k, n)
-        verdict = screen(profile)
+        profile = hodge.section_profile(k, n)
+        verdict = screen.screen(profile)
         if not verdict.is_witness:
             raise InternalConsistencyError("expected a Betti witness for the Gr(3,6) section")
-        tb = periodic_betti(profile)
+        tb = screen.periodic_betti(profile)
         return SemisimplicityReport(
             k, n, False, "betti-screen",
             f"tilde_b(1)={tb[1]} != tilde_b(-1)={tb[-1 % profile.index]}",

@@ -3,6 +3,12 @@
 Nothing in qhgrass calls these.  Each repeats a production result by another
 route:
 
+- ClassVector, star_e, cup_e, pieri_on_label, reduce and vector are the
+  symbolic Pieri layer: classes as {(label, q power): coeff} with q kept
+  symbolic, and the section Pieri rule applied class by class.  symbolic_e_ops
+  and symbolic_label_ops build the e-operators and the first-column recursion
+  from those images; production reads both off the Pieri matrices.
+  sigma1_triple_integral is the integral the section pairing reads off C_1.
 - giambelli_expr, star_schubert and star multiply ambient classes through the
   Giambelli determinant in the Pieri operators; quantum.mult_operators uses
   the first-column Pieri recursion instead.
@@ -40,9 +46,9 @@ from functools import lru_cache
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
-from qhgrass.partitions import Box, Partition, canonical, transpose
+from qhgrass.partitions import Box, Partition, canonical, size, transpose
 from qhgrass.polynomials import UniPoly
-from qhgrass.quantum import ClassVector, grassmannian, pieri_matrix, schubert_basis, star_e
+from qhgrass.quantum import grassmannian, pieri_matrix, quantum_pieri, schubert_basis, vertical_strip_additions
 from qhgrass.rootdata import DynkinType, GrassmannianId, _edges, _root_lengths
 from qhgrass.screen import BettiProfile, profile_of
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
@@ -340,6 +346,176 @@ def interpolate(points) -> UniPoly:
     return out
 
 
+# -- the symbolic Pieri layer ----------------------------------------------------
+
+
+class ClassVector:
+    """Exact linear combination of (label, q-power) basis elements; the labels
+    are partitions in the box, and for a section ring also its beta."""
+
+    __slots__ = ("box", "terms")
+
+    def __init__(self, box: Box, terms=None):
+        self.box = box
+        self.terms: dict[tuple[object, int], Fraction | int] = {}
+        if terms:
+            for key, coeff in terms.items():
+                if coeff:
+                    self.terms[key] = coeff
+
+    @staticmethod
+    def schubert(box: Box, lam: Partition, q_power: int = 0, coeff=1) -> "ClassVector":
+        return ClassVector(box, {(box.require(lam), q_power): coeff})
+
+    @staticmethod
+    def unit(box: Box) -> "ClassVector":
+        return ClassVector.schubert(box, ())
+
+    def __add__(self, other: "ClassVector") -> "ClassVector":
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0) + coeff
+        return ClassVector(self.box, out)
+
+    def __sub__(self, other: "ClassVector") -> "ClassVector":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "ClassVector":
+        return ClassVector(self.box, {key: c * v for key, v in self.terms.items()})
+
+    def shift_q(self, d: int) -> "ClassVector":
+        return ClassVector(self.box, {(lam, qp + d): v for (lam, qp), v in self.terms.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, ClassVector) and self.box == other.box and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __repr__(self):
+        def fmt(key, coeff):
+            lab, qp = key
+            q = f"q^{qp}*" if qp > 1 else ("q*" if qp == 1 else "")
+            return f"{coeff}*{q}" + (f"s{lab}" if isinstance(lab, tuple) else lab)
+
+        # beta is a string label, so sort by repr rather than by the labels
+        terms = sorted(self.terms.items(), key=lambda item: (repr(item[0][0]), item[0][1]))
+        return " + ".join(fmt(k, v) for k, v in terms) or "0"
+
+
+def star_e(p: int, x: ClassVector) -> ClassVector:
+    """Quantum multiplication of a class vector by sigma_{1^p}, q symbolic."""
+    out = ClassVector(x.box)
+    for (lam, qp), coeff in x.terms.items():
+        out = out + ClassVector(x.box, quantum_pieri(p, lam, x.box)).shift_q(qp).scale(coeff)
+    return out
+
+
+def cup_e(p: int, x: ClassVector) -> ClassVector:
+    """Classical multiplication by sigma_{1^p} (the q-degree-0 Pieri part)."""
+    out = ClassVector(x.box)
+    for (lam, qp), coeff in x.terms.items():
+        for mu in vertical_strip_additions(lam, p, x.box):
+            out = out + ClassVector.schubert(x.box, mu, qp, coeff)
+    return out
+
+
+def sigma1_triple_integral(lam: Partition, mu: Partition, box: Box) -> int:
+    """Integral over X of s_lam * s_mu * s_1 (classical cup product)."""
+    return 1 if box.dual(mu) in vertical_strip_additions(lam, 1, box) else 0
+
+
+def vector(alg, x: ClassVector) -> list:
+    """Basis coordinates of a class at q = alg.q_value."""
+    coords = [0] * len(alg.basis)
+    for (lab, qp), coeff in x.terms.items():
+        coords[alg.index[lab]] += coeff * alg.q_value**qp
+    return coords
+
+
+def reduce(ring: SectionRing, x: ClassVector) -> ClassVector:
+    """Push an ambient class to the section's quotient, keeping q powers."""
+    out: dict[tuple, Fraction | int] = {}
+
+    def add(lam, qp, coeff):
+        if size(lam) > ring.dim_y:
+            # top ambient degree restricts to zero on Y
+            if size(lam) > ring.dim_y + 1:
+                raise InternalConsistencyError("class beyond the ambient top degree")
+            return
+        if lam in ring.relations:
+            for mu, c in ring.relations[lam].items():
+                add(mu, qp, coeff * c)
+        else:
+            key = (lam, qp)
+            out[key] = out.get(key, 0) + coeff
+
+    for (lam, qp), coeff in x.terms.items():
+        add(lam, qp, coeff)
+    return ClassVector(ring.box, out)
+
+
+def schubert(ring: SectionRing, lam, q_power: int = 0, coeff=1) -> ClassVector:
+    return reduce(ring, ClassVector.schubert(ring.box, lam, q_power, coeff))
+
+
+def beta(ring: SectionRing) -> ClassVector:
+    if not ring.prim_dim:
+        raise InvalidInputError(f"no primitive class for (3, {ring.box.n})")
+    return ClassVector(ring.box, {(BETA, 0): 1})
+
+
+@lru_cache(maxsize=None)
+def _section_pieri_on_label(ring: SectionRing, p: int, lab) -> ClassVector:
+    if lab == BETA:
+        return ClassVector(ring.box)
+    lam = ClassVector.schubert(ring.box, lab)
+    classical = cup_e(p, lam)
+    lam_h = cup_e(1, lam)
+    quantum = star_e(p, lam_h) - cup_e(p, lam_h)
+    if any(qp == 0 for (_, qp) in quantum.terms):
+        raise InternalConsistencyError("classical parts did not cancel in section Pieri")
+    return reduce(ring, classical + quantum)
+
+
+def pieri_on_label(alg, p: int, lab) -> ClassVector:
+    """e_p * (basis label), q symbolic: the quantum Pieri rule on Gr(k, n),
+    and on a section ring the section Pieri rule
+    e_p j(lam) = j(s_{1^p} cup lam) + j((s_{1^p} star - s_{1^p} cup)(s_1 cup lam)),
+    e_p beta = 0.  Section images are computed once per (ring, p, label) and
+    shared, so callers must not mutate them."""
+    if not 1 <= p <= alg.k:
+        raise InvalidInputError(f"Pieri index p={p} outside [1, {alg.k}]")
+    if isinstance(alg, SectionRing):
+        return _section_pieri_on_label(alg, p, lab)
+    return ClassVector(alg.box, quantum_pieri(p, lab, alg.box))
+
+
+def symbolic_e_ops(alg) -> dict[int, Matrix]:
+    """The e-operators with column j the symbolic image of basis[j] at q_value."""
+    return {
+        p: [list(col) for col in zip(*(vector(alg, pieri_on_label(alg, p, lab)) for lab in alg.basis))]
+        for p in range(1, alg.k + 1)
+    }
+
+
+def symbolic_label_ops(alg) -> dict:
+    """mult_operators' first-column recursion L_lam = E_p L_lam' - sum c q^d L_mu,
+    with E_p from symbolic_e_ops and each image from pieri_on_label."""
+    dim = len(alg.basis)
+    e_ops = symbolic_e_ops(alg)
+    ops = {(): linalg.identity(dim)}
+    partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
+    for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
+        p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
+        image = dict(pieri_on_label(alg, p, lam_prime).terms)
+        if image.pop((lam, 0), 0) != 1:
+            raise InternalConsistencyError(f"e_{p} * s{lam_prime} does not determine s{lam}")
+        corrections = [(-coeff * alg.q_value**d, ops[mu]) for (mu, d), coeff in image.items()]
+        ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(e_ops[p], ops[lam_prime]))
+    return ops
+
+
 # -- the ambient ring through Giambelli determinants ---------------------------
 
 
@@ -444,7 +620,7 @@ def section_pieri(ring: SectionRing, p: int, x: ClassVector) -> ClassVector:
     """e_p * x for a section class x, q symbolic."""
     out = ClassVector(ring.box)
     for (lab, qp), coeff in x.terms.items():
-        out = out + ring.pieri_on_label(p, lab).shift_q(qp).scale(coeff)
+        out = out + pieri_on_label(ring, p, lab).shift_q(qp).scale(coeff)
     return out
 
 
@@ -557,7 +733,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     # section side: powers of the generator, projected away from the radical
     rad, perp = radical_and_perp(k, n)
     project = _perp_projector(ring, rad)
-    unit_y = ring.vector(ClassVector.unit(ring.box))
+    unit_y = vector(ring, ClassVector.unit(ring.box))
     powers_y = [unit_y]
     for _ in range(dim0 - 1):
         powers_y.append(linalg.mat_vec(gen_y, powers_y[-1]))

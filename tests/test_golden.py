@@ -14,7 +14,8 @@ sparse rows.
 TABLES and USAGE pin the rest of the CLI surface, each as the digest of
 json.dumps([exit code, stdout, stderr]): `--format table` of every DOCUMENTS
 command and of a few more, and the help, usage and error paths.  Both were
-taken before the command table replaced the hand-written parser.
+taken before the command table replaced the hand-written parser, except the
+`betti` and `screen` refusals of A1000, added with the positive-root bound.
 
 BETTI pins `betti` and `screen --format json` on every node of each of
 oracles.SMALL_TYPES, 220 G/P_k in all: per family, the digest of the
@@ -306,6 +307,8 @@ USAGE = {
     "-h betti": (0, "5b39a1a74b56be4b2279fc9a8b078669f774789ade967f7e7ca53e3a717408b1"),
     "qh -h semisimple": (0, "b9cf13c4a7ff3c15e03a7c1dc0b51aa597cda2cea68a97e3b571a1c45f72ef01"),
     "qh semisimple --k 2 --n 4 --format xml": (2, "3532d6693018d3b9e1701433e1cf1f0c3c6bb0877eb9e4a4602b410f5e21f561"),
+    "betti --type A1000 --node 500": (2, "d56fd8029daff62bdd0ac3a7811279bb896cced2dfc8da46b0c4ea5b8ab516c2"),
+    "screen --type A1000 --node 500": (2, "d56fd8029daff62bdd0ac3a7811279bb896cced2dfc8da46b0c4ea5b8ab516c2"),
 }
 
 BETTI = {

@@ -7,9 +7,11 @@ from oracles import (
     gaussian_binomial,
     poincare_by_degrees,
 )
+from qhgrass import rootdata
 from qhgrass.errors import InvalidInputError
 from qhgrass.polynomials import UniPoly
 from qhgrass.rootdata import (
+    MAX_POSITIVE_ROOTS,
     DynkinType,
     GrassmannianId,
     cartan_matrix,
@@ -51,6 +53,15 @@ def test_type_validation():
     assert parse_type("e7") == DynkinType("E", 7)
     with pytest.raises(InvalidInputError):
         parse_type("E")
+
+
+def test_oversized_types_are_refused_before_the_root_search(monkeypatch):
+    # the 220 pinned G/P_k are far inside the bound
+    assert max(len(positive_roots(t)) for t in SMALL_TYPES) <= MAX_POSITIVE_ROOTS
+    monkeypatch.setattr(rootdata, "cartan_matrix", lambda t: pytest.fail(f"root search ran for {t}"))
+    for t in (DynkinType("A", 60), DynkinType("B", 43), DynkinType("D", 44), DynkinType("A", 1000)):
+        with pytest.raises(InvalidInputError, match="positive roots, over 1800"):
+            positive_roots(t)
 
 
 def test_positive_root_counts():
