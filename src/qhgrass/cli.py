@@ -190,10 +190,12 @@ def _cmd_qh_charpoly(args) -> dict:
         alg = section.build_ring(args.k, args.n)
         k, r, piece, e_ops = alg.k, alg.r, alg.residue_piece(0), alg.e_ops
     else:
-        # the refusals read only the basis and e_1 (and e_2), so Gr(k, n) is built once they pass
+        # the refusals and the charpoly read only e_1 (and e_2) and the
+        # residue-0 piece, here as Schubert-basis coordinates, so the rest of
+        # Gr(k, n) is never built
         box = _ambient_box(args)
         k, r = box.k, box.n
-        piece = [lam for lam in quantum.schubert_basis(box) if size(lam) % r == 0]
+        piece = [i for i, lam in enumerate(quantum.schubert_basis(box)) if size(lam) % r == 0]
         e_ops = {p: quantum.pieri_matrix(box, p) for p in range(1, min(k, 1 + args.with_e2) + 1)}
     if args.with_e2 and 2 not in e_ops:
         raise InvalidInputError(f"Pieri index p=2 outside [1, {k}]")
@@ -211,7 +213,7 @@ def _cmd_qh_charpoly(args) -> dict:
     if args.section:
         poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
     else:
-        poly = quantum.grassmannian(box).e_charpoly(args.power, args.with_e2)
+        poly = quantum.e_power_charpoly(e_ops, piece, args.power, args.with_e2)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 

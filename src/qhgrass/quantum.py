@@ -155,11 +155,7 @@ class GradedAlgebra:
 
     def restrict(self, op: Matrix, piece) -> Matrix:
         """Restriction of an operator to the span of the piece's labels."""
-        cols = [self.index[lab] for lab in piece]
-        inside = set(cols)
-        if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
-            raise InvalidInputError("operator does not preserve the requested piece")
-        return [[op[r][c] for c in cols] for r in cols]
+        return restrict_to_coords(op, [self.index[lab] for lab in piece])
 
     def charpoly_on_piece(self, op: Matrix, piece) -> UniPoly:
         """Exact monic characteristic polynomial of the restriction to a piece."""
@@ -168,10 +164,27 @@ class GradedAlgebra:
     def e_charpoly(self, power: int, with_e2: bool = False) -> UniPoly:
         """Characteristic polynomial of e_1^power (optionally * e_2) on the
         residue-0 piece."""
-        op = linalg.mat_pow(self.e_ops[1], power)
-        if with_e2:
-            op = linalg.mat_mul(op, self.e_ops[2])
-        return self.charpoly_on_piece(op, self.residue_piece(0))
+        cols = [self.index[lab] for lab in self.residue_piece(0)]
+        return e_power_charpoly(self.e_ops, cols, power, with_e2)
+
+
+def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
+    """Restriction of an operator to the span of these basis coordinates,
+    which it must preserve."""
+    inside = set(cols)
+    if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
+        raise InvalidInputError("operator does not preserve the requested piece")
+    return [[op[r][c] for c in cols] for r in cols]
+
+
+def e_power_charpoly(e_ops: dict[int, Matrix], cols: list[int], power: int, with_e2: bool = False) -> UniPoly:
+    """Characteristic polynomial of e_1^power (optionally * e_2) on the span
+    of the basis coordinates cols.  It reads only e_ops[1] (and e_ops[2]), so
+    a caller holding just those needs no whole algebra."""
+    op = linalg.mat_pow(e_ops[1], power)
+    if with_e2:
+        op = linalg.mat_mul(op, e_ops[2])
+    return linalg.charpoly(restrict_to_coords(op, cols))
 
 
 @lru_cache(maxsize=None)
@@ -307,9 +320,9 @@ def semisimple_test(ops: list[Matrix]) -> bool:
 
     ops[c] multiplies by the c-th basis element, in that basis, and the
     operators commute; the caller asserts that on generators (mult_operators
-    on e_1..e_k, perp_subalgebra_semisimple on the perp generators).  The Gram
-    matrix splits by residue of degree mod deg q, so det_bareiss factors it by
-    blocks.
+    on e_1..e_k, perp_subalgebra_semisimple on the perp piece's generators and
+    e_1^r).  The Gram matrix splits by residue of degree mod deg q, so
+    det_bareiss factors it by blocks.
     """
     return linalg.det_bareiss(trace_form_gram(ops)) != 0
 

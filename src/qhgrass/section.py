@@ -46,6 +46,23 @@ beta * beta is not determined by the source material and is deliberately not
 modeled; beta gets no operator of its own, and every implemented operator is
 multiplication by a class generated by e_1, e_2, e_3, under which beta maps to
 zero.
+
+For n = 8 the trace form is tested on the subalgebra S = sum over i < r of
+e_1^i P generated by e_1 and the perp space P, the orthogonal complement of
+the radical inside the residue-0 piece, with p = |P| and r = deg q.  e_1
+commutes with every multiplication operator and e_1^r maps P into P, so
+multiplication by an element of P has r times its trace on P as its trace on
+S, and multiplication by an element of e_1^m P has trace 0 on S when r does
+not divide m.  The Gram matrix of S is then block-antidiagonal by residue,
+and
+
+    det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1),
+
+with G_P the trace-form Gram matrix of P and M_z the matrix of e_1^r on P.  So
+S is semisimple exactly when det G_P and det M_z are both nonzero, which
+perp_subalgebra_semisimple decides on p x p matrices (p = 7, against the
+49-dimensional S); the tests check the identity against the whole of S for
+n = 7 and n = 8.
 """
 
 from __future__ import annotations
@@ -247,56 +264,47 @@ def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     return rad, perp
 
 
-def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:
-    """Basis e_1^i * v over 0 <= i < r_Y and v in the perp space."""
-    vectors = []
-    current = [list(v) for v in perp]
-    for _ in range(ring.r):
-        vectors.extend([list(v) for v in current])
-        current = [linalg.mat_vec(ring.e_ops[1], v) for v in current]
-    return vectors
+def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Matrix]:
+    """Multiplication by each perp vector v_j, and e_1^r, as matrices on the
+    perp space P in the basis perp (p x p each, p = len(perp)).
 
-
-def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list, list]:
-    """Multiplication operators of the subalgebra generated by the perp space
-    and e_1, in the subalgebra's own coordinates (the basis of
-    perp_subalgebra_basis, in that order), and its generators e_1 and the perp
-    classes.
-
-    The restriction of e_1 and of each perp generator is extracted once, and
-    the remaining operators are products of those restrictions.
+    Each image is solved for in that basis, and every solve checks that the
+    image lies in P: v_i * v_j does, so P is closed under multiplication, and
+    e_1^r v_j does, so e_1^r maps P into P.
     """
-    w = perp_subalgebra_basis(ring, perp)
-    sub_dim = len(w)
-    solver = linalg.ColumnSpanSolver(w)
+    solver = linalg.ColumnSpanSolver(perp)
 
-    def restrict(full: Matrix) -> Matrix:
-        cols = [solver.coords(linalg.mat_vec(full, wv)) for wv in w]
-        return [list(row) for row in zip(*cols)]
+    def on_piece(images: list[list]) -> Matrix:
+        return [list(row) for row in zip(*(solver.coords(v) for v in images))]
 
-    r_e1 = restrict(ring.e_ops[1])
-    r_gen = [restrict(ring.mult_operator(list(v))) for v in perp]
-    ops = []
-    power = linalg.identity(sub_dim)
+    generators = []
+    for v in perp:
+        op = ring.mult_operator(list(v))
+        generators.append(on_piece([linalg.mat_vec(op, u) for u in perp]))
+    shifted = perp
     for _ in range(ring.r):
-        ops.extend(linalg.mat_mul(power, g) for g in r_gen)
-        power = linalg.mat_mul(r_e1, power)
-    return ops, [r_e1] + r_gen
+        shifted = [linalg.mat_vec(ring.e_ops[1], u) for u in shifted]
+    return generators, on_piece(shifted)
 
 
 def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
-    """Trace-form test on the subalgebra generated by the perp space and e_1.
+    """Trace-form test on the subalgebra S generated by the perp space P and
+    e_1, decided on P (see the module docstring).
 
-    Returns the verdict, the subalgebra's dimension and the dimension of the
-    radical it was split from.  Every operator is a polynomial in the
-    generators, so commutativity is asserted on those.
+    Returns the verdict, the dimension r |P| of S and the dimension of the
+    radical it was split from.  S has a nondegenerate trace form exactly when
+    P's multiplication operators do and e_1^r is invertible on P; then e_1^i
+    is injective on P for every i, and the r pieces e_1^i P lie in distinct
+    residues, so the dimension is exact.  Commutativity is asserted on the
+    generators of P and e_1^r.
     """
     ring = build_ring(k, n)
     rad, perp = radical_and_perp(k, n)
-    ops, generators = perp_subalgebra_operators(ring, perp)
-    if not commuting(generators):
+    generators, shift = perp_piece_operators(ring, perp)
+    if not commuting(generators + [shift]):
         raise InternalConsistencyError("the perp subalgebra's generators do not commute")
-    return semisimple_test(ops), len(ops), len(rad)
+    ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0
+    return ok, ring.r * len(perp), len(rad)
 
 
 def full_ring_semisimple(k: int, n: int) -> bool:

@@ -18,6 +18,10 @@ route:
   polynomial in e_1..e_k and evaluate it on the e-operators; the section
   ring builds its label operators by the first-column Pieri recursion.
 - perp_iso_check certifies A^0(X) = A^0_perp(Y) through cyclic generators.
+- perp_subalgebra_basis and perp_subalgebra_operators build the whole
+  subalgebra S = sum over i < r of e_1^i P generated by the perp space P and
+  e_1, with one operator per basis vector e_1^i v_j; production decides S's
+  trace form on P alone (section.perp_subalgebra_semisimple).
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
 - rank and solve are exact row reduction through linalg.rref.
@@ -753,6 +757,43 @@ def perp_iso_check(k: int, n: int) -> bool:
     target_y = project(linalg.mat_vec(linalg.mat_pow(ring.e_ops[1], n - 1), unit_y))
     expansion_y = solve([list(col) for col in zip(*perp_powers)], target_y)
     return expansion_x == expansion_y
+
+
+def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:
+    """Basis e_1^i * v over 0 <= i < r_Y and v in the perp space."""
+    vectors = []
+    current = [list(v) for v in perp]
+    for _ in range(ring.r):
+        vectors.extend([list(v) for v in current])
+        current = [linalg.mat_vec(ring.e_ops[1], v) for v in current]
+    return vectors
+
+
+def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list, list]:
+    """Multiplication operators of the subalgebra generated by the perp space
+    and e_1, in the subalgebra's own coordinates (the basis of
+    perp_subalgebra_basis, in that order), and its generators e_1 and the perp
+    classes.
+
+    The restriction of e_1 and of each perp generator is extracted once, and
+    the remaining operators are products of those restrictions.
+    """
+    w = perp_subalgebra_basis(ring, perp)
+    sub_dim = len(w)
+    solver = linalg.ColumnSpanSolver(w)
+
+    def restrict(full: Matrix) -> Matrix:
+        cols = [solver.coords(linalg.mat_vec(full, wv)) for wv in w]
+        return [list(row) for row in zip(*cols)]
+
+    r_e1 = restrict(ring.e_ops[1])
+    r_gen = [restrict(ring.mult_operator(list(v))) for v in perp]
+    ops = []
+    power = linalg.identity(sub_dim)
+    for _ in range(ring.r):
+        ops.extend(linalg.mat_mul(power, g) for g in r_gen)
+        power = linalg.mat_mul(r_e1, power)
+    return ops, [r_e1] + r_gen
 
 
 def _perp_projector(ring: SectionRing, rad: list[list]):

@@ -164,6 +164,21 @@ def test_ambient_charpoly_refusals_never_build_the_grassmannian(capsys, monkeypa
     assert calls == []
 
 
+def test_admitted_ambient_charpoly_never_builds_the_grassmannian(capsys, monkeypatch):
+    from qhgrass import quantum
+
+    cases = [(3, 7, 7, False), (3, 8, 6, True), (2, 4, 8, False)]
+    expected = [quantum.grassmannian(Box(k, n)).e_charpoly(power, e2).coeffs for k, n, power, e2 in cases]
+    calls = []
+    monkeypatch.setattr(quantum, "grassmannian", lambda *args: calls.append(args))
+    for (k, n, power, e2), coeffs in zip(cases, expected):
+        argv = ["qh", "charpoly", "--k", str(k), "--n", str(n), "--power", str(power)] + ["--with-e2"] * e2
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and not err
+        assert json.loads(out)["results"]["charpoly"] == list(coeffs)
+    assert calls == []
+
+
 def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypatch):
     calls = []
     original = linalg.mat_pow

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import interpolate, poly_from_roots, rank, solve
+from oracles import interpolate, perp_subalgebra_operators, poly_from_roots, rank, solve
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.polynomials import UniPoly
@@ -336,13 +336,18 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
         "(3,7) trace form": quantum.trace_form_gram(
             [ring7.label_ops[lab] for lab in ring7.basis]
         ),
-        "(3,8) perp trace form": quantum.trace_form_gram(section.perp_subalgebra_operators(ring8, perp)[0]),
+        "(3,8) perp trace form": quantum.trace_form_gram(perp_subalgebra_operators(ring8, perp)[0]),
         "Gr(4,8) trace form": quantum.trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
     }
     for name, mat in matrices.items():
         det = linalg.det_bareiss(mat)
         assert det != 0 and det == _single_block_det(mat), name
         assert len(linalg._nonzero_blocks(mat)) > 1, name  # the split route is taken
+    # the matrices the production perp route decides on, one block or several
+    generators, shift = section.perp_piece_operators(ring8, perp)
+    for name, mat in {"(3,8) G_P": quantum.trace_form_gram(generators), "(3,8) M_z": shift}.items():
+        det = linalg.det_bareiss(mat)
+        assert det != 0 and det == _single_block_det(mat), name
 
 
 @st.composite

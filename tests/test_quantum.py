@@ -424,11 +424,11 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
     alg.e_ops = {1: x, 2: bad}
     with pytest.raises(InternalConsistencyError, match="do not commute"):
         mult_operators(alg)
-    # ... and the perp route on its generators
-    ops = [x, linalg.mat_mul(bad, x), bad]
-    monkeypatch.setattr(section, "perp_subalgebra_operators", lambda ring, perp: (ops, [x, bad]))
-    with pytest.raises(InternalConsistencyError, match="do not commute"):
-        section.perp_subalgebra_semisimple(3, 8)
+    # ... and the perp route on the perp generators and e_1^r, both ways
+    for generators, shift in [([x, bad], linalg.identity(2)), ([x], bad)]:
+        monkeypatch.setattr(section, "perp_piece_operators", lambda ring, perp: (generators, shift))
+        with pytest.raises(InternalConsistencyError, match="do not commute"):
+            section.perp_subalgebra_semisimple(3, 8)
 
 
 def test_qh_semisimple_small():

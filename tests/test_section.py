@@ -12,6 +12,7 @@ from oracles import (
     cup_e,
     lift_operator,
     perp_iso_check,
+    perp_subalgebra_operators,
     pieri_on_label,
     rank,
     reduce,
@@ -40,7 +41,6 @@ from qhgrass.section import (
     build_ring,
     full_ring_semisimple,
     lefschetz_relation_check,
-    perp_subalgebra_operators,
     perp_subalgebra_semisimple,
     radical_and_perp,
     section_charpoly,
@@ -294,6 +294,43 @@ def test_semisimplicity_routes():
         full_ring_semisimple(3, 8)
     with pytest.raises(UndeterminedProductError):
         full_ring_semisimple(3, 6)
+
+
+def test_perp_route_on_the_37_section_is_the_whole_ring():
+    # the radical is empty, so S is the whole 30-dimensional ring
+    assert perp_subalgebra_semisimple(3, 7) == (True, 30, 0)
+    assert full_ring_semisimple(3, 7)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
+    # det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1), with
+    # G_S from the oracle's r p operators and G_P, M_z from the p x p ones
+    ring = build_ring(3, n)
+    _, perp = radical_and_perp(3, n)
+    generators, shift = section.perp_piece_operators(ring, perp)
+    p, r = len(perp), ring.r
+    assert len(generators) == p and all(len(op) == p for op in generators + [shift])
+    det_s = linalg.det_bareiss(trace_form_gram(perp_subalgebra_operators(ring, perp)[0]))
+    det_p, det_z = linalg.det_bareiss(trace_form_gram(generators)), linalg.det_bareiss(shift)
+    assert det_s == (-1) ** (p * ((r - 1) // 2)) * r ** (r * p) * det_p**r * det_z ** (r - 1)
+    assert det_s != 0
+
+
+def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # G_P stays nondegenerate, but e_1^r kills P, so the trace form of S degenerates
+    generators, shift = section.perp_piece_operators(build_ring(3, 8), radical_and_perp(3, 8)[1])
+    zero = linalg.zeros(len(shift), len(shift))
+    monkeypatch.setattr(section, "perp_piece_operators", lambda ring, perp: (generators, zero))
+    assert quantum.semisimple_test(generators)
+    ok, _, rad_dim = perp_subalgebra_semisimple(3, 8)
+    assert ok is False and rad_dim == 2
+    for fmt in ("json", "table"):
+        assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert "degenerate trace form on the perp subalgebra" in out and not err
 
 
 def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
