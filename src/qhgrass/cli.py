@@ -186,23 +186,27 @@ def _cmd_qh_charpoly(args) -> dict:
         "power": args.power,
         "with_e2": args.with_e2,
     }
+    # the box and the degree are refused before anything is built
     if args.section:
-        alg = section.build_ring(args.k, args.n)
-        k, r, piece, e_ops = alg.k, alg.r, alg.residue_piece(0), alg.e_ops
+        k, r = args.k, section.q_degree(args.k, args.n)
     else:
-        # the refusals and the charpoly read only e_1 (and e_2) and the
-        # residue-0 piece, here as Schubert-basis coordinates, so the rest of
-        # Gr(k, n) is never built
         box = _ambient_box(args)
         k, r = box.k, box.n
-        piece = [i for i, lam in enumerate(quantum.schubert_basis(box)) if size(lam) % r == 0]
-        e_ops = {p: quantum.pieri_matrix(box, p) for p in range(1, min(k, 1 + args.with_e2) + 1)}
-    if args.with_e2 and 2 not in e_ops:
+    if args.with_e2 and k < 2:
         raise InvalidInputError(f"Pieri index p=2 outside [1, {k}]")
     # the operator raises degrees by power (+ 2 for e_2); only a multiple of the
     # degree of q keeps the residue-0 piece
     if (degree := args.power + 2 * args.with_e2) % r:
         raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {r} = deg q")
+    if args.section:
+        alg = section.build_ring(args.k, args.n)
+        piece, e_ops = alg.residue_piece(0), alg.e_ops
+    else:
+        # the refusals and the charpoly read only e_1 (and e_2) and the
+        # residue-0 piece, here as Schubert-basis coordinates, so the rest of
+        # Gr(k, n) is never built
+        piece = [i for i, lam in enumerate(quantum.schubert_basis(box)) if size(lam) % r == 0]
+        e_ops = {p: quantum.pieri_matrix(box, p) for p in range(1, min(k, 1 + args.with_e2) + 1)}
     # coefficient j is at most C(dim, j) times the j-th power of the eigenvalue bound
     eigenvalue = args.power * _log_norm(e_ops[1]) + (_log_norm(e_ops[2]) if args.with_e2 else 0)
     if (digits := int(len(piece) * (eigenvalue + math.log10(2))) + 1) > MAX_CHARPOLY_DIGITS:

@@ -234,6 +234,22 @@ def kernel_basis(a: Matrix) -> list[list]:
     return echelon
 
 
+def generalized_kernel(a: Matrix) -> list[list]:
+    """kernel_basis(a^dim), the generalized 0-eigenspace, by squaring a until
+    its kernel stops growing.
+
+    The kernels of a^m increase with m, and once ker a^m = ker a^(m+1) they
+    stay equal for every higher power.  So when ker a^(2m) is no larger than
+    ker a^m (starting from ker a^0 = 0), ker a^m = ker a^dim.  kernel_basis
+    returns the reduced echelon basis, which depends only on the subspace, so
+    the vectors are those of kernel_basis(mat_pow(a, dim)).
+    """
+    power, kernel = a, []
+    while len(grown := kernel_basis(power)) > len(kernel):
+        power, kernel = mat_mul(power, power), grown
+    return kernel
+
+
 def mat_inverse(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination."""
     n = len(a)

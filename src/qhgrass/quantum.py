@@ -18,16 +18,21 @@ where mu ranges over additions of p cells to lam with no two in the same row,
 and nu over partitions of |lam| + p - n whose transpose interlaces the
 transpose of lam shifted down by one (possible only when lam_1 = n - k); q has
 degree n.  At q_value = 0 the same function gives the classical cup product
-C_p.  grassmannian takes P_1..P_k as its e-operators, and the section ring
-writes its own as products of P_p, C_p and C_1 (see section).
+C_p.  Every q_value is filled from the same entries (row, col, q power),
+which pieri_entries reads off one quantum_pieri sweep over the Schubert basis
+per (box, p) and caches, so P_p and C_p share that sweep.  grassmannian takes
+P_1..P_k as its e-operators, and the section ring writes its own as products
+of P_p, C_p and C_1 (see section).
 
 Label operators come from one triangular Pieri recursion (mult_operators) for
-both constructors, which reads each image it needs off a column of an
-e-operator, so no Littlewood-Richardson rule is needed; the Giambelli route
-lives with the tests as an independent check, so the quantum Giambelli
-property is a checked invariant rather than an input.  That recursion and the
-polynomial evaluation in e_1..e_k (evaluate_e_polynomials) run on sparse
-rows, since the operators are mostly zero, and hand back dense matrices.
+both constructors, run the first time label_ops is read.  It asserts that
+e_1..e_k commute (require_commuting), as the section ring also does when it
+is built, and reads each image it needs off a column of an e-operator, so no
+Littlewood-Richardson rule is needed; the Giambelli route lives with the
+tests as an independent check, so the quantum Giambelli property is a
+checked invariant rather than an input.  That recursion and the polynomial
+evaluation in e_1..e_k (evaluate_e_polynomials) run on sparse rows, since
+the operators are mostly zero, and hand back dense matrices.
 """
 
 from __future__ import annotations
@@ -98,16 +103,23 @@ def quantum_pieri(p: int, lam: Partition, box: Box) -> dict[tuple[Partition, int
 
 
 @lru_cache(maxsize=None)
+def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero entries (row, col, q power) of sigma_{1^p} * (-) over the
+    Schubert basis, from one quantum_pieri sweep; every coefficient is 1."""
+    basis = schubert_basis(box)
+    index = {lam: i for i, lam in enumerate(basis)}
+    return tuple((index[mu], col, d) for col, lam in enumerate(basis) for mu, d in quantum_pieri(p, lam, box))
+
+
+@lru_cache(maxsize=None)
 def pieri_matrix(box: Box, p: int, q_value=1) -> tuple[tuple, ...]:
     """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q:
     column lam is quantum_pieri(p, lam) with q^d read as q_value^d.  At
     q_value = 0 it is the classical Pieri rule, cup product by sigma_{1^p}."""
-    basis = schubert_basis(box)
-    index = {lam: i for i, lam in enumerate(basis)}
-    mat = linalg.zeros(len(basis), len(basis))
-    for col, lam in enumerate(basis):
-        for mu, d in quantum_pieri(p, lam, box):
-            mat[index[mu]][col] = q_value**d if d else 1
+    dim = len(schubert_basis(box))
+    mat = linalg.zeros(dim, dim)
+    for row, col, d in pieri_entries(box, p):
+        mat[row][col] = q_value**d if d else 1
     return tuple(map(tuple, mat))
 
 
@@ -219,8 +231,7 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     operator.  The recursion runs on sparse rows (linalg.sparse_mul), and the
     table holds each operator made dense once, in basis order.
     """
-    if not commuting(list(alg.e_ops.values())):
-        raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
+    require_commuting(alg.e_ops)
     dim = len(alg.basis)
     e_rows = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()}
     ops = {(): linalg.sparse_rows(linalg.identity(dim))}
@@ -296,6 +307,12 @@ def commuting(ops: list[Matrix]) -> bool:
     return all(
         linalg.mat_mul(a, b) == linalg.mat_mul(b, a) for i, a in enumerate(ops) for b in ops[i + 1 :]
     )
+
+
+def require_commuting(e_ops: dict[int, Matrix]) -> None:
+    """Raise unless the e-operators e_1..e_k commute."""
+    if not commuting(list(e_ops.values())):
+        raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
 
 
 def trace_form_gram(ops: list[Matrix]) -> Matrix:

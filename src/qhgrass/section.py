@@ -25,12 +25,16 @@ Y, to 0.  The quotient's cup-sigma_1 blocks and the pairing are read off C_1
 as well.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, beside
-Gr(k, n) itself.  The multiplication operator L_lam of every ambient basis
-class comes from the same triangular recursion, L_lam = E_p L_lam' - sum c
+Gr(k, n) itself.  Its constructor asserts that e_1..e_k commute, so no ring
+is handed out uncertified, and builds nothing more than a caller of e_ops
+(the Lefschetz check, section_charpoly) reads.  The multiplication operator
+L_lam of every ambient basis class is built the first time label_ops is read,
+by the same triangular recursion as for Gr(k, n), L_lam = E_p L_lam' - sum c
 q^d L_mu (quantum.mult_operators), with e_p * lam' read off column lam' of
 E_p.  Two facts certify it on the ambient classes.  The unit is cyclic: by
 induction L_lam is a polynomial in e_1..e_k sending the unit to lam.  And
-e_1..e_k commute, which the recursion asserts once per ring.  Together they
+e_1..e_k commute, which the constructor asserts and the recursion asserts
+again.  Together they
 give every Pieri identity e_p L_mu = sum c q^d L_lab there: both sides are
 polynomials in e_1..e_k that agree on the unit, hence on every class the unit
 reaches.  Every e_p kills beta, so each L_lam acts on beta by the constant
@@ -80,8 +84,8 @@ from .quantum import (
     GradedAlgebra,
     commuting,
     evaluate_e_polynomials,
-    mult_operators,
     pieri_matrix,
+    require_commuting,
     schubert_basis,
     semisimple_test,
     sigma_e_polynomial,
@@ -92,12 +96,18 @@ BETA = "beta"
 SUPPORTED = {(3, 6), (3, 7), (3, 8)}
 
 
+def q_degree(k: int, n: int) -> int:
+    """The degree n - 1 of q_Y, for a supported section; it needs no ring."""
+    if (k, n) not in SUPPORTED:
+        raise InvalidInputError(f"no section ring for (k, n) = ({k}, {n})")
+    return n - 1
+
+
 class SectionRing(GradedAlgebra):
     """Basis, relations and Pieri operators for the section of Gr(k, n)."""
 
     def __init__(self, k: int, n: int, q_value=1):
-        if (k, n) not in SUPPORTED:
-            raise InvalidInputError(f"no section ring for (k, n) = ({k}, {n})")
+        r = q_degree(k, n)
         self.box, self.k = Box(k, n), k
         self.dim_y = k * (n - k) - 1
         self._ambient_index = {lam: i for i, lam in enumerate(schubert_basis(self.box))}
@@ -105,8 +115,10 @@ class SectionRing(GradedAlgebra):
         self._build_quotient(cup1)
         basis = self._quotient_basis(hodge.diamond(k, n))
         e_ops = self._e_operators(basis, q_value, cup1)
-        super().__init__(self.box, basis, n - 1, q_value, e_ops, self._pairing(basis, cup1))
-        mult_operators(self)  # label_ops, built and certified with the ring
+        # certified here; label_ops, which only some callers read, are built
+        # by mult_operators the first time they are read
+        require_commuting(e_ops)
+        super().__init__(self.box, basis, r, q_value, e_ops, self._pairing(basis, cup1))
 
     def _e_operators(self, basis, q_value, cup1) -> dict[int, Matrix]:
         """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri rule."""
@@ -242,10 +254,17 @@ def lefschetz_relation_check(n: int) -> bool:
 
 def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     """Radical of the section ring at q = 1 and the orthogonal complement of
-    the radical inside the residue-0 piece, both as coordinate vectors."""
+    the radical inside the residue-0 piece, both as coordinate vectors.
+
+    The radical is ker e_1^dim, which linalg.generalized_kernel finds by
+    squaring e_1 and stopping once ker e_1^(2m) is no larger than ker e_1^m:
+    the increasing kernels have then stopped for good, so ker e_1^m is
+    ker e_1^dim, with the same echelon basis.  On (3, 8) ker e_1 is already
+    the radical, so that is one squaring, against about nine for e_1^51.
+    """
     ring = build_ring(k, n)
     dim = len(ring.basis)
-    rad = linalg.kernel_basis(linalg.mat_pow(ring.e_ops[1], dim))
+    rad = linalg.generalized_kernel(ring.e_ops[1])
     piece = ring.residue_piece(0)
     constraints = []
     for u in rad:
@@ -310,7 +329,7 @@ def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
 def full_ring_semisimple(k: int, n: int) -> bool:
     """Trace-form test on the whole section ring (only when beta is absent).
     The label operators are polynomials in e_1, e_2, e_3, whose commutativity
-    the ring build asserted (quantum.mult_operators)."""
+    the ring build asserted (quantum.require_commuting)."""
     ring = build_ring(k, n)
     if ring.prim_dim:
         raise UndeterminedProductError(

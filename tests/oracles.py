@@ -12,8 +12,10 @@ route:
 - giambelli_expr, star_schubert and star multiply ambient classes through the
   Giambelli determinant in the Pieri operators; quantum.mult_operators uses
   the first-column Pieri recursion instead.
-- pairing_q1 and radical are the class-level pairing and the radical of
-  QH(Gr(k, n)).
+- pairing_q1 is the class-level pairing of QH(Gr(k, n)).  radical_by_power
+  takes the radical of a graded algebra as the kernel of e_1^N, N its
+  dimension, with its perp space (radical for Gr(k, n));
+  section.radical_and_perp squares e_1 only until the kernel stops growing.
 - build_lifts and lift_operator write each section basis class as a
   polynomial in e_1..e_k and evaluate it on the e-operators; the section
   ring builds its label operators by the first-column Pieri recursion.
@@ -592,13 +594,17 @@ def pairing_q1(a: ClassVector, b: ClassVector):
 
 
 def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
-    """Kernel of the N-th power of quantum multiplication by sigma_1, plus the
-    orthogonal complement of that kernel inside the residue-0 graded piece."""
-    basis = schubert_basis(box)
-    n = len(basis)
-    e1 = [list(row) for row in pieri_matrix(box, 1, q_value)]
-    rad = linalg.kernel_basis(linalg.mat_pow(e1, n))
-    alg = grassmannian(box, q_value)
+    """radical_by_power for QH(Gr(k, n)) at the given q."""
+    return radical_by_power(grassmannian(box, q_value))
+
+
+def radical_by_power(alg) -> tuple[list[list], list[list]]:
+    """Kernel of the N-th power of multiplication by e_1 (N the dimension),
+    plus the orthogonal complement of that kernel inside the residue-0 graded
+    piece; section.radical_and_perp squares e_1 only until its kernel stops
+    growing."""
+    n = len(alg.basis)
+    rad = linalg.kernel_basis(linalg.mat_pow(alg.e_ops[1], n))
     idx, pairing, piece = alg.index, alg.pairing, alg.residue_piece(0)
     constraints = []
     for u in rad:

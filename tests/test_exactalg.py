@@ -173,6 +173,25 @@ def test_mat_pow():
         linalg.mat_pow(a, -1)
 
 
+def test_generalized_kernel_squares_until_the_kernel_stops_growing(monkeypatch):
+    # a nilpotent Jordan block of index 5 beside an invertible 2 x 2 block with
+    # a Fraction entry: ker a^m has dimension 1, 2, 4, 5, 5 for m = 1, 2, 4, 8,
+    # 16, so the loop squares four times before it stops
+    a = linalg.zeros(7, 7)
+    for i in range(4):
+        a[i][i + 1] = 1
+    a[5][5], a[5][6], a[6][6] = 2, Fraction(1, 3), -1
+    squarings = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda x, y: squarings.append(x is y) or mat_mul(x, y))
+    kernel = linalg.generalized_kernel(a)
+    assert squarings == [True] * 4
+    monkeypatch.undo()
+    assert kernel == linalg.kernel_basis(linalg.mat_pow(a, 7)) == linalg.identity(7)[:5]
+    assert linalg.generalized_kernel(linalg.identity(3)) == []
+    assert linalg.generalized_kernel([[0, 1], [0, 0]]) == linalg.identity(2)
+
+
 def test_exact_div_types():
     assert linalg.exact_div(6, 3) == 2 and type(linalg.exact_div(6, 3)) is int
     assert linalg.exact_div(-7, 2) == Fraction(-7, 2)

@@ -14,6 +14,7 @@ from oracles import (
     perp_iso_check,
     perp_subalgebra_operators,
     pieri_on_label,
+    radical_by_power,
     rank,
     reduce,
     schubert,
@@ -272,6 +273,15 @@ def test_radical_38_matches_source_vector():
     assert rank(ring.e_ops[1]) == len(ring.basis) - 2
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_radical_by_squaring_matches_the_power_route(n):
+    # ker e_1^dim and its perp space, entry for entry and type for type
+    rad, perp = radical_and_perp(3, n)
+    expected = radical_by_power(build_ring(3, n))
+    typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
+    assert (typed(rad), typed(perp)) == (typed(expected[0]), typed(expected[1]))
+
+
 def test_perp_space_38_is_ambient():
     ring = build_ring(3, 8)
     _, perp = radical_and_perp(3, 8)
@@ -340,13 +350,15 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
         seen.append(ops)
         return commuting(ops)
 
-    # the ring build asserts it once, in the label-operator recursion, and
-    # the full-ring test relies on that
+    # the ring build asserts it, and the label-operator recursion again when
+    # the full-ring test first reads the label operators; the test relies on
+    # that
     monkeypatch.setattr(quantum, "commuting", recording)
     build_ring.cache_clear()
     ring = build_ring(3, 7)
-    assert full_ring_semisimple(3, 7)
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
+    assert full_ring_semisimple(3, 7)
+    assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]] * 2
     # every label operator is a polynomial in e_1, e_2, e_3, so a generator
     # that fails to commute must be caught by the recursion
     bad = copy.copy(ring)
@@ -356,6 +368,75 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
     assert not commuting([bad.e_ops[1], bad.e_ops[2], bad.e_ops[3]])
     with pytest.raises(InternalConsistencyError, match="do not commute"):
         mult_operators(bad)
+
+
+E_OPS_ONLY_COMMANDS = [
+    ["qh", "lefschetz", "--n", "7"],
+    ["qh", "lefschetz", "--n", "8"],
+    ["qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "6"],
+    ["qh", "charpoly", "--section", "--k", "3", "--n", "8", "--power", "5", "--with-e2"],
+]
+
+
+@pytest.mark.parametrize("argv", E_OPS_ONLY_COMMANDS, ids=" ".join)
+def test_e_operator_commands_build_no_label_operators(argv, capsys, monkeypatch):
+    from qhgrass import cli
+
+    calls = []
+    monkeypatch.setattr(quantum, "mult_operators", lambda alg: calls.append(alg))
+    build_ring.cache_clear()
+    assert cli.run(argv + ["--format", "json"]) == 0
+    assert calls == [] and not capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_each_ring_build_asserts_commutativity_of_its_e_operators(n, monkeypatch):
+    seen, built = [], []
+
+    def recording(ops):
+        seen.append(ops)
+        return commuting(ops)
+
+    monkeypatch.setattr(quantum, "commuting", recording)
+    monkeypatch.setattr(quantum, "mult_operators", lambda alg: built.append(alg))
+    ring = SectionRing(3, n)
+    assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]] and built == []
+
+
+def test_noncommuting_e_operators_are_refused_when_the_ring_is_built(capsys, monkeypatch):
+    from qhgrass import cli
+
+    e_operators = SectionRing._e_operators
+
+    def skewed(self, *args):
+        e_ops = e_operators(self, *args)
+        e_ops[2][0][-1] += 1
+        return e_ops
+
+    monkeypatch.setattr(SectionRing, "_e_operators", skewed)
+    build_ring.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="e_1..e_k do not commute"):
+        SectionRing(3, 8)
+    # qh lefschetz reads no label operator, and still exits 1
+    assert cli.run(["qh", "lefschetz", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: inconsistent Pieri images: e_1..e_k do not commute\n"
+
+
+def test_misaligned_section_power_is_refused_before_the_ring_is_built(capsys, monkeypatch):
+    from qhgrass import cli
+
+    calls = []
+    monkeypatch.setattr(section, "build_ring", lambda *args: calls.append(args))
+    monkeypatch.setattr(section, "SectionRing", lambda *args: calls.append(args))
+    for (k, n), message in [
+        ((3, 8), "the operator has degree 6, not a multiple of 7 = deg q"),
+        ((2, 8), "no section ring for (k, n) = (2, 8)"),  # the box is refused first
+    ]:
+        argv = ["qh", "charpoly", "--section", "--k", str(k), "--n", str(n), "--power", "6"]
+        assert cli.run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert calls == []
 
 
 def test_section_semisimplicity_reports():
