@@ -80,11 +80,8 @@ def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
     return at_zero, alternating
 
 
-def chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_SEED) -> UniPoly:
-    """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section.
-
-    `seed` is accepted for compatibility and has no effect.
-    """
+def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
+    """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section."""
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     d = k * (n - k)

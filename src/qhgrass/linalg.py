@@ -9,13 +9,15 @@ nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
 connected blocks of the pattern.  The Pieri recursions (quantum.mult_operators
 and quantum.evaluate_e_polynomials) run on sparse rows {column: value} through
 sparse_mul and sparse_combine, and only their results are made dense.
-Characteristic polynomials come from fraction-free elimination; the tests
-check them against the Berkowitz recursion.
+Determinants and characteristic polynomials share one fraction-free (Bareiss)
+elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
+tests check charpoly against the Berkowitz recursion.  There is no inverse and
+no solver: coordinates in an echelon basis are read off its pivots (see
+section.perp_piece_operators).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -250,45 +252,6 @@ def generalized_kernel(a: Matrix) -> list[list]:
     return kernel
 
 
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(a)
-    m = [_integral_entries(list(row)) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise InternalConsistencyError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        _eliminate(m, c, c)
-    return [row[n:] for row in m]
-
-
-class ColumnSpanSolver:
-    """Repeated exact coordinate extraction with respect to a fixed independent
-    column family: one square subblock is inverted up front and kept as an int
-    matrix over one common denominator, so a solve is int products and one
-    exact_div per coordinate; every solve is verified on the full columns."""
-
-    def __init__(self, columns: list[list]):
-        rows = len(columns[0])
-        a = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
-        pivots, _ = rref([list(r) for r in zip(*a)])  # row-pivot selection via transpose
-        if len(pivots) != len(columns):
-            raise InternalConsistencyError("columns are not linearly independent")
-        self.rows = pivots
-        inverse = mat_inverse([[a[r][j] for j in range(len(columns))] for r in pivots])
-        self.denominator = math.lcm(*(x.denominator for row in inverse for x in row if type(x) is Fraction))
-        self.scaled = [[int(x * self.denominator) for x in row] for row in inverse]
-        self.full = a
-
-    def coords(self, target: list) -> list:
-        sub = [target[r] for r in self.rows]
-        x = [exact_div(sum(c * t for c, t in zip(row, sub) if c), self.denominator) for row in self.scaled]
-        if mat_vec(self.full, x) != list(target):
-            raise InternalConsistencyError("vector lies outside the column span")
-        return x
-
-
 def _nonzero_blocks(a: Matrix) -> list[tuple[list[int], list[int]]]:
     """(rows, columns) of each connected block of a's nonzero pattern, where
     row i and column j are joined when a[i][j] != 0; ascending within a block."""
@@ -330,64 +293,57 @@ def det_bareiss(a: Matrix):
         return 0
     det = _sign([i for rows, _ in blocks for i in rows]) * _sign([j for _, cols in blocks for j in cols])
     for rows, cols in blocks:
-        det *= _bareiss([[a[i][j] for j in cols] for i in rows])
+        block = [[a[i][j] for j in cols] for i in rows]
+        integral = all(type(x) is int for row in block for x in row)
+        det *= _bareiss(block, _int_div if integral else exact_div)
     return _integral(det)
 
 
-def _bareiss(a: Matrix):
-    """Determinant by fraction-free (Bareiss) elimination on the whole matrix."""
+def _int_div(a: int, b: int) -> int:
+    """a // b, checked to be exact: a Bareiss step over Z divides exactly."""
+    q, r = divmod(a, b)
+    if r:
+        raise InternalConsistencyError("Bareiss division not exact")
+    return q
+
+
+def _bareiss(a: Matrix, divide):
+    """Determinant by fraction-free (Bareiss) elimination on the whole matrix,
+    over any ring whose exact quotient is divide(num, den): ints, Fractions or
+    UniPolys.  Each step divides by the previous pivot; the first divides by 1
+    and is skipped, so the entries need only +, -, * and a truth value."""
     n = len(a)
     if n == 0:
         return 1
     m = [list(row) for row in a]
-    # over the integers every division is exact in Z, which is checked
-    integral = all(type(x) is int for row in a for x in row)
     sign = 1
-    prev = 1
+    prev = None
     for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
                 return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        pivot_row, lead = m[k], m[k][k]
+        # column k below the pivot is never read again, so it is not cleared
+        for row in m[k + 1 :]:
+            below = row[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                if integral:
-                    q, r = divmod(num, prev)
-                    if r:
-                        raise InternalConsistencyError("Bareiss division not exact")
-                else:
-                    q = exact_div(num, prev)
-                m[i][j] = q
-            m[i][k] = 0
-        prev = m[k][k]
-    return _integral(sign * m[n - 1][n - 1])
+                num = row[j] * lead - below * pivot_row[j]
+                row[j] = num if prev is None else divide(num, prev)
+        prev = lead
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
 def charpoly(a: Matrix) -> UniPoly:
-    """Monic characteristic polynomial det(xI - a) by fraction-free elimination
-    over the polynomial ring."""
+    """Monic characteristic polynomial det(xI - a), by _bareiss over the
+    polynomial ring."""
     n = len(a)
-    m = [[UniPoly([-a[i][j], 1]) if i == j else UniPoly([-a[i][j]]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = UniPoly.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return UniPoly.zero()
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
-            m[i][k] = UniPoly.zero()
-        prev = m[k][k]
-    out = m[n - 1][n - 1] if n else UniPoly.one()
-    if sign < 0:
-        out = -out
-    if out.leading() != 1:
+    if n == 0:
+        return UniPoly.one()
+    x_minus_a = [[UniPoly([-a[i][j], 1]) if i == j else UniPoly([-a[i][j]]) for j in range(n)] for i in range(n)]
+    out = _bareiss(x_minus_a, UniPoly.div_exact)
+    if not out or out.leading() != 1:
         raise InternalConsistencyError("characteristic polynomial is not monic")
     return out

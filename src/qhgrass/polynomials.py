@@ -43,6 +43,10 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        """True when nonzero, as for ints and Fractions."""
+        return bool(self.coeffs)
+
     def leading(self):
         if not self.coeffs:
             return 0

@@ -24,10 +24,11 @@ per (box, p) and caches, so P_p and C_p share that sweep.  grassmannian takes
 P_1..P_k as its e-operators, and the section ring writes its own as products
 of P_p, C_p and C_1 (see section).
 
-Label operators come from one triangular Pieri recursion (mult_operators) for
-both constructors, run the first time label_ops is read.  It asserts that
-e_1..e_k commute (require_commuting), as the section ring also does when it
-is built, and reads each image it needs off a column of an e-operator, so no
+GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting),
+for both constructors, and that is the only place the certificate is
+checked.  Label operators come from one triangular Pieri recursion
+(mult_operators), run the first time label_ops is read.  It relies on that
+assertion and reads each image it needs off a column of an e-operator, so no
 Littlewood-Richardson rule is needed; the Giambelli route lives with the
 tests as an independent check, so the quantum Giambelli property is a
 checked invariant rather than an input.  That recursion and the polynomial
@@ -128,7 +129,8 @@ class GradedAlgebra:
 
     A constructor supplies the basis, the degree r of q, the e-operators and
     the pairing; column j of e_ops[p] is the Pieri image e_p * basis[j] at
-    q = q_value.  label_ops, the multiplication operator of every partition
+    q = q_value.  The constructor asserts that the e-operators commute, the
+    one place that is checked.  label_ops, the multiplication operator of every partition
     label, comes from mult_operators when first read.  grassmannian builds
     Gr(k, n); section.SectionRing, which overrides label_degree, builds a
     hyperplane section.
@@ -139,6 +141,7 @@ class GradedAlgebra:
         self.basis = tuple(basis)
         self.index = {lab: i for i, lab in enumerate(self.basis)}
         self.r, self.q_value = r, q_value
+        require_commuting(e_ops)
         self.e_ops = e_ops
         self.pairing = pairing
 
@@ -164,14 +167,6 @@ class GradedAlgebra:
     def residue_piece(self, residue: int = 0) -> tuple:
         """Labels whose degree is congruent to the residue mod r."""
         return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r == residue)
-
-    def restrict(self, op: Matrix, piece) -> Matrix:
-        """Restriction of an operator to the span of the piece's labels."""
-        return restrict_to_coords(op, [self.index[lab] for lab in piece])
-
-    def charpoly_on_piece(self, op: Matrix, piece) -> UniPoly:
-        """Exact monic characteristic polynomial of the restriction to a piece."""
-        return linalg.charpoly(self.restrict(op, piece))
 
     def e_charpoly(self, power: int, with_e2: bool = False) -> UniPoly:
         """Characteristic polynomial of e_1^power (optionally * e_2) on the
@@ -225,13 +220,13 @@ def mult_operators(alg: GradedAlgebra) -> dict:
 
     fills the table in one pass in (degree, lex) order, checking that lam has
     coefficient 1 and that every mu is already built.  By induction L_lam is
-    a polynomial in e_1..e_k that sends the unit to lam; once e_1..e_k are
-    asserted to commute, it is multiplication by lam on every class the unit
-    reaches.  Labels that are not partitions (the section's beta) get no
-    operator.  The recursion runs on sparse rows (linalg.sparse_mul), and the
-    table holds each operator made dense once, in basis order.
+    a polynomial in e_1..e_k that sends the unit to lam; since e_1..e_k
+    commute, which GradedAlgebra's constructor asserted, it is multiplication
+    by lam on every class the unit reaches.  Labels that are not
+    partitions (the section's beta) get no operator.  The recursion runs on
+    sparse rows (linalg.sparse_mul), and the table holds each operator made
+    dense once, in basis order.
     """
-    require_commuting(alg.e_ops)
     dim = len(alg.basis)
     e_rows = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()}
     ops = {(): linalg.sparse_rows(linalg.identity(dim))}
@@ -296,7 +291,8 @@ def presentation_check(box: Box, q_value=1) -> bool:
     """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q."""
     n, k = box.n, box.k
     polys = [sigma_e_polynomial(m, k) for m in range(n - k + 1, n + 1)]
-    *vanishing, top = evaluate_e_polynomials(polys, grassmannian(box, q_value).e_ops)
+    generators = {p: pieri_matrix(box, p, q_value) for p in range(1, k + 1)}
+    *vanishing, top = evaluate_e_polynomials(polys, generators)
     if not all(map(linalg.is_zero_matrix, vanishing)):
         return False
     expected = [((-1) ** k * q_value, linalg.identity(len(top)))]
@@ -336,8 +332,8 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     matrix trace(ops_i ops_j) of its regular representation is nonsingular.
 
     ops[c] multiplies by the c-th basis element, in that basis, and the
-    operators commute; the caller asserts that on generators (mult_operators
-    on e_1..e_k, perp_subalgebra_semisimple on the perp piece's generators and
+    operators commute; that is asserted on generators (GradedAlgebra's
+    constructor on e_1..e_k, perp_subalgebra_semisimple on the perp piece's generators and
     e_1^r).  The Gram matrix splits by residue of degree mod deg q, so
     det_bareiss factors it by blocks.
     """

@@ -25,17 +25,17 @@ Y, to 0.  The quotient's cup-sigma_1 blocks and the pairing are read off C_1
 as well.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, beside
-Gr(k, n) itself.  Its constructor asserts that e_1..e_k commute, so no ring
-is handed out uncertified, and builds nothing more than a caller of e_ops
-(the Lefschetz check, section_charpoly) reads.  The multiplication operator
-L_lam of every ambient basis class is built the first time label_ops is read,
-by the same triangular recursion as for Gr(k, n), L_lam = E_p L_lam' - sum c
-q^d L_mu (quantum.mult_operators), with e_p * lam' read off column lam' of
-E_p.  Two facts certify it on the ambient classes.  The unit is cyclic: by
-induction L_lam is a polynomial in e_1..e_k sending the unit to lam.  And
-e_1..e_k commute, which the constructor asserts and the recursion asserts
-again.  Together they
-give every Pieri identity e_p L_mu = sum c q^d L_lab there: both sides are
+Gr(k, n) itself.  GradedAlgebra's constructor asserts that e_1..e_k commute,
+and nothing else does, so no ring is handed out uncertified; SectionRing
+builds nothing more than a caller of e_ops (the Lefschetz check,
+section_charpoly) reads.  The multiplication operator L_lam of every ambient
+basis class is built the first time label_ops is read, by the same
+triangular recursion as for Gr(k, n), L_lam = E_p L_lam' - sum c q^d L_mu
+(quantum.mult_operators), with e_p * lam' read off column lam' of E_p.  Two
+facts certify it on the ambient classes.  The unit is cyclic: by induction
+L_lam is a polynomial in e_1..e_k sending the unit to lam.  And e_1..e_k
+commute, which was asserted when the ring was built.  Together they give
+every Pieri identity e_p L_mu = sum c q^d L_lab there: both sides are
 polynomials in e_1..e_k that agree on the unit, hence on every class the unit
 reaches.  Every e_p kills beta, so each L_lam acts on beta by the constant
 term of its polynomial; the tests check the identities on the whole ring,
@@ -85,7 +85,6 @@ from .quantum import (
     commuting,
     evaluate_e_polynomials,
     pieri_matrix,
-    require_commuting,
     schubert_basis,
     semisimple_test,
     sigma_e_polynomial,
@@ -115,9 +114,6 @@ class SectionRing(GradedAlgebra):
         self._build_quotient(cup1)
         basis = self._quotient_basis(hodge.diamond(k, n))
         e_ops = self._e_operators(basis, q_value, cup1)
-        # certified here; label_ops, which only some callers read, are built
-        # by mult_operators the first time they are read
-        require_commuting(e_ops)
         super().__init__(self.box, basis, r, q_value, e_ops, self._pairing(basis, cup1))
 
     def _e_operators(self, basis, q_value, cup1) -> dict[int, Matrix]:
@@ -163,12 +159,10 @@ class SectionRing(GradedAlgebra):
             for vec in kernel:
                 lead = next(i for i, c in enumerate(vec) if c != 0)
                 pivots.append(lead)
-                rel = {
-                    parts[j]: linalg.exact_div(-vec[j], vec[lead])
-                    for j in range(lead + 1, len(parts))
-                    if vec[j]
+                # the kernel basis is reduced: vec[lead] is 1
+                self.relations[parts[lead]] = {
+                    parts[j]: -vec[j] for j in range(lead + 1, len(parts)) if vec[j]
                 }
-                self.relations[parts[lead]] = rel
             self.degree_basis[m] = tuple(p for i, p in enumerate(parts) if i not in pivots)
 
     def _quotient_basis(self, diamond: hodge.HodgeDiamond) -> tuple:
@@ -219,34 +213,14 @@ def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPo
     return build_ring(k, n).e_charpoly(power, with_e2)
 
 
-# The explicit lifts of the presentation relations in e_1, e_2, e_3, printed
-# in the source for the quantum Lefschetz identities; keys are exponent
-# vectors (a_1, a_2, a_3) for e_1^{a_1} e_2^{a_2} e_3^{a_3}.
-H6 = {
-    (6, 0, 0): 1, (4, 1, 0): -5, (2, 2, 0): 6, (3, 0, 1): 4,
-    (0, 3, 0): -1, (1, 1, 1): -6, (0, 0, 2): 1,
-}
-H7 = {
-    (7, 0, 0): 1, (5, 1, 0): -6, (3, 2, 0): 10, (4, 0, 1): 5,
-    (1, 3, 0): -4, (2, 1, 1): -12, (0, 2, 1): 3, (1, 0, 2): 3,
-}
-H8 = {
-    (8, 0, 0): 1, (6, 1, 0): -7, (4, 2, 0): 15, (5, 0, 1): 6,
-    (2, 3, 0): -10, (3, 1, 1): -20, (0, 4, 0): 1, (1, 2, 1): 12,
-    (2, 0, 2): 6, (0, 1, 2): -3,
-}
-_H_POLYS = {6: H6, 7: H7, 8: H8}
-
-
 def lefschetz_relation_check(n: int) -> bool:
-    """Verify h_{n-1} = 0 and h_n = q e_1 in the section operator algebra."""
+    """Verify h_{n-1} = 0 and h_n = q e_1 in the section operator algebra,
+    with h_m = sigma_m written in e_1, e_2, e_3 (sigma_e_polynomial)."""
     if n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
-    for m, poly in _H_POLYS.items():
-        if poly != sigma_e_polynomial(m, 3):
-            raise InternalConsistencyError(f"stored h_{m} differs from the derived relation")
     ring = build_ring(3, n)
-    h_prev, h_top = evaluate_e_polynomials([_H_POLYS[n - 1], _H_POLYS[n]], ring.e_ops)
+    polys = [sigma_e_polynomial(n - 1, 3), sigma_e_polynomial(n, 3)]
+    h_prev, h_top = evaluate_e_polynomials(polys, ring.e_ops)
     dim = len(ring.basis)
     q_e1 = linalg.mat_combine([(ring.q_value, ring.e_ops[1])], linalg.zeros(dim, dim))
     return linalg.is_zero_matrix(h_prev) and h_top == q_e1
@@ -261,6 +235,11 @@ def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     the increasing kernels have then stopped for good, so ker e_1^m is
     ker e_1^dim, with the same echelon basis.  On (3, 8) ker e_1 is already
     the radical, so that is one squaring, against about nine for e_1^51.
+
+    The perp vectors are the reduced echelon kernel basis of the pairing
+    constraints (or the identity when the radical is empty), written in the
+    piece's labels, which are in basis order; perp_piece_operators reads
+    coordinates off their pivots.
     """
     ring = build_ring(k, n)
     dim = len(ring.basis)
@@ -287,14 +266,24 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
     """Multiplication by each perp vector v_j, and e_1^r, as matrices on the
     perp space P in the basis perp (p x p each, p = len(perp)).
 
-    Each image is solved for in that basis, and every solve checks that the
-    image lies in P: v_i * v_j does, so P is closed under multiplication, and
-    e_1^r v_j does, so e_1^r maps P into P.
+    The coordinates of an image are read, not solved for.  radical_and_perp
+    gives P a reduced echelon basis: each v_i has a leading 1 at its pivot,
+    where every other v_j is 0, so an image w in P has its entries at the
+    pivots as coordinates.  Every reading is checked by rebuilding w from
+    them: v_i * v_j lies in P, so P is closed under multiplication, and
+    e_1^r v_j lies in P, so e_1^r maps P into P.
     """
-    solver = linalg.ColumnSpanSolver(perp)
+    pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
+    columns = [list(row) for row in zip(*perp)]
 
     def on_piece(images: list[list]) -> Matrix:
-        return [list(row) for row in zip(*(solver.coords(v) for v in images))]
+        coords = []
+        for w in images:
+            x = [w[i] for i in pivots]
+            if linalg.mat_vec(columns, x) != w:
+                raise InternalConsistencyError("vector lies outside the column span")
+            coords.append(x)
+        return [list(row) for row in zip(*coords)]
 
     generators = []
     for v in perp:

@@ -26,7 +26,17 @@ route:
   trace form on P alone (section.perp_subalgebra_semisimple).
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
-- rank and solve are exact row reduction through linalg.rref.
+- rank and solve are exact row reduction through linalg.rref.  mat_inverse
+  (Gauss-Jordan) and ColumnSpanSolver, which solves for coordinates in an
+  independent column family through one inverted subblock, are the solve
+  route; section.perp_piece_operators reads coordinates off the pivots of an
+  echelon basis instead.
+- restrict and charpoly_on_piece restrict an operator to a piece of basis
+  labels (quantum.restrict_to_coords) and take its characteristic polynomial
+  there.
+- PRINTED_H holds the lifts h_6, h_7, h_8 of the presentation relations in
+  e_1, e_2, e_3 as printed in the source; section.lefschetz_relation_check
+  derives them (quantum.sigma_e_polynomial).
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
   bijection and the bitmask core search without the overhang prune, which
   visits every box complement of at most n - 1 cells.
@@ -46,6 +56,7 @@ cover.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -54,7 +65,14 @@ from qhgrass.errors import InternalConsistencyError, InvalidInputError, Undeterm
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, canonical, size, transpose
 from qhgrass.polynomials import UniPoly
-from qhgrass.quantum import grassmannian, pieri_matrix, quantum_pieri, schubert_basis, vertical_strip_additions
+from qhgrass.quantum import (
+    grassmannian,
+    pieri_matrix,
+    quantum_pieri,
+    restrict_to_coords,
+    schubert_basis,
+    vertical_strip_additions,
+)
 from qhgrass.rootdata import DynkinType, GrassmannianId, _edges, _root_lengths
 from qhgrass.screen import BettiProfile, profile_of
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
@@ -68,6 +86,36 @@ SMALL_TYPES = tuple(
     )
     for rank in ranks
 )
+
+# The explicit lifts of the presentation relations in e_1, e_2, e_3, printed
+# in the source for the quantum Lefschetz identities; keys are exponent
+# vectors (a_1, a_2, a_3) for e_1^{a_1} e_2^{a_2} e_3^{a_3}.
+PRINTED_H = {
+    6: {
+        (6, 0, 0): 1, (4, 1, 0): -5, (2, 2, 0): 6, (3, 0, 1): 4,
+        (0, 3, 0): -1, (1, 1, 1): -6, (0, 0, 2): 1,
+    },
+    7: {
+        (7, 0, 0): 1, (5, 1, 0): -6, (3, 2, 0): 10, (4, 0, 1): 5,
+        (1, 3, 0): -4, (2, 1, 1): -12, (0, 2, 1): 3, (1, 0, 2): 3,
+    },
+    8: {
+        (8, 0, 0): 1, (6, 1, 0): -7, (4, 2, 0): 15, (5, 0, 1): 6,
+        (2, 3, 0): -10, (3, 1, 1): -20, (0, 4, 0): 1, (1, 2, 1): 12,
+        (2, 0, 2): 6, (0, 1, 2): -3,
+    },
+}
+
+
+def restrict(alg, op: Matrix, piece) -> Matrix:
+    """Restriction of an operator to the span of the piece's labels."""
+    return restrict_to_coords(op, [alg.index[lab] for lab in piece])
+
+
+def charpoly_on_piece(alg, op: Matrix, piece) -> UniPoly:
+    """Exact monic characteristic polynomial of the restriction to a piece."""
+    return linalg.charpoly(restrict(alg, op, piece))
+
 
 # -- exact linear systems -------------------------------------------------------
 
@@ -93,6 +141,45 @@ def solve(a: Matrix, b: list) -> list:
     if any(sum(row[j] * x[j] for j in range(cols)) != bi for row, bi in zip(a, b)):
         raise InternalConsistencyError("exact solve verification failed")
     return x
+
+
+def mat_inverse(a: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan elimination."""
+    n = len(a)
+    m = [linalg._integral_entries(list(row)) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            raise InternalConsistencyError("matrix is singular")
+        m[c], m[pivot] = m[pivot], m[c]
+        linalg._eliminate(m, c, c)
+    return [row[n:] for row in m]
+
+
+class ColumnSpanSolver:
+    """Repeated exact coordinate extraction with respect to a fixed independent
+    column family: one square subblock is inverted up front and kept as an int
+    matrix over one common denominator, so a solve is int products and one
+    exact_div per coordinate; every solve is verified on the full columns."""
+
+    def __init__(self, columns: list[list]):
+        rows = len(columns[0])
+        a = [[columns[j][i] for j in range(len(columns))] for i in range(rows)]
+        pivots, _ = linalg.rref([list(r) for r in zip(*a)])  # row-pivot selection via transpose
+        if len(pivots) != len(columns):
+            raise InternalConsistencyError("columns are not linearly independent")
+        self.rows = pivots
+        inverse = mat_inverse([[a[r][j] for j in range(len(columns))] for r in pivots])
+        self.denominator = math.lcm(*(x.denominator for row in inverse for x in row if type(x) is Fraction))
+        self.scaled = [[int(x * self.denominator) for x in row] for row in inverse]
+        self.full = a
+
+    def coords(self, target: list) -> list:
+        sub = [target[r] for r in self.rows]
+        x = [linalg.exact_div(sum(c * t for c, t in zip(row, sub) if c), self.denominator) for row in self.scaled]
+        if linalg.mat_vec(self.full, x) != list(target):
+            raise InternalConsistencyError("vector lies outside the column span")
+        return x
 
 
 # -- beta sets and the unpruned core search --------------------------------------
@@ -751,7 +838,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     if rank(perp_powers) != dim0:
         return False
     # matrix of the generator on the perp space, then compare spectra
-    solver = linalg.ColumnSpanSolver(perp)
+    solver = ColumnSpanSolver(perp)
     coords = [solver.coords(project(linalg.mat_vec(gen_y, v))) for v in perp]
     char_y = linalg.charpoly([list(col) for col in zip(*coords)])
     if char_x != char_y:
@@ -786,7 +873,7 @@ def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list
     """
     w = perp_subalgebra_basis(ring, perp)
     sub_dim = len(w)
-    solver = linalg.ColumnSpanSolver(w)
+    solver = ColumnSpanSolver(w)
 
     def restrict(full: Matrix) -> Matrix:
         cols = [solver.coords(linalg.mat_vec(full, wv)) for wv in w]

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import interpolate, perp_subalgebra_operators, poly_from_roots, rank, solve
+from oracles import (
+    ColumnSpanSolver,
+    interpolate,
+    mat_inverse,
+    perp_subalgebra_operators,
+    poly_from_roots,
+    rank,
+    solve,
+)
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.polynomials import UniPoly
@@ -20,6 +28,7 @@ def test_unipoly_basics():
     assert p(2) == 1 + 4 + 12
     assert UniPoly([1, 0, 0]).coeffs == (1,)
     assert UniPoly().is_zero() and UniPoly().degree == -1
+    assert not UniPoly() and not UniPoly([0, 0]) and UniPoly([0, 1]) and UniPoly([Fraction(1, 2)])
     assert UniPoly([Fraction(4, 2)]).coeffs == (2,)
 
 
@@ -92,11 +101,11 @@ def test_kernel_rank_solve():
 def test_det_and_inverse():
     a = [[2, 1], [1, 1]]
     assert linalg.det_bareiss(a) == 1
-    inv = linalg.mat_inverse(a)
+    inv = mat_inverse(a)
     assert linalg.mat_mul(a, inv) == linalg.identity(2)
     assert linalg.det_bareiss([[1, 2], [2, 4]]) == 0
     with pytest.raises(InternalConsistencyError):
-        linalg.mat_inverse([[1, 2], [2, 4]])
+        mat_inverse([[1, 2], [2, 4]])
 
 
 def charpoly_berkowitz(a) -> UniPoly:
@@ -157,12 +166,12 @@ def test_trace_product_matches_explicit():
 
 def test_column_span_solver():
     cols = [[1, 0, 2], [0, 1, 3]]
-    solver = linalg.ColumnSpanSolver(cols)
+    solver = ColumnSpanSolver(cols)
     assert solver.coords([1, 1, 5]) == [1, 1]
     with pytest.raises(InternalConsistencyError):
         solver.coords([1, 1, 6])
     with pytest.raises(InternalConsistencyError):
-        linalg.ColumnSpanSolver([[1, 2], [2, 4]])
+        ColumnSpanSolver([[1, 2], [2, 4]])
 
 
 def test_mat_pow():
@@ -234,6 +243,32 @@ _scalars = st.one_of(
 )
 
 
+def test_charpoly_of_the_empty_matrix_is_one():
+    assert linalg.charpoly([]) == UniPoly.one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda m: st.lists(_scalars, min_size=m * m, max_size=m * m)))
+def test_bareiss_over_polynomials_is_the_charpoly(entries):
+    # charpoly is _bareiss run on xI - a with UniPoly.div_exact
+    m = int(len(entries) ** 0.5)
+    a = [entries[i * m : (i + 1) * m] for i in range(m)]
+    x_minus_a = [[UniPoly([-a[i][j], int(i == j)]) for j in range(m)] for i in range(m)]
+    assert linalg._bareiss(x_minus_a, UniPoly.div_exact) == linalg.charpoly(a) == charpoly_berkowitz(a)
+
+
+def test_bareiss_over_the_integers_checks_every_division():
+    assert linalg._bareiss([[2, 1], [1, 1]], linalg._int_div) == 1
+    with pytest.raises(InternalConsistencyError, match="Bareiss division not exact"):
+        linalg._int_div(7, 2)
+    # a wrong elimination step shows as an inexact division in Z
+    def off_by_one(num, prev):
+        return linalg._int_div(num + 1, prev)
+
+    with pytest.raises(InternalConsistencyError, match="Bareiss division not exact"):
+        linalg._bareiss([[2, 1, 0], [1, 2, 1], [0, 1, 3]], off_by_one)
+
+
 @st.composite
 def _matrices(draw, square=False):
     rows = draw(st.integers(1, 4))
@@ -263,7 +298,7 @@ def test_solve_round_trips(a, x):
         return
     assert solve(a, b) == x
     assert _int_first(solve(a, b))
-    inv = linalg.mat_inverse(a)
+    inv = mat_inverse(a)
     assert linalg.mat_mul(a, inv) == linalg.identity(len(a)) and _int_first(inv)
 
 
@@ -276,7 +311,7 @@ def test_integral_results_are_ints(entries):
     lower = [[1 if i == j else (entries[i * m + j] if i > j else 0) for j in range(m)] for i in range(m)]
     upper = [[1 if i == j else (entries[i * m + j] if i < j else 0) for j in range(m)] for i in range(m)]
     a = linalg.mat_mul(lower, upper)
-    assert all(type(x) is int for row in linalg.mat_inverse(a) for x in row)
+    assert all(type(x) is int for row in mat_inverse(a) for x in row)
     x = entries[:m]
     assert [type(v) for v in solve(a, linalg.mat_vec(a, x))] == [int] * m
     fractional = [[Fraction(v) for v in row] for row in a]
@@ -301,7 +336,7 @@ def _leibniz(a):
 
 def _single_block_det(a):
     """The determinant by Bareiss elimination on the whole matrix, unsplit."""
-    return linalg._bareiss(a)
+    return linalg._integral(linalg._bareiss(a, linalg.exact_div))
 
 
 @st.composite
@@ -443,11 +478,11 @@ def test_scaled_span_solver_matches_the_fraction_inverse(family):
     columns, weights, extra = family
     if rank(columns) < len(columns):
         with pytest.raises(InternalConsistencyError):
-            linalg.ColumnSpanSolver(columns)
+            ColumnSpanSolver(columns)
         return
-    solver = linalg.ColumnSpanSolver(columns)
+    solver = ColumnSpanSolver(columns)
     assert all(type(x) is int for row in solver.scaled for x in row)
-    inverse = linalg.mat_inverse([[col[r] for col in columns] for r in solver.rows])
+    inverse = mat_inverse([[col[r] for col in columns] for r in solver.rows])
     target = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(len(columns[0]))]
     coords = solver.coords(target)
     assert coords == weights == linalg.mat_vec(inverse, [target[r] for r in solver.rows])

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -75,10 +76,12 @@ def test_chi_y_section_general_shape():
 
 
 def test_parameter_independence():
-    for k, n in [(3, 6), (3, 7), (3, 8), (3, 9), (4, 8)]:
-        a = chi_y(k, n, section=True, seed=101)
-        b = chi_y(k, n, section=True, seed=20240202)
-        assert a == b, (k, n)
+    # the localization oracle's torus weights come from its seed; the genus
+    # does not depend on them
+    for k, n in [(3, 6), (3, 7)]:
+        a = localized_chi_y(k, n, section=True, seed=101)
+        b = localized_chi_y(k, n, section=True, seed=20240202)
+        assert a == b == chi_y(k, n, section=True), (k, n)
 
 
 def test_diamonds_golden():
@@ -181,8 +184,17 @@ def test_section_profile_matches_sg_transfer():
         assert from_diamond.index == x_profile.index
 
 
-def test_seed_flag_changes_nothing(capfd):
-    assert chi_y(2, 4, seed=DEFAULT_SEED) == chi_y(2, 4, seed=DEFAULT_SEED + 17)
+def test_seed_flag_changes_nothing(capsys):
+    # chi_y is seedless: --seed is only echoed in the inputs
+    docs = []
+    for seed in (DEFAULT_SEED, DEFAULT_SEED + 17):
+        for section in ([], ["--section"]):
+            argv = ["hodge", "--k", "2", "--n", "4", *section, "--seed", str(seed), "--format", "json"]
+            assert cli.run(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["inputs"].pop("seed") == seed
+            docs.append(doc)
+    assert docs[:2] == docs[2:]
 
 
 # -- the localization oracle ----------------------------------------------------

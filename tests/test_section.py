@@ -1,11 +1,12 @@
-import copy
 import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from oracles import (
+    PRINTED_H,
     ClassVector,
+    ColumnSpanSolver,
     beta,
     betti_numbers,
     build_lifts,
@@ -30,10 +31,12 @@ from qhgrass.errors import InternalConsistencyError, InvalidInputError, Undeterm
 from qhgrass.partitions import Box, box_partitions_of_size, size
 from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
+    GradedAlgebra,
     commuting,
     grassmannian,
     mult_operators,
     schubert_basis,
+    sigma_e_polynomial,
     trace_form_gram,
 )
 from qhgrass.section import (
@@ -240,6 +243,13 @@ def test_lefschetz_identities():
         lefschetz_relation_check(6)
 
 
+def test_printed_h_polynomials_are_the_derived_relations():
+    # the source prints h_6, h_7, h_8 in e_1, e_2, e_3; lefschetz_relation_check
+    # evaluates the derived sigma_e_polynomial(m, 3) instead
+    for m, printed in PRINTED_H.items():
+        assert sigma_e_polynomial(m, 3) == printed, m
+
+
 def test_radical_37_trivial():
     rad, perp = radical_and_perp(3, 7)
     assert rad == []
@@ -327,6 +337,43 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
     assert det_s != 0
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
+    ring = build_ring(3, n)
+    _, perp = radical_and_perp(3, n)
+    # a reduced echelon basis: a leading 1 at each pivot, 0 there in the others
+    pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
+    assert [[v[i] for i in pivots] for v in perp] == linalg.identity(len(perp))
+    generators, shift = section.perp_piece_operators(ring, perp)
+    solver = ColumnSpanSolver(perp)
+
+    def solved(images):
+        return [list(row) for row in zip(*(solver.coords(w) for w in images))]
+
+    for v, op in zip(perp, generators):
+        mult = ring.mult_operator(list(v))
+        assert op == solved([linalg.mat_vec(mult, u) for u in perp])
+    e1_power = linalg.mat_pow(ring.e_ops[1], ring.r)
+    assert shift == solved([linalg.mat_vec(e1_power, u) for u in perp])
+
+
+def test_a_vector_outside_the_perp_space_is_refused(capsys, monkeypatch):
+    from qhgrass import cli
+
+    ring = build_ring(3, 8)
+    rad, perp = radical_and_perp(3, 8)
+    # without its last vector the span misses some products; with v_0 + v_1 in
+    # place of v_0 the pivot reading is wrong, and rebuilding the image shows it
+    not_reduced = [[a + b for a, b in zip(perp[0], perp[1])]] + perp[1:]
+    for basis in (perp[:-1], not_reduced):
+        with pytest.raises(InternalConsistencyError, match="vector lies outside the column span"):
+            section.perp_piece_operators(ring, basis)
+    monkeypatch.setattr(section, "radical_and_perp", lambda k, n: (rad, perp[:-1]))
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: vector lies outside the column span\n"
+
+
 def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(capsys, monkeypatch):
     from qhgrass import cli
 
@@ -350,24 +397,22 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
         seen.append(ops)
         return commuting(ops)
 
-    # the ring build asserts it, and the label-operator recursion again when
-    # the full-ring test first reads the label operators; the test relies on
-    # that
+    # the ring build asserts it once; reading the label operators for the
+    # full-ring test, which relies on it, asserts nothing more
     monkeypatch.setattr(quantum, "commuting", recording)
     build_ring.cache_clear()
     ring = build_ring(3, 7)
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
     assert full_ring_semisimple(3, 7)
-    assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]] * 2
-    # every label operator is a polynomial in e_1, e_2, e_3, so a generator
-    # that fails to commute must be caught by the recursion
-    bad = copy.copy(ring)
-    bad.e_ops = dict(ring.e_ops)
-    bad.e_ops[2] = [row[:] for row in ring.e_ops[2]]
-    bad.e_ops[2][0][-1] += 1
-    assert not commuting([bad.e_ops[1], bad.e_ops[2], bad.e_ops[3]])
+    assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
+    # every label operator is a polynomial in e_1, e_2, e_3, so an algebra
+    # whose generators fail to commute must be refused when it is built
+    e_ops = dict(ring.e_ops)
+    e_ops[2] = [row[:] for row in ring.e_ops[2]]
+    e_ops[2][0][-1] += 1
+    assert not commuting([e_ops[1], e_ops[2], e_ops[3]])
     with pytest.raises(InternalConsistencyError, match="do not commute"):
-        mult_operators(bad)
+        GradedAlgebra(ring.box, ring.basis, ring.r, ring.q_value, e_ops, ring.pairing)
 
 
 E_OPS_ONLY_COMMANDS = [
@@ -494,24 +539,28 @@ def test_lift_operator_agrees_with_recursion():
 
 def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monkeypatch):
     def perturbed(n, p, lab, change):
-        # a copy of the ring whose image e_p * lab, column lab of E_p, is changed
-        ring = copy.copy(build_ring(3, n))
-        ring.e_ops = {pp: [row[:] for row in op] for pp, op in ring.e_ops.items()}
+        # the ring's algebra with the image e_p * lab, column lab of E_p,
+        # changed; building it asserts that its e-operators commute
+        ring = build_ring(3, n)
+        e_ops = {pp: [row[:] for row in op] for pp, op in ring.e_ops.items()}
         col = ring.index[lab]
-        image = change(ring, [row[col] for row in ring.e_ops[p]])
-        for row, x in zip(ring.e_ops[p], image):
+        image = change(ring, [row[col] for row in e_ops[p]])
+        for row, x in zip(e_ops[p], image):
             row[col] = x
-        return ring
+        return GradedAlgebra(ring.box, ring.basis, ring.r, ring.q_value, e_ops, ring.pairing)
 
     def perturb(n, p, lab, change, match):
+        # refused when the algebra is built, or by the recursion
         with pytest.raises(InternalConsistencyError, match=match):
             mult_operators(perturbed(n, p, lab, change))
 
     def plus(terms, sign=1):
         return lambda ring, image: [a + sign * b for a, b in zip(image, vector(ring, ClassVector(ring.box, terms)))]
 
-    # e_1 * 1 = 0 leaves sigma_1 without an equation
-    perturb(7, 1, (), lambda ring, image: [0] * len(image), "do not commute")
+    # e_1 * 1 = 0 leaves sigma_1 without an equation; the algebra is refused
+    # when it is built
+    with pytest.raises(InternalConsistencyError, match="do not commute"):
+        perturbed(7, 1, (), lambda ring, image: [0] * len(image))
     # one extra (label, q power) term in the image of one (p, label)
     for p, lab, extra in [(1, (), ((1,), 0)), (2, (2, 1), ((3, 2), 0)), (3, (4, 1), ((2,), 1))]:
         perturb(7, p, lab, plus({extra: 1}), "inconsistent")
