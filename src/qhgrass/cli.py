@@ -6,10 +6,11 @@ it verbatim, --format table renders it through a pure function of the
 document, so the two modes always agree.
 
 One table, COMMANDS, names every command's help, arguments, handler and table
-renderer.  A run builds only the parser of the command it invokes, since
-building every subparser costs more than most commands compute; any other
-argv gets the whole tree, so help and error text read the same.  Handlers are
-looked up by name each time a parser is built, so a patched module-level
+renderer.  A run parses a named command with that command's parser alone
+(leaf_parser), since building every subparser costs more than most commands
+compute; any other argv, or arguments the leaf leaves over, gets the whole
+tree (build_parser), so help, usage and error text read the same.  Handlers
+are looked up by name each time a parser is built, so a patched module-level
 `_cmd_*` function is the one that runs.
 
 Exit codes: 0 success, 2 invalid input or usage, 1 internal consistency
@@ -375,50 +376,57 @@ def render_table(doc: dict) -> str:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _subparsers(parser, dest: str, names: list[str], lazy: bool):
-    # a lazy tree shows the whole choice list, so its usage lines read the same
-    metavar = "{" + ",".join(dict.fromkeys(names)) + "}" if lazy else None
-    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give a parser the arguments of one command of COMMANDS, and its handler."""
+    _, specs, handler, _ = COMMANDS[name]
+    for flag, kwargs in specs:
+        parser.add_argument(flag, **kwargs)
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    # looked up at build time, so a patched module global is the one called
+    parser.set_defaults(handler=globals()[handler])
+    return parser
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of the command that argv names, or of every command.
+def leaf_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, with the prog its subparser has in the tree."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"qhgrass {name}"), name)
 
-    When argv starts with the words of a command, only that leaf is built
-    (with the qh parser above a qh leaf).  Anything else, such as no argv,
-    -h, a typo or a bare qh, gets the whole tree, so help, usage and errors
-    read the same either way.
-    """
-    names = [name for name in COMMANDS if argv and name.split() == argv[: len(name.split())]]
-    lazy = bool(names)
-    names = names or list(COMMANDS)
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: every command, with the qh leaves under qh."""
     parser = argparse.ArgumentParser(
         prog="qhgrass",
         description="Exact quantum cohomology and Hodge-theoretic invariants of "
         "Grassmannians and their hyperplane sections.",
     )
-    sub = _subparsers(parser, "command", [name.split()[0] for name in COMMANDS], lazy)
+    sub = parser.add_subparsers(dest="command", required=True)
     qh_sub = None
-    for name in names:
-        help_text, specs, handler, _ = COMMANDS[name]
+    for name, (help_text, *_) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group and qh_sub is None:
-            qh = sub.add_parser(group, help=QH_HELP)
-            qh_sub = _subparsers(qh, "qh_command", [n.split()[1] for n in COMMANDS if " " in n], lazy)
-        p = (qh_sub if group else sub).add_parser(leaf, help=help_text)
-        for flag, kwargs in specs:
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        # looked up at build time, so a patched module global is the one called
-        p.set_defaults(handler=globals()[handler])
+            qh_sub = sub.add_parser(group, help=QH_HELP).add_subparsers(dest="qh_command", required=True)
+        _add_arguments((qh_sub if group else sub).add_parser(leaf, help=help_text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the leaf parser of the command it names, since building
+    every subparser costs more than most commands compute.  Anything else,
+    such as -h, a typo, a bare qh, or arguments left over after the leaf has
+    read its own, goes to the whole tree, so help, usage and errors read as
+    they always have."""
+    name = next((name for name in COMMANDS if name.split() == argv[: len(name.split())]), None)
+    if name is not None:
+        args, extra = leaf_parser(name).parse_known_args(argv[len(name.split()) :])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -7,8 +7,9 @@ products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
 connected blocks of the pattern.  The Pieri recursions (quantum.mult_operators
-and quantum.evaluate_e_polynomials) run on sparse rows {column: value} through
-sparse_mul and sparse_combine, and only their results are made dense.
+and the h-recursion quantum.h_operators) and the commutativity check run on
+sparse rows {column: value} through sparse_mul, sparse_mul_sum (a sum of
+products accumulated row by row) and sparse_combine.
 Determinants and characteristic polynomials share one fraction-free (Bareiss)
 elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
 tests check charpoly against the Berkowitz recursion.  There is no inverse and
@@ -123,12 +124,20 @@ def sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
     """a @ b on sparse rows: each row of a combines the rows of b its nonzeros
     name, so the work is the number of nonzero products; integral entries of
     the product are ints and zeros are dropped."""
+    return sparse_mul_sum([(1, a, b)])
+
+
+def sparse_mul_sum(terms) -> list[dict]:
+    """The sum of c * (a @ b) over the (c, a, b) triples of terms, on sparse
+    rows, accumulated row by row with no intermediate product."""
     out = []
-    for arow in a:
+    for r in range(len(terms[0][1])):
         acc: dict = {}
-        for k, x in arow.items():
-            for j, y in b[k].items():
-                acc[j] = acc[j] + x * y if j in acc else x * y
+        for c, a, b in terms:
+            for k, x in a[r].items():
+                cx = c * x
+                for j, y in b[k].items():
+                    acc[j] = acc[j] + cx * y if j in acc else cx * y
         out.append(_integral_row(acc))
     return out
 
@@ -177,10 +186,6 @@ def trace(a: Matrix):
 def trace_product(a: Matrix, b: Matrix):
     """trace(a @ b) without forming the product."""
     return sum(x * y for arow, bcol in zip(a, zip(*b)) for x, y in zip(arow, bcol))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def rref(a: Matrix) -> tuple[list[int], Matrix]:

@@ -10,19 +10,18 @@ constructors: grassmannian(box) for Gr(k, n), and section.build_ring for a
 smooth hyperplane section of Gr(3, n).
 
 The Pieri matrices P_p = pieri_matrix(box, p, q_value) are the one source of
-Pieri images for both.  Column lam of P_p is the quantum Pieri rule
-
-    sigma_{1^p} * sigma_lam = sum_mu sigma_mu + q sum_nu sigma_nu,
-
-where mu ranges over additions of p cells to lam with no two in the same row,
-and nu over partitions of |lam| + p - n whose transpose interlaces the
-transpose of lam shifted down by one (possible only when lam_1 = n - k); q has
-degree n.  At q_value = 0 the same function gives the classical cup product
-C_p.  Every q_value is filled from the same entries (row, col, q power),
-which pieri_entries reads off one quantum_pieri sweep over the Schubert basis
-per (box, p) and caches, so P_p and C_p share that sweep.  grassmannian takes
-P_1..P_k as its e-operators, and the section ring writes its own as products
-of P_p, C_p and C_1 (see section).
+Pieri images for both.  Column lam of P_p is the quantum Pieri rule in
+Postnikov's cyclic form (Affine approach to quantum Schubert calculus, Duke
+Math. J. 2005): row j of lam is a particle at lam_j + k - j on the n-cycle,
+sigma_{1^p} moves p particles one step clockwise, each onto a spot that no
+staying particle holds, and a particle that passes n - 1 -> 0 carries q,
+which has degree n.  Every coefficient is 1.  At q_value = 0 the same
+function gives the classical cup product C_p.  Every q_value is filled from
+the same entries (row, col, q power), which pieri_entries reads off one sweep
+of particle moves per (box, p) and caches, so P_p and C_p share that sweep.
+grassmannian takes P_1..P_k as its e-operators, and the section ring writes
+its own as products of P_p, C_p and C_1 (see section).  The tests compare
+the entries with the vertical-strip and rim rule on every box with n <= 12.
 
 GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting),
 for both constructors, and that is the only place the certificate is
@@ -31,9 +30,14 @@ checked.  Label operators come from one triangular Pieri recursion
 assertion and reads each image it needs off a column of an e-operator, so no
 Littlewood-Richardson rule is needed; the Giambelli route lives with the
 tests as an independent check, so the quantum Giambelli property is a
-checked invariant rather than an input.  That recursion and the polynomial
-evaluation in e_1..e_k (evaluate_e_polynomials) run on sparse rows, since
-the operators are mostly zero, and hand back dense matrices.
+checked invariant rather than an input.
+
+The presentation relations are checked on whole operators through the
+h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
+(h_operators), which keeps only the last k operators; the tests compare it
+with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
+recursion, mult_operators and the commutativity check run on sparse rows,
+since the operators are mostly zero.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from itertools import combinations
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .linalg import Matrix
-from .partitions import Box, Partition, box_partitions, canonical, size, transpose
+from .partitions import Box, Partition, box_partitions, canonical, size
 from .polynomials import UniPoly
 
 
@@ -54,69 +58,39 @@ def schubert_basis(box: Box) -> tuple[Partition, ...]:
     return tuple(sorted(box_partitions(box.k, box.n), key=lambda lam: (size(lam), tuple(-a for a in lam))))
 
 
-def vertical_strip_additions(lam: Partition, p: int, box: Box) -> list[Partition]:
-    """Partitions in the box obtained from lam by adding p cells, no two per row."""
-    lam = box.require(lam)
-    padded = lam + (0,) * (box.k - len(lam))
-    out = []
-    for rows in combinations(range(box.k), p):
-        mu = list(padded)
-        for i in rows:
-            mu[i] += 1
-        if mu[0] <= box.cols and all(mu[i] >= mu[i + 1] for i in range(box.k - 1)):
-            out.append(canonical(mu))
-    return sorted(out, reverse=True)
-
-
-def quantum_rim_partitions(lam: Partition, p: int, box: Box) -> list[Partition]:
-    """The q-linear terms of sigma_{1^p} * sigma_lam: transposed interlacing."""
-    target = size(lam) + p - box.n
-    if target < 0 or not lam or lam[0] != box.cols:
-        return []
-    width = box.cols
-    tr = transpose(lam) + (0,) * (width - len(transpose(lam)))
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == width:
-            if remaining == 0:
-                out.append(transpose(canonical(prefix)))
-            return
-        lower = max(tr[i + 1] - 1 if i + 1 < width else 0, 0)
-        upper = tr[i] - 1
-        if upper < lower:
-            return
-        for v in range(min(upper, remaining), lower - 1, -1):
-            rec(i + 1, remaining - v, prefix + (v,))
-
-    rec(0, target, ())
-    return sorted(out, reverse=True)
-
-
-def quantum_pieri(p: int, lam: Partition, box: Box) -> dict[tuple[Partition, int], int]:
-    """sigma_{1^p} * sigma_lam as {(mu, q power): 1}; all coefficients are 1."""
-    if not 1 <= p <= box.k:
-        raise InvalidInputError(f"Pieri index p={p} outside [1, {box.k}]")
-    lam = box.require(lam)
-    terms = {(mu, 0): 1 for mu in vertical_strip_additions(lam, p, box)}
-    terms.update({(nu, 1): 1 for nu in quantum_rim_partitions(lam, p, box)})
-    return terms
-
-
 @lru_cache(maxsize=None)
 def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
     """The nonzero entries (row, col, q power) of sigma_{1^p} * (-) over the
-    Schubert basis, from one quantum_pieri sweep; every coefficient is 1."""
-    basis = schubert_basis(box)
-    index = {lam: i for i, lam in enumerate(basis)}
-    return tuple((index[mu], col, d) for col, lam in enumerate(basis) for mu, d in quantum_pieri(p, lam, box))
+    Schubert basis, by particle moves; every coefficient is 1.
+
+    Row j of lam (1-indexed) is a particle at lam_j + k - j on the n-cycle,
+    here a bit of an n-bit mask.  e_p moves p particles one step clockwise,
+    each onto a spot that no staying particle holds, and a particle that
+    passes n - 1 -> 0 carries q (Postnikov, Affine approach to quantum
+    Schubert calculus, Duke Math. J. 2005).
+    """
+    if not 1 <= p <= box.k:
+        raise InvalidInputError(f"Pieri index p={p} outside [1, {box.k}]")
+    n, k = box.n, box.k
+    masks = [
+        sum(1 << (a + k - j) for j, a in enumerate(lam + (0,) * (k - len(lam)), 1)) for lam in schubert_basis(box)
+    ]
+    index = {mask: i for i, mask in enumerate(masks)}
+    entries = []
+    for col, occupied in enumerate(masks):
+        for moved in combinations([1 << x for x in range(n) if occupied >> x & 1], p):
+            m = sum(moved)
+            landed, stay = (m << 1 | m >> (n - 1)) & ~(1 << n), occupied ^ m
+            if not landed & stay:
+                entries.append((index[stay | landed], col, m >> (n - 1)))
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)
 def pieri_matrix(box: Box, p: int, q_value=1) -> tuple[tuple, ...]:
     """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q:
-    column lam is quantum_pieri(p, lam) with q^d read as q_value^d.  At
-    q_value = 0 it is the classical Pieri rule, cup product by sigma_{1^p}."""
+    pieri_entries with q^d read as q_value^d.  At q_value = 0 it is the
+    classical Pieri rule, cup product by sigma_{1^p}."""
     dim = len(schubert_basis(box))
     mat = linalg.zeros(dim, dim)
     for row, col, d in pieri_entries(box, p):
@@ -244,64 +218,37 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 
-def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
-    """sigma_m = h_m as a polynomial in e_1..e_k, from sum (-1)^i e_i h_{m-i} = 0."""
-    if m < 0:
-        return {}
-    table: list[dict[tuple[int, ...], int]] = [{(0,) * k: 1}]
-    for mm in range(1, m + 1):
-        acc: dict[tuple[int, ...], int] = {}
-        for i in range(1, min(mm, k) + 1):
-            sign = (-1) ** (i + 1)
-            for expo, coeff in table[mm - i].items():
-                new = expo[: i - 1] + (expo[i - 1] + 1,) + expo[i:]
-                acc[new] = acc.get(new, 0) + sign * coeff
-        table.append({e: c for e, c in acc.items() if c})
-    return table[m]
+def h_operators(e_ops: dict[int, Matrix], top: int) -> list[list[dict]]:
+    """H_m = sigma_m (the complete homogeneous h_m) evaluated on e_1..e_k,
+    for the last k degrees top - k < m <= top, as sparse rows.
 
-
-def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]:
-    """Evaluate polynomials in e_1..e_k on commuting matrices, generators[p]
-    standing for e_p.  A monomial e_1^a_1 ... e_k^a_k is read as a word and
-    built from its longest prefix already built, by any of the polynomials,
-    so monomials that share a prefix share its products, each one sparse_mul
-    on sparse rows; only the evaluated polynomials are made dense."""
-    dim = len(generators[1])
-    rows = {p: linalg.sparse_rows(op) for p, op in generators.items()}
-    unit = linalg.sparse_rows(linalg.identity(dim))
-    built: dict[tuple[int, ...], list[dict]] = {}
-    out = []
-    for poly in polys:
-        terms = []
-        for expo, coeff in poly.items():
-            prefix, term = [0] * len(expo), None
-            for p, count in enumerate(expo, start=1):
-                for _ in range(count):
-                    prefix[p - 1] += 1
-                    key = tuple(prefix)
-                    if key not in built:
-                        built[key] = rows[p] if term is None else linalg.sparse_mul(rows[p], term)
-                    term = built[key]
-            terms.append((coeff, unit if term is None else term))
-        out.append(linalg.dense(linalg.sparse_combine(terms, [{} for _ in range(dim)]), dim))
-    return out
+    H_0 = I and H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i), from
+    sum (-1)^i e_i h_(m-i) = 0; only the last k operators are kept.
+    """
+    k, dim = len(e_ops), len(e_ops[1])
+    e_rows = {p: linalg.sparse_rows(op) for p, op in e_ops.items()}
+    window = [[{i: 1} for i in range(dim)]]
+    for m in range(1, top + 1):
+        terms = [((-1) ** (i + 1), e_rows[i], window[-i]) for i in range(1, min(m, k) + 1)]
+        window = (window + [linalg.sparse_mul_sum(terms)])[-k:]
+    return window
 
 
 def presentation_check(box: Box, q_value=1) -> bool:
-    """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q."""
+    """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q,
+    on the Pieri matrices through the h-recursion (h_operators)."""
     n, k = box.n, box.k
-    polys = [sigma_e_polynomial(m, k) for m in range(n - k + 1, n + 1)]
-    generators = {p: pieri_matrix(box, p, q_value) for p in range(1, k + 1)}
-    *vanishing, top = evaluate_e_polynomials(polys, generators)
-    if not all(map(linalg.is_zero_matrix, vanishing)):
-        return False
-    expected = [((-1) ** k * q_value, linalg.identity(len(top)))]
-    return linalg.is_zero_matrix(linalg.mat_combine(expected, top))
+    *vanishing, top = h_operators({p: pieri_matrix(box, p, q_value) for p in range(1, k + 1)}, n)
+    expected = (-1) ** (k + 1) * q_value
+    return not any(map(any, vanishing)) and top == [{i: expected} if expected else {} for i in range(len(top))]
 
 
 def commuting(ops: list[Matrix]) -> bool:
-    return all(
-        linalg.mat_mul(a, b) == linalg.mat_mul(b, a) for i, a in enumerate(ops) for b in ops[i + 1 :]
+    """Whether every two operators commute, checked entry by entry on sparse
+    rows: ab - ba has no nonzero entry."""
+    rows = [linalg.sparse_rows(op) for op in ops]
+    return not any(
+        any(linalg.sparse_mul_sum([(1, a, b), (-1, b, a)])) for i, a in enumerate(rows) for b in rows[i + 1 :]
     )
 
 

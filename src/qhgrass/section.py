@@ -43,6 +43,11 @@ beta's row and column included, and check E_p against the section Pieri rule
 applied class by class.  The recursion also checks that lam has coefficient 1
 in e_p * lam' and that every correction is a class it has already built.
 
+The quantum Lefschetz identities h_{n-1} = 0 and h_n = q e_1 are checked on
+whole operators (lefschetz_relation_check): h_m = sigma_m is evaluated on E_1,
+E_2, E_3 by the h-recursion H_m = sum over i <= min(m, 3) of
+(-1)^(i+1) E_i H_(m-i) (quantum.h_operators), which keeps the last three.
+
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 is evaluated only
 where |a| + |b| = dim Y, since it vanishes by degree elsewhere.
 
@@ -83,11 +88,10 @@ from .polynomials import UniPoly
 from .quantum import (
     GradedAlgebra,
     commuting,
-    evaluate_e_polynomials,
+    h_operators,
     pieri_matrix,
     schubert_basis,
     semisimple_test,
-    sigma_e_polynomial,
 )
 
 BETA = "beta"
@@ -215,15 +219,14 @@ def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPo
 
 def lefschetz_relation_check(n: int) -> bool:
     """Verify h_{n-1} = 0 and h_n = q e_1 in the section operator algebra,
-    with h_m = sigma_m written in e_1, e_2, e_3 (sigma_e_polynomial)."""
+    with h_m = sigma_m evaluated on e_1, e_2, e_3 by the h-recursion
+    (quantum.h_operators)."""
     if n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
     ring = build_ring(3, n)
-    polys = [sigma_e_polynomial(n - 1, 3), sigma_e_polynomial(n, 3)]
-    h_prev, h_top = evaluate_e_polynomials(polys, ring.e_ops)
-    dim = len(ring.basis)
-    q_e1 = linalg.mat_combine([(ring.q_value, ring.e_ops[1])], linalg.zeros(dim, dim))
-    return linalg.is_zero_matrix(h_prev) and h_top == q_e1
+    _, h_prev, h_top = h_operators(ring.e_ops, n)
+    q_e1 = linalg.sparse_combine([(ring.q_value, linalg.sparse_rows(ring.e_ops[1]))], [{} for _ in h_top])
+    return not any(h_prev) and h_top == q_e1
 
 
 def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:

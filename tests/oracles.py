@@ -34,9 +34,14 @@ route:
 - restrict and charpoly_on_piece restrict an operator to a piece of basis
   labels (quantum.restrict_to_coords) and take its characteristic polynomial
   there.
+- vertical_strip_additions, quantum_rim_partitions and quantum_pieri are the
+  quantum Pieri rule by vertical strips and transposed interlacing;
+  quantum.pieri_entries moves particles on the n-cycle.
+- sigma_e_polynomial expands sigma_m = h_m in e_1..e_k, and
+  evaluate_e_polynomials evaluates such polynomials monomial by monomial,
+  sharing prefixes; quantum.h_operators runs the h-recursion on the operators.
 - PRINTED_H holds the lifts h_6, h_7, h_8 of the presentation relations in
-  e_1, e_2, e_3 as printed in the source; section.lefschetz_relation_check
-  derives them (quantum.sigma_e_polynomial).
+  e_1, e_2, e_3 as printed in the source; sigma_e_polynomial derives them.
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
   bijection and the bitmask core search without the overhang prune, which
   visits every box complement of at most n - 1 cells.
@@ -45,6 +50,10 @@ route:
 - poincare_by_degrees divides the fundamental degrees of G by those of the
   Levi, which levi_degree_multiset finds by classifying Dynkin subdiagrams;
   rootdata.poincare_polynomial takes a product over root heights.
+- positive_roots_by_strings walks each root string down and sums each
+  pairing afresh, and poincare_by_division takes the height product with
+  UniPoly products and one exact division; rootdata carries pairings and
+  depths forward and multiplies and divides by each bracket in O(deg).
 - gaussian_binomial, sg_betti, projective_space_profile, poly_from_roots and
   interpolate have no production caller: the t-binomial by the degree route,
   the SG(2, 2n) and P^m Betti profiles, and polynomials from roots and from
@@ -58,22 +67,25 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, canonical, size, transpose
 from qhgrass.polynomials import UniPoly
-from qhgrass.quantum import (
-    grassmannian,
-    pieri_matrix,
-    quantum_pieri,
-    restrict_to_coords,
-    schubert_basis,
-    vertical_strip_additions,
+from qhgrass.quantum import grassmannian, pieri_matrix, restrict_to_coords, schubert_basis
+from qhgrass.rootdata import (
+    _POSITIVE_ROOT_COUNT,
+    DynkinType,
+    GrassmannianId,
+    _edges,
+    _root_lengths,
+    cartan_matrix,
+    dimension,
 )
-from qhgrass.rootdata import DynkinType, GrassmannianId, _edges, _root_lengths
 from qhgrass.screen import BettiProfile, profile_of
 from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
 
@@ -369,6 +381,65 @@ def poincare_by_degrees(g: GrassmannianId) -> UniPoly:
     return numerator.div_exact(denominator)
 
 
+@lru_cache(maxsize=None)
+def positive_roots_by_strings(t: DynkinType) -> tuple[tuple[int, ...], ...]:
+    """The positive roots by height, each string depth found by stepping
+    down through the roots already found and each pairing summed afresh;
+    rootdata.positive_roots carries both forward."""
+    n = t.rank
+    cartan = cartan_matrix(t)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    found = set(simple)
+    layer = list(simple)
+    ordered = list(simple)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(n):
+                # root string: beta + alpha_i is a root iff p - <beta, alpha_i^v> > 0
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) in found:
+                        p += 1
+                    else:
+                        break
+                pairing = sum(beta[j] * cartan[i][j] for j in range(n))
+                if p - pairing > 0:
+                    up = list(beta)
+                    up[i] += 1
+                    up = tuple(up)
+                    if up not in found:
+                        found.add(up)
+                        nxt.append(up)
+        ordered.extend(sorted(nxt, reverse=True))
+        layer = nxt
+    if len(ordered) != _POSITIVE_ROOT_COUNT[t.family](t.rank):
+        raise InternalConsistencyError(f"{t}: found {len(ordered)} positive roots")
+    return tuple(ordered)
+
+
+def poincare_by_division(g: GrassmannianId) -> UniPoly:
+    """prod_{m >= 2} [m]_t^(c_{m-1} - c_m) over the nilradical root heights
+    c_h, by UniPoly products and one UniPoly.div_exact; rootdata multiplies
+    and divides by each bracket in O(deg)."""
+    k = g.node - 1
+    heights = Counter(sum(beta) for beta in positive_roots_by_strings(g.type) if beta[k] > 0)
+    numerator = denominator = UniPoly.one()
+    for m in range(2, max(heights) + 2):
+        exponent = heights[m - 1] - heights[m]
+        bracket = UniPoly([1] * m)
+        for _ in range(exponent):
+            numerator = numerator * bracket
+        for _ in range(-exponent):
+            denominator = denominator * bracket
+    quotient = numerator.div_exact(denominator)
+    if quotient.degree != dimension(g) or not quotient.is_palindromic():
+        raise InternalConsistencyError(f"bad Poincare polynomial for {g}")
+    return quotient
+
+
 def _one_minus_t_power(d: int) -> UniPoly:
     return UniPoly([1] + [0] * (d - 1) + [-1])
 
@@ -436,6 +507,104 @@ def interpolate(points) -> UniPoly:
                 continue
             term = term * UniPoly([Fraction(-xj, 1) / (xi - xj), Fraction(1, 1) / (xi - xj)])
         out = out + term
+    return out
+
+
+# -- the quantum Pieri rule by strips and rims, and the relations by monomials ---
+
+
+def vertical_strip_additions(lam: Partition, p: int, box: Box) -> list[Partition]:
+    """Partitions in the box obtained from lam by adding p cells, no two per row."""
+    lam = box.require(lam)
+    padded = lam + (0,) * (box.k - len(lam))
+    out = []
+    for rows in combinations(range(box.k), p):
+        mu = list(padded)
+        for i in rows:
+            mu[i] += 1
+        if mu[0] <= box.cols and all(mu[i] >= mu[i + 1] for i in range(box.k - 1)):
+            out.append(canonical(mu))
+    return sorted(out, reverse=True)
+
+
+def quantum_rim_partitions(lam: Partition, p: int, box: Box) -> list[Partition]:
+    """The q-linear terms of sigma_{1^p} * sigma_lam: transposed interlacing."""
+    target = size(lam) + p - box.n
+    if target < 0 or not lam or lam[0] != box.cols:
+        return []
+    width = box.cols
+    tr = transpose(lam) + (0,) * (width - len(transpose(lam)))
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == width:
+            if remaining == 0:
+                out.append(transpose(canonical(prefix)))
+            return
+        lower = max(tr[i + 1] - 1 if i + 1 < width else 0, 0)
+        upper = tr[i] - 1
+        if upper < lower:
+            return
+        for v in range(min(upper, remaining), lower - 1, -1):
+            rec(i + 1, remaining - v, prefix + (v,))
+
+    rec(0, target, ())
+    return sorted(out, reverse=True)
+
+
+def quantum_pieri(p: int, lam: Partition, box: Box) -> dict[tuple[Partition, int], int]:
+    """sigma_{1^p} * sigma_lam as {(mu, q power): 1}: mu over the vertical
+    strips of p cells, nu over the partitions of |lam| + p - n whose transpose
+    interlaces that of lam shifted down by one (only when lam_1 = n - k);
+    quantum.pieri_entries moves particles on the n-cycle instead."""
+    if not 1 <= p <= box.k:
+        raise InvalidInputError(f"Pieri index p={p} outside [1, {box.k}]")
+    lam = box.require(lam)
+    terms = {(mu, 0): 1 for mu in vertical_strip_additions(lam, p, box)}
+    terms.update({(nu, 1): 1 for nu in quantum_rim_partitions(lam, p, box)})
+    return terms
+
+
+def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
+    """sigma_m = h_m as a polynomial in e_1..e_k, from sum (-1)^i e_i h_{m-i} = 0."""
+    if m < 0:
+        return {}
+    table: list[dict[tuple[int, ...], int]] = [{(0,) * k: 1}]
+    for mm in range(1, m + 1):
+        acc: dict[tuple[int, ...], int] = {}
+        for i in range(1, min(mm, k) + 1):
+            sign = (-1) ** (i + 1)
+            for expo, coeff in table[mm - i].items():
+                new = expo[: i - 1] + (expo[i - 1] + 1,) + expo[i:]
+                acc[new] = acc.get(new, 0) + sign * coeff
+        table.append({e: c for e, c in acc.items() if c})
+    return table[m]
+
+
+def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]:
+    """Evaluate polynomials in e_1..e_k on commuting matrices, generators[p]
+    standing for e_p.  A monomial e_1^a_1 ... e_k^a_k is read as a word and
+    built from its longest prefix already built, by any of the polynomials,
+    so monomials that share a prefix share its products, each one sparse_mul
+    on sparse rows; only the evaluated polynomials are made dense."""
+    dim = len(generators[1])
+    rows = {p: linalg.sparse_rows(op) for p, op in generators.items()}
+    unit = linalg.sparse_rows(linalg.identity(dim))
+    built: dict[tuple[int, ...], list[dict]] = {}
+    out = []
+    for poly in polys:
+        terms = []
+        for expo, coeff in poly.items():
+            prefix, term = [0] * len(expo), None
+            for p, count in enumerate(expo, start=1):
+                for _ in range(count):
+                    prefix[p - 1] += 1
+                    key = tuple(prefix)
+                    if key not in built:
+                        built[key] = rows[p] if term is None else linalg.sparse_mul(rows[p], term)
+                    term = built[key]
+            terms.append((coeff, unit if term is None else term))
+        out.append(linalg.dense(linalg.sparse_combine(terms, [{} for _ in range(dim)]), dim))
     return out
 
 

@@ -393,34 +393,60 @@ def _record_add_parser(monkeypatch) -> list:
     return added
 
 
+def _command_name(argv: list[str]) -> str:
+    return " ".join(argv[:2] if argv[0] == "qh" else argv[:1])
+
+
+def _record_parsers(monkeypatch) -> list:
+    progs = []
+    original = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    return progs
+
+
 def test_run_builds_only_the_invoked_command(capsys, monkeypatch):
-    assert {" ".join(argv[:2] if argv[0] == "qh" else argv[:1]) for argv in EVERY_COMMAND} == set(cli.COMMANDS)
-    added = _record_add_parser(monkeypatch)
+    # a named command is parsed by its leaf parser alone: no subparser is added
+    assert {_command_name(argv) for argv in EVERY_COMMAND} == set(cli.COMMANDS)
+    added, progs = _record_add_parser(monkeypatch), _record_parsers(monkeypatch)
     for argv in EVERY_COMMAND:
         for _ in range(2):  # each run builds its own parser
             added.clear()
+            progs.clear()
             assert cli.run(argv + ["--format", "json"]) == 0, argv
-            assert added == (argv[:2] if argv[0] == "qh" else argv[:1]), argv
+            assert (added, progs) == ([], [f"qhgrass {_command_name(argv)}"]), argv
     capsys.readouterr()
     assert not any(isinstance(v, argparse.ArgumentParser) for v in vars(cli).values())
 
 
-def test_build_parser_without_argv_builds_every_command(monkeypatch):
+def test_build_parser_without_argv_builds_every_command(capsys, monkeypatch):
     added = _record_add_parser(monkeypatch)
     cli.build_parser()
     assert added == ["betti", "screen", "exceptional-table", "core-search", "snow", "hodge",
                      "qh", "charpoly", "presentation", "lefschetz", "semisimple"]
-    for argv in ([], ["--help"], ["frobnicate"], ["qh"], ["qh", "--help"], ["qh charpoly"], ["Betti"]):
+    # any argv that names no command, or leaves arguments over, gets the whole tree
+    for argv in ([], ["--help"], ["frobnicate"], ["qh"], ["qh", "--help"], ["qh charpoly"], ["Betti"],
+                 ["qh", "semisimple", "--k", "2", "--n", "4", "extra"],
+                 ["betti", "--type", "E6", "--node", "2", "--bogus"]):
         added.clear()
-        cli.build_parser(argv)
+        assert cli.run(argv) in (0, 2), argv
         assert len(added) == 11, argv
+    capsys.readouterr()
 
 
 def test_lazy_and_full_parsers_agree():
+    # the whole tree also records the command and qh_command dests, which nothing reads
     for argv in EVERY_COMMAND:
         argv = argv + ["--format", "json"]
-        lazy, full = cli.build_parser(argv).parse_args(argv), cli.build_parser().parse_args(argv)
-        assert vars(lazy) == vars(full), argv
+        name = _command_name(argv)
+        leaf = cli.leaf_parser(name).parse_args(argv[len(name.split()) :])
+        full = vars(cli.build_parser().parse_args(argv))
+        assert (full.pop("command"), full.pop("qh_command", name.split()[-1])) == (argv[0], name.split()[-1])
+        assert vars(leaf) == full, argv
 
 
 def test_entry_point_prints_what_run_prints(capsys):

@@ -9,16 +9,20 @@ from oracles import (
     ClassVector,
     charpoly_on_piece,
     cup_e,
+    evaluate_e_polynomials,
     giambelli_expr,
     pairing_q1,
+    quantum_pieri,
     radical,
     restrict,
     sigma1_triple_integral,
+    sigma_e_polynomial,
     star,
     star_schubert,
     symbolic_e_ops,
     symbolic_label_ops,
     vector,
+    vertical_strip_additions,
 )
 from qhgrass import linalg, quantum, section
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
@@ -32,14 +36,15 @@ from qhgrass.quantum import (
     pieri_matrix,
     presentation_check,
     qh_semisimple,
-    quantum_pieri,
     schubert_basis,
     semisimple_test,
-    sigma_e_polynomial,
-    vertical_strip_additions,
 )
 
 BOXES = [Box(k, n) for k in (1, 2, 3) for n in range(k + 1, 9)]
+# every box with n <= 12: 66 in all
+BOXES_12 = [Box(k, n) for n in range(2, 13) for k in range(1, n)]
+# every box with n <= 8
+BOXES_8 = [Box(k, n) for n in range(2, 9) for k in range(1, n)]
 
 
 # -- an independent oracle: classical Pieri in the k-row ring reduced by
@@ -97,6 +102,20 @@ def test_quantum_pieri_matches_rim_hook_oracle(box):
     for lam in schubert_basis(box):
         for p in range(1, box.k + 1):
             assert quantum_pieri(p, lam, box) == _pieri_oracle(p, lam, box), (lam, p)
+
+
+@pytest.mark.parametrize("box", BOXES_12, ids=str)
+def test_particle_moves_match_the_strip_and_rim_rule(box):
+    # pieri_entries moves particles on the n-cycle; the oracle adds vertical
+    # strips and reads the q terms off transposed interlacing
+    basis = schubert_basis(box)
+    index = {lam: i for i, lam in enumerate(basis)}
+    for p in range(1, box.k + 1):
+        want = sorted((index[mu], col, d) for col, lam in enumerate(basis) for mu, d in quantum_pieri(p, lam, box))
+        assert sorted(quantum.pieri_entries(box, p)) == want, p
+    for p in (0, box.k + 1):
+        with pytest.raises(InvalidInputError, match=f"Pieri index p={p} outside"):
+            quantum.pieri_entries(box, p)
 
 
 @pytest.mark.parametrize("box", BOXES, ids=str)
@@ -253,8 +272,46 @@ def test_presentation_check_examples():
     # the operator of sigma_7 equals q times the identity
     box = Box(3, 7)
     generators = {p: [list(row) for row in pieri_matrix(box, p, 1)] for p in (1, 2, 3)}
-    (mat,) = quantum.evaluate_e_polynomials([sigma_e_polynomial(7, 3)], generators)
+    (mat,) = evaluate_e_polynomials([sigma_e_polynomial(7, 3)], generators)
     assert mat == linalg.identity(len(schubert_basis(box)))
+
+
+@pytest.mark.parametrize("box", BOXES_8, ids=str)
+def test_h_recursion_matches_the_monomial_evaluation(box):
+    # h_operators runs H_m = sum (-1)^(i+1) E_i H_(m-i); the oracle expands
+    # sigma_m in e_1..e_k and evaluates every monomial
+    k, dim = box.k, len(schubert_basis(box))
+    for q, top in ((1, box.n), (Fraction(1, 2), box.n + 1)):
+        generators = {p: pieri_matrix(box, p, q) for p in range(1, k + 1)}
+        got = [linalg.dense(h, dim) for h in quantum.h_operators(generators, top)]
+        polys = [sigma_e_polynomial(m, k) for m in range(top - k + 1, top + 1)]
+        assert got == evaluate_e_polynomials(polys, generators), (q, top)
+    assert presentation_check(box) and presentation_check(box, Fraction(1, 2))
+
+
+def _perturbed_pieri(monkeypatch, target: int, row: int, col: int, value):
+    original = quantum.pieri_matrix
+
+    def perturbed(box, p, q_value=1):
+        mat = [list(r) for r in original(box, p, q_value)]
+        if p == target:
+            mat[row][col] = value
+        return mat
+
+    monkeypatch.setattr(quantum, "pieri_matrix", perturbed)
+
+
+def test_presentation_check_fails_on_any_perturbed_pieri_entry(monkeypatch):
+    # every nonzero entry dropped or doubled, and on Gr(2, 4) every zero made 1
+    for box in (Box(2, 4), Box(3, 6)):
+        for p in range(1, box.k + 1):
+            mat = pieri_matrix(box, p)
+            for row, col in ((r, c) for r in range(len(mat)) for c in range(len(mat))):
+                for value in (0, 2) if mat[row][col] else (1,) if box == Box(2, 4) else ():
+                    _perturbed_pieri(monkeypatch, p, row, col, value)
+                    assert not presentation_check(box), (box, p, row, col, value)
+                    monkeypatch.undo()
+    assert presentation_check(Box(3, 6))
 
 
 def _per_monomial_evaluation(poly, generators):
@@ -291,7 +348,7 @@ def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):
             return original(a, b)
 
         monkeypatch.setattr(linalg, "sparse_mul", counting)
-        assert quantum.evaluate_e_polynomials(polys, generators) == expected
+        assert evaluate_e_polynomials(polys, generators) == expected
         monkeypatch.setattr(linalg, "sparse_mul", original)
         assert len(products) == expected_products
         naive = sum(sum(expo) for poly in polys for expo in poly)

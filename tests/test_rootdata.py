@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from oracles import (
@@ -6,9 +8,11 @@ from oracles import (
     fundamental_degrees,
     gaussian_binomial,
     poincare_by_degrees,
+    poincare_by_division,
+    positive_roots_by_strings,
 )
-from qhgrass import rootdata
-from qhgrass.errors import InvalidInputError
+from qhgrass import cli, rootdata
+from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.polynomials import UniPoly
 from qhgrass.rootdata import (
     MAX_POSITIVE_ROOTS,
@@ -162,3 +166,34 @@ def test_poincare_polynomial_equals_the_degree_route():
             assert got == want and all(type(c) is int for c in got), g
             count += 1
     assert count == 220
+
+
+# A1-A29, B2-B19, C2-C19, D4-D19, E6-E8, F4 and G2: 86 types, 1,024 G/P_k
+RANKS = {"A": range(1, 30), "B": range(2, 20), "C": range(2, 20), "D": range(4, 20),
+         "E": range(6, 9), "F": (4,), "G": (2,)}
+
+
+@pytest.mark.parametrize("family", RANKS)
+def test_roots_and_poincare_polynomials_match_the_old_routes(family):
+    # carried pairings and depths against string walks, and O(deg) bracket
+    # products against UniPoly products and one exact division
+    for rank in RANKS[family]:
+        t = DynkinType(family, rank)
+        assert positive_roots(t) == positive_roots_by_strings(t), t
+        for node in range(1, rank + 1):
+            g = GrassmannianId(t, node)
+            got = poincare_polynomial(g).coeffs
+            assert got == poincare_by_division(g).coeffs and all(type(c) is int for c in got), g
+
+
+def test_a_bracket_division_with_a_remainder_is_an_internal_failure(monkeypatch, capsys):
+    # one root of height 2 and none of height 1 asks for [3]_t / [2]_t
+    monkeypatch.setattr(rootdata, "nilradical_heights", lambda g: Counter({2: 1}))
+    with pytest.raises(InternalConsistencyError, match=r"\[2\]_t does not divide"):
+        poincare_polynomial(GrassmannianId(DynkinType("E", 6), 2))
+    assert cli.run(["betti", "--type", "E6", "--node", "2"]) == 1
+    assert capsys.readouterr().err == "internal consistency failure: [2]_t does not divide the bracket product\n"
+    # [3]_t^2 = 1 + 2t + 3t^2 + 2t^3 + t^4 has no factor [2]_t = 1 + t
+    with pytest.raises(InternalConsistencyError):
+        rootdata._over_bracket([1, 2, 3, 2, 1], 2)
+    assert rootdata._over_bracket([1, 2, 3, 2, 1], 3) == [1, 1, 1]

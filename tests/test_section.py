@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from oracles import (
     betti_numbers,
     build_lifts,
     cup_e,
+    evaluate_e_polynomials,
     lift_operator,
     perp_iso_check,
     perp_subalgebra_operators,
@@ -20,6 +22,7 @@ from oracles import (
     reduce,
     schubert,
     section_pieri,
+    sigma_e_polynomial,
     solve,
     star_e,
     symbolic_e_ops,
@@ -36,7 +39,6 @@ from qhgrass.quantum import (
     grassmannian,
     mult_operators,
     schubert_basis,
-    sigma_e_polynomial,
     trace_form_gram,
 )
 from qhgrass.section import (
@@ -243,9 +245,34 @@ def test_lefschetz_identities():
         lefschetz_relation_check(6)
 
 
+@pytest.mark.parametrize("n", (7, 8))
+def test_h_recursion_matches_the_monomial_evaluation_on_the_section(n):
+    ring = build_ring(3, n)
+    dim = len(ring.basis)
+    for top in (n, n + 1):
+        got = [linalg.dense(h, dim) for h in quantum.h_operators(ring.e_ops, top)]
+        polys = [sigma_e_polynomial(m, 3) for m in range(top - 2, top + 1)]
+        assert got == evaluate_e_polynomials(polys, ring.e_ops), top
+
+
+def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch):
+    # every nonzero entry of E_1, E_2, E_3 dropped on (3, 7); on (3, 8) a spread of them
+    for n, stride in ((7, 1), (8, 17)):
+        ring = build_ring(3, n)
+        entries = [(p, r, c) for p in (1, 2, 3) for r, row in enumerate(ring.e_ops[p]) for c, x in enumerate(row) if x]
+        for p, r, c in entries[::stride]:
+            fake = copy.copy(ring)
+            fake.e_ops = {**ring.e_ops, p: [list(row) for row in ring.e_ops[p]]}
+            fake.e_ops[p][r][c] = 0
+            monkeypatch.setattr(section, "build_ring", lambda k, n, fake=fake: fake)
+            assert not lefschetz_relation_check(n), (n, p, r, c)
+            monkeypatch.undo()
+        assert lefschetz_relation_check(n)
+
+
 def test_printed_h_polynomials_are_the_derived_relations():
     # the source prints h_6, h_7, h_8 in e_1, e_2, e_3; lefschetz_relation_check
-    # evaluates the derived sigma_e_polynomial(m, 3) instead
+    # runs the h-recursion, whose expansion in e_1, e_2, e_3 is sigma_e_polynomial
     for m, printed in PRINTED_H.items():
         assert sigma_e_polynomial(m, 3) == printed, m
 
