@@ -6,10 +6,12 @@ which refuses floats and returns an int whenever the quotient is integral, and
 products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
-connected blocks of the pattern.  The Pieri recursions (quantum.mult_operators
-and the h-recursion quantum.h_operators) and the commutativity check run on
-sparse rows {column: value} through sparse_mul, sparse_mul_sum (a sum of
-products accumulated row by row) and sparse_combine.
+connected blocks of the pattern.  The section e-operators, the Pieri
+recursions (the label recursion quantum.label_recursion, run from any seed
+block, and the h-recursion quantum.h_operators) and the commutativity check
+run on sparse rows {column: value} through one kernel, sparse_mul_sum: a sum
+of products c * (a @ b) accumulated row by row, in which a term with a = I
+adds c * b.
 Determinants and characteristic polynomials share one fraction-free (Bareiss)
 elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
 tests check charpoly against the Berkowitz recursion.  There is no inverse and
@@ -120,16 +122,11 @@ def _integral_row(acc: dict) -> dict:
     return {j: _integral(x) for j, x in acc.items() if x}
 
 
-def sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
-    """a @ b on sparse rows: each row of a combines the rows of b its nonzeros
-    name, so the work is the number of nonzero products; integral entries of
-    the product are ints and zeros are dropped."""
-    return sparse_mul_sum([(1, a, b)])
-
-
 def sparse_mul_sum(terms) -> list[dict]:
     """The sum of c * (a @ b) over the (c, a, b) triples of terms, on sparse
-    rows, accumulated row by row with no intermediate product."""
+    rows, accumulated row by row with no intermediate product: each row of a
+    combines the rows of b its nonzeros name, so the work is the number of
+    nonzero products.  Integral entries are ints and zeros are dropped."""
     out = []
     for r in range(len(terms[0][1])):
         acc: dict = {}
@@ -138,19 +135,6 @@ def sparse_mul_sum(terms) -> list[dict]:
                 cx = c * x
                 for j, y in b[k].items():
                     acc[j] = acc[j] + cx * y if j in acc else cx * y
-        out.append(_integral_row(acc))
-    return out
-
-
-def sparse_combine(terms, base: list[dict]) -> list[dict]:
-    """base + sum of c * m over the (c, m) pairs of terms, on sparse rows."""
-    live = [(c, m) for c, m in terms if c]
-    out = []
-    for i, row in enumerate(base):
-        acc = dict(row)
-        for c, m in live:
-            for j, x in m[i].items():
-                acc[j] = acc[j] + c * x if j in acc else c * x
         out.append(_integral_row(acc))
     return out
 

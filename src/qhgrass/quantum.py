@@ -20,24 +20,30 @@ function gives the classical cup product C_p.  Every q_value is filled from
 the same entries (row, col, q power), which pieri_entries reads off one sweep
 of particle moves per (box, p) and caches, so P_p and C_p share that sweep.
 grassmannian takes P_1..P_k as its e-operators, and the section ring writes
-its own as products of P_p, C_p and C_1 (see section).  The tests compare
-the entries with the vertical-strip and rim rule on every box with n <= 12.
+its own from the same entries, split into P_p's classical part C_p and its q
+part (see section).  The tests compare the entries with the vertical-strip
+and rim rule on every box with n <= 12.
 
 GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting),
 for both constructors, and that is the only place the certificate is
 checked.  Label operators come from one triangular Pieri recursion
-(mult_operators), run the first time label_ops is read.  It relies on that
-assertion and reads each image it needs off a column of an e-operator, so no
-Littlewood-Richardson rule is needed; the Giambelli route lives with the
-tests as an independent check, so the quantum Giambelli property is a
-checked invariant rather than an input.
+(label_recursion), which applies L_lam = E_p L_lam' - sum c q^d L_mu to any
+starting block of sparse rows.  Seeded with the identity it gives the label
+operators (mult_operators), run the first time label_ops is read; seeded
+with a few vectors it gives L_lam on their span only, which is all the
+section's perp verdict reads.  It relies on that assertion and reads each
+image it needs off a column of an e-operator, so no Littlewood-Richardson
+rule is needed; the Giambelli route lives with the tests as an independent
+check, so the quantum Giambelli property is a checked invariant rather than
+an input.
 
 The presentation relations are checked on whole operators through the
 h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
 (h_operators), which keeps only the last k operators; the tests compare it
 with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
-recursion, mult_operators and the commutativity check run on sparse rows,
-since the operators are mostly zero.
+recursion, label_recursion and the commutativity check run on sparse rows,
+since the operators are mostly zero; each of their steps is one fused
+linalg.sparse_mul_sum.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
-from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
+from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions, canonical, size
 from .polynomials import UniPoly
@@ -127,17 +133,6 @@ class GradedAlgebra:
         """Multiplication operator of every partition label (mult_operators)."""
         return mult_operators(self)
 
-    def mult_operator(self, coords) -> Matrix:
-        """Multiplication operator of the element with these basis coordinates."""
-        ops, terms = self.label_ops, []
-        for coeff, lab in zip(coords, self.basis):
-            if not coeff:
-                continue
-            if lab not in ops:
-                raise UndeterminedProductError(f"multiplication by {lab} is undetermined by the source")
-            terms.append((coeff, ops[lab]))
-        return linalg.mat_combine(terms, linalg.zeros(len(self.basis), len(self.basis)))
-
     def residue_piece(self, residue: int = 0) -> tuple:
         """Labels whose degree is congruent to the residue mod r."""
         return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r == residue)
@@ -181,9 +176,9 @@ def grassmannian(box: Box, q_value=1) -> GradedAlgebra:
     return GradedAlgebra(box, basis, box.n, q_value, e_ops, pairing)
 
 
-@lru_cache(maxsize=None)
-def mult_operators(alg: GradedAlgebra) -> dict:
-    """Multiplication operator of every partition label, by triangular recursion.
+def label_recursion(alg: GradedAlgebra, seed: list[dict]) -> dict:
+    """L_lam @ seed for every partition label lam, as sparse rows, by
+    triangular recursion from L_() @ seed = seed.
 
     Removing the first column of lam (p = len(lam) cells) leaves lam', and
     e_p * lam' = lam + sum c q^d mu, where every other mu of the same degree
@@ -196,14 +191,14 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     coefficient 1 and that every mu is already built.  By induction L_lam is
     a polynomial in e_1..e_k that sends the unit to lam; since e_1..e_k
     commute, which GradedAlgebra's constructor asserted, it is multiplication
-    by lam on every class the unit reaches.  Labels that are not
-    partitions (the section's beta) get no operator.  The recursion runs on
-    sparse rows (linalg.sparse_mul), and the table holds each operator made
-    dense once, in basis order.
+    by lam on every class the unit reaches.  Labels that are not partitions
+    (the section's beta) get no entry.  Each step is one linalg.sparse_mul_sum,
+    with the corrections as (-c, I, L_mu @ seed) terms, so a seed of a few
+    columns (section.perp_piece_operators) costs a few columns per label.
     """
-    dim = len(alg.basis)
+    unit = [{i: 1} for i in range(len(alg.basis))]
     e_rows = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()}
-    ops = {(): linalg.sparse_rows(linalg.identity(dim))}
+    ops = {(): seed}
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
         p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
@@ -213,8 +208,17 @@ def mult_operators(alg: GradedAlgebra) -> dict:
             raise InternalConsistencyError(
                 f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
             )
-        corrections = [(-coeff, ops[mu]) for mu, coeff in image.items()]
-        ops[lam] = linalg.sparse_combine(corrections, linalg.sparse_mul(e_rows[p], ops[lam_prime]))
+        corrections = [(-coeff, unit, ops[mu]) for mu, coeff in image.items()]
+        ops[lam] = linalg.sparse_mul_sum([(1, e_rows[p], ops[lam_prime])] + corrections)
+    return ops
+
+
+@lru_cache(maxsize=None)
+def mult_operators(alg: GradedAlgebra) -> dict:
+    """Multiplication operator of every partition label: label_recursion
+    seeded with the identity, each operator made dense once, in basis order."""
+    dim = len(alg.basis)
+    ops = label_recursion(alg, [{i: 1} for i in range(dim)])
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 

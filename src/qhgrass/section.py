@@ -21,8 +21,10 @@ parts C_p = pieri_matrix(box, p, 0) and C_1, the rule is one matrix identity
 where J puts each partition label of the quotient basis in as its ambient
 class (beta's column is zero) and R takes a basis label to itself, a relation
 pivot to its relation and the top ambient degree, which restricts to zero on
-Y, to 0.  The quotient's cup-sigma_1 blocks and the pairing are read off C_1
-as well.
+Y, to 0.  It is assembled on sparse rows from the Pieri entries
+(quantum.pieri_entries): C_p is the entries with no q, P_p - C_p the entries
+with q, and J a selection of columns; each E_p is made dense once.  The
+quotient's cup-sigma_1 blocks and the pairing are read off C_1 as well.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, beside
 Gr(k, n) itself.  GradedAlgebra's constructor asserts that e_1..e_k commute,
@@ -31,7 +33,10 @@ builds nothing more than a caller of e_ops (the Lefschetz check,
 section_charpoly) reads.  The multiplication operator L_lam of every ambient
 basis class is built the first time label_ops is read, by the same
 triangular recursion as for Gr(k, n), L_lam = E_p L_lam' - sum c q^d L_mu
-(quantum.mult_operators), with e_p * lam' read off column lam' of E_p.  Two
+(quantum.label_recursion seeded with the identity), with e_p * lam' read off
+column lam' of E_p.  Only the full-ring trace form for n = 7 reads them; the
+perp route for n = 8 seeds the recursion with the perp vectors and builds no
+label operator.  Two
 facts certify it on the ambient classes.  The unit is cyclic: by induction
 L_lam is a polynomial in e_1..e_k sending the unit to lam.  And e_1..e_k
 commute, which was asserted when the ring was built.  Together they give
@@ -48,8 +53,9 @@ whole operators (lefschetz_relation_check): h_m = sigma_m is evaluated on E_1,
 E_2, E_3 by the h-recursion H_m = sum over i <= min(m, 3) of
 (-1)^(i+1) E_i H_(m-i) (quantum.h_operators), which keeps the last three.
 
-The Poincare pairing <a, b> = integral over X of s_a s_b s_1 is evaluated only
-where |a| + |b| = dim Y, since it vanishes by degree elsewhere.
+The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
+degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
+degree dim Y - |a|, and each dual(b) is computed once.
 
 beta * beta is not determined by the source material and is deliberately not
 modeled; beta gets no operator of its own, and every implemented operator is
@@ -71,7 +77,9 @@ with G_P the trace-form Gram matrix of P and M_z the matrix of e_1^r on P.  So
 S is semisimple exactly when det G_P and det M_z are both nonzero, which
 perp_subalgebra_semisimple decides on p x p matrices (p = 7, against the
 49-dimensional S); the tests check the identity against the whole of S for
-n = 7 and n = 8.
+n = 7 and n = 8.  The products v_i * v_j are read off L_lab P, the label
+recursion run on the p columns of P (perp_piece_operators), so the verdict
+builds no 51 x 51 label operator.
 """
 
 from __future__ import annotations
@@ -89,6 +97,8 @@ from .quantum import (
     GradedAlgebra,
     commuting,
     h_operators,
+    label_recursion,
+    pieri_entries,
     pieri_matrix,
     schubert_basis,
     semisimple_test,
@@ -117,31 +127,39 @@ class SectionRing(GradedAlgebra):
         cup1 = pieri_matrix(self.box, 1, 0)
         self._build_quotient(cup1)
         basis = self._quotient_basis(hodge.diamond(k, n))
-        e_ops = self._e_operators(basis, q_value, cup1)
+        e_ops = self._e_operators(basis, q_value)
         super().__init__(self.box, basis, r, q_value, e_ops, self._pairing(basis, cup1))
 
-    def _e_operators(self, basis, q_value, cup1) -> dict[int, Matrix]:
-        """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri rule."""
-        ambient, at = schubert_basis(self.box), self._ambient_index
-        index = {lab: i for i, lab in enumerate(basis)}
+    def _e_operators(self, basis, q_value) -> dict[int, Matrix]:
+        """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri
+        rule, on sparse rows: C_p and P_p - C_p are the entries of
+        pieri_entries(box, p) with no q and with q, and J selects columns."""
+        ambient, index = schubert_basis(self.box), {lab: i for i, lab in enumerate(basis)}
         # R: a basis label to itself, a relation pivot to its relation, the
         # top ambient degree to 0; J: each partition label to its ambient class
-        reduction = linalg.zeros(len(basis), len(ambient))
+        reduction = [{} for _ in basis]
         for col, lam in enumerate(ambient):
             if lam in index:
                 reduction[index[lam]][col] = 1
             for lab, c in self.relations.get(lam, {}).items():
                 reduction[index[lab]][col] = c
-        inclusion = linalg.zeros(len(ambient), len(basis))
-        for j, lab in enumerate(basis):
-            if lab != BETA:
-                inclusion[at[lab]][j] = 1
+        inclusion = [{index[lam]: 1} if lam in index else {} for lam in ambient]
+
+        def split(p):
+            classical, quantum = [{} for _ in ambient], [{} for _ in ambient]
+            for row, col, d in pieri_entries(self.box, p):
+                if not d:
+                    classical[row][col] = 1
+                elif q_value:
+                    quantum[row][col] = q_value**d
+            return classical, quantum
+
+        cup1_j = linalg.sparse_mul_sum([(1, split(1)[0], inclusion)])
         e_ops = {}
         for p in range(1, self.k + 1):
-            full, classical = pieri_matrix(self.box, p, q_value), pieri_matrix(self.box, p, 0)
-            correction = linalg.mat_combine([(1, full), (-1, classical)])
-            raw = linalg.mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
-            e_ops[p] = linalg.mat_mul(reduction, linalg.mat_mul(raw, inclusion))
+            classical, quantum = split(p)
+            raw = linalg.sparse_mul_sum([(1, classical, inclusion), (1, quantum, cup1_j)])
+            e_ops[p] = linalg.dense(linalg.sparse_mul_sum([(1, reduction, raw)]), len(basis))
         return e_ops
 
     # -- quotient structure ------------------------------------------------
@@ -192,16 +210,17 @@ class SectionRing(GradedAlgebra):
 
     def _pairing(self, basis, cup1) -> Matrix:
         """<a, b> is the integral over X of s_a s_b s_1, the coefficient of
-        dual(b) in s_1 cup s_a, which vanishes unless |a| + |b| = dim Y; beta
-        pairs to 1 with itself and 0 with the rest."""
-        at = self._ambient_index
+        dual(b) in s_1 cup s_a, which vanishes unless |a| + |b| = dim Y, so a
+        is paired only with degree_basis[dim Y - |a|]; beta pairs to 1 with
+        itself and 0 with the rest."""
+        at, index = self._ambient_index, {lab: i for i, lab in enumerate(basis)}
+        dual = {b: at[self.box.dual(b)] for b in basis if b != BETA}
         mat = linalg.zeros(len(basis), len(basis))
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                if a == BETA or b == BETA:
-                    mat[i][j] = 1 if (a == BETA and b == BETA) else 0
-                elif size(a) + size(b) == self.dim_y:
-                    mat[i][j] = cup1[at[self.box.dual(b)]][at[a]]
+        for a in dual:
+            for b in self.degree_basis[self.dim_y - size(a)]:
+                mat[index[a]][index[b]] = cup1[dual[b]][at[a]]
+        if BETA in index:
+            mat[index[BETA]][index[BETA]] = 1
         if linalg.det_bareiss(mat) == 0:
             raise InternalConsistencyError("section Poincare pairing is degenerate")
         return mat
@@ -225,7 +244,7 @@ def lefschetz_relation_check(n: int) -> bool:
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
     ring = build_ring(3, n)
     _, h_prev, h_top = h_operators(ring.e_ops, n)
-    q_e1 = linalg.sparse_combine([(ring.q_value, linalg.sparse_rows(ring.e_ops[1]))], [{} for _ in h_top])
+    q_e1 = linalg.sparse_rows(linalg.mat_combine([(ring.q_value, ring.e_ops[1])]))
     return not any(h_prev) and h_top == q_e1
 
 
@@ -269,6 +288,11 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
     """Multiplication by each perp vector v_j, and e_1^r, as matrices on the
     perp space P in the basis perp (p x p each, p = len(perp)).
 
+    No label operator is built.  The label recursion seeded with the columns
+    v_1..v_p (quantum.label_recursion) gives L_lab P for every label, and
+    v_i * v_j = sum over lab of v_i[lab] (L_lab P)[:, j]; a beta coordinate
+    has no operator and raises UndeterminedProductError.
+
     The coordinates of an image are read, not solved for.  radical_and_perp
     gives P a reduced echelon basis: each v_i has a leading 1 at its pivot,
     where every other v_j is 0, so an image w in P has its entries at the
@@ -288,10 +312,14 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
             coords.append(x)
         return [list(row) for row in zip(*coords)]
 
+    on_perp = label_recursion(ring, linalg.sparse_rows(columns))
+    unit = [{i: 1} for i in range(len(ring.basis))]
     generators = []
     for v in perp:
-        op = ring.mult_operator(list(v))
-        generators.append(on_piece([linalg.mat_vec(op, u) for u in perp]))
+        if any(c and lab not in on_perp for lab, c in zip(ring.basis, v)):
+            raise UndeterminedProductError("multiplication by beta is undetermined by the source")
+        products = linalg.sparse_mul_sum([(c, unit, on_perp[lab]) for lab, c in zip(ring.basis, v) if c])
+        generators.append(on_piece([list(w) for w in zip(*linalg.dense(products, len(perp)))]))
     shifted = perp
     for _ in range(ring.r):
         shifted = [linalg.mat_vec(ring.e_ops[1], u) for u in shifted]

@@ -39,7 +39,15 @@ route:
   quantum.pieri_entries moves particles on the n-cycle.
 - sigma_e_polynomial expands sigma_m = h_m in e_1..e_k, and
   evaluate_e_polynomials evaluates such polynomials monomial by monomial,
-  sharing prefixes; quantum.h_operators runs the h-recursion on the operators.
+  sharing prefixes, one sparse_mul at a time and one sparse_combine per
+  polynomial; quantum.h_operators runs the h-recursion on the operators.
+- matrix_product_e_ops and pair_loop_pairing are the dense routes of the
+  section ring: E_p as products of the Pieri matrices P_p, C_p and C_1, and
+  the pairing over every pair of labels.  Production assembles E_p on sparse
+  rows from the Pieri entries and pairs each label with one degree.
+- mult_operator combines the label operators into the operator of any
+  element; section.perp_piece_operators reads the perp products off the
+  label recursion run on the perp vectors, and builds no label operator.
 - PRINTED_H holds the lifts h_6, h_7, h_8 of the presentation relations in
   e_1, e_2, e_3 as printed in the source; sigma_e_polynomial derives them.
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
@@ -581,6 +589,24 @@ def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
     return table[m]
 
 
+def sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
+    """a @ b on sparse rows, one product at a time."""
+    return linalg.sparse_mul_sum([(1, a, b)])
+
+
+def sparse_combine(terms, base: list[dict]) -> list[dict]:
+    """base + sum of c * m over the (c, m) pairs of terms, on sparse rows."""
+    live = [(c, m) for c, m in terms if c]
+    out = []
+    for i, row in enumerate(base):
+        acc = dict(row)
+        for c, m in live:
+            for j, x in m[i].items():
+                acc[j] = acc[j] + c * x if j in acc else c * x
+        out.append(linalg._integral_row(acc))
+    return out
+
+
 def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]:
     """Evaluate polynomials in e_1..e_k on commuting matrices, generators[p]
     standing for e_p.  A monomial e_1^a_1 ... e_k^a_k is read as a word and
@@ -601,10 +627,10 @@ def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]
                     prefix[p - 1] += 1
                     key = tuple(prefix)
                     if key not in built:
-                        built[key] = rows[p] if term is None else linalg.sparse_mul(rows[p], term)
+                        built[key] = rows[p] if term is None else sparse_mul(rows[p], term)
                     term = built[key]
             terms.append((coeff, unit if term is None else term))
-        out.append(linalg.dense(linalg.sparse_combine(terms, [{} for _ in range(dim)]), dim))
+        out.append(linalg.dense(sparse_combine(terms, [{} for _ in range(dim)]), dim))
     return out
 
 
@@ -776,6 +802,62 @@ def symbolic_label_ops(alg) -> dict:
         corrections = [(-coeff * alg.q_value**d, ops[mu]) for (mu, d), coeff in image.items()]
         ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(e_ops[p], ops[lam_prime]))
     return ops
+
+
+# -- the dense routes of the section ring -----------------------------------------
+
+
+def matrix_product_e_ops(ring: SectionRing) -> dict[int, Matrix]:
+    """E_p = R (C_p + (P_p - C_p) C_1) J as dense matrix products over the
+    Pieri matrices at ring.q_value; production assembles the same identity on
+    sparse rows from the Pieri entries."""
+    ambient, at, basis = schubert_basis(ring.box), ring._ambient_index, ring.basis
+    cup1 = pieri_matrix(ring.box, 1, 0)
+    reduction = linalg.zeros(len(basis), len(ambient))
+    for col, lam in enumerate(ambient):
+        if lam in ring.index:
+            reduction[ring.index[lam]][col] = 1
+        for lab, c in ring.relations.get(lam, {}).items():
+            reduction[ring.index[lab]][col] = c
+    inclusion = linalg.zeros(len(ambient), len(basis))
+    for j, lab in enumerate(basis):
+        if lab != BETA:
+            inclusion[at[lab]][j] = 1
+    e_ops = {}
+    for p in range(1, ring.k + 1):
+        full, classical = pieri_matrix(ring.box, p, ring.q_value), pieri_matrix(ring.box, p, 0)
+        correction = linalg.mat_combine([(1, full), (-1, classical)])
+        raw = linalg.mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
+        e_ops[p] = linalg.mat_mul(reduction, linalg.mat_mul(raw, inclusion))
+    return e_ops
+
+
+def pair_loop_pairing(ring: SectionRing) -> Matrix:
+    """The section pairing over every pair of basis labels, with size and
+    box.dual taken per pair; production pairs each label with one degree."""
+    cup1, at = pieri_matrix(ring.box, 1, 0), ring._ambient_index
+    mat = linalg.zeros(len(ring.basis), len(ring.basis))
+    for i, a in enumerate(ring.basis):
+        for j, b in enumerate(ring.basis):
+            if a == BETA or b == BETA:
+                mat[i][j] = 1 if (a == BETA and b == BETA) else 0
+            elif size(a) + size(b) == ring.dim_y:
+                mat[i][j] = cup1[at[ring.box.dual(b)]][at[a]]
+    return mat
+
+
+def mult_operator(alg, coords) -> Matrix:
+    """Multiplication operator of the element with these basis coordinates,
+    combined from the label operators; section.perp_piece_operators reads the
+    perp products off the label recursion run on the perp vectors instead."""
+    ops, terms = alg.label_ops, []
+    for coeff, lab in zip(coords, alg.basis):
+        if not coeff:
+            continue
+        if lab not in ops:
+            raise UndeterminedProductError(f"multiplication by {lab} is undetermined by the source")
+        terms.append((coeff, ops[lab]))
+    return linalg.mat_combine(terms, linalg.zeros(len(alg.basis), len(alg.basis)))
 
 
 # -- the ambient ring through Giambelli determinants ---------------------------
@@ -1049,7 +1131,7 @@ def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list
         return [list(row) for row in zip(*cols)]
 
     r_e1 = restrict(ring.e_ops[1])
-    r_gen = [restrict(ring.mult_operator(list(v))) for v in perp]
+    r_gen = [restrict(mult_operator(ring, list(v))) for v in perp]
     ops = []
     power = linalg.identity(sub_dim)
     for _ in range(ring.r):

@@ -13,6 +13,7 @@ from oracles import (
     poly_from_roots,
     rank,
     solve,
+    sparse_combine,
 )
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
@@ -442,12 +443,17 @@ def _types(a) -> list:
 def test_sparse_product_equals_mat_mul_entry_types_included(case):
     a, b, c, extra = case
     cols = len(b[0])
-    product = linalg.sparse_mul(linalg.sparse_rows(a), linalg.sparse_rows(b))
+    product = linalg.sparse_mul_sum([(1, linalg.sparse_rows(a), linalg.sparse_rows(b))])
     expected = linalg.mat_mul(a, b)
     got = linalg.dense(product, cols)
     assert got == expected and _types(got) == _types(expected)
     assert all(x for row in product for x in row.values())  # zeros are never stored
-    combined = linalg.sparse_combine([(c, linalg.sparse_rows(extra))], product)
+    # a term (c, I, m) adds c * m: the label recursion's corrections, fused
+    unit = [{i: 1} for i in range(len(a))]
+    combined = linalg.sparse_mul_sum(
+        [(1, linalg.sparse_rows(a), linalg.sparse_rows(b)), (c, unit, linalg.sparse_rows(extra))]
+    )
+    assert combined == sparse_combine([(c, linalg.sparse_rows(extra))], product)
     expected = linalg.mat_combine([(c, extra)], expected)
     got = linalg.dense(combined, cols)
     assert got == expected and _types(got) == _types(expected)

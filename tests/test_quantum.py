@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from oracles import (
     PRINTED_H,
     ClassVector,
@@ -11,6 +12,7 @@ from oracles import (
     cup_e,
     evaluate_e_polynomials,
     giambelli_expr,
+    mult_operator,
     pairing_q1,
     quantum_pieri,
     radical,
@@ -341,15 +343,15 @@ def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):
     for polys, generators, expected_products in cases:
         expected = [_per_monomial_evaluation(poly, generators) for poly in polys]
         products = []
-        original = linalg.sparse_mul
+        original = oracles.sparse_mul
 
         def counting(a, b):
             products.append(1)
             return original(a, b)
 
-        monkeypatch.setattr(linalg, "sparse_mul", counting)
+        monkeypatch.setattr(oracles, "sparse_mul", counting)
         assert evaluate_e_polynomials(polys, generators) == expected
-        monkeypatch.setattr(linalg, "sparse_mul", original)
+        monkeypatch.setattr(oracles, "sparse_mul", original)
         assert len(products) == expected_products
         naive = sum(sum(expo) for poly in polys for expo in poly)
         assert len(products) < naive
@@ -364,12 +366,12 @@ def test_sigma_e_polynomial_small():
 def test_mult_operator_examples():
     box = Box(2, 4)
     alg = grassmannian(box)
-    assert alg.mult_operator(vector(alg, ClassVector.unit(box))) == linalg.identity(6)
+    assert mult_operator(alg, vector(alg, ClassVector.unit(box))) == linalg.identity(6)
     # at q = 0 multiplication by a class of degree d shifts degree up by d
     basis = schubert_basis(box)
     alg0 = grassmannian(box, 0)
     for lam in basis:
-        op = alg0.mult_operator(vector(alg0, ClassVector.schubert(box, lam)))
+        op = mult_operator(alg0, vector(alg0, ClassVector.schubert(box, lam)))
         for col, mu in enumerate(basis):
             for row in range(len(basis)):
                 if op[row][col]:

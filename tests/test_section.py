@@ -14,6 +14,9 @@ from oracles import (
     cup_e,
     evaluate_e_polynomials,
     lift_operator,
+    matrix_product_e_ops,
+    mult_operator,
+    pair_loop_pairing,
     perp_iso_check,
     perp_subalgebra_operators,
     pieri_on_label,
@@ -301,7 +304,7 @@ def test_radical_38_matches_source_vector():
     # integral (equivalently the trace of multiplication by j*gamma, or the
     # pairing of j*gamma with itself) is 6, certifying non-nilpotence
     assert _integral(ring, gamma) == 2
-    op = ring.mult_operator(gamma_vec)
+    op = mult_operator(ring, gamma_vec)
     assert linalg.trace(op) == 6
     square = linalg.mat_vec(op, gamma_vec)
     assert square == [3 * c for c in gamma_vec]
@@ -377,11 +380,14 @@ def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     def solved(images):
         return [list(row) for row in zip(*(solver.coords(w) for w in images))]
 
+    typed = lambda op: [[(type(x), x) for x in row] for row in op]
+    # the label recursion seeded with the perp vectors against whole label
+    # operators, entry for entry and type for type
     for v, op in zip(perp, generators):
-        mult = ring.mult_operator(list(v))
-        assert op == solved([linalg.mat_vec(mult, u) for u in perp])
+        mult = mult_operator(ring, list(v))
+        assert typed(op) == typed(solved([linalg.mat_vec(mult, u) for u in perp]))
     e1_power = linalg.mat_pow(ring.e_ops[1], ring.r)
-    assert shift == solved([linalg.mat_vec(e1_power, u) for u in perp])
+    assert typed(shift) == typed(solved([linalg.mat_vec(e1_power, u) for u in perp]))
 
 
 def test_a_vector_outside_the_perp_space_is_refused(capsys, monkeypatch):
@@ -399,6 +405,22 @@ def test_a_vector_outside_the_perp_space_is_refused(capsys, monkeypatch):
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: vector lies outside the column span\n"
+
+
+def test_a_perp_vector_with_a_beta_coordinate_is_undetermined(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # beta * beta is not in the source, so no product with beta is read
+    ring = build_ring(3, 8)
+    rad, perp = radical_and_perp(3, 8)
+    with_beta = [list(perp[0])] + perp[1:]
+    with_beta[0][ring.index[BETA]] = 1
+    with pytest.raises(UndeterminedProductError, match="multiplication by beta is undetermined by the source"):
+        section.perp_piece_operators(ring, with_beta)
+    monkeypatch.setattr(section, "radical_and_perp", lambda k, n: (rad, with_beta))
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: multiplication by beta is undetermined by the source\n"
 
 
 def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(capsys, monkeypatch):
@@ -442,15 +464,18 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
         GradedAlgebra(ring.box, ring.basis, ring.r, ring.q_value, e_ops, ring.pairing)
 
 
-E_OPS_ONLY_COMMANDS = [
+# commands that read the e-operators, and for the perp verdict the label
+# recursion on the perp vectors, but no label operator
+NO_LABEL_OPERATOR_COMMANDS = [
     ["qh", "lefschetz", "--n", "7"],
     ["qh", "lefschetz", "--n", "8"],
     ["qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "6"],
     ["qh", "charpoly", "--section", "--k", "3", "--n", "8", "--power", "5", "--with-e2"],
+    ["qh", "semisimple", "--section", "--k", "3", "--n", "8"],
 ]
 
 
-@pytest.mark.parametrize("argv", E_OPS_ONLY_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", NO_LABEL_OPERATOR_COMMANDS, ids=" ".join)
 def test_e_operator_commands_build_no_label_operators(argv, capsys, monkeypatch):
     from qhgrass import cli
 
@@ -544,7 +569,7 @@ def test_beta_multiplication_undetermined():
     coords = [0] * len(ring.basis)
     coords[ring.index[BETA]] = 1
     with pytest.raises(UndeterminedProductError):
-        ring.mult_operator(coords)
+        mult_operator(ring, coords)
 
 
 def test_lift_operator_agrees_with_recursion():
@@ -702,6 +727,19 @@ def test_e_operators_match_the_symbolic_section_pieri_rule(n, q):
     ring = build_ring(3, n, q_value=q)
     assert ring.e_ops == symbolic_e_ops(ring)
     assert ring.label_ops == symbolic_label_ops(ring)
+
+
+@pytest.mark.parametrize("q", [0, 1, Fraction(1, 2)])
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sparse_e_operators_and_pairing_match_the_dense_routes(n, q):
+    # E_p from the Pieri entries against the products of the Pieri matrices,
+    # and the pairing by degree against the loop over every pair of labels,
+    # entry for entry and type for type
+    ring = build_ring(3, n, q_value=q)
+    typed = lambda op: [[(type(x), x) for x in row] for row in op]
+    dense = matrix_product_e_ops(ring)
+    assert {p: typed(op) for p, op in ring.e_ops.items()} == {p: typed(op) for p, op in dense.items()}
+    assert typed(ring.pairing) == typed(pair_loop_pairing(ring))
 
 
 @pytest.mark.parametrize("q", [0, 1])
