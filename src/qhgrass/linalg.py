@@ -225,20 +225,32 @@ def kernel_basis(a: Matrix) -> list[list]:
     return echelon
 
 
-def generalized_kernel(a: Matrix) -> list[list]:
-    """kernel_basis(a^dim), the generalized 0-eigenspace, by squaring a until
-    its kernel stops growing.
+def generalized_kernel(a: Matrix, pairing: Matrix) -> list[list]:
+    """kernel_basis(a^dim), the generalized 0-eigenspace, for an a that is
+    self-adjoint for the nondegenerate pairing (pairing @ a = a^T @ pairing),
+    by squaring a until the pairing is nondegenerate on ker a^m.
 
-    The kernels of a^m increase with m, and once ker a^m = ker a^(m+1) they
-    stay equal for every higher power.  So when ker a^(2m) is no larger than
-    ker a^m (starting from ker a^0 = 0), ker a^m = ker a^dim.  kernel_basis
-    returns the reduced echelon basis, which depends only on the subspace, so
-    the vectors are those of kernel_basis(mat_pow(a, dim)).
+    The kernels of a^m increase with m up to K = ker a^dim.  K and the image
+    of a^dim are orthogonal both ways, <a^dim w, x> = <w, a^dim x> = 0 for x
+    in K, and together span the space, so the pairing is nondegenerate on K.
+    While ker a^m is smaller than K, some w in ker a^(2m) is outside it, and
+    z = a^m w != 0 lies in ker a^m with <z, x> = <w, a^m x> = 0 for every x
+    there, so the pairing is degenerate on ker a^m.  The test is the
+    determinant of the |ker a^m| x |ker a^m| Gram matrix.  kernel_basis
+    returns the reduced echelon basis, which depends only on the subspace,
+    so the vectors are those of kernel_basis(mat_pow(a, dim)).  A kernel
+    that stops growing while the pairing is still degenerate on it means a
+    is not self-adjoint, and raises.
     """
-    power, kernel = a, []
-    while len(grown := kernel_basis(power)) > len(kernel):
-        power, kernel = mat_mul(power, power), grown
-    return kernel
+    power, last = a, None
+    while True:
+        kernel = kernel_basis(power)
+        paired = [mat_vec(pairing, v) for v in kernel]
+        if det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in kernel]) != 0:
+            return kernel
+        if len(kernel) == last:
+            raise InternalConsistencyError("the pairing is degenerate on the generalized kernel")
+        power, last = mat_mul(power, power), len(kernel)
 
 
 def _nonzero_blocks(a: Matrix) -> list[tuple[list[int], list[int]]]:

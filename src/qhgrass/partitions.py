@@ -75,22 +75,6 @@ class Box:
 
 
 @lru_cache(maxsize=None)
-def box_partitions(k: int, n: int) -> tuple[Partition, ...]:
-    """All partitions fitting the k x (n-k) box, lexicographically decreasing."""
-    out: list[Partition] = []
-
-    def rec(prefix, rows_left, maxpart):
-        if rows_left == 0:
-            out.append(canonical(prefix))
-            return
-        for a in range(maxpart, -1, -1):
-            rec(prefix + (a,), rows_left - 1, a)
-
-    rec((), k, n - k)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def box_partitions_of_size(k: int, n: int, p: int) -> tuple[Partition, ...]:
     """Partitions of p in the box, lexicographically decreasing; generated
     directly so that large boxes never require a full enumeration."""
@@ -150,13 +134,25 @@ MAX_CORE_CANDIDATES = 1_000_000
 
 
 def _count_small_partitions(k: int, cols: int, budget: int) -> int:
-    """Partitions of at most `budget` cells with at most k parts, each at most cols."""
-    ways = [[1] + [0] * budget] + [[0] * (budget + 1) for _ in range(k)]  # [parts][cells]
-    for v in range(1, min(cols, budget) + 1):
-        for r in range(1, k + 1):
-            for s in range(v, budget + 1):
-                ways[r][s] += ways[r - 1][s - v]
-    return sum(map(sum, ways))
+    """Partitions of at most `budget` cells with at most k parts, each at most
+    cols: exact up to MAX_CORE_CANDIDATES, and above it a lower bound that is
+    itself over the bound.
+
+    The partitions in an i x cols box have generating function the Gaussian
+    binomial prod over j <= i of (1 - q^(cols+j)) / (1 - q^j).  Each factor
+    is applied to the series cut at degree budget in O(budget) steps, and the
+    count after i factors, which grows with i, ends the product once it
+    passes the bound, so a large box is refused after a few factors.
+    """
+    series = [1] + [0] * budget
+    for i in range(1, min(k, budget) + 1):
+        for s in range(budget, cols + i - 1, -1):  # times 1 - q^(cols+i)
+            series[s] -= series[s - cols - i]
+        for s in range(i, budget + 1):  # divided by 1 - q^i
+            series[s] += series[s - i]
+        if sum(series) > MAX_CORE_CANDIDATES:
+            break
+    return sum(series)
 
 
 def core_search(box: Box) -> list[tuple[Partition, int]]:
@@ -184,7 +180,7 @@ def core_search(box: Box) -> list[tuple[Partition, int]]:
     if not (3 <= k and 2 * k <= n):
         raise InvalidInputError(f"core_search needs 3 <= k <= n/2, got k={k}, n={n}")
     if (count := _count_small_partitions(k, n - k, n - 1)) > MAX_CORE_CANDIDATES:
-        raise InvalidInputError(f"core_search({k}, {n}) has {count} candidates, over {MAX_CORE_CANDIDATES}")
+        raise InvalidInputError(f"core_search({k}, {n}) has at least {count} candidates, over {MAX_CORE_CANDIDATES}")
     hits: list[list[Partition]] = [[] for _ in range(n)]
 
     def visit(mu, beta, cells, fixed, run):

@@ -24,16 +24,8 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
     def one() -> "UniPoly":
         return UniPoly([1])
-
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly([0, 1])
 
     @property
     def degree(self) -> int:
@@ -127,26 +119,5 @@ class UniPoly:
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
 
-    def pretty(self, var: str = "x") -> str:
-        """Lowest-degree-first rendering, e.g. '1 - 2*x + x^3'."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if i == 0:
-                body = str(mag)
-            elif i == 1:
-                body = var if mag == 1 else f"{mag}*{var}"
-            else:
-                body = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
     def __repr__(self):
-        return f"UniPoly({self.pretty()})"
+        return f"UniPoly({list(self.coeffs)})"

@@ -7,7 +7,9 @@ degree r of the quantum parameter q and the exact rational q_value that its
 matrices specialize q to (default 1), the e-operators, the Poincare pairing
 and the multiplication operator of every label that has one.  It has two
 constructors: grassmannian(box) for Gr(k, n), and section.build_ring for a
-smooth hyperplane section of Gr(3, n).
+smooth hyperplane section of Gr(3, n).  Both take the characteristic
+polynomial of a power of e_1 on the residue-0 piece from e_power_charpoly,
+which reads only the e-operators and the piece's coordinates.
 
 The Pieri matrices P_p = pieri_matrix(box, p, q_value) are the one source of
 Pieri images for both.  Column lam of P_p is the quantum Pieri rule in
@@ -54,14 +56,14 @@ from itertools import combinations
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
-from .partitions import Box, Partition, box_partitions, canonical, size
+from .partitions import Box, Partition, box_partitions_of_size, canonical, size
 from .polynomials import UniPoly
 
 
 @lru_cache(maxsize=None)
 def schubert_basis(box: Box) -> tuple[Partition, ...]:
     """Schubert basis ordered by degree, lexicographically decreasing within."""
-    return tuple(sorted(box_partitions(box.k, box.n), key=lambda lam: (size(lam), tuple(-a for a in lam))))
+    return tuple(lam for m in range(box.k * box.cols + 1) for lam in box_partitions_of_size(box.k, box.n, m))
 
 
 @lru_cache(maxsize=None)
@@ -136,12 +138,6 @@ class GradedAlgebra:
     def residue_piece(self, residue: int = 0) -> tuple:
         """Labels whose degree is congruent to the residue mod r."""
         return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r == residue)
-
-    def e_charpoly(self, power: int, with_e2: bool = False) -> UniPoly:
-        """Characteristic polynomial of e_1^power (optionally * e_2) on the
-        residue-0 piece."""
-        cols = [self.index[lab] for lab in self.residue_piece(0)]
-        return e_power_charpoly(self.e_ops, cols, power, with_e2)
 
 
 def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:

@@ -15,7 +15,8 @@ route:
 - pairing_q1 is the class-level pairing of QH(Gr(k, n)).  radical_by_power
   takes the radical of a graded algebra as the kernel of e_1^N, N its
   dimension, with its perp space (radical for Gr(k, n));
-  section.radical_and_perp squares e_1 only until the kernel stops growing.
+  section.radical_and_perp squares e_1 only until the pairing is
+  nondegenerate on its kernel.
 - build_lifts and lift_operator write each section basis class as a
   polynomial in e_1..e_k and evaluate it on the e-operators; the section
   ring builds its label operators by the first-column Pieri recursion.
@@ -53,6 +54,9 @@ route:
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
   bijection and the bitmask core search without the overhang prune, which
   visits every box complement of at most n - 1 cells.
+  count_small_partitions_table counts the candidates by a table over parts
+  and cells in O(k budget^2); partitions._count_small_partitions takes a
+  truncated Gaussian binomial in O(k budget).
 - gram_matrix and cartan_from_gram derive the Cartan matrix from the
   invariant form; rootdata.cartan_matrix reads it off the Dynkin diagram.
 - poincare_by_degrees divides the fundamental degrees of G by those of the
@@ -238,6 +242,17 @@ def core_search_unpruned(box: Box) -> list[tuple[Partition, int]]:
 
     visit((), ((1 << k) - 1) << (n - k + 1), 0)
     return [(lam, i) for i in range(n - 1, 0, -1) for lam in sorted(hits[i], reverse=True)]
+
+
+def count_small_partitions_table(k: int, cols: int, budget: int) -> int:
+    """Partitions of at most `budget` cells with at most k parts, each at most
+    cols, by adding parts of each size v to a [parts][cells] table."""
+    ways = [[1] + [0] * budget] + [[0] * (budget + 1) for _ in range(k)]
+    for v in range(1, min(cols, budget) + 1):
+        for r in range(1, k + 1):
+            for s in range(v, budget + 1):
+                ways[r][s] += ways[r - 1][s - v]
+    return sum(map(sum, ways))
 
 
 # -- root data: the Gram matrix and the fundamental degrees ----------------------
@@ -505,7 +520,7 @@ def poly_from_roots(roots) -> UniPoly:
 def interpolate(points) -> UniPoly:
     """Lagrange interpolation through exact (x, y) points with distinct x."""
     points = [(Fraction(x), Fraction(y)) for x, y in points]
-    out = UniPoly.zero()
+    out = UniPoly()
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
             continue

@@ -72,11 +72,11 @@ def test_unipoly_divmod_integer_route_matches_fractions(a, b, lead):
     assert (num * den).div_exact(den) == num
 
 
-def test_unipoly_palindromic_and_pretty():
+def test_unipoly_palindromic_and_repr():
     assert UniPoly([1, 3, 1]).is_palindromic()
     assert not UniPoly([1, 2, 3]).is_palindromic()
-    assert UniPoly([1, -2, 0, 1]).pretty("y") == "1 - 2*y + y^3"
-    assert UniPoly().pretty() == "0"
+    assert repr(UniPoly([1, -2, 0, Fraction(1, 2), 0])) == "UniPoly([1, -2, 0, Fraction(1, 2)])"
+    assert repr(UniPoly()) == "UniPoly([])"
 
 
 def test_interpolation_round_trip():
@@ -184,22 +184,36 @@ def test_mat_pow():
 
 
 def test_generalized_kernel_squares_until_the_kernel_stops_growing(monkeypatch):
-    # a nilpotent Jordan block of index 5 beside an invertible 2 x 2 block with
-    # a Fraction entry: ker a^m has dimension 1, 2, 4, 5, 5 for m = 1, 2, 4, 8,
-    # 16, so the loop squares four times before it stops
+    # a nilpotent Jordan block of index 5 beside an invertible symmetric 2 x 2
+    # block with Fraction entries, self-adjoint for the pairing that reverses
+    # the first five coordinates and fixes the last two.  ker a^m has
+    # dimension 1, 2, 4, 5 for m = 1, 2, 4, 8, and the pairing is degenerate on
+    # each of them but the last, so the loop squares three times
     a = linalg.zeros(7, 7)
     for i in range(4):
         a[i][i + 1] = 1
-    a[5][5], a[5][6], a[6][6] = 2, Fraction(1, 3), -1
+    a[5][5], a[5][6], a[6][5], a[6][6] = 2, Fraction(1, 3), Fraction(1, 3), -1
+    pairing = linalg.zeros(7, 7)
+    for i in range(5):
+        pairing[i][4 - i] = 1
+    pairing[5][5] = pairing[6][6] = 1
+    assert linalg.mat_mul(pairing, a) == linalg.mat_mul([list(c) for c in zip(*a)], pairing)
     squarings = []
     mat_mul = linalg.mat_mul
     monkeypatch.setattr(linalg, "mat_mul", lambda x, y: squarings.append(x is y) or mat_mul(x, y))
-    kernel = linalg.generalized_kernel(a)
-    assert squarings == [True] * 4
+    kernel = linalg.generalized_kernel(a, pairing)
+    assert squarings == [True] * 3
     monkeypatch.undo()
     assert kernel == linalg.kernel_basis(linalg.mat_pow(a, 7)) == linalg.identity(7)[:5]
-    assert linalg.generalized_kernel(linalg.identity(3)) == []
-    assert linalg.generalized_kernel([[0, 1], [0, 0]]) == linalg.identity(2)
+    assert linalg.generalized_kernel(linalg.identity(3), linalg.identity(3)) == []
+    assert linalg.generalized_kernel([[0, 1], [0, 0]], [[0, 1], [1, 0]]) == linalg.identity(2)
+    # the same nilpotent block is not self-adjoint for the identity pairing,
+    # which is degenerate on no kernel: the loop stops at ker a, too early
+    assert linalg.generalized_kernel([[0, 1], [0, 0]], linalg.identity(2)) == [[1, 0]]
+    # and for a pairing degenerate on ker a^dim the kernel stops growing
+    # while the test still fails, which raises
+    with pytest.raises(InternalConsistencyError, match="degenerate on the generalized kernel"):
+        linalg.generalized_kernel([[0, 0], [0, 1]], [[0, 1], [1, 0]])
 
 
 def test_exact_div_types():

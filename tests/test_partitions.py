@@ -1,15 +1,14 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import core_search_unpruned, from_beta_set, to_beta_set
+from oracles import core_search_unpruned, count_small_partitions_table, from_beta_set, to_beta_set
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import (
     MAX_CORE_CANDIDATES,
     Box,
     _count_small_partitions,
-    box_partitions,
     box_partitions_of_size,
     canonical,
     core_search,
@@ -18,6 +17,7 @@ from qhgrass.partitions import (
     snow_witnesses,
     transpose,
 )
+from qhgrass.quantum import schubert_basis
 
 
 # -- oracles: the two classical core tests that core_search's bitmask replaces --
@@ -97,7 +97,7 @@ def test_hook_multiset_identity():
     # the multiset of hooks is the union over first-column hooks a_i of
     # {1..a_i} minus the differences {a_i - a_j : j > i}
     for k, n in [(2, 5), (3, 6), (3, 7), (4, 8), (4, 10)]:
-        for lam in box_partitions(k, n):
+        for lam in schubert_basis(Box(k, n)):
             if not lam:
                 continue
             rows = len(lam)
@@ -120,7 +120,7 @@ def test_is_core_examples():
 def test_is_core_agrees_with_beta_route():
     for k, n in [(2, 4), (3, 6), (3, 7), (4, 8)]:
         box = Box(k, n)
-        for lam in box_partitions(k, n):
+        for lam in schubert_basis(Box(k, n)):
             for ell in range(1, n + 1):
                 assert is_core(lam, ell) == is_core_beta(lam, ell, box), (lam, ell)
 
@@ -133,7 +133,7 @@ def test_beta_set_examples_and_round_trip():
         b = Box(k, n)
         for subset in combinations(range(1, n + 1), k):
             assert to_beta_set(from_beta_set(subset, b), b) == tuple(sorted(subset, reverse=True))
-        for lam in box_partitions(k, n):
+        for lam in schubert_basis(Box(k, n)):
             assert from_beta_set(to_beta_set(lam, b), b) == lam
 
 
@@ -150,16 +150,16 @@ def test_box_membership_and_dual():
 def test_box_partitions_order_and_count():
     from math import comb
 
-    for k, n in [(2, 4), (2, 5), (3, 6), (3, 7)]:
-        parts = box_partitions(k, n)
+    for k, n in [(2, 4), (2, 5), (3, 6), (3, 7), (4, 9)]:
+        parts = schubert_basis(Box(k, n))
         assert len(parts) == comb(n, k)
-        assert len(set(parts)) == len(parts)
-        padded = [p + (0,) * (k - len(p)) for p in parts]
-        assert padded == sorted(padded, reverse=True)
+        # the weakly decreasing k-tuples in [0, n-k], by degree and then
+        # lexicographically decreasing
+        tuples = combinations_with_replacement(range(n - k, -1, -1), k)
+        expected = sorted(tuples, key=lambda a: (sum(a), [-x for x in a]))
+        assert parts == tuple(canonical(a) for a in expected)
         for p in range(k * (n - k) + 1):
-            assert box_partitions_of_size(k, n, p) == tuple(
-                lam for lam in parts if size(lam) == p
-            )
+            assert box_partitions_of_size(k, n, p) == tuple(lam for lam in parts if size(lam) == p)
 
 
 def test_snow_witnesses_golden():
@@ -224,7 +224,7 @@ def test_overhangs_carry_every_hook_length_below_them():
     # lam_{j+1} have hook lengths 1..lam_j - lam_{j+1}, and likewise for columns
     for n in range(2, 11):
         for k in range(1, n):
-            for lam in box_partitions(k, n):
+            for lam in schubert_basis(Box(k, n)):
                 hooks = hook_lengths(lam)
                 tr = transpose(lam)
                 for lengths, cells in ((lam, lambda j, c: (j, c)), (tr, lambda b, r: (r, b))):
@@ -248,6 +248,15 @@ def test_candidate_count_matches_enumeration():
             len(box_partitions_of_size(k, n, p)) for p in range(k * (n - k) - (n - 1), k * (n - k) + 1)
         )
         assert _count_small_partitions(k, n - k, n - 1) == enumerated, (k, n)
+
+
+def test_candidate_count_matches_the_table_count():
+    # the truncated Gaussian binomial against the O(k budget^2) table, on every
+    # small shape, where both are exact
+    for k in range(1, 7):
+        for cols in range(1, 11):
+            for budget in range(26):
+                assert _count_small_partitions(k, cols, budget) == count_small_partitions_table(k, cols, budget)
 
 
 def test_core_search_refuses_oversized_boxes():

@@ -471,6 +471,7 @@ NO_LABEL_OPERATOR_COMMANDS = [
     ["qh", "lefschetz", "--n", "8"],
     ["qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "6"],
     ["qh", "charpoly", "--section", "--k", "3", "--n", "8", "--power", "5", "--with-e2"],
+    ["qh", "semisimple", "--section", "--k", "3", "--n", "7"],
     ["qh", "semisimple", "--section", "--k", "3", "--n", "8"],
 ]
 
@@ -540,8 +541,11 @@ def test_section_semisimplicity_reports():
     r6 = section_semisimplicity(3, 6)
     assert r6.semisimple is False and r6.method == "betti-screen"
     assert "3" in r6.detail and "4" in r6.detail
+    # the perp route finds an empty radical, and agrees with the trace form
+    # of all 30 label operators
     r7 = section_semisimplicity(3, 7)
-    assert r7.semisimple is True and r7.method == "trace-form"
+    assert r7.semisimple is full_ring_semisimple(3, 7) is True and r7.method == "trace-form"
+    assert r7.detail == "nondegenerate trace form on the 30-dimensional ring"
     r8 = section_semisimplicity(3, 8)
     assert r8.semisimple is True and "49" in r8.detail and "radical" in r8.detail
     with pytest.raises(InvalidInputError):
@@ -562,6 +566,36 @@ def test_gr36_section_verdict_builds_no_ring(capsys, monkeypatch):
     monkeypatch.setattr(section, "SectionRing", lambda *args: calls.append(args))
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "6", "--format", "json"]) == 0
     assert calls == [] and '"method": "betti-screen"' in capsys.readouterr().out
+
+
+def test_the_route_follows_the_screen_and_the_radical(monkeypatch):
+    # with no Betti witness, an empty radical gives the whole-ring trace form
+    # and a nonempty one the perp subalgebra, whatever n is
+    monkeypatch.setattr(section, "perp_subalgebra_semisimple", lambda k, n: (True, 30, 0))
+    report = section_semisimplicity(3, 8)
+    assert (report.method, report.detail) == ("trace-form", "nondegenerate trace form on the 30-dimensional ring")
+    monkeypatch.setattr(section, "perp_subalgebra_semisimple", lambda k, n: (False, 12, 3))
+    report = section_semisimplicity(3, 7)
+    assert (report.semisimple, report.method) == (False, "trace-form+monodromy")
+    assert report.detail == "degenerate trace form on the perp subalgebra"
+
+
+def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # the radical's stopping test needs e_1 self-adjoint for the pairing, so
+    # radical_and_perp refuses a ring whose e_1 is not; here e_1 * 1 gains a
+    # second sigma_1, set on a copy past the build's commutativity assertion
+    ring = copy.copy(build_ring(3, 8))
+    ring.e_ops = dict(ring.e_ops)
+    ring.e_ops[1] = [row[:] for row in ring.e_ops[1]]
+    ring.e_ops[1][ring.index[(1,)]][ring.index[()]] += 1
+    monkeypatch.setattr(section, "build_ring", lambda *args: ring)
+    with pytest.raises(InternalConsistencyError, match="e_1 is not self-adjoint for the section pairing"):
+        radical_and_perp(3, 8)
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: e_1 is not self-adjoint for the section pairing\n"
 
 
 def test_beta_multiplication_undetermined():
