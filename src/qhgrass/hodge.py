@@ -37,6 +37,7 @@ box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -139,12 +140,14 @@ class HodgeDiamond:
         return not self.middle_off_diagonal()
 
 
+@lru_cache(maxsize=None)
 def diamond(k: int, n: int) -> HodgeDiamond:
     """Hodge diamond of the smooth hyperplane section of Gr(k, n).
 
     Off-middle rows are copied from the ambient box-partition counts through
     the Lefschetz isomorphism; the middle anti-diagonal is solved from the
-    chi_y coefficients.
+    chi_y coefficients.  Cached, so the section screen and the section ring
+    of one command share one chi_y.
     """
     if n < 2 or not 1 <= k <= n // 2:
         raise InvalidInputError(f"diamond needs 1 <= k <= n/2, got k={k}, n={n}")

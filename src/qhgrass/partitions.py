@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
+from math import comb
 
 from .errors import InvalidInputError
 
@@ -74,28 +76,23 @@ class Box:
         return canonical(tuple(self.cols - padded[self.k - 1 - i] for i in range(self.k)))
 
 
+def _box_partitions(p: int, rows: int, cols: int, prefix: Partition = ()):
+    """prefix + each partition of p in the rows x cols box, lexicographically
+    decreasing, one at a time; every part tried has a completion, so the i-th
+    comes after O(rows i) steps."""
+    if p == 0:
+        yield prefix
+    for a in range(min(cols, p), 0, -1):
+        if a * rows < p:
+            break
+        yield from _box_partitions(p - a, rows - 1, a, prefix + (a,))
+
+
 @lru_cache(maxsize=None)
 def box_partitions_of_size(k: int, n: int, p: int) -> tuple[Partition, ...]:
     """Partitions of p in the box, lexicographically decreasing; generated
     directly so that large boxes never require a full enumeration."""
-    out: list[Partition] = []
-
-    def rec(prefix, remaining, rows_left, maxpart):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if rows_left == 0:
-            return
-        for a in range(min(maxpart, remaining), 0, -1):
-            if a * rows_left < remaining:
-                break
-            prefix.append(a)
-            rec(prefix, remaining - a, rows_left - 1, a)
-            prefix.pop()
-
-    if 0 <= p <= k * (n - k):
-        rec([], p, k, n - k)
-    return tuple(out)
+    return tuple(_box_partitions(p, k, n - k))
 
 
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
@@ -109,23 +106,28 @@ def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     }
 
 
+# the hook lengths of a partition take about 30 us, so the bound is about 1.5 s
+MAX_SNOW_PARTITIONS = 50_000
+
+
 def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     """Witnesses for nonvanishing twisted Hodge cohomology of Gr(k, n).
 
     Returns every partition of p in the box with no cell of hook length ell,
     paired with its count of cells of hook length greater than ell.  The
     cohomology group in bidegree (p, j) is nonzero exactly for the returned
-    pairs (lam, j).
+    pairs (lam, j).  Over MAX_SNOW_PARTITIONS partitions of p are refused,
+    by an enumeration that stops at the bound.
     """
     if p < 0 or ell < 0:
         raise InvalidInputError("p and ell must be nonnegative")
-    out = []
-    for lam in box_partitions_of_size(box.k, box.n, p):
-        hooks = hook_lengths(lam).values()
-        if ell in hooks:
-            continue
-        out.append((lam, sum(1 for h in hooks if h > ell)))
-    return out
+    if next(islice(_box_partitions(p, box.k, box.cols), MAX_SNOW_PARTITIONS, None), None) is not None:
+        raise InvalidInputError(f"snow({box.k}, {box.n}, p={p}) has over {MAX_SNOW_PARTITIONS} partitions of p")
+    return [
+        (lam, sum(h > ell for h in hooks))
+        for lam in box_partitions_of_size(box.k, box.n, p)
+        if ell not in (hooks := hook_lengths(lam).values())
+    ]
 
 
 # (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; boxes just
@@ -140,15 +142,21 @@ def _count_small_partitions(k: int, cols: int, budget: int) -> int:
 
     The partitions in an i x cols box have generating function the Gaussian
     binomial prod over j <= i of (1 - q^(cols+j)) / (1 - q^j).  Each factor
-    is applied to the series cut at degree budget in O(budget) steps, and the
+    is applied to the series cut at degree `top` in O(top) steps, and the
     count after i factors, which grows with i, ends the product once it
-    passes the bound, so a large box is refused after a few factors.
+    passes the bound, so a large box is refused after a few factors.  The
+    cut is top = min(budget, 3m), m the least with C(m + 3, 3), the number
+    of partitions into three parts of at most m, over the bound; so for
+    k >= 3 and cols >= m (core_search has cols >= n/2 > budget/2) a cut
+    budget leaves a count over the bound.
     """
-    series = [1] + [0] * budget
-    for i in range(1, min(k, budget) + 1):
-        for s in range(budget, cols + i - 1, -1):  # times 1 - q^(cols+i)
+    m = next(m for m in count() if comb(m + 3, 3) > MAX_CORE_CANDIDATES)
+    top = min(budget, 3 * m)
+    series = [1] + [0] * top
+    for i in range(1, min(k, top) + 1):
+        for s in range(top, cols + i - 1, -1):  # times 1 - q^(cols+i)
             series[s] -= series[s - cols - i]
-        for s in range(i, budget + 1):  # divided by 1 - q^i
+        for s in range(i, top + 1):  # divided by 1 - q^i
             series[s] += series[s - i]
         if sum(series) > MAX_CORE_CANDIDATES:
             break

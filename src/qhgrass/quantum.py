@@ -1,43 +1,44 @@
 """Quantum cohomology of Gr(k, n) and of its sections as one graded algebra.
 
+For q != 0 the small quantum ring is isomorphic to the one at q = 1: with
+t^r = q (r = deg q, over a field holding t), sigma_lam -> t^|lam| sigma_lam
+carries one to the other.  So no verdict, charpoly or presentation check
+depends on q, and every matrix here is taken at q = 1.
+
 GradedAlgebra is a graded Frobenius algebra with exact rational coefficients,
 generated by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual
-tautological subbundle).  It holds the basis labels and their degrees, the
-degree r of the quantum parameter q and the exact rational q_value that its
-matrices specialize q to (default 1), the e-operators, the Poincare pairing
-and the multiplication operator of every label that has one.  It has two
-constructors: grassmannian(box) for Gr(k, n), and section.build_ring for a
-smooth hyperplane section of Gr(3, n).  Both take the characteristic
-polynomial of a power of e_1 on the residue-0 piece from e_power_charpoly,
-which reads only the e-operators and the piece's coordinates.
+tautological subbundle): the basis labels and their degrees, the degree r of
+q, the e-operators, the Poincare pairing and the multiplication operator of
+every label that has one.  Its constructors are grassmannian(box) for
+Gr(k, n) and section.build_ring for a smooth hyperplane section of Gr(3, n).
+Both take the characteristic polynomial of a power of e_1 on the residue-0
+piece from e_power_charpoly, which reads only the e-operators and the
+piece's coordinates.
 
-The Pieri matrices P_p = pieri_matrix(box, p, q_value) are the one source of
-Pieri images for both.  Column lam of P_p is the quantum Pieri rule in
-Postnikov's cyclic form (Affine approach to quantum Schubert calculus, Duke
-Math. J. 2005): row j of lam is a particle at lam_j + k - j on the n-cycle,
+The Pieri matrices P_p = pieri_matrix(box, p) are the one source of Pieri
+images for both.  Column lam of P_p is the quantum Pieri rule in Postnikov's
+cyclic form (Affine approach to quantum Schubert calculus, Duke Math. J.
+2005): row j of lam is a particle at lam_j + k - j on the n-cycle,
 sigma_{1^p} moves p particles one step clockwise, each onto a spot that no
-staying particle holds, and a particle that passes n - 1 -> 0 carries q,
-which has degree n.  Every coefficient is 1.  At q_value = 0 the same
-function gives the classical cup product C_p.  Every q_value is filled from
-the same entries (row, col, q power), which pieri_entries reads off one sweep
-of particle moves per (box, p) and caches, so P_p and C_p share that sweep.
-grassmannian takes P_1..P_k as its e-operators, and the section ring writes
-its own from the same entries, split into P_p's classical part C_p and its q
-part (see section).  The tests compare the entries with the vertical-strip
-and rim rule on every box with n <= 12.
+staying particle holds, and a particle that passes n - 1 -> 0 carries q.
+Every coefficient is 1 and at most one particle passes, so P_p is 0/1.
+pieri_entries reads the entries (row, col, q power) off one sweep of particle
+moves per (box, p) and caches them; section._split_pieri, which splits them
+into the classical part C_p and the q part for the section ring, is the one
+reader of the q power.  The tests compare the entries with the
+vertical-strip and rim rule on every box with n <= 12.
 
 GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting),
-for both constructors, and that is the only place the certificate is
-checked.  Label operators come from one triangular Pieri recursion
-(label_recursion), which applies L_lam = E_p L_lam' - sum c q^d L_mu to any
-starting block of sparse rows.  Seeded with the identity it gives the label
-operators (mult_operators), run the first time label_ops is read; seeded
-with a few vectors it gives L_lam on their span only, which is all the
-section's perp verdict reads.  It relies on that assertion and reads each
-image it needs off a column of an e-operator, so no Littlewood-Richardson
-rule is needed; the Giambelli route lives with the tests as an independent
-check, so the quantum Giambelli property is a checked invariant rather than
-an input.
+the only place the certificate is checked.  Label operators come from one
+triangular Pieri recursion (label_recursion), which applies
+L_lam = E_p L_lam' - sum c L_mu to any starting block of sparse rows.  Seeded
+with the identity it gives the label operators (mult_operators), run the
+first time label_ops is read; seeded with a few vectors it gives L_lam on
+their span only, which is all the section's perp verdict reads.  It relies on
+that assertion and reads each image it needs off a column of an e-operator,
+so no Littlewood-Richardson rule is needed; the Giambelli route lives with
+the tests as an independent check, so the quantum Giambelli property is a
+checked invariant rather than an input.
 
 The presentation relations are checked on whole operators through the
 h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
@@ -95,37 +96,32 @@ def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def pieri_matrix(box: Box, p: int, q_value=1) -> tuple[tuple, ...]:
-    """Matrix of sigma_{1^p} * (-) over the Schubert basis at the given q:
-    pieri_entries with q^d read as q_value^d.  At q_value = 0 it is the
-    classical Pieri rule, cup product by sigma_{1^p}."""
+def pieri_matrix(box: Box, p: int) -> tuple[tuple, ...]:
+    """Matrix of sigma_{1^p} * (-) over the Schubert basis at q = 1: the 0/1
+    incidence matrix of pieri_entries."""
     dim = len(schubert_basis(box))
     mat = linalg.zeros(dim, dim)
-    for row, col, d in pieri_entries(box, p):
-        mat[row][col] = q_value**d if d else 1
+    for row, col, _ in pieri_entries(box, p):
+        mat[row][col] = 1
     return tuple(map(tuple, mat))
 
 
 class GradedAlgebra:
-    """A graded Frobenius algebra generated by e_1..e_k, at q = q_value.
+    """A graded Frobenius algebra generated by e_1..e_k, at q = 1.
 
     A constructor supplies the basis, the degree r of q, the e-operators and
-    the pairing; column j of e_ops[p] is the Pieri image e_p * basis[j] at
-    q = q_value.  The constructor asserts that the e-operators commute, the
-    one place that is checked.  label_ops, the multiplication operator of every partition
-    label, comes from mult_operators when first read.  grassmannian builds
-    Gr(k, n); section.SectionRing, which overrides label_degree, builds a
-    hyperplane section.
+    the pairing; column j of e_ops[p] is the Pieri image e_p * basis[j].  The
+    constructor asserts that the e-operators commute, the one place that is
+    checked.  label_ops, the multiplication operator of every partition label,
+    comes from mult_operators when first read.  grassmannian builds Gr(k, n);
+    section.SectionRing, which overrides label_degree, builds a section.
     """
 
-    def __init__(self, box: Box, basis, r: int, q_value, e_ops: dict[int, Matrix], pairing: Matrix):
-        self.box, self.k = box, box.k
-        self.basis = tuple(basis)
+    def __init__(self, box: Box, basis, r: int, e_ops: dict[int, Matrix], pairing: Matrix):
+        self.box, self.k, self.basis, self.r = box, box.k, tuple(basis), r
         self.index = {lab: i for i, lab in enumerate(self.basis)}
-        self.r, self.q_value = r, q_value
         require_commuting(e_ops)
-        self.e_ops = e_ops
-        self.pairing = pairing
+        self.e_ops, self.pairing = e_ops, pairing
 
     def label_degree(self, lab) -> int:
         return size(lab)
@@ -160,16 +156,16 @@ def e_power_charpoly(e_ops: dict[int, Matrix], cols: list[int], power: int, with
 
 
 @lru_cache(maxsize=None)
-def grassmannian(box: Box, q_value=1) -> GradedAlgebra:
-    """QH(Gr(k, n)) at the given q: the Schubert basis, q of degree n, the
-    Pieri matrices, and the pairing <s_lam, s_mu> = [mu = dual(lam)]."""
+def grassmannian(box: Box) -> GradedAlgebra:
+    """QH(Gr(k, n)): the Schubert basis, q of degree n, the Pieri matrices,
+    and the pairing <s_lam, s_mu> = [mu = dual(lam)]."""
     basis = schubert_basis(box)
-    e_ops = {p: [list(row) for row in pieri_matrix(box, p, q_value)] for p in range(1, box.k + 1)}
+    e_ops = {p: [list(row) for row in pieri_matrix(box, p)] for p in range(1, box.k + 1)}
     index = {lam: i for i, lam in enumerate(basis)}
     pairing = linalg.zeros(len(basis), len(basis))
     for i, lam in enumerate(basis):
         pairing[i][index[box.dual(lam)]] = 1
-    return GradedAlgebra(box, basis, box.n, q_value, e_ops, pairing)
+    return GradedAlgebra(box, basis, box.n, e_ops, pairing)
 
 
 def label_recursion(alg: GradedAlgebra, seed: list[dict]) -> dict:
@@ -179,9 +175,9 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict]) -> dict:
     Removing the first column of lam (p = len(lam) cells) leaves lam', and
     e_p * lam' = lam + sum c q^d mu, where every other mu of the same degree
     is lexicographically smaller and every q term has lower degree.  That
-    image is column lam' of E_p = e_ops[p], read at q = q_value.  So
+    image, at q = 1, is column lam' of E_p = e_ops[p].  So
 
-        L_lam = E_p L_lam' - sum c q^d L_mu
+        L_lam = E_p L_lam' - sum c L_mu
 
     fills the table in one pass in (degree, lex) order, checking that lam has
     coefficient 1 and that every mu is already built.  By induction L_lam is
@@ -234,13 +230,12 @@ def h_operators(e_ops: dict[int, Matrix], top: int) -> list[list[dict]]:
     return window
 
 
-def presentation_check(box: Box, q_value=1) -> bool:
-    """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q,
-    on the Pieri matrices through the h-recursion (h_operators)."""
+def presentation_check(box: Box) -> bool:
+    """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q
+    at q = 1, on the Pieri matrices through the h-recursion (h_operators)."""
     n, k = box.n, box.k
-    *vanishing, top = h_operators({p: pieri_matrix(box, p, q_value) for p in range(1, k + 1)}, n)
-    expected = (-1) ** (k + 1) * q_value
-    return not any(map(any, vanishing)) and top == [{i: expected} if expected else {} for i in range(len(top))]
+    *vanishing, top = h_operators({p: pieri_matrix(box, p) for p in range(1, k + 1)}, n)
+    return not any(map(any, vanishing)) and top == [{i: (-1) ** (k + 1)} for i in range(len(top))]
 
 
 def commuting(ops: list[Matrix]) -> bool:
@@ -287,8 +282,8 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     return linalg.det_bareiss(trace_form_gram(ops)) != 0
 
 
-def qh_semisimple(box: Box, q_value=1) -> bool:
-    """Trace-form semisimplicity of QH(Gr(k, n)) at the given q."""
-    alg = grassmannian(box, q_value)
+def qh_semisimple(box: Box) -> bool:
+    """Trace-form semisimplicity of QH(Gr(k, n))."""
+    alg = grassmannian(box)
     ops = alg.label_ops
     return semisimple_test([ops[lam] for lam in alg.basis])

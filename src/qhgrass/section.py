@@ -12,9 +12,11 @@ section Pieri rule
     e_p * beta = 0,
 
 whose right-hand side only needs ambient Pieri operations.  The quantum
-parameter q_Y has degree n - 1; matrices specialize it (default 1).  With the
-ambient Pieri matrices P_p = quantum.pieri_matrix(box, p, q_value), their
-classical parts C_p (the cup products) and C_1, the rule is one matrix identity
+parameter q_Y has degree n - 1 and is set to 1, as for Gr(k, n): for
+q_Y != 0, sigma_lam -> t^|lam| sigma_lam with t^(n-1) = q_Y carries the ring
+at q_Y to the one at 1 (see quantum).  With the ambient Pieri matrices
+P_p = quantum.pieri_matrix(box, p), their classical parts C_p (the cup
+products) and C_1, the rule is one matrix identity
 
     E_p = R (C_p + (P_p - C_p) C_1) J,
 
@@ -22,30 +24,26 @@ where J puts each partition label of the quotient basis in as its ambient
 class (beta's column is zero) and R takes a basis label to itself, a relation
 pivot to its relation and the top ambient degree, which restricts to zero on
 Y, to 0.  It is assembled on sparse rows from the Pieri entries
-(quantum.pieri_entries), split once per p: C_p is the entries with no q,
-P_p - C_p the entries with q, and J a selection of columns; each E_p is made
-dense once.  C_1 is built once, and the quotient's cup-sigma_1 blocks, the
-pairing and C_1 J all read it.
+(quantum.pieri_entries), split once per p into C_p, the entries with no q,
+and P_p - C_p, the entries with q; each E_p is made dense once.  C_1 is built
+once, and the quotient's cup-sigma_1 blocks, the pairing and C_1 J read it.
 
-SectionRing is the second constructor of quantum.GradedAlgebra, beside
-Gr(k, n) itself.  GradedAlgebra's constructor asserts that e_1..e_k commute,
-and nothing else does, so no ring is handed out uncertified; SectionRing
-builds nothing more than a caller of e_ops (the Lefschetz check,
-section_charpoly) reads.  The multiplication operator L_lam of every ambient
-basis class is built the first time label_ops is read, by the same
-triangular recursion as for Gr(k, n), L_lam = E_p L_lam' - sum c q^d L_mu
-(quantum.label_recursion seeded with the identity), with e_p * lam' read off
-column lam' of E_p.  No command reads them: the verdict seeds the recursion
-with the perp vectors instead.  Two facts certify it on the ambient classes.
-The unit is cyclic: by induction L_lam is a polynomial in e_1..e_k sending
-the unit to lam.  And e_1..e_k commute, which was asserted when the ring was
-built.  Together they give every Pieri identity e_p L_mu = sum c q^d L_lab
-there: both sides are polynomials in e_1..e_k that agree on the unit, hence
-on every class the unit reaches.  Every e_p kills beta, so each L_lam acts on beta by the constant
-term of its polynomial; the tests check the identities on the whole ring,
-beta's row and column included, and check E_p against the section Pieri rule
-applied class by class.  The recursion also checks that lam has coefficient 1
-in e_p * lam' and that every correction is a class it has already built.
+SectionRing is the second constructor of quantum.GradedAlgebra, whose
+constructor asserts that e_1..e_k commute, so no ring is handed out
+uncertified.  It builds nothing more than a caller of e_ops (the Lefschetz
+check, section_charpoly) reads.  The operator L_lam of every ambient basis
+class is built the first time label_ops is read, by the triangular recursion
+of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu (quantum.label_recursion seeded
+with the identity), with e_p * lam' read off column lam' of E_p.  Two facts
+certify it on the ambient classes: by induction L_lam is a polynomial in
+e_1..e_k sending the unit to lam, and e_1..e_k commute.  So every Pieri
+identity e_p L_mu = sum c L_lab holds there, both sides being polynomials in
+e_1..e_k that agree on the unit.  Every e_p kills beta, so each L_lam acts on
+beta by the constant term of its polynomial; the tests check the identities
+on the whole ring, beta's row and column included, and check E_p against the
+section Pieri rule applied class by class.  The recursion also checks that
+lam has coefficient 1 in e_p * lam' and that every correction is a class it
+has already built.
 
 The quantum Lefschetz identities h_{n-1} = 0 and h_n = q e_1 are checked on
 whole operators (lefschetz_relation_check): h_m = sigma_m is evaluated on E_1,
@@ -71,10 +69,9 @@ radical is empty (n = 7), e_1 is invertible, the r residue pieces all have
 dimension p, and S is the whole ring: the route is "trace-form".  When it is
 not (n = 8), the radical's half of the verdict rests on the source's external
 monodromy argument, since beta * beta is undetermined: "trace-form+monodromy".
-So no command builds a section label operator.  full_ring_semisimple, the
-trace form of all the label operators, stays in this module as the reference
-the tests compare the n = 7 verdict with, and because the benchmark's traced
-spans name it.
+No command builds a section label operator.  full_ring_semisimple, the trace
+form of all the label operators, is the reference the tests compare the
+n = 7 verdict with, and the benchmark's traced spans name it.
 
 e_1 commutes with every multiplication operator and e_1^r maps P into P, so
 multiplication by an element of P has r times its trace on P as its trace on
@@ -89,8 +86,7 @@ S is semisimple exactly when det G_P and det M_z are both nonzero, which
 perp_subalgebra_semisimple decides on p x p matrices (p = 5 and 7, against
 the 30- and 49-dimensional S); the tests check the identity against the whole
 of S for n = 7 and n = 8.  The products v_i * v_j are read off L_lab P, the
-label recursion run on the p columns of P (perp_piece_operators), so the
-verdict builds no label operator.
+label recursion run on the p columns of P (perp_piece_operators).
 """
 
 from __future__ import annotations
@@ -130,18 +126,18 @@ def q_degree(k: int, n: int) -> int:
 class SectionRing(GradedAlgebra):
     """Basis, relations and Pieri operators for the section of Gr(k, n)."""
 
-    def __init__(self, k: int, n: int, q_value=1):
+    def __init__(self, k: int, n: int):
         r = q_degree(k, n)
         self.box, self.k = Box(k, n), k
         self.dim_y = k * (n - k) - 1
         self._ambient_index = {lam: i for i, lam in enumerate(schubert_basis(self.box))}
-        # C_p and P_p - C_p at q_value, as sparse rows, split once per p
-        pieri = {p: _split_pieri(self.box, p, q_value) for p in range(1, k + 1)}
+        # C_p and P_p - C_p, as sparse rows, split once per p
+        pieri = {p: _split_pieri(self.box, p) for p in range(1, k + 1)}
         cup1 = pieri[1][0]
         self._build_quotient(cup1)
         basis = self._quotient_basis(hodge.diamond(k, n))
         e_ops = self._e_operators(basis, pieri)
-        super().__init__(self.box, basis, r, q_value, e_ops, self._pairing(basis, cup1))
+        super().__init__(self.box, basis, r, e_ops, self._pairing(basis, cup1))
 
     def _e_operators(self, basis, pieri) -> dict[int, Matrix]:
         """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri
@@ -228,23 +224,20 @@ class SectionRing(GradedAlgebra):
         return mat
 
 
-def _split_pieri(box: Box, p: int, q_value) -> tuple[list[dict], list[dict]]:
-    """pieri_entries(box, p) as two sparse-row matrices: the classical cup
-    product C_p (the entries with no q) and P_p - C_p (the entries with q,
-    read as q_value^d, none at q_value = 0)."""
+def _split_pieri(box: Box, p: int) -> tuple[list[dict], list[dict]]:
+    """pieri_entries(box, p) as two 0/1 sparse-row matrices, indexed by q
+    power: the classical cup product C_p (the entries with no q) and
+    P_p - C_p (the entries with q, at q = 1)."""
     dim = len(schubert_basis(box))
-    classical, quantum = [{} for _ in range(dim)], [{} for _ in range(dim)]
+    halves = [{} for _ in range(dim)], [{} for _ in range(dim)]
     for row, col, d in pieri_entries(box, p):
-        if not d:
-            classical[row][col] = 1
-        elif q_value:
-            quantum[row][col] = q_value**d
-    return classical, quantum
+        halves[d][row][col] = 1
+    return halves
 
 
 @lru_cache(maxsize=None)
-def build_ring(k: int, n: int, q_value=1) -> SectionRing:
-    return SectionRing(k, n, q_value)
+def build_ring(k: int, n: int) -> SectionRing:
+    return SectionRing(k, n)
 
 
 def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPoly:
@@ -255,19 +248,18 @@ def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPo
 
 
 def lefschetz_relation_check(n: int) -> bool:
-    """Verify h_{n-1} = 0 and h_n = q e_1 in the section operator algebra,
-    with h_m = sigma_m evaluated on e_1, e_2, e_3 by the h-recursion
-    (quantum.h_operators)."""
+    """Verify h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in the section
+    operator algebra, with h_m = sigma_m evaluated on e_1, e_2, e_3 by the
+    h-recursion (quantum.h_operators)."""
     if n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
     ring = build_ring(3, n)
     _, h_prev, h_top = h_operators(ring.e_ops, n)
-    q_e1 = linalg.sparse_rows(linalg.mat_combine([(ring.q_value, ring.e_ops[1])]))
-    return not any(h_prev) and h_top == q_e1
+    return not any(h_prev) and h_top == linalg.sparse_rows(ring.e_ops[1])
 
 
 def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
-    """Radical of the section ring at q = 1 and the orthogonal complement of
+    """Radical of the section ring and the orthogonal complement of
     the radical inside the residue-0 piece, both as coordinate vectors.
 
     The radical is ker e_1^dim, which linalg.generalized_kernel finds by

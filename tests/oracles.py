@@ -7,8 +7,14 @@ route:
   symbolic Pieri layer: classes as {(label, q power): coeff} with q kept
   symbolic, and the section Pieri rule applied class by class.  symbolic_e_ops
   and symbolic_label_ops build the e-operators and the first-column recursion
-  from those images; production reads both off the Pieri matrices.
-  sigma1_triple_integral is the integral the section pairing reads off C_1.
+  from those images; production reads both off the Pieri matrices.  The
+  symbolic q powers are evaluated at q = 1, where production works, or at
+  q = 0 for the classical half.  sigma1_triple_integral is the integral the
+  section pairing reads off C_1.
+- cup_matrix is the classical cup product C_p, the q-free terms of
+  quantum_pieri; classical_grassmannian and classical_section_ring are the
+  algebras at q = 0 (the cohomology rings), the latter on R C_p J, built
+  from section._split_pieri's q-free half through the ring's own assembly.
 - giambelli_expr, star_schubert and star multiply ambient classes through the
   Giambelli determinant in the Pieri operators; quantum.mult_operators uses
   the first-column Pieri recursion instead.
@@ -43,7 +49,7 @@ route:
   sharing prefixes, one sparse_mul at a time and one sparse_combine per
   polynomial; quantum.h_operators runs the h-recursion on the operators.
 - matrix_product_e_ops and pair_loop_pairing are the dense routes of the
-  section ring: E_p as products of the Pieri matrices P_p, C_p and C_1, and
+  section ring: E_p as products of the matrices P_p, C_p and C_1, and
   the pairing over every pair of labels.  Production assembles E_p on sparse
   rows from the Pieri entries and pairs each label with one degree.
 - mult_operator combines the label operators into the operator of any
@@ -88,7 +94,7 @@ from qhgrass.errors import InternalConsistencyError, InvalidInputError, Undeterm
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, canonical, size, transpose
 from qhgrass.polynomials import UniPoly
-from qhgrass.quantum import grassmannian, pieri_matrix, restrict_to_coords, schubert_basis
+from qhgrass.quantum import GradedAlgebra, grassmannian, pieri_matrix, restrict_to_coords, schubert_basis
 from qhgrass.rootdata import (
     _POSITIVE_ROOT_COUNT,
     DynkinType,
@@ -99,7 +105,7 @@ from qhgrass.rootdata import (
     dimension,
 )
 from qhgrass.screen import BettiProfile, profile_of
-from qhgrass.section import BETA, SectionRing, build_ring, radical_and_perp
+from qhgrass.section import BETA, SectionRing, _split_pieri, build_ring, radical_and_perp
 
 # A1-A11, B2-B9, C2-C9, D4-D9, E6-E8, F4 and G2: 220 G/P_k in all
 SMALL_TYPES = tuple(
@@ -728,11 +734,11 @@ def sigma1_triple_integral(lam: Partition, mu: Partition, box: Box) -> int:
     return 1 if box.dual(mu) in vertical_strip_additions(lam, 1, box) else 0
 
 
-def vector(alg, x: ClassVector) -> list:
-    """Basis coordinates of a class at q = alg.q_value."""
+def vector(alg, x: ClassVector, q: int = 1) -> list:
+    """Basis coordinates of a class at q = 1 (or at q = 0, its q-free terms)."""
     coords = [0] * len(alg.basis)
     for (lab, qp), coeff in x.terms.items():
-        coords[alg.index[lab]] += coeff * alg.q_value**qp
+        coords[alg.index[lab]] += coeff * q**qp
     return coords
 
 
@@ -794,19 +800,19 @@ def pieri_on_label(alg, p: int, lab) -> ClassVector:
     return ClassVector(alg.box, quantum_pieri(p, lab, alg.box))
 
 
-def symbolic_e_ops(alg) -> dict[int, Matrix]:
-    """The e-operators with column j the symbolic image of basis[j] at q_value."""
+def symbolic_e_ops(alg, q: int = 1) -> dict[int, Matrix]:
+    """The e-operators with column j the symbolic image of basis[j] at q."""
     return {
-        p: [list(col) for col in zip(*(vector(alg, pieri_on_label(alg, p, lab)) for lab in alg.basis))]
+        p: [list(col) for col in zip(*(vector(alg, pieri_on_label(alg, p, lab), q) for lab in alg.basis))]
         for p in range(1, alg.k + 1)
     }
 
 
-def symbolic_label_ops(alg) -> dict:
+def symbolic_label_ops(alg, q: int = 1) -> dict:
     """mult_operators' first-column recursion L_lam = E_p L_lam' - sum c q^d L_mu,
-    with E_p from symbolic_e_ops and each image from pieri_on_label."""
+    with E_p from symbolic_e_ops and each image from pieri_on_label, at q."""
     dim = len(alg.basis)
-    e_ops = symbolic_e_ops(alg)
+    e_ops = symbolic_e_ops(alg, q)
     ops = {(): linalg.identity(dim)}
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
@@ -814,7 +820,7 @@ def symbolic_label_ops(alg) -> dict:
         image = dict(pieri_on_label(alg, p, lam_prime).terms)
         if image.pop((lam, 0), 0) != 1:
             raise InternalConsistencyError(f"e_{p} * s{lam_prime} does not determine s{lam}")
-        corrections = [(-coeff * alg.q_value**d, ops[mu]) for (mu, d), coeff in image.items()]
+        corrections = [(-coeff * q**d, ops[mu]) for (mu, d), coeff in image.items()]
         ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(e_ops[p], ops[lam_prime]))
     return ops
 
@@ -822,12 +828,48 @@ def symbolic_label_ops(alg) -> dict:
 # -- the dense routes of the section ring -----------------------------------------
 
 
-def matrix_product_e_ops(ring: SectionRing) -> dict[int, Matrix]:
-    """E_p = R (C_p + (P_p - C_p) C_1) J as dense matrix products over the
-    Pieri matrices at ring.q_value; production assembles the same identity on
-    sparse rows from the Pieri entries."""
+def cup_matrix(box: Box, p: int) -> Matrix:
+    """The classical cup product C_p by sigma_{1^p} over the Schubert basis:
+    the q-free terms of quantum_pieri, column by column."""
+    basis = schubert_basis(box)
+    index = {lam: i for i, lam in enumerate(basis)}
+    mat = linalg.zeros(len(basis), len(basis))
+    for col, lam in enumerate(basis):
+        for (mu, d), c in quantum_pieri(p, lam, box).items():
+            if not d:
+                mat[index[mu]][col] = c
+    return mat
+
+
+def classical_grassmannian(box: Box) -> GradedAlgebra:
+    """H*(Gr(k, n)), QH at q = 0: Gr(k, n)'s basis and pairing with the cup
+    products C_p as e-operators."""
+    alg = grassmannian(box)
+    return GradedAlgebra(box, alg.basis, alg.r, {p: cup_matrix(box, p) for p in range(1, box.k + 1)}, alg.pairing)
+
+
+def classical_section_e_ops(ring: SectionRing) -> dict[int, Matrix]:
+    """R C_p J, the section Pieri rule at q = 0: the ring's own assembly of
+    E_p = R (C_p + (P_p - C_p) C_1) J, given _split_pieri's q-free half C_p
+    and no q half."""
+    dim = len(schubert_basis(ring.box))
+    halves = {p: (_split_pieri(ring.box, p)[0], [{} for _ in range(dim)]) for p in range(1, ring.k + 1)}
+    return ring._e_operators(ring.basis, halves)
+
+
+def classical_section_ring(ring: SectionRing) -> GradedAlgebra:
+    """The section ring at q = 0: its basis and pairing with R C_p J as
+    e-operators."""
+    return GradedAlgebra(ring.box, ring.basis, ring.r, classical_section_e_ops(ring), ring.pairing)
+
+
+def matrix_product_e_ops(ring: SectionRing, q: int = 1) -> dict[int, Matrix]:
+    """E_p = R (C_p + (P_p - C_p) C_1) J as dense matrix products, with P_p the
+    Pieri matrix at q = 1 (or C_p, at q = 0) and C_p from cup_matrix;
+    production assembles the same identity on sparse rows from the Pieri
+    entries."""
     ambient, at, basis = schubert_basis(ring.box), ring._ambient_index, ring.basis
-    cup1 = pieri_matrix(ring.box, 1, 0)
+    cup1 = cup_matrix(ring.box, 1)
     reduction = linalg.zeros(len(basis), len(ambient))
     for col, lam in enumerate(ambient):
         if lam in ring.index:
@@ -840,7 +882,8 @@ def matrix_product_e_ops(ring: SectionRing) -> dict[int, Matrix]:
             inclusion[at[lab]][j] = 1
     e_ops = {}
     for p in range(1, ring.k + 1):
-        full, classical = pieri_matrix(ring.box, p, ring.q_value), pieri_matrix(ring.box, p, 0)
+        classical = cup_matrix(ring.box, p)
+        full = pieri_matrix(ring.box, p) if q else classical
         correction = linalg.mat_combine([(1, full), (-1, classical)])
         raw = linalg.mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
         e_ops[p] = linalg.mat_mul(reduction, linalg.mat_mul(raw, inclusion))
@@ -850,7 +893,7 @@ def matrix_product_e_ops(ring: SectionRing) -> dict[int, Matrix]:
 def pair_loop_pairing(ring: SectionRing) -> Matrix:
     """The section pairing over every pair of basis labels, with size and
     box.dual taken per pair; production pairs each label with one degree."""
-    cup1, at = pieri_matrix(ring.box, 1, 0), ring._ambient_index
+    cup1, at = cup_matrix(ring.box, 1), ring._ambient_index
     mat = linalg.zeros(len(ring.basis), len(ring.basis))
     for i, a in enumerate(ring.basis):
         for j, b in enumerate(ring.basis):
@@ -946,9 +989,9 @@ def pairing_q1(a: ClassVector, b: ClassVector):
     )
 
 
-def radical(box: Box, q_value=1) -> tuple[list[list], list[list]]:
-    """radical_by_power for QH(Gr(k, n)) at the given q."""
-    return radical_by_power(grassmannian(box, q_value))
+def radical(box: Box) -> tuple[list[list], list[list]]:
+    """radical_by_power for QH(Gr(k, n))."""
+    return radical_by_power(grassmannian(box))
 
 
 def radical_by_power(alg) -> tuple[list[list], list[list]]:
@@ -1014,7 +1057,7 @@ def build_lifts(ring: SectionRing) -> dict[Partition, dict[tuple[int, ...], int]
                     raise InternalConsistencyError(f"lift of {lam} has unexpected term {lab} q^{qp}")
             for (lab, qp), coeff in rest.terms.items():
                 for expo, c in lifts[lab].items():
-                    poly[expo] = poly.get(expo, 0) - coeff * c * ring.q_value**qp
+                    poly[expo] = poly.get(expo, 0) - coeff * c
             lifts[lam] = {e: c for e, c in poly.items() if c}
     return lifts
 
@@ -1071,8 +1114,8 @@ def perp_iso_check(k: int, n: int) -> bool:
     basis_x = schubert_basis(box)
     piece_x = grassmannian(box).residue_piece(0)
     dim0 = len(piece_x)
-    e1x = [list(r) for r in pieri_matrix(box, 1, 1)]
-    e2x = [list(r) for r in pieri_matrix(box, 2, 1)]
+    e1x = [list(r) for r in pieri_matrix(box, 1)]
+    e2x = [list(r) for r in pieri_matrix(box, 2)]
     if n == 7:
         gen_x = linalg.mat_pow(e1x, n)
         gen_y = linalg.mat_pow(ring.e_ops[1], n - 1)

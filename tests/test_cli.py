@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -121,12 +122,36 @@ def test_degenerate_box_and_negative_power_exit_2(capsys):
         assert code == 2 and not out and "error" in err, section
 
 
+def _peak_bytes_and_seconds(capsys, *argv):
+    """Run one command; its exit code, output, the largest allocation peak
+    and the CPU seconds it took."""
+    tracemalloc.start()
+    t0 = time.process_time()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak, time.process_time() - t0
+
+
 def test_oversized_core_search_exits_2_at_once(capsys):
-    for k, n in [(50, 100), (3, 100000)]:
-        t0 = time.process_time()
-        code, out, err = run_cli(capsys, "core-search", "--k", str(k), "--n", str(n))
-        assert code == 2 and not out and "candidates" in err
-        assert time.process_time() - t0 < 2
+    # in time and memory that do not grow with n
+    for k, n in [(50, 100), (3, 100000), (3, 100000000)]:
+        code, out, err, peak, seconds = _peak_bytes_and_seconds(capsys, "core-search", "--k", str(k), "--n", str(n))
+        assert code == 2 and not out and "candidates" in err and err.count("\n") == 1, (k, n)
+        assert peak < 10**6 and seconds < 2, (k, n)
+
+
+def test_oversized_snow_exits_2_at_once(capsys):
+    for k, n, p in [(10, 40, 100), (3, 100000000, 10000000)]:
+        code, out, err, peak, seconds = _peak_bytes_and_seconds(
+            capsys, "snow", "--k", str(k), "--n", str(n), "--p", str(p), "--twist", "1")
+        assert code == 2 and not out and "partitions" in err and err.count("\n") == 1, (k, n, p)
+        assert peak < 10**6 and seconds < 2, (k, n, p)
+    # a million columns but five partitions of 5: answered
+    code, out, _ = run_cli(capsys, "snow", "--k", "3", "--n", "1000000", "--p", "5", "--twist", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["results"] == {"witnesses": []}
 
 
 def test_oversized_grassmannian_is_refused_at_once(capsys):
@@ -329,6 +354,7 @@ def test_hodge_section_localizes_once(capsys, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(hodge, "chi_y", counting)
+    hodge.diamond.cache_clear()
     code, out, _ = run_cli(capsys, "hodge", "--k", "2", "--n", "5", "--section", "--format", "json")
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["results"]["chi_y"] == [int(c) for c in original(2, 5, section=True).coeffs]

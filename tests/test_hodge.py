@@ -356,6 +356,7 @@ def test_bwb_anchors_catch_a_wrong_sum(monkeypatch, capsys):
         return at_zero, alternating
 
     monkeypatch.setattr(hodge, "_euler_sums", slipped)
+    hodge.diamond.cache_clear()
     for k, n, section in [(2, 5, False), (3, 6, False), (2, 5, True), (3, 7, True)]:
         with pytest.raises(InternalConsistencyError):
             chi_y(k, n, section=section)

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import core_search_unpruned, count_small_partitions_table, from_beta_set, to_beta_set
+from qhgrass import partitions
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import (
     MAX_CORE_CANDIDATES,
+    MAX_SNOW_PARTITIONS,
     Box,
     _count_small_partitions,
     box_partitions_of_size,
@@ -265,3 +267,24 @@ def test_core_search_refuses_oversized_boxes():
     assert count > MAX_CORE_CANDIDATES
     with pytest.raises(InvalidInputError, match=str(count)):
         core_search(Box(50, 100))
+    # past a few hundred cells the series is cut, and the count there, a
+    # lower bound, is already over the bound: the same for n = 600 and 10^8
+    count = _count_small_partitions(3, 10**8 - 3, 10**8 - 1)
+    assert count == _count_small_partitions(3, 597, 599) > MAX_CORE_CANDIDATES
+    assert count <= count_small_partitions_table(3, 597, 599)
+    with pytest.raises(InvalidInputError, match=str(count)):
+        core_search(Box(3, 10**8))
+
+
+def test_snow_refuses_more_partitions_of_p_than_the_bound(monkeypatch):
+    # the enumeration stops at the bound, so 10^7 cells in 10^8 columns cost
+    # no more than a small box
+    with pytest.raises(InvalidInputError, match=f"over {MAX_SNOW_PARTITIONS} partitions"):
+        snow_witnesses(Box(3, 10**8), 10**7, 1)
+    # exactly at the bound the box is admitted, one under it is refused
+    count = len(box_partitions_of_size(3, 9, 12))
+    monkeypatch.setattr(partitions, "MAX_SNOW_PARTITIONS", count)
+    assert snow_witnesses(Box(3, 9), 12, 3) == [((6, 4, 2), 6)]
+    monkeypatch.setattr(partitions, "MAX_SNOW_PARTITIONS", count - 1)
+    with pytest.raises(InvalidInputError, match=f"over {count - 1} partitions"):
+        snow_witnesses(Box(3, 9), 12, 3)

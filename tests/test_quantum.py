@@ -9,6 +9,7 @@ from oracles import (
     PRINTED_H,
     ClassVector,
     charpoly_on_piece,
+    classical_grassmannian,
     cup_e,
     evaluate_e_polynomials,
     giambelli_expr,
@@ -176,13 +177,8 @@ def test_quantum_giambelli_unit_invariant():
 
 def test_pieri_matrices_commute():
     for box in BOXES:
-        mats = [[list(r) for r in pieri_matrix(box, p, 1)] for p in range(1, box.k + 1)]
+        mats = [[list(r) for r in pieri_matrix(box, p)] for p in range(1, box.k + 1)]
         assert commuting(mats), box
-    # at other q values too
-    box = Box(3, 6)
-    for q in (0, 2, Fraction(1, 2)):
-        mats = [[list(r) for r in pieri_matrix(box, p, q)] for p in (1, 2, 3)]
-        assert commuting(mats)
 
 
 def _graded_pieces(box):
@@ -215,7 +211,7 @@ def test_sigma1_shifts_graded_pieces():
     for box in [Box(2, 5), Box(3, 6), Box(3, 7)]:
         idx = {lam: i for i, lam in enumerate(schubert_basis(box))}
         pieces = _graded_pieces(box)
-        e1 = pieri_matrix(box, 1, 1)
+        e1 = pieri_matrix(box, 1)
         for residue, piece in pieces.items():
             target = set(pieces[(residue + 1) % box.n])
             for lam in piece:
@@ -232,14 +228,14 @@ def test_sigma1_shifts_graded_pieces():
 
 def test_char_poly_on_piece_rejects_non_invariant():
     box = Box(3, 7)
-    e1 = [list(r) for r in pieri_matrix(box, 1, 1)]
+    e1 = [list(r) for r in pieri_matrix(box, 1)]
     with pytest.raises(InvalidInputError):
         charpoly_on_piece(grassmannian(box), e1, grassmannian(box).residue_piece(0))
 
 
 def test_ambient_charpolys_golden():
     b37 = Box(3, 7)
-    e1 = [list(r) for r in pieri_matrix(b37, 1, 1)]
+    e1 = [list(r) for r in pieri_matrix(b37, 1)]
     alg37 = grassmannian(b37)
     cp = charpoly_on_piece(alg37, linalg.mat_pow(e1, 7), alg37.residue_piece(0))
     assert cp == UniPoly([128, -13, 1]) * UniPoly([1, -57, -289, 1])
@@ -247,8 +243,8 @@ def test_ambient_charpolys_golden():
     b38 = Box(3, 8)
     alg38 = grassmannian(b38)
     piece = alg38.residue_piece(0)
-    e1 = [list(r) for r in pieri_matrix(b38, 1, 1)]
-    e2 = [list(r) for r in pieri_matrix(b38, 2, 1)]
+    e1 = [list(r) for r in pieri_matrix(b38, 1)]
+    e2 = [list(r) for r in pieri_matrix(b38, 2)]
     cp8 = charpoly_on_piece(alg38, linalg.mat_pow(e1, 8), piece)
     expected8 = UniPoly([1, -1]) * UniPoly([1, -1]) * UniPoly([1, -1])
     expected8 = expected8 * UniPoly([1, -1154, 1]) * UniPoly([6561, -34, 1])
@@ -273,7 +269,7 @@ def test_presentation_check_examples():
     # sigma_7 reduces to q itself for Gr(3,7): sigma_n + (-1)^k q = 0 means
     # the operator of sigma_7 equals q times the identity
     box = Box(3, 7)
-    generators = {p: [list(row) for row in pieri_matrix(box, p, 1)] for p in (1, 2, 3)}
+    generators = {p: [list(row) for row in pieri_matrix(box, p)] for p in (1, 2, 3)}
     (mat,) = evaluate_e_polynomials([sigma_e_polynomial(7, 3)], generators)
     assert mat == linalg.identity(len(schubert_basis(box)))
 
@@ -283,19 +279,19 @@ def test_h_recursion_matches_the_monomial_evaluation(box):
     # h_operators runs H_m = sum (-1)^(i+1) E_i H_(m-i); the oracle expands
     # sigma_m in e_1..e_k and evaluates every monomial
     k, dim = box.k, len(schubert_basis(box))
-    for q, top in ((1, box.n), (Fraction(1, 2), box.n + 1)):
-        generators = {p: pieri_matrix(box, p, q) for p in range(1, k + 1)}
+    generators = {p: pieri_matrix(box, p) for p in range(1, k + 1)}
+    for top in (box.n, box.n + 1):
         got = [linalg.dense(h, dim) for h in quantum.h_operators(generators, top)]
         polys = [sigma_e_polynomial(m, k) for m in range(top - k + 1, top + 1)]
-        assert got == evaluate_e_polynomials(polys, generators), (q, top)
-    assert presentation_check(box) and presentation_check(box, Fraction(1, 2))
+        assert got == evaluate_e_polynomials(polys, generators), top
+    assert presentation_check(box)
 
 
 def _perturbed_pieri(monkeypatch, target: int, row: int, col: int, value):
     original = quantum.pieri_matrix
 
-    def perturbed(box, p, q_value=1):
-        mat = [list(r) for r in original(box, p, q_value)]
+    def perturbed(box, p):
+        mat = [list(r) for r in original(box, p)]
         if p == target:
             mat[row][col] = value
         return mat
@@ -332,7 +328,7 @@ def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):
     from qhgrass.section import build_ring
 
     box = Box(4, 8)
-    ambient = {p: [list(row) for row in pieri_matrix(box, p, 1)] for p in range(1, 5)}
+    ambient = {p: [list(row) for row in pieri_matrix(box, p)] for p in range(1, 5)}
     cases = [
         ([sigma_e_polynomial(8, 4)], ambient, 32),
         ([PRINTED_H[8]], build_ring(3, 8).e_ops, 26),
@@ -369,7 +365,7 @@ def test_mult_operator_examples():
     assert mult_operator(alg, vector(alg, ClassVector.unit(box))) == linalg.identity(6)
     # at q = 0 multiplication by a class of degree d shifts degree up by d
     basis = schubert_basis(box)
-    alg0 = grassmannian(box, 0)
+    alg0 = classical_grassmannian(box)
     for lam in basis:
         op = mult_operator(alg0, vector(alg0, ClassVector.schubert(box, lam)))
         for col, mu in enumerate(basis):
@@ -440,14 +436,25 @@ def test_sigma1_triple_integral():
 
 def test_radical_across_q():
     # sigma_1 is invertible when n is odd relative to k-subset sums of roots
-    # of unity; Gr(2,5) and Gr(3,7) have trivial radical at every q tested
+    # of unity; Gr(2,5) and Gr(3,7) have trivial radical at q = 1, hence at
+    # every q != 0: at q = t^n the Pieri entries give t^p D^-1 P_p D with
+    # D = diag(t^|lam|), the rescaling sigma_lam -> t^|lam| sigma_lam
     for box in [Box(2, 5), Box(3, 7)]:
-        for q in (1, 2, Fraction(1, 2)):
-            rad, perp = radical(box, q)
-            assert rad == []
-            assert len(perp) == len(grassmannian(box).residue_piece(0))
-            e1 = [list(r) for r in pieri_matrix(box, 1, q)]
-            assert linalg.det_bareiss(e1) != 0
+        rad, perp = radical(box)
+        assert rad == []
+        assert len(perp) == len(grassmannian(box).residue_piece(0))
+        assert linalg.det_bareiss([list(r) for r in pieri_matrix(box, 1)]) != 0
+        degrees = [size(lam) for lam in schubert_basis(box)]
+        for t in (Fraction(2), Fraction(1, 2)):
+            for p in range(1, box.k + 1):
+                at_q = linalg.zeros(len(degrees), len(degrees))
+                for row, col, d in quantum.pieri_entries(box, p):
+                    at_q[row][col] = t ** (box.n * d)
+                rescaled = [
+                    [t ** (p + degrees[col] - degrees[row]) * x for col, x in enumerate(entries)]
+                    for row, entries in enumerate(pieri_matrix(box, p))
+                ]
+                assert at_q == rescaled, (box, t, p)
 
 
 def test_radical_of_even_quadric_like_boxes():
@@ -456,20 +463,20 @@ def test_radical_of_even_quadric_like_boxes():
     # honest eigenvalue and the kernel is two-dimensional (yet the trace form
     # is still nondegenerate: the ring remains semisimple)
     for box, expected_dim in [(Box(2, 4), 2), (Box(3, 6), 2)]:
-        rad, _ = radical(box, 1)
+        rad, _ = radical(box)
         assert len(rad) == expected_dim
-        e1 = [list(r) for r in pieri_matrix(box, 1, 1)]
+        e1 = [list(r) for r in pieri_matrix(box, 1)]
         power = linalg.mat_pow(e1, len(schubert_basis(box)))
         for v in rad:
             assert all(x == 0 for x in linalg.mat_vec(power, v))
         assert qh_semisimple(box)
     box = Box(2, 4)
-    rad, _ = radical(box, 1)
+    rad, _ = radical(box)
     idx = {lam: i for i, lam in enumerate(schubert_basis(box))}
     special = [0] * 6
     special[idx[()]] = 1
     special[idx[(2, 2)]] = -1
-    e1 = [list(r) for r in pieri_matrix(box, 1, 1)]
+    e1 = [list(r) for r in pieri_matrix(box, 1)]
     assert all(x == 0 for x in linalg.mat_vec(e1, special))
 
 
@@ -484,7 +491,7 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
     assert not commuting([x, bad])
     gr12 = grassmannian(Box(1, 2))
     with pytest.raises(InternalConsistencyError, match="do not commute"):
-        GradedAlgebra(gr12.box, gr12.basis, gr12.r, gr12.q_value, {1: x, 2: bad}, gr12.pairing)
+        GradedAlgebra(gr12.box, gr12.basis, gr12.r, {1: x, 2: bad}, gr12.pairing)
     # ... and the perp route on the perp generators and e_1^r, both ways
     for generators, shift in [([x, bad], linalg.identity(2)), ([x], bad)]:
         monkeypatch.setattr(section, "perp_piece_operators", lambda ring, perp: (generators, shift))

@@ -11,6 +11,8 @@ from oracles import (
     beta,
     betti_numbers,
     build_lifts,
+    classical_section_e_ops,
+    classical_section_ring,
     cup_e,
     evaluate_e_polynomials,
     lift_operator,
@@ -226,13 +228,14 @@ def test_frobenius_property_of_operators():
 
 
 def test_classical_limit_is_quotient_cup_product():
-    ring0 = build_ring(3, 7, q_value=0)
-    for p in (1, 2, 3):
-        mat = ring0.e_ops[p]
-        for col, lab in enumerate(ring0.basis):
-            expected = reduce(ring0, cup_e(p, ClassVector.schubert(ring0.box, lab)))
-            vec = vector(ring0, expected)
-            assert [mat[r][col] for r in range(len(ring0.basis))] == vec
+    # R C_p J, the q-free half of E_p, is the cup product pushed to the
+    # quotient; beta's column is zero
+    for n in (6, 7, 8):
+        ring = build_ring(3, n)
+        for p, mat in classical_section_e_ops(ring).items():
+            for col, lab in enumerate(ring.basis):
+                cup = ClassVector(ring.box) if lab == BETA else cup_e(p, ClassVector.schubert(ring.box, lab))
+                assert [row[col] for row in mat] == vector(ring, reduce(ring, cup)), (n, p, lab)
 
 
 def test_section_charpolys_golden():
@@ -461,7 +464,7 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
     e_ops[2][0][-1] += 1
     assert not commuting([e_ops[1], e_ops[2], e_ops[3]])
     with pytest.raises(InternalConsistencyError, match="do not commute"):
-        GradedAlgebra(ring.box, ring.basis, ring.r, ring.q_value, e_ops, ring.pairing)
+        GradedAlgebra(ring.box, ring.basis, ring.r, e_ops, ring.pairing)
 
 
 # commands that read the e-operators, and for the perp verdict the label
@@ -485,6 +488,19 @@ def test_e_operator_commands_build_no_label_operators(argv, capsys, monkeypatch)
     build_ring.cache_clear()
     assert cli.run(argv + ["--format", "json"]) == 0
     assert calls == [] and not capsys.readouterr().err
+
+
+def test_the_38_section_verdict_computes_chi_y_once(capsys, monkeypatch):
+    # the Betti screen and the ring's dimension check read one cached diamond
+    from qhgrass import cli
+
+    calls = []
+    original = hodge.chi_y
+    monkeypatch.setattr(hodge, "chi_y", lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    build_ring.cache_clear()
+    hodge.diamond.cache_clear()
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
+    assert calls == [(3, 8)] and not capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -633,7 +649,7 @@ def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monke
         image = change(ring, [row[col] for row in e_ops[p]])
         for row, x in zip(e_ops[p], image):
             row[col] = x
-        return GradedAlgebra(ring.box, ring.basis, ring.r, ring.q_value, e_ops, ring.pairing)
+        return GradedAlgebra(ring.box, ring.basis, ring.r, e_ops, ring.pairing)
 
     def perturb(n, p, lab, change, match):
         # refused when the algebra is built, or by the recursion
@@ -666,7 +682,7 @@ def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monke
 
 
 def test_label_operators_satisfy_every_pieri_identity():
-    # e_p L_mu = sum c q^d L_lab for every p and every basis class mu: the
+    # e_p L_mu = sum c q^d L_lab at q = 1 for every p and every basis class mu: the
     # identities the recursion is certified to satisfy, beta rows and columns
     # included
     for n in (6, 7, 8):
@@ -676,7 +692,7 @@ def test_label_operators_satisfy_every_pieri_identity():
             for mu, op in ring.label_ops.items():
                 image = pieri_on_label(ring, p, mu).terms
                 expected = linalg.mat_combine(
-                    [(c * ring.q_value**d, ring.label_ops[lab]) for (lab, d), c in image.items()],
+                    [(c, ring.label_ops[lab]) for (lab, _), c in image.items()],
                     linalg.zeros(dim, dim),
                 )
                 assert linalg.mat_mul(ring.e_ops[p], op) == expected, (n, p, mu)
@@ -752,27 +768,31 @@ def test_trace_form_gram_matches_trace_products():
     assert trace_form_gram(ops8) == _trace_product_gram(ops8)
 
 
+# q = 1 is the ring itself; q = 0 is its classical half R C_p J
+# (classical_section_ring), which production assembles as part of E_p
 @pytest.mark.parametrize("q", [0, 1])
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_e_operators_match_the_symbolic_section_pieri_rule(n, q):
     # E_p = R (C_p + (P_p - C_p) C_1) J against the section Pieri rule applied
     # class by class, entry for entry, and the label operators against the
     # first-column recursion on those symbolic images
-    ring = build_ring(3, n, q_value=q)
-    assert ring.e_ops == symbolic_e_ops(ring)
-    assert ring.label_ops == symbolic_label_ops(ring)
+    ring = build_ring(3, n)
+    alg = ring if q else classical_section_ring(ring)
+    assert alg.e_ops == symbolic_e_ops(ring, q)
+    assert alg.label_ops == symbolic_label_ops(ring, q)
 
 
-@pytest.mark.parametrize("q", [0, 1, Fraction(1, 2)])
+@pytest.mark.parametrize("q", [0, 1])
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_sparse_e_operators_and_pairing_match_the_dense_routes(n, q):
     # E_p from the Pieri entries against the products of the Pieri matrices,
     # and the pairing by degree against the loop over every pair of labels,
     # entry for entry and type for type
-    ring = build_ring(3, n, q_value=q)
+    ring = build_ring(3, n)
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
-    dense = matrix_product_e_ops(ring)
-    assert {p: typed(op) for p, op in ring.e_ops.items()} == {p: typed(op) for p, op in dense.items()}
+    e_ops = ring.e_ops if q else classical_section_e_ops(ring)
+    dense = matrix_product_e_ops(ring, q)
+    assert {p: typed(op) for p, op in e_ops.items()} == {p: typed(op) for p, op in dense.items()}
     assert typed(ring.pairing) == typed(pair_loop_pairing(ring))
 
 
@@ -780,9 +800,10 @@ def test_sparse_e_operators_and_pairing_match_the_dense_routes(n, q):
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_section_operators_hold_no_integral_fraction(n, q):
     # linalg's rule: a Fraction entry is always genuinely non-integral
-    ring = build_ring(3, n, q_value=q)
+    ring = build_ring(3, n)
+    alg = ring if q else classical_section_ring(ring)
     for name in ("e_ops", "label_ops"):
-        for e in _entries(getattr(ring, name)):
+        for e in _entries(getattr(alg, name)):
             assert type(e) is int or (type(e) is Fraction and e.denominator != 1), (name, e)
 
 
