@@ -6,12 +6,17 @@ it verbatim, --format table renders it through a pure function of the
 document, so the two modes always agree.
 
 One table, COMMANDS, names every command's help, arguments, handler and table
-renderer.  A run parses a named command with that command's parser alone
-(leaf_parser), since building every subparser costs more than most commands
-compute; any other argv, or arguments the leaf leaves over, gets the whole
-tree (build_parser), so help, usage and error text read the same.  Handlers
-are looked up by name each time a parser is built, so a patched module-level
-`_cmd_*` function is the one that runs.
+renderer.  A run reads a well-formed command line straight from that table,
+with no argparse parser, since building one costs more than most commands
+compute: the command's words, then only exact `--flag value` and `--flag`
+tokens of that command (and --format), each at most once, every required flag
+given, each value converted by the flag's type and within its choices, and a
+value starting with "-" only when it is a negative number.  Any other argv
+(-h, an abbreviation, --flag=value, a repeated flag, a bad value, a missing
+flag, a leftover token, an unknown command) goes to the whole tree
+(build_parser), which owns all help, usage and error text.  Handlers are
+looked up by name at each parse, so a patched module-level `_cmd_*` function
+is the one that runs.
 
 Exit codes: 0 success, 2 invalid input or usage, 1 internal consistency
 failure (which is always a bug, never bad user input), and 141 (128 + SIGPIPE,
@@ -24,12 +29,13 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
 from . import hodge, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
-from .partitions import Box, core_search, size, snow_witnesses
+from .partitions import Box, core_search, log10_box_count, size, snow_witnesses
 from .polynomials import UniPoly
 from .rootdata import GrassmannianId, dimension, fano_index, parse_type, poincare_polynomial
 
@@ -166,6 +172,9 @@ def _cmd_hodge(args) -> dict:
 def _ambient_box(args) -> Box:
     """The box of Gr(k, n), refused before any work when its operators are too large."""
     box = Box(args.k, args.n)
+    if (digits := log10_box_count(box.k, box.n)) > 9:
+        raise InvalidInputError(
+            f"Gr({box.k},{box.n}) has about 10^{digits:.0f} Schubert classes, over {MAX_AMBIENT_DIM}")
     if (d := math.comb(box.n, box.k)) > MAX_AMBIENT_DIM:
         raise InvalidInputError(
             f"Gr({box.k},{box.n}) has {d} Schubert classes, over {MAX_AMBIENT_DIM}: "
@@ -376,20 +385,19 @@ def render_table(doc: dict) -> str:
 # -- argument parsing ----------------------------------------------------------
 
 
+_FORMAT = ("--format", {"choices": ("table", "json"), "default": "table"})
+# argparse reads a token that starts with "-" as a value only when it matches this
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give a parser the arguments of one command of COMMANDS, and its handler."""
     _, specs, handler, _ = COMMANDS[name]
-    for flag, kwargs in specs:
+    for flag, kwargs in [*specs, _FORMAT]:
         parser.add_argument(flag, **kwargs)
-    parser.add_argument("--format", choices=("table", "json"), default="table")
     # looked up at build time, so a patched module global is the one called
     parser.set_defaults(handler=globals()[handler])
     return parser
-
-
-def leaf_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command alone, with the prog its subparser has in the tree."""
-    return _add_arguments(argparse.ArgumentParser(prog=f"qhgrass {name}"), name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,17 +417,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_table(name: str, tokens: list[str]) -> argparse.Namespace | None:
+    """The arguments of command `name` read from its COMMANDS entry, as the
+    whole tree would read them, or None for any token list that is not plainly
+    well formed, so that the tree decides it and words its errors."""
+    _, specs, handler, _ = COMMANDS[name]
+    specs = dict([*specs, _FORMAT])
+    given = {}
+    rest = iter(tokens)
+    for flag in rest:
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(rest, None)
+        if text is None or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, spec in specs.items():
+        if flag in given:
+            value = given[flag]
+        elif spec.get("required"):
+            return None
+        else:
+            value = False if spec.get("action") == "store_true" else spec.get("default")
+        values[flag[2:].replace("-", "_")] = value
+    # looked up now, so a patched module global is the one called
+    return argparse.Namespace(**values, handler=globals()[handler])
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with the leaf parser of the command it names, since building
-    every subparser costs more than most commands compute.  Anything else,
-    such as -h, a typo, a bare qh, or arguments left over after the leaf has
-    read its own, goes to the whole tree, so help, usage and errors read as
-    they always have."""
+    """Parse argv from the COMMANDS entry of the command it names, since
+    building a parser costs more than most commands compute.  Anything else,
+    such as -h, a typo, a bare qh, or arguments that entry does not plainly
+    take, goes to the whole tree, so help, usage and errors read as they
+    always have."""
     name = next((name for name in COMMANDS if name.split() == argv[: len(name.split())]), None)
-    if name is not None:
-        args, extra = leaf_parser(name).parse_known_args(argv[len(name.split()) :])
-        if not extra:
-            return args
+    if name is not None and (args := _parse_table(name, argv[len(name.split()) :])) is not None:
+        return args
     return build_parser().parse_args(argv)
 
 

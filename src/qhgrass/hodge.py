@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .partitions import box_partitions_of_size, transpose
+from .partitions import box_partitions_of_size, log10_box_count, transpose
 from .polynomials import UniPoly
 from .screen import BettiProfile
 
@@ -86,6 +86,10 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     d = k * (n - k)
+    if (digits := log10_box_count(k, n)) > 9:
+        raise InvalidInputError(
+            f"chi_y({k}, {n}) needs about 10^{digits:.0f} box partitions, over {MAX_BWB_PARTITIONS}"
+        )
     if (count := comb(n, k)) > MAX_BWB_PARTITIONS:
         raise InvalidInputError(
             f"chi_y({k}, {n}) needs {count} box partitions, over {MAX_BWB_PARTITIONS}"

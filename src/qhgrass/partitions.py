@@ -8,10 +8,11 @@ tested against several boxes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
-from math import comb
+from itertools import count
+from math import comb, lgamma, log
 
 from .errors import InvalidInputError
 
@@ -76,16 +77,44 @@ class Box:
         return canonical(tuple(self.cols - padded[self.k - 1 - i] for i in range(self.k)))
 
 
-def _box_partitions(p: int, rows: int, cols: int, prefix: Partition = ()):
-    """prefix + each partition of p in the rows x cols box, lexicographically
-    decreasing, one at a time; every part tried has a completion, so the i-th
-    comes after O(rows i) steps."""
+def log10_box_count(k: int, n: int) -> float:
+    """log10 C(n, k), the number of partitions in the k x (n - k) box, from
+    lgamma, so that a bound on the count is checked before the count is
+    taken: for k near n/2 ~ 10^9 it has 3e8 digits."""
+    return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+
+
+def _box_partitions(p: int, rows: int, cols: int):
+    """Each partition of p in the rows x cols box, lexicographically
+    decreasing, one at a time.  The first fills each part greedily; the next
+    lowers by one the last part whose remainder still fits in the rows left,
+    and fills the rest greedily under it.  One step left within a run of
+    parts v adds v - 1 cells of room and v cells to place, so when the last of
+    a run cannot be lowered none of it can, and a step costs one pass per run
+    it drops; no step recurses, so a partition may have any number of parts."""
     if p == 0:
-        yield prefix
-    for a in range(min(cols, p), 0, -1):
-        if a * rows < p:
-            break
-        yield from _box_partitions(p - a, rows - 1, a, prefix + (a,))
+        yield ()
+        return
+    if p < 0 or p > rows * cols:
+        return
+    parts: list[int] = []
+    cells, cap = p, cols  # filled greedily: cells in parts of at most cap
+    while True:
+        q, r = divmod(cells, cap)
+        parts += [cap] * q + [r] * (r > 0)
+        yield tuple(parts)
+        tail = 0  # the cells of the runs dropped so far
+        while parts:
+            v = parts[-1]
+            start = parts.index(v)
+            if v > 1 and (v - 1) * (rows - len(parts) + 1) >= tail + v:
+                parts[-1] = v - 1
+                cells, cap = tail + 1, v - 1
+                break
+            tail += v * (len(parts) - start)
+            del parts[start:]
+        else:
+            return
 
 
 @lru_cache(maxsize=None)
@@ -95,19 +124,26 @@ def box_partitions_of_size(k: int, n: int, p: int) -> tuple[Partition, ...]:
     return tuple(_box_partitions(p, k, n - k))
 
 
-def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
-    """Hook length of every cell, keyed by 1-indexed (row, col)."""
-    lam = canonical(lam)
-    tr = transpose(lam)
-    return {
-        (i, j): lam[i - 1] - j + tr[j - 1] - i + 1
-        for i in range(1, len(lam) + 1)
-        for j in range(1, lam[i - 1] + 1)
-    }
+def _hook_counts(lam: Partition, ell: int) -> tuple[int, int]:
+    """How many cells of lam have hook length ell, and how many a longer one,
+    read off the beta set B = {lam_i + m - i} (m parts), in O(m log m).
+
+    The hooks of row i are b_i - x over the x in [0, b_i) not in B, so ell is
+    a hook of b's row iff b - ell >= 0 is not in B, and the row has
+    b - ell - #{c in B : c < b - ell} hooks longer than ell."""
+    beta = [a + j for j, a in enumerate(reversed(lam))]  # increasing
+    members = set(beta)
+    exact = longer = 0
+    for b in beta:
+        if (t := b - ell) >= 0:
+            exact += t not in members
+            longer += t - bisect_left(beta, t)
+    return exact, longer
 
 
-# the hook lengths of a partition take about 30 us, so the bound is about 1.5 s
+# hook counts take about 0.6 us a part, so a million parts is under a second
 MAX_SNOW_PARTITIONS = 50_000
+MAX_SNOW_PARTS = 1_000_000
 
 
 def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
@@ -116,18 +152,29 @@ def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     Returns every partition of p in the box with no cell of hook length ell,
     paired with its count of cells of hook length greater than ell.  The
     cohomology group in bidegree (p, j) is nonzero exactly for the returned
-    pairs (lam, j).  Over MAX_SNOW_PARTITIONS partitions of p are refused,
-    by an enumeration that stops at the bound.
+    pairs (lam, j).  Over MAX_SNOW_PARTITIONS partitions of p, or over
+    MAX_SNOW_PARTS parts among them, are refused: up front when the first
+    partition, which has the fewest parts, ceil(p / (n - k)), is alone over
+    the bound, and otherwise by an enumeration that stops at either bound.
     """
     if p < 0 or ell < 0:
         raise InvalidInputError("p and ell must be nonnegative")
-    if next(islice(_box_partitions(p, box.k, box.cols), MAX_SNOW_PARTITIONS, None), None) is not None:
-        raise InvalidInputError(f"snow({box.k}, {box.n}, p={p}) has over {MAX_SNOW_PARTITIONS} partitions of p")
-    return [
-        (lam, sum(h > ell for h in hooks))
-        for lam in box_partitions_of_size(box.k, box.n, p)
-        if ell not in (hooks := hook_lengths(lam).values())
-    ]
+    name = f"snow({box.k}, {box.n}, p={p})"
+    if (fewest := -(-p // box.cols)) > MAX_SNOW_PARTS:
+        raise InvalidInputError(f"{name} has partitions of at least {fewest} parts, over {MAX_SNOW_PARTS}")
+    parts = 0
+    for i, lam in enumerate(_box_partitions(p, box.k, box.cols)):
+        if i == MAX_SNOW_PARTITIONS:
+            raise InvalidInputError(f"{name} has over {MAX_SNOW_PARTITIONS} partitions of p")
+        if (parts := parts + len(lam)) > MAX_SNOW_PARTS:
+            raise InvalidInputError(f"{name} has over {MAX_SNOW_PARTS} parts in its partitions of p")
+    # enumerated again rather than kept, so a refusal holds one partition at a time
+    witnesses = []
+    for lam in _box_partitions(p, box.k, box.cols):
+        exact, longer = _hook_counts(lam, ell)
+        if not exact:
+            witnesses.append((lam, longer))
+    return witnesses
 
 
 # (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; boxes just

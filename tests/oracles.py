@@ -63,6 +63,9 @@ route:
   count_small_partitions_table counts the candidates by a table over parts
   and cells in O(k budget^2); partitions._count_small_partitions takes a
   truncated Gaussian binomial in O(k budget).
+- hook_lengths lists the hook length of every cell, and snow_by_cells picks
+  the snow witnesses from those lists; partitions.snow_witnesses counts the
+  hooks of length ell and longer from the beta set, in O(parts log parts).
 - gram_matrix and cartan_from_gram derive the Cartan matrix from the
   invariant form; rootdata.cartan_matrix reads it off the Dynkin diagram.
 - poincare_by_degrees divides the fundamental degrees of G by those of the
@@ -92,7 +95,7 @@ from itertools import combinations
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
-from qhgrass.partitions import Box, Partition, canonical, size, transpose
+from qhgrass.partitions import Box, Partition, box_partitions_of_size, canonical, size, transpose
 from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import GradedAlgebra, grassmannian, pieri_matrix, restrict_to_coords, schubert_basis
 from qhgrass.rootdata import (
@@ -259,6 +262,29 @@ def count_small_partitions_table(k: int, cols: int, budget: int) -> int:
             for s in range(v, budget + 1):
                 ways[r][s] += ways[r - 1][s - v]
     return sum(map(sum, ways))
+
+
+# -- hooks cell by cell -------------------------------------------------------------
+
+
+def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
+    """Hook length of every cell, keyed by 1-indexed (row, col)."""
+    lam = canonical(lam)
+    tr = transpose(lam)
+    return {
+        (i, j): lam[i - 1] - j + tr[j - 1] - i + 1
+        for i in range(1, len(lam) + 1)
+        for j in range(1, lam[i - 1] + 1)
+    }
+
+
+def snow_by_cells(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
+    """partitions.snow_witnesses from every cell's hook length."""
+    return [
+        (lam, sum(h > ell for h in hooks))
+        for lam in box_partitions_of_size(box.k, box.n, p)
+        if ell not in (hooks := hook_lengths(lam).values())
+    ]
 
 
 # -- root data: the Gram matrix and the fundamental degrees ----------------------

@@ -144,7 +144,8 @@ def test_oversized_core_search_exits_2_at_once(capsys):
 
 
 def test_oversized_snow_exits_2_at_once(capsys):
-    for k, n, p in [(10, 40, 100), (3, 100000000, 10000000)]:
+    # over the partition bound, over the parts bound, and a first partition over the parts bound
+    for k, n, p in [(10, 40, 100), (3, 100000000, 10000000), (10**9, 10**9 + 2, 60000), (10**9, 10**9 + 1, 10**8)]:
         code, out, err, peak, seconds = _peak_bytes_and_seconds(
             capsys, "snow", "--k", str(k), "--n", str(n), "--p", str(p), "--twist", "1")
         assert code == 2 and not out and "partitions" in err and err.count("\n") == 1, (k, n, p)
@@ -152,6 +153,13 @@ def test_oversized_snow_exits_2_at_once(capsys):
     # a million columns but five partitions of 5: answered
     code, out, _ = run_cli(capsys, "snow", "--k", "3", "--n", "1000000", "--p", "5", "--twist", "1", "--format", "json")
     assert code == 0 and json.loads(out)["results"] == {"witnesses": []}
+    # one partition each, of 1,500 parts and of 3,000,000 cells: answered at once
+    for argv, witnesses in [(["--k", "2000", "--n", "2001", "--p", "1500", "--twist", "1"], []),
+                            (["--k", "1", "--n", "100000000", "--p", "3000000", "--twist", "0"],
+                             [{"partition": [3000000], "j": 3000000}])]:
+        code, out, err, peak, seconds = _peak_bytes_and_seconds(capsys, "snow", *argv, "--format", "json")
+        assert code == 0 and not err and json.loads(out)["results"] == {"witnesses": witnesses}, argv
+        assert seconds < 0.5, argv
 
 
 def test_oversized_grassmannian_is_refused_at_once(capsys):
@@ -160,6 +168,12 @@ def test_oversized_grassmannian_is_refused_at_once(capsys):
         code, out, err = run_cli(capsys, "qh", command, "--k", "6", "--n", "14")
         assert code == 2 and not out and "3003" in err and "d^3" in err, command
         assert time.process_time() - t0 < 2
+    # C(n, k) is not taken when its logarithm is over 9 digits: C(10^9, 5 * 10^8) has 3e8
+    for k, n, digits in [(776, 99811922, 4300), (5 * 10**8, 10**9, 301029991)]:
+        t0 = time.process_time()
+        code, out, err = run_cli(capsys, "qh", "semisimple", "--k", str(k), "--n", str(n))
+        assert code == 2 and not out and f"about 10^{digits} Schubert classes" in err and err.count("\n") == 1
+        assert time.process_time() - t0 < 0.5
     # admitted: Gr(5, 10) and every box of the ambient workload (k <= 4, n <= 8)
     for k, n in [(5, 10)] + [(k, n) for k in range(1, 5) for n in range(k + 1, 9)]:
         assert cli._ambient_box(argparse.Namespace(k=k, n=n)) == Box(k, n)
@@ -316,6 +330,52 @@ def test_cli_fuzz_presentation_and_semisimple(argv):
     _run_quietly(argv)
 
 
+# an integer of 1 to 9 digits (or 10^9), the digit count uniform: log-uniform up to 10^9
+magnitudes = st.integers(1, 9).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d))
+signed_magnitudes = st.one_of(magnitudes, magnitudes.map(lambda m: -m), st.just(0))
+
+
+@st.composite
+def magnitude_argv(draw):
+    """Any command with every value it takes drawn up to 10^9: the required
+    flags always, the others half the time."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    argv = name.split()
+    for flag, spec in cli.COMMANDS[name][1]:
+        if not (spec.get("required") or draw(st.booleans())):
+            continue
+        if spec.get("action") == "store_true":
+            argv.append(flag)
+        elif "choices" in spec:
+            argv += [flag, str(draw(st.sampled_from(spec["choices"])))]
+        elif spec.get("type") is int:
+            argv += [flag, str(draw(signed_magnitudes))]
+        else:  # a Dynkin type
+            argv += [flag, draw(st.sampled_from("ABCDEFG")) + str(draw(magnitudes))]
+    return argv + ["--format", draw(st.sampled_from(["json", "table"]))]
+
+
+# every refusal takes well under a second, and most admitted lines, such as qh
+# semisimple on Gr(5, 10), a few; hodge's count bound does not bound its work,
+# though, and admits rare lines past this, such as hodge --k 1 --n 2500 (15 s)
+MAGNITUDE_CPU_SECONDS = 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(magnitude_argv())
+def test_cli_fuzz_magnitudes_up_to_a_billion(argv):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    seconds = time.process_time() - t0
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and not out.getvalue(), (argv, err.getvalue())
+    assert seconds < MAGNITUDE_CPU_SECONDS, (argv, seconds)
+
+
 def test_huge_charpoly_is_refused_and_large_one_printed_whole(capsys):
     t0 = time.process_time()
     code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "2", "--n", "4", "--power", "100000",
@@ -371,8 +431,8 @@ def test_internal_failure_exits_1(capsys, monkeypatch):
     def broken(args):
         raise InternalConsistencyError("synthetic")
 
-    # the parser binds handlers by module-global name at build time, and run()
-    # rebuilds the parser, so patching the module attribute is enough
+    # each parse looks the handler up by its module-global name, so patching
+    # the module attribute is enough
     monkeypatch.setattr(cli, "_cmd_exceptional_table", broken)
     code = cli.run(["exceptional-table"])
     _, err = capsys.readouterr()
@@ -441,15 +501,13 @@ def _record_parsers(monkeypatch) -> list:
 
 
 def test_run_builds_only_the_invoked_command(capsys, monkeypatch):
-    # a named command is parsed by its leaf parser alone: no subparser is added
+    # a well-formed command line is read from COMMANDS: no parser is built
     assert {_command_name(argv) for argv in EVERY_COMMAND} == set(cli.COMMANDS)
     added, progs = _record_add_parser(monkeypatch), _record_parsers(monkeypatch)
     for argv in EVERY_COMMAND:
-        for _ in range(2):  # each run builds its own parser
-            added.clear()
-            progs.clear()
-            assert cli.run(argv + ["--format", "json"]) == 0, argv
-            assert (added, progs) == ([], [f"qhgrass {_command_name(argv)}"]), argv
+        for fmt in ([], ["--format", "json"]):
+            assert cli.run(argv + fmt) == 0, argv
+            assert (added, progs) == ([], []), argv
     capsys.readouterr()
     assert not any(isinstance(v, argparse.ArgumentParser) for v in vars(cli).values())
 
@@ -469,15 +527,71 @@ def test_build_parser_without_argv_builds_every_command(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def _tree_parse(argv: list[str]):
+    """vars() of the whole tree's Namespace, less the command and qh_command
+    dests that nothing reads, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    full.pop("command")
+    full.pop("qh_command", None)
+    return full
+
+
+def _table_parse(argv: list[str]):
+    name = _command_name(argv)
+    return cli._parse_table(name, argv[len(name.split()) :])
+
+
 def test_lazy_and_full_parsers_agree():
-    # the whole tree also records the command and qh_command dests, which nothing reads
+    # the table parse reads every command's valid line as the whole tree does
     for argv in EVERY_COMMAND:
-        argv = argv + ["--format", "json"]
-        name = _command_name(argv)
-        leaf = cli.leaf_parser(name).parse_args(argv[len(name.split()) :])
-        full = vars(cli.build_parser().parse_args(argv))
-        assert (full.pop("command"), full.pop("qh_command", name.split()[-1])) == (argv[0], name.split()[-1])
-        assert vars(leaf) == full, argv
+        for fmt in ([], ["--format", "json"], ["--format", "table"]):
+            assert vars(_table_parse(argv + fmt)) == _tree_parse(argv + fmt), argv + fmt
+
+
+@st.composite
+def command_lines(draw):
+    """A command's words, then its flags (and --format) in any order, each with
+    an int, string, negative, huge or bad value, and a few junk tokens among
+    them: -h, --flag=value, abbreviations, --, repeated flags, leftovers."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    specs = dict([*cli.COMMANDS[name][1], cli._FORMAT])
+    odd = st.one_of(
+        st.integers(-(10**12), 10**12).map(str),
+        st.sampled_from(["7", "8", "-1", "-0", "E6", "json", "x", "", "-", "--", "-1.5", "-.5",
+                         " 3", "3_0", "1e3", "-1e3", "-x", "9" * 5000]),
+    )
+    tokens = []
+    for flag in draw(st.permutations(list(specs))):
+        spec = specs[flag]
+        if draw(st.integers(0, 4)) < (4 if spec.get("required") else 2):
+            tokens.append(flag)
+            if "choices" in spec:
+                fitting = st.sampled_from([str(c) for c in spec["choices"]])
+            else:
+                fitting = st.integers(-3, 12).map(str) if spec.get("type") is int else st.just("E6")
+            if spec.get("action") != "store_true":
+                tokens.append(draw(st.one_of(fitting, odd)))
+            elif draw(st.integers(0, 9)) == 0:
+                tokens.append(draw(odd))
+    junk = st.sampled_from(["-h", "--help", "--k=3", "--format=json", "--for", "--sec", "--ty", "--with",
+                            "--", "extra", "--bogus", "-1", *specs])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(junk))
+    return name.split() + tokens
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_table_parse_agrees_with_the_tree(argv):
+    table, tree = _table_parse(argv), _tree_parse(argv)
+    if table is not None:
+        assert vars(table) == tree, argv
+    if tree == 2:
+        assert table is None, argv
 
 
 def test_entry_point_prints_what_run_prints(capsys):

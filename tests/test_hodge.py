@@ -370,6 +370,11 @@ def test_oversized_chi_y_is_refused_up_front():
         chi_y(7, 30, section=True)
     assert time.process_time() - t0 < 0.5
     assert comb(14, 7) <= hodge.MAX_BWB_PARTITIONS  # (7, 14) stays admitted
+    # C(n, k) is not taken when its logarithm is over 9 digits
+    for k, n in [(776, 99811922), (5 * 10**8, 10**9)]:
+        with pytest.raises(InvalidInputError, match="needs about 10\\^[0-9]+ box partitions"):
+            chi_y(k, n)
+    assert time.process_time() - t0 < 0.5
 
 
 # -- the Fraction route, kept as the oracle of the integer kernel ---------------

@@ -3,18 +3,27 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import core_search_unpruned, count_small_partitions_table, from_beta_set, to_beta_set
+from oracles import (
+    core_search_unpruned,
+    count_small_partitions_table,
+    from_beta_set,
+    hook_lengths,
+    snow_by_cells,
+    to_beta_set,
+)
 from qhgrass import partitions
 from qhgrass.errors import InvalidInputError
 from qhgrass.partitions import (
     MAX_CORE_CANDIDATES,
     MAX_SNOW_PARTITIONS,
+    MAX_SNOW_PARTS,
     Box,
+    _box_partitions,
     _count_small_partitions,
+    _hook_counts,
     box_partitions_of_size,
     canonical,
     core_search,
-    hook_lengths,
     size,
     snow_witnesses,
     transpose,
@@ -164,6 +173,34 @@ def test_box_partitions_order_and_count():
             assert box_partitions_of_size(k, n, p) == tuple(lam for lam in parts if size(lam) == p)
 
 
+def test_box_partitions_of_any_number_of_parts():
+    # no recursion, so past the interpreter's recursion limit of about 1,000
+    assert box_partitions_of_size(2000, 2001, 1500) == ((1,) * 1500,)
+    # parts of at most 2: (2^a, 1^(1502 - 2a)), a descending, the rows bounding a from below
+    for rows, least in [(1600, 0), (1000, 502)]:
+        expected = [(2,) * a + (1,) * (1502 - 2 * a) for a in range(751, least - 1, -1)]
+        assert list(_box_partitions(1502, rows, 2)) == expected, rows
+
+
+def test_hook_counts_of_a_1500_part_partition():
+    lam = (3,) * 500 + (2,) * 500 + (1,) * 500
+    hooks = list(hook_lengths(lam).values())
+    for ell in (0, 1, 2, 3, 500, 1000, 1502, 1503):
+        assert _hook_counts(lam, ell) == (hooks.count(ell), sum(h > ell for h in hooks)), ell
+    assert snow_witnesses(Box(2000, 2001), 1500, 1) == []
+    assert snow_witnesses(Box(2000, 2001), 1500, 1501) == [((1,) * 1500, 0)]
+    assert snow_witnesses(Box(1, 10**8), 3 * 10**6, 0) == [((3 * 10**6,), 3 * 10**6)]
+
+
+def test_snow_witnesses_match_the_cell_by_cell_hooks():
+    for n in range(2, 13):
+        for k in range(1, n):
+            box = Box(k, n)
+            for p in range(k * (n - k) + 1):
+                for ell in range(n + 1):
+                    assert snow_witnesses(box, p, ell) == snow_by_cells(box, p, ell), (k, n, p, ell)
+
+
 def test_snow_witnesses_golden():
     box = Box(3, 9)
     found = snow_witnesses(box, 12, 3)
@@ -287,4 +324,23 @@ def test_snow_refuses_more_partitions_of_p_than_the_bound(monkeypatch):
     assert snow_witnesses(Box(3, 9), 12, 3) == [((6, 4, 2), 6)]
     monkeypatch.setattr(partitions, "MAX_SNOW_PARTITIONS", count - 1)
     with pytest.raises(InvalidInputError, match=f"over {count - 1} partitions"):
+        snow_witnesses(Box(3, 9), 12, 3)
+
+
+def test_snow_refuses_more_parts_than_the_bound(monkeypatch):
+    # the first partition, (1^(10^8)), alone is over the bound: refused before it is built
+    with pytest.raises(InvalidInputError, match=f"at least {10**8} parts, over {MAX_SNOW_PARTS}"):
+        snow_witnesses(Box(10**9, 10**9 + 1), 10**8, 1)
+    # 30,001 partitions of 60,000 into parts of at most 2, of 1.35e9 parts in all
+    with pytest.raises(InvalidInputError, match=f"over {MAX_SNOW_PARTS} parts"):
+        snow_witnesses(Box(10**9, 10**9 + 2), 60000, 1)
+    # exactly at the bound the box is admitted, one under it is refused
+    parts = sum(map(len, box_partitions_of_size(3, 9, 12)))
+    monkeypatch.setattr(partitions, "MAX_SNOW_PARTS", parts)
+    assert snow_witnesses(Box(3, 9), 12, 3) == [((6, 4, 2), 6)]
+    monkeypatch.setattr(partitions, "MAX_SNOW_PARTS", parts - 1)
+    with pytest.raises(InvalidInputError, match=f"over {parts - 1} parts"):
+        snow_witnesses(Box(3, 9), 12, 3)
+    monkeypatch.setattr(partitions, "MAX_SNOW_PARTS", 1)
+    with pytest.raises(InvalidInputError, match="at least 2 parts, over 1"):
         snow_witnesses(Box(3, 9), 12, 3)
