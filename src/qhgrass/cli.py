@@ -47,8 +47,10 @@ MAX_CHARPOLY_DIGITS = 20_000
 # and so is one whose work, piece dimension^3 x digits, is larger: Gr(5, 10) at
 # power 100 (3.2e7) takes about 2 s, at power 1000 (3.2e8) over a minute
 MAX_CHARPOLY_WORK = 5 * 10**7
-# ambient qh commands build dense d x d operators on the d = C(n, k) Schubert
-# classes, about d^3 exact operations; Gr(5, 10) (d = 252) takes seconds
+# ambient qh commands work on the d = C(n, k) Schubert classes.  qh charpoly
+# multiplies dense d x d operators, about d^3 exact operations a product
+# (Gr(5, 10), d = 252, at power 10: 0.8 s of CPU); qh semisimple runs two thin
+# label recursions and one determinant and builds no d x d operator (0.2 s)
 MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 

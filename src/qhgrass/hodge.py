@@ -31,7 +31,10 @@ B(p) + B(p+1) - a(p+1, 0), so each a(m, t) is computed once.
 
 Everything is exact and seedless.  Three anchors are asserted, each a fatal
 internal error on failure: chi_y(0) = 1, the ambient genus equals the signed
-box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.
+box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  A box
+is refused before the first Weyl product when it has more partitions than
+MAX_BWB_PARTITIONS or when the products' estimated work (_bwb_work) is over
+MAX_BWB_WORK.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ DEFAULT_SEED = 20250809
 
 # one Weyl product per box partition and twist; (7, 14) has C(14, 7) = 3,432
 MAX_BWB_PARTITIONS = 5_000
+# and the work of those products (_bwb_work): the (7, 14) section is 2.1e7
+# (0.4 s of CPU), Gr(1, 1000) 1.7e8 (1.4 s), Gr(1, 1500) 6.3e8 (2.9 s) and
+# Gr(1, 2500) 3.2e9 (15 s)
+MAX_BWB_WORK = 5 * 10**8
 
 
 def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
@@ -81,6 +88,24 @@ def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
     return at_zero, alternating
 
 
+def _bwb_work(k: int, n: int, section: bool) -> int:
+    """Up-front estimate of _euler_sums' work: partitions x twists x the
+    k(n - k) factors of each Weyl product, each factor weighted by the size
+    in 64-bit words of the running product, whose d factors have at most
+    log2(n + d) bits each.
+
+    Each partition of p is taken at the twists t = -j, j = 0..d - p, for the
+    section; the box-partition counts are palindromic, so that is d/2 + 1
+    twists on average.  On projective space (k or n - k is 1) every twist
+    but t = 0 is singular (Bott's formula) and costs no product.
+    """
+    d = k * (n - k)
+    products = comb(n, k)
+    if section and min(k, n - k) > 1:
+        products = products * (d + 2) // 2
+    return products * d * (1 + d * (n + d).bit_length() // 64)
+
+
 def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section."""
     if not 1 <= k <= n - 1:
@@ -93,6 +118,10 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     if (count := comb(n, k)) > MAX_BWB_PARTITIONS:
         raise InvalidInputError(
             f"chi_y({k}, {n}) needs {count} box partitions, over {MAX_BWB_PARTITIONS}"
+        )
+    if (work := _bwb_work(k, n, section)) > MAX_BWB_WORK:
+        raise InvalidInputError(
+            f"chi_y({k}, {n}) needs about {work:.1e} word operations of Weyl products, over {MAX_BWB_WORK:.0e}"
         )
     at_zero, alternating = _euler_sums(k, n, section)
     if not section:

@@ -7,11 +7,14 @@ products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
 connected blocks of the pattern.  The section e-operators, the Pieri
-recursions (the label recursion quantum.label_recursion, run from any seed
-block, and the h-recursion quantum.h_operators) and the commutativity check
-run on sparse rows {column: value} through one kernel, sparse_mul_sum: a sum
-of products c * (a @ b) accumulated row by row, in which a term with a = I
-adds c * b.
+recursions (the label recursion quantum.label_recursion and the h-recursion
+quantum.h_operators) and the commutativity check run on sparse rows
+{column: value} through one kernel, sparse_mul_sum: a sum of products
+c * (a @ b) accumulated row by row, in which a term with a = I adds c * b.
+The label recursion keeps its block seed-major, one row per seed vector,
+so in each step a is the block of lam' (s rows) and b is E_p^T, held as
+E_p's columns (E_p itself for the transposed run): the step loops over the
+s seed rows, not over d.
 Determinants and characteristic polynomials share one fraction-free (Bareiss)
 elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
 tests check charpoly against the Berkowitz recursion.  There is no inverse and

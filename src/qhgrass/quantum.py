@@ -30,15 +30,27 @@ vertical-strip and rim rule on every box with n <= 12.
 
 GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting),
 the only place the certificate is checked.  Label operators come from one
-triangular Pieri recursion (label_recursion), which applies
-L_lam = E_p L_lam' - sum c L_mu to any starting block of sparse rows.  Seeded
-with the identity it gives the label operators (mult_operators), run the
-first time label_ops is read; seeded with a few vectors it gives L_lam on
-their span only, which is all the section's perp verdict reads.  It relies on
-that assertion and reads each image it needs off a column of an e-operator,
-so no Littlewood-Richardson rule is needed; the Giambelli route lives with
-the tests as an independent check, so the quantum Giambelli property is a
+triangular Pieri recursion (label_recursion), L_lam = E_p L_lam' - sum c L_mu,
+run on a seed block S and stored seed-major: for each label, one sparse row
+per seed vector s_j, the image L_lam s_j, so a step costs s rows and not d.
+Its transposed form gives the rows s_j^T L_lam.  It relies on that assertion
+and reads each image it needs off a column of an e-operator, so no
+Littlewood-Richardson rule is needed; the Giambelli route lives with the
+tests as an independent check, so the quantum Giambelli property is a
 checked invariant rather than an input.
+
+The ambient verdict (qh_semisimple) is the trace-form criterion: QH is
+semisimple iff det trace(L_a L_b) != 0.  With phi(x) = trace(L_x), the
+pairing with Abrams' quantum Euler class, trace(L_a L_b) = phi(a b), so the
+Gram matrix follows from one trace vector t and two thin runs
+(trace_form_rows).  t vanishes off the residue-0 piece, since L_c shifts
+the degree by |c| mod r (require_graded checks E_p on its nonzeros), and on
+the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
+unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.  The
+section's perp verdict runs the recursion on the perp vectors.  No command
+builds a label operator; mult_operators, the run seeded with the identity
+and made dense, is read through label_ops by section.full_ring_semisimple
+and by the tests.
 
 The presentation relations are checked on whole operators through the
 h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
@@ -55,7 +67,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
-from .errors import InternalConsistencyError, InvalidInputError
+from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, canonical, size
 from .polynomials import UniPoly
@@ -168,9 +180,28 @@ def grassmannian(box: Box) -> GradedAlgebra:
     return GradedAlgebra(box, basis, box.n, e_ops, pairing)
 
 
-def label_recursion(alg: GradedAlgebra, seed: list[dict]) -> dict:
-    """L_lam @ seed for every partition label lam, as sparse rows, by
-    triangular recursion from L_() @ seed = seed.
+@lru_cache(maxsize=None)
+def e_columns(alg: GradedAlgebra) -> dict[int, list[dict]]:
+    """The columns of each E_p = e_ops[p] as sparse vectors, read once per
+    algebra: the Pieri images the label recursion reads and multiplies by."""
+    return {p: [{i: x for i, x in enumerate(col) if x} for col in zip(*op)] for p, op in alg.e_ops.items()}
+
+
+def require_graded(alg: GradedAlgebra) -> None:
+    """Raise unless every nonzero of each E_p takes label degree m to
+    m + p mod r, checked on the sparse columns (e_columns) in O(nnz)."""
+    degree = [alg.label_degree(lab) % alg.r for lab in alg.basis]
+    for p, columns in e_columns(alg).items():
+        if any((degree[i] - m - p) % alg.r for m, col in zip(degree, columns) for i in col):
+            raise InternalConsistencyError(
+                f"inconsistent Pieri images: e_{p} does not raise degree by {p} mod {alg.r}"
+            )
+
+
+def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = False) -> dict:
+    """L_lam S for every partition label lam, stored seed-major: a block of
+    sparse rows, row j the image L_lam s_j of seed vector s_j = seed[j].
+    With transposed=True, row j is s_j^T L_lam instead.
 
     Removing the first column of lam (p = len(lam) cells) leaves lam', and
     e_p * lam' = lam + sum c q^d mu, where every other mu of the same degree
@@ -179,38 +210,49 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict]) -> dict:
 
         L_lam = E_p L_lam' - sum c L_mu
 
-    fills the table in one pass in (degree, lex) order, checking that lam has
-    coefficient 1 and that every mu is already built.  By induction L_lam is
-    a polynomial in e_1..e_k that sends the unit to lam; since e_1..e_k
-    commute, which GradedAlgebra's constructor asserted, it is multiplication
-    by lam on every class the unit reaches.  Labels that are not partitions
-    (the section's beta) get no entry.  Each step is one linalg.sparse_mul_sum,
-    with the corrections as (-c, I, L_mu @ seed) terms, so a seed of a few
-    columns (section.perp_piece_operators) costs a few columns per label.
+    fills the table in one pass in (degree, lex) order, from L_() S = S,
+    checking that lam has coefficient 1 and that every mu is already built.
+    By induction L_lam is a polynomial in e_1..e_k that sends the unit to
+    lam; since e_1..e_k commute, which GradedAlgebra's constructor asserted,
+    it is multiplication by lam on every class the unit reaches, and
+    L_lam = L_lam' E_p as well.  Transposed, L_lam^T = E_p^T L_lam'^T -
+    sum c L_mu^T, with the same coefficients.  Labels that are not
+    partitions (the section's beta) get no entry.
+
+    On the row blocks, (L_lam s_j)^T = (L_lam' s_j)^T E_p^T and
+    s_j^T L_lam = (s_j^T L_lam') E_p, so each step is one
+    linalg.sparse_mul_sum over the s seed rows,
+    [(1, ops[lam'], G_p)] + [(-c, I_s, ops[mu]) ...], where G_p holds the
+    rows of E_p^T (E_p's columns, e_columns), or E_p's rows for the
+    transposed run.  A seed of a few vectors costs a few rows per label.
     """
-    unit = [{i: 1} for i in range(len(alg.basis))]
-    e_rows = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()}
+    columns = e_columns(alg)
+    gens = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()} if transposed else columns
+    unit = [{j: 1} for j in range(len(seed))]
     ops = {(): seed}
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
         p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
         col = alg.index.get(lam_prime)
-        image = {lab: row[col] for lab, row in zip(alg.basis, alg.e_ops[p]) if col is not None and row[col]}
+        image = {alg.basis[i]: x for i, x in columns[p][col].items()} if col is not None else {}
         if image.pop(lam, 0) != 1 or lam_prime not in ops or any(mu not in ops for mu in image):
             raise InternalConsistencyError(
                 f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
             )
         corrections = [(-coeff, unit, ops[mu]) for mu, coeff in image.items()]
-        ops[lam] = linalg.sparse_mul_sum([(1, e_rows[p], ops[lam_prime])] + corrections)
+        ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], gens[p])] + corrections)
     return ops
 
 
 @lru_cache(maxsize=None)
 def mult_operators(alg: GradedAlgebra) -> dict:
-    """Multiplication operator of every partition label: label_recursion
-    seeded with the identity, each operator made dense once, in basis order."""
+    """Multiplication operator of every partition label: the transposed
+    label_recursion seeded with the identity, whose row block for lam is
+    L_lam's rows, each operator made dense once, in basis order.  The
+    verdicts read no label operator; label_ops, full_ring_semisimple and the
+    tests do."""
     dim = len(alg.basis)
-    ops = label_recursion(alg, [{i: 1} for i in range(dim)])
+    ops = label_recursion(alg, [{i: 1} for i in range(dim)], transposed=True)
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 
@@ -282,8 +324,35 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     return linalg.det_bareiss(trace_form_gram(ops)) != 0
 
 
+def trace_form_rows(alg: GradedAlgebra) -> tuple[list, Matrix]:
+    """The trace vector t_c = trace(L_c) and the trace-form Gram matrix
+    trace(L_a L_b), in basis order, from two thin label recursions and no
+    label operator.
+
+    Multiplication by c shifts the residue of the degree mod r by |c|
+    (require_graded checks this on e_1..e_k), so t vanishes off the
+    residue-0 piece.  On it, commutativity gives L_i e_c = L_c e_i, so
+    t_c = sum over i of (L_i e_c)_i: the recursion seeded with the piece's
+    unit vectors.  With phi(x) = trace(L_x), the pairing with the quantum
+    Euler class (Abrams), trace(L_a L_b) = phi(a b), so Gram row a is
+    t^T L_a: the transposed recursion seeded with t alone.  Every basis
+    label must have an operator; the section's beta raises.
+    """
+    require_graded(alg)
+    dim = len(alg.basis)
+    piece = [alg.index[lab] for lab in alg.residue_piece(0)]
+    images = label_recursion(alg, [{c: 1} for c in piece])
+    if len(images) != dim:
+        raise UndeterminedProductError("the trace form needs every basis class's operator")
+    t = [0] * dim
+    for j, c in enumerate(piece):
+        t[c] = sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis))
+    rows = label_recursion(alg, linalg.sparse_rows([t]), transposed=True)
+    return t, [linalg.dense(rows[lab], dim)[0] for lab in alg.basis]
+
+
 def qh_semisimple(box: Box) -> bool:
-    """Trace-form semisimplicity of QH(Gr(k, n))."""
-    alg = grassmannian(box)
-    ops = alg.label_ops
-    return semisimple_test([ops[lam] for lam in alg.basis])
+    """Trace-form semisimplicity of QH(Gr(k, n)): det trace(L_a L_b) != 0,
+    with the Gram matrix from trace_form_rows."""
+    _, gram = trace_form_rows(grassmannian(box))
+    return linalg.det_bareiss(gram) != 0

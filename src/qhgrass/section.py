@@ -33,8 +33,9 @@ constructor asserts that e_1..e_k commute, so no ring is handed out
 uncertified.  It builds nothing more than a caller of e_ops (the Lefschetz
 check, section_charpoly) reads.  The operator L_lam of every ambient basis
 class is built the first time label_ops is read, by the triangular recursion
-of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu (quantum.label_recursion seeded
-with the identity), with e_p * lam' read off column lam' of E_p.  Two facts
+of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu (quantum.mult_operators, the
+label recursion seeded with the identity and made dense), with e_p * lam'
+read off column lam' of E_p.  Two facts
 certify it on the ambient classes: by induction L_lam is a polynomial in
 e_1..e_k sending the unit to lam, and e_1..e_k commute.  So every Pieri
 identity e_p L_mu = sum c L_lab holds there, both sides being polynomials in
@@ -85,8 +86,9 @@ with G_P the trace-form Gram matrix of P and M_z the matrix of e_1^r on P.  So
 S is semisimple exactly when det G_P and det M_z are both nonzero, which
 perp_subalgebra_semisimple decides on p x p matrices (p = 5 and 7, against
 the 30- and 49-dimensional S); the tests check the identity against the whole
-of S for n = 7 and n = 8.  The products v_i * v_j are read off L_lab P, the
-label recursion run on the p columns of P (perp_piece_operators).
+of S for n = 7 and n = 8.  The products v_i * v_j are read off the label
+recursion seeded with the p vectors of P, whose seed-major rows are the
+images L_lab v_j (perp_piece_operators).
 """
 
 from __future__ import annotations
@@ -303,10 +305,10 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
     """Multiplication by each perp vector v_j, and e_1^r, as matrices on the
     perp space P in the basis perp (p x p each, p = len(perp)).
 
-    No label operator is built.  The label recursion seeded with the columns
-    v_1..v_p (quantum.label_recursion) gives L_lab P for every label, and
-    v_i * v_j = sum over lab of v_i[lab] (L_lab P)[:, j]; a beta coordinate
-    has no operator and raises UndeterminedProductError.
+    No label operator is built.  The label recursion seeded with v_1..v_p
+    (quantum.label_recursion) gives, seed-major, the rows L_lab v_j for every
+    label, and v_i * v_j = sum over lab of v_i[lab] L_lab v_j; a beta
+    coordinate has no operator and raises UndeterminedProductError.
 
     The coordinates of an image are read, not solved for.  radical_and_perp
     gives P a reduced echelon basis: each v_i has a leading 1 at its pivot,
@@ -327,14 +329,14 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
             coords.append(x)
         return [list(row) for row in zip(*coords)]
 
-    on_perp = label_recursion(ring, linalg.sparse_rows(columns))
-    unit = [{i: 1} for i in range(len(ring.basis))]
+    on_perp = label_recursion(ring, linalg.sparse_rows(perp))
+    unit = [{j: 1} for j in range(len(perp))]
     generators = []
     for v in perp:
         if any(c and lab not in on_perp for lab, c in zip(ring.basis, v)):
             raise UndeterminedProductError("multiplication by beta is undetermined by the source")
         products = linalg.sparse_mul_sum([(c, unit, on_perp[lab]) for lab, c in zip(ring.basis, v) if c])
-        generators.append(on_piece([list(w) for w in zip(*linalg.dense(products, len(perp)))]))
+        generators.append(on_piece(linalg.dense(products, len(ring.basis))))
     shifted = perp
     for _ in range(ring.r):
         shifted = [linalg.mat_vec(ring.e_ops[1], u) for u in shifted]

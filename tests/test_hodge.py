@@ -18,7 +18,7 @@ from qhgrass.hodge import (
     is_hodge_tate,
     section_profile,
 )
-from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses
+from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses, transpose
 from qhgrass.polynomials import UniPoly
 from qhgrass.screen import periodic_betti, screen
 
@@ -375,6 +375,51 @@ def test_oversized_chi_y_is_refused_up_front():
         with pytest.raises(InvalidInputError, match="needs about 10\\^[0-9]+ box partitions"):
             chi_y(k, n)
     assert time.process_time() - t0 < 0.5
+
+
+def test_oversized_chi_y_work_is_refused_up_front(capsys):
+    # admitted by the partition count (2,500 and 4,950), refused by the work of
+    # their Weyl products (about 15 s and 8 s of CPU) before the first is taken
+    for argv in (["hodge", "--k", "1", "--n", "2500"], ["hodge", "--section", "--k", "2", "--n", "100"]):
+        t0 = time.process_time()
+        assert cli.run(argv + ["--format", "json"]) == 2
+        assert time.process_time() - t0 < 0.5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "word operations of Weyl products, over 5e+08" in err, err
+    with pytest.raises(InvalidInputError, match="needs about 6.3e\\+08 word operations"):
+        chi_y(1, 1500)
+    # the (7, 14) section, the pinned boxes and the localization workload's stay admitted
+    admitted = [(7, 14, True), (7, 14, False), (1, 1000, False), (2, 70, True), (3, 9, True), (3, 9, False),
+                (4, 8, True), (2, 10, True), (3, 8, True)]
+    for k, n, section in admitted:
+        assert hodge._bwb_work(k, n, section) <= hodge.MAX_BWB_WORK, (k, n, section)
+
+
+def _regular_twists(k, n, lam):
+    # the j in 0..d - |lam| at which the Weyl product of lam is not singular
+    d = k * (n - k)
+    rows = lam + (0,) * (k - len(lam))
+    cols = transpose(lam) + (0,) * (n - k - len(transpose(lam)))
+    hooks = {rows[r] + cols[c] - r - c - 1 for r in range(k) for c in range(n - k)}
+    return [j for j in range(d - sum(lam) + 1) if -j not in hooks]
+
+
+def test_bwb_work_counts_the_twists_of_every_partition():
+    # the section takes each partition of p at the d - p + 1 twists t = -j:
+    # d/2 + 1 on average, since the box-partition counts are palindromic
+    for k, n in [(2, 5), (3, 7), (3, 9), (4, 8), (2, 10), (7, 14)]:
+        d = k * (n - k)
+        twists = sum(len(box_partitions_of_size(k, n, p)) * (d - p + 1) for p in range(d + 1))
+        assert 2 * twists == comb(n, k) * (d + 2), (k, n)
+        assert hodge._bwb_work(k, n, True) == twists * d * (1 + d * (n + d).bit_length() // 64)
+    # on projective space every twist but t = 0 is singular (Bott's formula)
+    for k, n in [(1, 2), (1, 7), (6, 7), (1, 12), (11, 12)]:
+        d = k * (n - k)
+        for p in range(d + 1):
+            for lam in box_partitions_of_size(k, n, p):
+                assert _regular_twists(k, n, lam) == [0], (k, n, lam)
+        words = 1 + d * (n + d).bit_length() // 64
+        assert hodge._bwb_work(k, n, True) == hodge._bwb_work(k, n, False) == n * d * words
 
 
 # -- the Fraction route, kept as the oracle of the integer kernel ---------------

@@ -28,7 +28,7 @@ from oracles import (
     vertical_strip_additions,
 )
 from qhgrass import linalg, quantum, section
-from qhgrass.errors import InternalConsistencyError, InvalidInputError
+from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, canonical, size
 from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
@@ -41,6 +41,8 @@ from qhgrass.quantum import (
     qh_semisimple,
     schubert_basis,
     semisimple_test,
+    trace_form_gram,
+    trace_form_rows,
 )
 
 BOXES = [Box(k, n) for k in (1, 2, 3) for n in range(k + 1, 9)]
@@ -48,6 +50,8 @@ BOXES = [Box(k, n) for k in (1, 2, 3) for n in range(k + 1, 9)]
 BOXES_12 = [Box(k, n) for n in range(2, 13) for k in range(1, n)]
 # every box with n <= 8
 BOXES_8 = [Box(k, n) for n in range(2, 9) for k in range(1, n)]
+# every box with n <= 9
+BOXES_9 = [Box(k, n) for n in range(2, 10) for k in range(1, n)]
 
 
 # -- an independent oracle: classical Pieri in the k-row ring reduced by
@@ -502,6 +506,67 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
 def test_qh_semisimple_small():
     assert qh_semisimple(Box(2, 4))
     assert qh_semisimple(Box(3, 7))
+
+
+@pytest.mark.parametrize("box", BOXES_9, ids=str)
+def test_trace_vector_and_gram_match_the_label_operators(box):
+    # the two thin runs against the dense route: t_c = trace(L_c), and
+    # trace_form_gram's rows t^T L_a, exactly
+    alg = grassmannian(box)
+    t, gram = trace_form_rows(alg)
+    ops = [alg.label_ops[lab] for lab in alg.basis]
+    assert t == [linalg.trace(op) for op in ops]
+    assert gram == trace_form_gram(ops)
+    # t vanishes off the residue-0 piece
+    piece = set(alg.residue_piece(0))
+    assert not any(tc for tc, lab in zip(t, alg.basis) if lab not in piece)
+
+
+def test_trace_vector_and_gram_of_a_section_ring():
+    # (3, 7) has no beta: its Gram is the whole ring's; (3, 8)'s beta has no
+    # operator, so its trace vector is undetermined
+    ring = section.build_ring(3, 7)
+    t, gram = trace_form_rows(ring)
+    ops = [ring.label_ops[lab] for lab in ring.basis]
+    assert t == [linalg.trace(op) for op in ops] and gram == trace_form_gram(ops)
+    with pytest.raises(UndeterminedProductError, match="every basis class's operator"):
+        trace_form_rows(section.build_ring(3, 8))
+
+
+@pytest.mark.parametrize("box", [Box(4, 9), Box(4, 10), Box(5, 10)], ids=str)
+def test_qh_semisimple_on_the_largest_boxes(box):
+    # Abrams: QH(Gr(k, n)) is semisimple
+    assert qh_semisimple(box)
+
+
+def _ungraded_gr24():
+    # E_1 + I still commutes with E_2, so the constructor admits it, but its
+    # diagonal keeps the degree: E_1 no longer raises it by 1 mod 4
+    gr = grassmannian(Box(2, 4))
+    e_ops = {p: [row[:] for row in op] for p, op in gr.e_ops.items()}
+    for i, row in enumerate(e_ops[1]):
+        row[i] += 1
+    return GradedAlgebra(gr.box, gr.basis, gr.r, e_ops, gr.pairing)
+
+
+def test_the_grading_certificate_refuses_a_corrupted_operator(capsys, monkeypatch):
+    from qhgrass import cli
+
+    with pytest.raises(InternalConsistencyError, match=r"e_1 does not raise degree by 1 mod 4"):
+        trace_form_rows(_ungraded_gr24())
+    quantum.require_graded(grassmannian(Box(2, 4)))
+    monkeypatch.setattr(quantum, "grassmannian", lambda box: _ungraded_gr24())
+    assert cli.run(["qh", "semisimple", "--k", "2", "--n", "4", "--format", "json"]) == 1
+    assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_ambient_qh_semisimple_builds_no_label_operator(capsys, monkeypatch):
+    from qhgrass import cli
+
+    calls = []
+    monkeypatch.setattr(quantum, "mult_operators", lambda alg: calls.append(alg))
+    assert cli.run(["qh", "semisimple", "--k", "4", "--n", "8", "--format", "json"]) == 0
+    assert calls == [] and not capsys.readouterr().err
 
 
 def test_qh_semisimple_checks_commutativity_on_pieri_generators(monkeypatch):
