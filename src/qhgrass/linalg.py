@@ -69,24 +69,6 @@ def identity(m: int) -> Matrix:
     return out
 
 
-def mat_combine(terms, base: Matrix | None = None) -> Matrix:
-    """base + sum of c * m over the (c, m) pairs of terms, in one pass.
-
-    All matrices share one shape; base defaults to zero, in which case terms
-    must not be empty.  Integral entries of the result are ints.
-    """
-    terms = list(terms)
-    shape = base if base is not None else terms[0][1]
-    live = [(c, m) for c, m in terms if c]
-    out = []
-    for i in range(len(shape)):
-        acc = list(base[i]) if base is not None else [0] * len(shape[i])
-        for c, m in live:
-            acc = [a + c * x if x else a for a, x in zip(acc, m[i])]
-        out.append(_integral_entries(acc))
-    return out
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b over the nonzeros of a and of b's rows (a (3, 8) section operator
     is about 9 % nonzero); integral entries of the product are ints."""

@@ -46,13 +46,17 @@ Gram matrix follows from one trace vector t and two thin runs
 (trace_form_rows).  t vanishes off the residue-0 piece, since L_c shifts
 the degree by |c| mod r (require_graded checks E_p on its nonzeros), and on
 the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
-unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.  The
-section's perp verdict runs the recursion on the perp vectors.  No command
-builds a label operator; mult_operators, the run seeded with the identity
-and made dense, is read through label_ops by section.full_ring_semisimple
-and by the tests.
+unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.
+The section verdict of a ring with no beta (section.full_ring_semisimple)
+makes the same two runs; that of a ring with beta runs the recursion on the
+perp vectors and takes trace(g_i g_j) of the perp generators by definition
+(semisimple_test).  No command builds a label operator; mult_operators, the
+run seeded with the identity and made dense, is read through label_ops only
+by the tests and the benchmark's spans.
 
-The presentation relations are checked on whole operators through the
+The presentation relations h_{n-k+1} = ... = h_{n-1} = 0 and
+h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section, are
+checked by one function (h_relation_check) on whole operators through the
 h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
 (h_operators), which keeps only the last k operators; the tests compare it
 with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
@@ -150,10 +154,12 @@ class GradedAlgebra:
 
 def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
     """Restriction of an operator to the span of these basis coordinates,
-    which it must preserve."""
+    which it must preserve.  The CLI refuses a misaligned power before any
+    operator is built, so an operator that leaks out of the piece is a
+    fault of the program, not of its input."""
     inside = set(cols)
     if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
-        raise InvalidInputError("operator does not preserve the requested piece")
+        raise InternalConsistencyError("operator does not preserve the requested piece")
     return [[op[r][c] for c in cols] for r in cols]
 
 
@@ -248,9 +254,9 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
 def mult_operators(alg: GradedAlgebra) -> dict:
     """Multiplication operator of every partition label: the transposed
     label_recursion seeded with the identity, whose row block for lam is
-    L_lam's rows, each operator made dense once, in basis order.  The
-    verdicts read no label operator; label_ops, full_ring_semisimple and the
-    tests do."""
+    L_lam's rows, each operator made dense once, in basis order.  No command
+    reads a label operator; label_ops, read only by the tests and the
+    benchmark's spans, does."""
     dim = len(alg.basis)
     ops = label_recursion(alg, [{i: 1} for i in range(dim)], transposed=True)
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
@@ -272,12 +278,20 @@ def h_operators(e_ops: dict[int, Matrix], top: int) -> list[list[dict]]:
     return window
 
 
+def h_relation_check(e_ops: dict[int, Matrix], n: int, target: list[dict]) -> bool:
+    """Whether h_{n-k+1} = ... = h_{n-1} = 0 and h_n = (-1)^(k+1) T on the
+    e-operators, through the h-recursion (h_operators), with T given as
+    sparse rows: I for Gr(k, n) at q = 1, E_1 for a section."""
+    sign = (-1) ** (len(e_ops) + 1)
+    *vanishing, top = h_operators(e_ops, n)
+    return not any(map(any, vanishing)) and top == [{j: sign * x for j, x in row.items()} for row in target]
+
+
 def presentation_check(box: Box) -> bool:
     """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q
-    at q = 1, on the Pieri matrices through the h-recursion (h_operators)."""
-    n, k = box.n, box.k
-    *vanishing, top = h_operators({p: pieri_matrix(box, p) for p in range(1, k + 1)}, n)
-    return not any(map(any, vanishing)) and top == [{i: (-1) ** (k + 1)} for i in range(len(top))]
+    at q = 1 on the Pieri matrices (h_relation_check with T = I)."""
+    e_ops = {p: pieri_matrix(box, p) for p in range(1, box.k + 1)}
+    return h_relation_check(e_ops, box.n, [{i: 1} for i in range(len(schubert_basis(box)))])
 
 
 def commuting(ops: list[Matrix]) -> bool:
@@ -295,33 +309,19 @@ def require_commuting(e_ops: dict[int, Matrix]) -> None:
         raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
 
 
-def trace_form_gram(ops: list[Matrix]) -> Matrix:
-    """Gram matrix trace(ops[a] ops[b]) of a regular representation, in O(d^3).
-
-    ops[c] must be multiplication by the c-th basis element, written in that
-    same basis.  Column b of ops[a] is then the product of basis elements a
-    and b, so ops[a] ops[b] = sum_c ops[a][c][b] ops[c], and row a of the Gram
-    matrix is t^T ops[a] with t_c = trace(ops[c]).
-    """
-    d = len(ops)
-    if any(len(op) != d for op in ops):
-        raise InvalidInputError("trace-form Gram needs one d x d operator per basis element")
-    t = [linalg.trace(op) for op in ops]
-    # the matrix with rows ops[a][c] (over a), weighted by t_c, summed over c
-    return linalg.mat_combine([(tc, [op[c] for op in ops]) for c, tc in enumerate(t)])
-
-
 def semisimple_test(ops: list[Matrix]) -> bool:
     """Trace-form criterion: a commutative algebra is semisimple iff the Gram
     matrix trace(ops_i ops_j) of its regular representation is nonsingular.
 
     ops[c] multiplies by the c-th basis element, in that basis, and the
-    operators commute; that is asserted on generators (GradedAlgebra's
-    constructor on e_1..e_k, perp_subalgebra_semisimple on the perp piece's generators and
-    e_1^r).  The Gram matrix splits by residue of degree mod deg q, so
-    det_bareiss factors it by blocks.
+    operators commute; its one production caller,
+    section.perp_subalgebra_semisimple, passes the perp space's p x p
+    generators and asserts that they commute with e_1^r.  The Gram matrix is
+    taken by its definition, one linalg.trace_product per pair; the whole
+    rings' verdicts read trace_form_rows instead.
     """
-    return linalg.det_bareiss(trace_form_gram(ops)) != 0
+    gram = [[linalg.trace_product(a, b) for b in ops] for a in ops]
+    return linalg.det_bareiss(gram) != 0
 
 
 def trace_form_rows(alg: GradedAlgebra) -> tuple[list, Matrix]:

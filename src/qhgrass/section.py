@@ -30,12 +30,12 @@ once, and the quotient's cup-sigma_1 blocks, the pairing and C_1 J read it.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, whose
 constructor asserts that e_1..e_k commute, so no ring is handed out
-uncertified.  It builds nothing more than a caller of e_ops (the Lefschetz
-check, section_charpoly) reads.  The operator L_lam of every ambient basis
-class is built the first time label_ops is read, by the triangular recursion
-of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu (quantum.mult_operators, the
-label recursion seeded with the identity and made dense), with e_p * lam'
-read off column lam' of E_p.  Two facts
+uncertified.  It builds nothing more than its e-operators and pairing.  The
+operator L_lam of every ambient basis class, which only the tests and the
+benchmark's spans read, is built the first time label_ops is read, by the
+triangular recursion of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu
+(quantum.mult_operators, the label recursion seeded with the identity and
+made dense), with e_p * lam' read off column lam' of E_p.  Two facts
 certify it on the ambient classes: by induction L_lam is a polynomial in
 e_1..e_k sending the unit to lam, and e_1..e_k commute.  So every Pieri
 identity e_p L_mu = sum c L_lab holds there, both sides being polynomials in
@@ -46,10 +46,11 @@ section Pieri rule applied class by class.  The recursion also checks that
 lam has coefficient 1 in e_p * lam' and that every correction is a class it
 has already built.
 
-The quantum Lefschetz identities h_{n-1} = 0 and h_n = q e_1 are checked on
-whole operators (lefschetz_relation_check): h_m = sigma_m is evaluated on E_1,
-E_2, E_3 by the h-recursion H_m = sum over i <= min(m, 3) of
-(-1)^(i+1) E_i H_(m-i) (quantum.h_operators), which keeps the last three.
+The quantum Lefschetz identities h_{n-2} = h_{n-1} = 0 and h_n = q e_1 are
+checked on whole operators (lefschetz_relation_check): h_m = sigma_m is
+evaluated on E_1, E_2, E_3 by the h-recursion H_m = sum over i <= min(m, 3)
+of (-1)^(i+1) E_i H_(m-i), which keeps the last three.  It is the ambient
+presentation check with E_1 in place of q (quantum.h_relation_check).
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
 degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
@@ -63,16 +64,18 @@ zero.
 section_semisimplicity chooses its route by what it finds, not by n.  It
 screens the Betti numbers of Y first (hodge.section_profile, screen.screen);
 a witness decides "not semisimple" and no ring is built (n = 6).  With no
-witness, the trace form is tested on the subalgebra S = sum over i < r of
-e_1^i P generated by e_1 and the perp space P, the orthogonal complement of
-the radical inside the residue-0 piece, with p = |P| and r = deg q.  When the
-radical is empty (n = 7), e_1 is invertible, the r residue pieces all have
-dimension p, and S is the whole ring: the route is "trace-form".  When it is
-not (n = 8), the radical's half of the verdict rests on the source's external
-monodromy argument, since beta * beta is undetermined: "trace-form+monodromy".
-No command builds a section label operator.  full_ring_semisimple, the trace
-form of all the label operators, is the reference the tests compare the
-n = 7 verdict with, and the benchmark's traced spans name it.
+witness, the route follows beta.  A ring with no beta (n = 7) has an
+operator for every class, so full_ring_semisimple decides it as
+quantum.qh_semisimple decides Gr(k, n), from the trace vector and two thin
+label recursions (quantum.trace_form_rows): "trace-form".  A ring with beta
+(n = 8) has no operator for beta, since beta * beta is undetermined, so the
+trace form is tested on the subalgebra S = sum over i < r of e_1^i P
+generated by e_1 and the perp space P, the orthogonal complement of the
+radical inside the residue-0 piece, with p = |P| and r = deg q, and the
+radical's half of the verdict rests on the source's external monodromy
+argument: "trace-form+monodromy".  No command builds a section label
+operator.  On n = 7 the radical is empty and S is the whole ring, so the
+tests run both routes there and compare them.
 
 e_1 commutes with every multiplication operator and e_1^r maps P into P, so
 multiplication by an element of P has r times its trace on P as its trace on
@@ -106,11 +109,12 @@ from .quantum import (
     GradedAlgebra,
     commuting,
     e_power_charpoly,
-    h_operators,
+    h_relation_check,
     label_recursion,
     pieri_entries,
     schubert_basis,
     semisimple_test,
+    trace_form_rows,
 )
 
 BETA = "beta"
@@ -250,14 +254,13 @@ def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPo
 
 
 def lefschetz_relation_check(n: int) -> bool:
-    """Verify h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in the section
-    operator algebra, with h_m = sigma_m evaluated on e_1, e_2, e_3 by the
-    h-recursion (quantum.h_operators)."""
+    """Verify h_{n-2} = h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in
+    the section operator algebra, with h_m = sigma_m evaluated on e_1, e_2,
+    e_3 (quantum.h_relation_check with T = E_1)."""
     if n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
     ring = build_ring(3, n)
-    _, h_prev, h_top = h_operators(ring.e_ops, n)
-    return not any(h_prev) and h_top == linalg.sparse_rows(ring.e_ops[1])
+    return h_relation_check(ring.e_ops, n, linalg.sparse_rows(ring.e_ops[1]))
 
 
 def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
@@ -364,16 +367,13 @@ def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
 
 
 def full_ring_semisimple(k: int, n: int) -> bool:
-    """Trace-form test on the whole section ring (only when beta is absent).
-    The label operators are polynomials in e_1, e_2, e_3, whose commutativity
-    the ring build asserted (quantum.require_commuting)."""
-    ring = build_ring(k, n)
-    if ring.prim_dim:
-        raise UndeterminedProductError(
-            "full-ring trace form needs beta * beta, which the source leaves undetermined"
-        )
-    ops = ring.label_ops
-    return semisimple_test([ops[lab] for lab in ring.basis])
+    """Trace-form test on the whole section ring, the verdict of a ring with
+    no beta: det trace(L_a L_b) != 0 with the Gram matrix from two thin label
+    recursions (quantum.trace_form_rows), as for Gr(k, n), and no label
+    operator built.  Every label operator is a polynomial in e_1, e_2, e_3,
+    whose commutativity the ring build asserted.  beta has no operator, so
+    a ring with beta raises UndeterminedProductError."""
+    return linalg.det_bareiss(trace_form_rows(build_ring(k, n))[1]) != 0
 
 
 @dataclass(frozen=True)
@@ -386,10 +386,10 @@ class SemisimplicityReport:
 
 
 def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
-    """The verdict on QH(Y) for Y in Gr(k, n), by the route what is found
-    allows: a Betti witness decides it with no ring built; otherwise the
-    trace form on the perp subalgebra, which is the whole ring when the
-    radical is empty and needs the external monodromy argument when not."""
+    """The verdict on QH(Y) for Y in Gr(k, n): a Betti witness decides it
+    with no ring built; otherwise a ring with no beta gets the trace form of
+    the whole ring, and one with beta the trace form of the perp subalgebra
+    and the external monodromy argument for the radical."""
     if (k, n) not in SUPPORTED:
         raise InvalidInputError(f"no section semisimplicity report for ({k}, {n})")
     profile = hodge.section_profile(k, n)
@@ -399,12 +399,14 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
             k, n, False, "betti-screen",
             f"tilde_b(1)={tb[1]} != tilde_b(-1)={tb[-1 % profile.index]}",
         )
-    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(k, n)
-    if not rad_dim:
+    ring = build_ring(k, n)
+    if not ring.prim_dim:
+        ok = full_ring_semisimple(k, n)
         return SemisimplicityReport(
-            k, n, ok, "trace-form", f"nondegenerate trace form on the {sub_dim}-dimensional ring"
+            k, n, ok, "trace-form", f"nondegenerate trace form on the {len(ring.basis)}-dimensional ring"
             if ok else "degenerate trace form",
         )
+    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(k, n)
     return SemisimplicityReport(
         k, n, ok, "trace-form+monodromy",
         f"nondegenerate trace form on the {sub_dim}-dimensional perp subalgebra; "

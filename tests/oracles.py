@@ -38,6 +38,13 @@ route:
   independent column family through one inverted subblock, are the solve
   route; section.perp_piece_operators reads coordinates off the pivots of an
   echelon basis instead.
+- mat_combine sums scaled dense matrices, the oracles' way to combine
+  operators; production combines sparse rows with linalg.sparse_mul_sum.
+- trace_form_gram takes the Gram matrix trace(L_a L_b) of a regular
+  representation from its operators through the trace vector;
+  quantum.trace_form_rows takes it from two thin label recursions and
+  builds no operator, and quantum.semisimple_test takes it on the perp
+  generators by definition, one linalg.trace_product per pair.
 - restrict and charpoly_on_piece restrict an operator to a piece of basis
   labels (quantum.restrict_to_coords) and take its characteristic polynomial
   there.
@@ -148,6 +155,43 @@ def restrict(alg, op: Matrix, piece) -> Matrix:
 def charpoly_on_piece(alg, op: Matrix, piece) -> UniPoly:
     """Exact monic characteristic polynomial of the restriction to a piece."""
     return linalg.charpoly(restrict(alg, op, piece))
+
+
+# -- dense combinations and the regular-representation Gram --------------------
+
+
+def mat_combine(terms, base: Matrix | None = None) -> Matrix:
+    """base + sum of c * m over the (c, m) pairs of terms, in one pass.
+
+    All matrices share one shape; base defaults to zero, in which case terms
+    must not be empty.  Integral entries of the result are ints.
+    """
+    terms = list(terms)
+    shape = base if base is not None else terms[0][1]
+    live = [(c, m) for c, m in terms if c]
+    out = []
+    for i in range(len(shape)):
+        acc = list(base[i]) if base is not None else [0] * len(shape[i])
+        for c, m in live:
+            acc = [a + c * x if x else a for a, x in zip(acc, m[i])]
+        out.append(linalg._integral_entries(acc))
+    return out
+
+
+def trace_form_gram(ops: list[Matrix]) -> Matrix:
+    """Gram matrix trace(ops[a] ops[b]) of a regular representation, in O(d^3).
+
+    ops[c] must be multiplication by the c-th basis element, written in that
+    same basis.  Column b of ops[a] is then the product of basis elements a
+    and b, so ops[a] ops[b] = sum_c ops[a][c][b] ops[c], and row a of the Gram
+    matrix is t^T ops[a] with t_c = trace(ops[c]).
+    """
+    d = len(ops)
+    if any(len(op) != d for op in ops):
+        raise InvalidInputError("trace-form Gram needs one d x d operator per basis element")
+    t = [linalg.trace(op) for op in ops]
+    # the matrix with rows ops[a][c] (over a), weighted by t_c, summed over c
+    return mat_combine([(tc, [op[c] for op in ops]) for c, tc in enumerate(t)])
 
 
 # -- exact linear systems -------------------------------------------------------
@@ -847,7 +891,7 @@ def symbolic_label_ops(alg, q: int = 1) -> dict:
         if image.pop((lam, 0), 0) != 1:
             raise InternalConsistencyError(f"e_{p} * s{lam_prime} does not determine s{lam}")
         corrections = [(-coeff * q**d, ops[mu]) for (mu, d), coeff in image.items()]
-        ops[lam] = linalg.mat_combine(corrections, linalg.mat_mul(e_ops[p], ops[lam_prime]))
+        ops[lam] = mat_combine(corrections, linalg.mat_mul(e_ops[p], ops[lam_prime]))
     return ops
 
 
@@ -910,8 +954,8 @@ def matrix_product_e_ops(ring: SectionRing, q: int = 1) -> dict[int, Matrix]:
     for p in range(1, ring.k + 1):
         classical = cup_matrix(ring.box, p)
         full = pieri_matrix(ring.box, p) if q else classical
-        correction = linalg.mat_combine([(1, full), (-1, classical)])
-        raw = linalg.mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
+        correction = mat_combine([(1, full), (-1, classical)])
+        raw = mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
         e_ops[p] = linalg.mat_mul(reduction, linalg.mat_mul(raw, inclusion))
     return e_ops
 
@@ -941,7 +985,7 @@ def mult_operator(alg, coords) -> Matrix:
         if lab not in ops:
             raise UndeterminedProductError(f"multiplication by {lab} is undetermined by the source")
         terms.append((coeff, ops[lab]))
-    return linalg.mat_combine(terms, linalg.zeros(len(alg.basis), len(alg.basis)))
+    return mat_combine(terms, linalg.zeros(len(alg.basis), len(alg.basis)))
 
 
 # -- the ambient ring through Giambelli determinants ---------------------------
@@ -1119,7 +1163,7 @@ def lift_operator(ring: SectionRing, lifts: dict, coords) -> Matrix:
             if expo[p - 1]:
                 term = linalg.mat_mul(term, power(p, expo[p - 1]))
         terms.append((coeff, term))
-    return linalg.mat_combine(terms, linalg.zeros(dim, dim))
+    return mat_combine(terms, linalg.zeros(dim, dim))
 
 
 # -- A^0(X) = A^0_perp(Y) -----------------------------------------------------

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     ColumnSpanSolver,
     interpolate,
+    mat_combine,
     mat_inverse,
     perp_subalgebra_operators,
     poly_from_roots,
     rank,
     solve,
     sparse_combine,
+    trace_form_gram,
 )
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
@@ -231,10 +233,10 @@ def test_exact_div_types():
 def test_mat_combine():
     a = [[1, 2], [3, 4]]
     b = [[0, 1], [1, 0]]
-    out = linalg.mat_combine([(Fraction(1, 2), a), (Fraction(1, 2), b)], [[1, 0], [0, 1]])
+    out = mat_combine([(Fraction(1, 2), a), (Fraction(1, 2), b)], [[1, 0], [0, 1]])
     assert out == [[Fraction(3, 2), Fraction(3, 2)], [2, 3]]
     assert type(out[1][0]) is int
-    assert linalg.mat_combine([(0, a), (-1, b)]) == [[0, -1], [-1, 0]]
+    assert mat_combine([(0, a), (-1, b)]) == [[0, -1], [-1, 0]]
 
 
 def _entries(x):
@@ -402,11 +404,11 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     ambient = quantum.grassmannian(box).label_ops
     matrices = {
         "(3,8) pairing": ring8.pairing,
-        "(3,7) trace form": quantum.trace_form_gram(
+        "(3,7) trace form": trace_form_gram(
             [ring7.label_ops[lab] for lab in ring7.basis]
         ),
-        "(3,8) perp trace form": quantum.trace_form_gram(perp_subalgebra_operators(ring8, perp)[0]),
-        "Gr(4,8) trace form": quantum.trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
+        "(3,8) perp trace form": trace_form_gram(perp_subalgebra_operators(ring8, perp)[0]),
+        "Gr(4,8) trace form": trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
     }
     for name, mat in matrices.items():
         det = linalg.det_bareiss(mat)
@@ -414,7 +416,7 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
         assert len(linalg._nonzero_blocks(mat)) > 1, name  # the split route is taken
     # the matrices the production perp route decides on, one block or several
     generators, shift = section.perp_piece_operators(ring8, perp)
-    for name, mat in {"(3,8) G_P": quantum.trace_form_gram(generators), "(3,8) M_z": shift}.items():
+    for name, mat in {"(3,8) G_P": trace_form_gram(generators), "(3,8) M_z": shift}.items():
         det = linalg.det_bareiss(mat)
         assert det != 0 and det == _single_block_det(mat), name
 
@@ -468,7 +470,7 @@ def test_sparse_product_equals_mat_mul_entry_types_included(case):
         [(1, linalg.sparse_rows(a), linalg.sparse_rows(b)), (c, unit, linalg.sparse_rows(extra))]
     )
     assert combined == sparse_combine([(c, linalg.sparse_rows(extra))], product)
-    expected = linalg.mat_combine([(c, extra)], expected)
+    expected = mat_combine([(c, extra)], expected)
     got = linalg.dense(combined, cols)
     assert got == expected and _types(got) == _types(expected)
     assert all(x for row in combined for x in row.values())

@@ -13,6 +13,7 @@ from oracles import (
     cup_e,
     evaluate_e_polynomials,
     giambelli_expr,
+    mat_combine,
     mult_operator,
     pairing_q1,
     quantum_pieri,
@@ -24,6 +25,7 @@ from oracles import (
     star_schubert,
     symbolic_e_ops,
     symbolic_label_ops,
+    trace_form_gram,
     vector,
     vertical_strip_additions,
 )
@@ -41,7 +43,6 @@ from qhgrass.quantum import (
     qh_semisimple,
     schubert_basis,
     semisimple_test,
-    trace_form_gram,
     trace_form_rows,
 )
 
@@ -233,8 +234,28 @@ def test_sigma1_shifts_graded_pieces():
 def test_char_poly_on_piece_rejects_non_invariant():
     box = Box(3, 7)
     e1 = [list(r) for r in pieri_matrix(box, 1)]
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InternalConsistencyError, match="does not preserve the requested piece"):
         charpoly_on_piece(grassmannian(box), e1, grassmannian(box).residue_piece(0))
+
+
+def test_a_corrupted_operator_in_qh_charpoly_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # the power is aligned, so the input is fine; E_1 + I keeps each degree as
+    # well as raising it, so e_1^4 leaks out of the residue-0 piece
+    original = quantum.pieri_matrix
+
+    def shifted(box, p):
+        op = [list(row) for row in original(box, p)]
+        if p == 1:
+            for i, row in enumerate(op):
+                row[i] += 1
+        return op
+
+    monkeypatch.setattr(quantum, "pieri_matrix", shifted)
+    assert cli.run(["qh", "charpoly", "--k", "2", "--n", "4", "--power", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: operator does not preserve the requested piece\n"
 
 
 def test_ambient_charpolys_golden():
@@ -325,7 +346,7 @@ def _per_monomial_evaluation(poly, generators):
             for _ in range(count):
                 term = linalg.mat_mul(generators[p], term)
         terms.append((coeff, term))
-    return linalg.mat_combine(terms, linalg.zeros(dim, dim))
+    return mat_combine(terms, linalg.zeros(dim, dim))
 
 
 def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):

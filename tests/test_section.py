@@ -16,6 +16,7 @@ from oracles import (
     cup_e,
     evaluate_e_polynomials,
     lift_operator,
+    mat_combine,
     matrix_product_e_ops,
     mult_operator,
     pair_loop_pairing,
@@ -32,6 +33,7 @@ from oracles import (
     star_e,
     symbolic_e_ops,
     symbolic_label_ops,
+    trace_form_gram,
     vector,
 )
 from qhgrass import hodge, linalg, quantum, section
@@ -44,7 +46,6 @@ from qhgrass.quantum import (
     grassmannian,
     mult_operators,
     schubert_basis,
-    trace_form_gram,
 )
 from qhgrass.section import (
     BETA,
@@ -276,6 +277,19 @@ def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch)
         assert lefschetz_relation_check(n)
 
 
+def test_the_lefschetz_check_reads_every_vanishing_h(monkeypatch):
+    # h_{n-2} = 0 is a relation as well: with it made nonzero, and h_{n-1} = 0
+    # and h_n = E_1 kept, the check fails
+    ring = build_ring(3, 7)
+    h_operators = quantum.h_operators
+    h_low, h_prev, h_top = h_operators(ring.e_ops, 7)
+    assert not any(h_low) and not any(h_prev) and h_top == linalg.sparse_rows(ring.e_ops[1])
+    monkeypatch.setattr(
+        quantum, "h_operators", lambda e_ops, top: [[{0: 1}] + h_low[1:], *h_operators(e_ops, top)[1:]]
+    )
+    assert not lefschetz_relation_check(7)
+
+
 def test_printed_h_polynomials_are_the_derived_relations():
     # the source prints h_6, h_7, h_8 in e_1, e_2, e_3; lefschetz_relation_check
     # runs the h-recursion, whose expansion in e_1, e_2, e_3 is sigma_e_polynomial
@@ -449,8 +463,8 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
         seen.append(ops)
         return commuting(ops)
 
-    # the ring build asserts it once; reading the label operators for the
-    # full-ring test, which relies on it, asserts nothing more
+    # the ring build asserts it once; the full-ring test, whose label
+    # recursions rely on it, asserts nothing more
     monkeypatch.setattr(quantum, "commuting", recording)
     build_ring.cache_clear()
     ring = build_ring(3, 7)
@@ -557,8 +571,7 @@ def test_section_semisimplicity_reports():
     r6 = section_semisimplicity(3, 6)
     assert r6.semisimple is False and r6.method == "betti-screen"
     assert "3" in r6.detail and "4" in r6.detail
-    # the perp route finds an empty radical, and agrees with the trace form
-    # of all 30 label operators
+    # no beta: the whole-ring trace form of all 30 classes decides it
     r7 = section_semisimplicity(3, 7)
     assert r7.semisimple is full_ring_semisimple(3, 7) is True and r7.method == "trace-form"
     assert r7.detail == "nondegenerate trace form on the 30-dimensional ring"
@@ -584,16 +597,30 @@ def test_gr36_section_verdict_builds_no_ring(capsys, monkeypatch):
     assert calls == [] and '"method": "betti-screen"' in capsys.readouterr().out
 
 
-def test_the_route_follows_the_screen_and_the_radical(monkeypatch):
-    # with no Betti witness, an empty radical gives the whole-ring trace form
-    # and a nonempty one the perp subalgebra, whatever n is
-    monkeypatch.setattr(section, "perp_subalgebra_semisimple", lambda k, n: (True, 30, 0))
-    report = section_semisimplicity(3, 8)
-    assert (report.method, report.detail) == ("trace-form", "nondegenerate trace form on the 30-dimensional ring")
-    monkeypatch.setattr(section, "perp_subalgebra_semisimple", lambda k, n: (False, 12, 3))
+def test_the_route_follows_the_screen_and_beta(capsys, monkeypatch):
+    # with no Betti witness, a ring with no beta gets the whole-ring trace form
+    # from the trace vector, whatever its radical, and builds no label
+    # operator; a ring with beta gets the perp subalgebra
+    from qhgrass import cli
+
+    calls = []
+    monkeypatch.setattr(section, "perp_subalgebra_semisimple", lambda *args: calls.append(("perp", args)))
+    monkeypatch.setattr(quantum, "mult_operators", lambda *args: calls.append(("label operators", args)))
+    monkeypatch.setattr(section, "radical_and_perp", lambda *args: calls.append(("radical", args)))
+    build_ring.cache_clear()
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "7", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert calls == [] and not err
+    assert '"method": "trace-form"' in out and "30-dimensional ring" in out
+    monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)) or False)
     report = section_semisimplicity(3, 7)
-    assert (report.semisimple, report.method) == (False, "trace-form+monodromy")
-    assert report.detail == "degenerate trace form on the perp subalgebra"
+    assert (report.semisimple, report.method, report.detail) == (False, "trace-form", "degenerate trace form")
+    assert calls == [("full ring", (3, 7))]
+    monkeypatch.undo()
+    calls.clear()
+    monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)))
+    report = section_semisimplicity(3, 8)
+    assert calls == [] and (report.semisimple, report.method) == (True, "trace-form+monodromy")
 
 
 def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):
@@ -691,7 +718,7 @@ def test_label_operators_satisfy_every_pieri_identity():
         for p in (1, 2, 3):
             for mu, op in ring.label_ops.items():
                 image = pieri_on_label(ring, p, mu).terms
-                expected = linalg.mat_combine(
+                expected = mat_combine(
                     [(c, ring.label_ops[lab]) for (lab, _), c in image.items()],
                     linalg.zeros(dim, dim),
                 )
