@@ -210,6 +210,8 @@ def _cmd_qh_charpoly(args) -> dict:
     # degree of q keeps the residue-0 piece
     if (degree := args.power + 2 * args.with_e2) % r:
         raise InvalidInputError(f"the operator has degree {degree}, not a multiple of {r} = deg q")
+    if args.power < 0:
+        raise InvalidInputError(f"matrix power needs a nonnegative exponent, got {args.power}")
     if args.section:
         alg = section.build_ring(args.k, args.n)
         piece, e_ops = alg.residue_piece(0), alg.e_ops

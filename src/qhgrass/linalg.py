@@ -19,7 +19,8 @@ Determinants and characteristic polynomials share one fraction-free (Bareiss)
 elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
 tests check charpoly against the Berkowitz recursion.  There is no inverse and
 no solver: coordinates in an echelon basis are read off its pivots (see
-section.perp_piece_operators).
+section.perp_piece_operators).  A kernel takes one Gauss-Jordan elimination
+(rref), of the matrix with its columns reversed (kernel_basis).
 """
 
 from __future__ import annotations
@@ -190,52 +191,31 @@ def _eliminate(m: Matrix, r: int, c: int) -> None:
 
 
 def kernel_basis(a: Matrix) -> list[list]:
-    """Basis of the right null space, echelonized so that each vector has a
-    leading 1 in the earliest possible coordinate."""
+    """The reduced echelon basis of the right null space: each vector has a
+    leading 1 in the earliest possible coordinate, where the others are 0.
+
+    One elimination of a with its columns reversed gives it.  There the
+    pivots fall on the latest possible columns, so the free columns are the
+    earliest possible leads, and each pivot variable is a combination of free
+    variables before it.  The vector of a free column f (1 at f, minus the
+    reduced entry of f at each pivot) therefore leads at f and is 0 at every
+    other free column: it is already reduced.
+    """
     if not a:
         return []
-    cols = len(a[0])
-    pivots, red = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    last = len(a[0]) - 1
+    pivots, red = rref([row[::-1] for row in a])
+    pivots = [last - c for c in pivots]
     vecs = []
-    for f in free:
-        v = [0] * cols
+    for f in range(last + 1):
+        if f in pivots:
+            continue
+        v = [0] * (last + 1)
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+        for row, c in zip(red, pivots):
+            v[c] = -row[last - f]
         vecs.append(v)
-    if not vecs:
-        return []
-    _, echelon = rref(vecs)
-    return echelon
-
-
-def generalized_kernel(a: Matrix, pairing: Matrix) -> list[list]:
-    """kernel_basis(a^dim), the generalized 0-eigenspace, for an a that is
-    self-adjoint for the nondegenerate pairing (pairing @ a = a^T @ pairing),
-    by squaring a until the pairing is nondegenerate on ker a^m.
-
-    The kernels of a^m increase with m up to K = ker a^dim.  K and the image
-    of a^dim are orthogonal both ways, <a^dim w, x> = <w, a^dim x> = 0 for x
-    in K, and together span the space, so the pairing is nondegenerate on K.
-    While ker a^m is smaller than K, some w in ker a^(2m) is outside it, and
-    z = a^m w != 0 lies in ker a^m with <z, x> = <w, a^m x> = 0 for every x
-    there, so the pairing is degenerate on ker a^m.  The test is the
-    determinant of the |ker a^m| x |ker a^m| Gram matrix.  kernel_basis
-    returns the reduced echelon basis, which depends only on the subspace,
-    so the vectors are those of kernel_basis(mat_pow(a, dim)).  A kernel
-    that stops growing while the pairing is still degenerate on it means a
-    is not self-adjoint, and raises.
-    """
-    power, last = a, None
-    while True:
-        kernel = kernel_basis(power)
-        paired = [mat_vec(pairing, v) for v in kernel]
-        if det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in kernel]) != 0:
-            return kernel
-        if len(kernel) == last:
-            raise InternalConsistencyError("the pairing is degenerate on the generalized kernel")
-        power, last = mat_mul(power, power), len(kernel)
+    return vecs
 
 
 def _nonzero_blocks(a: Matrix) -> list[tuple[list[int], list[int]]]:

@@ -180,7 +180,7 @@ class SectionRing(GradedAlgebra):
             parts = box_partitions_of_size(self.box.k, self.box.n, m)
             above = box_partitions_of_size(self.box.k, self.box.n, m + 1)
             mat = [[cup1[at[mu]].get(at[lam], 0) for lam in parts] for mu in above]
-            kernel = linalg.kernel_basis(mat) if above else []
+            kernel = linalg.kernel_basis(mat)
             pivots = []
             for vec in kernel:
                 lead = next(i for i, c in enumerate(vec) if c != 0)
@@ -267,13 +267,15 @@ def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     """Radical of the section ring and the orthogonal complement of
     the radical inside the residue-0 piece, both as coordinate vectors.
 
-    The radical is ker e_1^dim, which linalg.generalized_kernel finds by
-    squaring e_1 until the pairing is nondegenerate on ker e_1^m, which for
-    an e_1 self-adjoint for the pairing happens exactly when the kernel has
-    stopped growing.  e_1 is multiplication by a class, so it is
-    self-adjoint for the Frobenius pairing; that is asserted here, once.  On
-    (3, 8) ker e_1 is already the radical, so no squaring is needed, against
-    about nine for e_1^51.
+    The radical is ker e_1^dim, taken as ker e_1 and certified by the
+    pairing.  e_1 is multiplication by a class, so it is self-adjoint for
+    the Frobenius pairing; that is asserted here, once.  Then ker e_1^dim
+    and the image of e_1^dim are orthogonal and span the space, so the
+    pairing is nondegenerate on ker e_1^dim.  Were ker e_1 smaller, some w
+    in ker e_1^2 would lie outside it, and z = e_1 w != 0 in ker e_1 would
+    have <z, x> = <w, e_1 x> = 0 for every x in ker e_1.  So a nonsingular
+    Gram matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one
+    raises.
 
     The perp vectors are the reduced echelon kernel basis of the pairing
     constraints (or the identity when the radical is empty), written in the
@@ -285,12 +287,12 @@ def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
     if linalg.mat_mul(ring.pairing, e1) != linalg.mat_mul([list(col) for col in zip(*e1)], ring.pairing):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
-    rad = linalg.generalized_kernel(e1, ring.pairing)
+    rad = linalg.kernel_basis(e1)
+    paired = [linalg.mat_vec(ring.pairing, u) for u in rad]
+    if linalg.det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in rad]) == 0:
+        raise InternalConsistencyError("the pairing is degenerate on ker e_1")
     piece = ring.residue_piece(0)
-    constraints = []
-    for u in rad:
-        pu = linalg.mat_vec(ring.pairing, u)
-        constraints.append([pu[ring.index[lab]] for lab in piece])
+    constraints = [[pu[ring.index[lab]] for lab in piece] for pu in paired]
     if constraints:
         perp_coords = linalg.kernel_basis(constraints)
     else:

@@ -21,8 +21,8 @@ route:
 - pairing_q1 is the class-level pairing of QH(Gr(k, n)).  radical_by_power
   takes the radical of a graded algebra as the kernel of e_1^N, N its
   dimension, with its perp space (radical for Gr(k, n));
-  section.radical_and_perp squares e_1 only until the pairing is
-  nondegenerate on its kernel.
+  section.radical_and_perp takes ker e_1 and certifies it by the pairing,
+  which is nondegenerate on it.
 - build_lifts and lift_operator write each section basis class as a
   polynomial in e_1..e_k and evaluate it on the e-operators; the section
   ring builds its label operators by the first-column Pieri recursion.
@@ -33,7 +33,10 @@ route:
   trace form on P alone (section.perp_subalgebra_semisimple).
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
-- rank and solve are exact row reduction through linalg.rref.  mat_inverse
+- rank and solve are exact row reduction through linalg.rref.
+  kernel_basis is the two-elimination kernel (rref of a, then rref of the
+  free-column vectors); linalg.kernel_basis reads the same reduced basis off
+  one elimination of a with its columns reversed.  mat_inverse
   (Gauss-Jordan) and ColumnSpanSolver, which solves for coordinates in an
   independent column family through one inverted subblock, are the solve
   route; section.perp_piece_operators reads coordinates off the pivots of an
@@ -201,6 +204,27 @@ def rank(a: Matrix) -> int:
     if not a:
         return 0
     return len(linalg.rref(a)[0])
+
+
+def kernel_basis(a: Matrix) -> list[list]:
+    """The reduced echelon kernel basis by two eliminations: rref of a gives
+    one vector per free column, and rref of those vectors echelonizes them."""
+    if not a:
+        return []
+    cols = len(a[0])
+    pivots, red = linalg.rref(a)
+    free = [c for c in range(cols) if c not in pivots]
+    vecs = []
+    for f in free:
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        vecs.append(v)
+    if not vecs:
+        return []
+    _, echelon = linalg.rref(vecs)
+    return echelon
 
 
 def solve(a: Matrix, b: list) -> list:
@@ -1067,8 +1091,8 @@ def radical(box: Box) -> tuple[list[list], list[list]]:
 def radical_by_power(alg) -> tuple[list[list], list[list]]:
     """Kernel of the N-th power of multiplication by e_1 (N the dimension),
     plus the orthogonal complement of that kernel inside the residue-0 graded
-    piece; section.radical_and_perp squares e_1 only until its kernel stops
-    growing."""
+    piece; section.radical_and_perp takes ker e_1, certified by the
+    pairing."""
     n = len(alg.basis)
     rad = linalg.kernel_basis(linalg.mat_pow(alg.e_ops[1], n))
     idx, pairing, piece = alg.index, alg.pairing, alg.residue_piece(0)

@@ -112,14 +112,23 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
 
 
-def test_degenerate_box_and_negative_power_exit_2(capsys):
+def test_degenerate_box_and_negative_power_exit_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "qh", "presentation", "--k", "3", "--n", "3")
     assert code == 2 and not out and "error" in err
     for section in ([], ["--section"]):
         code, out, err = run_cli(
             capsys, "qh", "charpoly", "--k", "3", "--n", "7", *section, "--power", "-1"
         )
-        assert code == 2 and not out and "error" in err, section
+        assert code == 2 and not out and "has degree -1, not a multiple of" in err, section
+    # a negative power of the right degree is refused before any ring or
+    # Pieri matrix is built
+    calls = []
+    monkeypatch.setattr(cli.section, "build_ring", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli.quantum, "pieri_matrix", lambda *args: calls.append(args))
+    for argv in (["--section", "--k", "3", "--n", "7", "--power", "-6"], ["--k", "2", "--n", "4", "--power", "-4"]):
+        code, out, err = run_cli(capsys, "qh", "charpoly", *argv)
+        assert code == 2 and not out and err == f"error: matrix power needs a nonnegative exponent, got {argv[-1]}\n"
+    assert calls == []
 
 
 def _peak_bytes_and_seconds(capsys, *argv):

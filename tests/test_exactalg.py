@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     ColumnSpanSolver,
     interpolate,
+    kernel_basis,
     mat_combine,
     mat_inverse,
     perp_subalgebra_operators,
@@ -185,39 +186,6 @@ def test_mat_pow():
         linalg.mat_pow(a, -1)
 
 
-def test_generalized_kernel_squares_until_the_kernel_stops_growing(monkeypatch):
-    # a nilpotent Jordan block of index 5 beside an invertible symmetric 2 x 2
-    # block with Fraction entries, self-adjoint for the pairing that reverses
-    # the first five coordinates and fixes the last two.  ker a^m has
-    # dimension 1, 2, 4, 5 for m = 1, 2, 4, 8, and the pairing is degenerate on
-    # each of them but the last, so the loop squares three times
-    a = linalg.zeros(7, 7)
-    for i in range(4):
-        a[i][i + 1] = 1
-    a[5][5], a[5][6], a[6][5], a[6][6] = 2, Fraction(1, 3), Fraction(1, 3), -1
-    pairing = linalg.zeros(7, 7)
-    for i in range(5):
-        pairing[i][4 - i] = 1
-    pairing[5][5] = pairing[6][6] = 1
-    assert linalg.mat_mul(pairing, a) == linalg.mat_mul([list(c) for c in zip(*a)], pairing)
-    squarings = []
-    mat_mul = linalg.mat_mul
-    monkeypatch.setattr(linalg, "mat_mul", lambda x, y: squarings.append(x is y) or mat_mul(x, y))
-    kernel = linalg.generalized_kernel(a, pairing)
-    assert squarings == [True] * 3
-    monkeypatch.undo()
-    assert kernel == linalg.kernel_basis(linalg.mat_pow(a, 7)) == linalg.identity(7)[:5]
-    assert linalg.generalized_kernel(linalg.identity(3), linalg.identity(3)) == []
-    assert linalg.generalized_kernel([[0, 1], [0, 0]], [[0, 1], [1, 0]]) == linalg.identity(2)
-    # the same nilpotent block is not self-adjoint for the identity pairing,
-    # which is degenerate on no kernel: the loop stops at ker a, too early
-    assert linalg.generalized_kernel([[0, 1], [0, 0]], linalg.identity(2)) == [[1, 0]]
-    # and for a pairing degenerate on ker a^dim the kernel stops growing
-    # while the test still fails, which raises
-    with pytest.raises(InternalConsistencyError, match="degenerate on the generalized kernel"):
-        linalg.generalized_kernel([[0, 0], [0, 1]], [[0, 1], [1, 0]])
-
-
 def test_exact_div_types():
     assert linalg.exact_div(6, 3) == 2 and type(linalg.exact_div(6, 3)) is int
     assert linalg.exact_div(-7, 2) == Fraction(-7, 2)
@@ -295,6 +263,9 @@ def _matrices(draw, square=False):
 
 @settings(max_examples=60, deadline=None)
 @given(_matrices())
+# a later pivot column of the reversed elimination is a combination of
+# earlier free columns with Fraction and integral-Fraction entries
+@example([[0, 2, Fraction(1, 2), Fraction(4, 2), 0, 1], [0, 1, Fraction(-1, 3), 0, 3, 0], [0, 3, Fraction(1, 6), 2, 3, 1]])
 def test_rref_and_kernel_are_exact_and_int_first(a):
     pivots, red = linalg.rref(a)
     assert len(pivots) == len(red) == rank(a)
@@ -304,6 +275,10 @@ def test_rref_and_kernel_are_exact_and_int_first(a):
     for v in kernel:
         assert all(x == 0 for x in linalg.mat_vec(a, v))
     assert _int_first(red) and _int_first(kernel)
+    # the one-elimination kernel is the two-elimination reference, value for
+    # value and type for type
+    typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
+    assert typed(kernel) == typed(kernel_basis(a))
 
 
 @settings(max_examples=60, deadline=None)

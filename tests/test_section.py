@@ -332,7 +332,8 @@ def test_radical_38_matches_source_vector():
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_radical_by_squaring_matches_the_power_route(n):
-    # ker e_1^dim and its perp space, entry for entry and type for type
+    # ker e_1, certified by the pairing, is ker e_1^dim from the power of e_1,
+    # and the perp spaces agree, entry for entry and type for type
     rad, perp = radical_and_perp(3, n)
     expected = radical_by_power(build_ring(3, n))
     typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
@@ -626,7 +627,7 @@ def test_the_route_follows_the_screen_and_beta(capsys, monkeypatch):
 def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):
     from qhgrass import cli
 
-    # the radical's stopping test needs e_1 self-adjoint for the pairing, so
+    # the radical's certificate needs e_1 self-adjoint for the pairing, so
     # radical_and_perp refuses a ring whose e_1 is not; here e_1 * 1 gains a
     # second sigma_1, set on a copy past the build's commutativity assertion
     ring = copy.copy(build_ring(3, 8))
@@ -639,6 +640,21 @@ def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: e_1 is not self-adjoint for the section pairing\n"
+
+
+def test_a_pairing_degenerate_on_ker_e1_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # <u, v>' = <u, e_1 v> keeps e_1 self-adjoint (e_1 is self-adjoint for
+    # <,>) but vanishes on ker e_1, so ker e_1 is not certified as the radical
+    ring = copy.copy(build_ring(3, 8))
+    ring.pairing = linalg.mat_mul(ring.pairing, ring.e_ops[1])
+    e1 = ring.e_ops[1]
+    assert linalg.mat_mul(ring.pairing, e1) == linalg.mat_mul([list(col) for col in zip(*e1)], ring.pairing)
+    monkeypatch.setattr(section, "build_ring", lambda *args: ring)
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: the pairing is degenerate on ker e_1\n"
 
 
 def test_beta_multiplication_undetermined():
