@@ -18,9 +18,8 @@ s seed rows, not over d.
 Determinants and characteristic polynomials share one fraction-free (Bareiss)
 elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
 tests check charpoly against the Berkowitz recursion.  There is no inverse and
-no solver: coordinates in an echelon basis are read off its pivots (see
-section.perp_piece_operators).  A kernel takes one Gauss-Jordan elimination
-(rref), of the matrix with its columns reversed (kernel_basis).
+no solver.  A kernel takes one Gauss-Jordan elimination (rref), of the matrix
+with its columns reversed (kernel_basis).
 """
 
 from __future__ import annotations

@@ -47,12 +47,14 @@ Gram matrix follows from one trace vector t and two thin runs
 the degree by |c| mod r (require_graded checks E_p on its nonzeros), and on
 the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
 unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.
-The section verdict of a ring with no beta (section.full_ring_semisimple)
-makes the same two runs; that of a ring with beta runs the recursion on the
-perp vectors and takes trace(g_i g_j) of the perp generators by definition
-(semisimple_test).  No command builds a label operator; mult_operators, the
-run seeded with the identity and made dense, is read through label_ops only
-by the tests and the benchmark's spans.
+Both section verdicts make the same two runs: a ring with no beta
+(section.full_ring_semisimple) as Gr(k, n) does, and a ring with beta
+(section.perp_subalgebra_semisimple) with the second run seeded with
+E_1^T t, which composes the trace form with multiplication by e_1.
+semisimple_test, the Gram matrix by its definition, has no verdict calling
+it.  No command builds a label operator; mult_operators, the run seeded
+with the identity and made dense, is read through label_ops only by the
+tests and the benchmark's spans.
 
 The presentation relations h_{n-k+1} = ... = h_{n-1} = 0 and
 h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section, are
@@ -111,15 +113,14 @@ def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(entries)
 
 
-@lru_cache(maxsize=None)
-def pieri_matrix(box: Box, p: int) -> tuple[tuple, ...]:
+def pieri_matrix(box: Box, p: int) -> Matrix:
     """Matrix of sigma_{1^p} * (-) over the Schubert basis at q = 1: the 0/1
-    incidence matrix of pieri_entries."""
+    incidence matrix of pieri_entries, a new matrix on every call."""
     dim = len(schubert_basis(box))
     mat = linalg.zeros(dim, dim)
     for row, col, _ in pieri_entries(box, p):
         mat[row][col] = 1
-    return tuple(map(tuple, mat))
+    return mat
 
 
 class GradedAlgebra:
@@ -178,7 +179,7 @@ def grassmannian(box: Box) -> GradedAlgebra:
     """QH(Gr(k, n)): the Schubert basis, q of degree n, the Pieri matrices,
     and the pairing <s_lam, s_mu> = [mu = dual(lam)]."""
     basis = schubert_basis(box)
-    e_ops = {p: [list(row) for row in pieri_matrix(box, p)] for p in range(1, box.k + 1)}
+    e_ops = {p: pieri_matrix(box, p) for p in range(1, box.k + 1)}
     index = {lam: i for i, lam in enumerate(basis)}
     pairing = linalg.zeros(len(basis), len(basis))
     for i, lam in enumerate(basis):
@@ -314,17 +315,15 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     matrix trace(ops_i ops_j) of its regular representation is nonsingular.
 
     ops[c] multiplies by the c-th basis element, in that basis, and the
-    operators commute; its one production caller,
-    section.perp_subalgebra_semisimple, passes the perp space's p x p
-    generators and asserts that they commute with e_1^r.  The Gram matrix is
-    taken by its definition, one linalg.trace_product per pair; the whole
-    rings' verdicts read trace_form_rows instead.
+    operators commute.  The Gram matrix is taken by its definition, one
+    linalg.trace_product per pair.  No verdict calls it: every ring's verdict
+    reads trace_form_rows, and the tests compare the two.
     """
     gram = [[linalg.trace_product(a, b) for b in ops] for a in ops]
     return linalg.det_bareiss(gram) != 0
 
 
-def trace_form_rows(alg: GradedAlgebra) -> tuple[list, Matrix]:
+def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Matrix]:
     """The trace vector t_c = trace(L_c) and the trace-form Gram matrix
     trace(L_a L_b), in basis order, from two thin label recursions and no
     label operator.
@@ -337,18 +336,28 @@ def trace_form_rows(alg: GradedAlgebra) -> tuple[list, Matrix]:
     Euler class (Abrams), trace(L_a L_b) = phi(a b), so Gram row a is
     t^T L_a: the transposed recursion seeded with t alone.  Every basis
     label must have an operator; the section's beta raises.
+
+    With shifted=True the Gram matrix is composed with multiplication by
+    e_1, G E_1: row a is w^T L_a with w = E_1^T t, the transposed recursion
+    seeded with w.  A label with no operator is then left out of the sum
+    for t and gets a zero row.  This is the section's perp-subalgebra form
+    (section.perp_subalgebra_semisimple): there e_1 kills beta, so t^T x
+    is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
     """
     require_graded(alg)
     dim = len(alg.basis)
     piece = [alg.index[lab] for lab in alg.residue_piece(0)]
     images = label_recursion(alg, [{c: 1} for c in piece])
-    if len(images) != dim:
+    if len(images) != dim and not shifted:
         raise UndeterminedProductError("the trace form needs every basis class's operator")
     t = [0] * dim
     for j, c in enumerate(piece):
-        t[c] = sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis))
-    rows = label_recursion(alg, linalg.sparse_rows([t]), transposed=True)
-    return t, [linalg.dense(rows[lab], dim)[0] for lab in alg.basis]
+        t[c] = sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis) if lab in images)
+    seed = linalg.sparse_rows([t])
+    if shifted:
+        seed = linalg.sparse_mul_sum([(1, seed, linalg.sparse_rows(alg.e_ops[1]))])
+    rows = label_recursion(alg, seed, transposed=True)
+    return t, [linalg.dense(rows[lab], dim)[0] if lab in rows else [0] * dim for lab in alg.basis]
 
 
 def qh_semisimple(box: Box) -> bool:

@@ -67,31 +67,30 @@ a witness decides "not semisimple" and no ring is built (n = 6).  With no
 witness, the route follows beta.  A ring with no beta (n = 7) has an
 operator for every class, so full_ring_semisimple decides it as
 quantum.qh_semisimple decides Gr(k, n), from the trace vector and two thin
-label recursions (quantum.trace_form_rows): "trace-form".  A ring with beta
-(n = 8) has no operator for beta, since beta * beta is undetermined, so the
-trace form is tested on the subalgebra S = sum over i < r of e_1^i P
-generated by e_1 and the perp space P, the orthogonal complement of the
-radical inside the residue-0 piece, with p = |P| and r = deg q, and the
-radical's half of the verdict rests on the source's external monodromy
-argument: "trace-form+monodromy".  No command builds a section label
-operator.  On n = 7 the radical is empty and S is the whole ring, so the
-tests run both routes there and compare them.
+label recursions (quantum.trace_form_rows): "trace-form".  A ring A with
+beta (n = 8) has no operator for beta, since beta * beta is undetermined,
+so the trace form is tested on the perp subalgebra S = A / R, R = ker e_1
+the radical, by the same two runs, and the radical's half of the verdict
+rests on the source's external monodromy argument: "trace-form+monodromy".
+No command builds a section label operator.  On n = 7 the radical is empty
+and S is the whole ring, so the tests run both routes there and compare
+them.
 
-e_1 commutes with every multiplication operator and e_1^r maps P into P, so
-multiplication by an element of P has r times its trace on P as its trace on
-S, and multiplication by an element of e_1^m P has trace 0 on S when r does
-not divide m.  The Gram matrix of S is then block-antidiagonal by residue,
-and
-
-    det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1),
-
-with G_P the trace-form Gram matrix of P and M_z the matrix of e_1^r on P.  So
-S is semisimple exactly when det G_P and det M_z are both nonzero, which
-perp_subalgebra_semisimple decides on p x p matrices (p = 5 and 7, against
-the 30- and 49-dimensional S); the tests check the identity against the whole
-of S for n = 7 and n = 8.  The products v_i * v_j are read off the label
-recursion seeded with the p vectors of P, whose seed-major rows are the
-images L_lab v_j (perp_piece_operators).
+The perp route rests on this argument.  R = ker E_1 is an ideal, since
+E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.  The
+certificate of radical_and_perp gives ker E_1 = ker E_1^2, so e_1 is
+invertible on A / R and A = R + im E_1^N is a direct sum of ideals
+(N = dim A); A / R is isomorphic to im E_1^N, the source's perp
+subalgebra S.  A / R is spanned by partition labels and needs no
+beta * beta.  For x = e_1 y, L_x = E_1 L_y kills R and beta, so t^T x, with
+the t of quantum.trace_form_rows that leaves beta's diagonal entry out of
+its sum, is trace(L_x) on A.  The shifted Gram matrix
+B(a, b) = t^T E_1 L_a e_b (trace_form_rows with shifted=True) is therefore
+the trace form of A / R composed with multiplication by the unit e_1.  B is
+symmetric and R lies in its kernel, and beta is a lead of R's reduced
+echelon basis (asserted), so with C the labels off those leads,
+det B[C][C] != 0 exactly when A / R is semisimple
+(perp_subalgebra_semisimple).  dim S is dim A - dim R: 49 = 51 - 2 on n = 8.
 """
 
 from __future__ import annotations
@@ -101,19 +100,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import hodge, linalg, screen
-from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
+from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, size
 from .polynomials import UniPoly
 from .quantum import (
     GradedAlgebra,
-    commuting,
     e_power_charpoly,
     h_relation_check,
-    label_recursion,
     pieri_entries,
     schubert_basis,
-    semisimple_test,
     trace_form_rows,
 )
 
@@ -263,27 +259,20 @@ def lefschetz_relation_check(n: int) -> bool:
     return h_relation_check(ring.e_ops, n, linalg.sparse_rows(ring.e_ops[1]))
 
 
-def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
-    """Radical of the section ring and the orthogonal complement of
-    the radical inside the residue-0 piece, both as coordinate vectors.
+def radical_and_perp(k: int, n: int) -> list[list]:
+    """The radical ker e_1^dim of the section ring, as the reduced echelon
+    basis of ker e_1, certified by the pairing.
 
-    The radical is ker e_1^dim, taken as ker e_1 and certified by the
-    pairing.  e_1 is multiplication by a class, so it is self-adjoint for
-    the Frobenius pairing; that is asserted here, once.  Then ker e_1^dim
-    and the image of e_1^dim are orthogonal and span the space, so the
-    pairing is nondegenerate on ker e_1^dim.  Were ker e_1 smaller, some w
-    in ker e_1^2 would lie outside it, and z = e_1 w != 0 in ker e_1 would
-    have <z, x> = <w, e_1 x> = 0 for every x in ker e_1.  So a nonsingular
-    Gram matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one
-    raises.
-
-    The perp vectors are the reduced echelon kernel basis of the pairing
-    constraints (or the identity when the radical is empty), written in the
-    piece's labels, which are in basis order; perp_piece_operators reads
-    coordinates off their pivots.
+    e_1 is multiplication by a class, so it is self-adjoint for the
+    Frobenius pairing; that is asserted here, once.  Then ker e_1^dim and
+    the image of e_1^dim are orthogonal and span the space, so the pairing
+    is nondegenerate on ker e_1^dim.  Were ker e_1 smaller, some w in
+    ker e_1^2 would lie outside it, and z = e_1 w != 0 in ker e_1 would have
+    <z, x> = <w, e_1 x> = 0 for every x in ker e_1.  So a nonsingular Gram
+    matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one raises.
     """
     ring = build_ring(k, n)
-    dim, e1 = len(ring.basis), ring.e_ops[1]
+    e1 = ring.e_ops[1]
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
     if linalg.mat_mul(ring.pairing, e1) != linalg.mat_mul([list(col) for col in zip(*e1)], ring.pairing):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
@@ -291,81 +280,23 @@ def radical_and_perp(k: int, n: int) -> tuple[list[list], list[list]]:
     paired = [linalg.mat_vec(ring.pairing, u) for u in rad]
     if linalg.det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in rad]) == 0:
         raise InternalConsistencyError("the pairing is degenerate on ker e_1")
-    piece = ring.residue_piece(0)
-    constraints = [[pu[ring.index[lab]] for lab in piece] for pu in paired]
-    if constraints:
-        perp_coords = linalg.kernel_basis(constraints)
-    else:
-        perp_coords = linalg.identity(len(piece))
-    perp = []
-    for coords in perp_coords:
-        v = [0] * dim
-        for c, lab in zip(coords, piece):
-            v[ring.index[lab]] = c
-        perp.append(v)
-    return rad, perp
-
-
-def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Matrix]:
-    """Multiplication by each perp vector v_j, and e_1^r, as matrices on the
-    perp space P in the basis perp (p x p each, p = len(perp)).
-
-    No label operator is built.  The label recursion seeded with v_1..v_p
-    (quantum.label_recursion) gives, seed-major, the rows L_lab v_j for every
-    label, and v_i * v_j = sum over lab of v_i[lab] L_lab v_j; a beta
-    coordinate has no operator and raises UndeterminedProductError.
-
-    The coordinates of an image are read, not solved for.  radical_and_perp
-    gives P a reduced echelon basis: each v_i has a leading 1 at its pivot,
-    where every other v_j is 0, so an image w in P has its entries at the
-    pivots as coordinates.  Every reading is checked by rebuilding w from
-    them: v_i * v_j lies in P, so P is closed under multiplication, and
-    e_1^r v_j lies in P, so e_1^r maps P into P.
-    """
-    pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
-    columns = [list(row) for row in zip(*perp)]
-
-    def on_piece(images: list[list]) -> Matrix:
-        coords = []
-        for w in images:
-            x = [w[i] for i in pivots]
-            if linalg.mat_vec(columns, x) != w:
-                raise InternalConsistencyError("vector lies outside the column span")
-            coords.append(x)
-        return [list(row) for row in zip(*coords)]
-
-    on_perp = label_recursion(ring, linalg.sparse_rows(perp))
-    unit = [{j: 1} for j in range(len(perp))]
-    generators = []
-    for v in perp:
-        if any(c and lab not in on_perp for lab, c in zip(ring.basis, v)):
-            raise UndeterminedProductError("multiplication by beta is undetermined by the source")
-        products = linalg.sparse_mul_sum([(c, unit, on_perp[lab]) for lab, c in zip(ring.basis, v) if c])
-        generators.append(on_piece(linalg.dense(products, len(ring.basis))))
-    shifted = perp
-    for _ in range(ring.r):
-        shifted = [linalg.mat_vec(ring.e_ops[1], u) for u in shifted]
-    return generators, on_piece(shifted)
+    return rad
 
 
 def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
-    """Trace-form test on the subalgebra S generated by the perp space P and
-    e_1, decided on P (see the module docstring).
-
-    Returns the verdict, the dimension r |P| of S and the dimension of the
-    radical it was split from.  S has a nondegenerate trace form exactly when
-    P's multiplication operators do and e_1^r is invertible on P; then e_1^i
-    is injective on P for every i, and the r pieces e_1^i P lie in distinct
-    residues, so the dimension is exact.  Commutativity is asserted on the
-    generators of P and e_1^r.
+    """Trace-form test on the perp subalgebra S = A / R, R = ker e_1 (see the
+    module docstring): det B[C][C] != 0, with B the shifted Gram matrix
+    (quantum.trace_form_rows) and C the labels off the leads of R's reduced
+    echelon basis.  Returns the verdict, dim S = dim A - dim R and dim R.
     """
     ring = build_ring(k, n)
-    rad, perp = radical_and_perp(k, n)
-    generators, shift = perp_piece_operators(ring, perp)
-    if not commuting(generators + [shift]):
-        raise InternalConsistencyError("the perp subalgebra's generators do not commute")
-    ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0
-    return ok, ring.r * len(perp), len(rad)
+    rad = radical_and_perp(k, n)
+    leads = {next(i for i, c in enumerate(u) if c) for u in rad}
+    if ring.prim_dim and ring.index[BETA] not in leads:
+        raise InternalConsistencyError("beta is not a lead of the radical ker e_1")
+    _, gram = trace_form_rows(ring, shifted=True)
+    rest = [i for i in range(len(ring.basis)) if i not in leads]
+    return linalg.det_bareiss([[gram[a][b] for b in rest] for a in rest]) != 0, len(rest), len(rad)
 
 
 def full_ring_semisimple(k: int, n: int) -> bool:

@@ -20,17 +20,22 @@ route:
   the first-column Pieri recursion instead.
 - pairing_q1 is the class-level pairing of QH(Gr(k, n)).  radical_by_power
   takes the radical of a graded algebra as the kernel of e_1^N, N its
-  dimension, with its perp space (radical for Gr(k, n));
-  section.radical_and_perp takes ker e_1 and certifies it by the pairing,
-  which is nondegenerate on it.
+  dimension, with its perp space P (perp_space; radical for Gr(k, n));
+  section.radical_and_perp takes only ker e_1 and certifies it by the
+  pairing, which is nondegenerate on it.
 - build_lifts and lift_operator write each section basis class as a
   polynomial in e_1..e_k and evaluate it on the e-operators; the section
   ring builds its label operators by the first-column Pieri recursion.
 - perp_iso_check certifies A^0(X) = A^0_perp(Y) through cyclic generators.
-- perp_subalgebra_basis and perp_subalgebra_operators build the whole
-  subalgebra S = sum over i < r of e_1^i P generated by the perp space P and
-  e_1, with one operator per basis vector e_1^i v_j; production decides S's
-  trace form on P alone (section.perp_subalgebra_semisimple).
+- perp_route_semisimple decides the trace form of the subalgebra
+  S = sum over i < r of e_1^i P generated by P and e_1 on P alone, by the
+  det G_S identity: perp_piece_operators reads the p x p operators of P and
+  e_1^r off the label recursion seeded with the perp vectors, and
+  quantum.semisimple_test takes their Gram matrix by definition.
+  perp_subalgebra_basis and perp_subalgebra_operators build the whole of S,
+  with one operator per basis vector e_1^i v_j.  Production decides S as
+  A / ker e_1 from the shifted Gram matrix of quantum.trace_form_rows
+  (section.perp_subalgebra_semisimple).
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
 - rank and solve are exact row reduction through linalg.rref.
@@ -39,15 +44,15 @@ route:
   one elimination of a with its columns reversed.  mat_inverse
   (Gauss-Jordan) and ColumnSpanSolver, which solves for coordinates in an
   independent column family through one inverted subblock, are the solve
-  route; section.perp_piece_operators reads coordinates off the pivots of an
+  route; perp_piece_operators reads coordinates off the pivots of an
   echelon basis instead.
 - mat_combine sums scaled dense matrices, the oracles' way to combine
   operators; production combines sparse rows with linalg.sparse_mul_sum.
 - trace_form_gram takes the Gram matrix trace(L_a L_b) of a regular
   representation from its operators through the trace vector;
   quantum.trace_form_rows takes it from two thin label recursions and
-  builds no operator, and quantum.semisimple_test takes it on the perp
-  generators by definition, one linalg.trace_product per pair.
+  builds no operator, and quantum.semisimple_test takes it by definition,
+  one linalg.trace_product per pair.
 - restrict and charpoly_on_piece restrict an operator to a piece of basis
   labels (quantum.restrict_to_coords) and take its characteristic polynomial
   there.
@@ -63,8 +68,8 @@ route:
   the pairing over every pair of labels.  Production assembles E_p on sparse
   rows from the Pieri entries and pairs each label with one degree.
 - mult_operator combines the label operators into the operator of any
-  element; section.perp_piece_operators reads the perp products off the
-  label recursion run on the perp vectors, and builds no label operator.
+  element; perp_piece_operators reads the perp products off the label
+  recursion run on the perp vectors, and builds no label operator.
 - PRINTED_H holds the lifts h_6, h_7, h_8 of the presentation relations in
   e_1, e_2, e_3 as printed in the source; sigma_e_polynomial derives them.
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
@@ -107,7 +112,16 @@ from qhgrass.errors import InternalConsistencyError, InvalidInputError, Undeterm
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, box_partitions_of_size, canonical, size, transpose
 from qhgrass.polynomials import UniPoly
-from qhgrass.quantum import GradedAlgebra, grassmannian, pieri_matrix, restrict_to_coords, schubert_basis
+from qhgrass.quantum import (
+    GradedAlgebra,
+    commuting,
+    grassmannian,
+    label_recursion,
+    pieri_matrix,
+    restrict_to_coords,
+    schubert_basis,
+    semisimple_test,
+)
 from qhgrass.rootdata import (
     _POSITIVE_ROOT_COUNT,
     DynkinType,
@@ -1000,8 +1014,8 @@ def pair_loop_pairing(ring: SectionRing) -> Matrix:
 
 def mult_operator(alg, coords) -> Matrix:
     """Multiplication operator of the element with these basis coordinates,
-    combined from the label operators; section.perp_piece_operators reads the
-    perp products off the label recursion run on the perp vectors instead."""
+    combined from the label operators; perp_piece_operators reads the perp
+    products off the label recursion run on the perp vectors instead."""
     ops, terms = alg.label_ops, []
     for coeff, lab in zip(coords, alg.basis):
         if not coeff:
@@ -1090,15 +1104,22 @@ def radical(box: Box) -> tuple[list[list], list[list]]:
 
 def radical_by_power(alg) -> tuple[list[list], list[list]]:
     """Kernel of the N-th power of multiplication by e_1 (N the dimension),
-    plus the orthogonal complement of that kernel inside the residue-0 graded
-    piece; section.radical_and_perp takes ker e_1, certified by the
-    pairing."""
-    n = len(alg.basis)
-    rad = linalg.kernel_basis(linalg.mat_pow(alg.e_ops[1], n))
-    idx, pairing, piece = alg.index, alg.pairing, alg.residue_piece(0)
+    plus its perp space (perp_space); section.radical_and_perp takes ker e_1,
+    certified by the pairing."""
+    rad = linalg.kernel_basis(linalg.mat_pow(alg.e_ops[1], len(alg.basis)))
+    return rad, perp_space(alg, rad)
+
+
+def perp_space(alg, rad: list[list]) -> list[list]:
+    """The orthogonal complement P of the radical inside the residue-0 piece:
+    the reduced echelon kernel basis of the pairing constraints (or the
+    identity when the radical is empty), written in the piece's labels,
+    which are in basis order, so perp_piece_operators can read coordinates
+    off its pivots."""
+    idx, piece = alg.index, alg.residue_piece(0)
     constraints = []
     for u in rad:
-        pu = linalg.mat_vec(pairing, u)
+        pu = linalg.mat_vec(alg.pairing, u)
         constraints.append([pu[idx[lam]] for lam in piece])
     if constraints:
         perp_coords = linalg.kernel_basis(constraints)
@@ -1106,11 +1127,11 @@ def radical_by_power(alg) -> tuple[list[list], list[list]]:
         perp_coords = linalg.identity(len(piece))
     perp = []
     for coords in perp_coords:
-        v = [0] * n
+        v = [0] * len(alg.basis)
         for c, lam in zip(coords, piece):
             v[idx[lam]] = c
         perp.append(v)
-    return rad, perp
+    return perp
 
 
 # -- the section ring through lift polynomials --------------------------------
@@ -1231,7 +1252,8 @@ def perp_iso_check(k: int, n: int) -> bool:
     char_x = linalg.charpoly([[gen_x[r][c] for c in cols_x] for r in cols_x])
 
     # section side: powers of the generator, projected away from the radical
-    rad, perp = radical_and_perp(k, n)
+    rad = radical_and_perp(k, n)
+    perp = perp_space(ring, rad)
     project = _perp_projector(ring, rad)
     unit_y = vector(ring, ClassVector.unit(ring.box))
     powers_y = [unit_y]
@@ -1253,6 +1275,77 @@ def perp_iso_check(k: int, n: int) -> bool:
     target_y = project(linalg.mat_vec(linalg.mat_pow(ring.e_ops[1], n - 1), unit_y))
     expansion_y = solve([list(col) for col in zip(*perp_powers)], target_y)
     return expansion_x == expansion_y
+
+
+def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Matrix]:
+    """Multiplication by each perp vector v_j, and e_1^r, as matrices on the
+    perp space P in the basis perp (p x p each, p = len(perp)).
+
+    No label operator is built.  The label recursion seeded with v_1..v_p
+    (quantum.label_recursion) gives, seed-major, the rows L_lab v_j for every
+    label, and v_i * v_j = sum over lab of v_i[lab] L_lab v_j; perp vectors
+    have no beta coordinate.
+
+    The coordinates of an image are read, not solved for.  perp_space gives
+    P a reduced echelon basis: each v_i has a leading 1 at its pivot, where
+    every other v_j is 0, so an image w in P has its entries at the pivots
+    as coordinates.  Every reading is checked by rebuilding w from them:
+    v_i * v_j lies in P, so P is closed under multiplication, and e_1^r v_j
+    lies in P, so e_1^r maps P into P.
+    """
+    pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
+    columns = [list(row) for row in zip(*perp)]
+
+    def on_piece(images: list[list]) -> Matrix:
+        coords = []
+        for w in images:
+            x = [w[i] for i in pivots]
+            if linalg.mat_vec(columns, x) != w:
+                raise InternalConsistencyError("vector lies outside the column span")
+            coords.append(x)
+        return [list(row) for row in zip(*coords)]
+
+    on_perp = label_recursion(ring, linalg.sparse_rows(perp))
+    unit = [{j: 1} for j in range(len(perp))]
+    generators = []
+    for v in perp:
+        products = linalg.sparse_mul_sum([(c, unit, on_perp[lab]) for lab, c in zip(ring.basis, v) if c])
+        generators.append(on_piece(linalg.dense(products, len(ring.basis))))
+    shifted = perp
+    for _ in range(ring.r):
+        shifted = [linalg.mat_vec(ring.e_ops[1], u) for u in shifted]
+    return generators, on_piece(shifted)
+
+
+def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
+    """The trace form of the subalgebra S = sum over i < r of e_1^i P
+    generated by e_1 and the perp space P, decided on P; section's
+    perp_subalgebra_semisimple decides S as A / ker e_1 from the shifted Gram
+    matrix instead.
+
+    e_1 commutes with every multiplication operator and e_1^r maps P into P,
+    so multiplication by an element of P has r times its trace on P as its
+    trace on S, and multiplication by an element of e_1^m P has trace 0 on S
+    when r does not divide m.  The Gram matrix of S is then
+    block-antidiagonal by residue, and
+
+        det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1),
+
+    with p = |P|, G_P the trace-form Gram matrix of P (quantum.semisimple_test
+    on the p x p generators) and M_z the matrix of e_1^r on P.  So S is
+    semisimple exactly when both determinants are nonzero; then e_1^i is
+    injective on P for every i and the r pieces e_1^i P lie in distinct
+    residues, so S has dimension r p.  Commutativity is asserted on the
+    generators and e_1^r.  Returns the verdict, r p and the radical's
+    dimension.
+    """
+    ring = build_ring(k, n)
+    rad = radical_and_perp(k, n)
+    generators, shift = perp_piece_operators(ring, perp_space(ring, rad))
+    if not commuting(generators + [shift]):
+        raise InternalConsistencyError("the perp subalgebra's generators do not commute")
+    ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0
+    return ok, ring.r * len(generators), len(rad)
 
 
 def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:

@@ -11,6 +11,8 @@ from oracles import (
     kernel_basis,
     mat_combine,
     mat_inverse,
+    perp_piece_operators,
+    perp_space,
     perp_subalgebra_operators,
     poly_from_roots,
     rank,
@@ -374,7 +376,11 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     from qhgrass.partitions import Box
 
     ring7, ring8 = section.build_ring(3, 7), section.build_ring(3, 8)
-    _, perp = section.radical_and_perp(3, 8)
+    rad = section.radical_and_perp(3, 8)
+    perp = perp_space(ring8, rad)
+    leads = {next(i for i, c in enumerate(u) if c) for u in rad}
+    rest = [i for i in range(len(ring8.basis)) if i not in leads]
+    _, shifted = quantum.trace_form_rows(ring8, shifted=True)
     box = Box(4, 8)
     ambient = quantum.grassmannian(box).label_ops
     matrices = {
@@ -383,14 +389,15 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
             [ring7.label_ops[lab] for lab in ring7.basis]
         ),
         "(3,8) perp trace form": trace_form_gram(perp_subalgebra_operators(ring8, perp)[0]),
+        "(3,8) shifted trace form off the radical's leads": [[shifted[a][b] for b in rest] for a in rest],
         "Gr(4,8) trace form": trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
     }
     for name, mat in matrices.items():
         det = linalg.det_bareiss(mat)
         assert det != 0 and det == _single_block_det(mat), name
         assert len(linalg._nonzero_blocks(mat)) > 1, name  # the split route is taken
-    # the matrices the production perp route decides on, one block or several
-    generators, shift = section.perp_piece_operators(ring8, perp)
+    # the matrices the oracle's perp route decides on, one block or several
+    generators, shift = perp_piece_operators(ring8, perp)
     for name, mat in {"(3,8) G_P": trace_form_gram(generators), "(3,8) M_z": shift}.items():
         det = linalg.det_bareiss(mat)
         assert det != 0 and det == _single_block_det(mat), name

@@ -517,11 +517,11 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
     gr12 = grassmannian(Box(1, 2))
     with pytest.raises(InternalConsistencyError, match="do not commute"):
         GradedAlgebra(gr12.box, gr12.basis, gr12.r, {1: x, 2: bad}, gr12.pairing)
-    # ... and the perp route on the perp generators and e_1^r, both ways
+    # ... and the oracle's perp route on the perp generators and e_1^r, both ways
     for generators, shift in [([x, bad], linalg.identity(2)), ([x], bad)]:
-        monkeypatch.setattr(section, "perp_piece_operators", lambda ring, perp: (generators, shift))
+        monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, shift))
         with pytest.raises(InternalConsistencyError, match="do not commute"):
-            section.perp_subalgebra_semisimple(3, 8)
+            oracles.perp_route_semisimple(3, 8)
 
 
 def test_qh_semisimple_small():
@@ -541,6 +541,18 @@ def test_trace_vector_and_gram_match_the_label_operators(box):
     # t vanishes off the residue-0 piece
     piece = set(alg.residue_piece(0))
     assert not any(tc for tc, lab in zip(t, alg.basis) if lab not in piece)
+
+
+@pytest.mark.parametrize("box", BOXES_8, ids=str)
+def test_shifted_gram_is_the_gram_times_e1(box):
+    # t^T E_1 L_a e_b = t^T L_a E_1 e_b: the run seeded with E_1^T t gives
+    # G E_1, entry for entry and type for type
+    alg = grassmannian(box)
+    t, gram = trace_form_rows(alg)
+    t_shifted, shifted = trace_form_rows(alg, shifted=True)
+    typed = lambda op: [[(type(x), x) for x in row] for row in op]
+    assert t_shifted == t
+    assert typed(shifted) == typed(linalg.mat_mul(gram, alg.e_ops[1]))
 
 
 def test_trace_vector_and_gram_of_a_section_ring():

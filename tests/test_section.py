@@ -21,6 +21,9 @@ from oracles import (
     mult_operator,
     pair_loop_pairing,
     perp_iso_check,
+    perp_piece_operators,
+    perp_route_semisimple,
+    perp_space,
     perp_subalgebra_operators,
     pieri_on_label,
     radical_by_power,
@@ -298,17 +301,17 @@ def test_printed_h_polynomials_are_the_derived_relations():
 
 
 def test_radical_37_trivial():
-    rad, perp = radical_and_perp(3, 7)
-    assert rad == []
-    assert len(perp) == 5
     ring = build_ring(3, 7)
+    rad = radical_and_perp(3, 7)
+    assert rad == []
+    assert len(perp_space(ring, rad)) == 5
     assert linalg.det_bareiss(ring.e_ops[1]) != 0
 
 
 def test_radical_38_matches_source_vector():
     ring = build_ring(3, 8)
-    rad, perp = radical_and_perp(3, 8)
-    assert len(rad) == 2 and len(perp) == 7
+    rad = radical_and_perp(3, 8)
+    assert len(rad) == 2 and len(perp_space(ring, rad)) == 7
     beta_vec = [0] * len(ring.basis)
     beta_vec[ring.index[BETA]] = 1
     gamma = reduce(ring, ClassVector(ring.box, {(lam, 0): c for lam, c in GAMMA_38.items()}))
@@ -333,17 +336,16 @@ def test_radical_38_matches_source_vector():
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_radical_by_squaring_matches_the_power_route(n):
     # ker e_1, certified by the pairing, is ker e_1^dim from the power of e_1,
-    # and the perp spaces agree, entry for entry and type for type
-    rad, perp = radical_and_perp(3, n)
-    expected = radical_by_power(build_ring(3, n))
+    # entry for entry and type for type
+    rad = radical_and_perp(3, n)
+    expected, _ = radical_by_power(build_ring(3, n))
     typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
-    assert (typed(rad), typed(perp)) == (typed(expected[0]), typed(expected[1]))
+    assert typed(rad) == typed(expected)
 
 
 def test_perp_space_38_is_ambient():
     ring = build_ring(3, 8)
-    _, perp = radical_and_perp(3, 8)
-    for v in perp:
+    for v in perp_space(ring, radical_and_perp(3, 8)):
         assert v[ring.index[BETA]] == 0
 
 
@@ -370,13 +372,59 @@ def test_perp_route_on_the_37_section_is_the_whole_ring():
     assert full_ring_semisimple(3, 7)
 
 
+@pytest.mark.parametrize("n, expected", [(6, (True, 15, 3)), (7, (True, 30, 0)), (8, (True, 49, 2))])
+def test_perp_route_agrees_with_the_oracle(n, expected):
+    # A / ker e_1 from the shifted Gram matrix against S = sum e_1^i P decided
+    # on P by the det G_S identity: verdict, dim S and dim R
+    assert perp_subalgebra_semisimple(3, n) == perp_route_semisimple(3, n) == expected
+
+
+def test_shifted_gram_of_a_section_ring():
+    # (3, 7): the shifted Gram is the whole ring's Gram times E_1, entry for
+    # entry and type for type, and symmetric.  (3, 8): beta's row and column
+    # are zero
+    typed = lambda op: [[(type(x), x) for x in row] for row in op]
+    ring7 = build_ring(3, 7)
+    _, shifted = quantum.trace_form_rows(ring7, shifted=True)
+    assert typed(shifted) == typed(linalg.mat_mul(quantum.trace_form_rows(ring7)[1], ring7.e_ops[1]))
+    assert shifted == [list(col) for col in zip(*shifted)]
+    ring8 = build_ring(3, 8)
+    _, shifted = quantum.trace_form_rows(ring8, shifted=True)
+    b = ring8.index[BETA]
+    assert not any(shifted[b]) and not any(row[b] for row in shifted)
+    assert shifted == [list(col) for col in zip(*shifted)]
+
+
+def test_the_38_verdict_makes_two_thin_label_runs(capsys, monkeypatch):
+    # as for Gr(k, n): one run seeded with the residue-0 unit vectors, one
+    # transposed run seeded with a single vector; no label operator, no
+    # trace_product
+    from qhgrass import cli
+
+    calls = []
+    recursion = quantum.label_recursion
+
+    def recording(alg, seed, transposed=False):
+        calls.append(("run", len(seed), transposed))
+        return recursion(alg, seed, transposed)
+
+    monkeypatch.setattr(quantum, "label_recursion", recording)
+    monkeypatch.setattr(quantum, "mult_operators", lambda *args: calls.append(("label operators", args)))
+    monkeypatch.setattr(linalg, "trace_product", lambda *args: calls.append(("trace_product", args)))
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert '"semisimple": true' in out and not err
+    piece = len(build_ring(3, 8).residue_piece(0))
+    assert calls == [("run", piece, False), ("run", 1, True)]
+
+
 @pytest.mark.parametrize("n", [7, 8])
 def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
     # det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1), with
     # G_S from the oracle's r p operators and G_P, M_z from the p x p ones
     ring = build_ring(3, n)
-    _, perp = radical_and_perp(3, n)
-    generators, shift = section.perp_piece_operators(ring, perp)
+    perp = perp_space(ring, radical_and_perp(3, n))
+    generators, shift = perp_piece_operators(ring, perp)
     p, r = len(perp), ring.r
     assert len(generators) == p and all(len(op) == p for op in generators + [shift])
     det_s = linalg.det_bareiss(trace_form_gram(perp_subalgebra_operators(ring, perp)[0]))
@@ -388,11 +436,11 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     ring = build_ring(3, n)
-    _, perp = radical_and_perp(3, n)
+    perp = perp_space(ring, radical_and_perp(3, n))
     # a reduced echelon basis: a leading 1 at each pivot, 0 there in the others
     pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
     assert [[v[i] for i in pivots] for v in perp] == linalg.identity(len(perp))
-    generators, shift = section.perp_piece_operators(ring, perp)
+    generators, shift = perp_piece_operators(ring, perp)
     solver = ColumnSpanSolver(perp)
 
     def solved(images):
@@ -408,53 +456,67 @@ def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     assert typed(shift) == typed(solved([linalg.mat_vec(e1_power, u) for u in perp]))
 
 
-def test_a_vector_outside_the_perp_space_is_refused(capsys, monkeypatch):
-    from qhgrass import cli
+def test_a_vector_outside_the_perp_space_is_refused(monkeypatch):
+    import oracles
 
     ring = build_ring(3, 8)
-    rad, perp = radical_and_perp(3, 8)
+    perp = perp_space(ring, radical_and_perp(3, 8))
     # without its last vector the span misses some products; with v_0 + v_1 in
     # place of v_0 the pivot reading is wrong, and rebuilding the image shows it
     not_reduced = [[a + b for a, b in zip(perp[0], perp[1])]] + perp[1:]
     for basis in (perp[:-1], not_reduced):
         with pytest.raises(InternalConsistencyError, match="vector lies outside the column span"):
-            section.perp_piece_operators(ring, basis)
-    monkeypatch.setattr(section, "radical_and_perp", lambda k, n: (rad, perp[:-1]))
-    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
-    out, err = capsys.readouterr()
-    assert not out and err == "internal consistency failure: vector lies outside the column span\n"
+            perp_piece_operators(ring, basis)
+    monkeypatch.setattr(oracles, "perp_space", lambda alg, rad: perp[:-1])
+    with pytest.raises(InternalConsistencyError, match="vector lies outside the column span"):
+        perp_route_semisimple(3, 8)
 
 
-def test_a_perp_vector_with_a_beta_coordinate_is_undetermined(capsys, monkeypatch):
-    from qhgrass import cli
-
-    # beta * beta is not in the source, so no product with beta is read
-    ring = build_ring(3, 8)
-    rad, perp = radical_and_perp(3, 8)
-    with_beta = [list(perp[0])] + perp[1:]
-    with_beta[0][ring.index[BETA]] = 1
-    with pytest.raises(UndeterminedProductError, match="multiplication by beta is undetermined by the source"):
-        section.perp_piece_operators(ring, with_beta)
-    monkeypatch.setattr(section, "radical_and_perp", lambda k, n: (rad, with_beta))
-    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 2
-    out, err = capsys.readouterr()
-    assert not out and err == "error: multiplication by beta is undetermined by the source\n"
-
-
-def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(capsys, monkeypatch):
-    from qhgrass import cli
+def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(monkeypatch):
+    import oracles
 
     # G_P stays nondegenerate, but e_1^r kills P, so the trace form of S degenerates
-    generators, shift = section.perp_piece_operators(build_ring(3, 8), radical_and_perp(3, 8)[1])
+    ring = build_ring(3, 8)
+    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(3, 8)))
     zero = linalg.zeros(len(shift), len(shift))
-    monkeypatch.setattr(section, "perp_piece_operators", lambda ring, perp: (generators, zero))
+    monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, zero))
     assert quantum.semisimple_test(generators)
-    ok, _, rad_dim = perp_subalgebra_semisimple(3, 8)
-    assert ok is False and rad_dim == 2
-    for fmt in ("json", "table"):
-        assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", fmt]) == 0
-        out, err = capsys.readouterr()
-        assert "degenerate trace form on the perp subalgebra" in out and not err
+    assert perp_route_semisimple(3, 8) == (False, 49, 2)
+
+
+def test_beta_off_the_radical_leads_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # e_1 * beta = 0 puts beta in ker e_1, where it leads a basis vector; a
+    # radical that misses it is a fault of the program
+    monkeypatch.setattr(section, "radical_and_perp", lambda k, n: [])
+    with pytest.raises(InternalConsistencyError, match="beta is not a lead of the radical ker e_1"):
+        perp_subalgebra_semisimple(3, 8)
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: beta is not a lead of the radical ker e_1\n"
+
+
+def test_a_zero_shifted_gram_row_off_the_leads_gives_a_degenerate_verdict(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # the unit is off the radical's leads; with its row of the shifted Gram
+    # zeroed, B[C][C] is singular
+    original = section.trace_form_rows
+    unit = build_ring(3, 8).index[()]
+
+    def zeroed(alg, shifted=False):
+        t, gram = original(alg, shifted)
+        return t, [[0] * len(row) if i == unit else row for i, row in enumerate(gram)]
+
+    monkeypatch.setattr(section, "trace_form_rows", zeroed)
+    assert perp_subalgebra_semisimple(3, 8) == (False, 49, 2)
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert '"semisimple": false' in out and "degenerate trace form on the perp subalgebra" in out and not err
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "table"]) == 0
+    out, err = capsys.readouterr()
+    assert "degenerate trace form on the perp subalgebra" in out and not err
 
 
 def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
@@ -805,8 +867,8 @@ def test_trace_form_gram_matches_trace_products():
     ring7 = build_ring(3, 7)
     ops7 = [ring7.label_ops[lab] for lab in ring7.basis]
     assert trace_form_gram(ops7) == _trace_product_gram(ops7)
-    _, perp = radical_and_perp(3, 8)
-    ops8, _ = perp_subalgebra_operators(build_ring(3, 8), perp)
+    ring8 = build_ring(3, 8)
+    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(3, 8)))
     assert len(ops8) == 49
     assert trace_form_gram(ops8) == _trace_product_gram(ops8)
 
