@@ -187,7 +187,7 @@ def _ambient_box(args) -> Box:
 
 def _log_norm(op) -> float:
     """log10 of the largest absolute row sum, which bounds every eigenvalue."""
-    return math.log10(max(1, max(sum(abs(x) for x in row) for row in op)))
+    return math.log10(max(1, max(sum(abs(x) for x in row.values()) for row in op)))
 
 
 def _cmd_qh_charpoly(args) -> dict:

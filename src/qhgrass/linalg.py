@@ -6,11 +6,12 @@ which refuses floats and returns an int whenever the quotient is integral, and
 products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
-connected blocks of the pattern.  The section e-operators, the Pieri
-recursions (the label recursion quantum.label_recursion and the h-recursion
-quantum.h_operators) and the commutativity check run on sparse rows
-{column: value} through one kernel, sparse_mul_sum: a sum of products
-c * (a @ b) accumulated row by row, in which a term with a = I adds c * b.
+connected blocks of the pattern.  The e-operators are sparse rows
+{column: value}, and the Pieri recursions (quantum.label_recursion and the
+h-recursion quantum.h_operators) and the commutativity check run on them
+through one kernel, sparse_mul_sum: a sum of products c * (a @ b)
+accumulated row by row, in which a term with a = I adds c * b.  Their dense
+forms (dense) are made only for the charpoly power and the radical's kernel.
 The label recursion keeps its block seed-major, one row per seed vector,
 so in each step a is the block of lam' (s rows) and b is E_p^T, held as
 E_p's columns (E_p itself for the transposed run): the step loops over the

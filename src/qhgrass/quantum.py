@@ -8,12 +8,13 @@ depends on q, and every matrix here is taken at q = 1.
 GradedAlgebra is a graded Frobenius algebra with exact rational coefficients,
 generated by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual
 tautological subbundle): the basis labels and their degrees, the degree r of
-q, the e-operators, the Poincare pairing and the multiplication operator of
-every label that has one.  Its constructors are grassmannian(box) for
-Gr(k, n) and section.build_ring for a smooth hyperplane section of Gr(3, n).
-Both take the characteristic polynomial of a power of e_1 on the residue-0
-piece from e_power_charpoly, which reads only the e-operators and the
-piece's coordinates.
+q, the e-operators as sparse rows (row i of e_ops[p], as of each Pieri matrix,
+is {column j: value} over its nonzeros), the Poincare pairing and the
+multiplication operator of every label that has one.  Its constructors are
+grassmannian(box) for Gr(k, n) and section.build_ring for a smooth hyperplane
+section of Gr(3, n).  Both take the characteristic polynomial of a power of
+e_1 on the residue-0 piece from e_power_charpoly, which reads only the
+e-operators and the piece's coordinates.
 
 The Pieri matrices P_p = pieri_matrix(box, p) are the one source of Pieri
 images for both.  Column lam of P_p is the quantum Pieri rule in Postnikov's
@@ -28,23 +29,23 @@ into the classical part C_p and the q part for the section ring, is the one
 reader of the q power.  The tests compare the entries with the
 vertical-strip and rim rule on every box with n <= 12.
 
-GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting),
-the only place the certificate is checked.  Label operators come from one
-triangular Pieri recursion (label_recursion), L_lam = E_p L_lam' - sum c L_mu,
-run on a seed block S and stored seed-major: for each label, one sparse row
-per seed vector s_j, the image L_lam s_j, so a step costs s rows and not d.
-Its transposed form gives the rows s_j^T L_lam.  It relies on that assertion
-and reads each image it needs off a column of an e-operator, so no
-Littlewood-Richardson rule is needed; the Giambelli route lives with the
-tests as an independent check, so the quantum Giambelli property is a
-checked invariant rather than an input.
+GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting)
+and that E_p raises degree by p mod r (require_graded), the one place each is
+checked.  Label operators come from one triangular Pieri recursion
+(label_recursion), L_lam = E_p L_lam' - sum c L_mu, run on a seed block S and
+stored seed-major: for each label, one sparse row per seed vector s_j, the
+image L_lam s_j, so a step costs s rows and not d.  Its transposed form gives
+the rows s_j^T L_lam.  It relies on that assertion and reads each image it
+needs off a column of an e-operator, so no Littlewood-Richardson rule is
+needed; the Giambelli route lives with the tests as an independent check, so
+the quantum Giambelli property is a checked invariant rather than an input.
 
 The ambient verdict (qh_semisimple) is the trace-form criterion: QH is
 semisimple iff det trace(L_a L_b) != 0.  With phi(x) = trace(L_x), the
 pairing with Abrams' quantum Euler class, trace(L_a L_b) = phi(a b), so the
 Gram matrix follows from one trace vector t and two thin runs
 (trace_form_rows).  t vanishes off the residue-0 piece, since L_c shifts
-the degree by |c| mod r (require_graded checks E_p on its nonzeros), and on
+the degree by |c| mod r (the constructor checks E_p on its nonzeros), and on
 the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
 unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.
 Both section verdicts make the same two runs: a ring with no beta
@@ -62,9 +63,9 @@ checked by one function (h_relation_check) on whole operators through the
 h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
 (h_operators), which keeps only the last k operators; the tests compare it
 with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
-recursion, label_recursion and the commutativity check run on sparse rows,
-since the operators are mostly zero; each of their steps is one fused
-linalg.sparse_mul_sum.
+recursion, label_recursion and the commutativity check read e_ops as it is,
+one fused linalg.sparse_mul_sum a step; only e_power_charpoly (for the
+power) and section.radical_and_perp (for the kernel) make an E_p dense.
 """
 
 from __future__ import annotations
@@ -113,32 +114,32 @@ def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(entries)
 
 
-def pieri_matrix(box: Box, p: int) -> Matrix:
-    """Matrix of sigma_{1^p} * (-) over the Schubert basis at q = 1: the 0/1
-    incidence matrix of pieri_entries, a new matrix on every call."""
-    dim = len(schubert_basis(box))
-    mat = linalg.zeros(dim, dim)
+def pieri_matrix(box: Box, p: int) -> list[dict]:
+    """sigma_{1^p} * (-) over the Schubert basis at q = 1, new on every call,
+    as e_ops[p] holds it: row i is {col: 1} over pieri_entries' row i."""
+    rows = [{} for _ in schubert_basis(box)]
     for row, col, _ in pieri_entries(box, p):
-        mat[row][col] = 1
-    return mat
+        rows[row][col] = 1
+    return rows
 
 
 class GradedAlgebra:
     """A graded Frobenius algebra generated by e_1..e_k, at q = 1.
 
     A constructor supplies the basis, the degree r of q, the e-operators and
-    the pairing; column j of e_ops[p] is the Pieri image e_p * basis[j].  The
-    constructor asserts that the e-operators commute, the one place that is
-    checked.  label_ops, the multiplication operator of every partition label,
-    comes from mult_operators when first read.  grassmannian builds Gr(k, n);
+    the pairing; row i of e_ops[p] is {j: value} over its nonzeros.  The
+    constructor asserts, once, that the e-operators commute and are graded.
+    label_ops, the multiplication operator of every partition label, comes
+    from mult_operators when first read.  grassmannian builds Gr(k, n);
     section.SectionRing, which overrides label_degree, builds a section.
     """
 
-    def __init__(self, box: Box, basis, r: int, e_ops: dict[int, Matrix], pairing: Matrix):
+    def __init__(self, box: Box, basis, r: int, e_ops: dict[int, list[dict]], pairing: Matrix):
         self.box, self.k, self.basis, self.r = box, box.k, tuple(basis), r
         self.index = {lab: i for i, lab in enumerate(self.basis)}
         require_commuting(e_ops)
         self.e_ops, self.pairing = e_ops, pairing
+        require_graded(self)
 
     def label_degree(self, lab) -> int:
         return size(lab)
@@ -164,13 +165,13 @@ def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
     return [[op[r][c] for c in cols] for r in cols]
 
 
-def e_power_charpoly(e_ops: dict[int, Matrix], cols: list[int], power: int, with_e2: bool = False) -> UniPoly:
+def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], power: int, with_e2: bool = False) -> UniPoly:
     """Characteristic polynomial of e_1^power (optionally * e_2) on the span
     of the basis coordinates cols.  It reads only e_ops[1] (and e_ops[2]), so
     a caller holding just those needs no whole algebra."""
-    op = linalg.mat_pow(e_ops[1], power)
+    op = linalg.mat_pow(linalg.dense(e_ops[1], len(e_ops[1])), power)
     if with_e2:
-        op = linalg.mat_mul(op, e_ops[2])
+        op = linalg.mat_mul(op, linalg.dense(e_ops[2], len(op)))
     return linalg.charpoly(restrict_to_coords(op, cols))
 
 
@@ -189,17 +190,22 @@ def grassmannian(box: Box) -> GradedAlgebra:
 
 @lru_cache(maxsize=None)
 def e_columns(alg: GradedAlgebra) -> dict[int, list[dict]]:
-    """The columns of each E_p = e_ops[p] as sparse vectors, read once per
-    algebra: the Pieri images the label recursion reads and multiplies by."""
-    return {p: [{i: x for i, x in enumerate(col) if x} for col in zip(*op)] for p, op in alg.e_ops.items()}
+    """The transpose of each E_p = e_ops[p], once per algebra: row j is the
+    Pieri image e_p * basis[j], as {row i of e_ops[p]: value}."""
+    columns = {p: [{} for _ in op] for p, op in alg.e_ops.items()}
+    for p, op in alg.e_ops.items():
+        for i, row in enumerate(op):
+            for j, x in row.items():
+                columns[p][j][i] = x
+    return columns
 
 
 def require_graded(alg: GradedAlgebra) -> None:
-    """Raise unless every nonzero of each E_p takes label degree m to
-    m + p mod r, checked on the sparse columns (e_columns) in O(nnz)."""
+    """Raise unless each nonzero j of row i of e_ops[p] has deg i = deg j + p
+    mod r, in O(nnz); GradedAlgebra's constructor checks it once."""
     degree = [alg.label_degree(lab) % alg.r for lab in alg.basis]
-    for p, columns in e_columns(alg).items():
-        if any((degree[i] - m - p) % alg.r for m, col in zip(degree, columns) for i in col):
+    for p, op in alg.e_ops.items():
+        if any((degree[i] - degree[j] - p) % alg.r for i, row in enumerate(op) for j in row):
             raise InternalConsistencyError(
                 f"inconsistent Pieri images: e_{p} does not raise degree by {p} mod {alg.r}"
             )
@@ -234,7 +240,7 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
     transposed run.  A seed of a few vectors costs a few rows per label.
     """
     columns = e_columns(alg)
-    gens = {p: linalg.sparse_rows(op) for p, op in alg.e_ops.items()} if transposed else columns
+    gens = alg.e_ops if transposed else columns
     unit = [{j: 1} for j in range(len(seed))]
     ops = {(): seed}
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
@@ -263,7 +269,7 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 
-def h_operators(e_ops: dict[int, Matrix], top: int) -> list[list[dict]]:
+def h_operators(e_ops: dict[int, list[dict]], top: int) -> list[list[dict]]:
     """H_m = sigma_m (the complete homogeneous h_m) evaluated on e_1..e_k,
     for the last k degrees top - k < m <= top, as sparse rows.
 
@@ -271,15 +277,14 @@ def h_operators(e_ops: dict[int, Matrix], top: int) -> list[list[dict]]:
     sum (-1)^i e_i h_(m-i) = 0; only the last k operators are kept.
     """
     k, dim = len(e_ops), len(e_ops[1])
-    e_rows = {p: linalg.sparse_rows(op) for p, op in e_ops.items()}
     window = [[{i: 1} for i in range(dim)]]
     for m in range(1, top + 1):
-        terms = [((-1) ** (i + 1), e_rows[i], window[-i]) for i in range(1, min(m, k) + 1)]
+        terms = [((-1) ** (i + 1), e_ops[i], window[-i]) for i in range(1, min(m, k) + 1)]
         window = (window + [linalg.sparse_mul_sum(terms)])[-k:]
     return window
 
 
-def h_relation_check(e_ops: dict[int, Matrix], n: int, target: list[dict]) -> bool:
+def h_relation_check(e_ops: dict[int, list[dict]], n: int, target: list[dict]) -> bool:
     """Whether h_{n-k+1} = ... = h_{n-1} = 0 and h_n = (-1)^(k+1) T on the
     e-operators, through the h-recursion (h_operators), with T given as
     sparse rows: I for Gr(k, n) at q = 1, E_1 for a section."""
@@ -295,16 +300,15 @@ def presentation_check(box: Box) -> bool:
     return h_relation_check(e_ops, box.n, [{i: 1} for i in range(len(schubert_basis(box)))])
 
 
-def commuting(ops: list[Matrix]) -> bool:
-    """Whether every two operators commute, checked entry by entry on sparse
-    rows: ab - ba has no nonzero entry."""
-    rows = [linalg.sparse_rows(op) for op in ops]
+def commuting(ops: list[list[dict]]) -> bool:
+    """Whether every two operators, given as sparse rows, commute, checked
+    entry by entry: ab - ba has no nonzero entry."""
     return not any(
-        any(linalg.sparse_mul_sum([(1, a, b), (-1, b, a)])) for i, a in enumerate(rows) for b in rows[i + 1 :]
+        any(linalg.sparse_mul_sum([(1, a, b), (-1, b, a)])) for i, a in enumerate(ops) for b in ops[i + 1 :]
     )
 
 
-def require_commuting(e_ops: dict[int, Matrix]) -> None:
+def require_commuting(e_ops: dict[int, list[dict]]) -> None:
     """Raise unless the e-operators e_1..e_k commute."""
     if not commuting(list(e_ops.values())):
         raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
@@ -329,7 +333,7 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Ma
     label operator.
 
     Multiplication by c shifts the residue of the degree mod r by |c|
-    (require_graded checks this on e_1..e_k), so t vanishes off the
+    (the constructor's require_graded checks this), so t vanishes off the
     residue-0 piece.  On it, commutativity gives L_i e_c = L_c e_i, so
     t_c = sum over i of (L_i e_c)_i: the recursion seeded with the piece's
     unit vectors.  With phi(x) = trace(L_x), the pairing with the quantum
@@ -344,7 +348,6 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Ma
     (section.perp_subalgebra_semisimple): there e_1 kills beta, so t^T x
     is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
     """
-    require_graded(alg)
     dim = len(alg.basis)
     piece = [alg.index[lab] for lab in alg.residue_piece(0)]
     images = label_recursion(alg, [{c: 1} for c in piece])
@@ -355,7 +358,7 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Ma
         t[c] = sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis) if lab in images)
     seed = linalg.sparse_rows([t])
     if shifted:
-        seed = linalg.sparse_mul_sum([(1, seed, linalg.sparse_rows(alg.e_ops[1]))])
+        seed = linalg.sparse_mul_sum([(1, seed, alg.e_ops[1])])
     rows = label_recursion(alg, seed, transposed=True)
     return t, [linalg.dense(rows[lab], dim)[0] if lab in rows else [0] * dim for lab in alg.basis]
 

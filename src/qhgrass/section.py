@@ -25,11 +25,11 @@ class (beta's column is zero) and R takes a basis label to itself, a relation
 pivot to its relation and the top ambient degree, which restricts to zero on
 Y, to 0.  It is assembled on sparse rows from the Pieri entries
 (quantum.pieri_entries), split once per p into C_p, the entries with no q,
-and P_p - C_p, the entries with q; each E_p is made dense once.  C_1 is built
-once, and the quotient's cup-sigma_1 blocks, the pairing and C_1 J read it.
+and P_p - C_p, the entries with q.  C_1 is built once, and the quotient's
+cup-sigma_1 blocks, the pairing and C_1 J read it.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, whose
-constructor asserts that e_1..e_k commute, so no ring is handed out
+constructor asserts e_1..e_k commute and are graded, so no ring is handed out
 uncertified.  It builds nothing more than its e-operators and pairing.  The
 operator L_lam of every ambient basis class, which only the tests and the
 benchmark's spans read, is built the first time label_ops is read, by the
@@ -106,6 +106,7 @@ from .partitions import Box, Partition, box_partitions_of_size, size
 from .polynomials import UniPoly
 from .quantum import (
     GradedAlgebra,
+    e_columns,
     e_power_charpoly,
     h_relation_check,
     pieri_entries,
@@ -141,7 +142,7 @@ class SectionRing(GradedAlgebra):
         e_ops = self._e_operators(basis, pieri)
         super().__init__(self.box, basis, r, e_ops, self._pairing(basis, cup1))
 
-    def _e_operators(self, basis, pieri) -> dict[int, Matrix]:
+    def _e_operators(self, basis, pieri) -> dict[int, list[dict]]:
         """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri
         rule, on sparse rows, with pieri[p] = (C_p, P_p - C_p) and J a
         selection of columns."""
@@ -159,7 +160,7 @@ class SectionRing(GradedAlgebra):
         e_ops = {}
         for p, (classical, quantum) in pieri.items():
             raw = linalg.sparse_mul_sum([(1, classical, inclusion), (1, quantum, cup1_j)])
-            e_ops[p] = linalg.dense(linalg.sparse_mul_sum([(1, reduction, raw)]), len(basis))
+            e_ops[p] = linalg.sparse_mul_sum([(1, reduction, raw)])
         return e_ops
 
     # -- quotient structure ------------------------------------------------
@@ -256,7 +257,7 @@ def lefschetz_relation_check(n: int) -> bool:
     if n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
     ring = build_ring(3, n)
-    return h_relation_check(ring.e_ops, n, linalg.sparse_rows(ring.e_ops[1]))
+    return h_relation_check(ring.e_ops, n, ring.e_ops[1])
 
 
 def radical_and_perp(k: int, n: int) -> list[list]:
@@ -272,11 +273,11 @@ def radical_and_perp(k: int, n: int) -> list[list]:
     matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one raises.
     """
     ring = build_ring(k, n)
-    e1 = ring.e_ops[1]
+    pairing = linalg.sparse_rows(ring.pairing)
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
-    if linalg.mat_mul(ring.pairing, e1) != linalg.mat_mul([list(col) for col in zip(*e1)], ring.pairing):
+    if any(linalg.sparse_mul_sum([(1, pairing, ring.e_ops[1]), (-1, e_columns(ring)[1], pairing)])):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
-    rad = linalg.kernel_basis(e1)
+    rad = linalg.kernel_basis(linalg.dense(ring.e_ops[1], len(ring.basis)))
     paired = [linalg.mat_vec(ring.pairing, u) for u in rad]
     if linalg.det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in rad]) == 0:
         raise InternalConsistencyError("the pairing is degenerate on ker e_1")

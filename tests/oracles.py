@@ -15,6 +15,7 @@ route:
   quantum_pieri; classical_grassmannian and classical_section_ring are the
   algebras at q = 0 (the cohomology rings), the latter on R C_p J, built
   from section._split_pieri's q-free half through the ring's own assembly.
+  ring_with_e_ops puts other e-operators on a copy of a section ring.
 - giambelli_expr, star_schubert and star multiply ambient classes through the
   Giambelli determinant in the Pieri operators; quantum.mult_operators uses
   the first-column Pieri recursion instead.
@@ -48,6 +49,8 @@ route:
   echelon basis instead.
 - mat_combine sums scaled dense matrices, the oracles' way to combine
   operators; production combines sparse rows with linalg.sparse_mul_sum.
+  dense_square makes a square operator given as sparse rows, such as an
+  e-operator or a Pieri matrix, dense for that algebra.
 - trace_form_gram takes the Gram matrix trace(L_a L_b) of a regular
   representation from its operators through the trace vector;
   quantum.trace_form_rows takes it from two thin label recursions and
@@ -101,6 +104,7 @@ cover.
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 from collections import Counter
@@ -175,6 +179,12 @@ def charpoly_on_piece(alg, op: Matrix, piece) -> UniPoly:
 
 
 # -- dense combinations and the regular-representation Gram --------------------
+
+
+def dense_square(op: list[dict]) -> Matrix:
+    """The square matrix with these sparse rows: row i of e_ops[p] or of a
+    Pieri matrix, made dense for the oracles' dense algebra."""
+    return linalg.dense(op, len(op))
 
 
 def mat_combine(terms, base: Matrix | None = None) -> Matrix:
@@ -736,15 +746,15 @@ def sparse_combine(terms, base: list[dict]) -> list[dict]:
     return out
 
 
-def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]:
-    """Evaluate polynomials in e_1..e_k on commuting matrices, generators[p]
-    standing for e_p.  A monomial e_1^a_1 ... e_k^a_k is read as a word and
-    built from its longest prefix already built, by any of the polynomials,
-    so monomials that share a prefix share its products, each one sparse_mul
-    on sparse rows; only the evaluated polynomials are made dense."""
+def evaluate_e_polynomials(polys, generators: dict[int, list[dict]]) -> list[Matrix]:
+    """Evaluate polynomials in e_1..e_k on commuting operators given as sparse
+    rows, generators[p] standing for e_p, in the format of e_ops.  A monomial
+    e_1^a_1 ... e_k^a_k is read as a word and built from its longest prefix
+    already built, by any of the polynomials, so monomials that share a
+    prefix share its products, each one sparse_mul on sparse rows; only the
+    evaluated polynomials are made dense."""
     dim = len(generators[1])
-    rows = {p: linalg.sparse_rows(op) for p, op in generators.items()}
-    unit = linalg.sparse_rows(linalg.identity(dim))
+    unit = [{i: 1} for i in range(dim)]
     built: dict[tuple[int, ...], list[dict]] = {}
     out = []
     for poly in polys:
@@ -756,7 +766,7 @@ def evaluate_e_polynomials(polys, generators: dict[int, Matrix]) -> list[Matrix]
                     prefix[p - 1] += 1
                     key = tuple(prefix)
                     if key not in built:
-                        built[key] = rows[p] if term is None else sparse_mul(rows[p], term)
+                        built[key] = generators[p] if term is None else sparse_mul(generators[p], term)
                     term = built[key]
             terms.append((coeff, unit if term is None else term))
         out.append(linalg.dense(sparse_combine(terms, [{} for _ in range(dim)]), dim))
@@ -953,10 +963,11 @@ def classical_grassmannian(box: Box) -> GradedAlgebra:
     """H*(Gr(k, n)), QH at q = 0: Gr(k, n)'s basis and pairing with the cup
     products C_p as e-operators."""
     alg = grassmannian(box)
-    return GradedAlgebra(box, alg.basis, alg.r, {p: cup_matrix(box, p) for p in range(1, box.k + 1)}, alg.pairing)
+    e_ops = {p: linalg.sparse_rows(cup_matrix(box, p)) for p in range(1, box.k + 1)}
+    return GradedAlgebra(box, alg.basis, alg.r, e_ops, alg.pairing)
 
 
-def classical_section_e_ops(ring: SectionRing) -> dict[int, Matrix]:
+def classical_section_e_ops(ring: SectionRing) -> dict[int, list[dict]]:
     """R C_p J, the section Pieri rule at q = 0: the ring's own assembly of
     E_p = R (C_p + (P_p - C_p) C_1) J, given _split_pieri's q-free half C_p
     and no q half."""
@@ -965,10 +976,20 @@ def classical_section_e_ops(ring: SectionRing) -> dict[int, Matrix]:
     return ring._e_operators(ring.basis, halves)
 
 
-def classical_section_ring(ring: SectionRing) -> GradedAlgebra:
+def ring_with_e_ops(ring: SectionRing, e_ops: dict[int, list[dict]]) -> SectionRing:
+    """A copy of the section ring with these e-operators, through
+    GradedAlgebra's constructor, whose certificates then read the ring's own
+    label degrees, beta's among them.  The copy is a new algebra, so nothing
+    cached for the ring (e_columns, label_ops) carries over."""
+    alg = copy.copy(ring)
+    GradedAlgebra.__init__(alg, ring.box, ring.basis, ring.r, e_ops, ring.pairing)
+    return alg
+
+
+def classical_section_ring(ring: SectionRing) -> SectionRing:
     """The section ring at q = 0: its basis and pairing with R C_p J as
     e-operators."""
-    return GradedAlgebra(ring.box, ring.basis, ring.r, classical_section_e_ops(ring), ring.pairing)
+    return ring_with_e_ops(ring, classical_section_e_ops(ring))
 
 
 def matrix_product_e_ops(ring: SectionRing, q: int = 1) -> dict[int, Matrix]:
@@ -991,7 +1012,7 @@ def matrix_product_e_ops(ring: SectionRing, q: int = 1) -> dict[int, Matrix]:
     e_ops = {}
     for p in range(1, ring.k + 1):
         classical = cup_matrix(ring.box, p)
-        full = pieri_matrix(ring.box, p) if q else classical
+        full = dense_square(pieri_matrix(ring.box, p)) if q else classical
         correction = mat_combine([(1, full), (-1, classical)])
         raw = mat_combine([(1, linalg.mat_mul(correction, cup1))], classical)
         e_ops[p] = linalg.mat_mul(reduction, linalg.mat_mul(raw, inclusion))
@@ -1106,7 +1127,7 @@ def radical_by_power(alg) -> tuple[list[list], list[list]]:
     """Kernel of the N-th power of multiplication by e_1 (N the dimension),
     plus its perp space (perp_space); section.radical_and_perp takes ker e_1,
     certified by the pairing."""
-    rad = linalg.kernel_basis(linalg.mat_pow(alg.e_ops[1], len(alg.basis)))
+    rad = linalg.kernel_basis(linalg.mat_pow(dense_square(alg.e_ops[1]), len(alg.basis)))
     return rad, perp_space(alg, rad)
 
 
@@ -1194,12 +1215,13 @@ def lift_operator(ring: SectionRing, lifts: dict, coords) -> Matrix:
             poly[expo] = poly.get(expo, 0) + coeff * c
     terms = []
     powers: dict[tuple[int, int], Matrix] = {}
+    e_ops = {p: dense_square(op) for p, op in ring.e_ops.items()}
 
     def power(p, count):
         if count == 0:
             return linalg.identity(dim)
         if (p, count) not in powers:
-            powers[(p, count)] = linalg.mat_mul(ring.e_ops[p], power(p, count - 1))
+            powers[(p, count)] = linalg.mat_mul(e_ops[p], power(p, count - 1))
         return powers[(p, count)]
 
     for expo, coeff in poly.items():
@@ -1229,14 +1251,14 @@ def perp_iso_check(k: int, n: int) -> bool:
     basis_x = schubert_basis(box)
     piece_x = grassmannian(box).residue_piece(0)
     dim0 = len(piece_x)
-    e1x = [list(r) for r in pieri_matrix(box, 1)]
-    e2x = [list(r) for r in pieri_matrix(box, 2)]
+    e1x, e2x = dense_square(pieri_matrix(box, 1)), dense_square(pieri_matrix(box, 2))
+    e1y, e2y = dense_square(ring.e_ops[1]), dense_square(ring.e_ops[2])
     if n == 7:
         gen_x = linalg.mat_pow(e1x, n)
-        gen_y = linalg.mat_pow(ring.e_ops[1], n - 1)
+        gen_y = linalg.mat_pow(e1y, n - 1)
     else:
         gen_x = linalg.mat_mul(linalg.mat_pow(e1x, n - 2), e2x)
-        gen_y = linalg.mat_mul(linalg.mat_pow(ring.e_ops[1], n - 3), ring.e_ops[2])
+        gen_y = linalg.mat_mul(linalg.mat_pow(e1y, n - 3), e2y)
 
     # ambient side: powers of the generator applied to the unit
     idx_x = {lam: i for i, lam in enumerate(basis_x)}
@@ -1272,7 +1294,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     # in the two power bases
     target_x = linalg.mat_vec(linalg.mat_pow(e1x, n), unit_x)
     expansion_x = solve([list(col) for col in zip(*powers_x)], target_x)
-    target_y = project(linalg.mat_vec(linalg.mat_pow(ring.e_ops[1], n - 1), unit_y))
+    target_y = project(linalg.mat_vec(linalg.mat_pow(e1y, n - 1), unit_y))
     expansion_y = solve([list(col) for col in zip(*perp_powers)], target_y)
     return expansion_x == expansion_y
 
@@ -1311,9 +1333,9 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
     for v in perp:
         products = linalg.sparse_mul_sum([(c, unit, on_perp[lab]) for lab, c in zip(ring.basis, v) if c])
         generators.append(on_piece(linalg.dense(products, len(ring.basis))))
-    shifted = perp
+    shifted, e1 = perp, dense_square(ring.e_ops[1])
     for _ in range(ring.r):
-        shifted = [linalg.mat_vec(ring.e_ops[1], u) for u in shifted]
+        shifted = [linalg.mat_vec(e1, u) for u in shifted]
     return generators, on_piece(shifted)
 
 
@@ -1342,7 +1364,7 @@ def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     ring = build_ring(k, n)
     rad = radical_and_perp(k, n)
     generators, shift = perp_piece_operators(ring, perp_space(ring, rad))
-    if not commuting(generators + [shift]):
+    if not commuting([linalg.sparse_rows(op) for op in generators + [shift]]):
         raise InternalConsistencyError("the perp subalgebra's generators do not commute")
     ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0
     return ok, ring.r * len(generators), len(rad)
@@ -1350,11 +1372,11 @@ def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
 
 def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:
     """Basis e_1^i * v over 0 <= i < r_Y and v in the perp space."""
-    vectors = []
+    vectors, e1 = [], dense_square(ring.e_ops[1])
     current = [list(v) for v in perp]
     for _ in range(ring.r):
         vectors.extend([list(v) for v in current])
-        current = [linalg.mat_vec(ring.e_ops[1], v) for v in current]
+        current = [linalg.mat_vec(e1, v) for v in current]
     return vectors
 
 
@@ -1375,7 +1397,7 @@ def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list
         cols = [solver.coords(linalg.mat_vec(full, wv)) for wv in w]
         return [list(row) for row in zip(*cols)]
 
-    r_e1 = restrict(ring.e_ops[1])
+    r_e1 = restrict(dense_square(ring.e_ops[1]))
     r_gen = [restrict(mult_operator(ring, list(v))) for v in perp]
     ops = []
     power = linalg.identity(sub_dim)

@@ -8,6 +8,7 @@ from oracles import (
     ClassVector,
     charpoly_on_piece,
     cup_e,
+    dense_square,
     pieri_on_label,
     reduce,
     sg_betti,
@@ -187,10 +188,10 @@ def test_criterion_7_section_characteristic_polynomials():
     b37, b38 = Box(3, 7), Box(3, 8)
     alg37, alg38 = grassmannian(b37), grassmannian(b38)
 
-    e1 = [list(r) for r in pieri_matrix(b37, 1)]
+    e1 = dense_square(pieri_matrix(b37, 1))
     assert charpoly_on_piece(alg37, linalg.mat_pow(e1, 7), alg37.residue_piece(0)) == poly37
-    e1 = [list(r) for r in pieri_matrix(b38, 1)]
-    e2 = [list(r) for r in pieri_matrix(b38, 2)]
+    e1 = dense_square(pieri_matrix(b38, 1))
+    e2 = dense_square(pieri_matrix(b38, 2))
     assert (
         charpoly_on_piece(alg38, linalg.mat_pow(e1, 8), alg38.residue_piece(0)) == poly38_e1
     )
@@ -235,8 +236,7 @@ def test_criterion_10_property_suites():
 
     # operator commutativity: all ambient boxes and all three section rings
     for box in AMBIENT_BOXES:
-        mats = [[list(r) for r in pieri_matrix(box, p)] for p in range(1, box.k + 1)]
-        assert commuting(mats), box
+        assert commuting([pieri_matrix(box, p) for p in range(1, box.k + 1)]), box
     for n in (6, 7, 8):
         ring = build_ring(3, n)
         assert commuting([ring.e_ops[p] for p in (1, 2, 3)]), n

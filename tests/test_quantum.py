@@ -11,6 +11,7 @@ from oracles import (
     charpoly_on_piece,
     classical_grassmannian,
     cup_e,
+    dense_square,
     evaluate_e_polynomials,
     giambelli_expr,
     mat_combine,
@@ -131,7 +132,7 @@ def test_label_operators_read_from_columns_match_the_symbolic_images(box):
     # mult_operators reads e_p * lam' off column lam' of E_p; the oracle builds
     # E_p and the same recursion from quantum_pieri's images, class by class
     alg = grassmannian(box)
-    assert alg.e_ops == symbolic_e_ops(alg)
+    assert {p: dense_square(op) for p, op in alg.e_ops.items()} == symbolic_e_ops(alg)
     assert alg.label_ops == symbolic_label_ops(alg)
 
 
@@ -182,8 +183,7 @@ def test_quantum_giambelli_unit_invariant():
 
 def test_pieri_matrices_commute():
     for box in BOXES:
-        mats = [[list(r) for r in pieri_matrix(box, p)] for p in range(1, box.k + 1)]
-        assert commuting(mats), box
+        assert commuting([pieri_matrix(box, p) for p in range(1, box.k + 1)]), box
 
 
 def _graded_pieces(box):
@@ -216,7 +216,7 @@ def test_sigma1_shifts_graded_pieces():
     for box in [Box(2, 5), Box(3, 6), Box(3, 7)]:
         idx = {lam: i for i, lam in enumerate(schubert_basis(box))}
         pieces = _graded_pieces(box)
-        e1 = pieri_matrix(box, 1)
+        e1 = dense_square(pieri_matrix(box, 1))
         for residue, piece in pieces.items():
             target = set(pieces[(residue + 1) % box.n])
             for lam in piece:
@@ -226,14 +226,14 @@ def test_sigma1_shifts_graded_pieces():
                 }
                 assert support <= target
         # and the n-th power preserves each piece
-        op = linalg.mat_pow([list(r) for r in e1], box.n)
+        op = linalg.mat_pow(e1, box.n)
         for piece in pieces.values():
             restrict(grassmannian(box), op, piece)
 
 
 def test_char_poly_on_piece_rejects_non_invariant():
     box = Box(3, 7)
-    e1 = [list(r) for r in pieri_matrix(box, 1)]
+    e1 = dense_square(pieri_matrix(box, 1))
     with pytest.raises(InternalConsistencyError, match="does not preserve the requested piece"):
         charpoly_on_piece(grassmannian(box), e1, grassmannian(box).residue_piece(0))
 
@@ -246,10 +246,10 @@ def test_a_corrupted_operator_in_qh_charpoly_exits_1(capsys, monkeypatch):
     original = quantum.pieri_matrix
 
     def shifted(box, p):
-        op = [list(row) for row in original(box, p)]
+        op = original(box, p)
         if p == 1:
             for i, row in enumerate(op):
-                row[i] += 1
+                row[i] = row.get(i, 0) + 1
         return op
 
     monkeypatch.setattr(quantum, "pieri_matrix", shifted)
@@ -260,7 +260,7 @@ def test_a_corrupted_operator_in_qh_charpoly_exits_1(capsys, monkeypatch):
 
 def test_ambient_charpolys_golden():
     b37 = Box(3, 7)
-    e1 = [list(r) for r in pieri_matrix(b37, 1)]
+    e1 = dense_square(pieri_matrix(b37, 1))
     alg37 = grassmannian(b37)
     cp = charpoly_on_piece(alg37, linalg.mat_pow(e1, 7), alg37.residue_piece(0))
     assert cp == UniPoly([128, -13, 1]) * UniPoly([1, -57, -289, 1])
@@ -268,8 +268,8 @@ def test_ambient_charpolys_golden():
     b38 = Box(3, 8)
     alg38 = grassmannian(b38)
     piece = alg38.residue_piece(0)
-    e1 = [list(r) for r in pieri_matrix(b38, 1)]
-    e2 = [list(r) for r in pieri_matrix(b38, 2)]
+    e1 = dense_square(pieri_matrix(b38, 1))
+    e2 = dense_square(pieri_matrix(b38, 2))
     cp8 = charpoly_on_piece(alg38, linalg.mat_pow(e1, 8), piece)
     expected8 = UniPoly([1, -1]) * UniPoly([1, -1]) * UniPoly([1, -1])
     expected8 = expected8 * UniPoly([1, -1154, 1]) * UniPoly([6561, -34, 1])
@@ -294,7 +294,7 @@ def test_presentation_check_examples():
     # sigma_7 reduces to q itself for Gr(3,7): sigma_n + (-1)^k q = 0 means
     # the operator of sigma_7 equals q times the identity
     box = Box(3, 7)
-    generators = {p: [list(row) for row in pieri_matrix(box, p)] for p in (1, 2, 3)}
+    generators = {p: pieri_matrix(box, p) for p in (1, 2, 3)}
     (mat,) = evaluate_e_polynomials([sigma_e_polynomial(7, 3)], generators)
     assert mat == linalg.identity(len(schubert_basis(box)))
 
@@ -316,10 +316,12 @@ def _perturbed_pieri(monkeypatch, target: int, row: int, col: int, value):
     original = quantum.pieri_matrix
 
     def perturbed(box, p):
-        mat = [list(r) for r in original(box, p)]
+        rows = original(box, p)
         if p == target:
-            mat[row][col] = value
-        return mat
+            rows[row][col] = value
+            if not value:
+                del rows[row][col]
+        return rows
 
     monkeypatch.setattr(quantum, "pieri_matrix", perturbed)
 
@@ -328,7 +330,7 @@ def test_presentation_check_fails_on_any_perturbed_pieri_entry(monkeypatch):
     # every nonzero entry dropped or doubled, and on Gr(2, 4) every zero made 1
     for box in (Box(2, 4), Box(3, 6)):
         for p in range(1, box.k + 1):
-            mat = pieri_matrix(box, p)
+            mat = dense_square(pieri_matrix(box, p))
             for row, col in ((r, c) for r in range(len(mat)) for c in range(len(mat))):
                 for value in (0, 2) if mat[row][col] else (1,) if box == Box(2, 4) else ():
                     _perturbed_pieri(monkeypatch, p, row, col, value)
@@ -344,7 +346,7 @@ def _per_monomial_evaluation(poly, generators):
         term = linalg.identity(dim)
         for p, count in enumerate(expo, start=1):
             for _ in range(count):
-                term = linalg.mat_mul(generators[p], term)
+                term = linalg.mat_mul(dense_square(generators[p]), term)
         terms.append((coeff, term))
     return mat_combine(terms, linalg.zeros(dim, dim))
 
@@ -353,7 +355,7 @@ def test_shared_prefix_evaluation_matches_per_monomial(monkeypatch):
     from qhgrass.section import build_ring
 
     box = Box(4, 8)
-    ambient = {p: [list(row) for row in pieri_matrix(box, p)] for p in range(1, 5)}
+    ambient = {p: pieri_matrix(box, p) for p in range(1, 5)}
     cases = [
         ([sigma_e_polynomial(8, 4)], ambient, 32),
         ([PRINTED_H[8]], build_ring(3, 8).e_ops, 26),
@@ -468,7 +470,7 @@ def test_radical_across_q():
         rad, perp = radical(box)
         assert rad == []
         assert len(perp) == len(grassmannian(box).residue_piece(0))
-        assert linalg.det_bareiss([list(r) for r in pieri_matrix(box, 1)]) != 0
+        assert linalg.det_bareiss(dense_square(pieri_matrix(box, 1))) != 0
         degrees = [size(lam) for lam in schubert_basis(box)]
         for t in (Fraction(2), Fraction(1, 2)):
             for p in range(1, box.k + 1):
@@ -477,7 +479,7 @@ def test_radical_across_q():
                     at_q[row][col] = t ** (box.n * d)
                 rescaled = [
                     [t ** (p + degrees[col] - degrees[row]) * x for col, x in enumerate(entries)]
-                    for row, entries in enumerate(pieri_matrix(box, p))
+                    for row, entries in enumerate(dense_square(pieri_matrix(box, p)))
                 ]
                 assert at_q == rescaled, (box, t, p)
 
@@ -490,7 +492,7 @@ def test_radical_of_even_quadric_like_boxes():
     for box, expected_dim in [(Box(2, 4), 2), (Box(3, 6), 2)]:
         rad, _ = radical(box)
         assert len(rad) == expected_dim
-        e1 = [list(r) for r in pieri_matrix(box, 1)]
+        e1 = dense_square(pieri_matrix(box, 1))
         power = linalg.mat_pow(e1, len(schubert_basis(box)))
         for v in rad:
             assert all(x == 0 for x in linalg.mat_vec(power, v))
@@ -501,7 +503,7 @@ def test_radical_of_even_quadric_like_boxes():
     special = [0] * 6
     special[idx[()]] = 1
     special[idx[(2, 2)]] = -1
-    e1 = [list(r) for r in pieri_matrix(box, 1)]
+    e1 = dense_square(pieri_matrix(box, 1))
     assert all(x == 0 for x in linalg.mat_vec(e1, special))
 
 
@@ -513,10 +515,11 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
     # semisimple_test takes commutativity from its callers, who assert it on
     # generators: every algebra's constructor on e_1..e_k ...
     bad = [[0, 1], [0, 0]]
-    assert not commuting([x, bad])
+    assert not commuting([linalg.sparse_rows(x), linalg.sparse_rows(bad)])
     gr12 = grassmannian(Box(1, 2))
+    e_ops = {1: linalg.sparse_rows(x), 2: linalg.sparse_rows(bad)}
     with pytest.raises(InternalConsistencyError, match="do not commute"):
-        GradedAlgebra(gr12.box, gr12.basis, gr12.r, {1: x, 2: bad}, gr12.pairing)
+        GradedAlgebra(gr12.box, gr12.basis, gr12.r, e_ops, gr12.pairing)
     # ... and the oracle's perp route on the perp generators and e_1^r, both ways
     for generators, shift in [([x, bad], linalg.identity(2)), ([x], bad)]:
         monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, shift))
@@ -552,7 +555,7 @@ def test_shifted_gram_is_the_gram_times_e1(box):
     t_shifted, shifted = trace_form_rows(alg, shifted=True)
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     assert t_shifted == t
-    assert typed(shifted) == typed(linalg.mat_mul(gram, alg.e_ops[1]))
+    assert typed(shifted) == typed(linalg.mat_mul(gram, dense_square(alg.e_ops[1])))
 
 
 def test_trace_vector_and_gram_of_a_section_ring():
@@ -573,20 +576,21 @@ def test_qh_semisimple_on_the_largest_boxes(box):
 
 
 def _ungraded_gr24():
-    # E_1 + I still commutes with E_2, so the constructor admits it, but its
-    # diagonal keeps the degree: E_1 no longer raises it by 1 mod 4
+    # E_1 + I still commutes with E_2, so the commutativity check admits it,
+    # but its diagonal keeps the degree: E_1 no longer raises it by 1 mod 4
     gr = grassmannian(Box(2, 4))
-    e_ops = {p: [row[:] for row in op] for p, op in gr.e_ops.items()}
+    e_ops = {p: [dict(row) for row in op] for p, op in gr.e_ops.items()}
     for i, row in enumerate(e_ops[1]):
-        row[i] += 1
+        row[i] = row.get(i, 0) + 1
     return GradedAlgebra(gr.box, gr.basis, gr.r, e_ops, gr.pairing)
 
 
 def test_the_grading_certificate_refuses_a_corrupted_operator(capsys, monkeypatch):
     from qhgrass import cli
 
+    # the constructor certifies the grading, so the corrupted ring is never built
     with pytest.raises(InternalConsistencyError, match=r"e_1 does not raise degree by 1 mod 4"):
-        trace_form_rows(_ungraded_gr24())
+        _ungraded_gr24()
     quantum.require_graded(grassmannian(Box(2, 4)))
     monkeypatch.setattr(quantum, "grassmannian", lambda box: _ungraded_gr24())
     assert cli.run(["qh", "semisimple", "--k", "2", "--n", "4", "--format", "json"]) == 1
@@ -602,6 +606,37 @@ def test_ambient_qh_semisimple_builds_no_label_operator(capsys, monkeypatch):
     assert calls == [] and not capsys.readouterr().err
 
 
+def test_every_e_operator_is_sparse_rows_with_no_zero_value():
+    # row i of e_ops[p] is {column: value} over its nonzeros, for Gr(k, n),
+    # for each section ring and for the Pieri matrices they are built from
+    rings = [grassmannian(box) for box in BOXES_8] + [section.build_ring(3, n) for n in (6, 7, 8)]
+    operators = [(alg.basis, op) for alg in rings for op in alg.e_ops.values()]
+    operators += [(schubert_basis(box), pieri_matrix(box, p)) for box in BOXES_8 for p in range(1, box.k + 1)]
+    for basis, op in operators:
+        assert type(op) is list and len(op) == len(basis)
+        for row in op:
+            assert type(row) is dict and all(x != 0 for x in row.values())
+            assert all(type(j) is int and 0 <= j < len(basis) for j in row)
+
+
+def test_no_command_converts_a_whole_e_operator(capsys, monkeypatch):
+    # every reader takes the e-operators as sparse rows, so these commands
+    # convert at most one row between the sparse and the dense form
+    from qhgrass import cli
+
+    sizes = []
+    for name in ("sparse_rows", "dense"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda rows, *args, f=original: sizes.append(len(rows)) or f(rows, *args))
+    grassmannian.cache_clear()
+    section.build_ring.cache_clear()
+    for argv in (["qh", "semisimple", "--k", "4", "--n", "8"], ["qh", "presentation", "--k", "4", "--n", "8"],
+                 ["qh", "lefschetz", "--n", "8"]):
+        assert cli.run(argv + ["--format", "json"]) == 0, argv
+    assert not capsys.readouterr().err
+    assert sizes and max(sizes) == 1
+
+
 def test_qh_semisimple_checks_commutativity_on_pieri_generators(monkeypatch):
     seen = []
 
@@ -615,7 +650,7 @@ def test_qh_semisimple_checks_commutativity_on_pieri_generators(monkeypatch):
         grassmannian.cache_clear()
         mult_operators.cache_clear()
         assert qh_semisimple(box)
-        generators = [[list(row) for row in pieri_matrix(box, p)] for p in range(1, box.k + 1)]
+        generators = [pieri_matrix(box, p) for p in range(1, box.k + 1)]
         assert seen == [generators], box
 
 

@@ -14,6 +14,7 @@ from oracles import (
     classical_section_e_ops,
     classical_section_ring,
     cup_e,
+    dense_square,
     evaluate_e_polynomials,
     lift_operator,
     mat_combine,
@@ -29,6 +30,7 @@ from oracles import (
     radical_by_power,
     rank,
     reduce,
+    ring_with_e_ops,
     schubert,
     section_pieri,
     sigma_e_polynomial,
@@ -194,8 +196,8 @@ def test_operator_commutativity():
         ring = build_ring(3, n)
         for a in (1, 2, 3):
             for b in range(a + 1, 4):
-                ab = linalg.mat_mul(ring.e_ops[a], ring.e_ops[b])
-                ba = linalg.mat_mul(ring.e_ops[b], ring.e_ops[a])
+                ab = linalg.mat_mul(dense_square(ring.e_ops[a]), dense_square(ring.e_ops[b]))
+                ba = linalg.mat_mul(dense_square(ring.e_ops[b]), dense_square(ring.e_ops[a]))
                 assert ab == ba, (n, a, b)
 
 
@@ -239,7 +241,7 @@ def test_classical_limit_is_quotient_cup_product():
         for p, mat in classical_section_e_ops(ring).items():
             for col, lab in enumerate(ring.basis):
                 cup = ClassVector(ring.box) if lab == BETA else cup_e(p, ClassVector.schubert(ring.box, lab))
-                assert [row[col] for row in mat] == vector(ring, reduce(ring, cup)), (n, p, lab)
+                assert [row.get(col, 0) for row in mat] == vector(ring, reduce(ring, cup)), (n, p, lab)
 
 
 def test_section_charpolys_golden():
@@ -269,11 +271,11 @@ def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch)
     # every nonzero entry of E_1, E_2, E_3 dropped on (3, 7); on (3, 8) a spread of them
     for n, stride in ((7, 1), (8, 17)):
         ring = build_ring(3, n)
-        entries = [(p, r, c) for p in (1, 2, 3) for r, row in enumerate(ring.e_ops[p]) for c, x in enumerate(row) if x]
+        entries = [(p, r, c) for p in (1, 2, 3) for r, row in enumerate(ring.e_ops[p]) for c in sorted(row)]
         for p, r, c in entries[::stride]:
             fake = copy.copy(ring)
-            fake.e_ops = {**ring.e_ops, p: [list(row) for row in ring.e_ops[p]]}
-            fake.e_ops[p][r][c] = 0
+            fake.e_ops = {**ring.e_ops, p: [dict(row) for row in ring.e_ops[p]]}
+            del fake.e_ops[p][r][c]
             monkeypatch.setattr(section, "build_ring", lambda k, n, fake=fake: fake)
             assert not lefschetz_relation_check(n), (n, p, r, c)
             monkeypatch.undo()
@@ -286,7 +288,7 @@ def test_the_lefschetz_check_reads_every_vanishing_h(monkeypatch):
     ring = build_ring(3, 7)
     h_operators = quantum.h_operators
     h_low, h_prev, h_top = h_operators(ring.e_ops, 7)
-    assert not any(h_low) and not any(h_prev) and h_top == linalg.sparse_rows(ring.e_ops[1])
+    assert not any(h_low) and not any(h_prev) and h_top == ring.e_ops[1]
     monkeypatch.setattr(
         quantum, "h_operators", lambda e_ops, top: [[{0: 1}] + h_low[1:], *h_operators(e_ops, top)[1:]]
     )
@@ -305,7 +307,7 @@ def test_radical_37_trivial():
     rad = radical_and_perp(3, 7)
     assert rad == []
     assert len(perp_space(ring, rad)) == 5
-    assert linalg.det_bareiss(ring.e_ops[1]) != 0
+    assert linalg.det_bareiss(dense_square(ring.e_ops[1])) != 0
 
 
 def test_radical_38_matches_source_vector():
@@ -330,7 +332,7 @@ def test_radical_38_matches_source_vector():
     assert square == [3 * c for c in gamma_vec]
     assert _pair(ring, gamma, gamma) == 6
     # e_1 is invertible off the radical: rank drops by exactly the radical
-    assert rank(ring.e_ops[1]) == len(ring.basis) - 2
+    assert rank(dense_square(ring.e_ops[1])) == len(ring.basis) - 2
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -386,7 +388,7 @@ def test_shifted_gram_of_a_section_ring():
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     ring7 = build_ring(3, 7)
     _, shifted = quantum.trace_form_rows(ring7, shifted=True)
-    assert typed(shifted) == typed(linalg.mat_mul(quantum.trace_form_rows(ring7)[1], ring7.e_ops[1]))
+    assert typed(shifted) == typed(linalg.mat_mul(quantum.trace_form_rows(ring7)[1], dense_square(ring7.e_ops[1])))
     assert shifted == [list(col) for col in zip(*shifted)]
     ring8 = build_ring(3, 8)
     _, shifted = quantum.trace_form_rows(ring8, shifted=True)
@@ -452,7 +454,7 @@ def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     for v, op in zip(perp, generators):
         mult = mult_operator(ring, list(v))
         assert typed(op) == typed(solved([linalg.mat_vec(mult, u) for u in perp]))
-    e1_power = linalg.mat_pow(ring.e_ops[1], ring.r)
+    e1_power = linalg.mat_pow(dense_square(ring.e_ops[1]), ring.r)
     assert typed(shift) == typed(solved([linalg.mat_vec(e1_power, u) for u in perp]))
 
 
@@ -536,9 +538,9 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
     # every label operator is a polynomial in e_1, e_2, e_3, so an algebra
     # whose generators fail to commute must be refused when it is built
-    e_ops = dict(ring.e_ops)
-    e_ops[2] = [row[:] for row in ring.e_ops[2]]
-    e_ops[2][0][-1] += 1
+    e_ops, last = dict(ring.e_ops), len(ring.basis) - 1
+    e_ops[2] = [dict(row) for row in ring.e_ops[2]]
+    e_ops[2][0][last] = e_ops[2][0].get(last, 0) + 1
     assert not commuting([e_ops[1], e_ops[2], e_ops[3]])
     with pytest.raises(InternalConsistencyError, match="do not commute"):
         GradedAlgebra(ring.box, ring.basis, ring.r, e_ops, ring.pairing)
@@ -601,7 +603,8 @@ def test_noncommuting_e_operators_are_refused_when_the_ring_is_built(capsys, mon
 
     def skewed(self, *args):
         e_ops = e_operators(self, *args)
-        e_ops[2][0][-1] += 1
+        last = len(e_ops[2]) - 1
+        e_ops[2][0][last] = e_ops[2][0].get(last, 0) + 1
         return e_ops
 
     monkeypatch.setattr(SectionRing, "_e_operators", skewed)
@@ -692,10 +695,12 @@ def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):
     # the radical's certificate needs e_1 self-adjoint for the pairing, so
     # radical_and_perp refuses a ring whose e_1 is not; here e_1 * 1 gains a
     # second sigma_1, set on a copy past the build's commutativity assertion
+    # the copy is a new algebra, so its transposed e-operators are read afresh
     ring = copy.copy(build_ring(3, 8))
     ring.e_ops = dict(ring.e_ops)
-    ring.e_ops[1] = [row[:] for row in ring.e_ops[1]]
-    ring.e_ops[1][ring.index[(1,)]][ring.index[()]] += 1
+    ring.e_ops[1] = [dict(row) for row in ring.e_ops[1]]
+    row, unit = ring.e_ops[1][ring.index[(1,)]], ring.index[()]
+    row[unit] = row.get(unit, 0) + 1
     monkeypatch.setattr(section, "build_ring", lambda *args: ring)
     with pytest.raises(InternalConsistencyError, match="e_1 is not self-adjoint for the section pairing"):
         radical_and_perp(3, 8)
@@ -710,8 +715,8 @@ def test_a_pairing_degenerate_on_ker_e1_exits_1(capsys, monkeypatch):
     # <u, v>' = <u, e_1 v> keeps e_1 self-adjoint (e_1 is self-adjoint for
     # <,>) but vanishes on ker e_1, so ker e_1 is not certified as the radical
     ring = copy.copy(build_ring(3, 8))
-    ring.pairing = linalg.mat_mul(ring.pairing, ring.e_ops[1])
-    e1 = ring.e_ops[1]
+    e1 = dense_square(ring.e_ops[1])
+    ring.pairing = linalg.mat_mul(ring.pairing, e1)
     assert linalg.mat_mul(ring.pairing, e1) == linalg.mat_mul([list(col) for col in zip(*e1)], ring.pairing)
     monkeypatch.setattr(section, "build_ring", lambda *args: ring)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
@@ -747,14 +752,17 @@ def test_lift_operator_agrees_with_recursion():
 def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monkeypatch):
     def perturbed(n, p, lab, change):
         # the ring's algebra with the image e_p * lab, column lab of E_p,
-        # changed; building it asserts that its e-operators commute
+        # changed; building it asserts that its e-operators commute and are
+        # graded
         ring = build_ring(3, n)
-        e_ops = {pp: [row[:] for row in op] for pp, op in ring.e_ops.items()}
+        e_ops = {pp: [dict(row) for row in op] for pp, op in ring.e_ops.items()}
         col = ring.index[lab]
-        image = change(ring, [row[col] for row in e_ops[p]])
+        image = change(ring, [row.get(col, 0) for row in e_ops[p]])
         for row, x in zip(e_ops[p], image):
             row[col] = x
-        return GradedAlgebra(ring.box, ring.basis, ring.r, e_ops, ring.pairing)
+            if not x:
+                del row[col]
+        return ring_with_e_ops(ring, e_ops)
 
     def perturb(n, p, lab, change, match):
         # refused when the algebra is built, or by the recursion
@@ -779,8 +787,13 @@ def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monke
         perturb(n, 2, (2, 1), plus(term, -1), "inconsistent")
         perturb(n, 1, (3, 1), plus(term), "inconsistent")
 
-    # the recursion's own checks, reached past the commutativity assertion
+    # past the commutativity assertion, the grading assertion refuses beta
+    # (degree 7) in e_2 * s(3,) (degree 5)
     monkeypatch.setattr(quantum, "commuting", lambda ops: True)
+    with pytest.raises(InternalConsistencyError, match="e_2 does not raise degree by 2 mod 7"):
+        perturbed(8, 2, (3,), plus({(BETA, 0): 1}))
+    # the recursion's own checks, reached past both assertions
+    monkeypatch.setattr(quantum, "require_graded", lambda alg: None)
     for wrong in (lambda ring, image: [2 * x for x in image], plus({(BETA, 0): 1})):
         with pytest.raises(InternalConsistencyError, match=r"e_2 \* s\(3,\) does not determine s\(4, 1\)"):
             mult_operators(perturbed(8, 2, (3,), wrong))
@@ -800,7 +813,7 @@ def test_label_operators_satisfy_every_pieri_identity():
                     [(c, ring.label_ops[lab]) for (lab, _), c in image.items()],
                     linalg.zeros(dim, dim),
                 )
-                assert linalg.mat_mul(ring.e_ops[p], op) == expected, (n, p, mu)
+                assert linalg.mat_mul(dense_square(ring.e_ops[p]), op) == expected, (n, p, mu)
         assert set(ring.label_ops) == set(ring.basis) - {BETA}
 
 
@@ -883,7 +896,7 @@ def test_e_operators_match_the_symbolic_section_pieri_rule(n, q):
     # first-column recursion on those symbolic images
     ring = build_ring(3, n)
     alg = ring if q else classical_section_ring(ring)
-    assert alg.e_ops == symbolic_e_ops(ring, q)
+    assert {p: dense_square(op) for p, op in alg.e_ops.items()} == symbolic_e_ops(ring, q)
     assert alg.label_ops == symbolic_label_ops(ring, q)
 
 
@@ -897,7 +910,7 @@ def test_sparse_e_operators_and_pairing_match_the_dense_routes(n, q):
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     e_ops = ring.e_ops if q else classical_section_e_ops(ring)
     dense = matrix_product_e_ops(ring, q)
-    assert {p: typed(op) for p, op in e_ops.items()} == {p: typed(op) for p, op in dense.items()}
+    assert {p: typed(dense_square(op)) for p, op in e_ops.items()} == {p: typed(op) for p, op in dense.items()}
     assert typed(ring.pairing) == typed(pair_loop_pairing(ring))
 
 
