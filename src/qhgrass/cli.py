@@ -45,12 +45,14 @@ SCHEMA_VERSION = "1"
 # is taken; the bound is about four times the true size on Gr(2, 4)
 MAX_CHARPOLY_DIGITS = 20_000
 # and so is one whose work, piece dimension^3 x digits, is larger: Gr(5, 10) at
-# power 100 (3.2e7) takes about 2 s, at power 1000 (3.2e8) over a minute
+# power 100 (3.2e7) takes about 1 s of CPU, nearly all of it the charpoly, and
+# the time grows faster than the work (power 400, 1.3e8 and refused: 9 s)
 MAX_CHARPOLY_WORK = 5 * 10**7
 # ambient qh commands work on the d = C(n, k) Schubert classes.  qh charpoly
-# multiplies dense d x d operators, about d^3 exact operations a product
-# (Gr(5, 10), d = 252, at power 10: 0.8 s of CPU); qh semisimple runs two thin
-# label recursions and one determinant and builds no d x d operator (0.2 s)
+# steps the s classes of the residue-0 piece through sparse products with E_1
+# (and E_2) and multiplies only s x s matrices (Gr(5, 10), d = 252, s = 26, at
+# power 10: 0.1 s); qh semisimple runs two thin label recursions and one
+# determinant (0.2 s).  Neither builds a d x d operator
 MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 
@@ -231,7 +233,7 @@ def _cmd_qh_charpoly(args) -> dict:
     if args.section:
         poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
     else:
-        poly = quantum.e_power_charpoly(e_ops, piece, args.power, args.with_e2)
+        poly = quantum.e_power_charpoly(e_ops, piece, r, args.power, args.with_e2)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 

@@ -7,24 +7,26 @@ products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
 connected blocks of the pattern.  The e-operators are sparse rows
-{column: value}, and the Pieri recursions (quantum.label_recursion and the
-h-recursion quantum.h_operators) and the commutativity check run on them
-through one kernel, sparse_mul_sum: a sum of products c * (a @ b)
-accumulated row by row, in which a term with a = I adds c * b.  Their dense
-forms (dense) are made only for the charpoly power and the radical's kernel.
+{column: value}; every reader of them (the Pieri recursions
+quantum.label_recursion and quantum.h_operators, the commutativity check,
+e_power_charpoly's thin blocks, the radical's residue blocks) runs through
+one kernel, sparse_mul_sum: a sum of products c * (a @ b) accumulated row by
+row, in which a term with a = I adds c * b.  No e-operator is made dense,
+and the dense readers refuse sparse rows.
 The label recursion keeps its block seed-major, one row per seed vector,
 so in each step a is the block of lam' (s rows) and b is E_p^T, held as
 E_p's columns (E_p itself for the transposed run): the step loops over the
 s seed rows, not over d.
-Determinants and characteristic polynomials share one fraction-free (Bareiss)
-elimination, _bareiss, run over ints, Fractions or the polynomial ring; the
-tests check charpoly against the Berkowitz recursion.  There is no inverse and
-no solver.  A kernel takes one Gauss-Jordan elimination (rref), of the matrix
-with its columns reversed (kernel_basis).
+Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
+ints or Fractions; charpoly evaluates it over the integers and
+interpolates, and the tests check it against the Berkowitz recursion.
+There is no inverse and no solver.  A kernel takes one Gauss-Jordan
+elimination (rref), of the matrix with its columns reversed (kernel_basis).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -70,9 +72,16 @@ def identity(m: int) -> Matrix:
     return out
 
 
+def _require_dense(*mats) -> None:
+    """Refuse a sparse row, whose iteration would yield its column keys."""
+    if any(type(row) is dict for m in mats for row in m):
+        raise TypeError("a dense matrix reader was handed sparse rows {column: value}")
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b over the nonzeros of a and of b's rows (a (3, 8) section operator
     is about 9 % nonzero); integral entries of the product are ints."""
+    _require_dense(a, b)
     b_nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for arow in a:
@@ -87,6 +96,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def sparse_rows(a: Matrix) -> list[dict]:
     """a's rows as {column: value} over their nonzeros."""
+    _require_dense(a)
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
@@ -126,6 +136,7 @@ def sparse_mul_sum(terms) -> list[dict]:
 
 
 def mat_vec(a: Matrix, v: list) -> list:
+    _require_dense(a, [v])
     out = [0] * len(a)
     for k, vk in enumerate(v):
         if vk:
@@ -275,9 +286,10 @@ def _int_div(a: int, b: int) -> int:
 
 def _bareiss(a: Matrix, divide):
     """Determinant by fraction-free (Bareiss) elimination on the whole matrix,
-    over any ring whose exact quotient is divide(num, den): ints, Fractions or
-    UniPolys.  Each step divides by the previous pivot; the first divides by 1
-    and is skipped, so the entries need only +, -, * and a truth value."""
+    over any ring whose exact quotient is divide(num, den): ints or
+    Fractions here, and polynomials in the tests.  Each step divides by the
+    previous pivot; the first divides by 1 and is skipped, so the entries
+    need only +, -, * and a truth value."""
     n = len(a)
     if n == 0:
         return 1
@@ -303,13 +315,32 @@ def _bareiss(a: Matrix, divide):
 
 
 def charpoly(a: Matrix) -> UniPoly:
-    """Monic characteristic polynomial det(xI - a), by _bareiss over the
-    polynomial ring."""
+    """Monic characteristic polynomial det(xI - a), by exact evaluation and
+    interpolation: with D the common denominator of a, f(x) = det(xI - D a)
+    is taken at x = 0..n by integer Bareiss, its coefficients in the
+    falling-factorial basis are c_k = (Delta^k f)(0) / k!, exact quotients,
+    and Horner's rule in that basis gives the monomial coefficients b_j.
+    det(xI - a) has coefficients b_j / D^(n - j); its x^(n - 1) coefficient
+    is checked against -trace(a)."""
     n = len(a)
-    if n == 0:
-        return UniPoly.one()
-    x_minus_a = [[UniPoly([-a[i][j], 1]) if i == j else UniPoly([-a[i][j]]) for j in range(n)] for i in range(n)]
-    out = _bareiss(x_minus_a, UniPoly.div_exact)
-    if not out or out.leading() != 1:
+    denom = math.lcm(*(x.denominator for row in a for x in row if type(x) is Fraction))
+    scaled = [[int(denom * y) for y in row] for row in a]
+    values = [_bareiss([[x * (i == j) - y for j, y in enumerate(row)] for i, row in enumerate(scaled)], _int_div)
+              for x in range(n + 1)]
+    falling = []
+    for k in range(n + 1):
+        c, rem = divmod(values[0], math.factorial(k))
+        if rem:
+            raise InternalConsistencyError("characteristic polynomial values fit no integer polynomial")
+        falling.append(c)
+        values = [v - u for u, v in zip(values, values[1:])]
+    coeffs = [falling[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs * (x - k) + c_k, lowest degree first
+        coeffs = [falling[k] - k * coeffs[0]] + [u - k * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    out = UniPoly([exact_div(b, denom ** (n - j)) for j, b in enumerate(coeffs)])
+    if out.leading() != 1:
         raise InternalConsistencyError("characteristic polynomial is not monic")
+    if n and out[n - 1] != -trace(a):
+        raise InternalConsistencyError("characteristic polynomial's x^(n-1) coefficient is not -trace")
     return out

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InternalConsistencyError
-
 
 class UniPoly:
     """Immutable polynomial; coefficients may be int or Fraction, always exact."""
@@ -84,31 +82,6 @@ class UniPoly:
         return UniPoly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = other.leading()
-        # over Z a leading coefficient of +-1 keeps every step in the integers
-        integral = lead in (1, -1) and all(type(c) is int for c in rem + list(other.coeffs))
-        quot = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        for i in range(len(rem) - len(other.coeffs), -1, -1):
-            top = rem[i + len(other.coeffs) - 1]
-            c = top * lead if integral else Fraction(top) / lead
-            if c == 0:
-                continue
-            quot[i] = c
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] -= c * b
-        return UniPoly(quot), UniPoly(rem)
-
-    def div_exact(self, other: "UniPoly") -> "UniPoly":
-        """Exact quotient; a nonzero remainder signals an internal inconsistency."""
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InternalConsistencyError(f"inexact polynomial division: remainder {r.coeffs}")
-        return q
 
     def __call__(self, value):
         acc = 0

@@ -64,8 +64,8 @@ h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
 (h_operators), which keeps only the last k operators; the tests compare it
 with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
 recursion, label_recursion and the commutativity check read e_ops as it is,
-one fused linalg.sparse_mul_sum a step; only e_power_charpoly (for the
-power) and section.radical_and_perp (for the kernel) make an E_p dense.
+one fused linalg.sparse_mul_sum a step, and so do e_power_charpoly's thin
+blocks and section.radical_and_perp's residue blocks: no E_p is made dense.
 """
 
 from __future__ import annotations
@@ -154,25 +154,34 @@ class GradedAlgebra:
         return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r == residue)
 
 
-def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
-    """Restriction of an operator to the span of these basis coordinates,
-    which it must preserve.  The CLI refuses a misaligned power before any
-    operator is built, so an operator that leaks out of the piece is a
-    fault of the program, not of its input."""
+def _piece_block(columns: dict[int, list[dict]], cols: list[int], steps: list[int]) -> Matrix:
+    """The product of E_p over p in steps on the span of the coordinates
+    cols, as an s x s matrix, from a thin block: row j is the image of the
+    unit vector of cols[j], stepped through E_p's columns (columns[p]).  The
+    CLI refuses a misaligned power before any operator is built, so an image
+    leaving the piece is a fault of the program, not of its input."""
+    block = [{c: 1} for c in cols]
+    for p in steps:
+        block = linalg.sparse_mul_sum([(1, block, columns[p])])
     inside = set(cols)
-    if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
+    if any(j not in inside for row in block for j in row):
         raise InternalConsistencyError("operator does not preserve the requested piece")
-    return [[op[r][c] for c in cols] for r in cols]
+    return [[row.get(i, 0) for row in block] for i in cols]
 
 
-def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], power: int, with_e2: bool = False) -> UniPoly:
+def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], r: int, power: int, with_e2=False) -> UniPoly:
     """Characteristic polynomial of e_1^power (optionally * e_2) on the span
-    of the basis coordinates cols.  It reads only e_ops[1] (and e_ops[2]), so
-    a caller holding just those needs no whole algebra."""
-    op = linalg.mat_pow(linalg.dense(e_ops[1], len(e_ops[1])), power)
-    if with_e2:
-        op = linalg.mat_mul(op, linalg.dense(e_ops[2], len(op)))
-    return linalg.charpoly(restrict_to_coords(op, cols))
+    of the basis coordinates cols, r the degree of q.  It reads only e_ops[1]
+    (and e_ops[2]), so a caller holding just those needs no whole algebra.
+    With power = m r + lead the operator is B^m C, B = E_1^r and
+    C = E_1^lead (* E_2); each preserves the piece, so on it the operator is
+    the s x s product of their thin blocks (_piece_block), s = len(cols)."""
+    columns = {p: _transpose(e_ops[p]) for p in ([1, 2] if with_e2 else [1])}
+    m, lead = divmod(power, r)
+    op = _piece_block(columns, cols, [2] * with_e2 + [1] * lead)
+    if m:
+        op = linalg.mat_mul(linalg.mat_pow(_piece_block(columns, cols, [1] * r), m), op)
+    return linalg.charpoly(op)
 
 
 @lru_cache(maxsize=None)
@@ -188,16 +197,21 @@ def grassmannian(box: Box) -> GradedAlgebra:
     return GradedAlgebra(box, basis, box.n, e_ops, pairing)
 
 
+def _transpose(op: list[dict]) -> list[dict]:
+    """The transpose of a square operator given as sparse rows: row j is
+    column j of op, as {row i: value}."""
+    columns = [{} for _ in op]
+    for i, row in enumerate(op):
+        for j, x in row.items():
+            columns[j][i] = x
+    return columns
+
+
 @lru_cache(maxsize=None)
 def e_columns(alg: GradedAlgebra) -> dict[int, list[dict]]:
     """The transpose of each E_p = e_ops[p], once per algebra: row j is the
     Pieri image e_p * basis[j], as {row i of e_ops[p]: value}."""
-    columns = {p: [{} for _ in op] for p, op in alg.e_ops.items()}
-    for p, op in alg.e_ops.items():
-        for i, row in enumerate(op):
-            for j, x in row.items():
-                columns[p][j][i] = x
-    return columns
+    return {p: _transpose(op) for p, op in alg.e_ops.items()}
 
 
 def require_graded(alg: GradedAlgebra) -> None:

@@ -77,8 +77,9 @@ and S is the whole ring, so the tests run both routes there and compare
 them.
 
 The perp route rests on this argument.  R = ker E_1 is an ideal, since
-E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.  The
-certificate of radical_and_perp gives ker E_1 = ker E_1^2, so e_1 is
+E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.
+radical_and_perp takes it block by block, from residue rho to rho + 1 mod
+r, and its certificate gives ker E_1 = ker E_1^2, so e_1 is
 invertible on A / R and A = R + im E_1^N is a direct sum of ideals
 (N = dim A); A / R is isomorphic to im E_1^N, the source's perp
 subalgebra S.  A / R is spanned by partition labels and needs no
@@ -247,7 +248,7 @@ def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPo
     """Characteristic polynomial of e_1^power (optionally * e_2) on A^0(Y),
     the residue-0 piece (quantum.e_power_charpoly)."""
     ring = build_ring(k, n)
-    return e_power_charpoly(ring.e_ops, [ring.index[lab] for lab in ring.residue_piece(0)], power, with_e2)
+    return e_power_charpoly(ring.e_ops, [ring.index[lab] for lab in ring.residue_piece(0)], ring.r, power, with_e2)
 
 
 def lefschetz_relation_check(n: int) -> bool:
@@ -264,6 +265,12 @@ def radical_and_perp(k: int, n: int) -> list[list]:
     """The radical ker e_1^dim of the section ring, as the reduced echelon
     basis of ker e_1, certified by the pairing.
 
+    E_1 maps the residue-rho piece into the residue-(rho + 1) piece (mod r;
+    the ring's constructor certified the grading), so ker E_1 is the direct
+    sum of the kernels of those blocks.  Each block's reduced echelon basis,
+    put in the whole space, is reduced there too, so sorted by lead they
+    are the unique reduced echelon basis of ker E_1.
+
     e_1 is multiplication by a class, so it is self-adjoint for the
     Frobenius pairing; that is asserted here, once.  Then ker e_1^dim and
     the image of e_1^dim are orthogonal and span the space, so the pairing
@@ -277,7 +284,17 @@ def radical_and_perp(k: int, n: int) -> list[list]:
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
     if any(linalg.sparse_mul_sum([(1, pairing, ring.e_ops[1]), (-1, e_columns(ring)[1], pairing)])):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
-    rad = linalg.kernel_basis(linalg.dense(ring.e_ops[1], len(ring.basis)))
+    e1, pieces = ring.e_ops[1], [[ring.index[lab] for lab in ring.residue_piece(rho)] for rho in range(ring.r)]
+    rad = []
+    for rho, cols in enumerate(pieces):
+        # a zero row stands for an empty target piece, whose block kills all of cols
+        block = [[e1[i].get(j, 0) for j in cols] for i in pieces[(rho + 1) % ring.r]] or [[0] * len(cols)]
+        for v in linalg.kernel_basis(block):
+            u = [0] * len(ring.basis)
+            for j, x in zip(cols, v):
+                u[j] = x
+            rad.append(u)
+    rad.sort(key=lambda u: next(i for i, x in enumerate(u) if x))
     paired = [linalg.mat_vec(ring.pairing, u) for u in rad]
     if linalg.det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in rad]) == 0:
         raise InternalConsistencyError("the pairing is degenerate on ker e_1")

@@ -56,9 +56,13 @@ route:
   quantum.trace_form_rows takes it from two thin label recursions and
   builds no operator, and quantum.semisimple_test takes it by definition,
   one linalg.trace_product per pair.
-- restrict and charpoly_on_piece restrict an operator to a piece of basis
-  labels (quantum.restrict_to_coords) and take its characteristic polynomial
-  there.
+- restrict_to_coords, restrict and charpoly_on_piece restrict a dense
+  operator to a piece of basis coordinates or labels and take its
+  characteristic polynomial there; quantum.e_power_charpoly builds the
+  piece's operator from thin blocks and never forms the whole one.
+- unipoly_divmod and unipoly_div_exact are polynomial long division; the
+  Poincare oracles and the polynomial-ring Bareiss oracle of the charpoly
+  divide with them, and production divides no polynomials.
 - vertical_strip_additions, quantum_rim_partitions and quantum_pieri are the
   quantum Pieri rule by vertical strips and transposed interlacing;
   quantum.pieri_entries moves particles on the n-cycle.
@@ -122,7 +126,6 @@ from qhgrass.quantum import (
     grassmannian,
     label_recursion,
     pieri_matrix,
-    restrict_to_coords,
     schubert_basis,
     semisimple_test,
 )
@@ -166,6 +169,16 @@ PRINTED_H = {
         (2, 0, 2): 6, (0, 1, 2): -3,
     },
 }
+
+
+def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
+    """Restriction of a dense operator to the span of these basis
+    coordinates, which it must preserve: the whole-operator route that
+    quantum.e_power_charpoly replaces by thin blocks on the piece."""
+    inside = set(cols)
+    if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
+        raise InternalConsistencyError("operator does not preserve the requested piece")
+    return [[op[r][c] for c in cols] for r in cols]
 
 
 def restrict(alg, op: Matrix, piece) -> Matrix:
@@ -525,7 +538,7 @@ def poincare_by_degrees(g: GrassmannianId) -> UniPoly:
     denominator = _one_minus_t_power(1)
     for d in levi_degree_multiset(g):
         denominator = denominator * _one_minus_t_power(d)
-    return numerator.div_exact(denominator)
+    return unipoly_div_exact(numerator, denominator)
 
 
 @lru_cache(maxsize=None)
@@ -569,7 +582,7 @@ def positive_roots_by_strings(t: DynkinType) -> tuple[tuple[int, ...], ...]:
 
 def poincare_by_division(g: GrassmannianId) -> UniPoly:
     """prod_{m >= 2} [m]_t^(c_{m-1} - c_m) over the nilradical root heights
-    c_h, by UniPoly products and one UniPoly.div_exact; rootdata multiplies
+    c_h, by UniPoly products and one unipoly_div_exact; rootdata multiplies
     and divides by each bracket in O(deg)."""
     k = g.node - 1
     heights = Counter(sum(beta) for beta in positive_roots_by_strings(g.type) if beta[k] > 0)
@@ -581,10 +594,38 @@ def poincare_by_division(g: GrassmannianId) -> UniPoly:
             numerator = numerator * bracket
         for _ in range(-exponent):
             denominator = denominator * bracket
-    quotient = numerator.div_exact(denominator)
+    quotient = unipoly_div_exact(numerator, denominator)
     if quotient.degree != dimension(g) or not quotient.is_palindromic():
         raise InternalConsistencyError(f"bad Poincare polynomial for {g}")
     return quotient
+
+
+def unipoly_divmod(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Quotient and remainder of polynomial long division; over Z a leading
+    coefficient of +-1 keeps every step in the integers."""
+    if den.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(num.coeffs)
+    lead = den.leading()
+    integral = lead in (1, -1) and all(type(c) is int for c in rem + list(den.coeffs))
+    quot = [0] * max(0, len(rem) - len(den.coeffs) + 1)
+    for i in range(len(rem) - len(den.coeffs), -1, -1):
+        top = rem[i + len(den.coeffs) - 1]
+        c = top * lead if integral else Fraction(top) / lead
+        if c == 0:
+            continue
+        quot[i] = c
+        for j, b in enumerate(den.coeffs):
+            rem[i + j] -= c * b
+    return UniPoly(quot), UniPoly(rem)
+
+
+def unipoly_div_exact(num: UniPoly, den: UniPoly) -> UniPoly:
+    """The exact quotient; a nonzero remainder signals an internal inconsistency."""
+    q, r = unipoly_divmod(num, den)
+    if not r.is_zero():
+        raise InternalConsistencyError(f"inexact polynomial division: remainder {r.coeffs}")
+    return q
 
 
 def _one_minus_t_power(d: int) -> UniPoly:

@@ -221,7 +221,7 @@ def test_admitted_ambient_charpoly_never_builds_the_grassmannian(capsys, monkeyp
     for k, n, power, e2 in cases:
         alg = quantum.grassmannian(Box(k, n))
         piece = [alg.index[lam] for lam in alg.residue_piece(0)]
-        expected.append(quantum.e_power_charpoly(alg.e_ops, piece, power, e2).coeffs)
+        expected.append(quantum.e_power_charpoly(alg.e_ops, piece, alg.r, power, e2).coeffs)
     calls = []
     monkeypatch.setattr(quantum, "grassmannian", lambda *args: calls.append(args))
     for (k, n, power, e2), coeffs in zip(cases, expected):
@@ -233,14 +233,21 @@ def test_admitted_ambient_charpoly_never_builds_the_grassmannian(capsys, monkeyp
 
 
 def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypatch):
-    calls = []
-    original = linalg.mat_pow
+    from qhgrass import quantum
 
-    def recording(a, e):
-        calls.append(e)
-        return original(a, e)
+    blocks, powers = [], []
+    original_block, original_pow = quantum._piece_block, linalg.mat_pow
 
-    monkeypatch.setattr(linalg, "mat_pow", recording)
+    def recording_block(columns, cols, steps):
+        blocks.append(list(steps))
+        return original_block(columns, cols, steps)
+
+    def recording_pow(a, e):
+        powers.append(e)
+        return original_pow(a, e)
+
+    monkeypatch.setattr(quantum, "_piece_block", recording_block)
+    monkeypatch.setattr(linalg, "mat_pow", recording_pow)
     for argv in (
         ["--k", "3", "--n", "7", "--power", "6"],
         ["--k", "3", "--n", "8", "--power", "8", "--with-e2"],
@@ -249,11 +256,13 @@ def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypat
     ):
         code, out, err = run_cli(capsys, "qh", "charpoly", *argv)
         assert code == 2 and not out and "deg q" in err, argv
-    assert calls == []
-    # aligned powers go on to the matrix power
+    assert blocks == [] and powers == []
+    # aligned powers go on to the thin blocks: power = m r + lead is C = E_1^lead
+    # (no steps here) and B = E_1^r (r steps of E_1), then B^m on the piece
     assert run_cli(capsys, "qh", "charpoly", "--k", "3", "--n", "7", "--power", "7")[0] == 0
     assert run_cli(capsys, "qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "6")[0] == 0
-    assert calls == [7, 6]
+    assert blocks == [[], [1] * 7, [], [1] * 6]
+    assert powers == [1, 1]
 
 
 small_ints = st.integers(-3, 12).map(str)

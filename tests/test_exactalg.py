@@ -20,6 +20,8 @@ from oracles import (
     solve,
     sparse_combine,
     trace_form_gram,
+    unipoly_div_exact,
+    unipoly_divmod,
 )
 from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
@@ -41,11 +43,11 @@ def test_unipoly_basics():
 
 def test_unipoly_division():
     p = UniPoly([1, 2, 1])  # (1+x)^2
-    q, r = p.divmod(UniPoly([1, 1]))
+    q, r = unipoly_divmod(p, UniPoly([1, 1]))
     assert q == UniPoly([1, 1]) and r.is_zero()
-    assert p.div_exact(UniPoly([1, 1])) == UniPoly([1, 1])
+    assert unipoly_div_exact(p, UniPoly([1, 1])) == UniPoly([1, 1])
     with pytest.raises(InternalConsistencyError):
-        UniPoly([1, 0, 1]).div_exact(UniPoly([1, 1]))
+        unipoly_div_exact(UniPoly([1, 0, 1]), UniPoly([1, 1]))
 
 
 def _fraction_divmod(a: UniPoly, b: UniPoly):
@@ -69,13 +71,13 @@ int_coeffs = st.lists(st.integers(-10**6, 10**6), max_size=9)
 @given(int_coeffs, int_coeffs, st.sampled_from([1, -1, 2, -3]))
 def test_unipoly_divmod_integer_route_matches_fractions(a, b, lead):
     num, den = UniPoly(a), UniPoly(b + [lead])
-    q, r = num.divmod(den)
+    q, r = unipoly_divmod(num, den)
     assert (q, r) == _fraction_divmod(num, den)
     assert q * den + r == num and r.degree < den.degree
     if lead in (1, -1):  # the integer route: no Fraction anywhere
         assert all(type(c) is int for c in q.coeffs + r.coeffs)
-    # an exact quotient over Z[x], as in the Bareiss steps of charpoly
-    assert (num * den).div_exact(den) == num
+    # an exact quotient over Z[x], as in the Bareiss steps of the charpoly oracle
+    assert unipoly_div_exact(num * den, den) == num
 
 
 def test_unipoly_palindromic_and_repr():
@@ -231,6 +233,14 @@ _scalars = st.one_of(
 )
 
 
+def _charpoly_bareiss_unipoly(a):
+    """det(xI - a) by _bareiss over the polynomial ring, with exact
+    polynomial division: the charpoly route before evaluation."""
+    m = len(a)
+    x_minus_a = [[UniPoly([-a[i][j], int(i == j)]) for j in range(m)] for i in range(m)]
+    return linalg._bareiss(x_minus_a, unipoly_div_exact) if m else UniPoly.one()
+
+
 def test_charpoly_of_the_empty_matrix_is_one():
     assert linalg.charpoly([]) == UniPoly.one()
 
@@ -238,11 +248,109 @@ def test_charpoly_of_the_empty_matrix_is_one():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda m: st.lists(_scalars, min_size=m * m, max_size=m * m)))
 def test_bareiss_over_polynomials_is_the_charpoly(entries):
-    # charpoly is _bareiss run on xI - a with UniPoly.div_exact
+    # _bareiss run on xI - a over the polynomial ring is an oracle for charpoly
     m = int(len(entries) ** 0.5)
     a = [entries[i * m : (i + 1) * m] for i in range(m)]
-    x_minus_a = [[UniPoly([-a[i][j], int(i == j)]) for j in range(m)] for i in range(m)]
-    assert linalg._bareiss(x_minus_a, UniPoly.div_exact) == linalg.charpoly(a) == charpoly_berkowitz(a)
+    assert _charpoly_bareiss_unipoly(a) == linalg.charpoly(a) == charpoly_berkowitz(a)
+
+
+def _charpoly_cases():
+    """Square matrices for the charpoly routes: the edge shapes, singular
+    and nilpotent ones, entries over 10^50 and denominators that are
+    distinct primes, then random int and Fraction matrices."""
+    rng = random.Random(2027)
+    big = 10**50
+    cases = [
+        [],
+        [[0]],
+        [[7]],
+        [[Fraction(-5, 3)]],
+        [[big + 1]],
+        [[1, 2], [2, 4]],  # singular
+        [[0, 1, 0], [0, 0, 1], [0, 0, 0]],  # nilpotent
+        [[2, -1, 0, 3], [4, -2, 0, 6], [0, 0, 0, 0], [1, 1, 1, 1]],  # singular, a zero row
+        [[0, 5, -2], [0, 0, 9], [0, 0, 0]],  # nilpotent, strictly upper
+        [[big, -big + 3], [big * 7, 11]],
+        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]],
+        [[Fraction(big, 11), 1, 0], [0, Fraction(3, 13), Fraction(-big, 17)], [Fraction(1, 19), 0, 2]],
+    ]
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    for trial in range(40):
+        m = rng.randrange(1, 7)
+        if trial % 4 == 0:
+            entry = lambda: rng.randrange(-big * 10, big * 10)  # noqa: E731
+        elif trial % 4 == 1:
+            entry = lambda: Fraction(rng.randrange(-9, 10), rng.choice(primes))  # noqa: E731
+        elif trial % 4 == 2:
+            entry = lambda: Fraction(rng.randrange(-big, big), rng.choice(primes) * rng.choice(primes))  # noqa: E731
+        else:
+            entry = lambda: rng.choice([0, 0, 0, 1, -1, 2])  # noqa: E731
+        a = [[entry() for _ in range(m)] for _ in range(m)]
+        if trial % 5 == 0 and m > 1:
+            a[-1] = [x + y for x, y in zip(a[0], a[1])]  # singular by a dependent row
+        cases.append(a)
+    return cases
+
+
+@pytest.mark.parametrize("a", _charpoly_cases())
+def test_charpoly_by_interpolation_matches_berkowitz_and_polynomial_bareiss(a):
+    got = linalg.charpoly(a)
+    assert got == charpoly_berkowitz(a) == _charpoly_bareiss_unipoly(a)
+    assert got.degree == len(a) and got.leading() == 1
+    assert all(type(c) is int or c.denominator != 1 for c in got.coeffs)
+    if a:
+        assert got[0] == (-1) ** len(a) * linalg.det_bareiss(a)
+
+
+def _shift_bareiss(monkeypatch, shift):
+    """linalg._bareiss with shift(x) added to the value of its call x, which
+    in charpoly is det(xI - a)."""
+    original, calls = linalg._bareiss, []
+
+    def shifted(m, divide):
+        calls.append(m)
+        return original(m, divide) + shift(len(calls) - 1)
+
+    monkeypatch.setattr(linalg, "_bareiss", shifted)
+
+
+def test_charpoly_refuses_values_that_break_its_certificates(monkeypatch):
+    a = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+    # f(1) off by one: Delta^3 f(0) / 3! is no longer an integer
+    _shift_bareiss(monkeypatch, lambda x: x == 1)
+    with pytest.raises(InternalConsistencyError, match="fit no integer polynomial"):
+        linalg.charpoly(a)
+    # f + x^2 interpolates to a monic polynomial with the wrong x^2 coefficient
+    monkeypatch.undo()
+    _shift_bareiss(monkeypatch, lambda x: x * x)
+    with pytest.raises(InternalConsistencyError, match="coefficient is not -trace"):
+        linalg.charpoly(a)
+    # f + x^3 is not monic
+    monkeypatch.undo()
+    _shift_bareiss(monkeypatch, lambda x: x**3)
+    with pytest.raises(InternalConsistencyError, match="not monic"):
+        linalg.charpoly(a)
+
+
+def test_dense_readers_refuse_sparse_rows():
+    from qhgrass.partitions import Box
+    from qhgrass.quantum import grassmannian
+
+    rows = grassmannian(Box(2, 4)).e_ops[1]
+    square = dense_square(rows)
+    with pytest.raises(TypeError, match="sparse rows"):
+        linalg.mat_mul(rows, square)
+    with pytest.raises(TypeError, match="sparse rows"):
+        linalg.mat_mul(square, rows)
+    with pytest.raises(TypeError, match="sparse rows"):
+        linalg.mat_vec(rows, [1] * len(rows))
+    with pytest.raises(TypeError, match="sparse rows"):
+        linalg.mat_vec(square, rows[0])
+    with pytest.raises(TypeError, match="sparse rows"):
+        linalg.sparse_rows(rows)
+    # their dense forms are read as before
+    assert linalg.sparse_rows(square) == rows
+    assert linalg.mat_vec(square, [1] + [0] * (len(rows) - 1)) == [row.get(0, 0) for row in rows]
 
 
 def test_bareiss_over_the_integers_checks_every_division():

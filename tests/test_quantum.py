@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -256,6 +257,124 @@ def test_a_corrupted_operator_in_qh_charpoly_exits_1(capsys, monkeypatch):
     assert cli.run(["qh", "charpoly", "--k", "2", "--n", "4", "--power", "4"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: operator does not preserve the requested piece\n"
+
+
+def _dense_power_charpoly(alg, power: int, with_e2: bool) -> UniPoly:
+    """The whole-operator route: E_1^power (* E_2) made dense, restricted to
+    the residue-0 piece, then its charpoly."""
+    op = linalg.mat_pow(dense_square(alg.e_ops[1]), power)
+    if with_e2:
+        op = linalg.mat_mul(op, dense_square(alg.e_ops[2]))
+    return charpoly_on_piece(alg, op, alg.residue_piece(0))
+
+
+def _aligned_powers(k: int, r: int):
+    """(power, with_e2) pairs that keep the residue-0 piece: m = 0 (power < r)
+    and m = 1, 2, with e_2 when k >= 2."""
+    cases = [(0, False), (r, False), (2 * r, False)]
+    if k >= 2:
+        cases += [(r - 2, True), (2 * r - 2, True)]
+    return cases
+
+
+@pytest.mark.parametrize("box", BOXES_8, ids=str)
+def test_thin_block_charpoly_matches_the_dense_power_on_ambient_boxes(box):
+    alg = grassmannian(box)
+    piece = [alg.index[lab] for lab in alg.residue_piece(0)]
+    for power, with_e2 in _aligned_powers(box.k, alg.r):
+        got = quantum.e_power_charpoly(alg.e_ops, piece, alg.r, power, with_e2)
+        assert got == _dense_power_charpoly(alg, power, with_e2), (power, with_e2)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_thin_block_charpoly_matches_the_dense_power_on_sections(n):
+    ring = section.build_ring(3, n)
+    piece = [ring.index[lab] for lab in ring.residue_piece(0)]
+    for power, with_e2 in _aligned_powers(3, ring.r):
+        got = quantum.e_power_charpoly(ring.e_ops, piece, ring.r, power, with_e2)
+        assert got == _dense_power_charpoly(ring, power, with_e2), (power, with_e2)
+        assert got == section.section_charpoly(3, n, power, with_e2)
+
+
+def _leak_from_the_unit(e1: list[dict], basis) -> list[dict]:
+    """A copy of E_1 that also sends the unit to the first degree-2 class,
+    so E_1^r carries the unit out of the residue-0 piece."""
+    leaky = [dict(row) for row in e1]
+    target = next(i for i, lab in enumerate(basis) if lab != section.BETA and size(lab) == 2)
+    leaky[target][0] = leaky[target].get(0, 0) + 1
+    return leaky
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "3", "--n", "7", "--power", "7"],
+        ["--k", "3", "--n", "8", "--power", "14", "--with-e2"],
+        ["--section", "--k", "3", "--n", "7", "--power", "6"],
+        ["--section", "--k", "3", "--n", "8", "--power", "12", "--with-e2"],
+    ],
+    ids=" ".join,
+)
+def test_a_leak_from_the_piece_in_qh_charpoly_exits_1(capsys, monkeypatch, argv):
+    from qhgrass import cli
+
+    if "--section" in argv:
+        ring = copy.copy(section.build_ring(3, int(argv[argv.index("--n") + 1])))
+        # the leak bypasses the constructor, whose grading check would refuse it
+        ring.e_ops = {**ring.e_ops, 1: _leak_from_the_unit(ring.e_ops[1], ring.basis)}
+        monkeypatch.setattr(section, "build_ring", lambda k, n: ring)
+    else:
+        original = quantum.pieri_matrix
+
+        def leaky(box, p):
+            op = original(box, p)
+            return _leak_from_the_unit(op, schubert_basis(box)) if p == 1 else op
+
+        monkeypatch.setattr(quantum, "pieri_matrix", leaky)
+    assert cli.run(["qh", "charpoly", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: operator does not preserve the requested piece\n"
+
+
+def test_no_command_makes_a_matrix_larger_than_a_residue_piece(capsys, monkeypatch):
+    from qhgrass import cli
+
+    rows_seen = []
+
+    def spy(name, rows_of):
+        original = getattr(linalg, name)
+
+        def wrapped(*args):
+            rows_seen.append((name, rows_of(*args)))
+            return original(*args)
+
+        monkeypatch.setattr(linalg, name, wrapped)
+
+    spy("dense", lambda rows, cols: len(rows))
+    spy("mat_pow", lambda a, e: len(a))
+    spy("mat_mul", lambda a, b: max(len(a), len(b)))
+    spy("kernel_basis", lambda a: len(a))
+
+    def largest_piece(alg):
+        return max(len(alg.residue_piece(rho)) for rho in range(alg.r))
+
+    section.build_ring.cache_clear()
+    names = set()
+    for argv, alg in (
+        (["qh", "charpoly", "--k", "4", "--n", "8", "--power", "16"], grassmannian(Box(4, 8))),
+        (["qh", "charpoly", "--k", "3", "--n", "8", "--power", "6", "--with-e2"], grassmannian(Box(3, 8))),
+        (["qh", "charpoly", "--section", "--k", "3", "--n", "8", "--power", "5", "--with-e2"], None),
+        (["qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "12"], None),
+        (["qh", "semisimple", "--section", "--k", "3", "--n", "8"], None),
+    ):
+        rows_seen.clear()
+        assert cli.run(argv) == 0, argv
+        capsys.readouterr()
+        alg = alg or section.build_ring(3, int(argv[argv.index("--n") + 1]))
+        assert all(rows <= largest_piece(alg) < len(alg.basis) for _, rows in rows_seen), (argv, rows_seen)
+        names |= {name for name, _ in rows_seen}
+    # the section build's kernels, the powers and their products were all seen
+    assert names == {"kernel_basis", "mat_pow", "mat_mul", "dense"}
 
 
 def test_ambient_charpolys_golden():
