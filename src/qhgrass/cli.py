@@ -8,15 +8,16 @@ document, so the two modes always agree.
 One table, COMMANDS, names every command's help, arguments, handler and table
 renderer.  A run reads a well-formed command line straight from that table,
 with no argparse parser, since building one costs more than most commands
-compute: the command's words, then only exact `--flag value` and `--flag`
-tokens of that command (and --format), each at most once, every required flag
-given, each value converted by the flag's type and within its choices, and a
-value starting with "-" only when it is a negative number.  Any other argv
-(-h, an abbreviation, --flag=value, a repeated flag, a bad value, a missing
-flag, a leftover token, an unknown command) goes to the whole tree
-(build_parser), which owns all help, usage and error text.  Handlers are
-looked up by name at each parse, so a patched module-level `_cmd_*` function
-is the one that runs.
+compute.  argparse itself is imported only inside build_parser, so such a line
+never loads it.  Well formed means the command's words, then only exact
+`--flag value` and `--flag` tokens of that command (and --format), each at
+most once, every required flag given, each value converted by the flag's type
+and within its choices, and a value starting with "-" only when it is a
+negative number.  Any other argv (-h, an abbreviation, --flag=value, a
+repeated flag, a bad value, a missing flag, a leftover token, an unknown
+command) goes to the whole tree (build_parser), which owns all help, usage
+and error text.  Handlers are looked up by name at each parse, so a patched
+module-level `_cmd_*` function is the one that runs.
 
 Exit codes: 0 success, 2 invalid input or usage, 1 internal consistency
 failure (which is always a bug, never bad user input), and 141 (128 + SIGPIPE,
@@ -25,13 +26,13 @@ as for any program killed by it) when the reader closes the pipe early.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import hodge, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
@@ -48,11 +49,12 @@ MAX_CHARPOLY_DIGITS = 20_000
 # power 100 (3.2e7) takes about 1 s of CPU, nearly all of it the charpoly, and
 # the time grows faster than the work (power 400, 1.3e8 and refused: 9 s)
 MAX_CHARPOLY_WORK = 5 * 10**7
-# ambient qh commands work on the d = C(n, k) Schubert classes.  qh charpoly
-# steps the s classes of the residue-0 piece through sparse products with E_1
-# (and E_2) and multiplies only s x s matrices (Gr(5, 10), d = 252, s = 26, at
-# power 10: 0.1 s); qh semisimple runs two thin label recursions and one
-# determinant (0.2 s).  Neither builds a d x d operator
+# ambient qh commands are refused over this many Schubert classes d = C(n, k).
+# The bound is on d itself: no command builds a d x d operator or pays d^3.
+# qh charpoly steps the s classes of the residue-0 piece through sparse
+# products with E_1 (and E_2) and multiplies only s x s matrices (Gr(5, 10),
+# d = 252, s = 26, at power 10: 0.1 s); qh semisimple runs two thin label
+# recursions and one determinant (0.2 s)
 MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 
@@ -174,16 +176,13 @@ def _cmd_hodge(args) -> dict:
 
 
 def _ambient_box(args) -> Box:
-    """The box of Gr(k, n), refused before any work when its operators are too large."""
+    """The box of Gr(k, n), refused before any work when it has too many classes."""
     box = Box(args.k, args.n)
     if (digits := log10_box_count(box.k, box.n)) > 9:
         raise InvalidInputError(
             f"Gr({box.k},{box.n}) has about 10^{digits:.0f} Schubert classes, over {MAX_AMBIENT_DIM}")
     if (d := math.comb(box.n, box.k)) > MAX_AMBIENT_DIM:
-        raise InvalidInputError(
-            f"Gr({box.k},{box.n}) has {d} Schubert classes, over {MAX_AMBIENT_DIM}: "
-            f"about {d**3:.1e} exact operations (d^3)"
-        )
+        raise InvalidInputError(f"Gr({box.k},{box.n}) has {d} Schubert classes, over {MAX_AMBIENT_DIM}")
     return box
 
 
@@ -396,8 +395,8 @@ _FORMAT = ("--format", {"choices": ("table", "json"), "default": "table"})
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give a parser the arguments of one command of COMMANDS, and its handler."""
+def _add_arguments(parser, name: str):
+    """Give an argparse parser the arguments of one command of COMMANDS, and its handler."""
     _, specs, handler, _ = COMMANDS[name]
     for flag, kwargs in [*specs, _FORMAT]:
         parser.add_argument(flag, **kwargs)
@@ -406,8 +405,11 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole tree: every command, with the qh leaves under qh."""
+def build_parser():
+    """The whole tree, an argparse.ArgumentParser: every command, with the qh
+    leaves under qh.  The only place argparse is imported."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qhgrass",
         description="Exact quantum cohomology and Hodge-theoretic invariants of "
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_table(name: str, tokens: list[str]) -> argparse.Namespace | None:
+def _parse_table(name: str, tokens: list[str]) -> SimpleNamespace | None:
     """The arguments of command `name` read from its COMMANDS entry, as the
     whole tree would read them, or None for any token list that is not plainly
     well formed, so that the tree decides it and words its errors."""
@@ -458,10 +460,10 @@ def _parse_table(name: str, tokens: list[str]) -> argparse.Namespace | None:
             value = False if spec.get("action") == "store_true" else spec.get("default")
         values[flag[2:].replace("-", "_")] = value
     # looked up now, so a patched module global is the one called
-    return argparse.Namespace(**values, handler=globals()[handler])
+    return SimpleNamespace(**values, handler=globals()[handler])
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]):
     """Parse argv from the COMMANDS entry of the command it names, since
     building a parser costs more than most commands compute.  Anything else,
     such as -h, a typo, a bare qh, or arguments that entry does not plainly

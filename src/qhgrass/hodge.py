@@ -31,15 +31,17 @@ B(p) + B(p+1) - a(p+1, 0), so each a(m, t) is computed once.
 
 Everything is exact and seedless.  Three anchors are asserted, each a fatal
 internal error on failure: chi_y(0) = 1, the ambient genus equals the signed
-box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  A box
-is refused before the first Weyl product when it has more partitions than
-MAX_BWB_PARTITIONS or when the products' estimated work (_bwb_work) is over
-MAX_BWB_WORK.
+box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  The
+diamond is also checked against the A-D-E bijection: the section is
+Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1, that is k(n - k) < 2n.
+A box is refused before the first Weyl product when it has more partitions
+than MAX_BWB_PARTITIONS or when the products' estimated work (_bwb_work) is
+over MAX_BWB_WORK.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, prod
 
@@ -142,14 +144,11 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(namedtuple("HodgeDiamond", "dim entries genus")):
     """Hodge numbers h^{p,q} of a smooth hyperplane section, with the chi_y
     genus they were solved from."""
 
-    dim: int
-    entries: tuple[tuple[int, ...], ...]
-    genus: UniPoly
+    __slots__ = ()
 
     def h(self, p: int, q: int) -> int:
         return self.entries[p][q]
@@ -210,13 +209,15 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     )
     if euler != genus(-1):
         raise InternalConsistencyError("diamond disagrees with the Euler number")
+    # the A-D-E bijection: Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1
+    if (tate := result.is_hodge_tate()) != (k * (n - k) < 2 * n):
+        raise InternalConsistencyError(
+            f"Hodge-Tate is {tate} for the section of Gr({k},{n}), against the A-D-E bound k(n-k) < 2n")
     return result
 
 
-@dataclass(frozen=True)
-class HodgeTateCertificate:
-    method: str  # "middle-row-jump" (fast path) or "diamond"
-    detail: tuple
+# method: "middle-row-jump" (fast path) or "diamond"
+HodgeTateCertificate = namedtuple("HodgeTateCertificate", "method detail")
 
 
 def is_hodge_tate(k: int, n: int) -> tuple[bool, HodgeTateCertificate]:

@@ -9,7 +9,7 @@ tested against several boxes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import count
 from math import comb, lgamma, log
@@ -46,16 +46,15 @@ def transpose(lam: Partition) -> Partition:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "k n")):
     """A k x (n-k) box: at most k parts, each at most n-k."""
 
-    k: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n - 1:
-            raise InvalidInputError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
+    def __new__(cls, k: int, n: int):
+        if not 1 <= k <= n - 1:
+            raise InvalidInputError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+        return super().__new__(cls, k, n)
 
     @property
     def cols(self) -> int:

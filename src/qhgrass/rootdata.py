@@ -23,8 +23,7 @@ search and a UniPoly product with one exact division.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -41,33 +40,31 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    family: str
-    rank: int
+class DynkinType(namedtuple("DynkinType", "family rank")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo_hi = _RANK_RANGE.get(self.family)
+    def __new__(cls, family: str, rank: int):
+        lo_hi = _RANK_RANGE.get(family)
         if lo_hi is None:
-            raise InvalidInputError(f"unknown family {self.family!r}")
+            raise InvalidInputError(f"unknown family {family!r}")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidInputError(f"rank {self.rank} invalid for type {self.family}")
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidInputError(f"rank {rank} invalid for type {family}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class GrassmannianId:
+class GrassmannianId(namedtuple("GrassmannianId", "type node")):
     """G/P_k: the quotient by the maximal parabolic omitting Bourbaki node k."""
 
-    type: DynkinType
-    node: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.node <= self.type.rank:
-            raise InvalidInputError(f"node {self.node} out of range for {self.type}")
+    def __new__(cls, type: DynkinType, node: int):
+        if not 1 <= node <= type.rank:
+            raise InvalidInputError(f"node {node} out of range for {type}")
+        return super().__new__(cls, type, node)
 
     def __str__(self):
         return f"{self.type}/P{self.node}"

@@ -9,7 +9,7 @@ proof of non-semisimplicity, finding none proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInputError
 from .rootdata import DynkinType, GrassmannianId, dimension, fano_index, poincare_polynomial
@@ -18,29 +18,26 @@ NO_OBSTRUCTION = "NoObstruction"
 WITNESS = "Witness"
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(namedtuple("BettiProfile", "even_betti index label")):
     """Even Betti numbers b_0, b_2, ..., b_{2 dim} plus the Fano index."""
 
-    even_betti: tuple[int, ...]
-    index: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 1:
+    def __new__(cls, even_betti: tuple[int, ...], index: int, label: str = ""):
+        if index < 1:
             raise InvalidInputError("Fano index must be positive")
-        if any(b < 0 for b in self.even_betti):
+        if any(b < 0 for b in even_betti):
             raise InvalidInputError("Betti numbers must be nonnegative")
+        return super().__new__(cls, even_betti, index, label)
 
     @property
     def euler(self) -> int:
         return sum(self.even_betti)
 
 
-@dataclass(frozen=True)
-class ScreenVerdict:
-    outcome: str
-    witness: tuple[int, int, int, int] | None = None  # (i, d, lhs, rhs)
+# witness: (i, d, lhs, rhs), or None
+class ScreenVerdict(namedtuple("ScreenVerdict", "outcome witness", defaults=(None,))):
+    __slots__ = ()
 
     @property
     def is_witness(self) -> bool:
@@ -107,15 +104,7 @@ EXCEPTIONAL_SILENT_CASES = (
 )
 
 
-@dataclass(frozen=True)
-class ExceptionalRow:
-    label: str
-    dim: int
-    index: int
-    residue: int
-    tilde_b: int
-    tilde_b_neg: int
-    verdict: str
+ExceptionalRow = namedtuple("ExceptionalRow", "label dim index residue tilde_b tilde_b_neg verdict")
 
 
 def exceptional_table() -> list[ExceptionalRow]:

@@ -96,7 +96,7 @@ det B[C][C] != 0 exactly when A / R is semisimple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -327,13 +327,7 @@ def full_ring_semisimple(k: int, n: int) -> bool:
     return linalg.det_bareiss(trace_form_rows(build_ring(k, n))[1]) != 0
 
 
-@dataclass(frozen=True)
-class SemisimplicityReport:
-    k: int
-    n: int
-    semisimple: bool | None
-    method: str
-    detail: str
+SemisimplicityReport = namedtuple("SemisimplicityReport", "k n semisimple method detail")
 
 
 def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:

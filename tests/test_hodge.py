@@ -161,6 +161,27 @@ def test_borderline_diamonds_show_unit_middle_entry():
         assert diamond(k, n).h(p, q) == h, (k, n)
 
 
+def test_hodge_tate_exactly_on_the_ade_boxes():
+    # the A-D-E bijection, 1/2 + 1/k + 1/(n - k) > 1, on every box with n <= 12;
+    # diamond asserts the same bound in integers
+    hodge.diamond.cache_clear()
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            ade = Fraction(1, 2) + Fraction(1, k) + Fraction(1, n - k) > 1
+            assert diamond(k, n).is_hodge_tate() == ade, (k, n)
+
+
+def test_ade_check_catches_a_lost_middle_row(monkeypatch, capsys):
+    # (3, 9) is not Hodge-Tate; a diamond that reports no middle off-diagonal
+    # entry breaks the A-D-E bound, and the CLI exits 1 with one line
+    monkeypatch.setattr(hodge.HodgeDiamond, "middle_off_diagonal", lambda self: [])
+    hodge.diamond.cache_clear()
+    assert cli.run(["hodge", "--section", "--k", "3", "--n", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and err.startswith("internal consistency failure")
+    assert "A-D-E" in err
+
+
 def test_section_profiles_and_screen():
     profile = section_profile(3, 6)
     assert profile.even_betti == (1, 1, 2, 3, 4, 3, 2, 1, 1)

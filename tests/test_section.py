@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -931,7 +930,7 @@ def test_ring_dimension_is_checked_against_the_diamond(n, monkeypatch):
     true_diamond = hodge.diamond(3, n)
     entries = [list(row) for row in true_diamond.entries]
     entries[4][4] += 1
-    wrong = dataclasses.replace(true_diamond, entries=tuple(map(tuple, entries)))
+    wrong = true_diamond._replace(entries=tuple(map(tuple, entries)))
     monkeypatch.setattr(hodge, "diamond", lambda k, n: wrong)
     with pytest.raises(InternalConsistencyError, match="section ring dimension"):
         SectionRing(3, n)

@@ -1,0 +1,73 @@
+"""The value types: tuples with named fields, checked when built, immutable,
+and equal and hashed by value."""
+
+import pytest
+
+from qhgrass.errors import InvalidInputError
+from qhgrass.hodge import HodgeDiamond, HodgeTateCertificate
+from qhgrass.partitions import Box
+from qhgrass.polynomials import UniPoly
+from qhgrass.rootdata import DynkinType, GrassmannianId
+from qhgrass.screen import BettiProfile, ExceptionalRow, ScreenVerdict
+from qhgrass.section import SemisimplicityReport
+
+# each type with the fields of one value, and a second value differing in one field
+EXAMPLES = [
+    (Box, (3, 6), (3, 7)),
+    (DynkinType, ("E", 6), ("E", 7)),
+    (GrassmannianId, (DynkinType("E", 6), 2), (DynkinType("E", 6), 4)),
+    (BettiProfile, ((1, 1, 2), 3, "toy"), ((1, 1, 2), 3, "other")),
+    (ScreenVerdict, ("Witness", (1, 2, 3, 2)), ("NoObstruction", None)),
+    (ExceptionalRow, ("E6/P2", 21, 11, 1, 5, 4, "Witness"), ("E6/P2", 21, 11, 1, 5, 5, "Witness")),
+    (HodgeDiamond, (1, ((1, 0), (0, 1)), UniPoly([1, -1])), (1, ((1, 0), (0, 1)), UniPoly([1, 1]))),
+    (HodgeTateCertificate, ("diamond", ()), ("middle-row-jump", (5, 9, 1))),
+    (SemisimplicityReport, (3, 7, True, "trace-form", ""), (3, 7, False, "trace-form", "")),
+]
+NAMES = [cls.__name__ for cls, _, _ in EXAMPLES]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Box(0, 3), "need 1 <= k <= n-1, got k=0, n=3"),
+        (lambda: Box(3, 3), "need 1 <= k <= n-1, got k=3, n=3"),
+        (lambda: DynkinType("E", 9), "rank 9 invalid for type E"),
+        (lambda: DynkinType("X", 3), "unknown family 'X'"),
+        (lambda: GrassmannianId(DynkinType("E", 6), 7), "node 7 out of range for E6"),
+        (lambda: BettiProfile((1,), 0), "Fano index must be positive"),
+        (lambda: BettiProfile((-1,), 2), "Betti numbers must be nonnegative"),
+    ],
+)
+def test_invalid_values_are_refused(build, message):
+    with pytest.raises(InvalidInputError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("cls, fields, _", EXAMPLES, ids=NAMES)
+def test_values_are_immutable(cls, fields, _):
+    value = cls(*fields)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], fields[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == cls(*fields)
+
+
+@pytest.mark.parametrize("cls, fields, other", EXAMPLES, ids=NAMES)
+def test_values_are_equal_and_hashed_by_value(cls, fields, other):
+    a, b = cls(*fields), cls(*fields)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != cls(*other)
+    assert len({a, b, cls(*other)}) == 2
+
+
+def test_repr_str_defaults_and_properties():
+    assert repr(Box(3, 6)) == "Box(k=3, n=6)"
+    assert str(DynkinType("E", 6)) == "E6"
+    assert str(GrassmannianId(DynkinType("E", 6), 2)) == "E6/P2"
+    assert Box(3, 6).cols == 3 and Box(3, 6).dual((2, 1)) == (3, 2, 1)
+    assert BettiProfile((1, 1, 2), 3).label == "" and BettiProfile((1, 1, 2), 3).euler == 4
+    assert ScreenVerdict("NoObstruction").witness is None
+    assert ScreenVerdict("Witness", (1, 2, 3, 2)).is_witness
+    assert not ScreenVerdict("NoObstruction").is_witness
