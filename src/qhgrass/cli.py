@@ -168,7 +168,7 @@ def _cmd_hodge(args) -> dict:
     dia = hodge.diamond(args.k, args.n)
     results = {
         "chi_y": _poly(dia.genus),
-        "diamond_column": dia.column(),
+        "diamond_column": list(dia.column),
         "middle_off_diagonal": [{"p": p, "q": q, "h": v} for p, q, v in dia.middle_off_diagonal()],
         "hodge_tate": dia.is_hodge_tate(),
     }
@@ -380,10 +380,7 @@ def render_table(doc: dict) -> str:
     lines = [f"# {command}"]
     if inputs:
         lines.append("inputs: " + ", ".join(f"{k}={_format_cell(v)}" for k, v in inputs.items()))
-    if command in COMMANDS:
-        lines += COMMANDS[command][3](doc["results"])
-    else:
-        lines.append(json.dumps(doc["results"], indent=2))
+    lines += COMMANDS[command][3](doc["results"])
     return "\n".join(lines) + "\n"
 
 

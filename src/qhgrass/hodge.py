@@ -29,6 +29,11 @@ give chi(Omega^p_Y) = sum_{j=0}^{p} (-1)^j [a(p-j, -j) - a(p-j, -j-1)] with
 a(m, t) = chi(Omega^m_X(t)).  With B(q) = sum_j (-1)^j a(q-j, -j) the sum is
 B(p) + B(p+1) - a(p+1, 0), so each a(m, t) is computed once.
 
+By the Lefschetz theorems h^{p,q}(Y) = h^{p,q}(X) off the middle row
+p + q = dim Y, and X has only (p,p) classes, so the diamond is stored as two
+lines: the diagonal h^{p,p} (box-partition counts off the middle) and the
+middle row h^{p, dim Y - p}, solved from chi_y.  Every other h^{p,q} is 0.
+
 Everything is exact and seedless.  Three anchors are asserted, each a fatal
 internal error on failure: chi_y(0) = 1, the ambient genus equals the signed
 box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  The
@@ -144,29 +149,26 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     return poly
 
 
-class HodgeDiamond(namedtuple("HodgeDiamond", "dim entries genus")):
-    """Hodge numbers h^{p,q} of a smooth hyperplane section, with the chi_y
-    genus they were solved from."""
+class HodgeDiamond(namedtuple("HodgeDiamond", "dim column middle genus")):
+    """Hodge numbers of a smooth hyperplane section of dimension dim, as the
+    two lines the Lefschetz theorems leave: column[p] = h^{p,p} and
+    middle[p] = h^{p,dim-p}.  Every other h^{p,q} is 0.  When dim is even
+    both lines hold h^{m,m}, m = dim/2.  genus is the chi_y genus the middle
+    row was solved from."""
 
     __slots__ = ()
 
     def h(self, p: int, q: int) -> int:
-        return self.entries[p][q]
+        if p == q:
+            return self.column[p]
+        return self.middle[p] if p + q == self.dim else 0
 
     def total(self) -> int:
-        return sum(sum(row) for row in self.entries)
+        shared = 0 if self.dim % 2 else self.column[self.dim // 2]
+        return sum(self.column) + sum(self.middle) - shared
 
     def middle_off_diagonal(self) -> list[tuple[int, int, int]]:
-        out = []
-        for p in range(self.dim + 1):
-            q = self.dim - p
-            if p != q and self.entries[p][q]:
-                out.append((p, q, self.entries[p][q]))
-        return out
-
-    def column(self) -> list[int]:
-        """Diagonal entries h^{0,0}, ..., h^{d,d} (the displayed diamond column)."""
-        return [self.entries[p][p] for p in range(self.dim + 1)]
+        return [(p, self.dim - p, v) for p, v in enumerate(self.middle) if v and 2 * p != self.dim]
 
     def is_hodge_tate(self) -> bool:
         return not self.middle_off_diagonal()
@@ -176,37 +178,34 @@ class HodgeDiamond(namedtuple("HodgeDiamond", "dim entries genus")):
 def diamond(k: int, n: int) -> HodgeDiamond:
     """Hodge diamond of the smooth hyperplane section of Gr(k, n).
 
-    Off-middle rows are copied from the ambient box-partition counts through
-    the Lefschetz isomorphism; the middle anti-diagonal is solved from the
-    chi_y coefficients.  Cached, so the section screen and the section ring
-    of one command share one chi_y.
+    The diagonal off the middle is copied from the ambient box-partition
+    counts through the Lefschetz isomorphism; the middle row is solved from
+    chi_p = (-1)^p h^{p,p} + (-1)^q h^{p,q}, q = dim - p, one term when
+    p = q.  Cached, so the section screen and the section ring of one
+    command share one chi_y.
     """
     if n < 2 or not 1 <= k <= n // 2:
         raise InvalidInputError(f"diamond needs 1 <= k <= n/2, got k={k}, n={n}")
     genus = chi_y(k, n, section=True)
     d = k * (n - k) - 1
-    box_count = [len(box_partitions_of_size(k, n, p)) for p in range(d + 2)]
-    h = [[0] * (d + 1) for _ in range(d + 1)]
-    for p in range(d + 1):
-        if 2 * p != d:
-            h[p][p] = box_count[min(p, d - p)]
+    column, middle = [], []
     for p in range(d + 1):
         q = d - p
         chi_p = genus[p]
         if p == q:
             value = (-1) ** p * chi_p
+            column.append(value)
         else:
-            value = (-1) ** q * (chi_p - (-1) ** p * h[p][p])
+            column.append(len(box_partitions_of_size(k, n, min(p, q))))
+            value = (-1) ** q * (chi_p - (-1) ** p * column[p])
         if value < 0:
             raise InternalConsistencyError(f"negative Hodge number h^({p},{q}) = {value}")
-        h[p][q] = value
-    for p in range(d + 1):
-        if h[p][d - p] != h[d - p][p]:
-            raise InternalConsistencyError("Hodge symmetry failed on the middle row")
-    result = HodgeDiamond(d, tuple(tuple(row) for row in h), genus)
-    euler = sum(
-        (-1) ** (p + q) * result.entries[p][q] for p in range(d + 1) for q in range(d + 1)
-    )
+        middle.append(value)
+    if middle != middle[::-1]:
+        raise InternalConsistencyError("Hodge symmetry failed on the middle row")
+    result = HodgeDiamond(d, tuple(column), tuple(middle), genus)
+    # each h^{p,q} weighs (-1)^(p+q); total() counts the h^{m,m} of an even dimension once
+    euler = result.total() if d % 2 == 0 else sum(column) - sum(middle)
     if euler != genus(-1):
         raise InternalConsistencyError("diamond disagrees with the Euler number")
     # the A-D-E bijection: Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1
@@ -251,10 +250,7 @@ def section_profile(k: int, n: int) -> BettiProfile:
         raise InvalidInputError(
             f"section of Gr({k},{n}) has odd-degree cohomology; no even Betti profile"
         )
-    betti = []
-    for i in range(d + 1):
-        b = dia.h(i, i)
-        if 2 * i == d:
-            b += sum(v for p, q, v in dia.middle_off_diagonal())
-        betti.append(b)
+    betti = list(dia.column)
+    if d % 2 == 0:
+        betti[d // 2] = sum(dia.middle)
     return BettiProfile(tuple(betti), n - 1, f"section of Gr({k},{n})")

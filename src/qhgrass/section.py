@@ -194,8 +194,7 @@ class SectionRing(GradedAlgebra):
         there, and return the quotient basis by degree with beta in the middle
         when prim_dim is not 0; its dimension must be the diamond's total."""
         mid = self.dim_y // 2
-        middle_betti = sum(diamond.h(p, self.dim_y - p) for p in range(self.dim_y + 1))
-        self.prim_dim = 0 if self.dim_y % 2 else middle_betti - len(self.degree_basis[mid])
+        self.prim_dim = 0 if self.dim_y % 2 else sum(diamond.middle) - len(self.degree_basis[mid])
         labels: list = []
         for m in range(self.dim_y + 1):
             labels.extend(self.degree_basis[m])
@@ -338,12 +337,16 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
     if (k, n) not in SUPPORTED:
         raise InvalidInputError(f"no section semisimplicity report for ({k}, {n})")
     profile = hodge.section_profile(k, n)
-    if screen.screen(profile).is_witness:
+    verdict = screen.screen(profile)
+    if verdict.is_witness:
+        r = profile.index
         tb = screen.periodic_betti(profile)
-        return SemisimplicityReport(
-            k, n, False, "betti-screen",
-            f"tilde_b(1)={tb[1]} != tilde_b(-1)={tb[-1 % profile.index]}",
-        )
+        if tb[1] != tb[-1 % r]:
+            detail = f"tilde_b(1)={tb[1]} != tilde_b(-1)={tb[-1 % r]}"
+        else:
+            i, d, lhs, rhs = verdict.witness
+            detail = f"tilde_b({i})={lhs} > tilde_b({d * i % r})={rhs}"
+        return SemisimplicityReport(k, n, False, "betti-screen", detail)
     ring = build_ring(k, n)
     if not ring.prim_dim:
         ok = full_ring_semisimple(k, n)

@@ -123,7 +123,7 @@ def test_criterion_4_chi_y_and_diamonds():
     }
     for (k, n), column in columns.items():
         dia = diamond(k, n)
-        assert dia.column() == column, (k, n)
+        assert list(dia.column) == column, (k, n)
         assert dia.middle_off_diagonal() == middles[(k, n)], (k, n)
     _finish(4, "chi_y golden and five diamonds", t0, 60)
 

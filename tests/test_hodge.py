@@ -87,7 +87,7 @@ def test_parameter_independence():
 def test_diamonds_golden():
     for (k, n), column in DIAMOND_COLUMNS.items():
         dia = diamond(k, n)
-        assert dia.column() == column, (k, n)
+        assert list(dia.column) == column, (k, n)
         assert dia.middle_off_diagonal() == MIDDLE_ENTRIES[(k, n)], (k, n)
         assert dia.total() == sum(column) + sum(v for _, _, v in MIDDLE_ENTRIES[(k, n)])
 
@@ -95,10 +95,49 @@ def test_diamonds_golden():
 def test_diamond_hard_lefschetz_monotone():
     for k, n in DIAMOND_COLUMNS:
         dia = diamond(k, n)
-        col = dia.column()
+        col = list(dia.column)
         mid = dia.dim // 2
         for i in range(mid):
             assert col[i] <= col[i + 1], (k, n, i)
+
+
+def _full_diamond(k, n):
+    """Every h^{p,q} of the section as a (dim + 1)^2 matrix: the
+    box-partition counts on the diagonal off the middle and the middle row
+    solved from chi_y, zero elsewhere."""
+    genus = chi_y(k, n, section=True)
+    d = k * (n - k) - 1
+    h = [[0] * (d + 1) for _ in range(d + 1)]
+    for p in range(d + 1):
+        if 2 * p != d:
+            h[p][p] = len(box_partitions_of_size(k, n, min(p, d - p)))
+    for p in range(d + 1):
+        q = d - p
+        h[p][q] = (-1) ** q * (genus[p] - (-1) ** p * h[p][p]) if p != q else (-1) ** p * genus[p]
+    return h
+
+
+def test_two_line_diamond_matches_the_full_matrix():
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            dia, h = diamond(k, n), _full_diamond(k, n)
+            d = dia.dim
+            assert d + 1 == len(h), (k, n)
+            assert all(dia.h(p, q) == h[p][q] for p in range(d + 1) for q in range(d + 1)), (k, n)
+            assert dia.total() == sum(map(sum, h)), (k, n)
+            off = [(p, d - p, h[p][d - p]) for p in range(d + 1) if 2 * p != d and h[p][d - p]]
+            assert dia.middle_off_diagonal() == off, (k, n)
+            # an even Betti profile exists exactly when no class has odd degree
+            odd = any(h[p][q] for p in range(d + 1) for q in range(d + 1) if (p + q) % 2)
+            if odd:
+                with pytest.raises(InvalidInputError, match="odd-degree cohomology"):
+                    section_profile(k, n)
+            else:
+                betti = [0] * (d + 1)
+                for p in range(d + 1):
+                    for q in range(p % 2, d + 1, 2):
+                        betti[(p + q) // 2] += h[p][q]
+                assert list(section_profile(k, n).even_betti) == betti, (k, n)
 
 
 def test_hodge_tate_examples():

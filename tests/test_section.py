@@ -40,7 +40,7 @@ from oracles import (
     trace_form_gram,
     vector,
 )
-from qhgrass import hodge, linalg, quantum, section
+from qhgrass import hodge, linalg, quantum, screen, section
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, box_partitions_of_size, size
 from qhgrass.polynomials import UniPoly
@@ -652,6 +652,22 @@ def test_ring_betti_numbers_match_the_hodge_diamond(n):
     assert betti_numbers(build_ring(3, n)) == hodge.section_profile(3, n).even_betti
 
 
+def test_betti_screen_detail_states_an_inequality_that_holds(monkeypatch):
+    # (3, 6) keeps its tilde_b(1) != tilde_b(-1) text; on the k = 2 sections
+    # with n even tilde_b(1) = tilde_b(-1), so the detail names the witness
+    assert section_semisimplicity(3, 6).detail == "tilde_b(1)=3 != tilde_b(-1)=4"
+    monkeypatch.setattr(section, "SUPPORTED", {(2, n) for n in range(6, 15, 2)})
+    for n in range(6, 15, 2):
+        report = section_semisimplicity(2, n)
+        assert report.semisimple is False and report.method == "betti-screen", n
+        tb = screen.periodic_betti(hodge.section_profile(2, n))
+        lhs, rhs = report.detail.split(" > ")
+        (i, x), (j, y) = (map(int, side.removeprefix("tilde_b(").split(")=")) for side in (lhs, rhs))
+        assert tb[i] == x > y == tb[j], (n, report.detail)
+        if n == 6:
+            assert report.detail == "tilde_b(2)=3 > tilde_b(4)=2"
+
+
 def test_gr36_section_verdict_builds_no_ring(capsys, monkeypatch):
     from qhgrass import cli
 
@@ -926,11 +942,14 @@ def test_section_operators_hold_no_integral_fraction(n, q):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_ring_dimension_is_checked_against_the_diamond(n, monkeypatch):
-    # one class more in the middle (n = 6) or off it (n = 7) is refused
+    # one class h^{4,4} more in the middle (n = 6) or off it (n = 7) is refused;
+    # the middle h^{4,4} lies on both lines of the diamond
     true_diamond = hodge.diamond(3, n)
-    entries = [list(row) for row in true_diamond.entries]
-    entries[4][4] += 1
-    wrong = true_diamond._replace(entries=tuple(map(tuple, entries)))
+    column, middle = list(true_diamond.column), list(true_diamond.middle)
+    column[4] += 1
+    if true_diamond.dim == 8:
+        middle[4] += 1
+    wrong = true_diamond._replace(column=tuple(column), middle=tuple(middle))
     monkeypatch.setattr(hodge, "diamond", lambda k, n: wrong)
     with pytest.raises(InternalConsistencyError, match="section ring dimension"):
         SectionRing(3, n)

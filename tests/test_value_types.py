@@ -19,7 +19,7 @@ EXAMPLES = [
     (BettiProfile, ((1, 1, 2), 3, "toy"), ((1, 1, 2), 3, "other")),
     (ScreenVerdict, ("Witness", (1, 2, 3, 2)), ("NoObstruction", None)),
     (ExceptionalRow, ("E6/P2", 21, 11, 1, 5, 4, "Witness"), ("E6/P2", 21, 11, 1, 5, 5, "Witness")),
-    (HodgeDiamond, (1, ((1, 0), (0, 1)), UniPoly([1, -1])), (1, ((1, 0), (0, 1)), UniPoly([1, 1]))),
+    (HodgeDiamond, (1, (1, 1), (0, 0), UniPoly([1, -1])), (1, (1, 1), (0, 0), UniPoly([1, 1]))),
     (HodgeTateCertificate, ("diamond", ()), ("middle-row-jump", (5, 9, 1))),
     (SemisimplicityReport, (3, 7, True, "trace-form", ""), (3, 7, False, "trace-form", "")),
 ]
