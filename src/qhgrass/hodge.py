@@ -6,19 +6,36 @@ of the irreducible homogeneous bundles S^lam S (x) S^lam' Q* over the
 partitions lam of p in the k x (n-k) box (Weyman, Cohomology of Vector
 Bundles and Syzygies, 2.3).  By Borel-Weil-Bott (Bott 1957; Weyman ch. 4)
 the Euler characteristic of such a summand twisted by O(t) is the GL_n Weyl
-dimension polynomial
+dimension V(mu + rho) / V(rho), V(v) = prod_{i<j} (v_i - v_j), at
+mu = (t - lam_k, ..., t - lam_1 | lam'_1, ..., lam'_{n-k}) and
+rho = (n-1, ..., 1, 0).
 
-    prod_{i<j} (mu_i - mu_j + j - i) / (j - i)
+The entries of mu + rho are t + n - 1 - x for x in the beta set
+X = {lam_r + k - r : r = 1..k} of lam and n - 1 - y for y in its complement Y
+in [0, n-1].  The factors inside each block are free of t, so the value is a
+constant times the cross product prod_{x in X, y in Y} (t + y - x).  At t = 0
+the entries are those of rho, reordered by a permutation with one inversion
+for each pair y < x, and there are sum_r (x_r - (k - r)) = |lam| such pairs.
+So the value at t = 0 is (-1)^|lam|, and |lam| is the degree Bott's algorithm
+gives the summand: sorting mu + rho takes |lam| transpositions, so its one
+nonzero group is H^|lam|, as it must be on a variety with only (p,p) classes.
+At the twist t = -j
 
-at mu = (t - lam_k, ..., t - lam_1 | lam'_1, ..., lam'_{n-k}).  The product is
-anti-invariant under the Weyl group, so it is zero on singular weights and
-carries Bott's sign (-1)^length without any sorting.  The factors inside each
-block are free of t; over their (j - i) they give dim S^lam C^k times
-dim S^lam' C^(n-k), by the hook-content formula the product over the cells x
-of lam of (k + c(x)) (n - k - c(x)) / hook(x)^2.  The k(n-k) cross factors
-are (t - h) / (r + c - 1), one per cell (r, c) of the box, with
-h = lam_r + lam'_c - r - c + 1 (the hook length on the cells of lam, negative
-off them).  Each value is one exact division.
+    chi = (-1)^|lam| prod_{x, y} (y - x - j) / prod_{x, y} (y - x).
+
+It is zero exactly when some x + j lies in Y (a singular weight), which one
+bit-mask test detects.  Otherwise every s = x + j lies in X or beyond n - 1,
+and the product over Y is read off the one over all of [0, n-1]:
+
+    prod_{y in Y} (y - s) = A(s) / prod_{x' in X, x' != s} (x' - s),
+    A(s) = prod_{y in [0, n-1], y != s} (y - s),
+
+with A tabulated once per box from factorials.  Gr(k, n) = Gr(n - k, n) with
+the same O(1), and exchanging k with n - k takes X to n - 1 - Y and Y to
+n - 1 - X, which leaves every factor y - x - j as it is; so the sums are
+taken on the narrow side, k' = min(k, n - k), and each twist is k' table
+reads, about k'^2 small factors and one exact division, whose remainder is
+checked.
 
 For the smooth hyperplane section Y, a section of O(1), the exact sequences
 
@@ -34,24 +51,25 @@ p + q = dim Y, and X has only (p,p) classes, so the diamond is stored as two
 lines: the diagonal h^{p,p} (box-partition counts off the middle) and the
 middle row h^{p, dim Y - p}, solved from chi_y.  Every other h^{p,q} is 0.
 
-Everything is exact and seedless.  Three anchors are asserted, each a fatal
-internal error on failure: chi_y(0) = 1, the ambient genus equals the signed
-box-partition counts, and Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  The
-diamond is also checked against the A-D-E bijection: the section is
-Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1, that is k(n - k) < 2n.
-A box is refused before the first Weyl product when it has more partitions
-than MAX_BWB_PARTITIONS or when the products' estimated work (_bwb_work) is
-over MAX_BWB_WORK.
+Everything is exact and seedless.  Each Weyl value is one exact division,
+and three anchors are asserted, each a fatal internal error on failure:
+chi_y(0) = 1, the ambient genus equals the signed box-partition counts, and
+Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  The diamond is also checked
+against the A-D-E bijection: the section is Hodge-Tate exactly when
+1/2 + 1/k + 1/(n - k) > 1, that is k(n - k) < 2n.  A box is refused before
+the first Weyl product when it has more partitions than MAX_BWB_PARTITIONS
+or when the products' estimated work (_bwb_work) is over MAX_BWB_WORK.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 from math import comb, prod
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .partitions import box_partitions_of_size, log10_box_count, transpose
+from .partitions import box_partitions_of_size, log10_box_count
 from .polynomials import UniPoly
 from .screen import BettiProfile
 
@@ -60,51 +78,83 @@ DEFAULT_SEED = 20250809
 
 # one Weyl product per box partition and twist; (7, 14) has C(14, 7) = 3,432
 MAX_BWB_PARTITIONS = 5_000
-# and the work of those products (_bwb_work): the (7, 14) section is 2.1e7
-# (0.4 s of CPU), Gr(1, 1000) 1.7e8 (1.4 s), Gr(1, 1500) 6.3e8 (2.9 s) and
-# Gr(1, 2500) 3.2e9 (15 s)
+# and the estimated work of those products (_bwb_work), an upper bound for the
+# beta-set kernel.  CPU seconds of chi_y on an Intel Xeon with Python 3.11: the
+# (7, 14) section is 2.1e7 (0.38 s), the (2, 70) section 4.1e8 (0.15 s),
+# Gr(1, 1000) 1.7e8 and Gr(1, 2500) 3.2e9 (under 0.01 s each: no ambient twist
+# but t = 0 is taken), the (2, 100) section 2.7e9 (0.6 s)
 MAX_BWB_WORK = 5 * 10**8
 
 
+def _cross_table(n: int, top: int) -> list[int]:
+    """A(s) = prod (y - s) over y in [0, n-1], y != s, for s = 0..top."""
+    fact = [1]
+    for i in range(1, top + 1):
+        fact.append(fact[-1] * i)
+    return [(-1) ** s * fact[s] * fact[n - 1 - s] if s < n else (-1) ** n * fact[s] // fact[s - n]
+            for s in range(top + 1)]
+
+
 def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
-    """a(p, 0) for p = 0..d and, for the section, B(q) for q = 0..d."""
+    """a(p, 0) for p = 0..d and, for the section, B(q) for q = 0..d.
+
+    One beta set X of Gr(k', n), k' = min(k, n - k), per box partition, with
+    |lam| = sum X - k'(k'-1)/2.  At t = 0 each value is (-1)^|lam|.  At
+    t = -j it is (-1)^|lam| prod_x A(x + j) / prod_x A(x) times the pairwise
+    factors prod_{x' != x} (x' - x) over prod_{x' != x + j} (x' - x - j), the
+    latter including the k' diagonal factors -j; zero when the shifted mask
+    meets Y.
+    """
     d = k * (n - k)
-    box_hooks = prod(r + c + 1 for r in range(k) for c in range(n - k))  # the cross (j - i)
+    k = min(k, n - k)
     at_zero = [0] * (d + 1)
     alternating = [0] * (d + 1)
-    for p in range(d + 1):
-        for lam in box_partitions_of_size(k, n, p):
-            rows = lam + (0,) * (k - len(lam))
-            cols = transpose(lam)
-            cols += (0,) * (n - k - len(cols))
-            # the generalized hook h of each cell (r, c) of the box, here counted from 0
-            hooks = [rows[r] + cols[c] - r - c - 1 for r in range(k) for c in range(n - k)]
-            # block factors over their (j - i): dim S^lam C^k * dim S^lam' C^(n-k), by hook-content
-            num = prod((k + c - r) * (n - k - c + r) for r in range(len(lam)) for c in range(lam[r]))
-            den = prod(h for h in hooks if h > 0) ** 2 * box_hooks
-            singular = set(hooks)
-            for j in range(d - p + 1 if section else 1):
-                if -j in singular:
-                    continue
-                value, rem = divmod(num * prod(-j - h for h in hooks), den)
-                if rem:
-                    raise InternalConsistencyError(f"Weyl dimension of {lam} at t={-j} is fractional")
-                if j == 0:
-                    at_zero[p] += value
-                alternating[p + j] += -value if j % 2 else value
+    # s = x + j <= max X + d - |lam| <= d + k - 1, since |lam| >= lam_1 = max X - k + 1
+    table = _cross_table(n, d + k - 1) if section else None
+    full = (1 << n) - 1
+    for beta in combinations(range(n), k):
+        p = sum(beta) - k * (k - 1) // 2
+        sign = -1 if p % 2 else 1
+        at_zero[p] += sign
+        alternating[p] += sign
+        if not section:
+            continue
+        x_mask = sum(1 << x for x in beta)
+        y_mask = full ^ x_mask
+        diffs = None
+        # a regular twist moves the largest x past n - 1, since x + j is not in X
+        for j in range(max(1, n - beta[-1]), d - p + 1):
+            if (x_mask << j) & y_mask:
+                continue
+            if diffs is None:
+                diffs = [y - x for x in beta for y in beta if y != x]
+                base = prod(table[x] for x in beta)
+                scale = sign * prod(diffs)
+            value, rem = divmod(
+                scale * prod(table[x + j] for x in beta),
+                base * (-j) ** k * prod(e - j for e in diffs if e != j),
+            )
+            if rem:
+                raise InternalConsistencyError(f"Weyl dimension of beta set {beta} at t={-j} is fractional")
+            alternating[p + j] += -value if j % 2 else value
     return at_zero, alternating
 
 
 def _bwb_work(k: int, n: int, section: bool) -> int:
-    """Up-front estimate of _euler_sums' work: partitions x twists x the
-    k(n - k) factors of each Weyl product, each factor weighted by the size
-    in 64-bit words of the running product, whose d factors have at most
+    """Up-front estimate of _euler_sums' work: partitions x twists x
+    k(n - k) factors per Weyl product, each factor weighted by the size in
+    64-bit words of a running product whose d factors have at most
     log2(n + d) bits each.
 
     Each partition of p is taken at the twists t = -j, j = 0..d - p, for the
     section; the box-partition counts are palindromic, so that is d/2 + 1
     twists on average.  On projective space (k or n - k is 1) every twist
     but t = 0 is singular (Bott's formula) and costs no product.
+
+    The beta-set kernel takes about k'^2 factors per twist, k' = min(k,
+    n - k), not k(n - k), takes no product at t = 0 and skips the twists
+    below n - max X, so this is an upper bound.  It is kept as it is so that
+    every refusal, and its text, stays where it was.
     """
     d = k * (n - k)
     products = comb(n, k)
@@ -114,7 +164,18 @@ def _bwb_work(k: int, n: int, section: bool) -> int:
 
 
 def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
-    """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section."""
+    """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section.
+
+    The ambient box-count anchor holds by construction: every value at
+    t = 0 is (-1)^|lam|, so the ambient genus is the signed count of beta
+    sets.  It is kept; it checks the beta sets against box_partitions_of_size.
+    On a wrong kernel these can still fire: the remainder of each exact
+    division in _euler_sums, Serre symmetry of the section genus and
+    chi_y(0) = 1, then in diamond nonnegativity and the A-D-E bound.  The
+    tests compare this route with two independent ones, the localization
+    oracle (fixed-point sums) and the hook-content oracle (the Weyl product
+    cell by cell).
+    """
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     d = k * (n - k)
@@ -183,6 +244,13 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     chi_p = (-1)^p h^{p,p} + (-1)^q h^{p,q}, q = dim - p, one term when
     p = q.  Cached, so the section screen and the section ring of one
     command share one chi_y.
+
+    Two of the checks below are identities on any genus chi_y returns, and
+    are kept: the Euler number, since the middle row is solved from chi_p
+    and so the signed sum is chi_y(-1) whatever the column holds; and the
+    symmetry of the middle row, which follows from the Serre symmetry chi_y
+    asserts, the column being palindromic.  Nonnegativity and the A-D-E
+    bound can fire.
     """
     if n < 2 or not 1 <= k <= n // 2:
         raise InvalidInputError(f"diamond needs 1 <= k <= n/2, got k={k}, n={n}")

@@ -88,6 +88,11 @@ route:
 - hook_lengths lists the hook length of every cell, and snow_by_cells picks
   the snow witnesses from those lists; partitions.snow_witnesses counts the
   hooks of length ell and longer from the beta set, in O(parts log parts).
+- euler_sums_by_hooks takes the Borel-Weil-Bott sums of the chi_y genus with
+  each Weyl product cell by cell, from the generalized hooks of the whole
+  k x (n-k) box and the hook-content formula, k(n-k) factors per twist;
+  hodge._euler_sums takes each from the beta set on the narrow side,
+  min(k, n-k) table reads and about min(k, n-k)^2 factors per twist.
 - gram_matrix and cartan_from_gram derive the Cartan matrix from the
   invariant form; rootdata.cartan_matrix reads it off the Dynkin diagram.
 - poincare_by_degrees divides the fundamental degrees of G by those of the
@@ -110,6 +115,7 @@ from __future__ import annotations
 
 import copy
 import math
+from math import prod
 from fractions import Fraction
 from collections import Counter
 from functools import lru_cache
@@ -390,6 +396,37 @@ def snow_by_cells(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
         for lam in box_partitions_of_size(box.k, box.n, p)
         if ell not in (hooks := hook_lengths(lam).values())
     ]
+
+
+def euler_sums_by_hooks(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
+    """hodge._euler_sums by the hook-content route: a(p, 0) for p = 0..d and,
+    for the section, B(q) for q = 0..d, each Weyl product taken cell by cell
+    of the k x (n-k) box, k(n-k) factors per twist."""
+    d = k * (n - k)
+    box_hooks = prod(r + c + 1 for r in range(k) for c in range(n - k))  # the cross (j - i)
+    at_zero = [0] * (d + 1)
+    alternating = [0] * (d + 1)
+    for p in range(d + 1):
+        for lam in box_partitions_of_size(k, n, p):
+            rows = lam + (0,) * (k - len(lam))
+            cols = transpose(lam)
+            cols += (0,) * (n - k - len(cols))
+            # the generalized hook h of each cell (r, c) of the box, here counted from 0
+            hooks = [rows[r] + cols[c] - r - c - 1 for r in range(k) for c in range(n - k)]
+            # block factors over their (j - i): dim S^lam C^k * dim S^lam' C^(n-k), by hook-content
+            num = prod((k + c - r) * (n - k - c + r) for r in range(len(lam)) for c in range(lam[r]))
+            den = prod(h for h in hooks if h > 0) ** 2 * box_hooks
+            singular = set(hooks)
+            for j in range(d - p + 1 if section else 1):
+                if -j in singular:
+                    continue
+                value, rem = divmod(num * prod(-j - h for h in hooks), den)
+                if rem:
+                    raise InternalConsistencyError(f"Weyl dimension of {lam} at t={-j} is fractional")
+                if j == 0:
+                    at_zero[p] += value
+                alternating[p + j] += -value if j % 2 else value
+    return at_zero, alternating
 
 
 # -- root data: the Gram matrix and the fundamental degrees ----------------------

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +12,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sg_betti, solve
+from oracles import euler_sums_by_hooks, sg_betti, solve
 from qhgrass import cli, hodge
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
@@ -422,6 +426,68 @@ def test_bwb_anchors_catch_a_wrong_sum(monkeypatch, capsys):
             chi_y(k, n, section=section)
     assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+def test_beta_set_kernel_matches_the_hook_content_oracle():
+    # the oracle on (n - k, n) as well: the kernel works on min(k, n - k)
+    for n in range(2, 11):
+        for k in range(1, n):
+            for section in (False, True):
+                expected = euler_sums_by_hooks(k, n, section)
+                assert euler_sums_by_hooks(n - k, n, section) == expected, (k, n, section)
+                assert hodge._euler_sums(k, n, section) == expected, (k, n, section)
+    assert hodge._euler_sums(7, 14, True) == euler_sums_by_hooks(7, 14, True)
+
+
+def test_beta_set_kernel_catches_a_wrong_table_entry(monkeypatch, capsys):
+    # one factorial-table entry off by one must stop the kernel itself, by the
+    # remainder of its exact division or by an anchor; the CLI exits 1
+    original = hodge._cross_table
+    entries = len(original(7, 14))  # the (3, 7) section reads A(s) for s = 0..d + k - 1 = 14
+    for s in range(entries):
+        def bumped(n, last, s=s):
+            table = original(n, last)
+            table[s] += 1
+            return table
+
+        monkeypatch.setattr(hodge, "_cross_table", bumped)
+        with pytest.raises(InternalConsistencyError):
+            chi_y(3, 7, section=True)
+    hodge.diamond.cache_clear()
+    assert cli.run(["hodge", "--section", "--k", "3", "--n", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "internal consistency failure" in err, err
+
+
+# the sha256 of each JSON document, taken from the hook-content kernel
+WIDE_BOX_DOCUMENTS = {
+    "hodge --k 999 --n 1000": "899015d8770dd1ebe5a32b4792f399ad7d5f0ac26cb83ea5f191a33809bb30c1",
+    "hodge --k 1 --n 1000": "6524d0e374cf597e2996c9fff834bc01363d1ef0af24f7034a871580efc77728",
+    "hodge --section --k 7 --n 14": "ab36abf92a79809dba233baffe860cf1cfdf8a24307bcda8b693a8c201f81fe1",
+    "hodge --section --k 2 --n 70": "9ee9cc9fbffeaff29603cf6c657725b7166eab19b7c1f6e536278aa0e95af2c3",
+}
+
+
+def _run_within_10_s(args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hodge.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("command", sorted(WIDE_BOX_DOCUMENTS))
+def test_wide_boxes_keep_their_documents_within_10_s(command):
+    proc = _run_within_10_s(["-m", "qhgrass.cli", *command.split(), "--format", "json"])
+    assert (proc.returncode, proc.stderr) == (0, b""), command
+    assert hashlib.sha256(proc.stdout).hexdigest() == WIDE_BOX_DOCUMENTS[command], command
+
+
+def test_section_sums_of_the_wide_side_come_from_the_narrow_side():
+    # Gr(68, 70) = Gr(2, 70): the kernel takes 2-element beta sets, where
+    # 68-element ones run past the timeout.  The ambient sums take no twist
+    # but t = 0 and the CLI asks for no section with k > n/2, so no command
+    # shows the side the kernel works on.
+    code = "import sys; from qhgrass import hodge; sys.exit(hodge._euler_sums(68, 70, True) != hodge._euler_sums(2, 70, True))"
+    proc = _run_within_10_s(["-c", code])
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_oversized_chi_y_is_refused_up_front():
