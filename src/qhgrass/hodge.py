@@ -57,8 +57,8 @@ chi_y(0) = 1, the ambient genus equals the signed box-partition counts, and
 Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  The diamond is also checked
 against the A-D-E bijection: the section is Hodge-Tate exactly when
 1/2 + 1/k + 1/(n - k) > 1, that is k(n - k) < 2n.  A box is refused before
-the first Weyl product when it has more partitions than MAX_BWB_PARTITIONS
-or when the products' estimated work (_bwb_work) is over MAX_BWB_WORK.
+the first Weyl product when it has more partitions than MAX_BWB_PARTITIONS,
+the only bound: the slowest box it admits takes under a second.
 """
 
 from __future__ import annotations
@@ -76,14 +76,9 @@ from .screen import BettiProfile
 # accepted and echoed by the CLI; no computation depends on it
 DEFAULT_SEED = 20250809
 
-# one Weyl product per box partition and twist; (7, 14) has C(14, 7) = 3,432
+# CPU of chi_y (Intel Xeon, Python 3.11) over every section admitted with 2 <= k <= n/2: (2, 99)
+# and (2, 100) 0.6 s, (7, 14) 0.5 s; the (1, 5000) section, with no regular twist, 0.01 s
 MAX_BWB_PARTITIONS = 5_000
-# and the estimated work of those products (_bwb_work), an upper bound for the
-# beta-set kernel.  CPU seconds of chi_y on an Intel Xeon with Python 3.11: the
-# (7, 14) section is 2.1e7 (0.38 s), the (2, 70) section 4.1e8 (0.15 s),
-# Gr(1, 1000) 1.7e8 and Gr(1, 2500) 3.2e9 (under 0.01 s each: no ambient twist
-# but t = 0 is taken), the (2, 100) section 2.7e9 (0.6 s)
-MAX_BWB_WORK = 5 * 10**8
 
 
 def _cross_table(n: int, top: int) -> list[int]:
@@ -109,8 +104,7 @@ def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
     k = min(k, n - k)
     at_zero = [0] * (d + 1)
     alternating = [0] * (d + 1)
-    # s = x + j <= max X + d - |lam| <= d + k - 1, since |lam| >= lam_1 = max X - k + 1
-    table = _cross_table(n, d + k - 1) if section else None
+    table = None
     full = (1 << n) - 1
     for beta in combinations(range(n), k):
         p = sum(beta) - k * (k - 1) // 2
@@ -127,6 +121,9 @@ def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
             if (x_mask << j) & y_mask:
                 continue
             if diffs is None:
+                # built at the first regular twist, so never on projective space;
+                # s = x + j <= max X + d - |lam| <= d + k - 1, since |lam| >= lam_1 = max X - k + 1
+                table = table or _cross_table(n, d + k - 1)
                 diffs = [y - x for x in beta for y in beta if y != x]
                 base = prod(table[x] for x in beta)
                 scale = sign * prod(diffs)
@@ -138,29 +135,6 @@ def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
                 raise InternalConsistencyError(f"Weyl dimension of beta set {beta} at t={-j} is fractional")
             alternating[p + j] += -value if j % 2 else value
     return at_zero, alternating
-
-
-def _bwb_work(k: int, n: int, section: bool) -> int:
-    """Up-front estimate of _euler_sums' work: partitions x twists x
-    k(n - k) factors per Weyl product, each factor weighted by the size in
-    64-bit words of a running product whose d factors have at most
-    log2(n + d) bits each.
-
-    Each partition of p is taken at the twists t = -j, j = 0..d - p, for the
-    section; the box-partition counts are palindromic, so that is d/2 + 1
-    twists on average.  On projective space (k or n - k is 1) every twist
-    but t = 0 is singular (Bott's formula) and costs no product.
-
-    The beta-set kernel takes about k'^2 factors per twist, k' = min(k,
-    n - k), not k(n - k), takes no product at t = 0 and skips the twists
-    below n - max X, so this is an upper bound.  It is kept as it is so that
-    every refusal, and its text, stays where it was.
-    """
-    d = k * (n - k)
-    products = comb(n, k)
-    if section and min(k, n - k) > 1:
-        products = products * (d + 2) // 2
-    return products * d * (1 + d * (n + d).bit_length() // 64)
 
 
 def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
@@ -186,10 +160,6 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     if (count := comb(n, k)) > MAX_BWB_PARTITIONS:
         raise InvalidInputError(
             f"chi_y({k}, {n}) needs {count} box partitions, over {MAX_BWB_PARTITIONS}"
-        )
-    if (work := _bwb_work(k, n, section)) > MAX_BWB_WORK:
-        raise InvalidInputError(
-            f"chi_y({k}, {n}) needs about {work:.1e} word operations of Weyl products, over {MAX_BWB_WORK:.0e}"
         )
     at_zero, alternating = _euler_sums(k, n, section)
     if not section:

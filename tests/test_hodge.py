@@ -459,12 +459,17 @@ def test_beta_set_kernel_catches_a_wrong_table_entry(monkeypatch, capsys):
     assert err.count("\n") == 1 and "internal consistency failure" in err, err
 
 
-# the sha256 of each JSON document, taken from the hook-content kernel
+# the sha256 of each JSON document: the first four from the hook-content
+# kernel; the last three, extremes the partition count admits, from the
+# beta-set kernel, whose (2, 100) section sums equal euler_sums_by_hooks'
 WIDE_BOX_DOCUMENTS = {
     "hodge --k 999 --n 1000": "899015d8770dd1ebe5a32b4792f399ad7d5f0ac26cb83ea5f191a33809bb30c1",
     "hodge --k 1 --n 1000": "6524d0e374cf597e2996c9fff834bc01363d1ef0af24f7034a871580efc77728",
     "hodge --section --k 7 --n 14": "ab36abf92a79809dba233baffe860cf1cfdf8a24307bcda8b693a8c201f81fe1",
     "hodge --section --k 2 --n 70": "9ee9cc9fbffeaff29603cf6c657725b7166eab19b7c1f6e536278aa0e95af2c3",
+    "hodge --k 1 --n 2500": "8027e2d46bbf93a6ec43061b9aebd47fa4989acb44e0737ec31d5d76200c16d2",
+    "hodge --section --k 2 --n 100": "c2235cfc2a666ebe1e8ad35d138983d049c54610f4e262031c61610898f22cc4",
+    "hodge --section --k 1 --n 5000": "ae4a7eed0d5a992836b41fb2b2c97be6942ccbd6929e3cc8b9ec15a849ceca2c",
 }
 
 
@@ -503,24 +508,6 @@ def test_oversized_chi_y_is_refused_up_front():
     assert time.process_time() - t0 < 0.5
 
 
-def test_oversized_chi_y_work_is_refused_up_front(capsys):
-    # admitted by the partition count (2,500 and 4,950), refused by the work of
-    # their Weyl products (about 15 s and 8 s of CPU) before the first is taken
-    for argv in (["hodge", "--k", "1", "--n", "2500"], ["hodge", "--section", "--k", "2", "--n", "100"]):
-        t0 = time.process_time()
-        assert cli.run(argv + ["--format", "json"]) == 2
-        assert time.process_time() - t0 < 0.5
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "word operations of Weyl products, over 5e+08" in err, err
-    with pytest.raises(InvalidInputError, match="needs about 6.3e\\+08 word operations"):
-        chi_y(1, 1500)
-    # the (7, 14) section, the pinned boxes and the localization workload's stay admitted
-    admitted = [(7, 14, True), (7, 14, False), (1, 1000, False), (2, 70, True), (3, 9, True), (3, 9, False),
-                (4, 8, True), (2, 10, True), (3, 8, True)]
-    for k, n, section in admitted:
-        assert hodge._bwb_work(k, n, section) <= hodge.MAX_BWB_WORK, (k, n, section)
-
-
 def _regular_twists(k, n, lam):
     # the j in 0..d - |lam| at which the Weyl product of lam is not singular
     d = k * (n - k)
@@ -530,22 +517,27 @@ def _regular_twists(k, n, lam):
     return [j for j in range(d - sum(lam) + 1) if -j not in hooks]
 
 
-def test_bwb_work_counts_the_twists_of_every_partition():
+def test_section_takes_d_over_2_plus_1_twists_per_partition_on_average():
     # the section takes each partition of p at the d - p + 1 twists t = -j:
     # d/2 + 1 on average, since the box-partition counts are palindromic
     for k, n in [(2, 5), (3, 7), (3, 9), (4, 8), (2, 10), (7, 14)]:
         d = k * (n - k)
         twists = sum(len(box_partitions_of_size(k, n, p)) * (d - p + 1) for p in range(d + 1))
         assert 2 * twists == comb(n, k) * (d + 2), (k, n)
-        assert hodge._bwb_work(k, n, True) == twists * d * (1 + d * (n + d).bit_length() // 64)
-    # on projective space every twist but t = 0 is singular (Bott's formula)
+
+
+def test_projective_space_has_no_regular_twist_but_zero(monkeypatch):
+    # Bott's formula: on projective space every twist but t = 0 is singular
     for k, n in [(1, 2), (1, 7), (6, 7), (1, 12), (11, 12)]:
         d = k * (n - k)
         for p in range(d + 1):
             for lam in box_partitions_of_size(k, n, p):
                 assert _regular_twists(k, n, lam) == [0], (k, n, lam)
-        words = 1 + d * (n + d).bit_length() // 64
-        assert hodge._bwb_work(k, n, True) == hodge._bwb_work(k, n, False) == n * d * words
+    # so the section kernel builds no factorial table there
+    expected = {n: hodge._euler_sums(1, n, True) for n in (7, 12)}
+    monkeypatch.setattr(hodge, "_cross_table", None)
+    for k, n in [(1, 7), (6, 7), (1, 12), (11, 12)]:
+        assert hodge._euler_sums(k, n, True) == expected[n], (k, n)
 
 
 # -- the Fraction route, kept as the oracle of the integer kernel ---------------
