@@ -46,15 +46,16 @@ SCHEMA_VERSION = "1"
 # is taken; the bound is about four times the true size on Gr(2, 4)
 MAX_CHARPOLY_DIGITS = 20_000
 # and so is one whose work, piece dimension^3 x digits, is larger: Gr(5, 10) at
-# power 100 (3.2e7) takes about 1 s of CPU, nearly all of it the charpoly, and
-# the time grows faster than the work (power 400, 1.3e8 and refused: 9 s)
+# power 100 (3.2e7) takes 0.6 s of CPU, nearly all of it the charpoly, and the
+# time grows faster than the work (power 400, 1.3e8 and refused: 7.1 s)
 MAX_CHARPOLY_WORK = 5 * 10**7
 # ambient qh commands are refused over this many Schubert classes d = C(n, k).
 # The bound is on d itself: no command builds a d x d operator or pays d^3.
 # qh charpoly steps the s classes of the residue-0 piece through sparse
 # products with E_1 (and E_2) and multiplies only s x s matrices (Gr(5, 10),
-# d = 252, s = 26, at power 10: 0.1 s); qh semisimple runs two thin label
-# recursions and one determinant (0.2 s)
+# d = 252, s = 26, at power 10: 0.08 s); qh semisimple runs two thin label
+# recursions and one determinant (0.09 s).  Times are CPU of cli.run, best of
+# 3, on an Intel Xeon (2 vCPUs) with Python 3.11.7.
 MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 

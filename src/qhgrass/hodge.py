@@ -142,7 +142,10 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
 
     The ambient box-count anchor holds by construction: every value at
     t = 0 is (-1)^|lam|, so the ambient genus is the signed count of beta
-    sets.  It is kept; it checks the beta sets against box_partitions_of_size.
+    sets.  It is kept; it checks the beta sets against box_partitions_of_size,
+    which it asks for the narrow box k' x (n - k'), k' = min(k, n - k):
+    transposing a partition keeps its size, so the counts are the same, and
+    on projective space the wide box would be nearly all the work.
     On a wrong kernel these can still fire: the remainder of each exact
     division in _euler_sums, Serre symmetry of the section genus and
     chi_y(0) = 1, then in diamond nonnegativity and the A-D-E bound.  The
@@ -165,7 +168,7 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     if not section:
         poly = UniPoly(at_zero)
         expected = UniPoly(
-            [(-1) ** p * len(box_partitions_of_size(k, n, p)) for p in range(d + 1)]
+            [(-1) ** p * len(box_partitions_of_size(min(k, n - k), n, p)) for p in range(d + 1)]
         )
         if poly != expected:
             raise InternalConsistencyError("ambient chi_y does not match box-partition counts")
@@ -207,7 +210,8 @@ class HodgeDiamond(namedtuple("HodgeDiamond", "dim column middle genus")):
 
 @lru_cache(maxsize=None)
 def diamond(k: int, n: int) -> HodgeDiamond:
-    """Hodge diamond of the smooth hyperplane section of Gr(k, n).
+    """Hodge diamond of the smooth hyperplane section of Gr(k, n), read on
+    the narrow side when k > n/2.
 
     The diagonal off the middle is copied from the ambient box-partition
     counts through the Lefschetz isomorphism; the middle row is solved from
@@ -222,9 +226,8 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     asserts, the column being palindromic.  Nonnegativity and the A-D-E
     bound can fire.
     """
-    if n < 2 or not 1 <= k <= n // 2:
-        raise InvalidInputError(f"diamond needs 1 <= k <= n/2, got k={k}, n={n}")
     genus = chi_y(k, n, section=True)
+    k = min(k, n - k)  # Gr(k, n) = Gr(n - k, n) with the same O(1)
     d = k * (n - k) - 1
     column, middle = [], []
     for p in range(d + 1):

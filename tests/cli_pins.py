@@ -1,0 +1,127 @@
+"""Every pinned CLI command, one row each, run by test_cli_pins.py.
+
+A row is the argv as one whitespace-separated string (no quoting), the exit
+code, a timeout in seconds, and at most one expectation:
+
+- sha256: the sha256 of stdout;
+- results: a subset of the JSON document's "results";
+- stderr_lines: the number of lines on stderr;
+- stderr_prefix: the start of stderr.
+
+Every row must also print no traceback, and nothing on stderr when it exits 0.
+A new pin is a new row here.
+"""
+
+from collections import namedtuple
+
+EXPECTATIONS = ("sha256", "results", "stderr_lines", "stderr_prefix")
+Pin = namedtuple("Pin", ("argv", "code", "timeout") + EXPECTATIONS,
+                 defaults=(0, 60, None, None, None, None))
+
+PINS = [
+    # the entry point runs each command with exit 0 and nothing on stderr
+    Pin("--help"),
+    Pin("qh semisimple --help"),
+    Pin("core-search --k 3 --n 9 --format json"),
+    Pin("core-search --k 12 --n 24 --format json"),
+    Pin("betti --type E8 --node 4 --format json"),
+    Pin("screen --type F4 --node 4 --format json"),
+    Pin("exceptional-table --format json"),
+    Pin("qh semisimple --section --k 3 --n 6"),
+    Pin("qh semisimple --section --k 3 --n 8"),
+    Pin("qh semisimple --section --k 3 --n 7"),
+    Pin("qh lefschetz --n 8"),
+    Pin("qh lefschetz --n 7"),
+    Pin("qh charpoly --section --k 3 --n 8 --power 5 --with-e2"),
+    Pin("qh charpoly --section --k 3 --n 7 --power 6"),
+    Pin("qh presentation --k 4 --n 8"),
+    Pin("qh semisimple --k 4 --n 8"),
+    Pin("qh charpoly --k 3 --n 8 --power 6 --with-e2"),
+    Pin("snow --k 3 --n 6 --p 2 --twist 1"),
+    Pin("snow --k 3 --n 1000000 --p 5 --twist 1"),
+    Pin("hodge --k 3 --n 9"),
+    Pin("hodge --section --k 3 --n 7"),
+    Pin("screen --section --k 3 --n 8"),
+    Pin("qh semisimple --k 5 --n 10 --format json"),
+    # relation checks hold, Gr(5, 10) is semisimple by the trace form, and the
+    # section verdicts: (3, 6) not semisimple by the Betti screen, (3, 7) by the
+    # trace form of the 30-dimensional ring, (3, 8) by the trace form of the
+    # 49-dimensional perp subalgebra and monodromy for the 2-dimensional radical
+    Pin("qh presentation --k 4 --n 8 --format json", results={"holds": True}),
+    Pin("qh presentation --k 5 --n 10 --format json", results={"holds": True}),
+    Pin("qh lefschetz --n 7 --format json", results={"holds": True}),
+    Pin("qh lefschetz --n 8 --format json", results={"holds": True}),
+    Pin("qh semisimple --k 5 --n 10 --format json",
+        results={"semisimple": True, "method": "trace-form"}),
+    Pin("qh semisimple --section --k 3 --n 6 --format json",
+        results={"semisimple": False, "method": "betti-screen"}),
+    Pin("qh semisimple --section --k 3 --n 7 --format json",
+        results={"semisimple": True, "method": "trace-form",
+                 "detail": "nondegenerate trace form on the 30-dimensional ring"}),
+    Pin("qh semisimple --section --k 3 --n 8 --format json",
+        results={"semisimple": True, "method": "trace-form+monodromy",
+                 "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
+                           "2-dimensional radical semisimple by the external monodromy argument"}),
+    # Hodge-Tate verdicts of the sections follow the A-D-E bound: yes for (3, 8),
+    # no for the dim = 2n boxes (3, 9) and (4, 8), which take the full diamond
+    Pin("hodge --section --k 3 --n 8 --format json", results={"hodge_tate": True}),
+    Pin("hodge --section --k 3 --n 9 --format json", results={"hodge_tate": False}),
+    Pin("hodge --section --k 4 --n 8 --format json", results={"hodge_tate": False}),
+    # charpolys of Gr(5, 10), at power 100 and at power 58 with e_2
+    Pin("qh charpoly --k 5 --n 10 --power 100 --format json",
+        sha256="929a03e1d4554070737c5af8a8af78eca0aad4f4fbb42085585d9d0971f175bc"),
+    Pin("qh charpoly --k 5 --n 10 --power 58 --with-e2 --format json",
+        sha256="0852d15bd6cbc04222581f85e6218c6db390e6f8f46cc288fef2b25a5fa8152b"),
+    # section Hodge diamonds and the (3, 8) section screen
+    Pin("hodge --section --k 3 --n 8 --format json",
+        sha256="0d583569892b3281d8beeb54137487a3fdd9c8172b047939f254ca1850cc47b6"),
+    Pin("hodge --section --k 3 --n 9 --format json",
+        sha256="82a8726f3839c475ceaeeeb93b1b30cabbefb8e4a6c5943d3dddcc6470de2945"),
+    Pin("hodge --section --k 4 --n 8 --format json",
+        sha256="5b8ae1f14d1bbb905e2a97b3eca1e6d55bda96def01a02953d4f93c26d8d481f"),
+    Pin("hodge --section --k 2 --n 10 --format json",
+        sha256="05cdb3ba638e8baba69edf31d638406ff0aecb52c6d050746957e8f2d8ad38f6"),
+    Pin("hodge --section --k 5 --n 10 --format json",
+        sha256="abdafef3f5625cd002930dc5a344aa95cc377e8277d488d56b002b39ea2b347e"),
+    Pin("screen --section --k 3 --n 8 --format json",
+        sha256="3a021573f4b5fc1244b15ef7815c0c1b56ddb90055613385c563ba1672797f3c"),
+    # a section of the wide side, read on its narrow twin (3, 8)
+    Pin("hodge --section --k 5 --n 8 --format json", timeout=10,
+        sha256="2dff72967222fb0fb06b19e90080e485668afec6994e88f1554e855e557fd702"),
+    Pin("screen --section --k 5 --n 8 --format json", timeout=10,
+        sha256="9e939c3db2c7ef41f119d92ec88c5cc5f54607271301086b087c10873aaa23da"),
+    # wide boxes: the first four from the hook-content kernel; the last three,
+    # extremes the partition count admits, from the beta-set kernel, whose
+    # (2, 100) section sums equal euler_sums_by_hooks'
+    Pin("hodge --k 999 --n 1000 --format json", timeout=10,
+        sha256="899015d8770dd1ebe5a32b4792f399ad7d5f0ac26cb83ea5f191a33809bb30c1"),
+    Pin("hodge --k 1 --n 1000 --format json", timeout=10,
+        sha256="6524d0e374cf597e2996c9fff834bc01363d1ef0af24f7034a871580efc77728"),
+    Pin("hodge --section --k 7 --n 14 --format json", timeout=10,
+        sha256="ab36abf92a79809dba233baffe860cf1cfdf8a24307bcda8b693a8c201f81fe1"),
+    Pin("hodge --section --k 2 --n 70 --format json", timeout=10,
+        sha256="9ee9cc9fbffeaff29603cf6c657725b7166eab19b7c1f6e536278aa0e95af2c3"),
+    Pin("hodge --k 1 --n 2500 --format json", timeout=10,
+        sha256="8027e2d46bbf93a6ec43061b9aebd47fa4989acb44e0737ec31d5d76200c16d2"),
+    Pin("hodge --section --k 2 --n 100 --format json", timeout=10,
+        sha256="c2235cfc2a666ebe1e8ad35d138983d049c54610f4e262031c61610898f22cc4"),
+    Pin("hodge --section --k 1 --n 5000 --format json", timeout=10,
+        sha256="ae4a7eed0d5a992836b41fb2b2c97be6942ccbd6929e3cc8b9ec15a849ceca2c"),
+    # a snow partition of 1,500 parts and one of 3,000,000 cells
+    Pin("snow --k 2000 --n 2001 --p 1500 --twist 1", timeout=5),
+    Pin("snow --k 1 --n 100000000 --p 3000000 --twist 0", timeout=5),
+    # refused up front with one line on stderr: a misaligned charpoly power, an
+    # oversized Dynkin type, core search, snow and chi_y
+    Pin("qh charpoly --k 5 --n 10 --power 11", code=2, timeout=5, stderr_lines=1),
+    Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
+    Pin("betti --type A1000 --node 500", code=2, timeout=5, stderr_lines=1),
+    Pin("core-search --k 3 --n 100000", code=2, timeout=5, stderr_lines=1),
+    Pin("core-search --k 3 --n 100000000", code=2, timeout=5, stderr_lines=1),
+    Pin("snow --k 10 --n 40 --p 100 --twist 1", code=2, timeout=5, stderr_lines=1),
+    Pin("snow --k 3 --n 100000000 --p 10000000 --twist 1", code=2, timeout=5, stderr_lines=1),
+    Pin("hodge --k 5 --n 20", code=2, timeout=5, stderr_lines=1),
+    Pin("hodge --section --k 7 --n 30", code=2, timeout=5, stderr_lines=1),
+    # a command line the table parse does not accept, here one with a leftover
+    # argument, goes to the whole tree and gets the top-level usage
+    Pin("qh semisimple --k 2 --n 4 extra", code=2, stderr_prefix="usage: qhgrass [-h]"),
+]

@@ -419,6 +419,18 @@ def test_closed_stdout_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b"", err.decode()
+    # as `... | head -1`: the reader closes after the first line, and the
+    # document may already sit whole in the pipe by then
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qhgrass.cli", "hodge", "--section", "--k", "3", "--n", "8", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (0, 141)
+    assert err == b"", err.decode()
 
 
 def test_hodge_section_localizes_once(capsys, monkeypatch):
