@@ -114,14 +114,15 @@ def _verdict_payload(profile: screen.BettiProfile) -> dict:
 
 
 def _cmd_screen(args) -> dict:
+    section, ambient = (args.k, args.n), (args.type, args.node)
+    if args.section and (None in section or ambient != (None, None)):
+        raise InvalidInputError("screen --section requires --k and --n, and takes no --type or --node")
+    if not args.section and (None in ambient or section != (None, None)):
+        raise InvalidInputError("screen requires --type and --node (or --section), and takes no --k or --n")
     if args.section:
-        if args.k is None or args.n is None:
-            raise InvalidInputError("screen --section requires --k and --n")
         profile = hodge.section_profile(args.k, args.n)
         inputs = {"section": True, "k": args.k, "n": args.n, "seed": args.seed}
     else:
-        if args.type is None or args.node is None:
-            raise InvalidInputError("screen requires --type and --node (or --section)")
         profile = screen.profile_of(GrassmannianId(parse_type(args.type), args.node))
         inputs = {"section": False, "type": args.type.upper(), "node": args.node}
     return _document("screen", inputs, _verdict_payload(profile))

@@ -19,6 +19,8 @@ for each pair y < x, and there are sum_r (x_r - (k - r)) = |lam| such pairs.
 So the value at t = 0 is (-1)^|lam|, and |lam| is the degree Bott's algorithm
 gives the summand: sorting mu + rho takes |lam| transpositions, so its one
 nonzero group is H^|lam|, as it must be on a variety with only (p,p) classes.
+So a(p, 0) = chi(Omega^p_X) is (-1)^p times the q^p coefficient of the
+Gaussian binomial [n choose k]_q (partitions.box_counts): no Weyl product.
 At the twist t = -j
 
     chi = (-1)^|lam| prod_{x, y} (y - x - j) / prod_{x, y} (y - x).
@@ -51,14 +53,15 @@ p + q = dim Y, and X has only (p,p) classes, so the diamond is stored as two
 lines: the diagonal h^{p,p} (box-partition counts off the middle) and the
 middle row h^{p, dim Y - p}, solved from chi_y.  Every other h^{p,q} is 0.
 
-Everything is exact and seedless.  Each Weyl value is one exact division,
-and three anchors are asserted, each a fatal internal error on failure:
-chi_y(0) = 1, the ambient genus equals the signed box-partition counts, and
-Serre symmetry chi_p = (-1)^dim chi_{dim-p}.  The diamond is also checked
-against the A-D-E bijection: the section is Hodge-Tate exactly when
-1/2 + 1/k + 1/(n - k) > 1, that is k(n - k) < 2n.  A box is refused before
-the first Weyl product when it has more partitions than MAX_BWB_PARTITIONS,
-the only bound: the slowest box it admits takes under a second.
+Everything is exact and seedless, and each check here is a fatal internal
+error on failure: the box counts sum to C(n, k) and are palindromic, the
+section's beta sets tally to the same counts, each Weyl value is one exact
+division, the section genus has Serre symmetry chi_p = (-1)^dim chi_{dim-p},
+and chi_y(0) = 1.  The diamond is also checked against the A-D-E bijection:
+the section is Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1, that is
+k(n - k) < 2n.  A box is refused before the first Weyl product when it has
+more partitions than MAX_BWB_PARTITIONS, the only bound: the slowest box it
+admits takes under a second.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from itertools import combinations
 from math import comb, prod
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .partitions import box_partitions_of_size, log10_box_count
+from .partitions import box_counts, log10_box_count
 from .polynomials import UniPoly
 from .screen import BettiProfile
 
@@ -90,29 +93,29 @@ def _cross_table(n: int, top: int) -> list[int]:
             for s in range(top + 1)]
 
 
-def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
-    """a(p, 0) for p = 0..d and, for the section, B(q) for q = 0..d.
+def _euler_sums(k: int, n: int) -> list[int]:
+    """B(q) for q = 0..d, the alternating twist sums of the section.
 
     One beta set X of Gr(k', n), k' = min(k, n - k), per box partition, with
     |lam| = sum X - k'(k'-1)/2.  At t = 0 each value is (-1)^|lam|.  At
     t = -j it is (-1)^|lam| prod_x A(x + j) / prod_x A(x) times the pairwise
     factors prod_{x' != x} (x' - x) over prod_{x' != x + j} (x' - x - j), the
     latter including the k' diagonal factors -j; zero when the shifted mask
-    meets Y.
+    meets Y.  The beta sets are tallied by size as they go, and the tally
+    must equal box_counts.
     """
     d = k * (n - k)
+    counts = box_counts(k, n)
     k = min(k, n - k)
-    at_zero = [0] * (d + 1)
+    tally = [0] * (d + 1)
     alternating = [0] * (d + 1)
     table = None
     full = (1 << n) - 1
     for beta in combinations(range(n), k):
         p = sum(beta) - k * (k - 1) // 2
         sign = -1 if p % 2 else 1
-        at_zero[p] += sign
+        tally[p] += 1
         alternating[p] += sign
-        if not section:
-            continue
         x_mask = sum(1 << x for x in beta)
         y_mask = full ^ x_mask
         diffs = None
@@ -134,50 +137,41 @@ def _euler_sums(k: int, n: int, section: bool) -> tuple[list[int], list[int]]:
             if rem:
                 raise InternalConsistencyError(f"Weyl dimension of beta set {beta} at t={-j} is fractional")
             alternating[p + j] += -value if j % 2 else value
-    return at_zero, alternating
+    if tuple(tally) != counts:
+        raise InternalConsistencyError("beta sets do not match box-partition counts")
+    return alternating
 
 
 def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
     """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section.
 
-    The ambient box-count anchor holds by construction: every value at
-    t = 0 is (-1)^|lam|, so the ambient genus is the signed count of beta
-    sets.  It is kept; it checks the beta sets against box_partitions_of_size,
-    which it asks for the narrow box k' x (n - k'), k' = min(k, n - k):
-    transposing a partition keeps its size, so the counts are the same, and
-    on projective space the wide box would be nearly all the work.
-    On a wrong kernel these can still fire: the remainder of each exact
-    division in _euler_sums, Serre symmetry of the section genus and
-    chi_y(0) = 1, then in diamond nonnegativity and the A-D-E bound.  The
-    tests compare this route with two independent ones, the localization
-    oracle (fixed-point sums) and the hook-content oracle (the Weyl product
-    cell by cell).
+    The ambient genus is sum_p (-1)^p N_p y^p, N = box_counts, checked to sum
+    to C(n, k), the count the refusal takes, and to be palindromic; the
+    section takes a(p + 1, 0) = (-1)^(p+1) N_{p+1} and B = _euler_sums.  On a
+    wrong kernel these can still fire: the beta-set tally and the remainder
+    of each exact division in _euler_sums, Serre symmetry and chi_y(0) = 1,
+    then in diamond nonnegativity and the A-D-E bound.  The tests compare
+    this route with the localization oracle (fixed-point sums) and the
+    hook-content oracle (the Weyl product cell by cell).
     """
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    d = k * (n - k)
     if (digits := log10_box_count(k, n)) > 9:
         raise InvalidInputError(
-            f"chi_y({k}, {n}) needs about 10^{digits:.0f} box partitions, over {MAX_BWB_PARTITIONS}"
-        )
+            f"chi_y({k}, {n}) needs about 10^{digits:.0f} box partitions, over {MAX_BWB_PARTITIONS}")
     if (count := comb(n, k)) > MAX_BWB_PARTITIONS:
-        raise InvalidInputError(
-            f"chi_y({k}, {n}) needs {count} box partitions, over {MAX_BWB_PARTITIONS}"
-        )
-    at_zero, alternating = _euler_sums(k, n, section)
-    if not section:
-        poly = UniPoly(at_zero)
-        expected = UniPoly(
-            [(-1) ** p * len(box_partitions_of_size(min(k, n - k), n, p)) for p in range(d + 1)]
-        )
-        if poly != expected:
-            raise InternalConsistencyError("ambient chi_y does not match box-partition counts")
-    else:
-        d -= 1
-        coeffs = [alternating[p] + alternating[p + 1] - at_zero[p + 1] for p in range(d + 1)]
+        raise InvalidInputError(f"chi_y({k}, {n}) needs {count} box partitions, over {MAX_BWB_PARTITIONS}")
+    counts = box_counts(k, n)
+    if sum(counts) != count or counts != counts[::-1]:
+        raise InternalConsistencyError("box-partition counts do not sum to C(n, k) or are not palindromic")
+    coeffs = [(-1) ** p * c for p, c in enumerate(counts)]
+    if section:
+        d = k * (n - k) - 1
+        alternating = _euler_sums(k, n)
+        coeffs = [alternating[p] + alternating[p + 1] - coeffs[p + 1] for p in range(d + 1)]
         if any(coeffs[p] != (-1) ** d * coeffs[d - p] for p in range(d + 1)):
             raise InternalConsistencyError("section chi_y breaks Serre symmetry")
-        poly = UniPoly(coeffs)
+    poly = UniPoly(coeffs)
     if poly(0) != 1:
         raise InternalConsistencyError("chi_y(0) != 1: sign conventions are broken")
     return poly
@@ -213,11 +207,11 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     """Hodge diamond of the smooth hyperplane section of Gr(k, n), read on
     the narrow side when k > n/2.
 
-    The diagonal off the middle is copied from the ambient box-partition
-    counts through the Lefschetz isomorphism; the middle row is solved from
-    chi_p = (-1)^p h^{p,p} + (-1)^q h^{p,q}, q = dim - p, one term when
-    p = q.  Cached, so the section screen and the section ring of one
-    command share one chi_y.
+    The diagonal off the middle is copied through the Lefschetz isomorphism
+    from box_counts, the table chi_y has read and checked; the middle row is
+    solved from chi_p = (-1)^p h^{p,p} + (-1)^q h^{p,q}, q = dim - p, one
+    term when p = q.  Cached, so the section screen and the section ring of
+    one command share one chi_y.
 
     Two of the checks below are identities on any genus chi_y returns, and
     are kept: the Euler number, since the middle row is solved from chi_p
@@ -226,22 +220,15 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     asserts, the column being palindromic.  Nonnegativity and the A-D-E
     bound can fire.
     """
-    genus = chi_y(k, n, section=True)
+    genus, counts = chi_y(k, n, section=True), box_counts(k, n)
     k = min(k, n - k)  # Gr(k, n) = Gr(n - k, n) with the same O(1)
     d = k * (n - k) - 1
-    column, middle = [], []
-    for p in range(d + 1):
-        q = d - p
-        chi_p = genus[p]
-        if p == q:
-            value = (-1) ** p * chi_p
-            column.append(value)
-        else:
-            column.append(len(box_partitions_of_size(k, n, min(p, q))))
-            value = (-1) ** q * (chi_p - (-1) ** p * column[p])
-        if value < 0:
-            raise InternalConsistencyError(f"negative Hodge number h^({p},{q}) = {value}")
-        middle.append(value)
+    column = [(-1) ** p * genus[p] if 2 * p == d else counts[min(p, d - p)] for p in range(d + 1)]
+    middle = [column[p] if 2 * p == d else (-1) ** (d - p) * (genus[p] - (-1) ** p * column[p])
+              for p in range(d + 1)]
+    if (low := min(middle)) < 0:
+        p = middle.index(low)
+        raise InternalConsistencyError(f"negative Hodge number h^({p},{d - p}) = {low}")
     if middle != middle[::-1]:
         raise InternalConsistencyError("Hodge symmetry failed on the middle row")
     result = HodgeDiamond(d, tuple(column), tuple(middle), genus)

@@ -176,6 +176,27 @@ def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     return witnesses
 
 
+def _gaussian_series(k: int, cols: int, top: int):
+    """The partition counts of the i x cols box by size, cut at degree top, for
+    i = 0..k in one list, each i by the factor (1 - q^(cols+i)) / (1 - q^i)."""
+    series = [1] + [0] * top
+    yield series
+    for i in range(1, min(k, top) + 1):
+        for s in range(top, cols + i - 1, -1):  # times 1 - q^(cols+i)
+            series[s] -= series[s - cols - i]
+        for s in range(i, top + 1):  # divided by 1 - q^i
+            series[s] += series[s - i]
+        yield series
+
+
+@lru_cache(maxsize=None)
+def box_counts(k: int, n: int) -> tuple[int, ...]:
+    """Partitions of each size p = 0..k(n-k) in the box, [n choose k]_q, from
+    the min(k, n - k) factors of the narrow box: transposing keeps the size."""
+    *_, series = _gaussian_series(min(k, n - k), max(k, n - k), k * (n - k))
+    return tuple(series)
+
+
 # (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; boxes just
 # under the bound, such as (20, 50) with 999,350, take about 0.1 s pruned (3.6 s not)
 MAX_CORE_CANDIDATES = 1_000_000
@@ -186,24 +207,15 @@ def _count_small_partitions(k: int, cols: int, budget: int) -> int:
     cols: exact up to MAX_CORE_CANDIDATES, and above it a lower bound that is
     itself over the bound.
 
-    The partitions in an i x cols box have generating function the Gaussian
-    binomial prod over j <= i of (1 - q^(cols+j)) / (1 - q^j).  Each factor
-    is applied to the series cut at degree `top` in O(top) steps, and the
-    count after i factors, which grows with i, ends the product once it
-    passes the bound, so a large box is refused after a few factors.  The
-    cut is top = min(budget, 3m), m the least with C(m + 3, 3), the number
-    of partitions into three parts of at most m, over the bound; so for
-    k >= 3 and cols >= m (core_search has cols >= n/2 > budget/2) a cut
-    budget leaves a count over the bound.
+    The Gaussian binomial of box_counts, cut at degree top = min(budget, 3m):
+    the count after i factors, which grows with i, ends the product once it
+    passes the bound, so a large box is refused after a few factors.  m is
+    the least with C(m + 3, 3), the number of partitions into three parts of
+    at most m, over the bound; so for k >= 3 and cols >= m (core_search has
+    cols >= n/2 > budget/2) a cut budget leaves a count over the bound.
     """
     m = next(m for m in count() if comb(m + 3, 3) > MAX_CORE_CANDIDATES)
-    top = min(budget, 3 * m)
-    series = [1] + [0] * top
-    for i in range(1, min(k, top) + 1):
-        for s in range(top, cols + i - 1, -1):  # times 1 - q^(cols+i)
-            series[s] -= series[s - cols - i]
-        for s in range(i, top + 1):  # divided by 1 - q^i
-            series[s] += series[s - i]
+    for series in _gaussian_series(k, cols, min(budget, 3 * m)):
         if sum(series) > MAX_CORE_CANDIDATES:
             break
     return sum(series)

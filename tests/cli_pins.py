@@ -42,7 +42,6 @@ PINS = [
     Pin("hodge --k 3 --n 9"),
     Pin("hodge --section --k 3 --n 7"),
     Pin("screen --section --k 3 --n 8"),
-    Pin("qh semisimple --k 5 --n 10 --format json"),
     # relation checks hold, Gr(5, 10) is semisimple by the trace form, and the
     # section verdicts: (3, 6) not semisimple by the Betti screen, (3, 7) by the
     # trace form of the 30-dimensional ring, (3, 8) by the trace form of the
@@ -62,17 +61,14 @@ PINS = [
         results={"semisimple": True, "method": "trace-form+monodromy",
                  "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
                            "2-dimensional radical semisimple by the external monodromy argument"}),
-    # Hodge-Tate verdicts of the sections follow the A-D-E bound: yes for (3, 8),
-    # no for the dim = 2n boxes (3, 9) and (4, 8), which take the full diamond
-    Pin("hodge --section --k 3 --n 8 --format json", results={"hodge_tate": True}),
-    Pin("hodge --section --k 3 --n 9 --format json", results={"hodge_tate": False}),
-    Pin("hodge --section --k 4 --n 8 --format json", results={"hodge_tate": False}),
     # charpolys of Gr(5, 10), at power 100 and at power 58 with e_2
     Pin("qh charpoly --k 5 --n 10 --power 100 --format json",
         sha256="929a03e1d4554070737c5af8a8af78eca0aad4f4fbb42085585d9d0971f175bc"),
     Pin("qh charpoly --k 5 --n 10 --power 58 --with-e2 --format json",
         sha256="0852d15bd6cbc04222581f85e6218c6db390e6f8f46cc288fef2b25a5fa8152b"),
-    # section Hodge diamonds and the (3, 8) section screen
+    # section Hodge diamonds and the (3, 8) section screen.  The Hodge-Tate
+    # verdicts follow the A-D-E bound: yes for (3, 8), no for the dim = 2n boxes
+    # (3, 9) and (4, 8), which take the full diamond
     Pin("hodge --section --k 3 --n 8 --format json",
         sha256="0d583569892b3281d8beeb54137487a3fdd9c8172b047939f254ca1850cc47b6"),
     Pin("hodge --section --k 3 --n 9 --format json",
@@ -111,7 +107,8 @@ PINS = [
     Pin("snow --k 2000 --n 2001 --p 1500 --twist 1", timeout=5),
     Pin("snow --k 1 --n 100000000 --p 3000000 --twist 0", timeout=5),
     # refused up front with one line on stderr: a misaligned charpoly power, an
-    # oversized Dynkin type, core search, snow and chi_y
+    # oversized Dynkin type, core search, snow and chi_y, and the other mode's
+    # flags given to screen
     Pin("qh charpoly --k 5 --n 10 --power 11", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
     Pin("betti --type A1000 --node 500", code=2, timeout=5, stderr_lines=1),
@@ -121,6 +118,8 @@ PINS = [
     Pin("snow --k 3 --n 100000000 --p 10000000 --twist 1", code=2, timeout=5, stderr_lines=1),
     Pin("hodge --k 5 --n 20", code=2, timeout=5, stderr_lines=1),
     Pin("hodge --section --k 7 --n 30", code=2, timeout=5, stderr_lines=1),
+    Pin("screen --section --k 3 --n 8 --type E7", code=2, timeout=5, stderr_lines=1),
+    Pin("screen --type E7 --node 2 --k 3", code=2, timeout=5, stderr_lines=1),
     # a command line the table parse does not accept, here one with a leftover
     # argument, goes to the whole tree and gets the top-level usage
     Pin("qh semisimple --k 2 --n 4 extra", code=2, stderr_prefix="usage: qhgrass [-h]"),

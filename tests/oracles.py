@@ -91,8 +91,9 @@ route:
 - euler_sums_by_hooks takes the Borel-Weil-Bott sums of the chi_y genus with
   each Weyl product cell by cell, from the generalized hooks of the whole
   k x (n-k) box and the hook-content formula, k(n-k) factors per twist;
-  hodge._euler_sums takes each from the beta set on the narrow side,
-  min(k, n-k) table reads and about min(k, n-k)^2 factors per twist.
+  hodge._euler_sums takes the section's twist sums from the beta set on the
+  narrow side, min(k, n-k) table reads and about min(k, n-k)^2 factors per
+  twist, and the t = 0 values are the signed partitions.box_counts.
 - gram_matrix and cartan_from_gram derive the Cartan matrix from the
   invariant form; rootdata.cartan_matrix reads it off the Dynkin diagram.
 - poincare_by_degrees divides the fundamental degrees of G by those of the

@@ -18,6 +18,12 @@ def _expectations(pin):
     return [name for name in EXPECTATIONS if getattr(pin, name) is not None]
 
 
+def test_no_argv_is_pinned_twice():
+    # a second row with the same argv runs the command again; one row, one run
+    argvs = [pin.argv for pin in PINS]
+    assert sorted({argv for argv in argvs if argvs.count(argv) > 1}) == []
+
+
 @pytest.mark.parametrize("pin", [pytest.param(pin, id=" ".join([pin.argv, *_expectations(pin)]))
                                  for pin in PINS])
 def test_cli_pin(pin):

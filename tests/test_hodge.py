@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import euler_sums_by_hooks, sg_betti, solve
-from qhgrass import cli, hodge
+from qhgrass import cli, hodge, partitions
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
     DEFAULT_SEED,
@@ -59,16 +59,20 @@ def test_ambient_chi_y_is_box_count_polynomial():
 
 
 def test_ambient_anchor_counts_partitions_in_the_narrow_box(monkeypatch):
-    boxes = []
-    original = hodge.box_partitions_of_size
-
-    def spy(k, n, p):
-        boxes.append((k, n))
-        return original(k, n, p)
-
-    monkeypatch.setattr(hodge, "box_partitions_of_size", spy)
+    # the counts come from the Gaussian binomial of the narrow box, so no
+    # partition is enumerated: neither by name in hodge nor by the generator
+    # behind box_partitions_of_size, whose cache is emptied first
+    calls = []
+    for module, name in [(hodge, "box_partitions_of_size"), (partitions, "_box_partitions")]:
+        original = getattr(partitions, name)
+        spy = lambda *args, original=original: calls.append(args) or original(*args)  # noqa: E731
+        monkeypatch.setattr(module, name, spy, raising=False)
+    partitions.box_partitions_of_size.cache_clear()
+    hodge.diamond.cache_clear()
     chi_y(6, 8)
-    assert boxes and all(k <= n - k for k, n in boxes), set(boxes)
+    chi_y(3, 8, section=True)
+    diamond(3, 8)
+    assert calls == []
 
 
 def test_wide_side_section_is_its_narrow_twin():
@@ -430,33 +434,56 @@ def test_bwb_chi_y_matches_localization(k, n, section):
 
 
 def test_bwb_anchors_catch_a_wrong_sum(monkeypatch, capsys):
-    # a slipped term in either Euler-characteristic sum must trip an anchor (box
-    # counts or Serre symmetry) rather than reach the output; the CLI exits 1
-    original = hodge._euler_sums
+    # a slipped box count or twist sum must trip an anchor (the count sum, the
+    # beta-set tally or Serre symmetry) rather than reach the output; the CLI exits 1
+    counts, sums = hodge.box_counts, hodge._euler_sums
 
-    def slipped(k, n, section):
-        at_zero, alternating = original(k, n, section)
-        (alternating if section else at_zero)[2] += 1
-        return at_zero, alternating
+    def bumped(k, n):
+        table = list(counts(k, n))
+        table[2] += 1
+        return tuple(table)
 
-    monkeypatch.setattr(hodge, "_euler_sums", slipped)
-    hodge.diamond.cache_clear()
-    for k, n, section in [(2, 5, False), (3, 6, False), (2, 5, True), (3, 7, True)]:
-        with pytest.raises(InternalConsistencyError):
-            chi_y(k, n, section=section)
-    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
-    assert "internal consistency failure" in capsys.readouterr().err
+    def shifted(k, n):
+        # the sum and the palindrome kept: one count moved from 2 to 1 and from d - 2 to d - 1
+        table = list(counts(k, n))
+        for p, step in [(1, 1), (2, -1), (-2, 1), (-3, -1)]:
+            table[p] += step
+        return tuple(table)
+
+    def slipped(k, n):
+        alternating = sums(k, n)
+        alternating[2] += 1
+        return alternating
+
+    cases = [
+        ("box_counts", bumped, [(2, 5, False), (3, 6, False), (2, 5, True), (3, 7, True)], "sum to C"),
+        ("box_counts", shifted, [(2, 5, True), (3, 7, True)], "beta sets"),
+        ("_euler_sums", slipped, [(2, 5, True), (3, 7, True)], "Serre symmetry"),
+    ]
+    for name, patch, boxes, message in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(hodge, name, patch)
+            for k, n, section in boxes:
+                with pytest.raises(InternalConsistencyError, match=message):
+                    chi_y(k, n, section=section)
+            hodge.diamond.cache_clear()
+            assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
+            assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_beta_set_kernel_matches_the_hook_content_oracle():
-    # the oracle on (n - k, n) as well: the kernel works on min(k, n - k)
+    # the oracle on (n - k, n) as well: the kernel works on min(k, n - k); its
+    # twist sums are _euler_sums' and its t = 0 values the signed box counts
     for n in range(2, 11):
         for k in range(1, n):
             for section in (False, True):
                 expected = euler_sums_by_hooks(k, n, section)
                 assert euler_sums_by_hooks(n - k, n, section) == expected, (k, n, section)
-                assert hodge._euler_sums(k, n, section) == expected, (k, n, section)
-    assert hodge._euler_sums(7, 14, True) == euler_sums_by_hooks(7, 14, True)
+                at_zero, alternating = expected
+                assert at_zero == [(-1) ** p * c for p, c in enumerate(hodge.box_counts(k, n))], (k, n)
+                if section:
+                    assert hodge._euler_sums(k, n) == alternating, (k, n)
+    assert hodge._euler_sums(7, 14) == euler_sums_by_hooks(7, 14, True)[1]
 
 
 def test_beta_set_kernel_catches_a_wrong_table_entry(monkeypatch, capsys):
@@ -486,10 +513,10 @@ def _run_within_10_s(args: list[str]) -> subprocess.CompletedProcess:
 
 def test_section_sums_of_the_wide_side_come_from_the_narrow_side():
     # Gr(68, 70) = Gr(2, 70): the kernel takes 2-element beta sets, where
-    # 68-element ones run past the timeout.  The ambient sums take no twist
-    # but t = 0, and a section command has the same results on either side,
-    # so only its time would show the side the kernel works on.
-    code = "import sys; from qhgrass import hodge; sys.exit(hodge._euler_sums(68, 70, True) != hodge._euler_sums(2, 70, True))"
+    # 68-element ones run past the timeout.  The ambient genus takes no beta
+    # set, and a section command has the same results on either side, so
+    # only its time would show the side the kernel works on.
+    code = "import sys; from qhgrass import hodge; sys.exit(hodge._euler_sums(68, 70) != hodge._euler_sums(2, 70))"
     proc = _run_within_10_s(["-c", code])
     assert (proc.returncode, proc.stderr) == (0, b"")
 
@@ -533,10 +560,10 @@ def test_projective_space_has_no_regular_twist_but_zero(monkeypatch):
             for lam in box_partitions_of_size(k, n, p):
                 assert _regular_twists(k, n, lam) == [0], (k, n, lam)
     # so the section kernel builds no factorial table there
-    expected = {n: hodge._euler_sums(1, n, True) for n in (7, 12)}
+    expected = {n: hodge._euler_sums(1, n) for n in (7, 12)}
     monkeypatch.setattr(hodge, "_cross_table", None)
     for k, n in [(1, 7), (6, 7), (1, 12), (11, 12)]:
-        assert hodge._euler_sums(k, n, True) == expected[n], (k, n)
+        assert hodge._euler_sums(k, n) == expected[n], (k, n)
 
 
 # -- the Fraction route, kept as the oracle of the integer kernel ---------------

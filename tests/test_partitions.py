@@ -7,6 +7,7 @@ from oracles import (
     core_search_unpruned,
     count_small_partitions_table,
     from_beta_set,
+    gaussian_binomial,
     hook_lengths,
     snow_by_cells,
     to_beta_set,
@@ -21,6 +22,7 @@ from qhgrass.partitions import (
     _box_partitions,
     _count_small_partitions,
     _hook_counts,
+    box_counts,
     box_partitions_of_size,
     canonical,
     core_search,
@@ -279,6 +281,17 @@ def test_core_search_equals_the_unpruned_search():
         for k in range(3, n // 2 + 1):
             box = Box(k, n)
             assert core_search(box) == core_search_unpruned(box), (k, n)
+
+
+def test_box_counts_are_the_gaussian_binomial():
+    # the enumeration and the degree route of the t-binomial agree with the
+    # series on every box with n <= 12, and each box with its narrow twin
+    for n in range(2, 13):
+        for k in range(1, n):
+            counts = box_counts(k, n)
+            assert counts == tuple(len(box_partitions_of_size(k, n, p)) for p in range(k * (n - k) + 1)), (k, n)
+            assert counts == gaussian_binomial(n, k).coeffs, (k, n)
+            assert counts == box_counts(n - k, n), (k, n)
 
 
 def test_candidate_count_matches_enumeration():
