@@ -117,11 +117,12 @@ def _cmd_screen(args) -> dict:
     section, ambient = (args.k, args.n), (args.type, args.node)
     if args.section and (None in section or ambient != (None, None)):
         raise InvalidInputError("screen --section requires --k and --n, and takes no --type or --node")
-    if not args.section and (None in ambient or section != (None, None)):
-        raise InvalidInputError("screen requires --type and --node (or --section), and takes no --k or --n")
+    if not args.section and (None in ambient or section != (None, None) or args.seed is not None):
+        raise InvalidInputError("screen requires --type and --node (or --section), and takes no --k, --n or --seed")
     if args.section:
         profile = hodge.section_profile(args.k, args.n)
-        inputs = {"section": True, "k": args.k, "n": args.n, "seed": args.seed}
+        seed = hodge.DEFAULT_SEED if args.seed is None else args.seed
+        inputs = {"section": True, "k": args.k, "n": args.n, "seed": seed}
     else:
         profile = screen.profile_of(GrassmannianId(parse_type(args.type), args.node))
         inputs = {"section": False, "type": args.type.upper(), "node": args.node}
@@ -350,7 +351,7 @@ COMMANDS = {
         "semisimplicity obstruction from Betti numbers",
         [("--type", {}), ("--node", _INT),
          ("--section", {**_FLAG, "help": "screen a Gr(k,n) hyperplane section"}),
-         ("--k", _INT), ("--n", _INT), _SEED],
+         ("--k", _INT), ("--n", _INT), ("--seed", {**_INT, "help": SEED_HELP})],
         "_cmd_screen", _screen_lines),
     "exceptional-table": (
         "the 13 exceptional screen witnesses", [], "_cmd_exceptional_table", _exceptional_lines),

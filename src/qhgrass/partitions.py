@@ -198,8 +198,9 @@ def box_counts(k: int, n: int) -> tuple[int, ...]:
 
 
 # (12, 24), the criterion-3 sweep's largest box, has 4,917 candidates; boxes just
-# under the bound, such as (20, 50) with 999,350, take about 0.1 s pruned (3.6 s not)
+# under the bound, such as (20, 50) with 999,350, take about 4 ms (2.3 s unpruned)
 MAX_CORE_CANDIDATES = 1_000_000
+_THREE_PART_EDGE = next(m for m in count() if comb(m + 3, 3) > MAX_CORE_CANDIDATES)
 
 
 def _count_small_partitions(k: int, cols: int, budget: int) -> int:
@@ -209,13 +210,12 @@ def _count_small_partitions(k: int, cols: int, budget: int) -> int:
 
     The Gaussian binomial of box_counts, cut at degree top = min(budget, 3m):
     the count after i factors, which grows with i, ends the product once it
-    passes the bound, so a large box is refused after a few factors.  m is
-    the least with C(m + 3, 3), the number of partitions into three parts of
-    at most m, over the bound; so for k >= 3 and cols >= m (core_search has
-    cols >= n/2 > budget/2) a cut budget leaves a count over the bound.
+    passes the bound, so a large box is refused after a few factors.  m =
+    _THREE_PART_EDGE is the least with C(m + 3, 3), the partitions into three
+    parts of at most m, over the bound; so for k >= 3 and cols >= m (core_search
+    has cols >= n/2 > budget/2) a cut budget leaves a count over the bound.
     """
-    m = next(m for m in count() if comb(m + 3, 3) > MAX_CORE_CANDIDATES)
-    for series in _gaussian_series(k, cols, min(budget, 3 * m)):
+    for series in _gaussian_series(k, cols, min(budget, 3 * _THREE_PART_EDGE)):
         if sum(series) > MAX_CORE_CANDIDATES:
             break
     return sum(series)
@@ -226,21 +226,19 @@ def core_search(box: Box) -> list[tuple[Partition, int]]:
 
     Each (lam, i) with |lam| >= k(n-k) - i and lam an (n-i)-core, i from n-1 down
     to 1 and lam lexicographically decreasing; nonempty exactly for (k, n) in
-    {(3,6), (4,8), (3,9)}.  One pass over the box complements mu of at most n-1
-    cells: lam's beta set {lam_m + k-m+1} is the bitmask A with bits n-k+m-mu_m,
-    and lam is an ell-core iff (A >> ell) & ~A & ~1 == 0, i.e. A is closed under
-    a -> a-ell on [1, n] (James-Kerber 2.7).  Refused over MAX_CORE_CANDIDATES.
+    {(3,6), (4,8), (3,9)}.  Refused over MAX_CORE_CANDIDATES.
 
-    The bitmask alone decides a hit; the search only skips pairs it would
-    reject, by the overhang lemma.  The cells of row j right of column
-    lam_{j+1} (lam_{k+1} = 0) have hook lengths 1, ..., lam_j - lam_{j+1}, and
-    likewise for columns, so an (n-i)-core has every such overhang below n - i.
-    Read off mu, the overhangs are n-k - mu_1, each mu_m - mu_{m+1}, mu_len
-    when len mu < k, and how many of mu's k parts equal each of 0..n-k-1.  So
-    at mu with largest overhang g only i in [max(|mu|, 1), n-1-g] can hit, and
-    a subtree is cut when |mu| plus the overhang its descendants all keep (the
-    differences behind the last part, n-k - mu_1 and the multiplicity of each
-    part below n-k) exceeds n - 1, since appending parts only adds cells.
+    lam is an ell-core iff no cell has hook length ell (James-Kerber 2.7.40).
+    On the beta set {lam_j + k-j+1} in [1, n] the row of bead b has hooks b - x
+    for the holes x in [1, b): with the holes kept as bits n - x, the mask
+    `holes` shifted right by n - b.  One pass over the box complements mu of at most
+    n-1 cells: each part appended to mu decides lam's next row up, whose hooks
+    (arm in the row, leg below it) every descendant keeps; they are carried as
+    the bitmask `hooks`.  The rows not yet decided are full, beads n-k+m+1..n
+    for m = len(mu), so the hits at mu are the ell in [1, n - max(|mu|, 1)] in
+    neither `hooks` nor the holes spread over k - m shifts.  Parts only add
+    cells and hooks, so a child is cut once `hooks` holds all of [1, n - |mu|];
+    one over n - |mu| - t cells, t the least length not in it, is not tried.
     """
     k, n = box.k, box.n
     if not (3 <= k and 2 * k <= n):
@@ -249,20 +247,22 @@ def core_search(box: Box) -> list[tuple[Partition, int]]:
         raise InvalidInputError(f"core_search({k}, {n}) has at least {count} candidates, over {MAX_CORE_CANDIDATES}")
     hits: list[list[Partition]] = [[] for _ in range(n)]
 
-    def visit(mu, beta, cells, fixed, run):
-        # fixed: the largest overhang every descendant keeps; run: parts equal to the last
-        last = mu[-1] if mu else n - k
-        g = max(fixed, last, k - len(mu)) if len(mu) < k else fixed
-        for i in range(max(cells, 1), n - g):
-            if not (beta >> (n - i)) & ~beta & ~1:
-                hits[i].append(box.dual(mu))
-        if len(mu) < k:
-            bit = n - k + len(mu) + 1  # the next row's beta bit while its mu part is 0
-            for a in range(1, min(last, n - 1 - cells) + 1):
-                run_a = run + 1 if a == last else 1
-                fixed_a = max(fixed, last - a, run_a if a < n - k else 0)
-                if cells + a + fixed_a < n:
-                    visit(mu + (a,), beta ^ (1 << bit) ^ (1 << (bit - a)), cells + a, fixed_a, run_a)
+    def visit(mu, holes, hooks, cells):
+        rows, full = 0, k - len(mu)  # full: the rows not yet decided
+        for s in range(full):
+            rows |= holes >> s
+        free = ~(hooks | rows) & ((2 << (n - max(cells, 1))) - 2)
+        while free:
+            ell = free.bit_length() - 1
+            hits[n - ell].append(box.dual(mu))
+            free ^= 1 << ell
+        if full:
+            top = full - 1  # the next row's mirrored bead while its mu part is 0
+            t = ((hooks | 1) ^ (hooks | 1) + 1).bit_length() - 1
+            for a in range(1, min(mu[-1] if mu else n - k, n - cells - t) + 1):
+                child = holes ^ (1 << top) ^ (1 << (top + a))
+                if ~(seen := hooks | child >> (top + a)) & ((2 << (n - cells - a)) - 2):
+                    visit(mu + (a,), child, seen, cells + a)
 
-    visit((), ((1 << k) - 1) << (n - k + 1), 0, 0, 0)
+    visit((), ((1 << (n - k)) - 1) << k, 0, 0)
     return [(lam, i) for i in range(n - 1, 0, -1) for lam in sorted(hits[i], reverse=True)]

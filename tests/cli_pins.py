@@ -24,6 +24,10 @@ PINS = [
     Pin("qh semisimple --help"),
     Pin("core-search --k 3 --n 9 --format json"),
     Pin("core-search --k 12 --n 24 --format json"),
+    # the edges core search admits: (20, 50) with 999,350 candidates, just
+    # under the bound, and the wide side
+    Pin("core-search --k 20 --n 50 --format json", timeout=5, results={"witnesses": []}),
+    Pin("core-search --k 3 --n 300 --format json", timeout=5, results={"witnesses": []}),
     Pin("betti --type E8 --node 4 --format json"),
     Pin("screen --type F4 --node 4 --format json"),
     Pin("exceptional-table --format json"),
@@ -108,7 +112,7 @@ PINS = [
     Pin("snow --k 1 --n 100000000 --p 3000000 --twist 0", timeout=5),
     # refused up front with one line on stderr: a misaligned charpoly power, an
     # oversized Dynkin type, core search, snow and chi_y, and the other mode's
-    # flags given to screen
+    # flags given to screen, a --seed among them
     Pin("qh charpoly --k 5 --n 10 --power 11", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
     Pin("betti --type A1000 --node 500", code=2, timeout=5, stderr_lines=1),
@@ -120,6 +124,7 @@ PINS = [
     Pin("hodge --section --k 7 --n 30", code=2, timeout=5, stderr_lines=1),
     Pin("screen --section --k 3 --n 8 --type E7", code=2, timeout=5, stderr_lines=1),
     Pin("screen --type E7 --node 2 --k 3", code=2, timeout=5, stderr_lines=1),
+    Pin("screen --type E7 --node 2 --seed 5", code=2, timeout=5, stderr_lines=1),
     # a command line the table parse does not accept, here one with a leftover
     # argument, goes to the whole tree and gets the top-level usage
     Pin("qh semisimple --k 2 --n 4 extra", code=2, stderr_prefix="usage: qhgrass [-h]"),

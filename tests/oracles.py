@@ -80,8 +80,9 @@ route:
 - PRINTED_H holds the lifts h_6, h_7, h_8 of the presentation relations in
   e_1, e_2, e_3 as printed in the source; sigma_e_polynomial derives them.
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
-  bijection and the bitmask core search without the overhang prune, which
-  visits every box complement of at most n - 1 cells.
+  bijection and a core search without partitions.core_search's hook-set
+  prune, which visits every box complement of at most n - 1 cells and tests
+  each i on the beta set rather than reading hits off hook lengths.
   count_small_partitions_table counts the candidates by a table over parts
   and cells in O(k budget^2); partitions._count_small_partitions takes a
   truncated Gaussian binomial in O(k budget).
@@ -347,8 +348,10 @@ def from_beta_set(beta, box: Box) -> Partition:
 
 
 def core_search_unpruned(box: Box) -> list[tuple[Partition, int]]:
-    """partitions.core_search's bitmask test on every complement mu of at most
-    n - 1 cells and every i in [max(|mu|, 1), n - 1], in the same order."""
+    """partitions.core_search's output from the beta-set core test on every
+    complement mu of at most n - 1 cells and every i in [max(|mu|, 1), n - 1]:
+    lam, with beta set the bitmask A, is an (n-i)-core iff A is closed under
+    a -> a - (n-i) on [1, n] (James-Kerber 2.7)."""
     k, n = box.k, box.n
     hits: list[list[Partition]] = [[] for _ in range(n)]
 

@@ -276,6 +276,34 @@ def test_overhangs_carry_every_hook_length_below_them():
                         assert found == set(range(1, overhang + 1)), (k, n, lam, j)
 
 
+def test_decided_rows_keep_their_hook_lengths():
+    # the lemma core_search carries its hook set by: a cell's arm lies in its
+    # row and its leg below it, so lam's bottom j rows have, cell for cell, the
+    # hook lengths of the partition those rows make alone
+    for n in range(2, 11):
+        for k in range(1, n):
+            for lam in schubert_basis(Box(k, n)):
+                hooks = hook_lengths(lam)
+                for j in range(len(lam) + 1):
+                    above = len(lam) - j
+                    alone = {(r + above, c): h for (r, c), h in hook_lengths(lam[above:]).items()}
+                    assert alone == {cell: h for cell, h in hooks.items() if cell[0] > above}, (k, n, lam, j)
+
+
+def test_a_core_is_a_partition_without_that_hook_length():
+    # James-Kerber 2.7.40, by which core_search reads its hits: lam is an
+    # ell-core iff no hook length is divisible by ell iff none equals ell,
+    # against the cell scan and the beta-set test
+    for n in range(2, 11):
+        for k in range(1, n):
+            box = Box(k, n)
+            for lam in schubert_basis(box):
+                lengths = set(hook_lengths(lam).values())
+                for ell in range(1, n + 1):
+                    core = all(h % ell for h in lengths)
+                    assert core == (ell not in lengths) == is_core(lam, ell) == is_core_beta(lam, ell, box), (lam, ell)
+
+
 def test_core_search_equals_the_unpruned_search():
     for n in range(6, 29):
         for k in range(3, n // 2 + 1):
