@@ -37,7 +37,6 @@ from types import SimpleNamespace
 from . import hodge, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .partitions import Box, core_search, log10_box_count, size, snow_witnesses
-from .polynomials import UniPoly
 from .rootdata import GrassmannianId, dimension, fano_index, parse_type, poincare_polynomial
 
 SCHEMA_VERSION = "1"
@@ -68,8 +67,8 @@ def _rat(value) -> int | str:
     return int(value)
 
 
-def _poly(poly: UniPoly) -> list:
-    return [_rat(c) for c in poly.coeffs]
+def _poly(coeffs: tuple) -> list:
+    return [_rat(c) for c in coeffs]
 
 
 def _document(command: str, inputs: dict, results: dict) -> dict:

@@ -73,7 +73,6 @@ from math import comb, prod
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .partitions import box_counts, log10_box_count
-from .polynomials import UniPoly
 from .screen import BettiProfile
 
 # accepted and echoed by the CLI; no computation depends on it
@@ -142,8 +141,9 @@ def _euler_sums(k: int, n: int) -> list[int]:
     return alternating
 
 
-def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
-    """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section.
+def chi_y(k: int, n: int, section: bool = False) -> tuple[int, ...]:
+    """chi_y(Gr(k,n)) or, with section=True, chi_y of its hyperplane section,
+    as coefficients of y^0, y^1, ...
 
     The ambient genus is sum_p (-1)^p N_p y^p, N = box_counts, checked to sum
     to C(n, k), the count the refusal takes, and to be palindromic; the
@@ -171,10 +171,9 @@ def chi_y(k: int, n: int, section: bool = False) -> UniPoly:
         coeffs = [alternating[p] + alternating[p + 1] - coeffs[p + 1] for p in range(d + 1)]
         if any(coeffs[p] != (-1) ** d * coeffs[d - p] for p in range(d + 1)):
             raise InternalConsistencyError("section chi_y breaks Serre symmetry")
-    poly = UniPoly(coeffs)
-    if poly(0) != 1:
+    if coeffs[0] != 1:
         raise InternalConsistencyError("chi_y(0) != 1: sign conventions are broken")
-    return poly
+    return tuple(coeffs)
 
 
 class HodgeDiamond(namedtuple("HodgeDiamond", "dim column middle genus")):
@@ -234,7 +233,7 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     result = HodgeDiamond(d, tuple(column), tuple(middle), genus)
     # each h^{p,q} weighs (-1)^(p+q); total() counts the h^{m,m} of an even dimension once
     euler = result.total() if d % 2 == 0 else sum(column) - sum(middle)
-    if euler != genus(-1):
+    if euler != sum((-1) ** p * c for p, c in enumerate(genus)):
         raise InternalConsistencyError("diamond disagrees with the Euler number")
     # the A-D-E bijection: Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1
     if (tate := result.is_hodge_tate()) != (k * (n - k) < 2 * n):

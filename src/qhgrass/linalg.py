@@ -30,7 +30,6 @@ import math
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .polynomials import UniPoly
 
 Matrix = list
 
@@ -314,14 +313,14 @@ def _bareiss(a: Matrix, divide):
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
-def charpoly(a: Matrix) -> UniPoly:
-    """Monic characteristic polynomial det(xI - a), by exact evaluation and
-    interpolation: with D the common denominator of a, f(x) = det(xI - D a)
-    is taken at x = 0..n by integer Bareiss, its coefficients in the
-    falling-factorial basis are c_k = (Delta^k f)(0) / k!, exact quotients,
-    and Horner's rule in that basis gives the monomial coefficients b_j.
-    det(xI - a) has coefficients b_j / D^(n - j); its x^(n - 1) coefficient
-    is checked against -trace(a)."""
+def charpoly(a: Matrix) -> tuple:
+    """Coefficients, lowest degree first, of the monic characteristic
+    polynomial det(xI - a), by exact evaluation and interpolation: with D
+    the common denominator of a, f(x) = det(xI - D a) is taken at x = 0..n
+    by integer Bareiss, its coefficients in the falling-factorial basis are
+    c_k = (Delta^k f)(0) / k!, exact quotients, and Horner's rule in that
+    basis gives the monomial coefficients b_j.  det(xI - a) has coefficients
+    b_j / D^(n - j); its x^(n - 1) coefficient is checked against -trace(a)."""
     n = len(a)
     denom = math.lcm(*(x.denominator for row in a for x in row if type(x) is Fraction))
     scaled = [[int(denom * y) for y in row] for row in a]
@@ -338,8 +337,8 @@ def charpoly(a: Matrix) -> UniPoly:
     for k in range(n - 1, -1, -1):
         # coeffs * (x - k) + c_k, lowest degree first
         coeffs = [falling[k] - k * coeffs[0]] + [u - k * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
-    out = UniPoly([exact_div(b, denom ** (n - j)) for j, b in enumerate(coeffs)])
-    if out.leading() != 1:
+    out = tuple(exact_div(b, denom ** (n - j)) for j, b in enumerate(coeffs))
+    if out[-1] != 1:
         raise InternalConsistencyError("characteristic polynomial is not monic")
     if n and out[n - 1] != -trace(a):
         raise InternalConsistencyError("characteristic polynomial's x^(n-1) coefficient is not -trace")

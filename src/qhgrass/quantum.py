@@ -77,7 +77,6 @@ from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, canonical, size
-from .polynomials import UniPoly
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +168,7 @@ def _piece_block(columns: dict[int, list[dict]], cols: list[int], steps: list[in
     return [[row.get(i, 0) for row in block] for i in cols]
 
 
-def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], r: int, power: int, with_e2=False) -> UniPoly:
+def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], r: int, power: int, with_e2=False) -> tuple:
     """Characteristic polynomial of e_1^power (optionally * e_2) on the span
     of the basis coordinates cols, r the degree of q.  It reads only e_ops[1]
     (and e_ops[2]), so a caller holding just those needs no whole algebra.

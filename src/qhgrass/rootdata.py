@@ -18,7 +18,7 @@ left is the product over the nilradical roots, beta_k > 0.  Each bracket
 [m]_t is multiplied in as a running window sum and divided out through
 q [m]_t = p <=> q (1 - t^m) = p (1 - t), in O(deg) steps; every quotient is
 multiplied back and checked.  The tests compare both with the string-walking
-search and a UniPoly product with one exact division.
+search and a polynomial product with one exact division.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .polynomials import UniPoly
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -221,8 +220,9 @@ def _over_bracket(coeffs: list[int], m: int) -> list[int]:
     return out
 
 
-def poincare_polynomial(g: GrassmannianId) -> UniPoly:
-    """Polynomial whose t^i coefficient is the even Betti number b_{2i}(G/P_k).
+def poincare_polynomial(g: GrassmannianId) -> tuple[int, ...]:
+    """Coefficients, lowest degree first, whose t^i entry is the even Betti
+    number b_{2i}(G/P_k).
 
     With c_h the number of nilradical roots of height h, the product of
     [h + 1]_t / [h]_t over those roots telescopes to
@@ -239,9 +239,8 @@ def poincare_polynomial(g: GrassmannianId) -> UniPoly:
     for m, e in exponents.items():
         for _ in range(-e):
             coeffs = _over_bracket(coeffs, m)
-    quotient = UniPoly(coeffs)
-    if quotient.degree != dimension(g):
+    if len(coeffs) - 1 != dimension(g):
         raise InternalConsistencyError(f"Poincare polynomial degree mismatch for {g}")
-    if not quotient.is_palindromic():
+    if coeffs != coeffs[::-1]:
         raise InternalConsistencyError(f"Poincare polynomial of {g} is not palindromic")
-    return quotient
+    return tuple(coeffs)

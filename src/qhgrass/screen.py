@@ -71,8 +71,7 @@ def screen(profile: BettiProfile) -> ScreenVerdict:
 
 def profile_of(g: GrassmannianId) -> BettiProfile:
     """Betti profile of a generalized Grassmannian from its Poincare polynomial."""
-    poly = poincare_polynomial(g)
-    return BettiProfile(tuple(int(c) for c in poly.coeffs), fano_index(g), str(g))
+    return BettiProfile(poincare_polynomial(g), fano_index(g), str(g))
 
 
 # The 13 exceptional G/P_k whose non-semisimplicity the screen certifies,

@@ -104,7 +104,6 @@ from . import hodge, linalg, screen
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, size
-from .polynomials import UniPoly
 from .quantum import (
     GradedAlgebra,
     e_columns,
@@ -243,7 +242,7 @@ def build_ring(k: int, n: int) -> SectionRing:
     return SectionRing(k, n)
 
 
-def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> UniPoly:
+def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> tuple:
     """Characteristic polynomial of e_1^power (optionally * e_2) on A^0(Y),
     the residue-0 piece (quantum.e_power_charpoly)."""
     ring = build_ring(k, n)

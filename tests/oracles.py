@@ -60,9 +60,12 @@ route:
   operator to a piece of basis coordinates or labels and take its
   characteristic polynomial there; quantum.e_power_charpoly builds the
   piece's operator from thin blocks and never forms the whole one.
-- unipoly_divmod and unipoly_div_exact are polynomial long division; the
-  Poincare oracles and the polynomial-ring Bareiss oracle of the charpoly
-  divide with them, and production divides no polynomials.
+- UniPoly, the polynomial type, is defined here and only here: production
+  has no polynomial type, returns each polynomial (chi_y, the Poincare
+  polynomial, the charpolys) as a tuple of its coefficients, lowest degree
+  first, and does no polynomial arithmetic.  unipoly_divmod and
+  unipoly_div_exact are polynomial long division; the Poincare oracles and
+  the polynomial-ring Bareiss oracle of the charpoly divide with them.
 - vertical_strip_additions, quantum_rim_partitions and quantum_pieri are the
   quantum Pieri rule by vertical strips and transposed interlacing;
   quantum.pieri_entries moves particles on the n-cycle.
@@ -127,7 +130,6 @@ from qhgrass import linalg
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, box_partitions_of_size, canonical, size, transpose
-from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
     GradedAlgebra,
     commuting,
@@ -179,6 +181,67 @@ PRINTED_H = {
 }
 
 
+# -- polynomials with exact coefficients ------------------------------------------
+
+
+class UniPoly:
+    """A polynomial in one variable with int or Fraction coefficients, lowest
+    degree first: integral Fractions become ints and trailing zeros are
+    dropped, so equal polynomials have equal coeffs."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c for c in coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def one() -> UniPoly:
+        return UniPoly([1])
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the zero polynomial conventionally of degree -1."""
+        return len(self.coeffs) - 1
+
+    def __bool__(self) -> bool:
+        """True when nonzero, as for ints and Fractions."""
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if isinstance(other, UniPoly) else NotImplemented
+
+    def __add__(self, other: UniPoly) -> UniPoly:
+        a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        return UniPoly([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+    def __neg__(self) -> UniPoly:
+        return UniPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other: UniPoly) -> UniPoly:
+        return self + (-other)
+
+    def __mul__(self, other: UniPoly) -> UniPoly:
+        if not self.coeffs or not other.coeffs:
+            return UniPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
+
+    def __call__(self, value):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def __repr__(self):
+        return f"UniPoly({list(self.coeffs)})"
+
+
 def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
     """Restriction of a dense operator to the span of these basis
     coordinates, which it must preserve: the whole-operator route that
@@ -196,7 +259,7 @@ def restrict(alg, op: Matrix, piece) -> Matrix:
 
 def charpoly_on_piece(alg, op: Matrix, piece) -> UniPoly:
     """Exact monic characteristic polynomial of the restriction to a piece."""
-    return linalg.charpoly(restrict(alg, op, piece))
+    return UniPoly(linalg.charpoly(restrict(alg, op, piece)))
 
 
 # -- dense combinations and the regular-representation Gram --------------------
@@ -636,7 +699,7 @@ def poincare_by_division(g: GrassmannianId) -> UniPoly:
         for _ in range(-exponent):
             denominator = denominator * bracket
     quotient = unipoly_div_exact(numerator, denominator)
-    if quotient.degree != dimension(g) or not quotient.is_palindromic():
+    if quotient.degree != dimension(g) or quotient.coeffs != quotient.coeffs[::-1]:
         raise InternalConsistencyError(f"bad Poincare polynomial for {g}")
     return quotient
 
@@ -644,10 +707,10 @@ def poincare_by_division(g: GrassmannianId) -> UniPoly:
 def unipoly_divmod(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Quotient and remainder of polynomial long division; over Z a leading
     coefficient of +-1 keeps every step in the integers."""
-    if den.is_zero():
+    if not den:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(num.coeffs)
-    lead = den.leading()
+    lead = den.coeffs[-1]
     integral = lead in (1, -1) and all(type(c) is int for c in rem + list(den.coeffs))
     quot = [0] * max(0, len(rem) - len(den.coeffs) + 1)
     for i in range(len(rem) - len(den.coeffs), -1, -1):
@@ -664,7 +727,7 @@ def unipoly_divmod(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
 def unipoly_div_exact(num: UniPoly, den: UniPoly) -> UniPoly:
     """The exact quotient; a nonzero remainder signals an internal inconsistency."""
     q, r = unipoly_divmod(num, den)
-    if not r.is_zero():
+    if r:
         raise InternalConsistencyError(f"inexact polynomial division: remainder {r.coeffs}")
     return q
 

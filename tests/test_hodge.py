@@ -22,12 +22,9 @@ from qhgrass.hodge import (
     section_profile,
 )
 from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses, transpose
-from qhgrass.polynomials import UniPoly
 from qhgrass.screen import periodic_betti, screen
 
-CHI_Y_39_SECTION = UniPoly(
-    [1, -1, 2, -3, 4, -5, 7, -7, 6, -6, 7, -7, 5, -4, 3, -2, 1, -1]
-)
+CHI_Y_39_SECTION = (1, -1, 2, -3, 4, -5, 7, -7, 6, -6, 7, -7, 5, -4, 3, -2, 1, -1)
 
 DIAMOND_COLUMNS = {
     (3, 6): [1, 1, 2, 3, 4, 3, 2, 1, 1],
@@ -51,11 +48,9 @@ def test_ambient_chi_y_is_box_count_polynomial():
     for k, n in [(1, 4), (2, 5), (3, 6), (2, 7)]:
         genus = chi_y(k, n)
         d = k * (n - k)
-        assert genus == UniPoly(
-            [(-1) ** p * len(box_partitions_of_size(k, n, p)) for p in range(d + 1)]
-        )
-        assert genus(-1) == comb(n, k)
-        assert genus(0) == 1
+        assert genus == tuple((-1) ** p * len(box_partitions_of_size(k, n, p)) for p in range(d + 1))
+        assert sum((-1) ** p * c for p, c in enumerate(genus)) == comb(n, k)
+        assert genus[0] == 1
 
 
 def test_ambient_anchor_counts_partitions_in_the_narrow_box(monkeypatch):
@@ -87,7 +82,7 @@ def test_projective_space_section():
     # the hyperplane section of P^{n-1} is P^{n-2}
     for n in (2, 3, 5, 8):
         genus = chi_y(1, n, section=True)
-        assert genus == UniPoly([(-1) ** p for p in range(n - 1)])
+        assert genus == tuple((-1) ** p for p in range(n - 1))
 
 
 def test_chi_y_39_section_golden():
@@ -98,9 +93,9 @@ def test_chi_y_section_general_shape():
     for k, n in [(2, 5), (3, 6), (3, 7)]:
         genus = chi_y(k, n, section=True)
         d = k * (n - k) - 1
-        assert genus.degree == d
-        assert genus(0) == 1
-        assert genus.leading() == (-1) ** d
+        assert len(genus) - 1 == d
+        assert genus[0] == 1
+        assert genus[-1] == (-1) ** d
 
 
 def test_parameter_independence():
@@ -399,8 +394,9 @@ def _fixed_point_sums(k: int, n: int, section: bool, xs: list[int], ys: list[int
     return [total[order] for total in totals]
 
 
-def localized_chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_SEED) -> UniPoly:
-    """chi_y by localization, interpolated from integer samples of y."""
+def localized_chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_SEED) -> tuple[int, ...]:
+    """chi_y by localization, interpolated from integer samples of y, as
+    coefficients lowest degree first."""
     degree = k * (n - k) - int(section)
     # unknown coefficients c_p for p <= degree/2; c_{degree-p} = (-1)^degree c_p
     unknowns = degree // 2 + 1
@@ -422,7 +418,7 @@ def localized_chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_S
         coeffs[degree - p] = sign * c if degree - p != p else c
     if any(c.denominator != 1 for c in coeffs):
         raise InternalConsistencyError("chi_y has a non-integer coefficient")
-    return UniPoly(coeffs)
+    return tuple(int(c) for c in coeffs)
 
 
 @pytest.mark.parametrize(
@@ -430,7 +426,7 @@ def localized_chi_y(k: int, n: int, section: bool = False, seed: int = DEFAULT_S
     [(1, 5, True), (2, 6, True), (3, 7, True), (2, 8, True), (3, 8, True), (2, 5, False), (3, 6, False)],
 )
 def test_bwb_chi_y_matches_localization(k, n, section):
-    assert chi_y(k, n, section=section).coeffs == localized_chi_y(k, n, section).coeffs
+    assert chi_y(k, n, section=section) == localized_chi_y(k, n, section)
 
 
 def test_bwb_anchors_catch_a_wrong_sum(monkeypatch, capsys):

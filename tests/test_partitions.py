@@ -261,8 +261,10 @@ def test_core_search_agrees_with_cell_scan(box):
 
 
 def test_overhangs_carry_every_hook_length_below_them():
-    # the lemma core_search prunes by: the cells of row j right of column
-    # lam_{j+1} have hook lengths 1..lam_j - lam_{j+1}, and likewise for columns
+    # a shape check on the hook_lengths oracle that the hook-set, core and snow
+    # tests read (core_search itself tracks no overhangs): the cells of row j
+    # right of column lam_{j+1} have hook lengths 1..lam_j - lam_{j+1}, and
+    # likewise for columns
     for n in range(2, 11):
         for k in range(1, n):
             for lam in schubert_basis(Box(k, n)):

@@ -9,6 +9,7 @@ import oracles
 from oracles import (
     PRINTED_H,
     ClassVector,
+    UniPoly,
     charpoly_on_piece,
     classical_grassmannian,
     cup_e,
@@ -34,7 +35,6 @@ from oracles import (
 from qhgrass import linalg, quantum, section
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.partitions import Box, canonical, size
-from qhgrass.polynomials import UniPoly
 from qhgrass.quantum import (
     GradedAlgebra,
     commuting,
@@ -259,13 +259,13 @@ def test_a_corrupted_operator_in_qh_charpoly_exits_1(capsys, monkeypatch):
     assert not out and err == "internal consistency failure: operator does not preserve the requested piece\n"
 
 
-def _dense_power_charpoly(alg, power: int, with_e2: bool) -> UniPoly:
+def _dense_power_charpoly(alg, power: int, with_e2: bool) -> tuple:
     """The whole-operator route: E_1^power (* E_2) made dense, restricted to
-    the residue-0 piece, then its charpoly."""
+    the residue-0 piece, then its charpoly's coefficients."""
     op = linalg.mat_pow(dense_square(alg.e_ops[1]), power)
     if with_e2:
         op = linalg.mat_mul(op, dense_square(alg.e_ops[2]))
-    return charpoly_on_piece(alg, op, alg.residue_piece(0))
+    return charpoly_on_piece(alg, op, alg.residue_piece(0)).coeffs
 
 
 def _aligned_powers(k: int, r: int):

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import (
     SMALL_TYPES,
+    UniPoly,
     cartan_from_gram,
     fundamental_degrees,
     gaussian_binomial,
@@ -13,7 +14,6 @@ from oracles import (
 )
 from qhgrass import cli, rootdata
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
-from qhgrass.polynomials import UniPoly
 from qhgrass.rootdata import (
     MAX_POSITIVE_ROOTS,
     DynkinType,
@@ -104,7 +104,7 @@ def test_type_c_node_2():
         expected = UniPoly([1] * (2 * n)) * UniPoly(
             [1 if i % 2 == 0 else 0 for i in range(2 * n - 3)]
         )
-        assert poincare_polynomial(g) == expected
+        assert poincare_polynomial(g) == expected.coeffs
 
 
 def test_gaussian_binomial():
@@ -122,15 +122,15 @@ def test_poincare_palindromic_and_euler():
     for fam, rank, node in cases:
         g = GrassmannianId(DynkinType(fam, rank), node)
         p = poincare_polynomial(g)
-        assert p.is_palindromic(), g
-        assert p.degree == dimension(g)
+        assert p == p[::-1], g
+        assert len(p) - 1 == dimension(g)
         from oracles import levi_degree_multiset
 
         euler = prod(fundamental_degrees(g.type))
         for d in levi_degree_multiset(g):
             assert euler % d == 0
             euler //= d
-        assert sum(p.coeffs) == euler, g
+        assert sum(p) == euler, g
 
 
 def test_coadjoint_cases_satisfy_dim_below_twice_index():
@@ -147,7 +147,7 @@ def test_coadjoint_cases_satisfy_dim_below_twice_index():
 def test_poincare_coefficients_are_betti_numbers():
     # Gr(2,4) is a 4-dimensional quadric: betti 1,1,2,1,1
     g = GrassmannianId(DynkinType("A", 3), 2)
-    assert poincare_polynomial(g).coeffs == (1, 1, 2, 1, 1)
+    assert poincare_polynomial(g) == (1, 1, 2, 1, 1)
 
 
 def test_cartan_matrix_equals_the_gram_route():
@@ -162,7 +162,7 @@ def test_poincare_polynomial_equals_the_degree_route():
     for t in SMALL_TYPES:
         for node in range(1, t.rank + 1):
             g = GrassmannianId(t, node)
-            got, want = poincare_polynomial(g).coeffs, poincare_by_degrees(g).coeffs
+            got, want = poincare_polynomial(g), poincare_by_degrees(g).coeffs
             assert got == want and all(type(c) is int for c in got), g
             count += 1
     assert count == 220
@@ -182,7 +182,7 @@ def test_roots_and_poincare_polynomials_match_the_old_routes(family):
         assert positive_roots(t) == positive_roots_by_strings(t), t
         for node in range(1, rank + 1):
             g = GrassmannianId(t, node)
-            got = poincare_polynomial(g).coeffs
+            got = poincare_polynomial(g)
             assert got == poincare_by_division(g).coeffs and all(type(c) is int for c in got), g
 
 

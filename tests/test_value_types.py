@@ -1,13 +1,18 @@
 """The value types: tuples with named fields, checked when built, immutable,
-and equal and hashed by value."""
+and equal and hashed by value; and the polynomials, plain tuples of
+coefficients."""
+
+from fractions import Fraction
 
 import pytest
 
+from cli_pins import PINS
+from oracles import SMALL_TYPES
+from qhgrass import cli, hodge, linalg, quantum, section
 from qhgrass.errors import InvalidInputError
 from qhgrass.hodge import HodgeDiamond, HodgeTateCertificate
 from qhgrass.partitions import Box
-from qhgrass.polynomials import UniPoly
-from qhgrass.rootdata import DynkinType, GrassmannianId
+from qhgrass.rootdata import DynkinType, GrassmannianId, poincare_polynomial
 from qhgrass.screen import BettiProfile, ExceptionalRow, ScreenVerdict
 from qhgrass.section import SemisimplicityReport
 
@@ -19,7 +24,7 @@ EXAMPLES = [
     (BettiProfile, ((1, 1, 2), 3, "toy"), ((1, 1, 2), 3, "other")),
     (ScreenVerdict, ("Witness", (1, 2, 3, 2)), ("NoObstruction", None)),
     (ExceptionalRow, ("E6/P2", 21, 11, 1, 5, 4, "Witness"), ("E6/P2", 21, 11, 1, 5, 5, "Witness")),
-    (HodgeDiamond, (1, (1, 1), (0, 0), UniPoly([1, -1])), (1, (1, 1), (0, 0), UniPoly([1, 1]))),
+    (HodgeDiamond, (1, (1, 1), (0, 0), (1, -1)), (1, (1, 1), (0, 0), (1, 1))),
     (HodgeTateCertificate, ("diamond", ()), ("middle-row-jump", (5, 9, 1))),
     (SemisimplicityReport, (3, 7, True, "trace-form", ""), (3, 7, False, "trace-form", "")),
 ]
@@ -71,3 +76,22 @@ def test_repr_str_defaults_and_properties():
     assert ScreenVerdict("NoObstruction").witness is None
     assert ScreenVerdict("Witness", (1, 2, 3, 2)).is_witness
     assert not ScreenVerdict("NoObstruction").is_witness
+
+
+def test_polynomials_are_tuples_of_exact_coefficients(capsys, monkeypatch):
+    # every polynomial is its coefficients, lowest degree first: a tuple whose
+    # last entry is nonzero, each entry an int or a Fraction that is not one
+    polys = [hodge.chi_y(k, n, section) for n in range(2, 13) for k in range(1, n) for section in (False, True)]
+    polys += [poincare_polynomial(GrassmannianId(t, node)) for t in SMALL_TYPES for node in range(1, t.rank + 1)]
+    # and every charpoly the pinned qh charpoly commands take, at each layer
+    for module, name in [(linalg, "charpoly"), (quantum, "e_power_charpoly"), (section, "section_charpoly")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, **kw: polys.append(f(*args, **kw)) or polys[-1])
+    argvs = [pin.argv.split() for pin in PINS if pin.argv.startswith("qh charpoly") and pin.code == 0]
+    for argv in argvs:
+        assert cli.run(argv) == 0, argv
+    capsys.readouterr()
+    assert len(argvs) == 5 and len(polys) == 2 * 66 + 220 + 2 * 5
+    for poly in polys:
+        assert type(poly) is tuple and poly and poly[-1] != 0, poly
+        assert all(type(c) is int or type(c) is Fraction and c.denominator != 1 for c in poly), poly
