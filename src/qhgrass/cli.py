@@ -44,9 +44,10 @@ SCHEMA_VERSION = "1"
 # a charpoly whose coefficients may have more digits is refused before any power
 # is taken; the bound is about four times the true size on Gr(2, 4)
 MAX_CHARPOLY_DIGITS = 20_000
-# and so is one whose work, piece dimension^3 x digits, is larger: Gr(5, 10) at
-# power 100 (3.2e7) takes 0.6 s of CPU, nearly all of it the charpoly, and the
-# time grows faster than the work (power 400, 1.3e8 and refused: 7.1 s)
+# and so is one whose work, piece dimension^3 x digits, is larger: Gr(5, 10)
+# takes 0.09-0.14 s of CPU at power 100 (3.2e7) and 0.14-0.18 s at power 150
+# (4.8e7, the largest admitted), most of it the charpoly, and the time grows
+# faster than the work (power 400, 1.3e8 and refused: 1.3 s)
 MAX_CHARPOLY_WORK = 5 * 10**7
 # ambient qh commands are refused over this many Schubert classes d = C(n, k).
 # The bound is on d itself: no command builds a d x d operator or pays d^3.
@@ -217,7 +218,7 @@ def _cmd_qh_charpoly(args) -> dict:
         raise InvalidInputError(f"matrix power needs a nonnegative exponent, got {args.power}")
     if args.section:
         alg = section.build_ring(args.k, args.n)
-        piece, e_ops = alg.residue_piece(0), alg.e_ops
+        piece, e_ops = [alg.index[lab] for lab in alg.residue_piece(0)], alg.e_ops
     else:
         # the refusals and the charpoly read only e_1 (and e_2) and the
         # residue-0 piece, here as Schubert-basis coordinates, so the rest of
@@ -231,10 +232,7 @@ def _cmd_qh_charpoly(args) -> dict:
     if (work := len(piece) ** 3 * digits) > MAX_CHARPOLY_WORK:
         raise InvalidInputError(
             f"charpoly work of about {work:.1e} (piece dim^3 x digits), over {MAX_CHARPOLY_WORK:.0e}")
-    if args.section:
-        poly = section.section_charpoly(args.k, args.n, args.power, with_e2=args.with_e2)
-    else:
-        poly = quantum.e_power_charpoly(e_ops, piece, r, args.power, args.with_e2)
+    poly = quantum.e_power_charpoly(e_ops, piece, r, args.power, args.with_e2)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 

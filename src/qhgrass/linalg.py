@@ -18,15 +18,16 @@ so in each step a is the block of lam' (s rows) and b is E_p^T, held as
 E_p's columns (E_p itself for the transposed run): the step loops over the
 s seed rows, not over d.
 Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
-ints or Fractions; charpoly evaluates it over the integers and
-interpolates, and the tests check it against the Berkowitz recursion.
+ints or Fractions.  The characteristic polynomial takes no division at all:
+charpoly is the Berkowitz recursion, and the tests check it against two
+routes through _bareiss, evaluation and interpolation over the integers,
+and elimination over the polynomial ring.
 There is no inverse and no solver.  A kernel takes one Gauss-Jordan
 elimination (rref), of the matrix with its columns reversed (kernel_basis).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InternalConsistencyError, InvalidInputError
@@ -286,9 +287,10 @@ def _int_div(a: int, b: int) -> int:
 def _bareiss(a: Matrix, divide):
     """Determinant by fraction-free (Bareiss) elimination on the whole matrix,
     over any ring whose exact quotient is divide(num, den): ints or
-    Fractions here, and polynomials in the tests.  Each step divides by the
-    previous pivot; the first divides by 1 and is skipped, so the entries
-    need only +, -, * and a truth value."""
+    Fractions here.  The tests run it on xI - a as the oracles of charpoly,
+    over the integers at x = 0..n and over the polynomial ring.  Each step
+    divides by the previous pivot; the first divides by 1 and is skipped, so
+    the entries need only +, -, * and a truth value."""
     n = len(a)
     if n == 0:
         return 1
@@ -315,31 +317,29 @@ def _bareiss(a: Matrix, divide):
 
 def charpoly(a: Matrix) -> tuple:
     """Coefficients, lowest degree first, of the monic characteristic
-    polynomial det(xI - a), by exact evaluation and interpolation: with D
-    the common denominator of a, f(x) = det(xI - D a) is taken at x = 0..n
-    by integer Bareiss, its coefficients in the falling-factorial basis are
-    c_k = (Delta^k f)(0) / k!, exact quotients, and Horner's rule in that
-    basis gives the monomial coefficients b_j.  det(xI - a) has coefficients
-    b_j / D^(n - j); its x^(n - 1) coefficient is checked against -trace(a)."""
-    n = len(a)
-    denom = math.lcm(*(x.denominator for row in a for x in row if type(x) is Fraction))
-    scaled = [[int(denom * y) for y in row] for row in a]
-    values = [_bareiss([[x * (i == j) - y for j, y in enumerate(row)] for i, row in enumerate(scaled)], _int_div)
-              for x in range(n + 1)]
-    falling = []
-    for k in range(n + 1):
-        c, rem = divmod(values[0], math.factorial(k))
-        if rem:
-            raise InternalConsistencyError("characteristic polynomial values fit no integer polynomial")
-        falling.append(c)
-        values = [v - u for u, v in zip(values, values[1:])]
-    coeffs = [falling[n]]
-    for k in range(n - 1, -1, -1):
-        # coeffs * (x - k) + c_k, lowest degree first
-        coeffs = [falling[k] - k * coeffs[0]] + [u - k * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
-    out = tuple(exact_div(b, denom ** (n - j)) for j, b in enumerate(coeffs))
+    polynomial det(xI - a), by the Berkowitz recursion (_berkowitz), checked
+    monic with x^(n - 1) coefficient -trace(a)."""
+    out = _berkowitz(a)
     if out[-1] != 1:
         raise InternalConsistencyError("characteristic polynomial is not monic")
-    if n and out[n - 1] != -trace(a):
+    if a and out[-2] != -trace(a):
         raise InternalConsistencyError("characteristic polynomial's x^(n-1) coefficient is not -trace")
     return out
+
+
+def _berkowitz(a: Matrix) -> tuple:
+    """det(xI - a), lowest degree first, with no division (Berkowitz, Inf.
+    Process. Lett. 18, 1984).  With p_i that of the leading i x i block A_i,
+    R and C the first i entries of row and column i and d = a[i][i], p_(i+1)
+    is the lower triangular Toeplitz matrix with first column 1, -d, -R C,
+    -R A_i C, ..., -R A_i^(i-1) C times p_i."""
+    poly = [1]  # p_i, highest degree first
+    for i in range(len(a)):
+        sub = [row[:i] for row in a[:i]]
+        row_r, v = a[i][:i], [row[i] for row in a[:i]]
+        col = [1, -a[i][i]]
+        for _ in range(i):
+            col.append(-sum(r * x for r, x in zip(row_r, v)))
+            v = [sum(x * y for x, y in zip(srow, v)) for srow in sub]
+        poly = [sum(col[j - s] * poly[s] for s in range(max(0, j - i - 1), min(j, i) + 1)) for j in range(i + 2)]
+    return tuple(_integral(c) for c in reversed(poly))

@@ -65,11 +65,14 @@ PINS = [
         results={"semisimple": True, "method": "trace-form+monodromy",
                  "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
                            "2-dimensional radical semisimple by the external monodromy argument"}),
-    # charpolys of Gr(5, 10), at power 100 and at power 58 with e_2
-    Pin("qh charpoly --k 5 --n 10 --power 100 --format json",
+    # charpolys of Gr(5, 10), at power 100, at power 58 with e_2, and at power
+    # 150, the largest the charpoly work bound admits (power 160 is refused)
+    Pin("qh charpoly --k 5 --n 10 --power 100 --format json", timeout=5,
         sha256="929a03e1d4554070737c5af8a8af78eca0aad4f4fbb42085585d9d0971f175bc"),
-    Pin("qh charpoly --k 5 --n 10 --power 58 --with-e2 --format json",
+    Pin("qh charpoly --k 5 --n 10 --power 58 --with-e2 --format json", timeout=5,
         sha256="0852d15bd6cbc04222581f85e6218c6db390e6f8f46cc288fef2b25a5fa8152b"),
+    Pin("qh charpoly --k 5 --n 10 --power 150 --format json", timeout=5,
+        sha256="aa03ebccd6b454ff922dee138b81eaa8b87af8cb94ab48ef6554afd34764cdbb"),
     # section Hodge diamonds and the (3, 8) section screen.  The Hodge-Tate
     # verdicts follow the A-D-E bound: yes for (3, 8), no for the dim = 2n boxes
     # (3, 9) and (4, 8), which take the full diamond
@@ -110,10 +113,11 @@ PINS = [
     # a snow partition of 1,500 parts and one of 3,000,000 cells
     Pin("snow --k 2000 --n 2001 --p 1500 --twist 1", timeout=5),
     Pin("snow --k 1 --n 100000000 --p 3000000 --twist 0", timeout=5),
-    # refused up front with one line on stderr: a misaligned charpoly power, an
-    # oversized Dynkin type, core search, snow and chi_y, and the other mode's
-    # flags given to screen, a --seed among them
+    # refused up front with one line on stderr: a misaligned charpoly power, a
+    # charpoly over the work bound, an oversized Dynkin type, core search, snow
+    # and chi_y, and the other mode's flags given to screen, a --seed among them
     Pin("qh charpoly --k 5 --n 10 --power 11", code=2, timeout=5, stderr_lines=1),
+    Pin("qh charpoly --k 5 --n 10 --power 160", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
     Pin("betti --type A1000 --node 500", code=2, timeout=5, stderr_lines=1),
     Pin("core-search --k 3 --n 100000", code=2, timeout=5, stderr_lines=1),
@@ -127,5 +131,5 @@ PINS = [
     Pin("screen --type E7 --node 2 --seed 5", code=2, timeout=5, stderr_lines=1),
     # a command line the table parse does not accept, here one with a leftover
     # argument, goes to the whole tree and gets the top-level usage
-    Pin("qh semisimple --k 2 --n 4 extra", code=2, stderr_prefix="usage: qhgrass [-h]"),
+    Pin("qh semisimple --k 2 --n 4 extra", code=2, timeout=5, stderr_prefix="usage: qhgrass [-h]"),
 ]

@@ -60,6 +60,11 @@ route:
   operator to a piece of basis coordinates or labels and take its
   characteristic polynomial there; quantum.e_power_charpoly builds the
   piece's operator from thin blocks and never forms the whole one.
+- charpoly_by_interpolation and charpoly_by_polynomial_bareiss are the two
+  division routes to det(xI - a) through linalg._bareiss: integer
+  determinants at x = 0..n interpolated in the falling-factorial basis, and
+  one elimination over the polynomial ring.  linalg.charpoly is the
+  division-free Berkowitz recursion.
 - UniPoly, the polynomial type, is defined here and only here: production
   has no polynomial type, returns each polynomial (chi_y, the Poincare
   polynomial, the charpolys) as a tuple of its coefficients, lowest degree
@@ -258,8 +263,44 @@ def restrict(alg, op: Matrix, piece) -> Matrix:
 
 
 def charpoly_on_piece(alg, op: Matrix, piece) -> UniPoly:
-    """Exact monic characteristic polynomial of the restriction to a piece."""
-    return UniPoly(linalg.charpoly(restrict(alg, op, piece)))
+    """Exact monic characteristic polynomial of the restriction to a piece,
+    by evaluation and interpolation (charpoly_by_interpolation)."""
+    return UniPoly(charpoly_by_interpolation(restrict(alg, op, piece)))
+
+
+def charpoly_by_interpolation(a: Matrix) -> tuple:
+    """det(xI - a), lowest degree first, by exact evaluation and
+    interpolation: with D the common denominator of a, f(x) = det(xI - D a)
+    is taken at x = 0..n by integer Bareiss, its coefficients in the
+    falling-factorial basis are c_k = (Delta^k f)(0) / k!, exact quotients,
+    and Horner's rule in that basis gives the monomial coefficients b_j.
+    det(xI - a) has coefficients b_j / D^(n - j)."""
+    n = len(a)
+    denom = math.lcm(*(x.denominator for row in a for x in row if type(x) is Fraction))
+    scaled = [[int(denom * y) for y in row] for row in a]
+    values = [linalg._bareiss([[x * (i == j) - y for j, y in enumerate(row)] for i, row in enumerate(scaled)],
+                              linalg._int_div)
+              for x in range(n + 1)]
+    falling = []
+    for k in range(n + 1):
+        c, rem = divmod(values[0], math.factorial(k))
+        if rem:
+            raise InternalConsistencyError("characteristic polynomial values fit no integer polynomial")
+        falling.append(c)
+        values = [v - u for u, v in zip(values, values[1:])]
+    coeffs = [falling[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs * (x - k) + c_k, lowest degree first
+        coeffs = [falling[k] - k * coeffs[0]] + [u - k * v for u, v in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    return tuple(linalg.exact_div(b, denom ** (n - j)) for j, b in enumerate(coeffs))
+
+
+def charpoly_by_polynomial_bareiss(a: Matrix) -> tuple:
+    """det(xI - a), lowest degree first, by linalg._bareiss over the
+    polynomial ring, with exact polynomial division."""
+    m = len(a)
+    x_minus_a = [[UniPoly([-a[i][j], int(i == j)]) for j in range(m)] for i in range(m)]
+    return linalg._bareiss(x_minus_a, unipoly_div_exact).coeffs if m else (1,)
 
 
 # -- dense combinations and the regular-representation Gram --------------------

@@ -24,6 +24,12 @@ def test_no_argv_is_pinned_twice():
     assert sorted({argv for argv in argvs if argvs.count(argv) > 1}) == []
 
 
+def test_every_refusal_is_pinned_with_a_short_timeout():
+    # a refusal is made up front, before any heavy work; one that stops being
+    # so overruns its timeout
+    assert [pin.argv for pin in PINS if pin.code == 2 and pin.timeout > 5] == []
+
+
 @pytest.mark.parametrize("pin", [pytest.param(pin, id=" ".join([pin.argv, *_expectations(pin)]))
                                  for pin in PINS])
 def test_cli_pin(pin):

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     ColumnSpanSolver,
     UniPoly,
+    charpoly_by_interpolation,
+    charpoly_by_polynomial_bareiss,
     dense_square,
     interpolate,
     kernel_basis,
@@ -115,39 +117,10 @@ def test_det_and_inverse():
         mat_inverse([[1, 2], [2, 4]])
 
 
-def charpoly_berkowitz(a) -> tuple:
-    """Monic characteristic polynomial, lowest degree first, by the
-    division-free Berkowitz recursion, the independent route that
-    `linalg.charpoly` is checked against."""
-    n = len(a)
-    if n == 0:
-        return (1,)
-    poly = [1, -a[0][0]]  # highest degree first
-    for i in range(1, n):
-        sub = [row[:i] for row in a[:i]]
-        row_r = a[i][:i]
-        col_c = [a[j][i] for j in range(i)]
-        diag = a[i][i]
-        col = [1, -diag]
-        v = col_c
-        for _ in range(i):
-            col.append(-sum(r * x for r, x in zip(row_r, v)))
-            v = linalg.mat_vec(sub, v)
-        new = [0] * (i + 2)
-        for r in range(i + 2):
-            acc = 0
-            for s in range(min(r, i) + 1):
-                if r - s < len(col):
-                    acc += col[r - s] * poly[s]
-            new[r] = acc
-        poly = new
-    return tuple(reversed(poly))
-
-
 def test_charpoly_known_values():
     a = [[2, 1], [1, 2]]
     assert linalg.charpoly(a) == (3, -4, 1)  # (x-1)(x-3)
-    assert charpoly_berkowitz(a) == (3, -4, 1)
+    assert charpoly_by_interpolation(a) == (3, -4, 1)
     ident = linalg.identity(4)
     assert linalg.charpoly(ident) == poly_from_roots([1, 1, 1, 1]).coeffs
 
@@ -158,7 +131,7 @@ def test_charpoly_dual_route_random():
         m = rng.randrange(1, 7)
         a = [[Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2))) for _ in range(m)] for _ in range(m)]
         p1 = linalg.charpoly(a)
-        p2 = charpoly_berkowitz(a)
+        p2 = charpoly_by_interpolation(a)
         assert p1 == p2, (trial, a)
         # trace and determinant read off the coefficients
         assert p1[m - 1] == -linalg.trace(a)
@@ -232,15 +205,6 @@ _scalars = st.one_of(
 )
 
 
-def _charpoly_bareiss_unipoly(a):
-    """det(xI - a), lowest degree first, by _bareiss over the polynomial
-    ring, with exact polynomial division: the charpoly route before
-    evaluation."""
-    m = len(a)
-    x_minus_a = [[UniPoly([-a[i][j], int(i == j)]) for j in range(m)] for i in range(m)]
-    return linalg._bareiss(x_minus_a, unipoly_div_exact).coeffs if m else (1,)
-
-
 def test_charpoly_of_the_empty_matrix_is_one():
     assert linalg.charpoly([]) == (1,)
 
@@ -251,7 +215,7 @@ def test_bareiss_over_polynomials_is_the_charpoly(entries):
     # _bareiss run on xI - a over the polynomial ring is an oracle for charpoly
     m = int(len(entries) ** 0.5)
     a = [entries[i * m : (i + 1) * m] for i in range(m)]
-    assert _charpoly_bareiss_unipoly(a) == linalg.charpoly(a) == charpoly_berkowitz(a)
+    assert charpoly_by_polynomial_bareiss(a) == linalg.charpoly(a) == charpoly_by_interpolation(a)
 
 
 def _charpoly_cases():
@@ -294,8 +258,9 @@ def _charpoly_cases():
 
 @pytest.mark.parametrize("a", _charpoly_cases())
 def test_charpoly_by_interpolation_matches_berkowitz_and_polynomial_bareiss(a):
+    # production charpoly is the Berkowitz recursion; both oracles divide
     got = linalg.charpoly(a)
-    assert got == charpoly_berkowitz(a) == _charpoly_bareiss_unipoly(a)
+    assert got == charpoly_by_interpolation(a) == charpoly_by_polynomial_bareiss(a)
     assert len(got) - 1 == len(a) and got[-1] == 1
     assert all(type(c) is int or c.denominator != 1 for c in got)
     if a:
@@ -304,7 +269,7 @@ def test_charpoly_by_interpolation_matches_berkowitz_and_polynomial_bareiss(a):
 
 def _shift_bareiss(monkeypatch, shift):
     """linalg._bareiss with shift(x) added to the value of its call x, which
-    in charpoly is det(xI - a)."""
+    in charpoly_by_interpolation is det(xI - a)."""
     original, calls = linalg._bareiss, []
 
     def shifted(m, divide):
@@ -314,20 +279,28 @@ def _shift_bareiss(monkeypatch, shift):
     monkeypatch.setattr(linalg, "_bareiss", shifted)
 
 
-def test_charpoly_refuses_values_that_break_its_certificates(monkeypatch):
-    a = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+def test_interpolation_oracle_refuses_values_that_fit_no_integer_polynomial(monkeypatch):
     # f(1) off by one: Delta^3 f(0) / 3! is no longer an integer
     _shift_bareiss(monkeypatch, lambda x: x == 1)
     with pytest.raises(InternalConsistencyError, match="fit no integer polynomial"):
-        linalg.charpoly(a)
-    # f + x^2 interpolates to a monic polynomial with the wrong x^2 coefficient
-    monkeypatch.undo()
-    _shift_bareiss(monkeypatch, lambda x: x * x)
+        charpoly_by_interpolation([[2, 1, 0], [1, 2, 1], [0, 1, 3]])
+
+
+def _shift_berkowitz(monkeypatch, shift):
+    """linalg._berkowitz with shift(j) added to its coefficient of x^j."""
+    original = linalg._berkowitz
+    monkeypatch.setattr(linalg, "_berkowitz", lambda a: tuple(c + shift(j) for j, c in enumerate(original(a))))
+
+
+def test_charpoly_refuses_values_that_break_its_certificates(monkeypatch):
+    a = [[2, 1, 0], [1, 2, 1], [0, 1, 3]]
+    # a monic polynomial with the wrong x^2 coefficient
+    _shift_berkowitz(monkeypatch, lambda j: j == 2)
     with pytest.raises(InternalConsistencyError, match="coefficient is not -trace"):
         linalg.charpoly(a)
-    # f + x^3 is not monic
+    # a polynomial that is not monic
     monkeypatch.undo()
-    _shift_bareiss(monkeypatch, lambda x: x**3)
+    _shift_berkowitz(monkeypatch, lambda j: j == 3)
     with pytest.raises(InternalConsistencyError, match="not monic"):
         linalg.charpoly(a)
 

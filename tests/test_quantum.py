@@ -261,7 +261,8 @@ def test_a_corrupted_operator_in_qh_charpoly_exits_1(capsys, monkeypatch):
 
 def _dense_power_charpoly(alg, power: int, with_e2: bool) -> tuple:
     """The whole-operator route: E_1^power (* E_2) made dense, restricted to
-    the residue-0 piece, then its charpoly's coefficients."""
+    the residue-0 piece, then its charpoly's coefficients by interpolation,
+    so both the power and the charpoly are checked against a second route."""
     op = linalg.mat_pow(dense_square(alg.e_ops[1]), power)
     if with_e2:
         op = linalg.mat_mul(op, dense_square(alg.e_ops[2]))
