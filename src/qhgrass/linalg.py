@@ -7,12 +7,13 @@ products and elimination steps hand back ints for integral entries, so a
 Fraction entry is always genuinely non-integral.  The kernels skip what the
 nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
 connected blocks of the pattern.  The e-operators are sparse rows
-{column: value}; every reader of them (the Pieri recursions
-quantum.label_recursion and quantum.h_operators, the commutativity check,
-e_power_charpoly's thin blocks, the radical's residue blocks) runs through
+{column: value}; the Pieri recursions quantum.label_recursion and
+quantum.h_operators, the commutativity check, e_power_charpoly's thin
+blocks and the section's self-adjointness check of e_1 read them through
 one kernel, sparse_mul_sum: a sum of products c * (a @ b) accumulated row by
-row, in which a term with a = I adds c * b.  No e-operator is made dense,
-and the dense readers refuse sparse rows.
+row, in which a term with a = I adds c * b.  No whole e-operator is made
+dense, and the dense readers refuse sparse rows; section.radical_and_perp
+slices each residue block of E_1 into a dense list for kernel_basis.
 The label recursion keeps its block seed-major, one row per seed vector,
 so in each step a is the block of lam' (s rows) and b is E_p^T, held as
 E_p's columns (E_p itself for the transposed run): the step loops over the

@@ -65,7 +65,9 @@ h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
 with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
 recursion, label_recursion and the commutativity check read e_ops as it is,
 one fused linalg.sparse_mul_sum a step, and so do e_power_charpoly's thin
-blocks and section.radical_and_perp's residue blocks: no E_p is made dense.
+blocks: no whole E_p is made dense.  section.radical_and_perp reads E_1
+through sparse_mul_sum only to check it self-adjoint; it slices each
+residue block of E_1 into a dense list for kernel_basis.
 """
 
 from __future__ import annotations

@@ -657,9 +657,15 @@ def test_table_parse_agrees_with_the_tree(argv):
 
 
 def test_entry_point_prints_what_run_prints(capsys):
-    argv = ["qh", "semisimple", "--k", "3", "--n", "7", "--format", "json"]
-    assert cli.run(argv) == 0
-    expected = capsys.readouterr().out
+    # an answer, a refusal and a usage error: exit code, stdout and stderr alike
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "qhgrass.cli", *argv], capture_output=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (0, expected, b"")
+    for argv, code in [("qh semisimple --k 3 --n 7 --format json", 0),
+                       ("qh charpoly --k 5 --n 10 --power 160", 2),
+                       ("qh semisimple --k 2 --n 4 extra", 2)]:
+        assert cli.run(argv.split()) == code, argv
+        expected = capsys.readouterr()
+        assert (expected.err == "") == (code == 0), argv
+        proc = subprocess.run([sys.executable, "-m", "qhgrass.cli", *argv.split()], capture_output=True, env=env,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, expected.out, expected.err)
+    assert expected.err.startswith("usage: qhgrass [-h]")

@@ -5,11 +5,11 @@ The digests were taken from the implementation before the sparse section
 solve and the shared e-polynomial evaluator.  DOCUMENTS covers the seven
 section commands of the benchmark, `qh semisimple` and `qh presentation` for
 every box with k <= 4 and n <= 8, and two ambient `qh charpoly` commands, all
-with `--format json`; each must exit 0.  RINGS covers repr() of the solved
-section rings, entry types and dict order included, and LIFTS the lift
-polynomials of the test oracle.  AMBIENT_LABEL_OPS covers repr() of the label
-operators of Gr(3, 8) and Gr(4, 8), taken before those operators were built on
-sparse rows.
+with `--format json`; each must exit 0 with nothing on stderr.  RINGS covers
+repr() of the solved section rings, entry types and dict order included, and
+LIFTS the lift polynomials of the test oracle.  AMBIENT_LABEL_OPS covers
+repr() of the label operators of Gr(3, 8) and Gr(4, 8), taken before those
+operators were built on sparse rows.
 
 TABLES and USAGE pin the rest of the CLI surface, each as the digest of
 json.dumps([exit code, stdout, stderr]): `--format table` of every DOCUMENTS
@@ -22,23 +22,33 @@ oracles.SMALL_TYPES, 220 G/P_k in all: per family, the digest of the
 json.dumps'd list of [argv, exit code, stdout, stderr].  It was taken while
 the Poincare polynomial still came from the fundamental degrees of G and of
 the Levi.
+
+Every CLI command here runs through cli_pins.run_pin, the runner of the pin
+manifest: in this interpreter, with every qhgrass cache cleared first, under
+the manifest's default timeout of 60 s.  So each runs cold whatever the test
+order.  A DOCUMENTS or TABLES digest fixes its command's exit code, stdout and
+stderr on every Python, so cli_pins.PINS repeats none of those argvs; USAGE's
+digests are compared on one Python only, and PINS may repeat its argvs.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 
 import pytest
 
+from cli_pins import run_pin
 from oracles import SMALL_TYPES, build_lifts
-from qhgrass import cli, linalg
+from qhgrass import linalg
 from qhgrass.partitions import Box
 from qhgrass.quantum import grassmannian
 from qhgrass.section import SectionRing
 
 DOCUMENTS = {
+    # the section verdicts: (3, 6) not semisimple by the Betti screen, (3, 7) by
+    # the trace form of the 30-dimensional ring, (3, 8) by the trace form of the
+    # 49-dimensional perp subalgebra and monodromy for the 2-dimensional
+    # radical; and the quantum Lefschetz relation checks of (3, 7), (3, 8) hold
     "qh semisimple --section --k 3 --n 6":
         "2c3bc0660c01e1e52ae4be1e33d10c9d826e1616f5477880edc3e27f3061dcb2",
     "qh semisimple --section --k 3 --n 7":
@@ -143,6 +153,7 @@ DOCUMENTS = {
         "12566c97b5bd5a8a132262a1a111d8924e352a2ab102b0dd5a5870acb69313f2",
     "qh semisimple --k 4 --n 8":
         "b7bfe550bdd41b1d08b855d0dbab202c91505b86fe4cfdb3e309e4104ca0f7d6",
+    # the relation checks of Gr(4, 8) hold
     "qh presentation --k 4 --n 8":
         "1983eb6b89e36bb478796a5eac673cf5af795dcb92f8da8398969cc3151df983",
 }
@@ -355,33 +366,25 @@ def _sha(text: str) -> str:
 def test_documents_are_byte_identical():
     assert len(DOCUMENTS) == 53
     for command, digest in DOCUMENTS.items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.run(command.split() + ["--format", "json"])
-        assert code == 0, command
-        assert _sha(out.getvalue()) == digest, command
-
-
-def _outcome_digest(argv: list[str]) -> tuple[int, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return code, _sha(json.dumps([code, out.getvalue(), err.getvalue()]))
+        code, out, err = run_pin(f"{command} --format json")
+        assert (code, err) == (0, ""), command
+        assert _sha(out) == digest, command
 
 
 def test_tables_are_byte_identical():
     assert set(DOCUMENTS) < set(TABLES) and len(TABLES) == 64
     for command, digest in TABLES.items():
-        assert _outcome_digest(command.split() + ["--format", "table"]) == (0, digest), command
+        outcome = run_pin(f"{command} --format table")
+        assert (outcome[0], _sha(json.dumps(outcome))) == (0, digest), command
 
 
 def test_usage_paths_are_byte_identical(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     for command, (code, digest) in USAGE.items():
-        got_code, got_digest = _outcome_digest(command.split())
-        assert got_code == code, command
+        outcome = run_pin(command)
+        assert outcome[0] == code, command
         if sys.version_info[:2] == USAGE_PYTHON:
-            assert got_digest == digest, command
+            assert _sha(json.dumps(outcome)) == digest, command
 
 
 @pytest.mark.parametrize("family", sorted(BETTI))
@@ -392,11 +395,8 @@ def test_betti_and_screen_documents_are_byte_identical(family):
             continue
         for node in range(1, t.rank + 1):
             for command in ("betti", "screen"):
-                argv = [command, "--type", str(t), "--node", str(node), "--format", "json"]
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.run(argv)
-                outcomes.append([" ".join(argv), code, out.getvalue(), err.getvalue()])
+                argv = f"{command} --type {t} --node {node} --format json"
+                outcomes.append([argv, *run_pin(argv)])
     assert _sha(json.dumps(outcomes)) == BETTI[family]
 
 

@@ -549,12 +549,12 @@ def test_frobenius_symmetry_exhaustive():
         ops = alg.label_ops
         idx = {lam: i for i, lam in enumerate(basis)}
         vecs = {lam: vector(alg, ClassVector.schubert(box, lam)) for lam in basis}
-        # triple product through the Poincare pairing at q = 1
+        products = {(a, b): linalg.mat_vec(ops[a], vecs[b]) for a in basis for b in basis}
+
+        # triple product through the Poincare pairing at q = 1: <a b, c> is the
+        # coordinate of a b at the lam with dual(lam) = c, and dual is an involution
         def triple(a, b, c):
-            ab = linalg.mat_vec(ops[a], vecs[b])
-            return sum(
-                ab[idx[lam]] * (1 if box.dual(lam) == c else 0) for lam in basis
-            )
+            return products[a, b][idx[box.dual(c)]]
 
         for a in basis:
             for b in basis:
