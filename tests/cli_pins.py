@@ -19,9 +19,8 @@ code, a timeout in seconds, and at most one expectation:
 - stderr_prefix: the start of stderr.
 
 Every row must also print no traceback, and nothing on stderr when it exits 0.
-A new pin is a new row here, unless a digest of test_golden.py already fixes
-its exit code, stdout and stderr on every Python: test_no_argv_is_pinned_twice
-keeps each argv in one place.
+A new pin is a new row here; test_no_argv_is_pinned_twice keeps each argv in
+one row.
 """
 
 import contextlib
@@ -88,15 +87,40 @@ PINS = [
     Pin("betti --type E8 --node 4 --format json"),
     Pin("screen --type F4 --node 4 --format json"),
     Pin("exceptional-table --format json"),
+    Pin("qh semisimple --section --k 3 --n 6"),
+    Pin("qh semisimple --section --k 3 --n 8"),
+    Pin("qh semisimple --section --k 3 --n 7"),
+    Pin("qh lefschetz --n 8"),
+    Pin("qh lefschetz --n 7"),
+    Pin("qh charpoly --section --k 3 --n 8 --power 5 --with-e2"),
+    Pin("qh charpoly --section --k 3 --n 7 --power 6"),
+    Pin("qh presentation --k 4 --n 8"),
+    Pin("qh semisimple --k 4 --n 8"),
+    Pin("qh charpoly --k 3 --n 8 --power 6 --with-e2"),
     Pin("snow --k 3 --n 6 --p 2 --twist 1"),
     Pin("snow --k 3 --n 1000000 --p 5 --twist 1"),
     Pin("hodge --k 3 --n 9"),
     Pin("hodge --section --k 3 --n 7"),
     Pin("screen --section --k 3 --n 8"),
-    # the relation checks of Gr(5, 10) hold, and it is semisimple by the trace form
+    # relation checks hold, Gr(5, 10) is semisimple by the trace form, and the
+    # section verdicts: (3, 6) not semisimple by the Betti screen, (3, 7) by the
+    # trace form of the 30-dimensional ring, (3, 8) by the trace form of the
+    # 49-dimensional perp subalgebra and monodromy for the 2-dimensional radical
+    Pin("qh presentation --k 4 --n 8 --format json", results={"holds": True}),
     Pin("qh presentation --k 5 --n 10 --format json", results={"holds": True}),
+    Pin("qh lefschetz --n 7 --format json", results={"holds": True}),
+    Pin("qh lefschetz --n 8 --format json", results={"holds": True}),
     Pin("qh semisimple --k 5 --n 10 --format json",
         results={"semisimple": True, "method": "trace-form"}),
+    Pin("qh semisimple --section --k 3 --n 6 --format json",
+        results={"semisimple": False, "method": "betti-screen"}),
+    Pin("qh semisimple --section --k 3 --n 7 --format json",
+        results={"semisimple": True, "method": "trace-form",
+                 "detail": "nondegenerate trace form on the 30-dimensional ring"}),
+    Pin("qh semisimple --section --k 3 --n 8 --format json",
+        results={"semisimple": True, "method": "trace-form+monodromy",
+                 "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
+                           "2-dimensional radical semisimple by the external monodromy argument"}),
     # charpolys of Gr(5, 10), at power 100, at power 58 with e_2, and at power
     # 150, the largest the charpoly work bound admits (power 160 is refused)
     Pin("qh charpoly --k 5 --n 10 --power 100 --format json", timeout=5,

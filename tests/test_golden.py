@@ -26,9 +26,7 @@ the Levi.
 Every CLI command here runs through cli_pins.run_pin, the runner of the pin
 manifest: in this interpreter, with every qhgrass cache cleared first, under
 the manifest's default timeout of 60 s.  So each runs cold whatever the test
-order.  A DOCUMENTS or TABLES digest fixes its command's exit code, stdout and
-stderr on every Python, so cli_pins.PINS repeats none of those argvs; USAGE's
-digests are compared on one Python only, and PINS may repeat its argvs.
+order.
 """
 
 import hashlib
@@ -45,10 +43,6 @@ from qhgrass.quantum import grassmannian
 from qhgrass.section import SectionRing
 
 DOCUMENTS = {
-    # the section verdicts: (3, 6) not semisimple by the Betti screen, (3, 7) by
-    # the trace form of the 30-dimensional ring, (3, 8) by the trace form of the
-    # 49-dimensional perp subalgebra and monodromy for the 2-dimensional
-    # radical; and the quantum Lefschetz relation checks of (3, 7), (3, 8) hold
     "qh semisimple --section --k 3 --n 6":
         "2c3bc0660c01e1e52ae4be1e33d10c9d826e1616f5477880edc3e27f3061dcb2",
     "qh semisimple --section --k 3 --n 7":
@@ -153,7 +147,6 @@ DOCUMENTS = {
         "12566c97b5bd5a8a132262a1a111d8924e352a2ab102b0dd5a5870acb69313f2",
     "qh semisimple --k 4 --n 8":
         "b7bfe550bdd41b1d08b855d0dbab202c91505b86fe4cfdb3e309e4104ca0f7d6",
-    # the relation checks of Gr(4, 8) hold
     "qh presentation --k 4 --n 8":
         "1983eb6b89e36bb478796a5eac673cf5af795dcb92f8da8398969cc3151df983",
 }
