@@ -244,7 +244,7 @@ def _cmd_qh_presentation(args) -> dict:
 
 
 def _cmd_qh_lefschetz(args) -> dict:
-    ok = section.lefschetz_relation_check(args.n)
+    ok = section.lefschetz_relation_check(section.build_ring(3, args.n))
     return _document("qh lefschetz", {"n": args.n}, {"holds": bool(ok)})
 
 

@@ -48,10 +48,10 @@ Gram matrix follows from one trace vector t and two thin runs
 the degree by |c| mod r (the constructor checks E_p on its nonzeros), and on
 the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
 unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.
-Both section verdicts make the same two runs: a ring with no beta
-(section.full_ring_semisimple) as Gr(k, n) does, and a ring with beta
-(section.perp_subalgebra_semisimple) with the second run seeded with
-E_1^T t, which composes the trace form with multiplication by e_1.
+Both section verdicts take the ring and make the same two runs on it: one
+with no beta (section.full_ring_semisimple(ring)) as Gr(k, n) does, and one
+with beta (section.perp_subalgebra_semisimple(ring)) with the second run
+seeded with E_1^T t, which composes the trace form with multiplication by e_1.
 semisimple_test, the Gram matrix by its definition, has no verdict calling
 it.  No command builds a label operator; mult_operators, the run seeded
 with the identity and made dense, is read through label_ops only by the
@@ -65,7 +65,7 @@ h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
 with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
 recursion, label_recursion and the commutativity check read e_ops as it is,
 one fused linalg.sparse_mul_sum a step, and so do e_power_charpoly's thin
-blocks: no whole E_p is made dense.  section.radical_and_perp reads E_1
+blocks: no whole E_p is made dense.  section.radical_and_perp(ring) reads E_1
 through sparse_mul_sum only to check it self-adjoint; it slices each
 residue block of E_1 into a dense list for kernel_basis.
 """

@@ -47,10 +47,10 @@ lam has coefficient 1 in e_p * lam' and that every correction is a class it
 has already built.
 
 The quantum Lefschetz identities h_{n-2} = h_{n-1} = 0 and h_n = q e_1 are
-checked on whole operators (lefschetz_relation_check): h_m = sigma_m is
-evaluated on E_1, E_2, E_3 by the h-recursion H_m = sum over i <= min(m, 3)
-of (-1)^(i+1) E_i H_(m-i), which keeps the last three.  It is the ambient
-presentation check with E_1 in place of q (quantum.h_relation_check).
+checked on the whole operators of a ring, n read off its box
+(lefschetz_relation_check(ring)): h_m = sigma_m is evaluated on E_1..E_k by
+the h-recursion H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i),
+the ambient presentation check with E_1 in place of q (h_relation_check).
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
 degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
@@ -61,25 +61,27 @@ modeled; beta gets no operator of its own, and every implemented operator is
 multiplication by a class generated by e_1, e_2, e_3, under which beta maps to
 zero.
 
-section_semisimplicity chooses its route by what it finds, not by n.  It
-screens the Betti numbers of Y first (hodge.section_profile, screen.screen);
-a witness decides "not semisimple" and no ring is built (n = 6).  With no
-witness, the route follows beta.  A ring with no beta (n = 7) has an
-operator for every class, so full_ring_semisimple decides it as
-quantum.qh_semisimple decides Gr(k, n), from the trace vector and two thin
-label recursions (quantum.trace_form_rows): "trace-form".  A ring A with
-beta (n = 8) has no operator for beta, since beta * beta is undetermined,
-so the trace form is tested on the perp subalgebra S = A / R, R = ker e_1
-the radical, by the same two runs, and the radical's half of the verdict
-rests on the source's external monodromy argument: "trace-form+monodromy".
-No command builds a section label operator.  On n = 7 the radical is empty
-and S is the whole ring, so the tests run both routes there and compare
-them.
+section_semisimplicity(k, n) chooses its route by what it finds, not by n.
+It screens the Betti numbers of Y first (hodge.section_profile,
+screen.screen); a witness decides "not semisimple" and no ring is built
+(n = 6).  With no witness it builds the ring once, and the route follows
+beta; each verdict below is a function of that ring, not of (k, n).  A ring
+with no beta (n = 7) has an operator for every class, so
+full_ring_semisimple(ring) decides it as quantum.qh_semisimple decides
+Gr(k, n), from the trace vector and two thin label recursions
+(quantum.trace_form_rows): "trace-form".  A ring A with beta (n = 8) has no
+operator for beta, since beta * beta is undetermined, so
+perp_subalgebra_semisimple(ring) tests the trace form on the perp subalgebra
+S = A / R, R = ker e_1 the radical, by the same two runs, and the radical's
+half of the verdict rests on the source's external monodromy argument:
+"trace-form+monodromy".  No command builds a section label operator.  On
+n = 7 the radical is empty and S is the whole ring, so the tests run both
+routes there and compare them.
 
 The perp route rests on this argument.  R = ker E_1 is an ideal, since
 E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.
-radical_and_perp takes it block by block, from residue rho to rho + 1 mod
-r, and its certificate gives ker E_1 = ker E_1^2, so e_1 is
+radical_and_perp(ring) takes it block by block, from residue rho to
+rho + 1 mod r, and its certificate gives ker E_1 = ker E_1^2, so e_1 is
 invertible on A / R and A = R + im E_1^N is a direct sum of ideals
 (N = dim A); A / R is isomorphic to im E_1^N, the source's perp
 subalgebra S.  A / R is spanned by partition labels and needs no
@@ -242,24 +244,22 @@ def build_ring(k: int, n: int) -> SectionRing:
     return SectionRing(k, n)
 
 
-def section_charpoly(k: int, n: int, power: int, with_e2: bool = False) -> tuple:
-    """Characteristic polynomial of e_1^power (optionally * e_2) on A^0(Y),
-    the residue-0 piece (quantum.e_power_charpoly)."""
-    ring = build_ring(k, n)
+def section_charpoly(ring: SectionRing, power: int, with_e2: bool = False) -> tuple:
+    """Characteristic polynomial of e_1^power (optionally * e_2) on the
+    residue-0 piece A^0(Y) of the section ring (quantum.e_power_charpoly)."""
     return e_power_charpoly(ring.e_ops, [ring.index[lab] for lab in ring.residue_piece(0)], ring.r, power, with_e2)
 
 
-def lefschetz_relation_check(n: int) -> bool:
+def lefschetz_relation_check(ring: SectionRing) -> bool:
     """Verify h_{n-2} = h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in
-    the section operator algebra, with h_m = sigma_m evaluated on e_1, e_2,
-    e_3 (quantum.h_relation_check with T = E_1)."""
-    if n not in (7, 8):
+    the section ring of Gr(k, n), n read off ring.box, with h_m = sigma_m
+    evaluated on e_1..e_k (quantum.h_relation_check with T = E_1)."""
+    if (n := ring.box.n) not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
-    ring = build_ring(3, n)
     return h_relation_check(ring.e_ops, n, ring.e_ops[1])
 
 
-def radical_and_perp(k: int, n: int) -> list[list]:
+def radical_and_perp(ring: SectionRing) -> list[list]:
     """The radical ker e_1^dim of the section ring, as the reduced echelon
     basis of ker e_1, certified by the pairing.
 
@@ -277,7 +277,6 @@ def radical_and_perp(k: int, n: int) -> list[list]:
     <z, x> = <w, e_1 x> = 0 for every x in ker e_1.  So a nonsingular Gram
     matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one raises.
     """
-    ring = build_ring(k, n)
     pairing = linalg.sparse_rows(ring.pairing)
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
     if any(linalg.sparse_mul_sum([(1, pairing, ring.e_ops[1]), (-1, e_columns(ring)[1], pairing)])):
@@ -299,14 +298,14 @@ def radical_and_perp(k: int, n: int) -> list[list]:
     return rad
 
 
-def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
-    """Trace-form test on the perp subalgebra S = A / R, R = ker e_1 (see the
-    module docstring): det B[C][C] != 0, with B the shifted Gram matrix
-    (quantum.trace_form_rows) and C the labels off the leads of R's reduced
-    echelon basis.  Returns the verdict, dim S = dim A - dim R and dim R.
+def perp_subalgebra_semisimple(ring: SectionRing) -> tuple[bool, int, int]:
+    """Trace-form test on the perp subalgebra S = A / R of the section ring
+    A, R = ker e_1 (see the module docstring): det B[C][C] != 0, with B the
+    shifted Gram matrix (quantum.trace_form_rows) and C the labels off the
+    leads of R's reduced echelon basis.  Returns the verdict,
+    dim S = dim A - dim R and dim R.
     """
-    ring = build_ring(k, n)
-    rad = radical_and_perp(k, n)
+    rad = radical_and_perp(ring)
     leads = {next(i for i, c in enumerate(u) if c) for u in rad}
     if ring.prim_dim and ring.index[BETA] not in leads:
         raise InternalConsistencyError("beta is not a lead of the radical ker e_1")
@@ -315,14 +314,14 @@ def perp_subalgebra_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     return linalg.det_bareiss([[gram[a][b] for b in rest] for a in rest]) != 0, len(rest), len(rad)
 
 
-def full_ring_semisimple(k: int, n: int) -> bool:
-    """Trace-form test on the whole section ring, the verdict of a ring with
-    no beta: det trace(L_a L_b) != 0 with the Gram matrix from two thin label
-    recursions (quantum.trace_form_rows), as for Gr(k, n), and no label
-    operator built.  Every label operator is a polynomial in e_1, e_2, e_3,
-    whose commutativity the ring build asserted.  beta has no operator, so
-    a ring with beta raises UndeterminedProductError."""
-    return linalg.det_bareiss(trace_form_rows(build_ring(k, n))[1]) != 0
+def full_ring_semisimple(ring: SectionRing) -> bool:
+    """Trace-form test on the whole section ring it is given, the verdict of
+    a ring with no beta: det trace(L_a L_b) != 0 with the Gram matrix from
+    two thin label recursions (quantum.trace_form_rows), as for Gr(k, n), and
+    no label operator built.  Every label operator is a polynomial in e_1,
+    e_2, e_3, whose commutativity the ring build asserted.  beta has no
+    operator, so a ring with beta raises UndeterminedProductError."""
+    return linalg.det_bareiss(trace_form_rows(ring)[1]) != 0
 
 
 SemisimplicityReport = namedtuple("SemisimplicityReport", "k n semisimple method detail")
@@ -348,12 +347,12 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
         return SemisimplicityReport(k, n, False, "betti-screen", detail)
     ring = build_ring(k, n)
     if not ring.prim_dim:
-        ok = full_ring_semisimple(k, n)
+        ok = full_ring_semisimple(ring)
         return SemisimplicityReport(
             k, n, ok, "trace-form", f"nondegenerate trace form on the {len(ring.basis)}-dimensional ring"
             if ok else "degenerate trace form",
         )
-    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(k, n)
+    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(ring)
     return SemisimplicityReport(
         k, n, ok, "trace-form+monodromy",
         f"nondegenerate trace form on the {sub_dim}-dimensional perp subalgebra; "

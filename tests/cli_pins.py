@@ -175,6 +175,7 @@ PINS = [
     Pin("qh charpoly --k 5 --n 10 --power 11", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --k 5 --n 10 --power 160", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
+    Pin("qh charpoly --k 1 --n 3 --power 1 --with-e2", code=2, timeout=5, stderr_lines=1),
     Pin("betti --type A1000 --node 500", code=2, timeout=5, stderr_lines=1),
     Pin("core-search --k 3 --n 100000", code=2, timeout=5, stderr_lines=1),
     Pin("core-search --k 3 --n 100000000", code=2, timeout=5, stderr_lines=1),

@@ -1460,7 +1460,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     char_x = linalg.charpoly([[gen_x[r][c] for c in cols_x] for r in cols_x])
 
     # section side: powers of the generator, projected away from the radical
-    rad = radical_and_perp(k, n)
+    rad = radical_and_perp(ring)
     perp = perp_space(ring, rad)
     project = _perp_projector(ring, rad)
     unit_y = vector(ring, ClassVector.unit(ring.box))
@@ -1548,7 +1548,7 @@ def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     dimension.
     """
     ring = build_ring(k, n)
-    rad = radical_and_perp(k, n)
+    rad = radical_and_perp(ring)
     generators, shift = perp_piece_operators(ring, perp_space(ring, rad))
     if not commuting([linalg.sparse_rows(op) for op in generators + [shift]]):
         raise InternalConsistencyError("the perp subalgebra's generators do not commute")

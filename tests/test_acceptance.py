@@ -170,7 +170,7 @@ def test_criterion_6_presentations_and_giambelli():
 def test_criterion_7_section_characteristic_polynomials():
     t0 = time.time()
     poly37 = UniPoly([128, -13, 1]) * UniPoly([1, -57, -289, 1])
-    assert UniPoly(section_charpoly(3, 7, 6)) == poly37
+    assert UniPoly(section_charpoly(build_ring(3, 7), 6)) == poly37
     x_sq = UniPoly([0, 0, 1])
     poly38_e1 = -(
         UniPoly([1, -1]) * UniPoly([1, -1]) * UniPoly([1, -1])
@@ -180,8 +180,8 @@ def test_criterion_7_section_characteristic_polynomials():
         UniPoly([1, -1]) * UniPoly([1, 478, -1]) * UniPoly([1, 0, 1])
         * UniPoly([2187, 6, 1])
     )
-    assert UniPoly(section_charpoly(3, 8, 7)) == x_sq * poly38_e1
-    assert UniPoly(section_charpoly(3, 8, 5, with_e2=True)) == x_sq * poly38_e2
+    assert UniPoly(section_charpoly(build_ring(3, 8), 7)) == x_sq * poly38_e1
+    assert UniPoly(section_charpoly(build_ring(3, 8), 5, with_e2=True)) == x_sq * poly38_e2
     # the ambient polynomials they extend, bit for bit
     b37, b38 = Box(3, 7), Box(3, 8)
     alg37, alg38 = grassmannian(b37), grassmannian(b38)
@@ -202,8 +202,8 @@ def test_criterion_7_section_characteristic_polynomials():
 
 def test_criterion_8_quantum_lefschetz_identities():
     t0 = time.time()
-    assert lefschetz_relation_check(7)
-    assert lefschetz_relation_check(8)
+    assert lefschetz_relation_check(build_ring(3, 7))
+    assert lefschetz_relation_check(build_ring(3, 8))
     _finish(8, "quantum Lefschetz identities", t0, 120)
 
 
@@ -211,8 +211,8 @@ def test_criterion_9_semisimplicity_verdicts():
     t0 = time.time()
     for box in AMBIENT_BOXES:
         assert qh_semisimple(box), box
-    assert full_ring_semisimple(3, 7)
-    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(3, 8)
+    assert full_ring_semisimple(build_ring(3, 7))
+    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(build_ring(3, 8))
     assert ok and sub_dim == 49 and rad_dim == 2
     # Betti witnesses with the tabulated dimension counts
     from qhgrass.hodge import section_profile

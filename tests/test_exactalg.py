@@ -458,7 +458,7 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     from qhgrass.partitions import Box
 
     ring7, ring8 = section.build_ring(3, 7), section.build_ring(3, 8)
-    rad = section.radical_and_perp(3, 8)
+    rad = section.radical_and_perp(ring8)
     perp = perp_space(ring8, rad)
     leads = {next(i for i, c in enumerate(u) if c) for u in rad}
     rest = [i for i in range(len(ring8.basis)) if i not in leads]

@@ -244,6 +244,26 @@ def test_ade_check_catches_a_lost_middle_row(monkeypatch, capsys):
     assert "A-D-E" in err
 
 
+def test_a_chi_y_whose_constant_term_is_not_1_is_an_internal_failure(monkeypatch):
+    # palindromic counts that sum to C(3, 1) = 3, but with no class of degree 0
+    monkeypatch.setattr(hodge, "box_counts", lambda k, n: (0, 3, 0))
+    with pytest.raises(InternalConsistencyError, match=r"chi_y\(0\) != 1: sign conventions are broken"):
+        chi_y(1, 3)
+
+
+def test_a_negative_middle_hodge_number_exits_1(monkeypatch, capsys):
+    # the (2, 5) section has dimension 5 and h^(0,5) = 0; a genus whose
+    # constant term is one more solves the middle row to h^(0,5) = -1
+    genus = chi_y(2, 5, section=True)
+    monkeypatch.setattr(hodge, "chi_y", lambda k, n, section=False: (genus[0] + 1,) + genus[1:])
+    hodge.diamond.cache_clear()
+    with pytest.raises(InternalConsistencyError, match=r"negative Hodge number h\^\(0,5\) = -1"):
+        diamond(2, 5)
+    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: negative Hodge number h^(0,5) = -1\n"
+
+
 def test_section_profiles_and_screen():
     profile = section_profile(3, 6)
     assert profile.even_betti == (1, 1, 2, 3, 4, 3, 2, 1, 1)

@@ -294,7 +294,7 @@ def test_thin_block_charpoly_matches_the_dense_power_on_sections(n):
     for power, with_e2 in _aligned_powers(3, ring.r):
         got = quantum.e_power_charpoly(ring.e_ops, piece, ring.r, power, with_e2)
         assert got == _dense_power_charpoly(ring, power, with_e2), (power, with_e2)
-        assert got == section.section_charpoly(3, n, power, with_e2)
+        assert got == section.section_charpoly(ring, power, with_e2)
 
 
 def _leak_from_the_unit(e1: list[dict], basis) -> list[dict]:

@@ -197,3 +197,31 @@ def test_a_bracket_division_with_a_remainder_is_an_internal_failure(monkeypatch,
     with pytest.raises(InternalConsistencyError):
         rootdata._over_bracket([1, 2, 3, 2, 1], 2)
     assert rootdata._over_bracket([1, 2, 3, 2, 1], 3) == [1, 1, 1]
+
+
+def test_a_wrong_positive_root_count_exits_1(monkeypatch, capsys):
+    # G2 has 6 positive roots; against a count of 7 the search stops
+    monkeypatch.setitem(rootdata._POSITIVE_ROOT_COUNT, "G", lambda n: 7)
+    positive_roots.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="G2: found 6 positive roots, expected 7"):
+        positive_roots(DynkinType("G", 2))
+    assert cli.run(["betti", "--type", "G2", "--node", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: G2: found 6 positive roots, expected 7\n"
+
+
+def test_a_poincare_polynomial_of_the_wrong_degree_is_an_internal_failure(monkeypatch):
+    # A2/P1 has nilradical roots of heights 1 and 2, so P = [3]_t of degree
+    # 2 = dim; one more root, of height 3, makes it [4]_t of degree 3
+    monkeypatch.setattr(rootdata, "nilradical_heights", lambda g: Counter({1: 1, 2: 1, 3: 1}))
+    with pytest.raises(InternalConsistencyError, match="Poincare polynomial degree mismatch for A2/P1"):
+        poincare_polynomial(GrassmannianId(DynkinType("A", 2), 1))
+
+
+def test_a_poincare_polynomial_that_is_not_palindromic_is_an_internal_failure(monkeypatch):
+    # A2/P1 is one bracket product and no division; a product whose top
+    # coefficient is one more keeps the degree and breaks the symmetry
+    times = rootdata._times_bracket
+    monkeypatch.setattr(rootdata, "_times_bracket", lambda coeffs, m: (c := times(coeffs, m))[:-1] + [c[-1] + 1])
+    with pytest.raises(InternalConsistencyError, match="Poincare polynomial of A2/P1 is not palindromic"):
+        poincare_polynomial(GrassmannianId(DynkinType("A", 2), 1))

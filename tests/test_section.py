@@ -244,16 +244,17 @@ def test_classical_limit_is_quotient_cup_product():
 
 
 def test_section_charpolys_golden():
-    assert UniPoly(section_charpoly(3, 7, 6)) == LEMMA_POLY_37
-    assert UniPoly(section_charpoly(3, 8, 7)) == UniPoly([0, 0, 1]) * LEMMA_POLY_38_E1
-    assert UniPoly(section_charpoly(3, 8, 5, with_e2=True)) == UniPoly([0, 0, 1]) * LEMMA_POLY_38_E2
+    ring7, ring8 = build_ring(3, 7), build_ring(3, 8)
+    assert UniPoly(section_charpoly(ring7, 6)) == LEMMA_POLY_37
+    assert UniPoly(section_charpoly(ring8, 7)) == UniPoly([0, 0, 1]) * LEMMA_POLY_38_E1
+    assert UniPoly(section_charpoly(ring8, 5, with_e2=True)) == UniPoly([0, 0, 1]) * LEMMA_POLY_38_E2
 
 
 def test_lefschetz_identities():
-    assert lefschetz_relation_check(7)
-    assert lefschetz_relation_check(8)
-    with pytest.raises(InvalidInputError):
-        lefschetz_relation_check(6)
+    assert lefschetz_relation_check(build_ring(3, 7))
+    assert lefschetz_relation_check(build_ring(3, 8))
+    with pytest.raises(InvalidInputError, match=r"quantum Lefschetz identities implemented for n in \{7, 8\}"):
+        lefschetz_relation_check(build_ring(3, 6))
 
 
 @pytest.mark.parametrize("n", (7, 8))
@@ -266,7 +267,7 @@ def test_h_recursion_matches_the_monomial_evaluation_on_the_section(n):
         assert got == evaluate_e_polynomials(polys, ring.e_ops), top
 
 
-def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch):
+def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry():
     # every nonzero entry of E_1, E_2, E_3 dropped on (3, 7); on (3, 8) a spread of them
     for n, stride in ((7, 1), (8, 17)):
         ring = build_ring(3, n)
@@ -275,10 +276,8 @@ def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch)
             fake = copy.copy(ring)
             fake.e_ops = {**ring.e_ops, p: [dict(row) for row in ring.e_ops[p]]}
             del fake.e_ops[p][r][c]
-            monkeypatch.setattr(section, "build_ring", lambda k, n, fake=fake: fake)
-            assert not lefschetz_relation_check(n), (n, p, r, c)
-            monkeypatch.undo()
-        assert lefschetz_relation_check(n)
+            assert not lefschetz_relation_check(fake), (n, p, r, c)
+        assert lefschetz_relation_check(ring)
 
 
 def test_the_lefschetz_check_reads_every_vanishing_h(monkeypatch):
@@ -291,7 +290,7 @@ def test_the_lefschetz_check_reads_every_vanishing_h(monkeypatch):
     monkeypatch.setattr(
         quantum, "h_operators", lambda e_ops, top: [[{0: 1}] + h_low[1:], *h_operators(e_ops, top)[1:]]
     )
-    assert not lefschetz_relation_check(7)
+    assert not lefschetz_relation_check(ring)
 
 
 def test_printed_h_polynomials_are_the_derived_relations():
@@ -303,7 +302,7 @@ def test_printed_h_polynomials_are_the_derived_relations():
 
 def test_radical_37_trivial():
     ring = build_ring(3, 7)
-    rad = radical_and_perp(3, 7)
+    rad = radical_and_perp(ring)
     assert rad == []
     assert len(perp_space(ring, rad)) == 5
     assert linalg.det_bareiss(dense_square(ring.e_ops[1])) != 0
@@ -311,7 +310,7 @@ def test_radical_37_trivial():
 
 def test_radical_38_matches_source_vector():
     ring = build_ring(3, 8)
-    rad = radical_and_perp(3, 8)
+    rad = radical_and_perp(ring)
     assert len(rad) == 2 and len(perp_space(ring, rad)) == 7
     beta_vec = [0] * len(ring.basis)
     beta_vec[ring.index[BETA]] = 1
@@ -338,15 +337,16 @@ def test_radical_38_matches_source_vector():
 def test_radical_by_squaring_matches_the_power_route(n):
     # ker e_1, certified by the pairing, is ker e_1^dim from the power of e_1,
     # entry for entry and type for type
-    rad = radical_and_perp(3, n)
-    expected, _ = radical_by_power(build_ring(3, n))
+    ring = build_ring(3, n)
+    rad = radical_and_perp(ring)
+    expected, _ = radical_by_power(ring)
     typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
     assert typed(rad) == typed(expected)
 
 
 def test_perp_space_38_is_ambient():
     ring = build_ring(3, 8)
-    for v in perp_space(ring, radical_and_perp(3, 8)):
+    for v in perp_space(ring, radical_and_perp(ring)):
         assert v[ring.index[BETA]] == 0
 
 
@@ -358,26 +358,27 @@ def test_perp_isomorphism_checks():
 
 
 def test_semisimplicity_routes():
-    assert full_ring_semisimple(3, 7)
-    ok, dim, rad_dim = perp_subalgebra_semisimple(3, 8)
+    assert full_ring_semisimple(build_ring(3, 7))
+    ok, dim, rad_dim = perp_subalgebra_semisimple(build_ring(3, 8))
     assert ok and dim == 49 and rad_dim == 2
     with pytest.raises(UndeterminedProductError):
-        full_ring_semisimple(3, 8)
+        full_ring_semisimple(build_ring(3, 8))
     with pytest.raises(UndeterminedProductError):
-        full_ring_semisimple(3, 6)
+        full_ring_semisimple(build_ring(3, 6))
 
 
 def test_perp_route_on_the_37_section_is_the_whole_ring():
     # the radical is empty, so S is the whole 30-dimensional ring
-    assert perp_subalgebra_semisimple(3, 7) == (True, 30, 0)
-    assert full_ring_semisimple(3, 7)
+    ring = build_ring(3, 7)
+    assert perp_subalgebra_semisimple(ring) == (True, 30, 0)
+    assert full_ring_semisimple(ring)
 
 
 @pytest.mark.parametrize("n, expected", [(6, (True, 15, 3)), (7, (True, 30, 0)), (8, (True, 49, 2))])
 def test_perp_route_agrees_with_the_oracle(n, expected):
     # A / ker e_1 from the shifted Gram matrix against S = sum e_1^i P decided
     # on P by the det G_S identity: verdict, dim S and dim R
-    assert perp_subalgebra_semisimple(3, n) == perp_route_semisimple(3, n) == expected
+    assert perp_subalgebra_semisimple(build_ring(3, n)) == perp_route_semisimple(3, n) == expected
 
 
 def test_shifted_gram_of_a_section_ring():
@@ -424,7 +425,7 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
     # det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1), with
     # G_S from the oracle's r p operators and G_P, M_z from the p x p ones
     ring = build_ring(3, n)
-    perp = perp_space(ring, radical_and_perp(3, n))
+    perp = perp_space(ring, radical_and_perp(ring))
     generators, shift = perp_piece_operators(ring, perp)
     p, r = len(perp), ring.r
     assert len(generators) == p and all(len(op) == p for op in generators + [shift])
@@ -437,7 +438,7 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     ring = build_ring(3, n)
-    perp = perp_space(ring, radical_and_perp(3, n))
+    perp = perp_space(ring, radical_and_perp(ring))
     # a reduced echelon basis: a leading 1 at each pivot, 0 there in the others
     pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
     assert [[v[i] for i in pivots] for v in perp] == linalg.identity(len(perp))
@@ -461,7 +462,7 @@ def test_a_vector_outside_the_perp_space_is_refused(monkeypatch):
     import oracles
 
     ring = build_ring(3, 8)
-    perp = perp_space(ring, radical_and_perp(3, 8))
+    perp = perp_space(ring, radical_and_perp(ring))
     # without its last vector the span misses some products; with v_0 + v_1 in
     # place of v_0 the pivot reading is wrong, and rebuilding the image shows it
     not_reduced = [[a + b for a, b in zip(perp[0], perp[1])]] + perp[1:]
@@ -478,7 +479,7 @@ def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(monkeypa
 
     # G_P stays nondegenerate, but e_1^r kills P, so the trace form of S degenerates
     ring = build_ring(3, 8)
-    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(3, 8)))
+    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(ring)))
     zero = linalg.zeros(len(shift), len(shift))
     monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, zero))
     assert quantum.semisimple_test(generators)
@@ -490,9 +491,9 @@ def test_beta_off_the_radical_leads_exits_1(capsys, monkeypatch):
 
     # e_1 * beta = 0 puts beta in ker e_1, where it leads a basis vector; a
     # radical that misses it is a fault of the program
-    monkeypatch.setattr(section, "radical_and_perp", lambda k, n: [])
+    monkeypatch.setattr(section, "radical_and_perp", lambda ring: [])
     with pytest.raises(InternalConsistencyError, match="beta is not a lead of the radical ker e_1"):
-        perp_subalgebra_semisimple(3, 8)
+        perp_subalgebra_semisimple(build_ring(3, 8))
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: beta is not a lead of the radical ker e_1\n"
@@ -504,14 +505,15 @@ def test_a_zero_shifted_gram_row_off_the_leads_gives_a_degenerate_verdict(capsys
     # the unit is off the radical's leads; with its row of the shifted Gram
     # zeroed, B[C][C] is singular
     original = section.trace_form_rows
-    unit = build_ring(3, 8).index[()]
+    ring = build_ring(3, 8)
+    unit = ring.index[()]
 
     def zeroed(alg, shifted=False):
         t, gram = original(alg, shifted)
         return t, [[0] * len(row) if i == unit else row for i, row in enumerate(gram)]
 
     monkeypatch.setattr(section, "trace_form_rows", zeroed)
-    assert perp_subalgebra_semisimple(3, 8) == (False, 49, 2)
+    assert perp_subalgebra_semisimple(ring) == (False, 49, 2)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert '"semisimple": false' in out and "degenerate trace form on the perp subalgebra" in out and not err
@@ -533,7 +535,7 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
     build_ring.cache_clear()
     ring = build_ring(3, 7)
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
-    assert full_ring_semisimple(3, 7)
+    assert full_ring_semisimple(ring)
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
     # every label operator is a polynomial in e_1, e_2, e_3, so an algebra
     # whose generators fail to commute must be refused when it is built
@@ -638,7 +640,7 @@ def test_section_semisimplicity_reports():
     assert "3" in r6.detail and "4" in r6.detail
     # no beta: the whole-ring trace form of all 30 classes decides it
     r7 = section_semisimplicity(3, 7)
-    assert r7.semisimple is full_ring_semisimple(3, 7) is True and r7.method == "trace-form"
+    assert r7.semisimple is full_ring_semisimple(build_ring(3, 7)) is True and r7.method == "trace-form"
     assert r7.detail == "nondegenerate trace form on the 30-dimensional ring"
     r8 = section_semisimplicity(3, 8)
     assert r8.semisimple is True and "49" in r8.detail and "radical" in r8.detail
@@ -678,6 +680,35 @@ def test_gr36_section_verdict_builds_no_ring(capsys, monkeypatch):
     assert calls == [] and '"method": "betti-screen"' in capsys.readouterr().out
 
 
+# each section command and the number of section rings it asks build_ring for
+RING_BUILDS = [
+    ("qh semisimple --section --k 3 --n 6", 0),
+    ("qh semisimple --section --k 3 --n 7", 1),
+    ("qh semisimple --section --k 3 --n 8", 1),
+    ("qh lefschetz --n 7", 1),
+    ("qh lefschetz --n 8", 1),
+    ("qh charpoly --section --k 3 --n 7 --power 6", 1),
+    ("qh charpoly --section --k 3 --n 8 --power 5 --with-e2", 1),
+]
+
+
+def test_each_section_command_asks_for_its_ring_once(capsys, monkeypatch):
+    # every check takes the ring the command built, so none looks it up again
+    # by (k, n), cached or not
+    from qhgrass import cli
+
+    calls = []
+    original = section.build_ring
+    monkeypatch.setattr(section, "build_ring", lambda k, n: calls.append((k, n)) or original(k, n))
+    counts = []
+    for argv, _ in RING_BUILDS:
+        calls.clear()
+        assert cli.run(argv.split()) == 0, argv
+        counts.append(len(calls))
+    assert not capsys.readouterr().err
+    assert counts == [expected for _, expected in RING_BUILDS]
+
+
 def test_the_route_follows_the_screen_and_beta(capsys, monkeypatch):
     # with no Betti witness, a ring with no beta gets the whole-ring trace form
     # from the trace vector, whatever its radical, and builds no label
@@ -696,7 +727,7 @@ def test_the_route_follows_the_screen_and_beta(capsys, monkeypatch):
     monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)) or False)
     report = section_semisimplicity(3, 7)
     assert (report.semisimple, report.method, report.detail) == (False, "trace-form", "degenerate trace form")
-    assert calls == [("full ring", (3, 7))]
+    assert calls == [("full ring", (build_ring(3, 7),))]
     monkeypatch.undo()
     calls.clear()
     monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)))
@@ -716,9 +747,10 @@ def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):
     ring.e_ops[1] = [dict(row) for row in ring.e_ops[1]]
     row, unit = ring.e_ops[1][ring.index[(1,)]], ring.index[()]
     row[unit] = row.get(unit, 0) + 1
-    monkeypatch.setattr(section, "build_ring", lambda *args: ring)
     with pytest.raises(InternalConsistencyError, match="e_1 is not self-adjoint for the section pairing"):
-        radical_and_perp(3, 8)
+        radical_and_perp(ring)
+    # the CLI builds its ring through build_ring
+    monkeypatch.setattr(section, "build_ring", lambda *args: ring)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: e_1 is not self-adjoint for the section pairing\n"
@@ -737,6 +769,27 @@ def test_a_pairing_degenerate_on_ker_e1_exits_1(capsys, monkeypatch):
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: the pairing is degenerate on ker e_1\n"
+
+
+def test_a_degenerate_section_pairing_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # with the point class's row of C_1 cleared, s_1 cup s_a never reaches
+    # the point, so no class pairs with the unit: its column of the pairing
+    # is zero
+    pairing = SectionRing._pairing
+
+    def cleared(self, basis, cup1):
+        point = self._ambient_index[self.box.dual(())]
+        return pairing(self, basis, [{} if i == point else row for i, row in enumerate(cup1)])
+
+    monkeypatch.setattr(SectionRing, "_pairing", cleared)
+    with pytest.raises(InternalConsistencyError, match="section Poincare pairing is degenerate"):
+        SectionRing(3, 7)
+    build_ring.cache_clear()
+    assert cli.run(["qh", "lefschetz", "--n", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: section Poincare pairing is degenerate\n"
 
 
 def test_beta_multiplication_undetermined():
@@ -896,7 +949,7 @@ def test_trace_form_gram_matches_trace_products():
     ops7 = [ring7.label_ops[lab] for lab in ring7.basis]
     assert trace_form_gram(ops7) == _trace_product_gram(ops7)
     ring8 = build_ring(3, 8)
-    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(3, 8)))
+    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(ring8)))
     assert len(ops8) == 49
     assert trace_form_gram(ops8) == _trace_product_gram(ops8)
 
