@@ -50,7 +50,7 @@ MAX_CHARPOLY_DIGITS = 20_000
 # faster than the work (power 400, 1.3e8 and refused: 1.3 s)
 MAX_CHARPOLY_WORK = 5 * 10**7
 # ambient qh commands are refused over this many Schubert classes d = C(n, k).
-# The bound is on d itself: no command builds a d x d operator or pays d^3.
+# The bound is on d itself: no command builds a d x d matrix or pays d^3.
 # qh charpoly steps the s classes of the residue-0 piece through sparse
 # products with E_1 (and E_2) and multiplies only s x s matrices (Gr(5, 10),
 # d = 252, s = 26, at power 10: 0.08 s); qh semisimple runs two thin label

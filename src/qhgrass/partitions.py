@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from itertools import count
-from math import comb, lgamma, log
+from math import comb, lgamma, log, log1p
 
 from .errors import InvalidInputError
 
@@ -77,10 +77,14 @@ class Box(namedtuple("Box", "k n")):
 
 
 def log10_box_count(k: int, n: int) -> float:
-    """log10 C(n, k), the number of partitions in the k x (n - k) box, from
-    lgamma, so that a bound on the count is checked before the count is
-    taken: for k near n/2 ~ 10^9 it has 3e8 digits."""
-    return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+    """log10 C(n, k), the count of the k x (n - k) box, so that a bound can
+    refuse a count before it is taken.  Past n = 2^40, lgamma(n + 1) -
+    lgamma(n - k + 1) loses digits (all by 10^17), so there it is Stirling's
+    log n!/(n - m)!, m = min(k, n - k), with no two near-equal terms to cancel."""
+    if n < 2**40:
+        return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+    m = min(k, n - k)
+    return (m * log(n) - (n - m + 0.5) * log1p(-m / n) - m - lgamma(m + 1)) / log(10)
 
 
 def _box_partitions(p: int, rows: int, cols: int):

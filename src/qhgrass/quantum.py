@@ -5,16 +5,16 @@ t^r = q (r = deg q, over a field holding t), sigma_lam -> t^|lam| sigma_lam
 carries one to the other.  So no verdict, charpoly or presentation check
 depends on q, and every matrix here is taken at q = 1.
 
-GradedAlgebra is a graded Frobenius algebra with exact rational coefficients,
-generated by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual
-tautological subbundle): the basis labels and their degrees, the degree r of
-q, the e-operators as sparse rows (row i of e_ops[p], as of each Pieri matrix,
-is {column j: value} over its nonzeros), the Poincare pairing and the
-multiplication operator of every label that has one.  Its constructors are
-grassmannian(box) for Gr(k, n) and section.build_ring for a smooth hyperplane
-section of Gr(3, n).  Both take the characteristic polynomial of a power of
-e_1 on the residue-0 piece from e_power_charpoly, which reads only the
-e-operators and the piece's coordinates.
+GradedAlgebra is a graded algebra with exact rational coefficients, generated
+by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual tautological
+subbundle): the basis labels and their degrees, the degree r of q, the
+e-operators as sparse rows (row i of e_ops[p], as of each Pieri matrix, is
+{column j: value} over its nonzeros) and the multiplication operator of every
+label that has one.  Its constructors are grassmannian(box) for Gr(k, n) and
+section.build_ring for a smooth hyperplane section of Gr(3, n), which alone
+carries a Poincare pairing.  Both take the characteristic polynomial of a
+power of e_1 on the residue-0 piece from e_power_charpoly, which reads only
+the e-operators and the piece's coordinates.
 
 The Pieri matrices P_p = pieri_matrix(box, p) are the one source of Pieri
 images for both.  Column lam of P_p is the quantum Pieri rule in Postnikov's
@@ -125,21 +125,21 @@ def pieri_matrix(box: Box, p: int) -> list[dict]:
 
 
 class GradedAlgebra:
-    """A graded Frobenius algebra generated by e_1..e_k, at q = 1.
+    """A graded algebra generated by e_1..e_k, at q = 1.
 
-    A constructor supplies the basis, the degree r of q, the e-operators and
-    the pairing; row i of e_ops[p] is {j: value} over its nonzeros.  The
-    constructor asserts, once, that the e-operators commute and are graded.
-    label_ops, the multiplication operator of every partition label, comes
-    from mult_operators when first read.  grassmannian builds Gr(k, n);
+    A constructor supplies the basis, the degree r of q and the e-operators;
+    row i of e_ops[p] is {j: value} over its nonzeros.  The constructor
+    asserts, once, that the e-operators commute and are graded.  label_ops,
+    the multiplication operator of every partition label, comes from
+    mult_operators when first read.  grassmannian builds Gr(k, n);
     section.SectionRing, which overrides label_degree, builds a section.
     """
 
-    def __init__(self, box: Box, basis, r: int, e_ops: dict[int, list[dict]], pairing: Matrix):
+    def __init__(self, box: Box, basis, r: int, e_ops: dict[int, list[dict]]):
         self.box, self.k, self.basis, self.r = box, box.k, tuple(basis), r
         self.index = {lab: i for i, lab in enumerate(self.basis)}
         require_commuting(e_ops)
-        self.e_ops, self.pairing = e_ops, pairing
+        self.e_ops = e_ops
         require_graded(self)
 
     def label_degree(self, lab) -> int:
@@ -187,15 +187,9 @@ def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], r: int, powe
 
 @lru_cache(maxsize=None)
 def grassmannian(box: Box) -> GradedAlgebra:
-    """QH(Gr(k, n)): the Schubert basis, q of degree n, the Pieri matrices,
-    and the pairing <s_lam, s_mu> = [mu = dual(lam)]."""
-    basis = schubert_basis(box)
+    """QH(Gr(k, n)): the Schubert basis, q of degree n and the Pieri matrices."""
     e_ops = {p: pieri_matrix(box, p) for p in range(1, box.k + 1)}
-    index = {lam: i for i, lam in enumerate(basis)}
-    pairing = linalg.zeros(len(basis), len(basis))
-    for i, lam in enumerate(basis):
-        pairing[i][index[box.dual(lam)]] = 1
-    return GradedAlgebra(box, basis, box.n, e_ops, pairing)
+    return GradedAlgebra(box, schubert_basis(box), box.n, e_ops)
 
 
 def _transpose(op: list[dict]) -> list[dict]:

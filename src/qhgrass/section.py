@@ -129,7 +129,8 @@ def q_degree(k: int, n: int) -> int:
 
 
 class SectionRing(GradedAlgebra):
-    """Basis, relations and Pieri operators for the section of Gr(k, n)."""
+    """Basis, relations, Pieri operators and pairing for the section of Gr(k, n);
+    only this ring owns a pairing, which radical_and_perp's certificate reads."""
 
     def __init__(self, k: int, n: int):
         r = q_degree(k, n)
@@ -142,7 +143,8 @@ class SectionRing(GradedAlgebra):
         self._build_quotient(cup1)
         basis = self._quotient_basis(hodge.diamond(k, n))
         e_ops = self._e_operators(basis, pieri)
-        super().__init__(self.box, basis, r, e_ops, self._pairing(basis, cup1))
+        self.pairing = self._pairing(basis, cup1)
+        super().__init__(self.box, basis, r, e_ops)
 
     def _e_operators(self, basis, pieri) -> dict[int, list[dict]]:
         """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri

@@ -183,6 +183,10 @@ PINS = [
     Pin("snow --k 3 --n 100000000 --p 10000000 --twist 1", code=2, timeout=5, stderr_lines=1),
     Pin("hodge --k 5 --n 20", code=2, timeout=5, stderr_lines=1),
     Pin("hodge --section --k 7 --n 30", code=2, timeout=5, stderr_lines=1),
+    # past n ~ 10^17 the box count's logarithm must not cancel to 0, or the
+    # exact count of 10^174341 would be taken and formatted
+    Pin("hodge --k 10000 --n 1000000000000000000000", code=2, timeout=5, stderr_lines=1),
+    Pin("qh semisimple --k 10000 --n 1000000000000000000000", code=2, timeout=5, stderr_lines=1),
     Pin("screen --section --k 3 --n 8 --type E7", code=2, timeout=5, stderr_lines=1),
     Pin("screen --type E7 --node 2 --k 3", code=2, timeout=5, stderr_lines=1),
     Pin("screen --type E7 --node 2 --seed 5", code=2, timeout=5, stderr_lines=1),

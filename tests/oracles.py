@@ -19,9 +19,11 @@ route:
 - giambelli_expr, star_schubert and star multiply ambient classes through the
   Giambelli determinant in the Pieri operators; quantum.mult_operators uses
   the first-column Pieri recursion instead.
-- pairing_q1 is the class-level pairing of QH(Gr(k, n)).  radical_by_power
-  takes the radical of a graded algebra as the kernel of e_1^N, N its
-  dimension, with its perp space P (perp_space; radical for Gr(k, n));
+- pairing_q1 is the class-level pairing of QH(Gr(k, n)), and ambient_pairing
+  its matrix on the Schubert basis; production gives only a section ring a
+  pairing.  radical_by_power takes the radical of a graded algebra as the
+  kernel of e_1^N, N its dimension, with its perp space P for a given pairing
+  (perp_space; radical for Gr(k, n), with ambient_pairing);
   section.radical_and_perp takes only ker e_1 and certifies it by the
   pairing, which is nondegenerate on it.
 - build_lifts and lift_operator write each section basis class as a
@@ -1146,11 +1148,11 @@ def cup_matrix(box: Box, p: int) -> Matrix:
 
 
 def classical_grassmannian(box: Box) -> GradedAlgebra:
-    """H*(Gr(k, n)), QH at q = 0: Gr(k, n)'s basis and pairing with the cup
-    products C_p as e-operators."""
+    """H*(Gr(k, n)), QH at q = 0: Gr(k, n)'s basis with the cup products C_p
+    as e-operators."""
     alg = grassmannian(box)
     e_ops = {p: linalg.sparse_rows(cup_matrix(box, p)) for p in range(1, box.k + 1)}
-    return GradedAlgebra(box, alg.basis, alg.r, e_ops, alg.pairing)
+    return GradedAlgebra(box, alg.basis, alg.r, e_ops)
 
 
 def classical_section_e_ops(ring: SectionRing) -> dict[int, list[dict]]:
@@ -1168,7 +1170,7 @@ def ring_with_e_ops(ring: SectionRing, e_ops: dict[int, list[dict]]) -> SectionR
     label degrees, beta's among them.  The copy is a new algebra, so nothing
     cached for the ring (e_columns, label_ops) carries over."""
     alg = copy.copy(ring)
-    GradedAlgebra.__init__(alg, ring.box, ring.basis, ring.r, e_ops, ring.pairing)
+    GradedAlgebra.__init__(alg, ring.box, ring.basis, ring.r, e_ops)
     return alg
 
 
@@ -1304,21 +1306,33 @@ def pairing_q1(a: ClassVector, b: ClassVector):
     )
 
 
+def ambient_pairing(box: Box) -> Matrix:
+    """The Poincare pairing of Gr(k, n) on the Schubert basis,
+    <s_lam, s_mu> = [mu = dual(lam)]; production builds none."""
+    basis = schubert_basis(box)
+    index = {lam: i for i, lam in enumerate(basis)}
+    pairing = linalg.zeros(len(basis), len(basis))
+    for i, lam in enumerate(basis):
+        pairing[i][index[box.dual(lam)]] = 1
+    return pairing
+
+
 def radical(box: Box) -> tuple[list[list], list[list]]:
-    """radical_by_power for QH(Gr(k, n))."""
-    return radical_by_power(grassmannian(box))
+    """radical_by_power for QH(Gr(k, n)), with its pairing ambient_pairing."""
+    return radical_by_power(grassmannian(box), ambient_pairing(box))
 
 
-def radical_by_power(alg) -> tuple[list[list], list[list]]:
+def radical_by_power(alg, pairing: Matrix) -> tuple[list[list], list[list]]:
     """Kernel of the N-th power of multiplication by e_1 (N the dimension),
-    plus its perp space (perp_space); section.radical_and_perp takes ker e_1,
-    certified by the pairing."""
+    plus its perp space for the pairing (perp_space);
+    section.radical_and_perp takes ker e_1, certified by the pairing."""
     rad = linalg.kernel_basis(linalg.mat_pow(dense_square(alg.e_ops[1]), len(alg.basis)))
-    return rad, perp_space(alg, rad)
+    return rad, perp_space(alg, rad, pairing)
 
 
-def perp_space(alg, rad: list[list]) -> list[list]:
-    """The orthogonal complement P of the radical inside the residue-0 piece:
+def perp_space(alg, rad: list[list], pairing: Matrix) -> list[list]:
+    """The orthogonal complement P of the radical inside the residue-0 piece
+    of alg, for the pairing (a section ring's own, or ambient_pairing):
     the reduced echelon kernel basis of the pairing constraints (or the
     identity when the radical is empty), written in the piece's labels,
     which are in basis order, so perp_piece_operators can read coordinates
@@ -1326,7 +1340,7 @@ def perp_space(alg, rad: list[list]) -> list[list]:
     idx, piece = alg.index, alg.residue_piece(0)
     constraints = []
     for u in rad:
-        pu = linalg.mat_vec(alg.pairing, u)
+        pu = linalg.mat_vec(pairing, u)
         constraints.append([pu[idx[lam]] for lam in piece])
     if constraints:
         perp_coords = linalg.kernel_basis(constraints)
@@ -1461,7 +1475,7 @@ def perp_iso_check(k: int, n: int) -> bool:
 
     # section side: powers of the generator, projected away from the radical
     rad = radical_and_perp(ring)
-    perp = perp_space(ring, rad)
+    perp = perp_space(ring, rad, ring.pairing)
     project = _perp_projector(ring, rad)
     unit_y = vector(ring, ClassVector.unit(ring.box))
     powers_y = [unit_y]
@@ -1549,7 +1563,7 @@ def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     """
     ring = build_ring(k, n)
     rad = radical_and_perp(ring)
-    generators, shift = perp_piece_operators(ring, perp_space(ring, rad))
+    generators, shift = perp_piece_operators(ring, perp_space(ring, rad, ring.pairing))
     if not commuting([linalg.sparse_rows(op) for op in generators + [shift]]):
         raise InternalConsistencyError("the perp subalgebra's generators do not commute")
     ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0

@@ -394,6 +394,27 @@ def test_cli_fuzz_magnitudes_up_to_a_billion(argv):
     assert seconds < MAGNITUDE_CPU_SECONDS, (argv, seconds)
 
 
+HUGE_BOX_COMMANDS = ["hodge", "hodge --section", "screen --section", "qh semisimple", "qh presentation",
+                     "qh charpoly --power 0"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(HUGE_BOX_COMMANDS), st.integers(1, 10**4), st.integers(10**4, 10**30))
+def test_cli_fuzz_huge_boxes_are_refused_at_once(command, k, n):
+    # every C(n, k) with n >= 10^4 is over each command's bound (C(n, k) >= n
+    # when 1 <= k <= n - 1), so each line is refused on the box count's
+    # logarithm, which must not cancel to 0 for n past 10^17
+    argv = command.split() + ["--k", str(k), "--n", str(n)]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    seconds = time.process_time() - t0
+    assert code == 2 and not out.getvalue(), (argv, code, err.getvalue())
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert seconds < 1, (argv, seconds)
+
+
 def test_huge_charpoly_is_refused_and_large_one_printed_whole(capsys):
     t0 = time.process_time()
     code, out, err = run_cli(capsys, "qh", "charpoly", "--k", "2", "--n", "4", "--power", "100000",

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -322,6 +323,15 @@ def test_box_counts_are_the_gaussian_binomial():
             assert counts == tuple(len(box_partitions_of_size(k, n, p)) for p in range(k * (n - k) + 1)), (k, n)
             assert counts == gaussian_binomial(n, k).coeffs, (k, n)
             assert counts == box_counts(n - k, n), (k, n)
+
+
+def test_log10_box_count_keeps_its_digits_for_huge_n():
+    # lgamma(n + 1) - lgamma(n - k + 1) cancels to 0 by n ~ 10^17, and a 0
+    # admits the box to an exact C(n, k); on either side of the switch at
+    # 2^40 the count stays within 0.01 of its exact logarithm
+    for k in (1, 2, 50, 10000):
+        for n in (2**40 - 1, 2**40, 10**20, 10**21, 10**30):
+            assert abs(partitions.log10_box_count(k, n) - math.log10(math.comb(n, k))) < 0.01, (k, n)
 
 
 def test_candidate_count_matches_enumeration():

@@ -639,7 +639,7 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
     gr12 = grassmannian(Box(1, 2))
     e_ops = {1: linalg.sparse_rows(x), 2: linalg.sparse_rows(bad)}
     with pytest.raises(InternalConsistencyError, match="do not commute"):
-        GradedAlgebra(gr12.box, gr12.basis, gr12.r, e_ops, gr12.pairing)
+        GradedAlgebra(gr12.box, gr12.basis, gr12.r, e_ops)
     # ... and the oracle's perp route on the perp generators and e_1^r, both ways
     for generators, shift in [([x, bad], linalg.identity(2)), ([x], bad)]:
         monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, shift))
@@ -702,7 +702,7 @@ def _ungraded_gr24():
     e_ops = {p: [dict(row) for row in op] for p, op in gr.e_ops.items()}
     for i, row in enumerate(e_ops[1]):
         row[i] = row.get(i, 0) + 1
-    return GradedAlgebra(gr.box, gr.basis, gr.r, e_ops, gr.pairing)
+    return GradedAlgebra(gr.box, gr.basis, gr.r, e_ops)
 
 
 def test_the_grading_certificate_refuses_a_corrupted_operator(capsys, monkeypatch):
@@ -772,6 +772,20 @@ def test_qh_semisimple_checks_commutativity_on_pieri_generators(monkeypatch):
         assert qh_semisimple(box)
         generators = [pieri_matrix(box, p) for p in range(1, box.k + 1)]
         assert seen == [generators], box
+
+
+def test_no_ambient_verdict_builds_a_dense_matrix(monkeypatch):
+    from cli_pins import run_pin
+
+    # Gr(k, n) carries no pairing, and qh semisimple reads only sparse
+    # e-operators and thin runs, so no d x d list of lists is made
+    calls, zeros = [], linalg.zeros
+    monkeypatch.setattr(linalg, "zeros", lambda rows, cols: calls.append((rows, cols)) or zeros(rows, cols))
+    for argv in ("qh semisimple --k 4 --n 8", "qh semisimple --k 2 --n 25"):
+        code, out, err = run_pin(argv)
+        assert code == 0 and out and not err, argv
+    assert calls == []
+    assert not hasattr(grassmannian(Box(4, 8)), "pairing")
 
 
 def test_cup_e_is_classical_part():

@@ -304,14 +304,14 @@ def test_radical_37_trivial():
     ring = build_ring(3, 7)
     rad = radical_and_perp(ring)
     assert rad == []
-    assert len(perp_space(ring, rad)) == 5
+    assert len(perp_space(ring, rad, ring.pairing)) == 5
     assert linalg.det_bareiss(dense_square(ring.e_ops[1])) != 0
 
 
 def test_radical_38_matches_source_vector():
     ring = build_ring(3, 8)
     rad = radical_and_perp(ring)
-    assert len(rad) == 2 and len(perp_space(ring, rad)) == 7
+    assert len(rad) == 2 and len(perp_space(ring, rad, ring.pairing)) == 7
     beta_vec = [0] * len(ring.basis)
     beta_vec[ring.index[BETA]] = 1
     gamma = reduce(ring, ClassVector(ring.box, {(lam, 0): c for lam, c in GAMMA_38.items()}))
@@ -339,14 +339,14 @@ def test_radical_by_squaring_matches_the_power_route(n):
     # entry for entry and type for type
     ring = build_ring(3, n)
     rad = radical_and_perp(ring)
-    expected, _ = radical_by_power(ring)
+    expected, _ = radical_by_power(ring, ring.pairing)
     typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
     assert typed(rad) == typed(expected)
 
 
 def test_perp_space_38_is_ambient():
     ring = build_ring(3, 8)
-    for v in perp_space(ring, radical_and_perp(ring)):
+    for v in perp_space(ring, radical_and_perp(ring), ring.pairing):
         assert v[ring.index[BETA]] == 0
 
 
@@ -425,7 +425,7 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
     # det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1), with
     # G_S from the oracle's r p operators and G_P, M_z from the p x p ones
     ring = build_ring(3, n)
-    perp = perp_space(ring, radical_and_perp(ring))
+    perp = perp_space(ring, radical_and_perp(ring), ring.pairing)
     generators, shift = perp_piece_operators(ring, perp)
     p, r = len(perp), ring.r
     assert len(generators) == p and all(len(op) == p for op in generators + [shift])
@@ -438,7 +438,7 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     ring = build_ring(3, n)
-    perp = perp_space(ring, radical_and_perp(ring))
+    perp = perp_space(ring, radical_and_perp(ring), ring.pairing)
     # a reduced echelon basis: a leading 1 at each pivot, 0 there in the others
     pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
     assert [[v[i] for i in pivots] for v in perp] == linalg.identity(len(perp))
@@ -462,14 +462,14 @@ def test_a_vector_outside_the_perp_space_is_refused(monkeypatch):
     import oracles
 
     ring = build_ring(3, 8)
-    perp = perp_space(ring, radical_and_perp(ring))
+    perp = perp_space(ring, radical_and_perp(ring), ring.pairing)
     # without its last vector the span misses some products; with v_0 + v_1 in
     # place of v_0 the pivot reading is wrong, and rebuilding the image shows it
     not_reduced = [[a + b for a, b in zip(perp[0], perp[1])]] + perp[1:]
     for basis in (perp[:-1], not_reduced):
         with pytest.raises(InternalConsistencyError, match="vector lies outside the column span"):
             perp_piece_operators(ring, basis)
-    monkeypatch.setattr(oracles, "perp_space", lambda alg, rad: perp[:-1])
+    monkeypatch.setattr(oracles, "perp_space", lambda alg, rad, pairing: perp[:-1])
     with pytest.raises(InternalConsistencyError, match="vector lies outside the column span"):
         perp_route_semisimple(3, 8)
 
@@ -479,7 +479,7 @@ def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(monkeypa
 
     # G_P stays nondegenerate, but e_1^r kills P, so the trace form of S degenerates
     ring = build_ring(3, 8)
-    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(ring)))
+    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(ring), ring.pairing))
     zero = linalg.zeros(len(shift), len(shift))
     monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, zero))
     assert quantum.semisimple_test(generators)
@@ -544,7 +544,7 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
     e_ops[2][0][last] = e_ops[2][0].get(last, 0) + 1
     assert not commuting([e_ops[1], e_ops[2], e_ops[3]])
     with pytest.raises(InternalConsistencyError, match="do not commute"):
-        GradedAlgebra(ring.box, ring.basis, ring.r, e_ops, ring.pairing)
+        GradedAlgebra(ring.box, ring.basis, ring.r, e_ops)
 
 
 # commands that read the e-operators, and for the perp verdict the label
@@ -949,7 +949,7 @@ def test_trace_form_gram_matches_trace_products():
     ops7 = [ring7.label_ops[lab] for lab in ring7.basis]
     assert trace_form_gram(ops7) == _trace_product_gram(ops7)
     ring8 = build_ring(3, 8)
-    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(ring8)))
+    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(ring8), ring8.pairing))
     assert len(ops8) == 49
     assert trace_form_gram(ops8) == _trace_product_gram(ops8)
 
