@@ -14,10 +14,11 @@ one kernel, sparse_mul_sum: a sum of products c * (a @ b) accumulated row by
 row, in which a term with a = I adds c * b.  No whole e-operator is made
 dense, and the dense readers refuse sparse rows; section.radical_and_perp
 slices each residue block of E_1 into a dense list for kernel_basis.
-The label recursion keeps its block seed-major, one row per seed vector,
-so in each step a is the block of lam' (s rows) and b is E_p^T, held as
-E_p's columns (E_p itself for the transposed run): the step loops over the
-s seed rows, not over d.
+Both Pieri recursions keep their blocks seed-major, one row per seed
+vector, so in each step a is a block of s rows (the image of lam', or of
+H_(m-i)) and b is E_p^T, held as E_p's columns (E_p itself for the
+transposed label run): the step loops over the s seed rows, not over d.
+The section's Lefschetz check seeds at most two rows, the unit and beta.
 Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
 ints or Fractions.  The characteristic polynomial takes no division at all:
 charpoly is the Berkowitz recursion, and the tests check it against two

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from itertools import count
-from math import comb, lgamma, log, log1p
+from math import comb, inf, lgamma, log, log1p
 
 from .errors import InvalidInputError
 
@@ -80,11 +80,19 @@ def log10_box_count(k: int, n: int) -> float:
     """log10 C(n, k), the count of the k x (n - k) box, so that a bound can
     refuse a count before it is taken.  Past n = 2^40, lgamma(n + 1) -
     lgamma(n - k + 1) loses digits (all by 10^17), so there it is Stirling's
-    log n!/(n - m)!, m = min(k, n - k), with no two near-equal terms to cancel."""
+    log n!/(n - m)!, m = min(k, n - k), with no two near-equal terms to cancel
+    and n never made a float: (n - m + 1/2) log(1 - x) is taken as
+    m (1 - x + 1/(2n)) log1p(-x) / x with x = m / n, an int quotient that
+    cannot overflow.  From m = 2^1000, where lgamma(m + 1) nears a float's
+    range, the count is inf."""
     if n < 2**40:
         return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
     m = min(k, n - k)
-    return (m * log(n) - (n - m + 0.5) * log1p(-m / n) - m - lgamma(m + 1)) / log(10)
+    if m.bit_length() > 1000:
+        return inf
+    x = m / n
+    tail = m * (1 - x + 1 / (2 * n)) * (log1p(-x) / x if x else -1.0)
+    return (m * log(n) - tail - m - lgamma(m + 1)) / log(10)
 
 
 def _box_partitions(p: int, rows: int, cols: int):

@@ -59,15 +59,20 @@ tests and the benchmark's spans.
 
 The presentation relations h_{n-k+1} = ... = h_{n-1} = 0 and
 h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section, are
-checked by one function (h_relation_check) on whole operators through the
-h-recursion H_0 = I, H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i)
-(h_operators), which keeps only the last k operators; the tests compare it
-with sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  That
-recursion, label_recursion and the commutativity check read e_ops as it is,
-one fused linalg.sparse_mul_sum a step, and so do e_power_charpoly's thin
-blocks: no whole E_p is made dense.  section.radical_and_perp(ring) reads E_1
-through sparse_mul_sum only to check it self-adjoint; it slices each
-residue block of E_1 into a dense list for kernel_basis.
+checked by one function (h_relation_check) on a block of seed vectors,
+through the h-recursion H_0 = I, H_m = sum over i <= min(m, k) of
+(-1)^(i+1) E_i H_(m-i) (h_operators), stored seed-major as label_recursion
+stores its blocks and keeping only the last k; the tests compare it with
+sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  Each caller
+says what its seeds prove.  presentation_check seeds every unit vector, so it
+builds no GradedAlgebra and assumes no commutativity; the section's check
+seeds the unit, and beta where the ring has it, which proves the identities
+on the whole ring (see section).  Both recursions and the commutativity
+check read the e-operators as sparse rows, one fused linalg.sparse_mul_sum a
+step, and so do e_power_charpoly's thin blocks: no whole E_p is made dense.
+section.radical_and_perp(ring) reads E_1 through sparse_mul_sum only to
+check it self-adjoint; it slices each residue block of E_1 into a dense list
+for kernel_basis.
 """
 
 from __future__ import annotations
@@ -115,12 +120,14 @@ def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(entries)
 
 
-def pieri_matrix(box: Box, p: int) -> list[dict]:
+def pieri_matrix(box: Box, p: int, transposed: bool = False) -> list[dict]:
     """sigma_{1^p} * (-) over the Schubert basis at q = 1, new on every call,
-    as e_ops[p] holds it: row i is {col: 1} over pieri_entries' row i."""
+    as e_ops[p] holds it: row i is {col: 1} over pieri_entries' row i.
+    With transposed=True it is the transpose: row j is column j."""
     rows = [{} for _ in schubert_basis(box)]
     for row, col, _ in pieri_entries(box, p):
-        rows[row][col] = 1
+        i, j = (col, row) if transposed else (row, col)
+        rows[i][j] = 1
     return rows
 
 
@@ -278,35 +285,46 @@ def mult_operators(alg: GradedAlgebra) -> dict:
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 
-def h_operators(e_ops: dict[int, list[dict]], top: int) -> list[list[dict]]:
-    """H_m = sigma_m (the complete homogeneous h_m) evaluated on e_1..e_k,
-    for the last k degrees top - k < m <= top, as sparse rows.
+def h_operators(columns: dict[int, list[dict]], top: int, seeds: list[dict]) -> list[list[dict]]:
+    """H_m = sigma_m (the complete homogeneous h_m) evaluated on e_1..e_k and
+    applied to the seed vectors, for the last k degrees top - k < m <= top:
+    block m is stored seed-major, row j the image (H_m s_j)^T of seed
+    s_j = seeds[j], as sparse rows.
 
     H_0 = I and H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i), from
-    sum (-1)^i e_i h_(m-i) = 0; only the last k operators are kept.
+    sum (-1)^i e_i h_(m-i) = 0, so (H_m s_j)^T = sum (-1)^(i+1)
+    (H_(m-i) s_j)^T E_i^T: each step is one linalg.sparse_mul_sum over the
+    seed rows against columns[i], the rows of E_i^T, as in label_recursion,
+    and only the last k blocks are kept.  No step needs the E_i to commute;
+    seeded with every unit vector, block m is H_m^T.
     """
-    k, dim = len(e_ops), len(e_ops[1])
-    window = [[{i: 1} for i in range(dim)]]
+    k = len(columns)
+    window = [seeds]
     for m in range(1, top + 1):
-        terms = [((-1) ** (i + 1), e_ops[i], window[-i]) for i in range(1, min(m, k) + 1)]
+        terms = [((-1) ** (i + 1), window[-i], columns[i]) for i in range(1, min(m, k) + 1)]
         window = (window + [linalg.sparse_mul_sum(terms)])[-k:]
     return window
 
 
-def h_relation_check(e_ops: dict[int, list[dict]], n: int, target: list[dict]) -> bool:
+def h_relation_check(columns: dict[int, list[dict]], n: int, seeds: list[dict], target: list[dict]) -> bool:
     """Whether h_{n-k+1} = ... = h_{n-1} = 0 and h_n = (-1)^(k+1) T on the
-    e-operators, through the h-recursion (h_operators), with T given as
-    sparse rows: I for Gr(k, n) at q = 1, E_1 for a section."""
-    sign = (-1) ** (len(e_ops) + 1)
-    *vanishing, top = h_operators(e_ops, n)
-    return not any(map(any, vanishing)) and top == [{j: sign * x for j, x in row.items()} for row in target]
+    seed vectors: the vanishing blocks of h_operators are zero and its top
+    block is (-1)^(k+1) times the seeds times T^T, with the rows of T^T
+    given as sparse rows (target): I for Gr(k, n) at q = 1, E_1^T for a
+    section.  The caller says why its seeds prove the operator identities."""
+    sign = (-1) ** (len(columns) + 1)
+    *vanishing, top = h_operators(columns, n, seeds)
+    return not any(map(any, vanishing)) and top == linalg.sparse_mul_sum([(sign, seeds, target)])
 
 
 def presentation_check(box: Box) -> bool:
     """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q
-    at q = 1 on the Pieri matrices (h_relation_check with T = I)."""
-    e_ops = {p: pieri_matrix(box, p) for p in range(1, box.k + 1)}
-    return h_relation_check(e_ops, box.n, [{i: 1} for i in range(len(schubert_basis(box)))])
+    at q = 1 on the Pieri matrices: h_relation_check with T = I, seeded with
+    every unit vector, so it builds no GradedAlgebra and assumes no
+    commutativity.  E_p^T is read straight off the Pieri entries."""
+    columns = {p: pieri_matrix(box, p, transposed=True) for p in range(1, box.k + 1)}
+    identity = [{i: 1} for i in range(len(schubert_basis(box)))]
+    return h_relation_check(columns, box.n, identity, identity)
 
 
 def commuting(ops: list[list[dict]]) -> bool:

@@ -47,10 +47,17 @@ lam has coefficient 1 in e_p * lam' and that every correction is a class it
 has already built.
 
 The quantum Lefschetz identities h_{n-2} = h_{n-1} = 0 and h_n = q e_1 are
-checked on the whole operators of a ring, n read off its box
-(lefschetz_relation_check(ring)): h_m = sigma_m is evaluated on E_1..E_k by
-the h-recursion H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i),
-the ambient presentation check with E_1 in place of q (h_relation_check).
+checked on a ring, n read off its box (lefschetz_relation_check(ring)), by
+the h-recursion of the ambient presentation check with E_1 in place of q
+(quantum.h_relation_check), run on the unit and beta and not on whole
+operators.  The seeds prove the identities on all of A.  The constructor
+asserted that E_1..E_k commute.  The label recursion seeded with the unit
+(quantum.label_recursion) certifies generation: every partition label b is
+f_b(E) 1 for a polynomial f_b, and the recursion raises where a Pieri image
+does not determine b.  So H_m b = f_b(E) H_m 1, and since T = E_1 commutes
+with every E_p, H_n b - T b = f_b(E) (H_n 1 - T 1): the identities on the
+unit give them on every partition label.  beta, which the unit does not
+reach, is seeded directly.
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
 degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
@@ -111,6 +118,7 @@ from .quantum import (
     e_columns,
     e_power_charpoly,
     h_relation_check,
+    label_recursion,
     pieri_entries,
     schubert_basis,
     trace_form_rows,
@@ -255,10 +263,16 @@ def section_charpoly(ring: SectionRing, power: int, with_e2: bool = False) -> tu
 def lefschetz_relation_check(ring: SectionRing) -> bool:
     """Verify h_{n-2} = h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in
     the section ring of Gr(k, n), n read off ring.box, with h_m = sigma_m
-    evaluated on e_1..e_k (quantum.h_relation_check with T = E_1)."""
+    evaluated on e_1..e_k (quantum.h_relation_check with T = E_1), seeded
+    with the unit and every label the unit-seeded label recursion does not
+    reach, beta on n = 8 (see the module docstring)."""
     if (n := ring.box.n) not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
-    return h_relation_check(ring.e_ops, n, ring.e_ops[1])
+    unit = [{ring.index[()]: 1}]
+    reached = label_recursion(ring, unit)
+    seeds = unit + [{ring.index[lab]: 1} for lab in ring.basis if lab not in reached]
+    columns = e_columns(ring)
+    return h_relation_check(columns, n, seeds, columns[1])
 
 
 def radical_and_perp(ring: SectionRing) -> list[list]:

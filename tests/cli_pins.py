@@ -187,6 +187,11 @@ PINS = [
     # exact count of 10^174341 would be taken and formatted
     Pin("hodge --k 10000 --n 1000000000000000000000", code=2, timeout=5, stderr_lines=1),
     Pin("qh semisimple --k 10000 --n 1000000000000000000000", code=2, timeout=5, stderr_lines=1),
+    # past n ~ 1.8 x 10^308 the count's logarithm must not make n a float,
+    # or the refusal is an OverflowError: n = 10^400, 10^309 and 10^400
+    Pin("hodge --k 2 --n 1" + "0" * 400, code=2, timeout=5, stderr_lines=1),
+    Pin("qh semisimple --k 2 --n 1" + "0" * 309, code=2, timeout=5, stderr_lines=1),
+    Pin("screen --section --k 2 --n 1" + "0" * 400, code=2, timeout=5, stderr_lines=1),
     Pin("screen --section --k 3 --n 8 --type E7", code=2, timeout=5, stderr_lines=1),
     Pin("screen --type E7 --node 2 --k 3", code=2, timeout=5, stderr_lines=1),
     Pin("screen --type E7 --node 2 --seed 5", code=2, timeout=5, stderr_lines=1),

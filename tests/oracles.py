@@ -79,7 +79,8 @@ route:
 - sigma_e_polynomial expands sigma_m = h_m in e_1..e_k, and
   evaluate_e_polynomials evaluates such polynomials monomial by monomial,
   sharing prefixes, one sparse_mul at a time and one sparse_combine per
-  polynomial; quantum.h_operators runs the h-recursion on the operators.
+  polynomial; quantum.h_operators runs the h-recursion on seed vectors, and
+  seeded with every unit vector its blocks are the transposed operators.
 - matrix_product_e_ops and pair_loop_pairing are the dense routes of the
   section ring: E_p as products of the matrices P_p, C_p and C_1, and
   the pairing over every pair of labels.  Production assembles E_p on sparse

@@ -334,6 +334,16 @@ def test_log10_box_count_keeps_its_digits_for_huge_n():
             assert abs(partitions.log10_box_count(k, n) - math.log10(math.comb(n, k))) < 0.01, (k, n)
 
 
+def test_log10_box_count_takes_n_past_the_float_range():
+    # n past 1.8 x 10^308 is never made a float: the count keeps its digits,
+    # and a box whose narrow side is past 2^1000 counts as inf
+    for k in (1, 2, 50):
+        for n in (10**309, 10**400, 10**4000):
+            assert abs(partitions.log10_box_count(k, n) - math.log10(math.comb(n, k))) < 0.01, (k, n)
+    assert partitions.log10_box_count(10**400, 2 * 10**400) == math.inf
+    assert 10**300 < partitions.log10_box_count(2**999, 2**1001) < math.inf
+
+
 def test_candidate_count_matches_enumeration():
     for k, n in [(3, 6), (3, 9), (4, 8), (5, 13), (12, 24)]:
         enumerated = sum(

@@ -424,23 +424,27 @@ def test_h_recursion_matches_the_monomial_evaluation(box):
     # h_operators runs H_m = sum (-1)^(i+1) E_i H_(m-i); the oracle expands
     # sigma_m in e_1..e_k and evaluates every monomial
     k, dim = box.k, len(schubert_basis(box))
+    # seeded with every unit vector, so block m is H_m^T
     generators = {p: pieri_matrix(box, p) for p in range(1, k + 1)}
+    columns = {p: pieri_matrix(box, p, transposed=True) for p in range(1, k + 1)}
+    identity = [{i: 1} for i in range(dim)]
     for top in (box.n, box.n + 1):
-        got = [linalg.dense(h, dim) for h in quantum.h_operators(generators, top)]
+        got = [linalg.dense(h, dim) for h in quantum.h_operators(columns, top, identity)]
         polys = [sigma_e_polynomial(m, k) for m in range(top - k + 1, top + 1)]
-        assert got == evaluate_e_polynomials(polys, generators), top
+        assert got == [[list(col) for col in zip(*mat)] for mat in evaluate_e_polynomials(polys, generators)], top
     assert presentation_check(box)
 
 
 def _perturbed_pieri(monkeypatch, target: int, row: int, col: int, value):
     original = quantum.pieri_matrix
 
-    def perturbed(box, p):
-        rows = original(box, p)
+    def perturbed(box, p, transposed=False):
+        rows = original(box, p, transposed)
         if p == target:
-            rows[row][col] = value
+            i, j = (col, row) if transposed else (row, col)
+            rows[i][j] = value
             if not value:
-                del rows[row][col]
+                del rows[i][j]
         return rows
 
     monkeypatch.setattr(quantum, "pieri_matrix", perturbed)

@@ -257,39 +257,93 @@ def test_lefschetz_identities():
         lefschetz_relation_check(build_ring(3, 6))
 
 
+def _identity_seeds(ring):
+    return [{i: 1} for i in range(len(ring.basis))]
+
+
 @pytest.mark.parametrize("n", (7, 8))
 def test_h_recursion_matches_the_monomial_evaluation_on_the_section(n):
+    # seeded with every unit vector, block m of h_operators is H_m^T
     ring = build_ring(3, n)
     dim = len(ring.basis)
     for top in (n, n + 1):
-        got = [linalg.dense(h, dim) for h in quantum.h_operators(ring.e_ops, top)]
+        got = [linalg.dense(h, dim) for h in quantum.h_operators(quantum.e_columns(ring), top, _identity_seeds(ring))]
         polys = [sigma_e_polynomial(m, 3) for m in range(top - 2, top + 1)]
-        assert got == evaluate_e_polynomials(polys, ring.e_ops), top
+        assert got == [[list(col) for col in zip(*mat)] for mat in evaluate_e_polynomials(polys, ring.e_ops)], top
 
 
-def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry():
-    # every nonzero entry of E_1, E_2, E_3 dropped on (3, 7); on (3, 8) a spread of them
-    for n, stride in ((7, 1), (8, 17)):
+def test_the_lefschetz_check_is_seeded_with_the_unit_and_beta(monkeypatch):
+    # the check runs no d x d block: every step of the unit-seeded label
+    # recursion and of the h-recursion is at most two rows, the unit and beta
+    ring = build_ring(3, 8)
+    quantum.e_columns(ring)
+    blocks = []
+    sparse_mul_sum = linalg.sparse_mul_sum
+
+    def spy(terms):
+        blocks.extend(a for _, a, _ in terms)
+        return sparse_mul_sum(terms)
+
+    monkeypatch.setattr(linalg, "sparse_mul_sum", spy)
+    assert lefschetz_relation_check(ring)
+    assert blocks and max(map(len, blocks)) <= 2
+    assert [{ring.index[()]: 1}, {ring.index[BETA]: 1}] in blocks
+
+
+def _ring_with_perturbed_e_ops(monkeypatch, n, perturb):
+    """SectionRing(3, n) built with perturb applied to its e-operators, or
+    None when the constructor rejects them."""
+    original = SectionRing._e_operators
+
+    def perturbed(self, basis, pieri):
+        e_ops = original(self, basis, pieri)
+        perturb(e_ops)
+        return e_ops
+
+    monkeypatch.setattr(SectionRing, "_e_operators", perturbed)
+    try:
+        return SectionRing(3, n)
+    except InternalConsistencyError:
+        return None
+    finally:
+        monkeypatch.undo()
+
+
+def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch):
+    # every nonzero entry of E_1, E_2, E_3 dropped, each ring built by the
+    # constructor, which asserts that they commute; the seeded check rests on
+    # that, so it is never handed a ring no build can produce.  Each is
+    # rejected by the constructor or by the check, and wherever the check
+    # runs it agrees with the check seeded with every unit vector
+    for n in (7, 8):
         ring = build_ring(3, n)
         entries = [(p, r, c) for p in (1, 2, 3) for r, row in enumerate(ring.e_ops[p]) for c in sorted(row)]
-        for p, r, c in entries[::stride]:
-            fake = copy.copy(ring)
-            fake.e_ops = {**ring.e_ops, p: [dict(row) for row in ring.e_ops[p]]}
-            del fake.e_ops[p][r][c]
-            assert not lefschetz_relation_check(fake), (n, p, r, c)
+        for p, r, c in entries:
+            fake = _ring_with_perturbed_e_ops(monkeypatch, n, lambda e_ops: e_ops[p][r].pop(c))
+            if fake is not None:
+                columns = quantum.e_columns(fake)
+                seeded = lefschetz_relation_check(fake)
+                assert not seeded, (n, p, r, c)
+                assert seeded == quantum.h_relation_check(columns, n, _identity_seeds(fake), columns[1])
+        columns = quantum.e_columns(ring)
         assert lefschetz_relation_check(ring)
+        assert quantum.h_relation_check(columns, n, _identity_seeds(ring), columns[1])
 
 
 def test_the_lefschetz_check_reads_every_vanishing_h(monkeypatch):
-    # h_{n-2} = 0 is a relation as well: with it made nonzero, and h_{n-1} = 0
-    # and h_n = E_1 kept, the check fails
+    # h_{n-2} = 0 is a relation as well: with it made nonzero on the seeds,
+    # and h_{n-1} = 0 and h_n = E_1 kept, the check fails
     ring = build_ring(3, 7)
+    columns = quantum.e_columns(ring)
     h_operators = quantum.h_operators
-    h_low, h_prev, h_top = h_operators(ring.e_ops, 7)
-    assert not any(h_low) and not any(h_prev) and h_top == ring.e_ops[1]
-    monkeypatch.setattr(
-        quantum, "h_operators", lambda e_ops, top: [[{0: 1}] + h_low[1:], *h_operators(e_ops, top)[1:]]
-    )
+    h_low, h_prev, h_top = h_operators(columns, 7, _identity_seeds(ring))
+    assert not any(h_low) and not any(h_prev) and h_top == columns[1]
+
+    def h_low_made_nonzero(columns, top, seeds):
+        low, *rest = h_operators(columns, top, seeds)
+        return [[{0: 1}] + low[1:], *rest]
+
+    monkeypatch.setattr(quantum, "h_operators", h_low_made_nonzero)
     assert not lefschetz_relation_check(ring)
 
 
