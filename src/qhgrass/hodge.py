@@ -228,11 +228,15 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     if (low := min(middle)) < 0:
         p = middle.index(low)
         raise InternalConsistencyError(f"negative Hodge number h^({p},{d - p}) = {low}")
+    # identity: with the column palindromic, middle[p] and middle[d - p] agree
+    # exactly when genus[p] = (-1)^d genus[d - p], which chi_y asserts
     if middle != middle[::-1]:
         raise InternalConsistencyError("Hodge symmetry failed on the middle row")
     result = HodgeDiamond(d, tuple(column), tuple(middle), genus)
     # each h^{p,q} weighs (-1)^(p+q); total() counts the h^{m,m} of an even dimension once
     euler = result.total() if d % 2 == 0 else sum(column) - sum(middle)
+    # identity: the middle row is solved from chi_p, so the signed sum of the
+    # diamond is chi_y(-1) whatever the column holds
     if euler != sum((-1) ** p * c for p, c in enumerate(genus)):
         raise InternalConsistencyError("diamond disagrees with the Euler number")
     # the A-D-E bijection: Hodge-Tate exactly when 1/2 + 1/k + 1/(n - k) > 1

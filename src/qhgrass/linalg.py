@@ -20,7 +20,12 @@ H_(m-i)) and b is E_p^T, held as E_p's columns (E_p itself for the
 transposed label run): the step loops over the s seed rows, not over d.
 The section's Lefschetz check seeds at most two rows, the unit and beta.
 Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
-ints or Fractions.  The characteristic polynomial takes no division at all:
+ints or Fractions.  A Gram matrix or pairing whose grading fixes its blocks
+comes as sparse rows to block_nonsingular, which checks that every nonzero
+lies in its block and runs _bareiss on each block alone, so no d x d matrix
+is made; det_bareiss, which finds the blocks of a dense matrix from its
+nonzero pattern, serves the small radical Gram and the tests.  The
+characteristic polynomial takes no division at all:
 charpoly is the Berkowitz recursion, and the tests check it against two
 routes through _bareiss, evaluation and interpolation over the integers,
 and elimination over the polynomial ring.
@@ -272,10 +277,38 @@ def det_bareiss(a: Matrix):
         return 0
     det = _sign([i for rows, _ in blocks for i in rows]) * _sign([j for _, cols in blocks for j in cols])
     for rows, cols in blocks:
-        block = [[a[i][j] for j in cols] for i in rows]
-        integral = all(type(x) is int for row in block for x in row)
-        det *= _bareiss(block, _int_div if integral else exact_div)
+        det *= _block_det([[a[i][j] for j in cols] for i in rows])
     return _integral(det)
+
+
+def _block_det(block: Matrix):
+    """The Bareiss determinant of a square block, over the ints when every
+    entry is an int, with checked divisions."""
+    integral = all(type(x) is int for row in block for x in row)
+    return _bareiss(block, _int_div if integral else exact_div)
+
+
+def block_nonsingular(rows: list[dict], blocks) -> bool:
+    """Whether the matrix on the blocks' rows and columns is nonsingular,
+    when a grading says it vanishes outside the blocks.
+
+    rows[i] is row i as {column: value}; blocks is a list of (row indices,
+    column indices), whose row lists partition the rows considered and
+    whose column lists partition the columns considered.  Entries in other
+    rows or columns are not read.  A nonzero in a considered row and column
+    outside its row's block contradicts the grading and raises.  Permuting
+    rows and columns block by block makes the matrix block diagonal, so it
+    is nonsingular exactly when every block is square with a nonzero
+    Bareiss determinant.
+    """
+    owner = {j: b for b, (_, cols) in enumerate(blocks) for j in cols}
+    for b, (block_rows, _) in enumerate(blocks):
+        if any(owner.get(j, b) != b for i in block_rows for j in rows[i]):
+            raise InternalConsistencyError("a nonzero entry lies outside the blocks its grading allows")
+    return all(
+        len(block_rows) == len(cols) and _block_det([[rows[i].get(j, 0) for j in cols] for i in block_rows]) != 0
+        for block_rows, cols in blocks
+    )
 
 
 def _int_div(a: int, b: int) -> int:

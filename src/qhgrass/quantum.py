@@ -24,10 +24,11 @@ sigma_{1^p} moves p particles one step clockwise, each onto a spot that no
 staying particle holds, and a particle that passes n - 1 -> 0 carries q.
 Every coefficient is 1 and at most one particle passes, so P_p is 0/1.
 pieri_entries reads the entries (row, col, q power) off one sweep of particle
-moves per (box, p) and caches them; section._split_pieri, which splits them
-into the classical part C_p and the q part for the section ring, is the one
-reader of the q power.  The tests compare the entries with the
-vertical-strip and rim rule on every box with n <= 12.
+moves per (box, p) and caches them; the particle masks and their index are
+made once per box (_particles) for every p.  section._split_pieri, which
+splits the entries into the classical part C_p and the q part for the
+section ring, is the one reader of the q power.  The tests compare the
+entries with the vertical-strip and rim rule on every box with n <= 12.
 
 GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting)
 and that E_p raises degree by p mod r (require_graded), the one place each is
@@ -35,10 +36,12 @@ checked.  Label operators come from one triangular Pieri recursion
 (label_recursion), L_lam = E_p L_lam' - sum c L_mu, run on a seed block S and
 stored seed-major: for each label, one sparse row per seed vector s_j, the
 image L_lam s_j, so a step costs s rows and not d.  Its transposed form gives
-the rows s_j^T L_lam.  It relies on that assertion and reads each image it
-needs off a column of an e-operator, so no Littlewood-Richardson rule is
-needed; the Giambelli route lives with the tests as an independent check, so
-the quantum Giambelli property is a checked invariant rather than an input.
+the rows s_j^T L_lam.  Its order, images and checks are the algebra's
+label_plan, made once per algebra and shared by every run on it.  It relies
+on that assertion and reads each image it needs off a column of an
+e-operator, so no Littlewood-Richardson rule is needed; the Giambelli route
+lives with the tests as an independent check, so the quantum Giambelli
+property is a checked invariant rather than an input.
 
 The ambient verdict (qh_semisimple) is the trace-form criterion: QH is
 semisimple iff det trace(L_a L_b) != 0.  With phi(x) = trace(L_x), the
@@ -47,11 +50,16 @@ Gram matrix follows from one trace vector t and two thin runs
 (trace_form_rows).  t vanishes off the residue-0 piece, since L_c shifts
 the degree by |c| mod r (the constructor checks E_p on its nonzeros), and on
 the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
-unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t.
-Both section verdicts take the ring and make the same two runs on it: one
-with no beta (section.full_ring_semisimple(ring)) as Gr(k, n) does, and one
-with beta (section.perp_subalgebra_semisimple(ring)) with the second run
-seeded with E_1^T t, which composes the trace form with multiplication by e_1.
+unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t,
+kept as a sparse row.  phi(a b) vanishes unless deg a + deg b = 0 mod r,
+so the Gram matrix is zero outside the blocks of residue rho against -rho
+(residue_blocks), and trace_form_nonsingular decides det != 0 block by
+block (linalg.block_nonsingular), raising on a nonzero outside them; no
+verdict makes a d x d matrix.  Both section verdicts take the ring and make
+the same two runs on it: one with no beta (section.full_ring_semisimple(ring))
+as Gr(k, n) does, and one with beta (section.perp_subalgebra_semisimple(ring))
+with the second run seeded with E_1^T t, which composes the trace form with
+multiplication by e_1, its blocks residue rho against -1 - rho.
 semisimple_test, the Gram matrix by its definition, has no verdict calling
 it.  No command builds a label operator; mult_operators, the run seeded
 with the identity and made dense, is read through label_ops only by the
@@ -93,26 +101,36 @@ def schubert_basis(box: Box) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
+def _particles(box: Box) -> tuple[list[int], dict[int, int], list[list[int]]]:
+    """The particle mask of each Schubert class, the index of each mask and
+    each mask's particles as single bits, once per box for every p: row j
+    of lam (1-indexed) is bit lam_j + k - j of an n-bit mask."""
+    k = box.k
+    masks = [
+        sum(1 << (a + k - j) for j, a in enumerate(lam + (0,) * (k - len(lam)), 1)) for lam in schubert_basis(box)
+    ]
+    bits = [[1 << x for x in range(box.n) if mask >> x & 1] for mask in masks]
+    return masks, {mask: i for i, mask in enumerate(masks)}, bits
+
+
+@lru_cache(maxsize=None)
 def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
     """The nonzero entries (row, col, q power) of sigma_{1^p} * (-) over the
     Schubert basis, by particle moves; every coefficient is 1.
 
     Row j of lam (1-indexed) is a particle at lam_j + k - j on the n-cycle,
-    here a bit of an n-bit mask.  e_p moves p particles one step clockwise,
-    each onto a spot that no staying particle holds, and a particle that
-    passes n - 1 -> 0 carries q (Postnikov, Affine approach to quantum
-    Schubert calculus, Duke Math. J. 2005).
+    here a bit of an n-bit mask (_particles).  e_p moves p particles one
+    step clockwise, each onto a spot that no staying particle holds, and a
+    particle that passes n - 1 -> 0 carries q (Postnikov, Affine approach to
+    quantum Schubert calculus, Duke Math. J. 2005).
     """
     if not 1 <= p <= box.k:
         raise InvalidInputError(f"Pieri index p={p} outside [1, {box.k}]")
-    n, k = box.n, box.k
-    masks = [
-        sum(1 << (a + k - j) for j, a in enumerate(lam + (0,) * (k - len(lam)), 1)) for lam in schubert_basis(box)
-    ]
-    index = {mask: i for i, mask in enumerate(masks)}
+    n = box.n
+    masks, index, bits = _particles(box)
     entries = []
-    for col, occupied in enumerate(masks):
-        for moved in combinations([1 << x for x in range(n) if occupied >> x & 1], p):
+    for col, (occupied, particles) in enumerate(zip(masks, bits)):
+        for moved in combinations(particles, p):
             m = sum(moved)
             landed, stay = (m << 1 | m >> (n - 1)) & ~(1 << n), occupied ^ m
             if not landed & stay:
@@ -227,6 +245,29 @@ def require_graded(alg: GradedAlgebra) -> None:
             )
 
 
+@lru_cache(maxsize=None)
+def label_plan(alg: GradedAlgebra) -> tuple:
+    """The steps of label_recursion, once per algebra: for each partition
+    label lam in (degree, lex) order, (lam, p, lam', corrections), with
+    e_p * lam' = lam - sum over (mu, c) in corrections of c mu at q = 1,
+    read off column lam' of E_p = e_ops[p] (e_columns).  Raises unless lam
+    has coefficient 1 there and lam' and every mu come before lam."""
+    columns = e_columns(alg)
+    built, steps = {()}, []
+    partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
+    for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
+        p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
+        col = alg.index.get(lam_prime)
+        image = {alg.basis[i]: x for i, x in columns[p][col].items()} if col is not None else {}
+        if image.pop(lam, 0) != 1 or lam_prime not in built or any(mu not in built for mu in image):
+            raise InternalConsistencyError(
+                f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
+            )
+        steps.append((lam, p, lam_prime, tuple((mu, -coeff) for mu, coeff in image.items())))
+        built.add(lam)
+    return tuple(steps)
+
+
 def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = False) -> dict:
     """L_lam S for every partition label lam, stored seed-major: a block of
     sparse rows, row j the image L_lam s_j of seed vector s_j = seed[j].
@@ -239,14 +280,15 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
 
         L_lam = E_p L_lam' - sum c L_mu
 
-    fills the table in one pass in (degree, lex) order, from L_() S = S,
-    checking that lam has coefficient 1 and that every mu is already built.
-    By induction L_lam is a polynomial in e_1..e_k that sends the unit to
-    lam; since e_1..e_k commute, which GradedAlgebra's constructor asserted,
-    it is multiplication by lam on every class the unit reaches, and
-    L_lam = L_lam' E_p as well.  Transposed, L_lam^T = E_p^T L_lam'^T -
-    sum c L_mu^T, with the same coefficients.  Labels that are not
-    partitions (the section's beta) get no entry.
+    fills the table in one pass in (degree, lex) order, from L_() S = S.
+    The order, each image and its checks (lam has coefficient 1 and every
+    mu is already built) are the algebra's label_plan, made once and shared
+    by every run on it.  By induction L_lam is a polynomial in e_1..e_k that
+    sends the unit to lam; since e_1..e_k commute, which GradedAlgebra's
+    constructor asserted, it is multiplication by lam on every class the
+    unit reaches, and L_lam = L_lam' E_p as well.  Transposed, L_lam^T =
+    E_p^T L_lam'^T - sum c L_mu^T, with the same coefficients.  Labels that
+    are not partitions (the section's beta) get no entry.
 
     On the row blocks, (L_lam s_j)^T = (L_lam' s_j)^T E_p^T and
     s_j^T L_lam = (s_j^T L_lam') E_p, so each step is one
@@ -255,21 +297,12 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
     rows of E_p^T (E_p's columns, e_columns), or E_p's rows for the
     transposed run.  A seed of a few vectors costs a few rows per label.
     """
-    columns = e_columns(alg)
-    gens = alg.e_ops if transposed else columns
+    gens = alg.e_ops if transposed else e_columns(alg)
     unit = [{j: 1} for j in range(len(seed))]
     ops = {(): seed}
-    partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
-    for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
-        p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
-        col = alg.index.get(lam_prime)
-        image = {alg.basis[i]: x for i, x in columns[p][col].items()} if col is not None else {}
-        if image.pop(lam, 0) != 1 or lam_prime not in ops or any(mu not in ops for mu in image):
-            raise InternalConsistencyError(
-                f"inconsistent Pieri images: e_{p} * s{lam_prime} does not determine s{lam}"
-            )
-        corrections = [(-coeff, unit, ops[mu]) for mu, coeff in image.items()]
-        ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], gens[p])] + corrections)
+    for lam, p, lam_prime, corrections in label_plan(alg):
+        terms = [(c, unit, ops[mu]) for mu, c in corrections]
+        ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], gens[p])] + terms)
     return ops
 
 
@@ -354,10 +387,10 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     return linalg.det_bareiss(gram) != 0
 
 
-def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Matrix]:
+def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, list[dict]]:
     """The trace vector t_c = trace(L_c) and the trace-form Gram matrix
-    trace(L_a L_b), in basis order, from two thin label recursions and no
-    label operator.
+    trace(L_a L_b) as sparse rows, in basis order, from two thin label
+    recursions and no label operator.
 
     Multiplication by c shifts the residue of the degree mod r by |c|
     (the constructor's require_graded checks this), so t vanishes off the
@@ -371,7 +404,7 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Ma
     With shifted=True the Gram matrix is composed with multiplication by
     e_1, G E_1: row a is w^T L_a with w = E_1^T t, the transposed recursion
     seeded with w.  A label with no operator is then left out of the sum
-    for t and gets a zero row.  This is the section's perp-subalgebra form
+    for t and gets an empty row.  This is the section's perp-subalgebra form
     (section.perp_subalgebra_semisimple): there e_1 kills beta, so t^T x
     is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
     """
@@ -387,11 +420,32 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, Ma
     if shifted:
         seed = linalg.sparse_mul_sum([(1, seed, alg.e_ops[1])])
     rows = label_recursion(alg, seed, transposed=True)
-    return t, [linalg.dense(rows[lab], dim)[0] if lab in rows else [0] * dim for lab in alg.basis]
+    return t, [rows[lab][0] if lab in rows else {} for lab in alg.basis]
+
+
+def residue_blocks(alg: GradedAlgebra, shift: int = 0, keep=None) -> list[tuple[list[int], list[int]]]:
+    """For each residue rho mod r, the basis indices of residue rho against
+    those of residue shift - rho, both within keep when it is given: a form
+    b(x, y) that vanishes unless deg x + deg y = shift mod r is zero
+    outside these (rows, columns) blocks.  The trace form phi(x y) has
+    shift 0 and the shifted one phi(e_1 x y) shift -1."""
+    pieces: list[list[int]] = [[] for _ in range(alg.r)]
+    for i, lab in enumerate(alg.basis):
+        if keep is None or i in keep:
+            pieces[alg.label_degree(lab) % alg.r].append(i)
+    return [(pieces[rho], pieces[(shift - rho) % alg.r]) for rho in range(alg.r)]
+
+
+def trace_form_nonsingular(alg: GradedAlgebra) -> bool:
+    """Whether the trace form of alg is nondegenerate, block by block: the
+    Gram matrix of trace_form_rows on the residue blocks rho against -rho
+    (residue_blocks), outside which a nonzero raises
+    (linalg.block_nonsingular).  No d x d matrix is made."""
+    _, gram = trace_form_rows(alg)
+    return linalg.block_nonsingular(gram, residue_blocks(alg))
 
 
 def qh_semisimple(box: Box) -> bool:
-    """Trace-form semisimplicity of QH(Gr(k, n)): det trace(L_a L_b) != 0,
-    with the Gram matrix from trace_form_rows."""
-    _, gram = trace_form_rows(grassmannian(box))
-    return linalg.det_bareiss(gram) != 0
+    """Trace-form semisimplicity of QH(Gr(k, n)): the trace form is
+    nondegenerate (trace_form_nonsingular)."""
+    return trace_form_nonsingular(grassmannian(box))

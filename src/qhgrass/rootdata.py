@@ -4,7 +4,9 @@ Simple roots are indexed by Bourbaki node labels.  Roots are kept as integer
 coordinate vectors over the simple-root basis, and everything derives from
 the integer Cartan matrix, which the Dynkin diagram and the root lengths give
 directly.  positive_roots grows the roots layer by height, and each root
-carries its Cartan pairings and root-string depths to the roots above it.
+carries its Cartan pairings and root-string depths to the roots above it;
+during the search a root is an int key (see _DIGIT).  dimension, fano_index
+and nilradical_heights read one cached pass over the nilradical of G/P_k.
 
 The Betti numbers come from root heights.  Macdonald (The Poincare series of
 a Coxeter group, Math. Ann. 1972) gives sum_{w in W} t^l(w) as the product of
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import compress
+from operator import add, gt
 
 from .errors import InternalConsistencyError, InvalidInputError
 
@@ -132,9 +136,15 @@ _POSITIVE_ROOT_COUNT = {
 
 
 # The root search time grows about as rank^2.6: A59, with 1,770 positive
-# roots, takes about 0.035 s on one Xeon core; E8, the largest exceptional
-# type, has 120.
+# roots, takes 0.010-0.014 s of CPU on one Xeon core (best of 7, Python
+# 3.11.7); E8, the largest exceptional type, has 120.
 MAX_POSITIVE_ROOTS = 1_800
+
+# Roots are searched as ints whose base-256 digits are the simple-root
+# coefficients, alpha_1 the most significant: no coefficient of a root of a
+# finite root system exceeds 6 (E8's highest root), so no digit carries and
+# integer order is tuple order.
+_DIGIT = 256
 
 
 @lru_cache(maxsize=None)
@@ -148,55 +158,61 @@ def positive_roots(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     p forward, layer by height: the pairings of beta + alpha_i are those of
     beta plus column i of the Cartan matrix, and its alpha_i-depth is one more
     than beta's.  Every root one step below a new root lies in the layer
-    before it, so its depths are complete before it is read.
+    before it, so its depths are complete before it is read.  As a _DIGIT
+    key, beta + alpha_i is one addition and a layer sorts as ints; the keys
+    are decoded into coordinate tuples once, at the end.
     """
     expected = _POSITIVE_ROOT_COUNT[t.family](t.rank)
     if expected > MAX_POSITIVE_ROOTS:
         raise InvalidInputError(f"{t} has {expected} positive roots, over {MAX_POSITIVE_ROOTS}")
     n = t.rank
     columns = list(zip(*cartan_matrix(t)))
-    layer = {tuple(int(j == i) for j in range(n)): (columns[i], [0] * n) for i in range(n)}
+    steps = [_DIGIT ** (n - 1 - i) for i in range(n)]
+    layer = {steps[i]: (columns[i], [0] * n) for i in range(n)}
     ordered = list(layer)
     while layer:
         nxt: dict = {}
-        for beta, (pairing, depth) in layer.items():
-            for i in range(n):
-                if depth[i] > pairing[i]:
-                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    if up not in nxt:
-                        nxt[up] = (tuple(a + b for a, b in zip(pairing, columns[i])), [0] * n)
-                    nxt[up][1][i] = depth[i] + 1
+        for key, (pairing, depth) in layer.items():
+            for i in compress(range(n), map(gt, depth, pairing)):
+                up = key + steps[i]
+                entry = nxt.get(up)
+                if entry is None:
+                    entry = nxt[up] = (tuple(map(add, pairing, columns[i])), [0] * n)
+                entry[1][i] = depth[i] + 1
         ordered.extend(sorted(nxt, reverse=True))
         layer = nxt
     if len(ordered) != expected:
         raise InternalConsistencyError(
             f"{t}: found {len(ordered)} positive roots, expected {expected}"
         )
-    return tuple(ordered)
+    return tuple(tuple(key.to_bytes(n, "big")) for key in ordered)
+
+
+@lru_cache(maxsize=None)
+def _nilradical(g: GrassmannianId) -> tuple[int, int, Counter]:
+    """One pass over the nilradical roots (beta_k > 0) of G/P_k: their
+    number, the Fano index and the number of each height.  The index is the
+    pairing of their sum against the marked coroot."""
+    k = g.node - 1
+    roots = [beta for beta in positive_roots(g.type) if beta[k]]
+    total = [sum(c) for c in zip(*roots)]
+    index = sum(x * c for x, c in zip(total, cartan_matrix(g.type)[k]))
+    return len(roots), index, Counter(map(sum, roots))
 
 
 def dimension(g: GrassmannianId) -> int:
     """Complex dimension: positive roots with positive alpha_k coefficient."""
-    k = g.node - 1
-    return sum(1 for beta in positive_roots(g.type) if beta[k] > 0)
+    return _nilradical(g)[0]
 
 
 def fano_index(g: GrassmannianId) -> int:
     """Pairing of the sum of roots in the nilradical against the marked coroot."""
-    k = g.node - 1
-    cartan = cartan_matrix(g.type)
-    total = [0] * g.type.rank
-    for beta in positive_roots(g.type):
-        if beta[k] > 0:
-            for j, c in enumerate(beta):
-                total[j] += c
-    return sum(total[j] * cartan[k][j] for j in range(g.type.rank))
+    return _nilradical(g)[1]
 
 
 def nilradical_heights(g: GrassmannianId) -> Counter:
     """The number of nilradical roots (beta_k > 0) of each height."""
-    k = g.node - 1
-    return Counter(sum(beta) for beta in positive_roots(g.type) if beta[k] > 0)
+    return _nilradical(g)[2]
 
 
 def _times_bracket(coeffs: list[int], m: int) -> list[int]:

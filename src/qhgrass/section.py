@@ -61,7 +61,10 @@ reach, is seeded directly.
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
 degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
-degree dim Y - |a|, and each dual(b) is computed once.
+degree dim Y - |a|, and each dual(b) is computed once.  It is kept as sparse
+rows, like the e-operators, and checked nondegenerate on the blocks of
+degree m against degree dim Y - m (linalg.block_nonsingular), outside which
+a nonzero raises.
 
 beta * beta is not determined by the source material and is deliberately not
 modeled; beta gets no operator of its own, and every implemented operator is
@@ -76,7 +79,8 @@ beta; each verdict below is a function of that ring, not of (k, n).  A ring
 with no beta (n = 7) has an operator for every class, so
 full_ring_semisimple(ring) decides it as quantum.qh_semisimple decides
 Gr(k, n), from the trace vector and two thin label recursions
-(quantum.trace_form_rows): "trace-form".  A ring A with beta (n = 8) has no
+(quantum.trace_form_rows), block by block (quantum.trace_form_nonsingular):
+"trace-form".  A ring A with beta (n = 8) has no
 operator for beta, since beta * beta is undetermined, so
 perp_subalgebra_semisimple(ring) tests the trace form on the perp subalgebra
 S = A / R, R = ker e_1 the radical, by the same two runs, and the radical's
@@ -100,7 +104,10 @@ the trace form of A / R composed with multiplication by the unit e_1.  B is
 symmetric and R lies in its kernel, and beta is a lead of R's reduced
 echelon basis (asserted), so with C the labels off those leads,
 det B[C][C] != 0 exactly when A / R is semisimple
-(perp_subalgebra_semisimple).  dim S is dim A - dim R: 49 = 51 - 2 on n = 8.
+(perp_subalgebra_semisimple).  B(a, b) = phi(e_1 a b) vanishes unless
+deg a + deg b = -1 mod r, so that determinant is decided on the blocks of C
+of residue rho against -1 - rho.  dim S is dim A - dim R: 49 = 51 - 2 on
+n = 8.
 """
 
 from __future__ import annotations
@@ -111,7 +118,6 @@ from functools import lru_cache
 
 from . import hodge, linalg, screen
 from .errors import InternalConsistencyError, InvalidInputError
-from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, size
 from .quantum import (
     GradedAlgebra,
@@ -120,7 +126,9 @@ from .quantum import (
     h_relation_check,
     label_recursion,
     pieri_entries,
+    residue_blocks,
     schubert_basis,
+    trace_form_nonsingular,
     trace_form_rows,
 )
 
@@ -152,6 +160,12 @@ class SectionRing(GradedAlgebra):
         basis = self._quotient_basis(hodge.diamond(k, n))
         e_ops = self._e_operators(basis, pieri)
         self.pairing = self._pairing(basis, cup1)
+        # nondegenerate on the blocks of degree m against degree dim Y - m
+        degrees: list[list[int]] = [[] for _ in range(self.dim_y + 1)]
+        for i, lab in enumerate(basis):
+            degrees[self.label_degree(lab)].append(i)
+        if not linalg.block_nonsingular(self.pairing, list(zip(degrees, reversed(degrees)))):
+            raise InternalConsistencyError("section Poincare pairing is degenerate")
         super().__init__(self.box, basis, r, e_ops)
 
     def _e_operators(self, basis, pieri) -> dict[int, list[dict]]:
@@ -220,22 +234,21 @@ class SectionRing(GradedAlgebra):
     def label_degree(self, lab) -> int:
         return self.dim_y // 2 if lab == BETA else size(lab)
 
-    def _pairing(self, basis, cup1) -> Matrix:
+    def _pairing(self, basis, cup1) -> list[dict]:
         """<a, b> is the integral over X of s_a s_b s_1, the coefficient of
         dual(b) in s_1 cup s_a, which vanishes unless |a| + |b| = dim Y, so a
         is paired only with degree_basis[dim Y - |a|]; beta pairs to 1 with
-        itself and 0 with the rest."""
+        itself and 0 with the rest.  As sparse rows."""
         at, index = self._ambient_index, {lab: i for i, lab in enumerate(basis)}
         dual = {b: at[self.box.dual(b)] for b in basis if b != BETA}
-        mat = linalg.zeros(len(basis), len(basis))
+        rows: list[dict] = [{} for _ in basis]
         for a in dual:
             for b in self.degree_basis[self.dim_y - size(a)]:
-                mat[index[a]][index[b]] = cup1[dual[b]].get(at[a], 0)
+                if x := cup1[dual[b]].get(at[a], 0):
+                    rows[index[a]][index[b]] = x
         if BETA in index:
-            mat[index[BETA]][index[BETA]] = 1
-        if linalg.det_bareiss(mat) == 0:
-            raise InternalConsistencyError("section Poincare pairing is degenerate")
-        return mat
+            rows[index[BETA]][index[BETA]] = 1
+        return rows
 
 
 def _split_pieri(box: Box, p: int) -> tuple[list[dict], list[dict]]:
@@ -293,7 +306,7 @@ def radical_and_perp(ring: SectionRing) -> list[list]:
     <z, x> = <w, e_1 x> = 0 for every x in ker e_1.  So a nonsingular Gram
     matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one raises.
     """
-    pairing = linalg.sparse_rows(ring.pairing)
+    pairing = ring.pairing
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
     if any(linalg.sparse_mul_sum([(1, pairing, ring.e_ops[1]), (-1, e_columns(ring)[1], pairing)])):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
@@ -308,8 +321,10 @@ def radical_and_perp(ring: SectionRing) -> list[list]:
                 u[j] = x
             rad.append(u)
     rad.sort(key=lambda u: next(i for i, x in enumerate(u) if x))
-    paired = [linalg.mat_vec(ring.pairing, u) for u in rad]
-    if linalg.det_bareiss([[sum(x * y for x, y in zip(u, pv)) for pv in paired] for u in rad]) == 0:
+    # <u_a, u_b> = (u_a^T P) u_b, with each u_a^T P one sparse row
+    sparse = [{j: x for j, x in enumerate(u) if x} for u in rad]
+    paired = linalg.sparse_mul_sum([(1, sparse, pairing)])
+    if linalg.det_bareiss([[sum(pu.get(j, 0) * x for j, x in v.items()) for v in sparse] for pu in paired]) == 0:
         raise InternalConsistencyError("the pairing is degenerate on ker e_1")
     return rad
 
@@ -318,26 +333,29 @@ def perp_subalgebra_semisimple(ring: SectionRing) -> tuple[bool, int, int]:
     """Trace-form test on the perp subalgebra S = A / R of the section ring
     A, R = ker e_1 (see the module docstring): det B[C][C] != 0, with B the
     shifted Gram matrix (quantum.trace_form_rows) and C the labels off the
-    leads of R's reduced echelon basis.  Returns the verdict,
-    dim S = dim A - dim R and dim R.
+    leads of R's reduced echelon basis.  B(a, b) = phi(e_1 a b) vanishes
+    unless deg a + deg b = -1 mod r, so the determinant is decided on the
+    blocks of C of residue rho against -1 - rho (quantum.residue_blocks).
+    Returns the verdict, dim S = dim A - dim R and dim R.
     """
     rad = radical_and_perp(ring)
     leads = {next(i for i, c in enumerate(u) if c) for u in rad}
     if ring.prim_dim and ring.index[BETA] not in leads:
         raise InternalConsistencyError("beta is not a lead of the radical ker e_1")
     _, gram = trace_form_rows(ring, shifted=True)
-    rest = [i for i in range(len(ring.basis)) if i not in leads]
-    return linalg.det_bareiss([[gram[a][b] for b in rest] for a in rest]) != 0, len(rest), len(rad)
+    rest = {i for i in range(len(ring.basis)) if i not in leads}
+    return linalg.block_nonsingular(gram, residue_blocks(ring, -1, rest)), len(rest), len(rad)
 
 
 def full_ring_semisimple(ring: SectionRing) -> bool:
     """Trace-form test on the whole section ring it is given, the verdict of
-    a ring with no beta: det trace(L_a L_b) != 0 with the Gram matrix from
-    two thin label recursions (quantum.trace_form_rows), as for Gr(k, n), and
-    no label operator built.  Every label operator is a polynomial in e_1,
+    a ring with no beta: det trace(L_a L_b) != 0, decided on the residue
+    blocks rho against -rho of the Gram matrix from two thin label
+    recursions (quantum.trace_form_nonsingular), as for Gr(k, n), and no
+    label operator built.  Every label operator is a polynomial in e_1,
     e_2, e_3, whose commutativity the ring build asserted.  beta has no
     operator, so a ring with beta raises UndeterminedProductError."""
-    return linalg.det_bareiss(trace_form_rows(ring)[1]) != 0
+    return trace_form_nonsingular(ring)
 
 
 SemisimplicityReport = namedtuple("SemisimplicityReport", "k n semisimple method detail")

@@ -1476,7 +1476,7 @@ def perp_iso_check(k: int, n: int) -> bool:
 
     # section side: powers of the generator, projected away from the radical
     rad = radical_and_perp(ring)
-    perp = perp_space(ring, rad, ring.pairing)
+    perp = perp_space(ring, rad, dense_square(ring.pairing))
     project = _perp_projector(ring, rad)
     unit_y = vector(ring, ClassVector.unit(ring.box))
     powers_y = [unit_y]
@@ -1564,7 +1564,7 @@ def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     """
     ring = build_ring(k, n)
     rad = radical_and_perp(ring)
-    generators, shift = perp_piece_operators(ring, perp_space(ring, rad, ring.pairing))
+    generators, shift = perp_piece_operators(ring, perp_space(ring, rad, dense_square(ring.pairing)))
     if not commuting([linalg.sparse_rows(op) for op in generators + [shift]]):
         raise InternalConsistencyError("the perp subalgebra's generators do not commute")
     ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0
@@ -1628,7 +1628,7 @@ def _perp_projector(ring: SectionRing, rad: list[list]):
 
 
 def _pair_vec(ring: SectionRing, u, v):
-    return sum(a * b for a, b in zip(u, linalg.mat_vec(ring.pairing, v)))
+    return sum(a * b for a, b in zip(u, linalg.mat_vec(dense_square(ring.pairing), v)))
 
 
 def betti_numbers(ring) -> tuple[int, ...]:

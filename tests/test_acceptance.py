@@ -264,8 +264,8 @@ def test_criterion_10_property_suites():
                 continue
             op = ring.label_ops[lab]
             transposed = [list(r) for r in zip(*op)]
-            assert linalg.mat_mul(transposed, ring.pairing) == linalg.mat_mul(
-                ring.pairing, op
+            assert linalg.mat_mul(transposed, dense_square(ring.pairing)) == linalg.mat_mul(
+                dense_square(ring.pairing), op
             )
 
     # grading homogeneity: deg q = n on every Pieri product, all boxes

@@ -459,19 +459,19 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
 
     ring7, ring8 = section.build_ring(3, 7), section.build_ring(3, 8)
     rad = section.radical_and_perp(ring8)
-    perp = perp_space(ring8, rad, ring8.pairing)
+    perp = perp_space(ring8, rad, dense_square(ring8.pairing))
     leads = {next(i for i, c in enumerate(u) if c) for u in rad}
     rest = [i for i in range(len(ring8.basis)) if i not in leads]
     _, shifted = quantum.trace_form_rows(ring8, shifted=True)
     box = Box(4, 8)
     ambient = quantum.grassmannian(box).label_ops
     matrices = {
-        "(3,8) pairing": ring8.pairing,
+        "(3,8) pairing": dense_square(ring8.pairing),
         "(3,7) trace form": trace_form_gram(
             [ring7.label_ops[lab] for lab in ring7.basis]
         ),
         "(3,8) perp trace form": trace_form_gram(perp_subalgebra_operators(ring8, perp)[0]),
-        "(3,8) shifted trace form off the radical's leads": [[shifted[a][b] for b in rest] for a in rest],
+        "(3,8) shifted trace form off the radical's leads": [[shifted[a].get(b, 0) for b in rest] for a in rest],
         "Gr(4,8) trace form": trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
     }
     for name, mat in matrices.items():

@@ -396,9 +396,10 @@ def test_betti_and_screen_documents_are_byte_identical(family):
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_section_rings_are_identical(n):
     ring = SectionRing(3, n)
-    # the digests are of the e-operators made dense, in basis order
+    # the digests are of the e-operators and the pairing made dense, in basis order
     dense_e_ops = {p: linalg.dense(op, len(ring.basis)) for p, op in ring.e_ops.items()}
-    for name, value in (("label_ops", ring.label_ops), ("e_ops", dense_e_ops), ("pairing", ring.pairing),
+    pairing = linalg.dense(ring.pairing, len(ring.basis))
+    for name, value in (("label_ops", ring.label_ops), ("e_ops", dense_e_ops), ("pairing", pairing),
                         ("relations", ring.relations)):
         assert _sha(repr(value)) == RINGS[(n, name)], name
     assert _sha(repr(build_lifts(ring))) == LIFTS[n]

@@ -251,6 +251,47 @@ def test_a_chi_y_whose_constant_term_is_not_1_is_an_internal_failure(monkeypatch
         chi_y(1, 3)
 
 
+def test_ambient_counts_off_c_n_k_are_an_internal_failure(monkeypatch, capsys):
+    # palindromic counts for Gr(2, 4) that sum to 5, not C(4, 2) = 6
+    monkeypatch.setattr(hodge, "box_counts", lambda k, n: (1, 1, 1, 1, 1))
+    assert cli.run(["hodge", "--k", "2", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == (
+        "internal consistency failure: box-partition counts do not sum to C(n, k) or are not palindromic\n")
+
+
+def test_a_beta_set_tally_off_the_counts_is_an_internal_failure(monkeypatch, capsys):
+    # palindromic counts that sum to C(4, 2) = 6 pass chi_y's own check, but
+    # the beta sets of Gr(2, 4) tally 1, 1, 2, 1, 1 by size
+    monkeypatch.setattr(hodge, "box_counts", lambda k, n: (1, 2, 0, 2, 1))
+    hodge.diamond.cache_clear()
+    assert cli.run(["hodge", "--section", "--k", "2", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: beta sets do not match box-partition counts\n"
+
+
+def test_a_fractional_weyl_dimension_is_an_internal_failure(monkeypatch, capsys):
+    # A(n) one more than prod (y - n) over y in [0, n-1] makes the first
+    # regular twist of the (2, 5) section inexact
+    table = hodge._cross_table
+    monkeypatch.setattr(hodge, "_cross_table", lambda n, top: [x + (s == n) for s, x in enumerate(table(n, top))])
+    hodge.diamond.cache_clear()
+    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: Weyl dimension of beta set (0, 1) at t=-5 is fractional\n"
+
+
+def test_a_section_genus_off_serre_symmetry_is_an_internal_failure(monkeypatch, capsys):
+    # one more in the y^1 twist sum of the (2, 5) section moves chi_0 and
+    # chi_1 but not their mirrors chi_4 and chi_3; symmetry is checked first
+    sums = hodge._euler_sums
+    monkeypatch.setattr(hodge, "_euler_sums", lambda k, n: [b + (q == 1) for q, b in enumerate(sums(k, n))])
+    hodge.diamond.cache_clear()
+    assert cli.run(["hodge", "--section", "--k", "2", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: section chi_y breaks Serre symmetry\n"
+
+
 def test_a_negative_middle_hodge_number_exits_1(monkeypatch, capsys):
     # the (2, 5) section has dimension 5 and h^(0,5) = 0; a genus whose
     # constant term is one more solves the middle row to h^(0,5) = -1

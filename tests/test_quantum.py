@@ -355,6 +355,8 @@ def test_no_command_makes_a_matrix_larger_than_a_residue_piece(capsys, monkeypat
     spy("mat_pow", lambda a, e: len(a))
     spy("mat_mul", lambda a, b: max(len(a), len(b)))
     spy("kernel_basis", lambda a: len(a))
+    # every determinant, of a whole matrix or of one block of it
+    spy("_bareiss", lambda a, divide: len(a))
 
     def largest_piece(alg):
         return max(len(alg.residue_piece(rho)) for rho in range(alg.r))
@@ -366,7 +368,9 @@ def test_no_command_makes_a_matrix_larger_than_a_residue_piece(capsys, monkeypat
         (["qh", "charpoly", "--k", "3", "--n", "8", "--power", "6", "--with-e2"], grassmannian(Box(3, 8))),
         (["qh", "charpoly", "--section", "--k", "3", "--n", "8", "--power", "5", "--with-e2"], None),
         (["qh", "charpoly", "--section", "--k", "3", "--n", "7", "--power", "12"], None),
+        (["qh", "semisimple", "--k", "4", "--n", "8"], grassmannian(Box(4, 8))),
         (["qh", "semisimple", "--section", "--k", "3", "--n", "8"], None),
+        (["qh", "semisimple", "--section", "--k", "3", "--n", "7"], None),
     ):
         rows_seen.clear()
         assert cli.run(argv) == 0, argv
@@ -374,8 +378,10 @@ def test_no_command_makes_a_matrix_larger_than_a_residue_piece(capsys, monkeypat
         alg = alg or section.build_ring(3, int(argv[argv.index("--n") + 1]))
         assert all(rows <= largest_piece(alg) < len(alg.basis) for _, rows in rows_seen), (argv, rows_seen)
         names |= {name for name, _ in rows_seen}
-    # the section build's kernels, the powers and their products were all seen
-    assert names == {"kernel_basis", "mat_pow", "mat_mul", "dense"}
+    # the section build's kernels, the powers and their products, and the
+    # blocks of every Gram and pairing determinant were all seen; no verdict
+    # makes a sparse row dense
+    assert names == {"kernel_basis", "mat_pow", "mat_mul", "_bareiss"}
 
 
 def test_ambient_charpolys_golden():
@@ -664,7 +670,7 @@ def test_trace_vector_and_gram_match_the_label_operators(box):
     t, gram = trace_form_rows(alg)
     ops = [alg.label_ops[lab] for lab in alg.basis]
     assert t == [linalg.trace(op) for op in ops]
-    assert gram == trace_form_gram(ops)
+    assert dense_square(gram) == trace_form_gram(ops)
     # t vanishes off the residue-0 piece
     piece = set(alg.residue_piece(0))
     assert not any(tc for tc, lab in zip(t, alg.basis) if lab not in piece)
@@ -679,7 +685,7 @@ def test_shifted_gram_is_the_gram_times_e1(box):
     t_shifted, shifted = trace_form_rows(alg, shifted=True)
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     assert t_shifted == t
-    assert typed(shifted) == typed(linalg.mat_mul(gram, dense_square(alg.e_ops[1])))
+    assert typed(dense_square(shifted)) == typed(linalg.mat_mul(dense_square(gram), dense_square(alg.e_ops[1])))
 
 
 def test_trace_vector_and_gram_of_a_section_ring():
@@ -688,7 +694,7 @@ def test_trace_vector_and_gram_of_a_section_ring():
     ring = section.build_ring(3, 7)
     t, gram = trace_form_rows(ring)
     ops = [ring.label_ops[lab] for lab in ring.basis]
-    assert t == [linalg.trace(op) for op in ops] and gram == trace_form_gram(ops)
+    assert t == [linalg.trace(op) for op in ops] and dense_square(gram) == trace_form_gram(ops)
     with pytest.raises(UndeterminedProductError, match="every basis class's operator"):
         trace_form_rows(section.build_ring(3, 8))
 
@@ -721,6 +727,26 @@ def test_the_grading_certificate_refuses_a_corrupted_operator(capsys, monkeypatc
     assert "internal consistency failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", ["qh semisimple --k 2 --n 4", "qh semisimple --section --k 3 --n 7"])
+def test_a_gram_entry_outside_its_residue_block_exits_1(capsys, monkeypatch, argv):
+    from qhgrass import cli
+
+    # trace(L_a L_b) = phi(a b) vanishes unless deg a + deg b = 0 mod r, so
+    # the Gram matrix is decided on the blocks of residue rho against -rho;
+    # an entry between the unit and sigma_1 contradicts that grading
+    original = quantum.trace_form_rows
+
+    def perturbed(alg, shifted=False):
+        t, gram = original(alg, shifted)
+        unit, sigma1 = alg.index[()], alg.index[(1,)]
+        return t, [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(gram)]
+
+    monkeypatch.setattr(quantum, "trace_form_rows", perturbed)
+    assert cli.run(argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: a nonzero entry lies outside the blocks its grading allows\n"
+
+
 def test_ambient_qh_semisimple_builds_no_label_operator(capsys, monkeypatch):
     from qhgrass import cli
 
@@ -744,21 +770,40 @@ def test_every_e_operator_is_sparse_rows_with_no_zero_value():
 
 
 def test_no_command_converts_a_whole_e_operator(capsys, monkeypatch):
-    # every reader takes the e-operators as sparse rows, so these commands
-    # convert at most one row between the sparse and the dense form
+    # every reader takes the e-operators as sparse rows, and the Gram matrix
+    # is sparse rows too, so these commands make no sparse row dense and
+    # make one dense row sparse: the trace vector, once per verdict
     from qhgrass import cli
 
-    sizes = []
-    for name in ("sparse_rows", "dense"):
+    sizes = {"sparse_rows": [], "dense": []}
+    for name in sizes:
         original = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda rows, *args, f=original: sizes.append(len(rows)) or f(rows, *args))
+        monkeypatch.setattr(
+            linalg, name, lambda rows, *args, f=original, n=name: sizes[n].append(len(rows)) or f(rows, *args))
     grassmannian.cache_clear()
     section.build_ring.cache_clear()
     for argv in (["qh", "semisimple", "--k", "4", "--n", "8"], ["qh", "presentation", "--k", "4", "--n", "8"],
-                 ["qh", "lefschetz", "--n", "8"]):
+                 ["qh", "lefschetz", "--n", "8"], ["qh", "semisimple", "--section", "--k", "3", "--n", "7"]):
         assert cli.run(argv + ["--format", "json"]) == 0, argv
     assert not capsys.readouterr().err
-    assert sizes and max(sizes) == 1
+    assert sizes == {"sparse_rows": [1, 1], "dense": []}
+
+
+@pytest.mark.parametrize(
+    "argv, k, runs",
+    [("qh semisimple --k 4 --n 8", 4, 2), ("qh semisimple --section --k 3 --n 7", 3, 2),
+     ("qh semisimple --section --k 3 --n 8", 3, 2), ("qh lefschetz --n 8", 3, 1)],
+)
+def test_a_command_makes_one_label_plan_per_algebra_and_one_mask_table_per_box(argv, k, runs):
+    from cli_pins import run_pin
+
+    # run_pin clears every cache, and with it the cache statistics
+    code, out, err = run_pin(argv + " --format json")
+    assert code == 0 and out and not err
+    plans = quantum.label_plan.cache_info()
+    assert (plans.misses, plans.hits + plans.misses) == (1, runs)
+    assert quantum._particles.cache_info().misses == 1
+    assert quantum.pieri_entries.cache_info().misses == k
 
 
 def test_qh_semisimple_checks_commutativity_on_pieri_generators(monkeypatch):
@@ -790,6 +835,20 @@ def test_no_ambient_verdict_builds_a_dense_matrix(monkeypatch):
         assert code == 0 and out and not err, argv
     assert calls == []
     assert not hasattr(grassmannian(Box(4, 8)), "pairing")
+
+
+def test_no_section_verdict_builds_a_dense_matrix(monkeypatch):
+    from cli_pins import run_pin
+
+    # the section pairing is sparse rows, checked on its degree blocks, and
+    # both section verdicts decide their Gram on its residue blocks
+    calls, zeros = [], linalg.zeros
+    monkeypatch.setattr(linalg, "zeros", lambda rows, cols: calls.append((rows, cols)) or zeros(rows, cols))
+    for n in (7, 8):
+        code, out, err = run_pin(f"qh semisimple --section --k 3 --n {n}")
+        assert code == 0 and out and not err, n
+        assert all(type(row) is dict for row in section.build_ring(3, n).pairing)
+    assert calls == []
 
 
 def test_cup_e_is_classical_part():

@@ -186,6 +186,25 @@ def test_roots_and_poincare_polynomials_match_the_old_routes(family):
             assert got == poincare_by_division(g).coeffs and all(type(c) is int for c in got), g
 
 
+# the largest admitted types of the two unbounded simply-laced families:
+# A59 has 1,770 positive roots and D42 1,722, A60 and D43 are refused
+EDGES = [DynkinType("A", 59), DynkinType("D", 42)]
+
+
+@pytest.mark.parametrize("t", EDGES, ids=str)
+def test_the_admitted_edges_match_the_string_walks_in_order(t):
+    assert len(positive_roots(t)) <= MAX_POSITIVE_ROOTS < rootdata._POSITIVE_ROOT_COUNT[t.family](t.rank + 1)
+    assert positive_roots(t) == positive_roots_by_strings(t)
+
+
+def test_no_root_coefficient_exceeds_6():
+    # the search keys a root by its coefficients as base-256 digits, which
+    # cannot carry while every coefficient stays below 256; E8's highest root
+    # reaches 6
+    assert max(max(beta) for t in SMALL_TYPES + tuple(EDGES) for beta in positive_roots(t)) == 6
+    assert max(positive_roots(DynkinType("E", 8))[-1]) == 6
+
+
 def test_a_bracket_division_with_a_remainder_is_an_internal_failure(monkeypatch, capsys):
     # one root of height 2 and none of height 1 asks for [3]_t / [2]_t
     monkeypatch.setattr(rootdata, "nilradical_heights", lambda g: Counter({2: 1}))
@@ -200,9 +219,12 @@ def test_a_bracket_division_with_a_remainder_is_an_internal_failure(monkeypatch,
 
 
 def test_a_wrong_positive_root_count_exits_1(monkeypatch, capsys):
-    # G2 has 6 positive roots; against a count of 7 the search stops
+    # G2 has 6 positive roots; against a count of 7 the search stops.  The
+    # nilradical pass of each node is cached apart from the search, so both
+    # caches are cleared for betti to reach it
     monkeypatch.setitem(rootdata._POSITIVE_ROOT_COUNT, "G", lambda n: 7)
     positive_roots.cache_clear()
+    rootdata._nilradical.cache_clear()
     with pytest.raises(InternalConsistencyError, match="G2: found 6 positive roots, expected 7"):
         positive_roots(DynkinType("G", 2))
     assert cli.run(["betti", "--type", "G2", "--node", "1"]) == 1

@@ -85,7 +85,7 @@ def _integral(ring, x):
 
 
 def _pair(ring, x, y):
-    return sum(a * b for a, b in zip(vector(ring, x), linalg.mat_vec(ring.pairing, vector(ring, y))))
+    return sum(a * b for a, b in zip(vector(ring, x), linalg.mat_vec(dense_square(ring.pairing), vector(ring, y))))
 
 
 def _degrees(ring, x):
@@ -220,8 +220,8 @@ def test_frobenius_property_of_operators():
         for lab in ambient:
             op = ring.label_ops[lab]
             transposed = [list(r) for r in zip(*op)]
-            assert linalg.mat_mul(transposed, ring.pairing) == linalg.mat_mul(
-                ring.pairing, op
+            assert linalg.mat_mul(transposed, dense_square(ring.pairing)) == linalg.mat_mul(
+                dense_square(ring.pairing), op
             ), (n, lab)
         for x in ambient:
             ix = ring.index[x]
@@ -358,14 +358,14 @@ def test_radical_37_trivial():
     ring = build_ring(3, 7)
     rad = radical_and_perp(ring)
     assert rad == []
-    assert len(perp_space(ring, rad, ring.pairing)) == 5
+    assert len(perp_space(ring, rad, dense_square(ring.pairing))) == 5
     assert linalg.det_bareiss(dense_square(ring.e_ops[1])) != 0
 
 
 def test_radical_38_matches_source_vector():
     ring = build_ring(3, 8)
     rad = radical_and_perp(ring)
-    assert len(rad) == 2 and len(perp_space(ring, rad, ring.pairing)) == 7
+    assert len(rad) == 2 and len(perp_space(ring, rad, dense_square(ring.pairing))) == 7
     beta_vec = [0] * len(ring.basis)
     beta_vec[ring.index[BETA]] = 1
     gamma = reduce(ring, ClassVector(ring.box, {(lam, 0): c for lam, c in GAMMA_38.items()}))
@@ -393,14 +393,14 @@ def test_radical_by_squaring_matches_the_power_route(n):
     # entry for entry and type for type
     ring = build_ring(3, n)
     rad = radical_and_perp(ring)
-    expected, _ = radical_by_power(ring, ring.pairing)
+    expected, _ = radical_by_power(ring, dense_square(ring.pairing))
     typed = lambda vecs: [[(type(x), x) for x in v] for v in vecs]
     assert typed(rad) == typed(expected)
 
 
 def test_perp_space_38_is_ambient():
     ring = build_ring(3, 8)
-    for v in perp_space(ring, radical_and_perp(ring), ring.pairing):
+    for v in perp_space(ring, radical_and_perp(ring), dense_square(ring.pairing)):
         assert v[ring.index[BETA]] == 0
 
 
@@ -441,11 +441,12 @@ def test_shifted_gram_of_a_section_ring():
     # are zero
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     ring7 = build_ring(3, 7)
-    _, shifted = quantum.trace_form_rows(ring7, shifted=True)
-    assert typed(shifted) == typed(linalg.mat_mul(quantum.trace_form_rows(ring7)[1], dense_square(ring7.e_ops[1])))
+    shifted = dense_square(quantum.trace_form_rows(ring7, shifted=True)[1])
+    gram = dense_square(quantum.trace_form_rows(ring7)[1])
+    assert typed(shifted) == typed(linalg.mat_mul(gram, dense_square(ring7.e_ops[1])))
     assert shifted == [list(col) for col in zip(*shifted)]
     ring8 = build_ring(3, 8)
-    _, shifted = quantum.trace_form_rows(ring8, shifted=True)
+    shifted = dense_square(quantum.trace_form_rows(ring8, shifted=True)[1])
     b = ring8.index[BETA]
     assert not any(shifted[b]) and not any(row[b] for row in shifted)
     assert shifted == [list(col) for col in zip(*shifted)]
@@ -479,7 +480,7 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
     # det G_S = (-1)^(p floor((r-1)/2)) r^(rp) det(G_P)^r det(M_z)^(r-1), with
     # G_S from the oracle's r p operators and G_P, M_z from the p x p ones
     ring = build_ring(3, n)
-    perp = perp_space(ring, radical_and_perp(ring), ring.pairing)
+    perp = perp_space(ring, radical_and_perp(ring), dense_square(ring.pairing))
     generators, shift = perp_piece_operators(ring, perp)
     p, r = len(perp), ring.r
     assert len(generators) == p and all(len(op) == p for op in generators + [shift])
@@ -492,7 +493,7 @@ def test_perp_subalgebra_gram_determinant_factors_through_the_perp_space(n):
 @pytest.mark.parametrize("n", [7, 8])
 def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     ring = build_ring(3, n)
-    perp = perp_space(ring, radical_and_perp(ring), ring.pairing)
+    perp = perp_space(ring, radical_and_perp(ring), dense_square(ring.pairing))
     # a reduced echelon basis: a leading 1 at each pivot, 0 there in the others
     pivots = [next(i for i, c in enumerate(v) if c) for v in perp]
     assert [[v[i] for i in pivots] for v in perp] == linalg.identity(len(perp))
@@ -516,7 +517,7 @@ def test_a_vector_outside_the_perp_space_is_refused(monkeypatch):
     import oracles
 
     ring = build_ring(3, 8)
-    perp = perp_space(ring, radical_and_perp(ring), ring.pairing)
+    perp = perp_space(ring, radical_and_perp(ring), dense_square(ring.pairing))
     # without its last vector the span misses some products; with v_0 + v_1 in
     # place of v_0 the pivot reading is wrong, and rebuilding the image shows it
     not_reduced = [[a + b for a, b in zip(perp[0], perp[1])]] + perp[1:]
@@ -533,7 +534,7 @@ def test_singular_e1_power_on_the_perp_space_gives_a_degenerate_verdict(monkeypa
 
     # G_P stays nondegenerate, but e_1^r kills P, so the trace form of S degenerates
     ring = build_ring(3, 8)
-    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(ring), ring.pairing))
+    generators, shift = perp_piece_operators(ring, perp_space(ring, radical_and_perp(ring), dense_square(ring.pairing)))
     zero = linalg.zeros(len(shift), len(shift))
     monkeypatch.setattr(oracles, "perp_piece_operators", lambda ring, perp: (generators, zero))
     assert quantum.semisimple_test(generators)
@@ -557,14 +558,14 @@ def test_a_zero_shifted_gram_row_off_the_leads_gives_a_degenerate_verdict(capsys
     from qhgrass import cli
 
     # the unit is off the radical's leads; with its row of the shifted Gram
-    # zeroed, B[C][C] is singular
+    # (sparse rows) emptied, B[C][C] is singular
     original = section.trace_form_rows
     ring = build_ring(3, 8)
     unit = ring.index[()]
 
     def zeroed(alg, shifted=False):
         t, gram = original(alg, shifted)
-        return t, [[0] * len(row) if i == unit else row for i, row in enumerate(gram)]
+        return t, [{} if i == unit else row for i, row in enumerate(gram)]
 
     monkeypatch.setattr(section, "trace_form_rows", zeroed)
     assert perp_subalgebra_semisimple(ring) == (False, 49, 2)
@@ -817,8 +818,9 @@ def test_a_pairing_degenerate_on_ker_e1_exits_1(capsys, monkeypatch):
     # <,>) but vanishes on ker e_1, so ker e_1 is not certified as the radical
     ring = copy.copy(build_ring(3, 8))
     e1 = dense_square(ring.e_ops[1])
-    ring.pairing = linalg.mat_mul(ring.pairing, e1)
-    assert linalg.mat_mul(ring.pairing, e1) == linalg.mat_mul([list(col) for col in zip(*e1)], ring.pairing)
+    pairing = linalg.mat_mul(dense_square(ring.pairing), e1)
+    assert linalg.mat_mul(pairing, e1) == linalg.mat_mul([list(col) for col in zip(*e1)], pairing)
+    ring.pairing = linalg.sparse_rows(pairing)
     monkeypatch.setattr(section, "build_ring", lambda *args: ring)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
@@ -844,6 +846,45 @@ def test_a_degenerate_section_pairing_exits_1(capsys, monkeypatch):
     assert cli.run(["qh", "lefschetz", "--n", "7"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: section Poincare pairing is degenerate\n"
+
+
+def test_a_pairing_entry_outside_its_degree_block_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # <a, b> vanishes unless |a| + |b| = dim Y, so the pairing is checked on
+    # the blocks of degree m against dim Y - m; an entry pairing the unit
+    # with sigma_1 contradicts that grading
+    pairing = SectionRing._pairing
+
+    def perturbed(self, basis, cup1):
+        rows = pairing(self, basis, cup1)
+        rows[basis.index(())][basis.index((1,))] = 1
+        return rows
+
+    monkeypatch.setattr(SectionRing, "_pairing", perturbed)
+    build_ring.cache_clear()
+    assert cli.run(["qh", "lefschetz", "--n", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: a nonzero entry lies outside the blocks its grading allows\n"
+
+
+def test_a_shifted_gram_entry_outside_its_residue_block_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # B(a, b) = phi(e_1 a b) vanishes unless deg a + deg b = -1 mod r; the
+    # unit and sigma_1 are both off the radical's leads, and an entry of B
+    # between them contradicts that grading
+    original = section.trace_form_rows
+
+    def perturbed(alg, shifted=False):
+        t, gram = original(alg, shifted)
+        unit, sigma1 = alg.index[()], alg.index[(1,)]
+        return t, [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(gram)]
+
+    monkeypatch.setattr(section, "trace_form_rows", perturbed)
+    assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: a nonzero entry lies outside the blocks its grading allows\n"
 
 
 def test_beta_multiplication_undetermined():
@@ -951,7 +992,7 @@ def test_integral_and_pairing():
     assert _integral(ring, ClassVector.unit(ring.box)) == 0
     # Poincare duality: the pairing matrix is nonsingular (asserted at build
     # time too, but stated here as the property)
-    assert linalg.det_bareiss(ring.pairing) != 0
+    assert linalg.det_bareiss(dense_square(ring.pairing)) != 0
 
 
 def test_section_class_arithmetic():
@@ -1003,7 +1044,7 @@ def test_trace_form_gram_matches_trace_products():
     ops7 = [ring7.label_ops[lab] for lab in ring7.basis]
     assert trace_form_gram(ops7) == _trace_product_gram(ops7)
     ring8 = build_ring(3, 8)
-    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(ring8), ring8.pairing))
+    ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(ring8), dense_square(ring8.pairing)))
     assert len(ops8) == 49
     assert trace_form_gram(ops8) == _trace_product_gram(ops8)
 
@@ -1033,7 +1074,7 @@ def test_sparse_e_operators_and_pairing_match_the_dense_routes(n, q):
     e_ops = ring.e_ops if q else classical_section_e_ops(ring)
     dense = matrix_product_e_ops(ring, q)
     assert {p: typed(dense_square(op)) for p, op in e_ops.items()} == {p: typed(op) for p, op in dense.items()}
-    assert typed(ring.pairing) == typed(pair_loop_pairing(ring))
+    assert typed(dense_square(ring.pairing)) == typed(pair_loop_pairing(ring))
 
 
 @pytest.mark.parametrize("q", [0, 1])
