@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from . import hodge, quantum, screen, section
 from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
-from .partitions import Box, core_search, log10_box_count, size, snow_witnesses
+from .partitions import Box, bounded_box_count, core_search, size, snow_witnesses
 from .rootdata import GrassmannianId, dimension, fano_index, parse_type, poincare_polynomial
 
 SCHEMA_VERSION = "1"
@@ -182,11 +182,7 @@ def _cmd_hodge(args) -> dict:
 def _ambient_box(args) -> Box:
     """The box of Gr(k, n), refused before any work when it has too many classes."""
     box = Box(args.k, args.n)
-    if (digits := log10_box_count(box.k, box.n)) > 9:
-        raise InvalidInputError(
-            f"Gr({box.k},{box.n}) has about 10^{digits:.0f} Schubert classes, over {MAX_AMBIENT_DIM}")
-    if (d := math.comb(box.n, box.k)) > MAX_AMBIENT_DIM:
-        raise InvalidInputError(f"Gr({box.k},{box.n}) has {d} Schubert classes, over {MAX_AMBIENT_DIM}")
+    bounded_box_count(box.k, box.n, MAX_AMBIENT_DIM, f"Gr({box.k},{box.n}) has {{}} Schubert classes")
     return box
 
 

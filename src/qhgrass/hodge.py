@@ -69,10 +69,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import prod
 
 from .errors import InternalConsistencyError, InvalidInputError
-from .partitions import box_counts, log10_box_count
+from .partitions import bounded_box_count, box_counts
 from .screen import BettiProfile
 
 # accepted and echoed by the CLI; no computation depends on it
@@ -156,11 +156,7 @@ def chi_y(k: int, n: int, section: bool = False) -> tuple[int, ...]:
     """
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if (digits := log10_box_count(k, n)) > 9:
-        raise InvalidInputError(
-            f"chi_y({k}, {n}) needs about 10^{digits:.0f} box partitions, over {MAX_BWB_PARTITIONS}")
-    if (count := comb(n, k)) > MAX_BWB_PARTITIONS:
-        raise InvalidInputError(f"chi_y({k}, {n}) needs {count} box partitions, over {MAX_BWB_PARTITIONS}")
+    count = bounded_box_count(k, n, MAX_BWB_PARTITIONS, f"chi_y({k}, {n}) needs {{}} box partitions")
     counts = box_counts(k, n)
     if sum(counts) != count or counts != counts[::-1]:
         raise InternalConsistencyError("box-partition counts do not sum to C(n, k) or are not palindromic")

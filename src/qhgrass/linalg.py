@@ -18,7 +18,7 @@ Both Pieri recursions keep their blocks seed-major, one row per seed
 vector, so in each step a is a block of s rows (the image of lam', or of
 H_(m-i)) and b is E_p^T, held as E_p's columns (E_p itself for the
 transposed label run): the step loops over the s seed rows, not over d.
-The section's Lefschetz check seeds at most two rows, the unit and beta.
+The relation check of either ring seeds at most two rows, the unit and beta.
 Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
 ints or Fractions.  A Gram matrix or pairing whose grading fixes its blocks
 comes as sparse rows to block_nonsingular, which checks that every nonzero
@@ -140,18 +140,6 @@ def sparse_mul_sum(terms) -> list[dict]:
                     acc[j] = acc[j] + cx * y if j in acc else cx * y
         out.append(_integral_row(acc))
     return out
-
-
-def mat_vec(a: Matrix, v: list) -> list:
-    _require_dense(a, [v])
-    out = [0] * len(a)
-    for k, vk in enumerate(v):
-        if vk:
-            for i in range(len(a)):
-                aik = a[i][k]
-                if aik:
-                    out[i] += aik * vk
-    return _integral_entries(out)
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:

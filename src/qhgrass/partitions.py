@@ -35,17 +35,6 @@ def size(lam: Partition) -> int:
     return sum(lam)
 
 
-def transpose(lam: Partition) -> Partition:
-    """Conjugate partition (columns become rows)."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for a in lam:
-        for j in range(a):
-            cols[j] += 1
-    return tuple(cols)
-
-
 class Box(namedtuple("Box", "k n")):
     """A k x (n-k) box: at most k parts, each at most n-k."""
 
@@ -93,6 +82,18 @@ def log10_box_count(k: int, n: int) -> float:
     x = m / n
     tail = m * (1 - x + 1 / (2 * n)) * (log1p(-x) / x if x else -1.0)
     return (m * log(n) - tail - m - lgamma(m + 1)) / log(10)
+
+
+def bounded_box_count(k: int, n: int, bound: int, counted: str) -> int:
+    """C(n, k), or InvalidInputError when it is over bound (under 10^9), the
+    message counted.format(count) + ", over <bound>".  A count whose
+    logarithm is over 9 is refused as "about 10^<digits>" before the exact
+    count is taken, so a huge box never makes a huge int."""
+    if (digits := log10_box_count(k, n)) > 9:
+        count = f"about 10^{digits:.0f}"
+    elif (count := comb(n, k)) <= bound:
+        return count
+    raise InvalidInputError(f"{counted.format(count)}, over {bound}")
 
 
 def _box_partitions(p: int, rows: int, cols: int):

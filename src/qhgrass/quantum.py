@@ -66,21 +66,29 @@ with the identity and made dense, is read through label_ops only by the
 tests and the benchmark's spans.
 
 The presentation relations h_{n-k+1} = ... = h_{n-1} = 0 and
-h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section, are
-checked by one function (h_relation_check) on a block of seed vectors,
-through the h-recursion H_0 = I, H_m = sum over i <= min(m, k) of
-(-1)^(i+1) E_i H_(m-i) (h_operators), stored seed-major as label_recursion
-stores its blocks and keeping only the last k; the tests compare it with
-sigma_m expanded in e_1..e_k and evaluated monomial by monomial.  Each caller
-says what its seeds prove.  presentation_check seeds every unit vector, so it
-builds no GradedAlgebra and assumes no commutativity; the section's check
-seeds the unit, and beta where the ring has it, which proves the identities
-on the whole ring (see section).  Both recursions and the commutativity
-check read the e-operators as sparse rows, one fused linalg.sparse_mul_sum a
-step, and so do e_power_charpoly's thin blocks: no whole E_p is made dense.
-section.radical_and_perp(ring) reads E_1 through sparse_mul_sum only to
-check it self-adjoint; it slices each residue block of E_1 into a dense list
-for kernel_basis.
+h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section (the
+quantum Lefschetz presentation), are checked by one function on the ring,
+h_relation_check(alg, target): presentation_check(box) runs it on
+grassmannian(box) with T = I and section.lefschetz_relation_check(ring) on
+the section ring with T = E_1.  It runs the h-recursion H_0 = I,
+H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i) (h_operators) on a
+few seed vectors, stored seed-major as label_recursion stores its blocks and
+keeping only the last k; the tests compare it with sigma_m expanded in
+e_1..e_k and evaluated monomial by monomial.  The seeds are the unit and
+every basis label that label_plan does not build (beta on the (3, 8)
+section), and they prove the identities on the whole ring.  The constructor
+asserted that E_1..E_k commute, and label_plan certifies that every
+partition label b is f_b(E) 1 for a polynomial f_b, raising where a Pieri
+image does not determine b.  T commutes with every E_p, so
+H_m b - T b = f_b(E) (H_m 1 - T 1): the identities on the unit give them on
+b.  A label outside the plan is not reached from the unit and is seeded
+itself.  Pieri matrices that do not commute are therefore refused by the
+constructor (exit 1), not reported as a relation that fails.  Both
+recursions and the commutativity check read the e-operators as sparse rows,
+one fused linalg.sparse_mul_sum a step, and so do e_power_charpoly's thin
+blocks: no whole E_p is made dense.  section.radical_and_perp(ring) reads
+E_1 through sparse_mul_sum only to check it self-adjoint; it slices each
+residue block of E_1 into a dense list for kernel_basis.
 """
 
 from __future__ import annotations
@@ -138,14 +146,12 @@ def pieri_entries(box: Box, p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(entries)
 
 
-def pieri_matrix(box: Box, p: int, transposed: bool = False) -> list[dict]:
+def pieri_matrix(box: Box, p: int) -> list[dict]:
     """sigma_{1^p} * (-) over the Schubert basis at q = 1, new on every call,
-    as e_ops[p] holds it: row i is {col: 1} over pieri_entries' row i.
-    With transposed=True it is the transpose: row j is column j."""
+    as e_ops[p] holds it: row i is {col: 1} over pieri_entries' row i."""
     rows = [{} for _ in schubert_basis(box)]
     for row, col, _ in pieri_entries(box, p):
-        i, j = (col, row) if transposed else (row, col)
-        rows[i][j] = 1
+        rows[row][col] = 1
     return rows
 
 
@@ -339,25 +345,24 @@ def h_operators(columns: dict[int, list[dict]], top: int, seeds: list[dict]) -> 
     return window
 
 
-def h_relation_check(columns: dict[int, list[dict]], n: int, seeds: list[dict], target: list[dict]) -> bool:
-    """Whether h_{n-k+1} = ... = h_{n-1} = 0 and h_n = (-1)^(k+1) T on the
-    seed vectors: the vanishing blocks of h_operators are zero and its top
-    block is (-1)^(k+1) times the seeds times T^T, with the rows of T^T
-    given as sparse rows (target): I for Gr(k, n) at q = 1, E_1^T for a
-    section.  The caller says why its seeds prove the operator identities."""
-    sign = (-1) ** (len(columns) + 1)
-    *vanishing, top = h_operators(columns, n, seeds)
-    return not any(map(any, vanishing)) and top == linalg.sparse_mul_sum([(sign, seeds, target)])
+def h_relation_check(alg: GradedAlgebra, target: list[dict]) -> bool:
+    """Whether h_{n-k+1} = ... = h_{n-1} = 0 and h_n = (-1)^(k+1) T in alg,
+    n = alg.box.n, with h_m = sigma_m evaluated on e_1..e_k: the vanishing
+    blocks of h_operators are zero and its top block is (-1)^(k+1) times the
+    seeds times T^T, with the rows of T^T given as sparse rows (target): I
+    for Gr(k, n) at q = 1, E_1^T for a section.  It runs on the unit and on
+    every basis label that label_plan does not build, and that proves the
+    identities on all of alg (see the module docstring)."""
+    built = {lam for lam, *_ in label_plan(alg)}
+    seeds = [{i: 1} for i, lab in enumerate(alg.basis) if lab == () or lab not in built]
+    *vanishing, top = h_operators(e_columns(alg), alg.box.n, seeds)
+    return not any(map(any, vanishing)) and top == linalg.sparse_mul_sum([((-1) ** (alg.k + 1), seeds, target)])
 
 
 def presentation_check(box: Box) -> bool:
     """Verify sigma_{n-k+1} = ... = sigma_{n-1} = 0 and sigma_n = (-1)^{k+1} q
-    at q = 1 on the Pieri matrices: h_relation_check with T = I, seeded with
-    every unit vector, so it builds no GradedAlgebra and assumes no
-    commutativity.  E_p^T is read straight off the Pieri entries."""
-    columns = {p: pieri_matrix(box, p, transposed=True) for p in range(1, box.k + 1)}
-    identity = [{i: 1} for i in range(len(schubert_basis(box)))]
-    return h_relation_check(columns, box.n, identity, identity)
+    at q = 1 in QH(Gr(k, n)): h_relation_check with T = I."""
+    return h_relation_check(grassmannian(box), [{i: 1} for i in range(len(schubert_basis(box)))])
 
 
 def commuting(ops: list[list[dict]]) -> bool:

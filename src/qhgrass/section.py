@@ -47,17 +47,10 @@ lam has coefficient 1 in e_p * lam' and that every correction is a class it
 has already built.
 
 The quantum Lefschetz identities h_{n-2} = h_{n-1} = 0 and h_n = q e_1 are
-checked on a ring, n read off its box (lefschetz_relation_check(ring)), by
-the h-recursion of the ambient presentation check with E_1 in place of q
-(quantum.h_relation_check), run on the unit and beta and not on whole
-operators.  The seeds prove the identities on all of A.  The constructor
-asserted that E_1..E_k commute.  The label recursion seeded with the unit
-(quantum.label_recursion) certifies generation: every partition label b is
-f_b(E) 1 for a polynomial f_b, and the recursion raises where a Pieri image
-does not determine b.  So H_m b = f_b(E) H_m 1, and since T = E_1 commutes
-with every E_p, H_n b - T b = f_b(E) (H_n 1 - T 1): the identities on the
-unit give them on every partition label.  beta, which the unit does not
-reach, is seeded directly.
+the presentation relations of Gr(k, n) with q e_1 in place of q, and
+lefschetz_relation_check(ring) checks them by the same function,
+quantum.h_relation_check, on the unit and beta (see quantum for why these
+seeds prove them on the whole ring).
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
 degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
@@ -124,7 +117,6 @@ from .quantum import (
     e_columns,
     e_power_charpoly,
     h_relation_check,
-    label_recursion,
     pieri_entries,
     residue_blocks,
     schubert_basis,
@@ -275,17 +267,11 @@ def section_charpoly(ring: SectionRing, power: int, with_e2: bool = False) -> tu
 
 def lefschetz_relation_check(ring: SectionRing) -> bool:
     """Verify h_{n-2} = h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in
-    the section ring of Gr(k, n), n read off ring.box, with h_m = sigma_m
-    evaluated on e_1..e_k (quantum.h_relation_check with T = E_1), seeded
-    with the unit and every label the unit-seeded label recursion does not
-    reach, beta on n = 8 (see the module docstring)."""
-    if (n := ring.box.n) not in (7, 8):
+    the section ring of Gr(k, n), n read off ring.box: quantum.h_relation_check
+    with T = E_1, seeded with the unit and beta (see quantum)."""
+    if ring.box.n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
-    unit = [{ring.index[()]: 1}]
-    reached = label_recursion(ring, unit)
-    seeds = unit + [{ring.index[lab]: 1} for lab in ring.basis if lab not in reached]
-    columns = e_columns(ring)
-    return h_relation_check(columns, n, seeds, columns[1])
+    return h_relation_check(ring, e_columns(ring)[1])
 
 
 def radical_and_perp(ring: SectionRing) -> list[list]:
@@ -365,10 +351,13 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
     """The verdict on QH(Y) for Y in Gr(k, n): a Betti witness decides it
     with no ring built; otherwise a ring with no beta gets the trace form of
     the whole ring, and one with beta the trace form of the perp subalgebra
-    and the external monodromy argument for the radical."""
-    if (k, n) not in SUPPORTED:
+    and the external monodromy argument for the radical.  The box is read on
+    its narrow side, as hodge.diamond reads it: Gr(k, n) = Gr(n - k, n) with
+    the same O(1)."""
+    narrow = min(k, n - k)
+    if (narrow, n) not in SUPPORTED:
         raise InvalidInputError(f"no section semisimplicity report for ({k}, {n})")
-    profile = hodge.section_profile(k, n)
+    profile = hodge.section_profile(narrow, n)
     verdict = screen.screen(profile)
     if verdict.is_witness:
         r = profile.index
@@ -379,7 +368,7 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
             i, d, lhs, rhs = verdict.witness
             detail = f"tilde_b({i})={lhs} > tilde_b({d * i % r})={rhs}"
         return SemisimplicityReport(k, n, False, "betti-screen", detail)
-    ring = build_ring(k, n)
+    ring = build_ring(narrow, n)
     if not ring.prim_dim:
         ok = full_ring_semisimple(ring)
         return SemisimplicityReport(

@@ -108,6 +108,9 @@ PINS = [
     # 49-dimensional perp subalgebra and monodromy for the 2-dimensional radical
     Pin("qh presentation --k 4 --n 8 --format json", results={"holds": True}),
     Pin("qh presentation --k 5 --n 10 --format json", results={"holds": True}),
+    # Gr(1, 300) and Gr(2, 25): the relation check runs on the unit alone
+    Pin("qh presentation --k 1 --n 300 --format json", timeout=5, results={"holds": True}),
+    Pin("qh presentation --k 2 --n 25 --format json", timeout=5, results={"holds": True}),
     Pin("qh lefschetz --n 7 --format json", results={"holds": True}),
     Pin("qh lefschetz --n 8 --format json", results={"holds": True}),
     Pin("qh semisimple --k 5 --n 10 --format json",
@@ -118,6 +121,14 @@ PINS = [
         results={"semisimple": True, "method": "trace-form",
                  "detail": "nondegenerate trace form on the 30-dimensional ring"}),
     Pin("qh semisimple --section --k 3 --n 8 --format json",
+        results={"semisimple": True, "method": "trace-form+monodromy",
+                 "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
+                           "2-dimensional radical semisimple by the external monodromy argument"}),
+    # the wide sides of (3, 7) and (3, 8), read on their narrow twins
+    Pin("qh semisimple --section --k 4 --n 7 --format json",
+        results={"semisimple": True, "method": "trace-form",
+                 "detail": "nondegenerate trace form on the 30-dimensional ring"}),
+    Pin("qh semisimple --section --k 5 --n 8 --format json",
         results={"semisimple": True, "method": "trace-form+monodromy",
                  "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
                            "2-dimensional radical semisimple by the external monodromy argument"}),
@@ -176,6 +187,10 @@ PINS = [
     Pin("qh charpoly --k 5 --n 10 --power 160", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --k 1 --n 3 --power 1 --with-e2", code=2, timeout=5, stderr_lines=1),
+    # the section charpoly keeps the wide side refused: duality sends e_2 to
+    # sigma_2, not to sigma_{1,1}, so a --with-e2 charpoly is not invariant
+    Pin("qh charpoly --section --k 5 --n 8 --power 7 --with-e2", code=2, timeout=5,
+        stderr_prefix="error: no section ring for (k, n) = (5, 8)\n"),
     Pin("betti --type A1000 --node 500", code=2, timeout=5, stderr_lines=1),
     Pin("core-search --k 3 --n 100000", code=2, timeout=5, stderr_lines=1),
     Pin("core-search --k 3 --n 100000000", code=2, timeout=5, stderr_lines=1),

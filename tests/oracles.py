@@ -53,6 +53,8 @@ route:
   operators; production combines sparse rows with linalg.sparse_mul_sum.
   dense_square makes a square operator given as sparse rows, such as an
   e-operator or a Pieri matrix, dense for that algebra.
+  mat_vec is the dense matrix-vector product; production applies operators
+  to thin blocks of sparse rows.
 - trace_form_gram takes the Gram matrix trace(L_a L_b) of a regular
   representation from its operators through the trace vector;
   quantum.trace_form_rows takes it from two thin label recursions and
@@ -81,6 +83,10 @@ route:
   sharing prefixes, one sparse_mul at a time and one sparse_combine per
   polynomial; quantum.h_operators runs the h-recursion on seed vectors, and
   seeded with every unit vector its blocks are the transposed operators.
+  h_relations_on_every_unit_vector checks the presentation relations so,
+  assuming nothing of the E_p; quantum.h_relation_check seeds only the unit
+  and the labels outside label_plan, and takes commutativity from the
+  constructor.
 - matrix_product_e_ops and pair_loop_pairing are the dense routes of the
   section ring: E_p as products of the matrices P_p, C_p and C_1, and
   the pairing over every pair of labels.  Production assembles E_p on sparse
@@ -90,6 +96,8 @@ route:
   recursion run on the perp vectors, and builds no label operator.
 - PRINTED_H holds the lifts h_6, h_7, h_8 of the presentation relations in
   e_1, e_2, e_3 as printed in the source; sigma_e_polynomial derives them.
+- transpose is the conjugate partition, which the oracles' Pieri rules and
+  hook lengths read; no production code takes a conjugate.
 - to_beta_set, from_beta_set and core_search_unpruned are the beta-set
   bijection and a core search without partitions.core_search's hook-set
   prune, which visits every box complement of at most n - 1 cells and tests
@@ -134,10 +142,10 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from qhgrass import linalg
+from qhgrass import linalg, quantum
 from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
 from qhgrass.linalg import Matrix
-from qhgrass.partitions import Box, Partition, box_partitions_of_size, canonical, size, transpose
+from qhgrass.partitions import Box, Partition, box_partitions_of_size, canonical, size
 from qhgrass.quantum import (
     GradedAlgebra,
     commuting,
@@ -315,6 +323,20 @@ def dense_square(op: list[dict]) -> Matrix:
     return linalg.dense(op, len(op))
 
 
+def mat_vec(a: Matrix, v: list) -> list:
+    """a v for a dense matrix a and a dense vector v; like the dense readers
+    of linalg it refuses sparse rows."""
+    linalg._require_dense(a, [v])
+    out = [0] * len(a)
+    for k, vk in enumerate(v):
+        if vk:
+            for i in range(len(a)):
+                aik = a[i][k]
+                if aik:
+                    out[i] += aik * vk
+    return linalg._integral_entries(out)
+
+
 def mat_combine(terms, base: Matrix | None = None) -> Matrix:
     """base + sum of c * m over the (c, m) pairs of terms, in one pass.
 
@@ -430,12 +452,23 @@ class ColumnSpanSolver:
     def coords(self, target: list) -> list:
         sub = [target[r] for r in self.rows]
         x = [linalg.exact_div(sum(c * t for c, t in zip(row, sub) if c), self.denominator) for row in self.scaled]
-        if linalg.mat_vec(self.full, x) != list(target):
+        if mat_vec(self.full, x) != list(target):
             raise InternalConsistencyError("vector lies outside the column span")
         return x
 
 
 # -- beta sets and the unpruned core search --------------------------------------
+
+
+def transpose(lam: Partition) -> Partition:
+    """Conjugate partition (columns become rows)."""
+    if not lam:
+        return ()
+    cols = [0] * lam[0]
+    for a in lam:
+        for j in range(a):
+            cols[j] += 1
+    return tuple(cols)
 
 
 def to_beta_set(lam: Partition, box: Box) -> tuple[int, ...]:
@@ -917,6 +950,18 @@ def sigma_e_polynomial(m: int, k: int) -> dict[tuple[int, ...], int]:
     return table[m]
 
 
+def h_relations_on_every_unit_vector(columns: dict[int, list[dict]], n: int, target: list[dict]) -> bool:
+    """h_{n-k+1} = ... = h_{n-1} = 0 and h_n = (-1)^(k+1) T as operator
+    identities, with no seed argument: quantum.h_operators seeded with every
+    unit vector, whose blocks are the transposed H_m, against the rows of
+    T^T (target).  columns[p] holds the rows of E_p^T.  It assumes nothing
+    of the E_p, not even that they commute."""
+    identity = [{i: 1} for i in range(len(target))]
+    *vanishing, top = quantum.h_operators(columns, n, identity)
+    return not any(map(any, vanishing)) and top == [{j: (-1) ** (len(columns) + 1) * x for j, x in row.items()}
+                                                     for row in target]
+
+
 def sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
     """a @ b on sparse rows, one product at a time."""
     return linalg.sparse_mul_sum([(1, a, b)])
@@ -1341,7 +1386,7 @@ def perp_space(alg, rad: list[list], pairing: Matrix) -> list[list]:
     idx, piece = alg.index, alg.residue_piece(0)
     constraints = []
     for u in rad:
-        pu = linalg.mat_vec(pairing, u)
+        pu = mat_vec(pairing, u)
         constraints.append([pu[idx[lam]] for lam in piece])
     if constraints:
         perp_coords = linalg.kernel_basis(constraints)
@@ -1467,7 +1512,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     unit_x[idx_x[()]] = 1
     powers_x = [unit_x]
     for _ in range(dim0 - 1):
-        powers_x.append(linalg.mat_vec(gen_x, powers_x[-1]))
+        powers_x.append(mat_vec(gen_x, powers_x[-1]))
     coords_x = [[v[idx_x[lam]] for lam in piece_x] for v in powers_x]
     if rank(coords_x) != dim0:
         return False
@@ -1481,21 +1526,21 @@ def perp_iso_check(k: int, n: int) -> bool:
     unit_y = vector(ring, ClassVector.unit(ring.box))
     powers_y = [unit_y]
     for _ in range(dim0 - 1):
-        powers_y.append(linalg.mat_vec(gen_y, powers_y[-1]))
+        powers_y.append(mat_vec(gen_y, powers_y[-1]))
     perp_powers = [project(v) for v in powers_y]
     if rank(perp_powers) != dim0:
         return False
     # matrix of the generator on the perp space, then compare spectra
     solver = ColumnSpanSolver(perp)
-    coords = [solver.coords(project(linalg.mat_vec(gen_y, v))) for v in perp]
+    coords = [solver.coords(project(mat_vec(gen_y, v))) for v in perp]
     char_y = linalg.charpoly([list(col) for col in zip(*coords)])
     if char_x != char_y:
         return False
     # identical linear expansions of sigma_1^{r_X} and ((j sigma_1)^{r_Y})_perp
     # in the two power bases
-    target_x = linalg.mat_vec(linalg.mat_pow(e1x, n), unit_x)
+    target_x = mat_vec(linalg.mat_pow(e1x, n), unit_x)
     expansion_x = solve([list(col) for col in zip(*powers_x)], target_x)
-    target_y = project(linalg.mat_vec(linalg.mat_pow(e1y, n - 1), unit_y))
+    target_y = project(mat_vec(linalg.mat_pow(e1y, n - 1), unit_y))
     expansion_y = solve([list(col) for col in zip(*perp_powers)], target_y)
     return expansion_x == expansion_y
 
@@ -1523,7 +1568,7 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
         coords = []
         for w in images:
             x = [w[i] for i in pivots]
-            if linalg.mat_vec(columns, x) != w:
+            if mat_vec(columns, x) != w:
                 raise InternalConsistencyError("vector lies outside the column span")
             coords.append(x)
         return [list(row) for row in zip(*coords)]
@@ -1536,7 +1581,7 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
         generators.append(on_piece(linalg.dense(products, len(ring.basis))))
     shifted, e1 = perp, dense_square(ring.e_ops[1])
     for _ in range(ring.r):
-        shifted = [linalg.mat_vec(e1, u) for u in shifted]
+        shifted = [mat_vec(e1, u) for u in shifted]
     return generators, on_piece(shifted)
 
 
@@ -1577,7 +1622,7 @@ def perp_subalgebra_basis(ring: SectionRing, perp: list[list]) -> list[list]:
     current = [list(v) for v in perp]
     for _ in range(ring.r):
         vectors.extend([list(v) for v in current])
-        current = [linalg.mat_vec(e1, v) for v in current]
+        current = [mat_vec(e1, v) for v in current]
     return vectors
 
 
@@ -1595,7 +1640,7 @@ def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list
     solver = ColumnSpanSolver(w)
 
     def restrict(full: Matrix) -> Matrix:
-        cols = [solver.coords(linalg.mat_vec(full, wv)) for wv in w]
+        cols = [solver.coords(mat_vec(full, wv)) for wv in w]
         return [list(row) for row in zip(*cols)]
 
     r_e1 = restrict(dense_square(ring.e_ops[1]))
@@ -1628,7 +1673,7 @@ def _perp_projector(ring: SectionRing, rad: list[list]):
 
 
 def _pair_vec(ring: SectionRing, u, v):
-    return sum(a * b for a, b in zip(u, linalg.mat_vec(dense_square(ring.pairing), v)))
+    return sum(a * b for a, b in zip(u, mat_vec(dense_square(ring.pairing), v)))
 
 
 def betti_numbers(ring) -> tuple[int, ...]:

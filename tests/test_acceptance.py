@@ -10,6 +10,7 @@ from oracles import (
     charpoly_on_piece,
     cup_e,
     dense_square,
+    mat_vec,
     pieri_on_label,
     reduce,
     sg_betti,
@@ -247,7 +248,7 @@ def test_criterion_10_property_suites():
         vecs = {lam: vector(grassmannian(box), ClassVector.schubert(box, lam)) for lam in basis}
 
         def triple(a, b, c):
-            ab = linalg.mat_vec(ops[a], vecs[b])
+            ab = mat_vec(ops[a], vecs[b])
             return ab[idx[box.dual(c)]]
 
         for a in basis:

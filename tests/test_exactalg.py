@@ -15,6 +15,7 @@ from oracles import (
     kernel_basis,
     mat_combine,
     mat_inverse,
+    mat_vec,
     perp_piece_operators,
     perp_space,
     perp_subalgebra_operators,
@@ -316,14 +317,14 @@ def test_dense_readers_refuse_sparse_rows():
     with pytest.raises(TypeError, match="sparse rows"):
         linalg.mat_mul(square, rows)
     with pytest.raises(TypeError, match="sparse rows"):
-        linalg.mat_vec(rows, [1] * len(rows))
+        mat_vec(rows, [1] * len(rows))
     with pytest.raises(TypeError, match="sparse rows"):
-        linalg.mat_vec(square, rows[0])
+        mat_vec(square, rows[0])
     with pytest.raises(TypeError, match="sparse rows"):
         linalg.sparse_rows(rows)
     # their dense forms are read as before
     assert linalg.sparse_rows(square) == rows
-    assert linalg.mat_vec(square, [1] + [0] * (len(rows) - 1)) == [row.get(0, 0) for row in rows]
+    assert mat_vec(square, [1] + [0] * (len(rows) - 1)) == [row.get(0, 0) for row in rows]
 
 
 def test_bareiss_over_the_integers_checks_every_division():
@@ -357,7 +358,7 @@ def test_rref_and_kernel_are_exact_and_int_first(a):
     kernel = linalg.kernel_basis(a)
     assert len(kernel) == len(a[0]) - len(pivots)
     for v in kernel:
-        assert all(x == 0 for x in linalg.mat_vec(a, v))
+        assert all(x == 0 for x in mat_vec(a, v))
     assert _int_first(red) and _int_first(kernel)
     # the one-elimination kernel is the two-elimination reference, value for
     # value and type for type
@@ -369,7 +370,7 @@ def test_rref_and_kernel_are_exact_and_int_first(a):
 @given(_matrices(square=True), st.lists(_scalars, min_size=4, max_size=4))
 def test_solve_round_trips(a, x):
     x = x[: len(a)]
-    b = linalg.mat_vec(a, x)
+    b = mat_vec(a, x)
     if linalg.det_bareiss(a) == 0:
         return
     assert solve(a, b) == x
@@ -389,7 +390,7 @@ def test_integral_results_are_ints(entries):
     a = linalg.mat_mul(lower, upper)
     assert all(type(x) is int for row in mat_inverse(a) for x in row)
     x = entries[:m]
-    assert [type(v) for v in solve(a, linalg.mat_vec(a, x))] == [int] * m
+    assert [type(v) for v in solve(a, mat_vec(a, x))] == [int] * m
     fractional = [[Fraction(v) for v in row] for row in a]
     assert all(type(v) is int for row in linalg.rref(fractional)[1] for v in row)
 
@@ -571,10 +572,10 @@ def test_scaled_span_solver_matches_the_fraction_inverse(family):
     inverse = mat_inverse([[col[r] for col in columns] for r in solver.rows])
     target = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(len(columns[0]))]
     coords = solver.coords(target)
-    assert coords == weights == linalg.mat_vec(inverse, [target[r] for r in solver.rows])
+    assert coords == weights == mat_vec(inverse, [target[r] for r in solver.rows])
     assert _int_first(coords)
     if rank(columns + [extra]) > len(columns):
         with pytest.raises(InternalConsistencyError):
             solver.coords(extra)
     else:
-        assert solver.coords(extra) == linalg.mat_vec(inverse, [extra[r] for r in solver.rows])
+        assert solver.coords(extra) == mat_vec(inverse, [extra[r] for r in solver.rows])

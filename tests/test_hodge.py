@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import euler_sums_by_hooks, sg_betti, solve
+from oracles import euler_sums_by_hooks, sg_betti, solve, transpose
 from qhgrass import cli, hodge, partitions
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
@@ -21,7 +21,7 @@ from qhgrass.hodge import (
     is_hodge_tate,
     section_profile,
 )
-from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses, transpose
+from qhgrass.partitions import Box, box_partitions_of_size, snow_witnesses
 from qhgrass.screen import periodic_betti, screen
 
 CHI_Y_39_SECTION = (1, -1, 2, -3, 4, -5, 7, -7, 6, -6, 7, -7, 5, -4, 3, -2, 1, -1)

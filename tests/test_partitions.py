@@ -12,6 +12,7 @@ from oracles import (
     hook_lengths,
     snow_by_cells,
     to_beta_set,
+    transpose,
 )
 from qhgrass import partitions
 from qhgrass.errors import InvalidInputError
@@ -29,7 +30,6 @@ from qhgrass.partitions import (
     core_search,
     size,
     snow_witnesses,
-    transpose,
 )
 from qhgrass.quantum import schubert_basis
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import oracles
+from cli_pins import lru_caches
 from oracles import (
     PRINTED_H,
     ClassVector,
@@ -16,7 +17,9 @@ from oracles import (
     dense_square,
     evaluate_e_polynomials,
     giambelli_expr,
+    h_relations_on_every_unit_vector,
     mat_combine,
+    mat_vec,
     mult_operator,
     pairing_q1,
     quantum_pieri,
@@ -432,7 +435,7 @@ def test_h_recursion_matches_the_monomial_evaluation(box):
     k, dim = box.k, len(schubert_basis(box))
     # seeded with every unit vector, so block m is H_m^T
     generators = {p: pieri_matrix(box, p) for p in range(1, k + 1)}
-    columns = {p: pieri_matrix(box, p, transposed=True) for p in range(1, k + 1)}
+    columns = quantum.e_columns(grassmannian(box))
     identity = [{i: 1} for i in range(dim)]
     for top in (box.n, box.n + 1):
         got = [linalg.dense(h, dim) for h in quantum.h_operators(columns, top, identity)]
@@ -444,29 +447,78 @@ def test_h_recursion_matches_the_monomial_evaluation(box):
 def _perturbed_pieri(monkeypatch, target: int, row: int, col: int, value):
     original = quantum.pieri_matrix
 
-    def perturbed(box, p, transposed=False):
-        rows = original(box, p, transposed)
+    def perturbed(box, p):
+        rows = original(box, p)
         if p == target:
-            i, j = (col, row) if transposed else (row, col)
-            rows[i][j] = value
+            rows[row][col] = value
             if not value:
-                del rows[i][j]
+                del rows[row][col]
         return rows
 
     monkeypatch.setattr(quantum, "pieri_matrix", perturbed)
 
 
+def _clear_caches():
+    for cache in lru_caches():
+        cache.cache_clear()
+
+
 def test_presentation_check_fails_on_any_perturbed_pieri_entry(monkeypatch):
-    # every nonzero entry dropped or doubled, and on Gr(2, 4) every zero made 1
-    for box in (Box(2, 4), Box(3, 6)):
-        for p in range(1, box.k + 1):
-            mat = dense_square(pieri_matrix(box, p))
-            for row, col in ((r, c) for r in range(len(mat)) for c in range(len(mat))):
-                for value in (0, 2) if mat[row][col] else (1,) if box == Box(2, 4) else ():
-                    _perturbed_pieri(monkeypatch, p, row, col, value)
-                    assert not presentation_check(box), (box, p, row, col, value)
-                    monkeypatch.undo()
+    # every nonzero entry dropped or doubled, and on Gr(1, 5) and Gr(2, 4)
+    # every zero made 1, each with every cache cleared so that grassmannian
+    # and label_plan read the perturbed matrices.  The check rests on the
+    # constructor's commutativity and grading checks and on label_plan's, so
+    # each is refused by one of those (InternalConsistencyError) or fails
+    # the check, and wherever the check runs it agrees with the h-recursion
+    # on every unit vector.  On Gr(1, 5) commutativity is vacuous, and
+    # dropping or doubling q reaches the check
+    rejected = {"refused": 0, "check": 0}
+    try:
+        for box in (Box(1, 5), Box(2, 4), Box(3, 6)):
+            dim = len(schubert_basis(box))
+            identity = [{i: 1} for i in range(dim)]
+            for p in range(1, box.k + 1):
+                mat = dense_square(pieri_matrix(box, p))
+                for row, col in ((r, c) for r in range(dim) for c in range(dim)):
+                    for value in (0, 2) if mat[row][col] else (1,) if box.n < 6 else ():
+                        _perturbed_pieri(monkeypatch, p, row, col, value)
+                        _clear_caches()
+                        try:
+                            holds = presentation_check(box)
+                        except InternalConsistencyError:
+                            rejected["refused"] += 1
+                        else:
+                            assert not holds, (box, p, row, col, value)
+                            columns = quantum.e_columns(grassmannian(box))
+                            assert not h_relations_on_every_unit_vector(columns, box.n, identity)
+                            rejected["check"] += 1
+                        monkeypatch.undo()
+    finally:
+        _clear_caches()
+    # only q dropped or doubled on Gr(1, 5) passes every certificate
+    assert rejected == {"refused": 298, "check": 2}
     assert presentation_check(Box(3, 6))
+
+
+def test_a_noncommuting_pieri_matrix_makes_qh_presentation_exit_1(monkeypatch):
+    # the relation check takes commutativity from the constructor, so Pieri
+    # matrices that do not commute are a fault of the program, not a
+    # relation that fails: drop the first entry of E_1 on Gr(2, 4) whose loss
+    # breaks commutativity
+    from cli_pins import run_pin
+
+    e1, e2 = pieri_matrix(Box(2, 4), 1), pieri_matrix(Box(2, 4), 2)
+
+    def dropped(r, c):
+        return [{j: x for j, x in entries.items() if (i, j) != (r, c)} for i, entries in enumerate(e1)]
+
+    row, col = next((r, c) for r, entries in enumerate(e1) for c in sorted(entries)
+                    if not commuting([dropped(r, c), e2]))
+    _perturbed_pieri(monkeypatch, 1, row, col, 0)
+    # the constructor raises, so nothing built from the perturbed matrix is cached
+    code, out, err = run_pin("qh presentation --k 2 --n 4")
+    assert (code, out) == (1, "")
+    assert err == "internal consistency failure: inconsistent Pieri images: e_1..e_k do not commute\n"
 
 
 def _per_monomial_evaluation(poly, generators):
@@ -538,7 +590,7 @@ def test_mult_operator_matches_symbolic_star():
         for lam in basis:
             for mu in basis:
                 direct = vector(alg, star(ClassVector.schubert(box, lam), ClassVector.schubert(box, mu)))
-                assert direct == linalg.mat_vec(alg.label_ops[lam], vector(alg, ClassVector.schubert(box, mu)))
+                assert direct == mat_vec(alg.label_ops[lam], vector(alg, ClassVector.schubert(box, mu)))
 
 
 def test_star_grading_homogeneous():
@@ -559,7 +611,7 @@ def test_frobenius_symmetry_exhaustive():
         ops = alg.label_ops
         idx = {lam: i for i, lam in enumerate(basis)}
         vecs = {lam: vector(alg, ClassVector.schubert(box, lam)) for lam in basis}
-        products = {(a, b): linalg.mat_vec(ops[a], vecs[b]) for a in basis for b in basis}
+        products = {(a, b): mat_vec(ops[a], vecs[b]) for a in basis for b in basis}
 
         # triple product through the Poincare pairing at q = 1: <a b, c> is the
         # coordinate of a b at the lam with dual(lam) = c, and dual is an involution
@@ -625,7 +677,7 @@ def test_radical_of_even_quadric_like_boxes():
         e1 = dense_square(pieri_matrix(box, 1))
         power = linalg.mat_pow(e1, len(schubert_basis(box)))
         for v in rad:
-            assert all(x == 0 for x in linalg.mat_vec(power, v))
+            assert all(x == 0 for x in mat_vec(power, v))
         assert qh_semisimple(box)
     box = Box(2, 4)
     rad, _ = radical(box)
@@ -634,7 +686,7 @@ def test_radical_of_even_quadric_like_boxes():
     special[idx[()]] = 1
     special[idx[(2, 2)]] = -1
     e1 = dense_square(pieri_matrix(box, 1))
-    assert all(x == 0 for x in linalg.mat_vec(e1, special))
+    assert all(x == 0 for x in mat_vec(e1, special))
 
 
 def test_semisimple_test_nilpotent_algebra(monkeypatch):

@@ -16,8 +16,10 @@ from oracles import (
     cup_e,
     dense_square,
     evaluate_e_polynomials,
+    h_relations_on_every_unit_vector,
     lift_operator,
     mat_combine,
+    mat_vec,
     matrix_product_e_ops,
     mult_operator,
     pair_loop_pairing,
@@ -85,7 +87,7 @@ def _integral(ring, x):
 
 
 def _pair(ring, x, y):
-    return sum(a * b for a, b in zip(vector(ring, x), linalg.mat_vec(dense_square(ring.pairing), vector(ring, y))))
+    return sum(a * b for a, b in zip(vector(ring, x), mat_vec(dense_square(ring.pairing), vector(ring, y))))
 
 
 def _degrees(ring, x):
@@ -273,8 +275,8 @@ def test_h_recursion_matches_the_monomial_evaluation_on_the_section(n):
 
 
 def test_the_lefschetz_check_is_seeded_with_the_unit_and_beta(monkeypatch):
-    # the check runs no d x d block: every step of the unit-seeded label
-    # recursion and of the h-recursion is at most two rows, the unit and beta
+    # the check runs no d x d block: every step of the h-recursion is at
+    # most two rows, the unit and beta
     ring = build_ring(3, 8)
     quantum.e_columns(ring)
     blocks = []
@@ -288,6 +290,26 @@ def test_the_lefschetz_check_is_seeded_with_the_unit_and_beta(monkeypatch):
     assert lefschetz_relation_check(ring)
     assert blocks and max(map(len, blocks)) <= 2
     assert [{ring.index[()]: 1}, {ring.index[BETA]: 1}] in blocks
+
+
+def test_the_relation_commands_seed_the_unit_and_beta_and_run_no_label_recursion(monkeypatch):
+    # both presentations are checked by quantum.h_relation_check, seeded with
+    # the unit and every label label_plan does not build: beta on (3, 8) alone
+    from cli_pins import run_pin
+
+    calls = []
+    h_operators = quantum.h_operators
+
+    def recording(columns, top, seeds):
+        calls.append(len(seeds))
+        return h_operators(columns, top, seeds)
+
+    monkeypatch.setattr(quantum, "h_operators", recording)
+    monkeypatch.setattr(quantum, "label_recursion", lambda *args: calls.append("label_recursion"))
+    for argv in ("qh presentation --k 4 --n 8", "qh lefschetz --n 7", "qh lefschetz --n 8"):
+        code, out, err = run_pin(argv)
+        assert (code, err) == (0, "") and out.endswith("holds: yes\n"), argv
+    assert calls == [1, 1, 2]
 
 
 def _ring_with_perturbed_e_ops(monkeypatch, n, perturb):
@@ -324,10 +346,10 @@ def test_lefschetz_check_fails_on_any_perturbed_section_pieri_entry(monkeypatch)
                 columns = quantum.e_columns(fake)
                 seeded = lefschetz_relation_check(fake)
                 assert not seeded, (n, p, r, c)
-                assert seeded == quantum.h_relation_check(columns, n, _identity_seeds(fake), columns[1])
+                assert seeded == h_relations_on_every_unit_vector(columns, n, columns[1])
         columns = quantum.e_columns(ring)
         assert lefschetz_relation_check(ring)
-        assert quantum.h_relation_check(columns, n, _identity_seeds(ring), columns[1])
+        assert h_relations_on_every_unit_vector(columns, n, columns[1])
 
 
 def test_the_lefschetz_check_reads_every_vanishing_h(monkeypatch):
@@ -380,7 +402,7 @@ def test_radical_38_matches_source_vector():
     assert _integral(ring, gamma) == 2
     op = mult_operator(ring, gamma_vec)
     assert linalg.trace(op) == 6
-    square = linalg.mat_vec(op, gamma_vec)
+    square = mat_vec(op, gamma_vec)
     assert square == [3 * c for c in gamma_vec]
     assert _pair(ring, gamma, gamma) == 6
     # e_1 is invertible off the radical: rank drops by exactly the radical
@@ -508,9 +530,9 @@ def test_perp_coordinates_read_at_the_pivots_match_the_solver(n):
     # operators, entry for entry and type for type
     for v, op in zip(perp, generators):
         mult = mult_operator(ring, list(v))
-        assert typed(op) == typed(solved([linalg.mat_vec(mult, u) for u in perp]))
+        assert typed(op) == typed(solved([mat_vec(mult, u) for u in perp]))
     e1_power = linalg.mat_pow(dense_square(ring.e_ops[1]), ring.r)
-    assert typed(shift) == typed(solved([linalg.mat_vec(e1_power, u) for u in perp]))
+    assert typed(shift) == typed(solved([mat_vec(e1_power, u) for u in perp]))
 
 
 def test_a_vector_outside_the_perp_space_is_refused(monkeypatch):
