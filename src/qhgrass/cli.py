@@ -35,7 +35,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import hodge, quantum, screen, section
-from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
+from .errors import InternalConsistencyError, InvalidInputError
 from .partitions import Box, bounded_box_count, core_search, size, snow_witnesses
 from .rootdata import GrassmannianId, dimension, fano_index, parse_type, poincare_polynomial
 
@@ -214,13 +214,13 @@ def _cmd_qh_charpoly(args) -> dict:
     if args.power < 0:
         raise InvalidInputError(f"matrix power needs a nonnegative exponent, got {args.power}")
     if args.section:
-        alg = section.build_ring(args.k, args.n)
-        piece, e_ops = [alg.index[lab] for lab in alg.residue_piece(0)], alg.e_ops
+        ring = section.build_ring(args.k, args.n)
+        piece, e_ops = ring.pieces[0], ring.e_ops
     else:
         # the refusals and the charpoly read only e_1 (and e_2) and the
         # residue-0 piece, here as Schubert-basis coordinates, so the rest of
         # Gr(k, n) is never built
-        piece = [i for i, lam in enumerate(quantum.schubert_basis(box)) if size(lam) % r == 0]
+        piece = quantum.residue_pieces(map(size, quantum.schubert_basis(box)), r)[0]
         e_ops = {p: quantum.pieri_matrix(box, p) for p in range(1, min(k, 1 + args.with_e2) + 1)}
     # coefficient j is at most C(dim, j) times the j-th power of the eigenvalue bound
     eigenvalue = args.power * _log_norm(e_ops[1]) + (_log_norm(e_ops[2]) if args.with_e2 else 0)
@@ -229,7 +229,10 @@ def _cmd_qh_charpoly(args) -> dict:
     if (work := len(piece) ** 3 * digits) > MAX_CHARPOLY_WORK:
         raise InvalidInputError(
             f"charpoly work of about {work:.1e} (piece dim^3 x digits), over {MAX_CHARPOLY_WORK:.0e}")
-    poly = quantum.e_power_charpoly(e_ops, piece, r, args.power, args.with_e2)
+    if args.section:
+        poly = section.section_charpoly(ring, args.power, args.with_e2)
+    else:
+        poly = quantum.e_power_charpoly(e_ops, piece, r, args.power, args.with_e2)
     return _document("qh charpoly", inputs, {"charpoly": _poly(poly)})
 
 
@@ -477,7 +480,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         doc = args.handler(args)
-    except (InvalidInputError, UndeterminedProductError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -7,7 +7,3 @@ class InvalidInputError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """Raised when an internal invariant fails (always a bug, never user error)."""
-
-
-class UndeterminedProductError(RuntimeError):
-    """Raised for products the source material leaves undetermined."""

@@ -78,8 +78,9 @@ from .screen import BettiProfile
 # accepted and echoed by the CLI; no computation depends on it
 DEFAULT_SEED = 20250809
 
-# CPU of chi_y (Intel Xeon, Python 3.11) over every section admitted with 2 <= k <= n/2: (2, 99)
-# and (2, 100) 0.6 s, (7, 14) 0.5 s; the (1, 5000) section, with no regular twist, 0.01 s
+# CPU of the section's chi_y, best of 5 (Intel Xeon, 2 vCPUs, Python 3.11.7), over every section admitted
+# with 2 <= k <= n/2: (2, 99) 0.66 s and (2, 100) 0.48 s the slowest, (3, 32) 0.24 s, (7, 14) 0.25 s;
+# the (1, 5000) section, with no regular twist, 0.01 s
 MAX_BWB_PARTITIONS = 5_000
 
 
@@ -180,11 +181,6 @@ class HodgeDiamond(namedtuple("HodgeDiamond", "dim column middle genus")):
     row was solved from."""
 
     __slots__ = ()
-
-    def h(self, p: int, q: int) -> int:
-        if p == q:
-            return self.column[p]
-        return self.middle[p] if p + q == self.dim else 0
 
     def total(self) -> int:
         shared = 0 if self.dim % 2 else self.column[self.dim // 2]

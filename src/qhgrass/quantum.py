@@ -7,14 +7,18 @@ depends on q, and every matrix here is taken at q = 1.
 
 GradedAlgebra is a graded algebra with exact rational coefficients, generated
 by e_1..e_k, the classes sigma_{1^p} (Chern classes of the dual tautological
-subbundle): the basis labels and their degrees, the degree r of q, the
-e-operators as sparse rows (row i of e_ops[p], as of each Pieri matrix, is
-{column j: value} over its nonzeros) and the multiplication operator of every
-label that has one.  Its constructors are grassmannian(box) for Gr(k, n) and
-section.build_ring for a smooth hyperplane section of Gr(3, n), which alone
-carries a Poincare pairing.  Both take the characteristic polynomial of a
-power of e_1 on the residue-0 piece from e_power_charpoly, which reads only
-the e-operators and the piece's coordinates.
+subbundle).  It holds the grading as data: the basis labels, the degree of
+each, the degree r of q and the residue pieces, pieces[rho] the ascending
+basis indices of degree rho mod r (residue_pieces, the one place a piece is
+read off the degrees).  It holds the e-operators as sparse rows (row i of
+e_ops[p], as of each Pieri matrix, is {column j: value} over its nonzeros)
+and their transposes (columns[p], the rows of E_p^T), and, when first read,
+the label plan and the multiplication operator of every label that has one.
+Its constructors are grassmannian(box) for Gr(k, n) and section.build_ring
+for a smooth hyperplane section of Gr(3, n), which alone carries a Poincare
+pairing.  Both take the characteristic polynomial of a power of e_1 on the
+residue-0 piece from e_power_charpoly, which reads only the e-operators and
+the piece's coordinates.
 
 The Pieri matrices P_p = pieri_matrix(box, p) are the one source of Pieri
 images for both.  Column lam of P_p is the quantum Pieri rule in Postnikov's
@@ -36,12 +40,12 @@ checked.  Label operators come from one triangular Pieri recursion
 (label_recursion), L_lam = E_p L_lam' - sum c L_mu, run on a seed block S and
 stored seed-major: for each label, one sparse row per seed vector s_j, the
 image L_lam s_j, so a step costs s rows and not d.  Its transposed form gives
-the rows s_j^T L_lam.  Its order, images and checks are the algebra's
-label_plan, made once per algebra and shared by every run on it.  It relies
-on that assertion and reads each image it needs off a column of an
-e-operator, so no Littlewood-Richardson rule is needed; the Giambelli route
-lives with the tests as an independent check, so the quantum Giambelli
-property is a checked invariant rather than an input.
+the rows s_j^T L_lam.  Its order, images and checks are the algebra's plan
+(label_plan), made when first read, kept on the algebra and shared by every
+run on it.  It relies on that assertion and reads each image it needs off a
+column of an e-operator, so no Littlewood-Richardson rule is needed; the
+Giambelli route lives with the tests as an independent check, so the
+quantum Giambelli property is a checked invariant rather than an input.
 
 The ambient verdict (qh_semisimple) is the trace-form criterion: QH is
 semisimple iff det trace(L_a L_b) != 0.  With phi(x) = trace(L_x), the
@@ -93,11 +97,11 @@ residue block of E_1 into a dense list for kernel_basis.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import linalg
-from .errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
+from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, canonical, size
 
@@ -155,35 +159,47 @@ def pieri_matrix(box: Box, p: int) -> list[dict]:
     return rows
 
 
+def residue_pieces(degrees, r: int) -> tuple[tuple[int, ...], ...]:
+    """The basis indices of each residue rho mod r, in ascending order:
+    pieces[rho] for rho = 0..r-1, from the degree of each basis element."""
+    pieces: list[list[int]] = [[] for _ in range(r)]
+    for i, degree in enumerate(degrees):
+        pieces[degree % r].append(i)
+    return tuple(map(tuple, pieces))
+
+
 class GradedAlgebra:
     """A graded algebra generated by e_1..e_k, at q = 1.
 
-    A constructor supplies the basis, the degree r of q and the e-operators;
-    row i of e_ops[p] is {j: value} over its nonzeros.  The constructor
-    asserts, once, that the e-operators commute and are graded.  label_ops,
-    the multiplication operator of every partition label, comes from
-    mult_operators when first read.  grassmannian builds Gr(k, n);
-    section.SectionRing, which overrides label_degree, builds a section.
+    A constructor supplies the basis, the degree of each basis element, the
+    degree r of q and the e-operators; row i of e_ops[p] is {j: value} over
+    its nonzeros.  The algebra holds its residue pieces (pieces[rho], the
+    basis indices of degree rho mod r) and the rows of each E_p^T
+    (columns[p]).  The constructor asserts, once, that the e-operators
+    commute and are graded.  plan (label_plan) and label_ops, the
+    multiplication operator of every partition label (mult_operators), are
+    made when first read and live with the algebra.  grassmannian builds
+    Gr(k, n); section.SectionRing builds a section.
     """
 
-    def __init__(self, box: Box, basis, r: int, e_ops: dict[int, list[dict]]):
-        self.box, self.k, self.basis, self.r = box, box.k, tuple(basis), r
+    def __init__(self, box: Box, basis, degrees, r: int, e_ops: dict[int, list[dict]]):
+        self.box, self.k, self.basis, self.degrees, self.r = box, box.k, tuple(basis), tuple(degrees), r
         self.index = {lab: i for i, lab in enumerate(self.basis)}
+        self.pieces = residue_pieces(self.degrees, r)
         require_commuting(e_ops)
         self.e_ops = e_ops
         require_graded(self)
+        self.columns = {p: _transpose(op) for p, op in e_ops.items()}
 
-    def label_degree(self, lab) -> int:
-        return size(lab)
+    @cached_property
+    def plan(self) -> tuple:
+        """The steps of label_recursion (label_plan)."""
+        return label_plan(self)
 
-    @property
+    @cached_property
     def label_ops(self) -> dict:
         """Multiplication operator of every partition label (mult_operators)."""
         return mult_operators(self)
-
-    def residue_piece(self, residue: int = 0) -> tuple:
-        """Labels whose degree is congruent to the residue mod r."""
-        return tuple(lab for lab in self.basis if self.label_degree(lab) % self.r == residue)
 
 
 def _piece_block(columns: dict[int, list[dict]], cols: list[int], steps: list[int]) -> Matrix:
@@ -219,8 +235,9 @@ def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], r: int, powe
 @lru_cache(maxsize=None)
 def grassmannian(box: Box) -> GradedAlgebra:
     """QH(Gr(k, n)): the Schubert basis, q of degree n and the Pieri matrices."""
+    basis = schubert_basis(box)
     e_ops = {p: pieri_matrix(box, p) for p in range(1, box.k + 1)}
-    return GradedAlgebra(box, schubert_basis(box), box.n, e_ops)
+    return GradedAlgebra(box, basis, map(size, basis), box.n, e_ops)
 
 
 def _transpose(op: list[dict]) -> list[dict]:
@@ -233,17 +250,10 @@ def _transpose(op: list[dict]) -> list[dict]:
     return columns
 
 
-@lru_cache(maxsize=None)
-def e_columns(alg: GradedAlgebra) -> dict[int, list[dict]]:
-    """The transpose of each E_p = e_ops[p], once per algebra: row j is the
-    Pieri image e_p * basis[j], as {row i of e_ops[p]: value}."""
-    return {p: _transpose(op) for p, op in alg.e_ops.items()}
-
-
 def require_graded(alg: GradedAlgebra) -> None:
     """Raise unless each nonzero j of row i of e_ops[p] has deg i = deg j + p
     mod r, in O(nnz); GradedAlgebra's constructor checks it once."""
-    degree = [alg.label_degree(lab) % alg.r for lab in alg.basis]
+    degree = [d % alg.r for d in alg.degrees]
     for p, op in alg.e_ops.items():
         if any((degree[i] - degree[j] - p) % alg.r for i, row in enumerate(op) for j in row):
             raise InternalConsistencyError(
@@ -251,14 +261,13 @@ def require_graded(alg: GradedAlgebra) -> None:
             )
 
 
-@lru_cache(maxsize=None)
 def label_plan(alg: GradedAlgebra) -> tuple:
-    """The steps of label_recursion, once per algebra: for each partition
-    label lam in (degree, lex) order, (lam, p, lam', corrections), with
+    """The steps of label_recursion, alg.plan: for each partition label lam
+    in (degree, lex) order, (lam, p, lam', corrections), with
     e_p * lam' = lam - sum over (mu, c) in corrections of c mu at q = 1,
-    read off column lam' of E_p = e_ops[p] (e_columns).  Raises unless lam
+    read off column lam' of E_p = e_ops[p] (alg.columns).  Raises unless lam
     has coefficient 1 there and lam' and every mu come before lam."""
-    columns = e_columns(alg)
+    columns = alg.columns
     built, steps = {()}, []
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
@@ -288,8 +297,8 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
 
     fills the table in one pass in (degree, lex) order, from L_() S = S.
     The order, each image and its checks (lam has coefficient 1 and every
-    mu is already built) are the algebra's label_plan, made once and shared
-    by every run on it.  By induction L_lam is a polynomial in e_1..e_k that
+    mu is already built) are the algebra's plan, made once and shared by
+    every run on it.  By induction L_lam is a polynomial in e_1..e_k that
     sends the unit to lam; since e_1..e_k commute, which GradedAlgebra's
     constructor asserted, it is multiplication by lam on every class the
     unit reaches, and L_lam = L_lam' E_p as well.  Transposed, L_lam^T =
@@ -300,25 +309,24 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
     s_j^T L_lam = (s_j^T L_lam') E_p, so each step is one
     linalg.sparse_mul_sum over the s seed rows,
     [(1, ops[lam'], G_p)] + [(-c, I_s, ops[mu]) ...], where G_p holds the
-    rows of E_p^T (E_p's columns, e_columns), or E_p's rows for the
+    rows of E_p^T (E_p's columns, alg.columns), or E_p's rows for the
     transposed run.  A seed of a few vectors costs a few rows per label.
     """
-    gens = alg.e_ops if transposed else e_columns(alg)
+    gens = alg.e_ops if transposed else alg.columns
     unit = [{j: 1} for j in range(len(seed))]
     ops = {(): seed}
-    for lam, p, lam_prime, corrections in label_plan(alg):
+    for lam, p, lam_prime, corrections in alg.plan:
         terms = [(c, unit, ops[mu]) for mu, c in corrections]
         ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], gens[p])] + terms)
     return ops
 
 
-@lru_cache(maxsize=None)
 def mult_operators(alg: GradedAlgebra) -> dict:
     """Multiplication operator of every partition label: the transposed
     label_recursion seeded with the identity, whose row block for lam is
-    L_lam's rows, each operator made dense once, in basis order.  No command
-    reads a label operator; label_ops, read only by the tests and the
-    benchmark's spans, does."""
+    L_lam's rows, each operator made dense, in basis order.  No command
+    reads a label operator; alg.label_ops, read only by the tests and the
+    benchmark's spans, makes them once per algebra."""
     dim = len(alg.basis)
     ops = label_recursion(alg, [{i: 1} for i in range(dim)], transposed=True)
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
@@ -353,9 +361,9 @@ def h_relation_check(alg: GradedAlgebra, target: list[dict]) -> bool:
     for Gr(k, n) at q = 1, E_1^T for a section.  It runs on the unit and on
     every basis label that label_plan does not build, and that proves the
     identities on all of alg (see the module docstring)."""
-    built = {lam for lam, *_ in label_plan(alg)}
+    built = {lam for lam, *_ in alg.plan}
     seeds = [{i: 1} for i, lab in enumerate(alg.basis) if lab == () or lab not in built]
-    *vanishing, top = h_operators(e_columns(alg), alg.box.n, seeds)
+    *vanishing, top = h_operators(alg.columns, alg.box.n, seeds)
     return not any(map(any, vanishing)) and top == linalg.sparse_mul_sum([((-1) ** (alg.k + 1), seeds, target)])
 
 
@@ -414,10 +422,10 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, li
     is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
     """
     dim = len(alg.basis)
-    piece = [alg.index[lab] for lab in alg.residue_piece(0)]
+    piece = alg.pieces[0]
     images = label_recursion(alg, [{c: 1} for c in piece])
     if len(images) != dim and not shifted:
-        raise UndeterminedProductError("the trace form needs every basis class's operator")
+        raise InternalConsistencyError("the trace form needs every basis class's operator")
     t = [0] * dim
     for j, c in enumerate(piece):
         t[c] = sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis) if lab in images)
@@ -434,10 +442,7 @@ def residue_blocks(alg: GradedAlgebra, shift: int = 0, keep=None) -> list[tuple[
     b(x, y) that vanishes unless deg x + deg y = shift mod r is zero
     outside these (rows, columns) blocks.  The trace form phi(x y) has
     shift 0 and the shifted one phi(e_1 x y) shift -1."""
-    pieces: list[list[int]] = [[] for _ in range(alg.r)]
-    for i, lab in enumerate(alg.basis):
-        if keep is None or i in keep:
-            pieces[alg.label_degree(lab) % alg.r].append(i)
+    pieces = alg.pieces if keep is None else [[i for i in piece if i in keep] for piece in alg.pieces]
     return [(pieces[rho], pieces[(shift - rho) % alg.r]) for rho in range(alg.r)]
 
 

@@ -30,10 +30,6 @@ class BettiProfile(namedtuple("BettiProfile", "even_betti index label")):
             raise InvalidInputError("Betti numbers must be nonnegative")
         return super().__new__(cls, even_betti, index, label)
 
-    @property
-    def euler(self) -> int:
-        return sum(self.even_betti)
-
 
 # witness: (i, d, lhs, rhs), or None
 class ScreenVerdict(namedtuple("ScreenVerdict", "outcome witness", defaults=(None,))):

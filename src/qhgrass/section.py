@@ -30,10 +30,12 @@ cup-sigma_1 blocks, the pairing and C_1 J read it.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, whose
 constructor asserts e_1..e_k commute and are graded, so no ring is handed out
-uncertified.  It builds nothing more than its e-operators and pairing.  The
-operator L_lam of every ambient basis class, which only the tests and the
-benchmark's spans read, is built the first time label_ops is read, by the
-triangular recursion of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu
+uncertified.  It passes the degree of each basis label, dim Y / 2 for beta,
+so beta lies in the algebra's residue piece of that degree, and it overrides
+no method of the algebra.  It builds nothing more than its e-operators and
+pairing.  The operator L_lam of every ambient basis class, which only the
+tests and the benchmark's spans read, is built the first time label_ops is
+read, by the triangular recursion of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu
 (quantum.mult_operators, the label recursion seeded with the identity and
 made dense), with e_p * lam' read off column lam' of E_p.  Two facts
 certify it on the ambient classes: by induction L_lam is a polynomial in
@@ -85,10 +87,10 @@ routes there and compare them.
 The perp route rests on this argument.  R = ker E_1 is an ideal, since
 E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.
 radical_and_perp(ring) takes it block by block, from residue rho to
-rho + 1 mod r, and its certificate gives ker E_1 = ker E_1^2, so e_1 is
-invertible on A / R and A = R + im E_1^N is a direct sum of ideals
-(N = dim A); A / R is isomorphic to im E_1^N, the source's perp
-subalgebra S.  A / R is spanned by partition labels and needs no
+rho + 1 mod r, as sparse rows, and its certificate gives
+ker E_1 = ker E_1^2, so e_1 is invertible on A / R and A = R + im E_1^N is a
+direct sum of ideals (N = dim A); A / R is isomorphic to im E_1^N, the
+source's perp subalgebra S.  A / R is spanned by partition labels and needs no
 beta * beta.  For x = e_1 y, L_x = E_1 L_y kills R and beta, so t^T x, with
 the t of quantum.trace_form_rows that leaves beta's diagonal entry out of
 its sum, is trace(L_x) on A.  The shifted Gram matrix
@@ -114,11 +116,11 @@ from .errors import InternalConsistencyError, InvalidInputError
 from .partitions import Box, Partition, box_partitions_of_size, size
 from .quantum import (
     GradedAlgebra,
-    e_columns,
     e_power_charpoly,
     h_relation_check,
     pieri_entries,
     residue_blocks,
+    residue_pieces,
     schubert_basis,
     trace_form_nonsingular,
     trace_form_rows,
@@ -142,7 +144,7 @@ class SectionRing(GradedAlgebra):
 
     def __init__(self, k: int, n: int):
         r = q_degree(k, n)
-        self.box, self.k = Box(k, n), k
+        self.box = Box(k, n)
         self.dim_y = k * (n - k) - 1
         self._ambient_index = {lam: i for i, lam in enumerate(schubert_basis(self.box))}
         # C_p and P_p - C_p, as sparse rows, split once per p
@@ -150,24 +152,25 @@ class SectionRing(GradedAlgebra):
         cup1 = pieri[1][0]
         self._build_quotient(cup1)
         basis = self._quotient_basis(hodge.diamond(k, n))
-        e_ops = self._e_operators(basis, pieri)
-        self.pairing = self._pairing(basis, cup1)
-        # nondegenerate on the blocks of degree m against degree dim Y - m
-        degrees: list[list[int]] = [[] for _ in range(self.dim_y + 1)]
-        for i, lab in enumerate(basis):
-            degrees[self.label_degree(lab)].append(i)
-        if not linalg.block_nonsingular(self.pairing, list(zip(degrees, reversed(degrees)))):
+        index = {lab: i for i, lab in enumerate(basis)}
+        degrees = [self.dim_y // 2 if lab == BETA else size(lab) for lab in basis]
+        e_ops = self._e_operators(index, pieri)
+        self.pairing = self._pairing(index, cup1)
+        # nondegenerate on the blocks of degree m against degree dim Y - m; the
+        # degrees run over 0..dim Y, so each is its own residue mod dim Y + 1
+        by_degree = residue_pieces(degrees, self.dim_y + 1)
+        if not linalg.block_nonsingular(self.pairing, list(zip(by_degree, reversed(by_degree)))):
             raise InternalConsistencyError("section Poincare pairing is degenerate")
-        super().__init__(self.box, basis, r, e_ops)
+        super().__init__(self.box, basis, degrees, r, e_ops)
 
-    def _e_operators(self, basis, pieri) -> dict[int, list[dict]]:
+    def _e_operators(self, index, pieri) -> dict[int, list[dict]]:
         """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri
-        rule, on sparse rows, with pieri[p] = (C_p, P_p - C_p) and J a
-        selection of columns."""
-        ambient, index = schubert_basis(self.box), {lab: i for i, lab in enumerate(basis)}
+        rule, on sparse rows, with pieri[p] = (C_p, P_p - C_p), J a selection
+        of columns and index the position of each basis label."""
+        ambient = schubert_basis(self.box)
         # R: a basis label to itself, a relation pivot to its relation, the
         # top ambient degree to 0; J: each partition label to its ambient class
-        reduction = [{} for _ in basis]
+        reduction = [{} for _ in index]
         for col, lam in enumerate(ambient):
             if lam in index:
                 reduction[index[lam]][col] = 1
@@ -223,17 +226,15 @@ class SectionRing(GradedAlgebra):
             )
         return tuple(labels)
 
-    def label_degree(self, lab) -> int:
-        return self.dim_y // 2 if lab == BETA else size(lab)
-
-    def _pairing(self, basis, cup1) -> list[dict]:
+    def _pairing(self, index, cup1) -> list[dict]:
         """<a, b> is the integral over X of s_a s_b s_1, the coefficient of
         dual(b) in s_1 cup s_a, which vanishes unless |a| + |b| = dim Y, so a
         is paired only with degree_basis[dim Y - |a|]; beta pairs to 1 with
-        itself and 0 with the rest.  As sparse rows."""
-        at, index = self._ambient_index, {lab: i for i, lab in enumerate(basis)}
-        dual = {b: at[self.box.dual(b)] for b in basis if b != BETA}
-        rows: list[dict] = [{} for _ in basis]
+        itself and 0 with the rest.  As sparse rows, over the basis labels at
+        their positions in index."""
+        at = self._ambient_index
+        dual = {b: at[self.box.dual(b)] for b in index if b != BETA}
+        rows: list[dict] = [{} for _ in index]
         for a in dual:
             for b in self.degree_basis[self.dim_y - size(a)]:
                 if x := cup1[dual[b]].get(at[a], 0):
@@ -262,7 +263,7 @@ def build_ring(k: int, n: int) -> SectionRing:
 def section_charpoly(ring: SectionRing, power: int, with_e2: bool = False) -> tuple:
     """Characteristic polynomial of e_1^power (optionally * e_2) on the
     residue-0 piece A^0(Y) of the section ring (quantum.e_power_charpoly)."""
-    return e_power_charpoly(ring.e_ops, [ring.index[lab] for lab in ring.residue_piece(0)], ring.r, power, with_e2)
+    return e_power_charpoly(ring.e_ops, ring.pieces[0], ring.r, power, with_e2)
 
 
 def lefschetz_relation_check(ring: SectionRing) -> bool:
@@ -271,12 +272,13 @@ def lefschetz_relation_check(ring: SectionRing) -> bool:
     with T = E_1, seeded with the unit and beta (see quantum)."""
     if ring.box.n not in (7, 8):
         raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
-    return h_relation_check(ring, e_columns(ring)[1])
+    return h_relation_check(ring, ring.columns[1])
 
 
-def radical_and_perp(ring: SectionRing) -> list[list]:
+def radical_and_perp(ring: SectionRing) -> list[dict]:
     """The radical ker e_1^dim of the section ring, as the reduced echelon
-    basis of ker e_1, certified by the pairing.
+    basis of ker e_1 in sparse rows {index: value}, sorted by lead (the
+    least index), certified by the pairing.
 
     E_1 maps the residue-rho piece into the residue-(rho + 1) piece (mod r;
     the ring's constructor certified the grading), so ker E_1 is the direct
@@ -292,25 +294,19 @@ def radical_and_perp(ring: SectionRing) -> list[list]:
     <z, x> = <w, e_1 x> = 0 for every x in ker e_1.  So a nonsingular Gram
     matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one raises.
     """
-    pairing = ring.pairing
+    pairing, e1, pieces = ring.pairing, ring.e_ops[1], ring.pieces
     # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
-    if any(linalg.sparse_mul_sum([(1, pairing, ring.e_ops[1]), (-1, e_columns(ring)[1], pairing)])):
+    if any(linalg.sparse_mul_sum([(1, pairing, e1), (-1, ring.columns[1], pairing)])):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
-    e1, pieces = ring.e_ops[1], [[ring.index[lab] for lab in ring.residue_piece(rho)] for rho in range(ring.r)]
     rad = []
     for rho, cols in enumerate(pieces):
         # a zero row stands for an empty target piece, whose block kills all of cols
         block = [[e1[i].get(j, 0) for j in cols] for i in pieces[(rho + 1) % ring.r]] or [[0] * len(cols)]
-        for v in linalg.kernel_basis(block):
-            u = [0] * len(ring.basis)
-            for j, x in zip(cols, v):
-                u[j] = x
-            rad.append(u)
-    rad.sort(key=lambda u: next(i for i, x in enumerate(u) if x))
+        rad += [{j: x for j, x in zip(cols, v) if x} for v in linalg.kernel_basis(block)]
+    rad.sort(key=min)
     # <u_a, u_b> = (u_a^T P) u_b, with each u_a^T P one sparse row
-    sparse = [{j: x for j, x in enumerate(u) if x} for u in rad]
-    paired = linalg.sparse_mul_sum([(1, sparse, pairing)])
-    if linalg.det_bareiss([[sum(pu.get(j, 0) * x for j, x in v.items()) for v in sparse] for pu in paired]) == 0:
+    paired = linalg.sparse_mul_sum([(1, rad, pairing)])
+    if linalg.det_bareiss([[sum(pu.get(j, 0) * x for j, x in v.items()) for v in rad] for pu in paired]) == 0:
         raise InternalConsistencyError("the pairing is degenerate on ker e_1")
     return rad
 
@@ -325,7 +321,7 @@ def perp_subalgebra_semisimple(ring: SectionRing) -> tuple[bool, int, int]:
     Returns the verdict, dim S = dim A - dim R and dim R.
     """
     rad = radical_and_perp(ring)
-    leads = {next(i for i, c in enumerate(u) if c) for u in rad}
+    leads = set(map(min, rad))
     if ring.prim_dim and ring.index[BETA] not in leads:
         raise InternalConsistencyError("beta is not a lead of the radical ker e_1")
     _, gram = trace_form_rows(ring, shifted=True)
@@ -340,7 +336,8 @@ def full_ring_semisimple(ring: SectionRing) -> bool:
     recursions (quantum.trace_form_nonsingular), as for Gr(k, n), and no
     label operator built.  Every label operator is a polynomial in e_1,
     e_2, e_3, whose commutativity the ring build asserted.  beta has no
-    operator, so a ring with beta raises UndeterminedProductError."""
+    operator, so a ring with beta, which no command sends here, raises
+    InternalConsistencyError."""
     return trace_form_nonsingular(ring)
 
 

@@ -60,6 +60,9 @@ route:
   quantum.trace_form_rows takes it from two thin label recursions and
   builds no operator, and quantum.semisimple_test takes it by definition,
   one linalg.trace_product per pair.
+- label_degree and label_piece read a label's degree and a residue piece
+  off the labels, beta's degree dim Y / 2 among them; production passes
+  GradedAlgebra the degrees and reads alg.pieces.
 - restrict_to_coords, restrict and charpoly_on_piece restrict a dense
   operator to a piece of basis coordinates or labels and take its
   characteristic polynomial there; quantum.e_power_charpoly builds the
@@ -123,6 +126,8 @@ route:
   pairing afresh, and poincare_by_division takes the height product with
   UniPoly products and one exact division; rootdata carries pairings and
   depths forward and multiplies and divides by each bracket in O(deg).
+- euler_number and hodge_number read the Euler number of a BettiProfile and
+  one h^{p,q} of a HodgeDiamond; no production code reads either.
 - gaussian_binomial, sg_betti, projective_space_profile, poly_from_roots and
   interpolate have no production caller: the t-binomial by the degree route,
   the SG(2, 2n) and P^m Betti profiles, and polynomials from roots and from
@@ -143,7 +148,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from qhgrass import linalg, quantum
-from qhgrass.errors import InternalConsistencyError, InvalidInputError, UndeterminedProductError
+from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.linalg import Matrix
 from qhgrass.partitions import Box, Partition, box_partitions_of_size, canonical, size
 from qhgrass.quantum import (
@@ -166,6 +171,13 @@ from qhgrass.rootdata import (
 )
 from qhgrass.screen import BettiProfile, profile_of
 from qhgrass.section import BETA, SectionRing, _split_pieri, build_ring, radical_and_perp
+
+
+
+class UndeterminedProductError(RuntimeError):
+    """Raised for products the source material leaves undetermined, such as
+    multiplication by beta; production builds no such operator."""
+
 
 # A1-A11, B2-B9, C2-C9, D4-D9, E6-E8, F4 and G2: 220 G/P_k in all
 SMALL_TYPES = tuple(
@@ -266,6 +278,19 @@ def restrict_to_coords(op: Matrix, cols: list[int]) -> Matrix:
     if any(op[r][c] for c in cols for r in range(len(op)) if r not in inside):
         raise InternalConsistencyError("operator does not preserve the requested piece")
     return [[op[r][c] for c in cols] for r in cols]
+
+
+def label_degree(alg, lab) -> int:
+    """The degree of a basis label, read off the label: |lam| for a
+    partition, dim Y / 2 for beta.  Production passes the degrees to
+    GradedAlgebra's constructor."""
+    return alg.dim_y // 2 if lab == BETA else size(lab)
+
+
+def label_piece(alg, residue: int = 0) -> tuple:
+    """The basis labels whose label_degree is congruent to the residue mod
+    r, in basis order; production reads the piece's indices off alg.pieces."""
+    return tuple(lab for lab in alg.basis if label_degree(alg, lab) % alg.r == residue)
 
 
 def restrict(alg, op: Matrix, piece) -> Matrix:
@@ -847,9 +872,22 @@ def sg_betti(n: int) -> tuple[BettiProfile, BettiProfile]:
     for i in range(mid + 1, dim_y + 1):
         b_y[i] = b_y[dim_y - i]
     y = BettiProfile(tuple(b_y), 2 * n - 2, f"section of SG(2,{2*n})")
-    if y.euler != x.euler:
+    if euler_number(y) != euler_number(x):
         raise InvalidInputError("section profile does not preserve the Euler number")
     return x, y
+
+
+def euler_number(profile: BettiProfile) -> int:
+    """The Euler number of a profile, the sum of its even Betti numbers."""
+    return sum(profile.even_betti)
+
+
+def hodge_number(dia, p: int, q: int) -> int:
+    """h^{p,q} of a section's HodgeDiamond: column[p] on the diagonal,
+    middle[p] on the middle row p + q = dim, and 0 elsewhere."""
+    if p == q:
+        return dia.column[p]
+    return dia.middle[p] if p + q == dia.dim else 0
 
 
 def projective_space_profile(m: int) -> BettiProfile:
@@ -1198,7 +1236,7 @@ def classical_grassmannian(box: Box) -> GradedAlgebra:
     as e-operators."""
     alg = grassmannian(box)
     e_ops = {p: linalg.sparse_rows(cup_matrix(box, p)) for p in range(1, box.k + 1)}
-    return GradedAlgebra(box, alg.basis, alg.r, e_ops)
+    return GradedAlgebra(box, alg.basis, alg.degrees, alg.r, e_ops)
 
 
 def classical_section_e_ops(ring: SectionRing) -> dict[int, list[dict]]:
@@ -1207,16 +1245,19 @@ def classical_section_e_ops(ring: SectionRing) -> dict[int, list[dict]]:
     and no q half."""
     dim = len(schubert_basis(ring.box))
     halves = {p: (_split_pieri(ring.box, p)[0], [{} for _ in range(dim)]) for p in range(1, ring.k + 1)}
-    return ring._e_operators(ring.basis, halves)
+    return ring._e_operators(ring.index, halves)
 
 
 def ring_with_e_ops(ring: SectionRing, e_ops: dict[int, list[dict]]) -> SectionRing:
     """A copy of the section ring with these e-operators, through
     GradedAlgebra's constructor, whose certificates then read the ring's own
-    label degrees, beta's among them.  The copy is a new algebra, so nothing
-    cached for the ring (e_columns, label_ops) carries over."""
+    degrees, beta's among them.  The copy is a new algebra: its E_p^T are
+    made afresh, and nothing the ring made when first read (plan,
+    label_ops) carries over."""
     alg = copy.copy(ring)
-    GradedAlgebra.__init__(alg, ring.box, ring.basis, ring.r, e_ops)
+    for cached in ("plan", "label_ops"):
+        vars(alg).pop(cached, None)
+    GradedAlgebra.__init__(alg, ring.box, ring.basis, ring.degrees, ring.r, e_ops)
     return alg
 
 
@@ -1363,29 +1404,30 @@ def ambient_pairing(box: Box) -> Matrix:
     return pairing
 
 
-def radical(box: Box) -> tuple[list[list], list[list]]:
+def radical(box: Box) -> tuple[list[dict], list[list]]:
     """radical_by_power for QH(Gr(k, n)), with its pairing ambient_pairing."""
     return radical_by_power(grassmannian(box), ambient_pairing(box))
 
 
-def radical_by_power(alg, pairing: Matrix) -> tuple[list[list], list[list]]:
+def radical_by_power(alg, pairing: Matrix) -> tuple[list[dict], list[list]]:
     """Kernel of the N-th power of multiplication by e_1 (N the dimension),
-    plus its perp space for the pairing (perp_space);
-    section.radical_and_perp takes ker e_1, certified by the pairing."""
-    rad = linalg.kernel_basis(linalg.mat_pow(dense_square(alg.e_ops[1]), len(alg.basis)))
+    as the sparse rows of its reduced echelon basis, plus its perp space for
+    the pairing (perp_space); section.radical_and_perp takes ker e_1,
+    certified by the pairing."""
+    rad = linalg.sparse_rows(linalg.kernel_basis(linalg.mat_pow(dense_square(alg.e_ops[1]), len(alg.basis))))
     return rad, perp_space(alg, rad, pairing)
 
 
-def perp_space(alg, rad: list[list], pairing: Matrix) -> list[list]:
+def perp_space(alg, rad: list[dict], pairing: Matrix) -> list[list]:
     """The orthogonal complement P of the radical inside the residue-0 piece
     of alg, for the pairing (a section ring's own, or ambient_pairing):
     the reduced echelon kernel basis of the pairing constraints (or the
     identity when the radical is empty), written in the piece's labels,
     which are in basis order, so perp_piece_operators can read coordinates
     off its pivots."""
-    idx, piece = alg.index, alg.residue_piece(0)
+    idx, piece = alg.index, label_piece(alg)
     constraints = []
-    for u in rad:
+    for u in linalg.dense(rad, len(alg.basis)):
         pu = mat_vec(pairing, u)
         constraints.append([pu[idx[lam]] for lam in piece])
     if constraints:
@@ -1435,7 +1477,7 @@ def build_lifts(ring: SectionRing) -> dict[Partition, dict[tuple[int, ...], int]
                 value = value + apply_monomial(ring, expo, ClassVector.unit(ring.box)).scale(coeff)
             rest = value - ClassVector(ring.box, {(lam, 0): 1})
             for (lab, qp), coeff in rest.terms.items():
-                if lab == BETA or qp == 0 or ring.label_degree(lab) >= m:
+                if lab == BETA or qp == 0 or size(lab) >= m:
                     raise InternalConsistencyError(f"lift of {lam} has unexpected term {lab} q^{qp}")
             for (lab, qp), coeff in rest.terms.items():
                 for expo, c in lifts[lab].items():
@@ -1495,7 +1537,7 @@ def perp_iso_check(k: int, n: int) -> bool:
     box = Box(k, n)
     ring = build_ring(k, n)
     basis_x = schubert_basis(box)
-    piece_x = grassmannian(box).residue_piece(0)
+    piece_x = label_piece(grassmannian(box))
     dim0 = len(piece_x)
     e1x, e2x = dense_square(pieri_matrix(box, 1)), dense_square(pieri_matrix(box, 2))
     e1y, e2y = dense_square(ring.e_ops[1]), dense_square(ring.e_ops[2])
@@ -1653,10 +1695,11 @@ def perp_subalgebra_operators(ring: SectionRing, perp: list[list]) -> tuple[list
     return ops, [r_e1] + r_gen
 
 
-def _perp_projector(ring: SectionRing, rad: list[list]):
+def _perp_projector(ring: SectionRing, rad: list[dict]):
     """Projection onto the pairing-orthogonal complement of the radical."""
     if not rad:
         return lambda v: list(v)
+    rad = linalg.dense(rad, len(ring.basis))
     gram = [[_pair_vec(ring, u, w) for w in rad] for u in rad]
     if linalg.det_bareiss(gram) == 0:
         raise InternalConsistencyError("pairing is degenerate on the radical")

@@ -461,7 +461,7 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     ring7, ring8 = section.build_ring(3, 7), section.build_ring(3, 8)
     rad = section.radical_and_perp(ring8)
     perp = perp_space(ring8, rad, dense_square(ring8.pairing))
-    leads = {next(i for i, c in enumerate(u) if c) for u in rad}
+    leads = set(map(min, rad))
     rest = [i for i in range(len(ring8.basis)) if i not in leads]
     _, shifted = quantum.trace_form_rows(ring8, shifted=True)
     box = Box(4, 8)

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import euler_sums_by_hooks, sg_betti, solve, transpose
+from oracles import euler_sums_by_hooks, hodge_number, sg_betti, solve, transpose
 from qhgrass import cli, hodge, partitions
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
 from qhgrass.hodge import (
@@ -146,7 +146,7 @@ def test_two_line_diamond_matches_the_full_matrix():
             dia, h = diamond(k, n), _full_diamond(k, n)
             d = dia.dim
             assert d + 1 == len(h), (k, n)
-            assert all(dia.h(p, q) == h[p][q] for p in range(d + 1) for q in range(d + 1)), (k, n)
+            assert all(hodge_number(dia, p, q) == h[p][q] for p in range(d + 1) for q in range(d + 1)), (k, n)
             assert dia.total() == sum(map(sum, h)), (k, n)
             off = [(p, d - p, h[p][d - p]) for p in range(d + 1) if 2 * p != d and h[p][d - p]]
             assert dia.middle_off_diagonal() == off, (k, n)
@@ -220,7 +220,7 @@ def test_borderline_diamonds_show_unit_middle_entry():
         assert not ht and cert.method == "middle-row-jump"
         p, q, h = cert.detail
         assert (p, q, h) == (k * (n - k) - n, n - 1, 1)
-        assert diamond(k, n).h(p, q) == h, (k, n)
+        assert hodge_number(diamond(k, n), p, q) == h, (k, n)
 
 
 def test_hodge_tate_exactly_on_the_ade_boxes():

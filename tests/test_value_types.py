@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cli_pins import PINS
-from oracles import SMALL_TYPES
+from oracles import SMALL_TYPES, euler_number
 from qhgrass import cli, hodge, linalg, quantum, section
 from qhgrass.errors import InvalidInputError
 from qhgrass.hodge import HodgeDiamond, HodgeTateCertificate
@@ -72,7 +72,7 @@ def test_repr_str_defaults_and_properties():
     assert str(DynkinType("E", 6)) == "E6"
     assert str(GrassmannianId(DynkinType("E", 6), 2)) == "E6/P2"
     assert Box(3, 6).cols == 3 and Box(3, 6).dual((2, 1)) == (3, 2, 1)
-    assert BettiProfile((1, 1, 2), 3).label == "" and BettiProfile((1, 1, 2), 3).euler == 4
+    assert BettiProfile((1, 1, 2), 3).label == "" and euler_number(BettiProfile((1, 1, 2), 3)) == 4
     assert ScreenVerdict("NoObstruction").witness is None
     assert ScreenVerdict("Witness", (1, 2, 3, 2)).is_witness
     assert not ScreenVerdict("NoObstruction").is_witness
