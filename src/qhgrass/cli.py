@@ -1,9 +1,10 @@
 """Command-line front end: every analysis as a subcommand.
 
 Each run builds one OutputDocument (a plain JSON-serializable dict with exact
-rationals rendered as "numerator/denominator" strings); --format json prints
-it verbatim, --format table renders it through a pure function of the
-document, so the two modes always agree.
+rationals rendered as "numerator/denominator" strings); --format json writes
+it, every integer in full, with the bytes json.dumps(doc, indent=2) gives,
+through the small writer _json; --format table renders it through a pure
+function of the document, so the two modes always agree.
 
 One table, COMMANDS, names every command's help, arguments, handler and table
 renderer.  A run reads a well-formed command line straight from that table,
@@ -26,12 +27,12 @@ as for any program killed by it) when the reader closes the pipe early.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import hodge, quantum, screen, section
@@ -422,20 +423,37 @@ def build_parser():
     return parser
 
 
+def _table_entry(specs: list) -> tuple[dict, dict, frozenset]:
+    """The flags of one COMMANDS entry (and --format) as (flag -> (dest,
+    spec), dest -> default, required flags), in the order the entry lists
+    them."""
+    flags = {flag: (flag[2:].replace("-", "_"), spec) for flag, spec in [*specs, _FORMAT]}
+    defaults = {dest: False if spec.get("action") == "store_true" else spec.get("default")
+                for dest, spec in flags.values()}
+    return flags, defaults, frozenset(flag for flag, (_, spec) in flags.items() if spec.get("required"))
+
+
+# built once at import: command words -> name, and name -> its flags
+_NAMES = {tuple(name.split()): name for name in COMMANDS}
+_TABLE = {name: _table_entry(specs) for name, (_, specs, _, _) in COMMANDS.items()}
+
+
 def _parse_table(name: str, tokens: list[str]) -> SimpleNamespace | None:
-    """The arguments of command `name` read from its COMMANDS entry, as the
+    """The arguments of command `name` read from its _TABLE entry, as the
     whole tree would read them, or None for any token list that is not plainly
     well formed, so that the tree decides it and words its errors."""
-    _, specs, handler, _ = COMMANDS[name]
-    specs = dict([*specs, _FORMAT])
-    given = {}
+    flags, defaults, required = _TABLE[name]
+    values = dict(defaults)
+    given = set()
     rest = iter(tokens)
     for flag in rest:
-        spec = specs.get(flag)
-        if spec is None or flag in given:
+        entry = flags.get(flag)
+        if entry is None or flag in given:
             return None
+        given.add(flag)
+        dest, spec = entry
         if spec.get("action") == "store_true":
-            given[flag] = True
+            values[dest] = True
             continue
         text = next(rest, None)
         if text is None or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
@@ -446,18 +464,11 @@ def _parse_table(name: str, tokens: list[str]) -> SimpleNamespace | None:
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
-        given[flag] = value
-    values = {}
-    for flag, spec in specs.items():
-        if flag in given:
-            value = given[flag]
-        elif spec.get("required"):
-            return None
-        else:
-            value = False if spec.get("action") == "store_true" else spec.get("default")
-        values[flag[2:].replace("-", "_")] = value
+        values[dest] = value
+    if not required <= given:
+        return None
     # looked up now, so a patched module global is the one called
-    return SimpleNamespace(**values, handler=globals()[handler])
+    return SimpleNamespace(**values, handler=globals()[COMMANDS[name][2]])
 
 
 def _parse(argv: list[str]):
@@ -466,10 +477,44 @@ def _parse(argv: list[str]):
     such as -h, a typo, a bare qh, or arguments that entry does not plainly
     take, goes to the whole tree, so help, usage and errors read as they
     always have."""
-    name = next((name for name in COMMANDS if name.split() == argv[: len(name.split())]), None)
+    # names have one or two words and none starts another, so at most one matches
+    name = _NAMES.get(tuple(argv[:2])) or _NAMES.get(tuple(argv[:1]))
     if name is not None and (args := _parse_table(name, argv[len(name.split()) :])) is not None:
         return args
     return build_parser().parse_args(argv)
+
+
+def _json(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2) writes it, for the types a document
+    holds: dicts with str keys, lists, str, int, bool and None.  json.dumps
+    runs its pure-Python encoder whenever indent is set, which costs more than
+    this writer.  Any other type, or a non-str key, is a TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json(item, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run(argv=None) -> int:
@@ -491,7 +536,7 @@ def run(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else render_table(doc)
+        text = _json(doc) + "\n" if args.format == "json" else render_table(doc)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhgrass import cli, linalg
@@ -690,3 +691,63 @@ def test_entry_point_prints_what_run_prints(capsys):
                               timeout=60)
         assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, expected.out, expected.err)
     assert expected.err.startswith("usage: qhgrass [-h]")
+
+
+# -- the JSON writer, with json.dumps(doc, indent=2) as its oracle ---------------
+
+
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """The window run writes a document in: no limit on int -> str digits."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_writer_matches_json_dumps_on_every_golden_document():
+    from test_golden import DOCUMENTS
+
+    for command in DOCUMENTS:
+        args = cli._parse(command.split() + ["--format", "json"])
+        doc = args.handler(args)
+        assert cli._json(doc) == json.dumps(doc, indent=2), command
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\xe9\u20ac\U0001F600')))
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _TEXT, st.integers(),
+    # over the 4,300 digits that int -> str allows by default
+    st.builds(lambda m, e: m * 10**e + m, st.integers(-9, 9), st.integers(4300, 4500)),
+)
+_DOCUMENTS = st.recursive(_LEAVES, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                                            st.dictionaries(_TEXT, inner, max_size=4)),
+                          max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_writer_matches_json_dumps_on_any_document(doc):
+    with _int_digits_unlimited():
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+def test_writer_refuses_what_no_document_holds():
+    for value in (1.5, Fraction(1, 2), (1, 2), {1: "a"}, {"a": [0, 2.0]}, [{None: 1}]):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def test_no_command_calls_json_dumps(capsys, monkeypatch):
+    calls = []
+    for owner, name in ((json, "dumps"), (json.JSONEncoder, "encode"), (json.JSONEncoder, "iterencode")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: calls.append(name))
+    for argv in EVERY_COMMAND:
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["command"] == _command_name(argv), argv
+    assert calls == []
