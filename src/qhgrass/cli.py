@@ -54,10 +54,12 @@ MAX_CHARPOLY_WORK = 5 * 10**7
 # The bound is on d itself: no command builds a d x d matrix or pays d^3.
 # qh charpoly steps the s classes of the residue-0 piece through sparse
 # products with E_1 (and E_2) and multiplies only s x s matrices (Gr(5, 10),
-# d = 252, s = 26, at power 10: 0.016 s); qh semisimple runs two thin label
-# recursions and takes the Gram determinant on the residue blocks rho against
-# -rho, the largest 26 x 26 (0.071 s).  Times are CPU of cli.run, caches
-# cleared, best of 7, on an Intel Xeon (2 vCPUs) with Python 3.11.7.
+# d = 252, s = 26, at power 10: 0.016 s); qh semisimple takes the trace
+# vector by one reverse pass over the label plan and the Gram rows by one thin
+# label recursion, and takes the Gram determinant on the residue blocks rho
+# against -rho, the largest 26 x 26, each mirrored pair once (0.032 s).  Times
+# are CPU of cli.run, caches cleared, best of 7, on an Intel Xeon (2 vCPUs)
+# with Python 3.11.7.
 MAX_AMBIENT_DIM = 300
 SEED_HELP = "accepted and echoed; has no effect"
 

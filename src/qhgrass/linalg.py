@@ -15,20 +15,23 @@ row, in which a term with a = I adds c * b.  No whole e-operator is made
 dense, and the dense readers refuse sparse rows; section.radical_and_perp
 slices each residue block of E_1 into a dense list for kernel_basis.
 Both Pieri recursions keep their blocks seed-major, one row per seed
-vector, so in each step a is a block of s rows (the image of lam', or of
-H_(m-i)) and b is E_p^T, held as E_p's columns (E_p itself for the
-transposed label run): the step loops over the s seed rows, not over d.
-The relation check of either ring seeds at most two rows, the unit and beta.
+vector, so in each step a is a block of s rows (the rows s^T L_lam', or
+the images of H_(m-i)) and b is E_p, or E_i^T held as E_i's columns for
+the h-recursion: the step loops over the s seed rows, not over d.
+The relation check of either ring seeds at most two rows, the unit and beta;
+the trace vector's reverse pass (quantum.trace_row) takes one row per label.
 Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
 ints or Fractions.  A Gram matrix or pairing whose grading fixes its blocks
 comes as sparse rows to block_nonsingular, which checks that every nonzero
 lies in its block and runs _bareiss on each block alone, so no d x d matrix
-is made; det_bareiss, which finds the blocks of a dense matrix from its
-nonzero pattern, serves the small radical Gram and the tests.  The
-characteristic polynomial takes no division at all:
-charpoly is the Berkowitz recursion, and the tests check it against two
-routes through _bareiss, evaluation and interpolation over the integers,
-and elimination over the polynomial ring.
+is made; a block that is, entry by entry, the transpose of one already
+decided nonsingular shares its determinant and takes no elimination, which
+halves the off-diagonal blocks of a symmetric form.  det_bareiss, which
+finds the blocks of a dense matrix from its nonzero pattern, serves the
+small radical Gram and the tests.  The characteristic polynomial takes no
+division at all: charpoly is the Berkowitz recursion, and the tests check
+it against two routes through _bareiss, evaluation and interpolation over
+the integers, and elimination over the polynomial ring.
 There is no inverse and no solver.  A kernel takes one Gauss-Jordan
 elimination (rref), of the matrix with its columns reversed (kernel_basis).
 """
@@ -99,12 +102,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                     acc[j] += aik * x
         out.append(_integral_entries(acc))
     return out
-
-
-def sparse_rows(a: Matrix) -> list[dict]:
-    """a's rows as {column: value} over their nonzeros."""
-    _require_dense(a)
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def dense(rows: list[dict], cols: int) -> Matrix:
@@ -287,16 +284,24 @@ def block_nonsingular(rows: list[dict], blocks) -> bool:
     outside its row's block contradicts the grading and raises.  Permuting
     rows and columns block by block makes the matrix block diagonal, so it
     is nonsingular exactly when every block is square with a nonzero
-    Bareiss determinant.
+    Bareiss determinant.  A block whose entries are those of a decided
+    block (C, R) transposed, compared entry by entry, has that block's
+    nonzero determinant and takes no elimination: a symmetric form, such as
+    a Gram matrix or a pairing, decides half its off-diagonal blocks so.
     """
     owner = {j: b for b, (_, cols) in enumerate(blocks) for j in cols}
     for b, (block_rows, _) in enumerate(blocks):
         if any(owner.get(j, b) != b for i in block_rows for j in rows[i]):
             raise InternalConsistencyError("a nonzero entry lies outside the blocks its grading allows")
-    return all(
-        len(block_rows) == len(cols) and _block_det([[rows[i].get(j, 0) for j in cols] for i in block_rows]) != 0
-        for block_rows, cols in blocks
-    )
+    decided = {}
+    for block_rows, cols in blocks:
+        block = [[rows[i].get(j, 0) for j in cols] for i in block_rows]
+        mirror = decided.get((tuple(cols), tuple(block_rows)))
+        if mirror is None or block != [list(col) for col in zip(*mirror)]:
+            if len(block_rows) != len(cols) or _block_det(block) == 0:
+                return False
+        decided[tuple(block_rows), tuple(cols)] = block
+    return True
 
 
 def _int_div(a: int, b: int) -> int:

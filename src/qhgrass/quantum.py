@@ -39,10 +39,9 @@ and that E_p raises degree by p mod r (require_graded), the one place each is
 checked.  Label operators come from one triangular Pieri recursion
 (label_recursion), L_lam = E_p L_lam' - sum c L_mu, run on a seed block S and
 stored seed-major: for each label, one sparse row per seed vector s_j, the
-image L_lam s_j, so a step costs s rows and not d.  Its transposed form gives
-the rows s_j^T L_lam.  Its order, images and checks are the algebra's plan
-(label_plan), made when first read, kept on the algebra and shared by every
-run on it.  It relies on that assertion and reads each image it needs off a
+row s_j^T L_lam, so a step costs s rows and not d.  Its order, images and
+checks are the algebra's plan (label_plan), made when first read, kept on
+the algebra and shared by every run on it.  It relies on that assertion and reads each image it needs off a
 column of an e-operator, so no Littlewood-Richardson rule is needed; the
 Giambelli route lives with the tests as an independent check, so the
 quantum Giambelli property is a checked invariant rather than an input.
@@ -50,20 +49,23 @@ quantum Giambelli property is a checked invariant rather than an input.
 The ambient verdict (qh_semisimple) is the trace-form criterion: QH is
 semisimple iff det trace(L_a L_b) != 0.  With phi(x) = trace(L_x), the
 pairing with Abrams' quantum Euler class, trace(L_a L_b) = phi(a b), so the
-Gram matrix follows from one trace vector t and two thin runs
-(trace_form_rows).  t vanishes off the residue-0 piece, since L_c shifts
-the degree by |c| mod r (the constructor checks E_p on its nonzeros), and on
-the piece t_c = sum over i of (L_i e_c)_i: the run seeded with the piece's
-unit vectors.  Gram row a is t^T L_a: the transposed run seeded with t,
-kept as a sparse row.  phi(a b) vanishes unless deg a + deg b = 0 mod r,
-so the Gram matrix is zero outside the blocks of residue rho against -rho
-(residue_blocks), and trace_form_nonsingular decides det != 0 block by
-block (linalg.block_nonsingular), raising on a nonzero outside them; no
+Gram matrix follows from one trace vector t and one thin run
+(trace_form_rows).  t^T is the row sum of e_i^T L_i over the labels i,
+which one reverse pass over the plan gives, one row per label (trace_row).
+t vanishes off the residue-0 piece, since L_c shifts the degree by |c| mod
+r (the constructor checks E_p on its nonzeros); a nonzero there raises.
+Gram row a is t^T L_a: the label run seeded with t, kept as a sparse
+row.  phi(a b) vanishes unless deg a + deg b = 0 mod r, so the Gram matrix
+is zero outside the blocks of residue rho against -rho (residue_blocks),
+and trace_form_nonsingular decides det != 0 block by block
+(linalg.block_nonsingular), raising on a nonzero outside them and taking
+one determinant for each pair of mirrored blocks of the symmetric form; no
 verdict makes a d x d matrix.  Both section verdicts take the ring and make
-the same two runs on it: one with no beta (section.full_ring_semisimple(ring))
-as Gr(k, n) does, and one with beta (section.perp_subalgebra_semisimple(ring))
-with the second run seeded with E_1^T t, which composes the trace form with
-multiplication by e_1, its blocks residue rho against -1 - rho.
+the same pass and run on it: one with no beta
+(section.full_ring_semisimple(ring)) as Gr(k, n) does, and one with beta
+(section.perp_subalgebra_semisimple(ring)) with the run seeded with
+E_1^T t, which composes the trace form with multiplication by e_1, its
+blocks residue rho against -1 - rho.
 semisimple_test, the Gram matrix by its definition, has no verdict calling
 it.  No command builds a label operator; mult_operators, the run seeded
 with the identity and made dense, is read through label_ops only by the
@@ -283,10 +285,9 @@ def label_plan(alg: GradedAlgebra) -> tuple:
     return tuple(steps)
 
 
-def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = False) -> dict:
-    """L_lam S for every partition label lam, stored seed-major: a block of
-    sparse rows, row j the image L_lam s_j of seed vector s_j = seed[j].
-    With transposed=True, row j is s_j^T L_lam instead.
+def label_recursion(alg: GradedAlgebra, seed: list[dict]) -> dict:
+    """S^T L_lam for every partition label lam, stored seed-major: a block
+    of sparse rows, row j the row s_j^T L_lam of seed vector s_j = seed[j].
 
     Removing the first column of lam (p = len(lam) cells) leaves lam', and
     e_p * lam' = lam + sum c q^d mu, where every other mu of the same degree
@@ -295,40 +296,59 @@ def label_recursion(alg: GradedAlgebra, seed: list[dict], transposed: bool = Fal
 
         L_lam = E_p L_lam' - sum c L_mu
 
-    fills the table in one pass in (degree, lex) order, from L_() S = S.
+    fills the table in one pass in (degree, lex) order, from S^T L_() = S^T.
     The order, each image and its checks (lam has coefficient 1 and every
     mu is already built) are the algebra's plan, made once and shared by
     every run on it.  By induction L_lam is a polynomial in e_1..e_k that
     sends the unit to lam; since e_1..e_k commute, which GradedAlgebra's
     constructor asserted, it is multiplication by lam on every class the
-    unit reaches, and L_lam = L_lam' E_p as well.  Transposed, L_lam^T =
-    E_p^T L_lam'^T - sum c L_mu^T, with the same coefficients.  Labels that
-    are not partitions (the section's beta) get no entry.
+    unit reaches, and L_lam = L_lam' E_p as well.  Labels that are not
+    partitions (the section's beta) get no entry.
 
-    On the row blocks, (L_lam s_j)^T = (L_lam' s_j)^T E_p^T and
-    s_j^T L_lam = (s_j^T L_lam') E_p, so each step is one
-    linalg.sparse_mul_sum over the s seed rows,
-    [(1, ops[lam'], G_p)] + [(-c, I_s, ops[mu]) ...], where G_p holds the
-    rows of E_p^T (E_p's columns, alg.columns), or E_p's rows for the
-    transposed run.  A seed of a few vectors costs a few rows per label.
+    On the row blocks, s_j^T L_lam = (s_j^T L_lam') E_p, so each step is
+    one linalg.sparse_mul_sum over the s seed rows,
+    [(1, ops[lam'], E_p)] + [(-c, I_s, ops[mu]) ...], against E_p's rows.
+    A seed of a few vectors costs a few rows per label.
     """
-    gens = alg.e_ops if transposed else alg.columns
     unit = [{j: 1} for j in range(len(seed))]
     ops = {(): seed}
     for lam, p, lam_prime, corrections in alg.plan:
         terms = [(c, unit, ops[mu]) for mu, c in corrections]
-        ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], gens[p])] + terms)
+        ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], alg.e_ops[p])] + terms)
     return ops
 
 
+def trace_row(alg: GradedAlgebra) -> dict:
+    """The row sum of e_lam^T L_lam over the labels lam with an operator,
+    as one sparse row, by one pass over the plan in reverse.
+
+    A plan step L_lam = E_p L_lam' + sum c L_mu gives, for any row y,
+    y^T L_lam = (y^T E_p) L_lam' + sum c y^T L_mu.  So each label keeps a
+    pending row y_lam, starting at e_lam, and its step hands it on: y_lam^T
+    E_p to lam' and c y_lam^T to each mu.  Only later steps name lam, so
+    y_lam is complete when its own step comes, one single-row
+    linalg.sparse_mul_sum of its pending terms, and y_() is the sum.
+    Labels without an operator (the section's beta) get no term.
+    """
+    unit = [{0: 1}]
+    labels = [()] + [lam for lam, *_ in alg.plan]
+    pending = {lab: [(1, unit, [{alg.index[lab]: 1}])] for lab in labels}
+    for lam, p, lam_prime, corrections in reversed(alg.plan):
+        y = linalg.sparse_mul_sum(pending.pop(lam))
+        pending[lam_prime].append((1, y, alg.e_ops[p]))
+        for mu, c in corrections:
+            pending[mu].append((c, unit, y))
+    return linalg.sparse_mul_sum(pending[()])[0]
+
+
 def mult_operators(alg: GradedAlgebra) -> dict:
-    """Multiplication operator of every partition label: the transposed
-    label_recursion seeded with the identity, whose row block for lam is
+    """Multiplication operator of every partition label: label_recursion
+    seeded with the identity, whose row block for lam is
     L_lam's rows, each operator made dense, in basis order.  No command
     reads a label operator; alg.label_ops, read only by the tests and the
     benchmark's spans, makes them once per algebra."""
     dim = len(alg.basis)
-    ops = label_recursion(alg, [{i: 1} for i in range(dim)], transposed=True)
+    ops = label_recursion(alg, [{i: 1} for i in range(dim)])
     return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
 
 
@@ -341,8 +361,8 @@ def h_operators(columns: dict[int, list[dict]], top: int, seeds: list[dict]) -> 
     H_0 = I and H_m = sum over i <= min(m, k) of (-1)^(i+1) E_i H_(m-i), from
     sum (-1)^i e_i h_(m-i) = 0, so (H_m s_j)^T = sum (-1)^(i+1)
     (H_(m-i) s_j)^T E_i^T: each step is one linalg.sparse_mul_sum over the
-    seed rows against columns[i], the rows of E_i^T, as in label_recursion,
-    and only the last k blocks are kept.  No step needs the E_i to commute;
+    seed rows against columns[i], the rows of E_i^T, and only the last k
+    blocks are kept.  No step needs the E_i to commute;
     seeded with every unit vector, block m is H_m^T.
     """
     k = len(columns)
@@ -402,38 +422,38 @@ def semisimple_test(ops: list[Matrix]) -> bool:
 
 def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, list[dict]]:
     """The trace vector t_c = trace(L_c) and the trace-form Gram matrix
-    trace(L_a L_b) as sparse rows, in basis order, from two thin label
-    recursions and no label operator.
+    trace(L_a L_b) as sparse rows, in basis order, from one reverse pass
+    over the label plan, one thin label recursion and no label operator.
 
-    Multiplication by c shifts the residue of the degree mod r by |c|
-    (the constructor's require_graded checks this), so t vanishes off the
-    residue-0 piece.  On it, commutativity gives L_i e_c = L_c e_i, so
-    t_c = sum over i of (L_i e_c)_i: the recursion seeded with the piece's
-    unit vectors.  With phi(x) = trace(L_x), the pairing with the quantum
-    Euler class (Abrams), trace(L_a L_b) = phi(a b), so Gram row a is
-    t^T L_a: the transposed recursion seeded with t alone.  Every basis
-    label must have an operator; the section's beta raises.
+    t^T = sum over labels lam of e_lam^T L_lam (trace_row), so t_c = sum
+    over i of (L_i e_c)_i, which commutativity (L_i e_c = L_c e_i) makes
+    trace(L_c).  Multiplication by c shifts the residue of the degree mod r
+    by |c| (the constructor's require_graded checks this), so t vanishes off
+    the residue-0 piece, and a nonzero there raises.  With phi(x) =
+    trace(L_x), the pairing with the quantum Euler class (Abrams),
+    trace(L_a L_b) = phi(a b), so Gram row a is t^T L_a: the label
+    recursion seeded with t alone.  Every basis label must have an
+    operator; the section's beta raises.
 
     With shifted=True the Gram matrix is composed with multiplication by
-    e_1, G E_1: row a is w^T L_a with w = E_1^T t, the transposed recursion
+    e_1, G E_1: row a is w^T L_a with w = E_1^T t, the label recursion
     seeded with w.  A label with no operator is then left out of the sum
     for t and gets an empty row.  This is the section's perp-subalgebra form
     (section.perp_subalgebra_semisimple): there e_1 kills beta, so t^T x
     is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
     """
     dim = len(alg.basis)
-    piece = alg.pieces[0]
-    images = label_recursion(alg, [{c: 1} for c in piece])
-    if len(images) != dim and not shifted:
+    if len(alg.plan) + 1 != dim and not shifted:
         raise InternalConsistencyError("the trace form needs every basis class's operator")
-    t = [0] * dim
-    for j, c in enumerate(piece):
-        t[c] = sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis) if lab in images)
-    seed = linalg.sparse_rows([t])
+    row = trace_row(alg)
+    piece = set(alg.pieces[0])
+    if any(c not in piece for c in row):
+        raise InternalConsistencyError("the trace vector has a nonzero off the residue-0 piece")
+    seed = [row]
     if shifted:
         seed = linalg.sparse_mul_sum([(1, seed, alg.e_ops[1])])
-    rows = label_recursion(alg, seed, transposed=True)
-    return t, [rows[lab][0] if lab in rows else {} for lab in alg.basis]
+    rows = label_recursion(alg, seed)
+    return [row.get(c, 0) for c in range(dim)], [rows[lab][0] if lab in rows else {} for lab in alg.basis]
 
 
 def residue_blocks(alg: GradedAlgebra, shift: int = 0, keep=None) -> list[tuple[list[int], list[int]]]:

@@ -73,16 +73,16 @@ screen.screen); a witness decides "not semisimple" and no ring is built
 beta; each verdict below is a function of that ring, not of (k, n).  A ring
 with no beta (n = 7) has an operator for every class, so
 full_ring_semisimple(ring) decides it as quantum.qh_semisimple decides
-Gr(k, n), from the trace vector and two thin label recursions
-(quantum.trace_form_rows), block by block (quantum.trace_form_nonsingular):
-"trace-form".  A ring A with beta (n = 8) has no
-operator for beta, since beta * beta is undetermined, so
+Gr(k, n), from the trace vector of a reverse pass over the label plan and
+one thin label recursion (quantum.trace_form_rows), block by block
+(quantum.trace_form_nonsingular): "trace-form".  A ring A with beta (n = 8)
+has no operator for beta, since beta * beta is undetermined, so
 perp_subalgebra_semisimple(ring) tests the trace form on the perp subalgebra
-S = A / R, R = ker e_1 the radical, by the same two runs, and the radical's
-half of the verdict rests on the source's external monodromy argument:
-"trace-form+monodromy".  No command builds a section label operator.  On
-n = 7 the radical is empty and S is the whole ring, so the tests run both
-routes there and compare them.
+S = A / R, R = ker e_1 the radical, by the same pass and run, and the
+radical's half of the verdict rests on the source's external monodromy
+argument: "trace-form+monodromy".  No command builds a section label
+operator.  On n = 7 the radical is empty and S is the whole ring, so the
+tests run both routes there and compare them.
 
 The perp route rests on this argument.  R = ker E_1 is an ideal, since
 E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.
@@ -332,9 +332,10 @@ def perp_subalgebra_semisimple(ring: SectionRing) -> tuple[bool, int, int]:
 def full_ring_semisimple(ring: SectionRing) -> bool:
     """Trace-form test on the whole section ring it is given, the verdict of
     a ring with no beta: det trace(L_a L_b) != 0, decided on the residue
-    blocks rho against -rho of the Gram matrix from two thin label
-    recursions (quantum.trace_form_nonsingular), as for Gr(k, n), and no
-    label operator built.  Every label operator is a polynomial in e_1,
+    blocks rho against -rho of the Gram matrix from a reverse pass over the
+    label plan and one thin label recursion
+    (quantum.trace_form_nonsingular), as for Gr(k, n), and no label
+    operator built.  Every label operator is a polynomial in e_1,
     e_2, e_3, whose commutativity the ring build asserted.  beta has no
     operator, so a ring with beta, which no command sends here, raises
     InternalConsistencyError."""

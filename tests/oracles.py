@@ -33,7 +33,7 @@ route:
 - perp_route_semisimple decides the trace form of the subalgebra
   S = sum over i < r of e_1^i P generated by P and e_1 on P alone, by the
   det G_S identity: perp_piece_operators reads the p x p operators of P and
-  e_1^r off the label recursion seeded with the perp vectors, and
+  e_1^r off forward_label_recursion seeded with the perp vectors, and
   quantum.semisimple_test takes their Gram matrix by definition.
   perp_subalgebra_basis and perp_subalgebra_operators build the whole of S,
   with one operator per basis vector e_1^i v_j.  Production decides S as
@@ -54,12 +54,17 @@ route:
   dense_square makes a square operator given as sparse rows, such as an
   e-operator or a Pieri matrix, dense for that algebra.
   mat_vec is the dense matrix-vector product; production applies operators
-  to thin blocks of sparse rows.
+  to thin blocks of sparse rows.  sparse_rows turns a dense matrix into
+  sparse rows; no command needs that.
 - trace_form_gram takes the Gram matrix trace(L_a L_b) of a regular
   representation from its operators through the trace vector;
-  quantum.trace_form_rows takes it from two thin label recursions and
-  builds no operator, and quantum.semisimple_test takes it by definition,
-  one linalg.trace_product per pair.
+  quantum.trace_form_rows takes it from a reverse pass over the label plan
+  and one thin label recursion and builds no operator, and
+  quantum.semisimple_test takes it by definition, one linalg.trace_product
+  per pair.  trace_vector_forward takes the trace vector from the images
+  L_lam e_c of forward_label_recursion, seeded with the residue-0 piece's
+  unit vectors; quantum.trace_row takes it by one reverse pass over the
+  plan, and quantum.label_recursion runs the plan on rows s^T L_lam.
 - label_degree and label_piece read a label's degree and a residue piece
   off the labels, beta's degree dim Y / 2 among them; production passes
   GradedAlgebra the degrees and reads alg.pieces.
@@ -155,7 +160,6 @@ from qhgrass.quantum import (
     GradedAlgebra,
     commuting,
     grassmannian,
-    label_recursion,
     pieri_matrix,
     schubert_basis,
     semisimple_test,
@@ -348,6 +352,13 @@ def dense_square(op: list[dict]) -> Matrix:
     return linalg.dense(op, len(op))
 
 
+def sparse_rows(a: Matrix) -> list[dict]:
+    """a's rows as {column: value} over their nonzeros; like the dense
+    readers of linalg it refuses sparse rows."""
+    linalg._require_dense(a)
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
 def mat_vec(a: Matrix, v: list) -> list:
     """a v for a dense matrix a and a dense vector v; like the dense readers
     of linalg it refuses sparse rows."""
@@ -394,6 +405,35 @@ def trace_form_gram(ops: list[Matrix]) -> Matrix:
     t = [linalg.trace(op) for op in ops]
     # the matrix with rows ops[a][c] (over a), weighted by t_c, summed over c
     return mat_combine([(tc, [op[c] for op in ops]) for c, tc in enumerate(t)])
+
+
+def forward_label_recursion(alg, seed: list[dict]) -> dict:
+    """L_lam S for every partition label lam, stored seed-major: row j the
+    image L_lam s_j of s_j = seed[j], from the plan's steps
+    L_lam s = E_p (L_lam' s) + sum c L_mu s, stepped through E_p's columns
+    (alg.columns).  quantum.label_recursion runs the same plan on rows,
+    s^T L_lam, against E_p's rows."""
+    unit = [{j: 1} for j in range(len(seed))]
+    ops = {(): seed}
+    for lam, p, lam_prime, corrections in alg.plan:
+        terms = [(c, unit, ops[mu]) for mu, c in corrections]
+        ops[lam] = linalg.sparse_mul_sum([(1, ops[lam_prime], alg.columns[p])] + terms)
+    return ops
+
+
+def trace_vector_forward(alg) -> list:
+    """The trace vector t_c = sum over i of (L_i e_c)_i on the residue-0
+    piece, 0 elsewhere, from forward_label_recursion seeded with the
+    piece's unit vectors: s rows per label, s the piece's size.  Labels without an
+    operator (the section's beta) are left out of the sum, and an integral
+    sum of Fractions is an int.  quantum.trace_row takes the whole row sum
+    e_i^T L_i in one reverse pass over the plan, one row per label."""
+    piece = alg.pieces[0]
+    images = forward_label_recursion(alg, [{c: 1} for c in piece])
+    t = [0] * len(alg.basis)
+    for j, c in enumerate(piece):
+        t[c] = linalg._integral(sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis) if lab in images))
+    return t
 
 
 # -- exact linear systems -------------------------------------------------------
@@ -1235,7 +1275,7 @@ def classical_grassmannian(box: Box) -> GradedAlgebra:
     """H*(Gr(k, n)), QH at q = 0: Gr(k, n)'s basis with the cup products C_p
     as e-operators."""
     alg = grassmannian(box)
-    e_ops = {p: linalg.sparse_rows(cup_matrix(box, p)) for p in range(1, box.k + 1)}
+    e_ops = {p: sparse_rows(cup_matrix(box, p)) for p in range(1, box.k + 1)}
     return GradedAlgebra(box, alg.basis, alg.degrees, alg.r, e_ops)
 
 
@@ -1414,7 +1454,7 @@ def radical_by_power(alg, pairing: Matrix) -> tuple[list[dict], list[list]]:
     as the sparse rows of its reduced echelon basis, plus its perp space for
     the pairing (perp_space); section.radical_and_perp takes ker e_1,
     certified by the pairing."""
-    rad = linalg.sparse_rows(linalg.kernel_basis(linalg.mat_pow(dense_square(alg.e_ops[1]), len(alg.basis))))
+    rad = sparse_rows(linalg.kernel_basis(linalg.mat_pow(dense_square(alg.e_ops[1]), len(alg.basis))))
     return rad, perp_space(alg, rad, pairing)
 
 
@@ -1592,7 +1632,7 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
     perp space P in the basis perp (p x p each, p = len(perp)).
 
     No label operator is built.  The label recursion seeded with v_1..v_p
-    (quantum.label_recursion) gives, seed-major, the rows L_lab v_j for every
+    (forward_label_recursion) gives, seed-major, the rows L_lab v_j for every
     label, and v_i * v_j = sum over lab of v_i[lab] L_lab v_j; perp vectors
     have no beta coordinate.
 
@@ -1615,7 +1655,7 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
             coords.append(x)
         return [list(row) for row in zip(*coords)]
 
-    on_perp = label_recursion(ring, linalg.sparse_rows(perp))
+    on_perp = forward_label_recursion(ring, sparse_rows(perp))
     unit = [{j: 1} for j in range(len(perp))]
     generators = []
     for v in perp:
@@ -1652,7 +1692,7 @@ def perp_route_semisimple(k: int, n: int) -> tuple[bool, int, int]:
     ring = build_ring(k, n)
     rad = radical_and_perp(ring)
     generators, shift = perp_piece_operators(ring, perp_space(ring, rad, dense_square(ring.pairing)))
-    if not commuting([linalg.sparse_rows(op) for op in generators + [shift]]):
+    if not commuting([sparse_rows(op) for op in generators + [shift]]):
         raise InternalConsistencyError("the perp subalgebra's generators do not commute")
     ok = semisimple_test(generators) and linalg.det_bareiss(shift) != 0
     return ok, ring.r * len(generators), len(rad)

@@ -23,6 +23,7 @@ from oracles import (
     rank,
     solve,
     sparse_combine,
+    sparse_rows,
     trace_form_gram,
     unipoly_div_exact,
     unipoly_divmod,
@@ -321,9 +322,9 @@ def test_dense_readers_refuse_sparse_rows():
     with pytest.raises(TypeError, match="sparse rows"):
         mat_vec(square, rows[0])
     with pytest.raises(TypeError, match="sparse rows"):
-        linalg.sparse_rows(rows)
+        sparse_rows(rows)
     # their dense forms are read as before
-    assert linalg.sparse_rows(square) == rows
+    assert sparse_rows(square) == rows
     assert mat_vec(square, [1] + [0] * (len(rows) - 1)) == [row.get(0, 0) for row in rows]
 
 
@@ -487,6 +488,64 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
 
 
 @st.composite
+def _graded_form(draw):
+    # a form on residue pieces mod r that vanishes off the blocks of residue
+    # rho against shift - rho, often symmetric, sometimes with one entry of
+    # a mirrored block changed
+    r, shift = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    sizes = [draw(st.integers(0, 3)) for _ in range(r)]
+    starts = [sum(sizes[:rho]) for rho in range(r)]
+    pieces = [list(range(start, start + size)) for start, size in zip(starts, sizes)]
+    blocks = [(pieces[rho], pieces[(shift - rho) % r]) for rho in range(r)]
+    d = sum(sizes)
+    a = [[0] * d for _ in range(d)]
+    for block_rows, cols in blocks:
+        for i in block_rows:
+            for j in cols:
+                a[i][j] = draw(st.sampled_from([0, 1, 1, 2, -1, Fraction(1, 2)]))
+    if draw(st.booleans()):
+        a = [[a[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+    entries = [(i, j) for block_rows, cols in blocks for i in block_rows for j in cols]
+    if entries and draw(st.booleans()):
+        i, j = draw(st.sampled_from(entries))
+        a[i][j] = draw(st.sampled_from([0, 1, 3]))
+    return a, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graded_form())
+def test_block_nonsingular_is_the_determinant_test(case):
+    # mirrored blocks share a determinant only when they are transposes
+    # entry by entry, so the shortcut never changes the verdict
+    a, blocks = case
+    assert linalg.block_nonsingular(sparse_rows(a), blocks) == (linalg.det_bareiss(a) != 0)
+
+
+def _counting_bareiss(monkeypatch) -> list:
+    calls, original = [], linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda a, divide: calls.append(len(a)) or original(a, divide))
+    return calls
+
+
+def test_a_mirrored_block_reuses_the_determinant_only_when_it_is_the_transpose(monkeypatch):
+    calls = _counting_bareiss(monkeypatch)
+    blocks = [([0, 1], [2, 3]), ([2, 3], [0, 1])]
+    symmetric = [{2: 1, 3: 2}, {2: 3, 3: 4}, {0: 1, 1: 3}, {0: 2, 1: 4}]
+    assert linalg.block_nonsingular(symmetric, blocks) and calls == [2]
+    # the mirror of a nonsingular block differs and is singular: still False
+    calls.clear()
+    differ = [{2: 1, 3: 2}, {2: 3, 3: 4}, {0: 1, 1: 2}, {0: 2, 1: 4}]
+    assert not linalg.block_nonsingular(differ, blocks) and calls == [2, 2]
+    # ... and a mirror that differs but is nonsingular is decided by its own
+    calls.clear()
+    assert linalg.block_nonsingular([{2: 1, 3: 2}, {2: 3, 3: 4}, {0: 1, 1: 5}, {0: 2, 1: 4}], blocks)
+    assert calls == [2, 2]
+    # a block on the diagonal has no mirror but itself, decided once
+    calls.clear()
+    assert not linalg.block_nonsingular([{0: 1, 1: 2}, {0: 2, 1: 4}], [([0, 1], [0, 1])]) and calls == [2]
+
+
+@st.composite
 def _product_pair(draw):
     rows, inner, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     a = [[draw(_scalars) for _ in range(inner)] for _ in range(rows)]
@@ -524,7 +583,7 @@ def _types(a) -> list:
 def test_sparse_product_equals_mat_mul_entry_types_included(case):
     a, b, c, extra = case
     cols = len(b[0])
-    product = linalg.sparse_mul_sum([(1, linalg.sparse_rows(a), linalg.sparse_rows(b))])
+    product = linalg.sparse_mul_sum([(1, sparse_rows(a), sparse_rows(b))])
     expected = linalg.mat_mul(a, b)
     got = linalg.dense(product, cols)
     assert got == expected and _types(got) == _types(expected)
@@ -532,9 +591,9 @@ def test_sparse_product_equals_mat_mul_entry_types_included(case):
     # a term (c, I, m) adds c * m: the label recursion's corrections, fused
     unit = [{i: 1} for i in range(len(a))]
     combined = linalg.sparse_mul_sum(
-        [(1, linalg.sparse_rows(a), linalg.sparse_rows(b)), (c, unit, linalg.sparse_rows(extra))]
+        [(1, sparse_rows(a), sparse_rows(b)), (c, unit, sparse_rows(extra))]
     )
-    assert combined == sparse_combine([(c, linalg.sparse_rows(extra))], product)
+    assert combined == sparse_combine([(c, sparse_rows(extra))], product)
     expected = mat_combine([(c, extra)], expected)
     got = linalg.dense(combined, cols)
     assert got == expected and _types(got) == _types(expected)

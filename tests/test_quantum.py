@@ -31,11 +31,13 @@ from oracles import (
     restrict,
     sigma1_triple_integral,
     sigma_e_polynomial,
+    sparse_rows,
     star,
     star_schubert,
     symbolic_e_ops,
     symbolic_label_ops,
     trace_form_gram,
+    trace_vector_forward,
     vector,
     vertical_strip_additions,
 )
@@ -732,9 +734,9 @@ def test_semisimple_test_nilpotent_algebra(monkeypatch):
     # semisimple_test takes commutativity from its callers, who assert it on
     # generators: every algebra's constructor on e_1..e_k ...
     bad = [[0, 1], [0, 0]]
-    assert not commuting([linalg.sparse_rows(x), linalg.sparse_rows(bad)])
+    assert not commuting([sparse_rows(x), sparse_rows(bad)])
     gr12 = grassmannian(Box(1, 2))
-    e_ops = {1: linalg.sparse_rows(x), 2: linalg.sparse_rows(bad)}
+    e_ops = {1: sparse_rows(x), 2: sparse_rows(bad)}
     with pytest.raises(InternalConsistencyError, match="do not commute"):
         GradedAlgebra(gr12.box, gr12.basis, gr12.degrees, gr12.r, e_ops)
     # ... and the oracle's perp route on the perp generators and e_1^r, both ways
@@ -751,8 +753,8 @@ def test_qh_semisimple_small():
 
 @pytest.mark.parametrize("box", BOXES_9, ids=str)
 def test_trace_vector_and_gram_match_the_label_operators(box):
-    # the two thin runs against the dense route: t_c = trace(L_c), and
-    # trace_form_gram's rows t^T L_a, exactly
+    # the reverse pass and the thin run against the dense route:
+    # t_c = trace(L_c), and trace_form_gram's rows t^T L_a, exactly
     alg = grassmannian(box)
     t, gram = trace_form_rows(alg)
     ops = [alg.label_ops[lab] for lab in alg.basis]
@@ -761,6 +763,58 @@ def test_trace_vector_and_gram_match_the_label_operators(box):
     # t vanishes off the residue-0 piece
     piece = set(label_piece(alg))
     assert not any(tc for tc, lab in zip(t, alg.basis) if lab not in piece)
+
+
+@pytest.mark.parametrize("box", BOXES_9, ids=str)
+def test_the_reverse_pass_is_the_forward_trace_vector(box):
+    # one row per label, against the run seeded with the residue-0 piece's
+    # unit vectors, value for value and type for type
+    alg = grassmannian(box)
+    typed = lambda v: [(type(x), x) for x in v]
+    assert typed(trace_form_rows(alg)[0]) == typed(trace_vector_forward(alg))
+
+
+@pytest.mark.parametrize("n, shifted", [(7, False), (7, True), (8, True)])
+def test_the_reverse_pass_is_the_forward_trace_vector_on_a_section(n, shifted):
+    # (3, 8): beta has no operator and is left out of both sums; its entry,
+    # in the residue-0 piece, is 0 both ways.  The forward sums of
+    # Fractions there are integral at three labels, which are ints both ways
+    ring = section.build_ring(3, n)
+    typed = lambda v: [(type(x), x) for x in v]
+    t, _ = trace_form_rows(ring, shifted)
+    assert typed(t) == typed(trace_vector_forward(ring))
+    if n == 8:
+        assert t[ring.index[section.BETA]] == 0
+        assert any(type(x) is Fraction for op in ring.e_ops.values() for row in op for x in row.values())
+
+
+def test_a_trace_vector_off_the_residue_0_piece_exits_1(capsys, monkeypatch):
+    from qhgrass import cli
+
+    # a plan step whose correction has the wrong degree, L_(1) = E_1 + I,
+    # puts a nonzero of t^T = sum e_lam^T L_lam on sigma_1, off the piece;
+    # no constructor makes such a plan, since each correction is read off a
+    # graded Pieri image
+    alg = copy.copy(grassmannian(Box(2, 4)))
+    (lam, p, lam_prime, corrections), *rest = alg.plan
+    assert (lam, lam_prime) == ((1,), ())
+    alg.plan = ((lam, p, lam_prime, corrections + (((), 1),)), *rest)
+    with pytest.raises(InternalConsistencyError, match="the trace vector has a nonzero off the residue-0 piece"):
+        trace_form_rows(alg)
+    monkeypatch.setattr(quantum, "grassmannian", lambda box: alg)
+    assert cli.run(["qh", "semisimple", "--k", "2", "--n", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == "internal consistency failure: the trace vector has a nonzero off the residue-0 piece\n"
+
+
+def test_a_symmetric_gram_decides_each_mirrored_pair_of_blocks_once(monkeypatch):
+    # Gr(5, 10): residues 0 and 5 are their own mirrors, and 1-9, 2-8, 3-7
+    # and 4-6 pair off, so 6 of the 10 residue blocks take a determinant
+    calls, original = [], linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda a, divide: calls.append(len(a)) or original(a, divide))
+    alg = grassmannian(Box(5, 10))
+    assert quantum.trace_form_nonsingular(alg)
+    assert len(calls) == 6 and sorted(calls) == sorted(len(alg.pieces[rho]) for rho in (0, 1, 2, 3, 4, 5))
 
 
 @pytest.mark.parametrize("box", BOXES_8, ids=str)
@@ -858,23 +912,23 @@ def test_every_e_operator_is_sparse_rows_with_no_zero_value():
 
 
 def test_no_command_converts_a_whole_e_operator(capsys, monkeypatch):
-    # every reader takes the e-operators as sparse rows, and the Gram matrix
-    # is sparse rows too, so these commands make no sparse row dense and
-    # make one dense row sparse: the trace vector, once per verdict
+    # every reader takes the e-operators as sparse rows, the trace vector
+    # comes out of the reverse pass as one, and the Gram matrix is sparse
+    # rows too, so these commands make no sparse row dense, and linalg has
+    # no converter the other way
     from qhgrass import cli
 
-    sizes = {"sparse_rows": [], "dense": []}
-    for name in sizes:
-        original = getattr(linalg, name)
-        monkeypatch.setattr(
-            linalg, name, lambda rows, *args, f=original, n=name: sizes[n].append(len(rows)) or f(rows, *args))
+    sizes = []
+    original = linalg.dense
+    monkeypatch.setattr(linalg, "dense", lambda rows, *args: sizes.append(len(rows)) or original(rows, *args))
     grassmannian.cache_clear()
     section.build_ring.cache_clear()
     for argv in (["qh", "semisimple", "--k", "4", "--n", "8"], ["qh", "presentation", "--k", "4", "--n", "8"],
-                 ["qh", "lefschetz", "--n", "8"], ["qh", "semisimple", "--section", "--k", "3", "--n", "7"]):
+                 ["qh", "lefschetz", "--n", "8"], ["qh", "semisimple", "--section", "--k", "3", "--n", "7"],
+                 ["qh", "semisimple", "--section", "--k", "3", "--n", "8"]):
         assert cli.run(argv + ["--format", "json"]) == 0, argv
     assert not capsys.readouterr().err
-    assert sizes == {"sparse_rows": [1, 1], "dense": []}
+    assert sizes == [] and not hasattr(linalg, "sparse_rows")
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from oracles import (
     evaluate_e_polynomials,
     h_relations_on_every_unit_vector,
     label_degree,
-    label_piece,
     lift_operator,
     mat_combine,
     mat_vec,
@@ -40,6 +39,7 @@ from oracles import (
     section_pieri,
     sigma_e_polynomial,
     solve,
+    sparse_rows,
     star_e,
     symbolic_e_ops,
     symbolic_label_ops,
@@ -478,27 +478,35 @@ def test_shifted_gram_of_a_section_ring():
     assert shifted == [list(col) for col in zip(*shifted)]
 
 
-def test_the_38_verdict_makes_two_thin_label_runs(capsys, monkeypatch):
-    # as for Gr(k, n): one run seeded with the residue-0 unit vectors, one
-    # transposed run seeded with a single vector; no label operator, no
+def test_the_38_verdict_makes_one_reverse_pass_and_one_thin_label_run(capsys, monkeypatch):
+    # as for Gr(k, n): one reverse pass over the plan for the trace vector,
+    # one row per label, then one label run on rows seeded with a single
+    # vector; no run on the piece's unit vectors, no label operator, no
     # trace_product
     from qhgrass import cli
 
     calls = []
-    recursion = quantum.label_recursion
+    recursion, reverse = quantum.label_recursion, quantum.trace_row
 
-    def recording(alg, seed, transposed=False):
-        calls.append(("run", len(seed), transposed))
-        return recursion(alg, seed, transposed)
+    def recording(alg, seed):
+        calls.append(("run", len(seed)))
+        return recursion(alg, seed)
+
+    def reverse_recording(alg):
+        calls.append(("reverse pass", len(alg.plan)))
+        return reverse(alg)
 
     monkeypatch.setattr(quantum, "label_recursion", recording)
+    monkeypatch.setattr(quantum, "trace_row", reverse_recording)
     monkeypatch.setattr(quantum, "mult_operators", lambda *args: calls.append(("label operators", args)))
     monkeypatch.setattr(linalg, "trace_product", lambda *args: calls.append(("trace_product", args)))
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert '"semisimple": true' in out and not err
-    piece = len(label_piece(build_ring(3, 8)))
-    assert calls == [("run", piece, False), ("run", 1, True)]
+    ring = build_ring(3, 8)
+    # every basis label but beta has a plan step, or is the unit
+    assert len(ring.plan) == len(ring.basis) - 2
+    assert calls == [("reverse pass", len(ring.plan)), ("run", 1)]
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -849,7 +857,7 @@ def test_a_pairing_degenerate_on_ker_e1_exits_1(capsys, monkeypatch):
     e1 = dense_square(ring.e_ops[1])
     pairing = linalg.mat_mul(dense_square(ring.pairing), e1)
     assert linalg.mat_mul(pairing, e1) == linalg.mat_mul([list(col) for col in zip(*e1)], pairing)
-    ring.pairing = linalg.sparse_rows(pairing)
+    ring.pairing = sparse_rows(pairing)
     monkeypatch.setattr(section, "build_ring", lambda *args: ring)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
@@ -862,15 +870,22 @@ def test_a_degenerate_section_pairing_exits_1(capsys, monkeypatch):
     # with the point class's row of C_1 cleared, s_1 cup s_a never reaches
     # the point, so no class pairs with the unit: its column of the pairing
     # is zero
-    pairing = SectionRing._pairing
+    pairing, made = SectionRing._pairing, []
 
     def cleared(self, index, cup1):
         point = self._ambient_index[self.box.dual(())]
-        return pairing(self, index, [{} if i == point else row for i, row in enumerate(cup1)])
+        made.append(pairing(self, index, [{} if i == point else row for i, row in enumerate(cup1)]))
+        return made[-1]
 
     monkeypatch.setattr(SectionRing, "_pairing", cleared)
     with pytest.raises(InternalConsistencyError, match="section Poincare pairing is degenerate"):
         SectionRing(3, 7)
+    # the unit's row still pairs it with the top degree, so the block of
+    # degree 0 against dim Y is nonsingular and decided first; its mirror
+    # differs from its transpose and is singular, and is decided by its own
+    # determinant
+    (rows,) = made
+    assert rows[0] and not any(0 in row for row in rows)
     build_ring.cache_clear()
     assert cli.run(["qh", "lefschetz", "--n", "7"]) == 1
     out, err = capsys.readouterr()
