@@ -6,6 +6,10 @@ it, every integer in full, with the bytes json.dumps(doc, indent=2) gives,
 through the small writer _json; --format table renders it through a pure
 function of the document, so the two modes always agree.
 
+Every decision arrives as a screen.Verdict, put into its document here
+alone: a screen's outcome is Witness exactly when holds is False, and
+_detail words a semisimplicity verdict's certificate.
+
 One table, COMMANDS, names every command's help, arguments, handler and table
 renderer.  A run reads a well-formed command line straight from that table,
 with no argparse parser, since building one costs more than most commands
@@ -109,12 +113,35 @@ def _verdict_payload(profile: screen.BettiProfile) -> dict:
         "label": profile.label,
         "index": profile.index,
         "even_betti": list(profile.even_betti),
-        "outcome": verdict.outcome,
+        "outcome": screen.WITNESS if verdict.holds is False else screen.NO_OBSTRUCTION,
     }
-    if verdict.witness:
-        i, d, lhs, rhs = verdict.witness
-        payload["witness"] = {"i": i, "d": d, "lhs": lhs, "rhs": rhs}
+    if verdict.certificate:
+        payload["witness"] = dict(zip(("i", "d", "lhs", "rhs"), verdict.certificate))
     return payload
+
+
+def _detail(verdict: screen.Verdict, r: int) -> str:
+    """The detail line of a semisimplicity verdict, worded from its
+    certificate; r is the degree of q, which places a screen witness's d*i.
+    The ambient trace form has no certificate and an empty detail."""
+    cert = verdict.certificate
+    if verdict.method == "betti-screen" and len(cert) == 3:
+        i, pos, neg = cert
+        return f"tilde_b({i})={pos} != tilde_b(-{i})={neg}"
+    if verdict.method == "betti-screen":
+        i, d, lhs, rhs = cert
+        return f"tilde_b({i})={lhs} > tilde_b({d * i % r})={rhs}"
+    if cert is None:
+        return ""
+    if verdict.method == "trace-form":
+        if verdict.holds is False:
+            return "degenerate trace form"
+        return f"nondegenerate trace form on the {cert[0]}-dimensional ring"
+    if verdict.holds is False:
+        return "degenerate trace form on the perp subalgebra"
+    sub_dim, rad_dim = cert
+    return (f"nondegenerate trace form on the {sub_dim}-dimensional perp subalgebra; "
+            f"{rad_dim}-dimensional radical semisimple by the external monodromy argument")
 
 
 def _cmd_screen(args) -> dict:
@@ -254,15 +281,10 @@ def _cmd_qh_lefschetz(args) -> dict:
 def _cmd_qh_semisimple(args) -> dict:
     inputs = {"k": args.k, "n": args.n, "section": args.section}
     if args.section:
-        report = section.section_semisimplicity(args.k, args.n)
-        results = {
-            "semisimple": report.semisimple,
-            "method": report.method,
-            "detail": report.detail,
-        }
+        verdict = section.section_semisimplicity(args.k, args.n)
     else:
-        ok = quantum.qh_semisimple(_ambient_box(args))
-        results = {"semisimple": bool(ok), "method": "trace-form", "detail": ""}
+        verdict = screen.Verdict(quantum.qh_semisimple(_ambient_box(args)), "trace-form", None)
+    results = {"semisimple": verdict.holds, "method": verdict.method, "detail": _detail(verdict, args.n - 1)}
     return _document("qh semisimple", inputs, results)
 
 

@@ -75,7 +75,7 @@ from math import prod
 
 from .errors import InternalConsistencyError, InvalidInputError
 from .partitions import bounded_box_count, box_counts
-from .screen import BettiProfile
+from .screen import BettiProfile, Verdict
 
 # accepted and echoed by the CLI; no computation depends on it
 DEFAULT_SEED = 20250809
@@ -244,27 +244,21 @@ def diamond(k: int, n: int) -> HodgeDiamond:
     return result
 
 
-# method: "middle-row-jump" (fast path) or "diamond"
-HodgeTateCertificate = namedtuple("HodgeTateCertificate", "method detail")
-
-
-def is_hodge_tate(k: int, n: int) -> tuple[bool, HodgeTateCertificate]:
+def is_hodge_tate(k: int, n: int) -> Verdict:
     """Whether the hyperplane section of Gr(k, n) has only (p,p) cohomology.
 
-    When dim Gr(k, n) > 2n the answer is no with the middle-row Hodge number
-    h^{dim X - n, n - 1} = 1 as certificate, without computing chi_y; the
-    borderline dim = 2n cases go through the full diamond.
+    When dim Gr(k, n) > 2n the answer is no, "middle-row-jump", certified by
+    the middle-row Hodge number h^{dim X - n, n - 1} = 1 as (dim X - n, n - 1,
+    1), without computing chi_y; the rest go through the full diamond,
+    "diamond", certified by its middle-row (p, q, h) off the diagonal.
     """
     if n < 2 * k:
         raise InvalidInputError(f"assume n >= 2k (use the dual side), got k={k}, n={n}")
     dim_x = k * (n - k)
     if dim_x > 2 * n:
-        return False, HodgeTateCertificate("middle-row-jump", (dim_x - n, n - 1, 1))
-    dia = diamond(k, n)
-    off = dia.middle_off_diagonal()
-    if off:
-        return False, HodgeTateCertificate("diamond", tuple(off))
-    return True, HodgeTateCertificate("diamond", ())
+        return Verdict(False, "middle-row-jump", (dim_x - n, n - 1, 1))
+    off = tuple(diamond(k, n).middle_off_diagonal())
+    return Verdict(not off, "diamond", off)
 
 
 def section_profile(k: int, n: int) -> BettiProfile:

@@ -5,6 +5,10 @@ have tilde_b(i) <= tilde_b(d*i) for all residues i mod r and all d >= 1, where
 tilde_b sums even Betti numbers over residue classes of complex degree modulo
 the Fano index r.  The screen searches for a violating pair; finding one is a
 proof of non-semisimplicity, finding none proves nothing.
+
+Every decision is one record, Verdict(holds, method, certificate): holds is
+True or False when the method decides and None when it does not, and the
+certificate is plain ints and tuples, never prose; the CLI words it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from collections import namedtuple
 from .errors import InvalidInputError
 from .rootdata import DynkinType, GrassmannianId, dimension, fano_index, poincare_polynomial
 
+# the screen's outcome as its documents name it: holds None, holds False
 NO_OBSTRUCTION = "NoObstruction"
 WITNESS = "Witness"
 
@@ -31,13 +36,7 @@ class BettiProfile(namedtuple("BettiProfile", "even_betti index label")):
         return super().__new__(cls, even_betti, index, label)
 
 
-# witness: (i, d, lhs, rhs), or None
-class ScreenVerdict(namedtuple("ScreenVerdict", "outcome witness", defaults=(None,))):
-    __slots__ = ()
-
-    @property
-    def is_witness(self) -> bool:
-        return self.outcome == WITNESS
+Verdict = namedtuple("Verdict", "holds method certificate")
 
 
 def periodic_betti(profile: BettiProfile) -> dict[int, int]:
@@ -49,8 +48,10 @@ def periodic_betti(profile: BettiProfile) -> dict[int, int]:
     return out
 
 
-def screen(profile: BettiProfile) -> ScreenVerdict:
-    """Search for tilde_b(i) > tilde_b(d*i); first hit in lexicographic (i, d).
+def screen(profile: BettiProfile) -> Verdict:
+    """Search for tilde_b(i) > tilde_b(d*i); the first hit in lexicographic
+    (i, d) is the certificate (i, d, lhs, rhs) of holds False, and no hit
+    leaves holds None.
 
     d only needs to range over [1, r] since d*i mod r is r-periodic in d, so
     the search is finite and complete.
@@ -61,8 +62,20 @@ def screen(profile: BettiProfile) -> ScreenVerdict:
         for d in range(1, r + 1):
             lhs, rhs = tb[i], tb[(d * i) % r]
             if lhs > rhs:
-                return ScreenVerdict(WITNESS, (i, d, lhs, rhs))
-    return ScreenVerdict(NO_OBSTRUCTION)
+                return Verdict(False, "betti-screen", (i, d, lhs, rhs))
+    return Verdict(None, "betti-screen", None)
+
+
+def asymmetry(profile: BettiProfile) -> tuple[int, int, int] | None:
+    """The least i >= 1 with tilde_b(i) != tilde_b(-i), as (i, tilde_b(i),
+    tilde_b(-i)), or None.  The larger side violates the screen's
+    inequality at d = r - 1, so an asymmetry implies a witness."""
+    r = profile.index
+    tb = periodic_betti(profile)
+    for i in range(1, r):
+        if tb[i] != tb[-i % r]:
+            return i, tb[i], tb[-i % r]
+    return None
 
 
 def profile_of(g: GrassmannianId) -> BettiProfile:
@@ -70,46 +83,20 @@ def profile_of(g: GrassmannianId) -> BettiProfile:
     return BettiProfile(poincare_polynomial(g), fano_index(g), str(g))
 
 
-# The 13 exceptional G/P_k whose non-semisimplicity the screen certifies,
-# with the residue the source table displays (4 for F4/P4, 1 elsewhere).
-EXCEPTIONAL_WITNESS_CASES = (
-    ("E", 6, 2, 1),
-    ("E", 6, 4, 1),
-    ("E", 7, 1, 1),
-    ("E", 7, 3, 1),
-    ("E", 7, 6, 1),
-    ("E", 8, 1, 1),
-    ("E", 8, 2, 1),
-    ("E", 8, 3, 1),
-    ("E", 8, 5, 1),
-    ("E", 8, 7, 1),
-    ("E", 8, 8, 1),
-    ("F", 4, 3, 1),
-    ("F", 4, 4, 4),
-)
-
-# Exceptional cases where the screen finds nothing: four with unknown
-# semisimplicity, plus E8/P4 which is known non-semisimple by other means.
-EXCEPTIONAL_SILENT_CASES = (
-    ("E", 7, 2),
-    ("E", 7, 4),
-    ("E", 7, 5),
-    ("E", 8, 6),
-    ("E", 8, 4),
-)
-
+EXCEPTIONAL_TYPES = (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
 
 ExceptionalRow = namedtuple("ExceptionalRow", "label dim index residue tilde_b tilde_b_neg verdict")
 
 
 def exceptional_table() -> list[ExceptionalRow]:
-    """The 13-row table of screen witnesses among exceptional-type G/P_k."""
+    """The screen witnesses among the 27 exceptional-type G/P_k, in Dynkin
+    order, each with its asymmetry: residue 4 on F4/P4 and 1 on the other 12."""
     rows = []
-    for family, rank, node, residue in EXCEPTIONAL_WITNESS_CASES:
-        g = GrassmannianId(DynkinType(family, rank), node)
-        p = profile_of(g)
-        tb = periodic_betti(p)
-        lhs, rhs = tb[residue % p.index], tb[-residue % p.index]
-        verdict = WITNESS if lhs != rhs else NO_OBSTRUCTION
-        rows.append(ExceptionalRow(str(g), dimension(g), p.index, residue, lhs, rhs, verdict))
+    for family, rank in EXCEPTIONAL_TYPES:
+        for node in range(1, rank + 1):
+            g = GrassmannianId(DynkinType(family, rank), node)
+            p = profile_of(g)
+            if screen(p).holds is False:
+                i, lhs, rhs = asymmetry(p)
+                rows.append(ExceptionalRow(str(g), dimension(g), p.index, i, lhs, rhs, WITNESS))
     return rows

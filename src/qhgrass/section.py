@@ -66,23 +66,25 @@ modeled; beta gets no operator of its own, and every implemented operator is
 multiplication by a class generated by e_1, e_2, e_3, under which beta maps to
 zero.
 
-section_semisimplicity(k, n) chooses its route by what it finds, not by n.
-It screens the Betti numbers of Y first (hodge.section_profile,
-screen.screen); a witness decides "not semisimple" and no ring is built
-(n = 6).  With no witness it builds the ring once, and the route follows
-beta; each verdict below is a function of that ring, not of (k, n).  A ring
-with no beta (n = 7) has an operator for every class, so
+section_semisimplicity(k, n) returns a screen.Verdict and chooses its route
+by what it finds, not by n.  It screens the Betti numbers of Y first
+(hodge.section_profile, screen.screen); a witness decides holds False and no
+ring is built (n = 6), certified by screen.asymmetry when that is at i = 1
+and by the witness otherwise.  With no witness it builds the ring once, and
+the route follows beta; each verdict below is a function of that ring, not
+of (k, n).  A ring with no beta (n = 7) has an operator for every class, so
 full_ring_semisimple(ring) decides it as quantum.qh_semisimple decides
 Gr(k, n), from the trace vector of a reverse pass over the label plan and
 one thin label recursion (quantum.trace_form_rows), block by block
-(quantum.trace_form_nonsingular): "trace-form".  A ring A with beta (n = 8)
-has no operator for beta, since beta * beta is undetermined, so
+(quantum.trace_form_nonsingular): method "trace-form", certificate
+(dim A,).  A ring A with beta (n = 8) has
+no operator for beta, since beta * beta is undetermined, so
 perp_subalgebra_semisimple(ring) tests the trace form on the perp subalgebra
 S = A / R, R = ker e_1 the radical, by the same pass and run, and the
 radical's half of the verdict rests on the source's external monodromy
-argument: "trace-form+monodromy".  No command builds a section label
-operator.  On n = 7 the radical is empty and S is the whole ring, so the
-tests run both routes there and compare them.
+argument: method "trace-form+monodromy", certificate (dim S, dim R).  No
+command builds a section label operator.  On n = 7 the radical is empty and
+S is the whole ring, so the tests run both routes there and compare them.
 
 The perp route rests on this argument.  R = ker E_1 is an ideal, since
 E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.
@@ -107,7 +109,6 @@ n = 8.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -270,8 +271,6 @@ def lefschetz_relation_check(ring: SectionRing) -> bool:
     """Verify h_{n-2} = h_{n-1} = 0 and h_n = q e_1 (at q = 1, h_n = e_1) in
     the section ring of Gr(k, n), n read off ring.box: quantum.h_relation_check
     with T = E_1, seeded with the unit and beta (see quantum)."""
-    if ring.box.n not in (7, 8):
-        raise InvalidInputError("quantum Lefschetz identities implemented for n in {7, 8}")
     return h_relation_check(ring, ring.columns[1])
 
 
@@ -342,10 +341,7 @@ def full_ring_semisimple(ring: SectionRing) -> bool:
     return trace_form_nonsingular(ring)
 
 
-SemisimplicityReport = namedtuple("SemisimplicityReport", "k n semisimple method detail")
-
-
-def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
+def section_semisimplicity(k: int, n: int) -> screen.Verdict:
     """The verdict on QH(Y) for Y in Gr(k, n): a Betti witness decides it
     with no ring built; otherwise a ring with no beta gets the trace form of
     the whole ring, and one with beta the trace form of the perp subalgebra
@@ -357,26 +353,11 @@ def section_semisimplicity(k: int, n: int) -> SemisimplicityReport:
         raise InvalidInputError(f"no section semisimplicity report for ({k}, {n})")
     profile = hodge.section_profile(narrow, n)
     verdict = screen.screen(profile)
-    if verdict.is_witness:
-        r = profile.index
-        tb = screen.periodic_betti(profile)
-        if tb[1] != tb[-1 % r]:
-            detail = f"tilde_b(1)={tb[1]} != tilde_b(-1)={tb[-1 % r]}"
-        else:
-            i, d, lhs, rhs = verdict.witness
-            detail = f"tilde_b({i})={lhs} > tilde_b({d * i % r})={rhs}"
-        return SemisimplicityReport(k, n, False, "betti-screen", detail)
+    if verdict.holds is False:
+        asym = screen.asymmetry(profile)
+        return verdict._replace(certificate=asym) if asym and asym[0] == 1 else verdict
     ring = build_ring(narrow, n)
     if not ring.prim_dim:
-        ok = full_ring_semisimple(ring)
-        return SemisimplicityReport(
-            k, n, ok, "trace-form", f"nondegenerate trace form on the {len(ring.basis)}-dimensional ring"
-            if ok else "degenerate trace form",
-        )
+        return screen.Verdict(full_ring_semisimple(ring), "trace-form", (len(ring.basis),))
     ok, sub_dim, rad_dim = perp_subalgebra_semisimple(ring)
-    return SemisimplicityReport(
-        k, n, ok, "trace-form+monodromy",
-        f"nondegenerate trace form on the {sub_dim}-dimensional perp subalgebra; "
-        f"{rad_dim}-dimensional radical semisimple by the external monodromy argument"
-        if ok else "degenerate trace form on the perp subalgebra",
-    )
+    return screen.Verdict(ok, "trace-form+monodromy", (sub_dim, rad_dim))

@@ -5,6 +5,7 @@ no tolerances appear anywhere."""
 import time
 
 from oracles import (
+    EXCEPTIONAL_SILENT_CASES,
     ClassVector,
     UniPoly,
     charpoly_on_piece,
@@ -35,8 +36,6 @@ from qhgrass.quantum import (
 )
 from qhgrass.rootdata import DynkinType, GrassmannianId
 from qhgrass.screen import (
-    EXCEPTIONAL_SILENT_CASES,
-    NO_OBSTRUCTION,
     exceptional_table,
     periodic_betti,
     profile_of,
@@ -88,7 +87,7 @@ def test_criterion_2_no_obstruction_negatives():
     t0 = time.time()
     for fam, rank, node in EXCEPTIONAL_SILENT_CASES:
         g = GrassmannianId(DynkinType(fam, rank), node)
-        assert screen(profile_of(g)).outcome == NO_OBSTRUCTION, str(g)
+        assert screen(profile_of(g)).holds is None, str(g)
     _finish(2, "screen negatives incl. E8/P4", t0, 5)
 
 
@@ -146,16 +145,16 @@ def test_criterion_5_hodge_tate_classification():
         for k in range(1, 7):
             for n in range(2 * k, 13):
                 before = len(calls)
-                ht, cert = is_hodge_tate(k, n)
-                verdicts[(k, n)] = ht
-                if cert.method == "middle-row-jump":
+                verdict = is_hodge_tate(k, n)
+                verdicts[(k, n)] = verdict.holds
+                if verdict.method == "middle-row-jump":
                     assert len(calls) == before, f"fast path localized on ({k},{n})"
     finally:
         hodge.chi_y = original
     expected_true = {(1, n) for n in range(2, 13)} | {(2, n) for n in range(4, 13)} | {
         (3, 6), (3, 7), (3, 8),
     }
-    assert {key for key, ht in verdicts.items() if ht} == expected_true
+    assert {key for key, ht in verdicts.items() if ht is True} == expected_true
     assert all((k, n) in verdicts for k in range(1, 7) for n in range(2 * k, 13))
     _finish(5, "Hodge-Tate classification over n <= 12", t0, 120)
 
@@ -223,13 +222,13 @@ def test_criterion_9_semisimplicity_verdicts():
 
     profile36 = section_profile(3, 6)
     tb = periodic_betti(profile36)
-    assert screen(profile36).is_witness
+    assert screen(profile36).holds is False
     assert (tb[1], tb[-1 % profile36.index]) == (3, 4)
     for n in (3, 4, 5):
         x, y = sg_betti(n)
         tbx, tby = periodic_betti(x), periodic_betti(y)
-        assert screen(x).is_witness and (tbx[2], tbx[-2 % x.index]) == (n, n - 1)
-        assert screen(y).is_witness and (tby[1], tby[-1 % y.index]) == (n - 1, 2 * n - 2)
+        assert screen(x).holds is False and (tbx[2], tbx[-2 % x.index]) == (n, n - 1)
+        assert screen(y).holds is False and (tby[1], tby[-1 % y.index]) == (n - 1, 2 * n - 2)
     _finish(9, "semisimplicity verdicts", t0, 180)
 
 
@@ -316,7 +315,7 @@ def test_criterion_10_property_suites():
 
     profiles.extend(section_profile(3, n) for n in (6, 7, 8))
     for profile in profiles:
-        if screen(profile).outcome == NO_OBSTRUCTION:
+        if screen(profile).holds is None:
             tb = periodic_betti(profile)
             for i in range(profile.index):
                 assert tb[i] == tb[-i % profile.index], (profile.label, i)

@@ -164,15 +164,15 @@ def test_two_line_diamond_matches_the_full_matrix():
 
 
 def test_hodge_tate_examples():
-    assert is_hodge_tate(3, 10)[0] is False
-    assert is_hodge_tate(3, 10)[1].method == "middle-row-jump"
-    ht, cert = is_hodge_tate(3, 9)
-    assert ht is False and (8, 9, 2) in cert.detail
-    ht, cert = is_hodge_tate(4, 8)
-    assert ht is False and (7, 8, 3) in cert.detail
+    assert is_hodge_tate(3, 10).holds is False
+    assert is_hodge_tate(3, 10).method == "middle-row-jump"
+    v = is_hodge_tate(3, 9)
+    assert v.holds is False and v.method == "diamond" and (8, 9, 2) in v.certificate
+    v = is_hodge_tate(4, 8)
+    assert v.holds is False and v.method == "diamond" and (7, 8, 3) in v.certificate
     for n in (4, 6, 9):
-        assert is_hodge_tate(2, n)[0] is True
-    assert is_hodge_tate(3, 8)[0] is True
+        assert is_hodge_tate(2, n) == (True, "diamond", ())
+    assert is_hodge_tate(3, 8) == (True, "diamond", ())
     with pytest.raises(InvalidInputError):
         is_hodge_tate(3, 5)
 
@@ -183,9 +183,9 @@ def test_fast_path_skips_localization(monkeypatch):
 
     monkeypatch.setattr(hodge, "diamond", boom)
     monkeypatch.setattr(hodge, "chi_y", boom)
-    ht, cert = is_hodge_tate(5, 10)
-    assert ht is False and cert.method == "middle-row-jump"
-    assert cert.detail == (25 - 10, 9, 1)
+    v = is_hodge_tate(5, 10)
+    assert v.holds is False and v.method == "middle-row-jump"
+    assert v.certificate == (25 - 10, 9, 1)
 
 
 def vanishing_check(k: int, n: int) -> bool:
@@ -216,9 +216,9 @@ def test_borderline_diamonds_show_unit_middle_entry():
     boxes = [(k, n) for n in range(4, 13) for k in range(2, n // 2 + 1) if k * (n - k) > 2 * n]
     assert len(boxes) == 11
     for k, n in boxes:
-        ht, cert = is_hodge_tate(k, n)
-        assert not ht and cert.method == "middle-row-jump"
-        p, q, h = cert.detail
+        v = is_hodge_tate(k, n)
+        assert v.holds is False and v.method == "middle-row-jump"
+        p, q, h = v.certificate
         assert (p, q, h) == (k * (n - k) - n, n - 1, 1)
         assert hodge_number(diamond(k, n), p, q) == h, (k, n)
 
@@ -311,9 +311,9 @@ def test_section_profiles_and_screen():
     assert profile.index == 5
     tb = periodic_betti(profile)
     assert tb[1] == 3 and tb[-1 % 5] == 4
-    assert screen(profile).is_witness
+    assert screen(profile).holds is False
     for n in (7, 8):
-        assert screen(section_profile(3, n)).outcome == "NoObstruction"
+        assert screen(section_profile(3, n)).holds is None
     with pytest.raises(InvalidInputError):
         section_profile(3, 9)
 

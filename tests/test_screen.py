@@ -1,17 +1,38 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import euler_number, projective_space_profile, sg_betti
+from oracles import EXCEPTIONAL_SILENT_CASES, euler_number, projective_space_profile, sg_betti
+from qhgrass import screen as screen_module
 from qhgrass.errors import InvalidInputError
 from qhgrass.rootdata import DynkinType, GrassmannianId
 from qhgrass.screen import (
-    EXCEPTIONAL_SILENT_CASES,
-    NO_OBSTRUCTION,
     WITNESS,
     BettiProfile,
+    Verdict,
+    asymmetry,
     exceptional_table,
     periodic_betti,
     profile_of,
     screen,
+)
+
+# The 13 exceptional G/P_k whose non-semisimplicity the screen certifies, in
+# Dynkin order, with the residue the source table displays (4 for F4/P4, 1
+# elsewhere): (family, rank, node, residue)
+EXCEPTIONAL_WITNESS_CASES = (
+    ("E", 6, 2, 1),
+    ("E", 6, 4, 1),
+    ("E", 7, 1, 1),
+    ("E", 7, 3, 1),
+    ("E", 7, 6, 1),
+    ("E", 8, 1, 1),
+    ("E", 8, 2, 1),
+    ("E", 8, 3, 1),
+    ("E", 8, 5, 1),
+    ("E", 8, 7, 1),
+    ("E", 8, 8, 1),
+    ("F", 4, 3, 1),
+    ("F", 4, 4, 4),
 )
 
 EXPECTED_TABLE = {
@@ -43,7 +64,7 @@ def test_projective_space_no_obstruction():
     for m in (3, 4, 7):
         p = projective_space_profile(m)
         assert periodic_betti(p) == {i: 1 for i in range(m + 1)}
-        assert screen(p).outcome == NO_OBSTRUCTION
+        assert screen(p) == Verdict(None, "betti-screen", None)
 
 
 def test_exceptional_table_golden():
@@ -60,7 +81,23 @@ def test_exceptional_witness_cases_screen_positive():
     for label in EXPECTED_TABLE:
         fam, node = label.split("/")
         g = GrassmannianId(DynkinType(fam[0], int(fam[1])), int(node[1]))
-        assert screen(profile_of(g)).is_witness, label
+        assert screen(profile_of(g)).holds is False, label
+
+
+def test_exceptional_table_is_the_witness_pin_row_for_row():
+    rows = exceptional_table()
+    assert [(row.label, row.residue) for row in rows] == [
+        (f"{fam}{rank}/P{node}", residue) for fam, rank, node, residue in EXCEPTIONAL_WITNESS_CASES
+    ]
+    for row in rows:
+        g = GrassmannianId(DynkinType(row.label[0], int(row.label[1])), int(row.label.split("P")[1]))
+        assert asymmetry(profile_of(g)) == (row.residue, row.tilde_b, row.tilde_b_neg), row
+
+
+def test_exceptional_table_is_computed_from_the_screen(monkeypatch):
+    # a screen that finds nothing leaves the table empty, so no row is a literal
+    monkeypatch.setattr(screen_module, "screen", lambda profile: Verdict(None, "betti-screen", None))
+    assert exceptional_table() == []
 
 
 def test_silent_cases_no_obstruction():
@@ -69,7 +106,7 @@ def test_silent_cases_no_obstruction():
     }
     for fam, rank, node in EXCEPTIONAL_SILENT_CASES:
         g = GrassmannianId(DynkinType(fam, rank), node)
-        assert screen(profile_of(g)).outcome == NO_OBSTRUCTION, g
+        assert screen(profile_of(g)).holds is None, g
 
 
 def test_screen_invariant_under_zero_padding():
@@ -84,7 +121,7 @@ def test_condition_two_follows_from_condition_one():
                  ("A", 6, 3), ("A", 7, 2), ("C", 4, 1)]]
     profiles.append(projective_space_profile(6))
     for p in profiles:
-        if screen(p).outcome == NO_OBSTRUCTION:
+        if screen(p).holds is None:
             tb = periodic_betti(p)
             for i in range(p.index):
                 assert tb[i] == tb[-i % p.index], (p.label, i)
@@ -105,14 +142,36 @@ def test_sg_witnesses_match_dimension_counts():
         tbx, tby = periodic_betti(x), periodic_betti(y)
         assert tbx[2] == n and tbx[-2 % x.index] == n - 1
         assert tby[1] == n - 1 and tby[-1 % y.index] == 2 * n - 2
-        assert screen(x).is_witness and screen(y).is_witness
+        assert screen(x).holds is False and screen(y).holds is False
 
 
 def test_screen_witness_fields():
     p = BettiProfile((1, 0, 2), 3, "toy")
     v = screen(p)
-    assert v.is_witness
-    i, d, lhs, rhs = v.witness
+    assert v.holds is False and v.method == "betti-screen"
+    i, d, lhs, rhs = v.certificate
     assert lhs > rhs
     tb = periodic_betti(p)
     assert tb[i] == lhs and tb[(d * i) % 3] == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12), st.integers(1, 7))
+def test_an_asymmetry_implies_a_screen_witness_at_i_or_minus_i(betti, index):
+    p = BettiProfile(tuple(betti), index)
+    tb = periodic_betti(p)
+    asym = asymmetry(p)
+    if asym is None:
+        assert all(tb[i] == tb[-i % index] for i in range(index))
+        return
+    i, pos, neg = asym
+    assert 1 <= i < index and pos != neg and (pos, neg) == (tb[i], tb[-i % index])
+    assert all(tb[j] == tb[-j % index] for j in range(1, i))
+    # the larger of tilde_b(i) and tilde_b(-i) violates the inequality at
+    # d = r - 1, and the screen's first hit comes no later in (i, d)
+    a = i if pos > neg else -i % index
+    assert tb[a] > tb[(index - 1) * a % index]
+    v = screen(p)
+    assert v.holds is False
+    j, d, lhs, rhs = v.certificate
+    assert (j, d) <= (a, index - 1) and tb[j] == lhs > rhs == tb[d * j % index]

@@ -256,10 +256,9 @@ def test_section_charpolys_golden():
 
 
 def test_lefschetz_identities():
-    assert lefschetz_relation_check(build_ring(3, 7))
-    assert lefschetz_relation_check(build_ring(3, 8))
-    with pytest.raises(InvalidInputError, match=r"quantum Lefschetz identities implemented for n in \{7, 8\}"):
-        lefschetz_relation_check(build_ring(3, 6))
+    # h_4 = h_5 = 0 and h_6 = e_1 hold on the 18-dimensional (3, 6) ring, beta included
+    for n in (6, 7, 8):
+        assert lefschetz_relation_check(build_ring(3, n)) is True, n
 
 
 def _identity_seeds(ring):
@@ -724,15 +723,19 @@ def test_misaligned_section_power_is_refused_before_the_ring_is_built(capsys, mo
 
 
 def test_section_semisimplicity_reports():
+    from qhgrass import cli
+
     r6 = section_semisimplicity(3, 6)
-    assert r6.semisimple is False and r6.method == "betti-screen"
-    assert "3" in r6.detail and "4" in r6.detail
+    assert r6.holds is False and r6.method == "betti-screen" and r6.certificate == (1, 3, 4)
+    assert "3" in cli._detail(r6, 5) and "4" in cli._detail(r6, 5)
     # no beta: the whole-ring trace form of all 30 classes decides it
     r7 = section_semisimplicity(3, 7)
-    assert r7.semisimple is full_ring_semisimple(build_ring(3, 7)) is True and r7.method == "trace-form"
-    assert r7.detail == "nondegenerate trace form on the 30-dimensional ring"
+    assert r7.holds is full_ring_semisimple(build_ring(3, 7)) is True and r7.method == "trace-form"
+    assert r7.certificate == (30,)
+    assert cli._detail(r7, 6) == "nondegenerate trace form on the 30-dimensional ring"
     r8 = section_semisimplicity(3, 8)
-    assert r8.semisimple is True and "49" in r8.detail and "radical" in r8.detail
+    assert r8.holds is True and r8.certificate == (49, 2)
+    assert "49" in cli._detail(r8, 7) and "radical" in cli._detail(r8, 7)
     with pytest.raises(InvalidInputError):
         section_semisimplicity(2, 6)
 
@@ -744,19 +747,22 @@ def test_ring_betti_numbers_match_the_hodge_diamond(n):
 
 
 def test_betti_screen_detail_states_an_inequality_that_holds(monkeypatch):
+    from qhgrass import cli
+
     # (3, 6) keeps its tilde_b(1) != tilde_b(-1) text; on the k = 2 sections
     # with n even tilde_b(1) = tilde_b(-1), so the detail names the witness
-    assert section_semisimplicity(3, 6).detail == "tilde_b(1)=3 != tilde_b(-1)=4"
+    assert cli._detail(section_semisimplicity(3, 6), 5) == "tilde_b(1)=3 != tilde_b(-1)=4"
     monkeypatch.setattr(section, "SUPPORTED", {(2, n) for n in range(6, 15, 2)})
     for n in range(6, 15, 2):
         report = section_semisimplicity(2, n)
-        assert report.semisimple is False and report.method == "betti-screen", n
+        assert report.holds is False and report.method == "betti-screen", n
+        detail = cli._detail(report, n - 1)
         tb = screen.periodic_betti(hodge.section_profile(2, n))
-        lhs, rhs = report.detail.split(" > ")
+        lhs, rhs = detail.split(" > ")
         (i, x), (j, y) = (map(int, side.removeprefix("tilde_b(").split(")=")) for side in (lhs, rhs))
-        assert tb[i] == x > y == tb[j], (n, report.detail)
+        assert tb[i] == x > y == tb[j], (n, detail)
         if n == 6:
-            assert report.detail == "tilde_b(2)=3 > tilde_b(4)=2"
+            assert detail == "tilde_b(2)=3 > tilde_b(4)=2"
 
 
 def test_gr36_section_verdict_builds_no_ring(capsys, monkeypatch):
@@ -815,13 +821,13 @@ def test_the_route_follows_the_screen_and_beta(capsys, monkeypatch):
     assert '"method": "trace-form"' in out and "30-dimensional ring" in out
     monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)) or False)
     report = section_semisimplicity(3, 7)
-    assert (report.semisimple, report.method, report.detail) == (False, "trace-form", "degenerate trace form")
+    assert report == (False, "trace-form", (30,)) and cli._detail(report, 6) == "degenerate trace form"
     assert calls == [("full ring", (build_ring(3, 7),))]
     monkeypatch.undo()
     calls.clear()
     monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)))
     report = section_semisimplicity(3, 8)
-    assert calls == [] and (report.semisimple, report.method) == (True, "trace-form+monodromy")
+    assert calls == [] and (report.holds, report.method) == (True, "trace-form+monodromy")
 
 
 def test_a_non_self_adjoint_e1_exits_1(capsys, monkeypatch):

@@ -8,13 +8,12 @@ import pytest
 
 from cli_pins import PINS
 from oracles import SMALL_TYPES, euler_number
-from qhgrass import cli, hodge, linalg, quantum, section
+from qhgrass import cli, hodge, linalg, quantum, screen, section
 from qhgrass.errors import InvalidInputError
-from qhgrass.hodge import HodgeDiamond, HodgeTateCertificate
+from qhgrass.hodge import HodgeDiamond
 from qhgrass.partitions import Box
 from qhgrass.rootdata import DynkinType, GrassmannianId, poincare_polynomial
-from qhgrass.screen import BettiProfile, ExceptionalRow, ScreenVerdict
-from qhgrass.section import SemisimplicityReport
+from qhgrass.screen import BettiProfile, ExceptionalRow, Verdict
 
 # each type with the fields of one value, and a second value differing in one field
 EXAMPLES = [
@@ -22,13 +21,14 @@ EXAMPLES = [
     (DynkinType, ("E", 6), ("E", 7)),
     (GrassmannianId, (DynkinType("E", 6), 2), (DynkinType("E", 6), 4)),
     (BettiProfile, ((1, 1, 2), 3, "toy"), ((1, 1, 2), 3, "other")),
-    (ScreenVerdict, ("Witness", (1, 2, 3, 2)), ("NoObstruction", None)),
+    (Verdict, (False, "betti-screen", (1, 2, 3, 2)), (None, "betti-screen", None)),
     (ExceptionalRow, ("E6/P2", 21, 11, 1, 5, 4, "Witness"), ("E6/P2", 21, 11, 1, 5, 5, "Witness")),
     (HodgeDiamond, (1, (1, 1), (0, 0), (1, -1)), (1, (1, 1), (0, 0), (1, 1))),
-    (HodgeTateCertificate, ("diamond", ()), ("middle-row-jump", (5, 9, 1))),
-    (SemisimplicityReport, (3, 7, True, "trace-form", ""), (3, 7, False, "trace-form", "")),
+    (Verdict, (True, "diamond", ()), (False, "middle-row-jump", (5, 9, 1))),
+    (Verdict, (True, "trace-form", (30,)), (False, "trace-form", (30,))),
 ]
-NAMES = [cls.__name__ for cls, _, _ in EXAMPLES]
+# a Verdict is named by the method of its first value
+NAMES = [cls.__name__ + (f"-{fields[1]}" if cls is Verdict else "") for cls, fields, _ in EXAMPLES]
 
 
 @pytest.mark.parametrize(
@@ -73,9 +73,31 @@ def test_repr_str_defaults_and_properties():
     assert str(GrassmannianId(DynkinType("E", 6), 2)) == "E6/P2"
     assert Box(3, 6).cols == 3 and Box(3, 6).dual((2, 1)) == (3, 2, 1)
     assert BettiProfile((1, 1, 2), 3).label == "" and euler_number(BettiProfile((1, 1, 2), 3)) == 4
-    assert ScreenVerdict("NoObstruction").witness is None
-    assert ScreenVerdict("Witness", (1, 2, 3, 2)).is_witness
-    assert not ScreenVerdict("NoObstruction").is_witness
+    assert Verdict(None, "betti-screen", None).certificate is None
+    assert Verdict(False, "betti-screen", (1, 2, 3, 2)).holds is False
+    assert Verdict(None, "betti-screen", None).holds is None
+
+
+def _plain(value) -> bool:
+    return type(value) is int or type(value) is tuple and all(map(_plain, value))
+
+
+def test_every_golden_verdict_holds_true_false_or_none_by_identity():
+    # from the screen on the 220 G/P_k of SMALL_TYPES and the three section
+    # profiles, section_semisimplicity on every supported section and its
+    # twin, and is_hodge_tate on every box with n <= 12; every certificate
+    # is plain ints and tuples, or None
+    verdicts = [screen.screen(screen.profile_of(GrassmannianId(t, node)))
+                for t in SMALL_TYPES for node in range(1, t.rank + 1)]
+    verdicts += [screen.screen(hodge.section_profile(3, n)) for n in (6, 7, 8)]
+    verdicts += [section.section_semisimplicity(k, n) for n in (6, 7, 8) for k in (3, n - 3)]
+    verdicts += [hodge.is_hodge_tate(k, n) for n in range(2, 13) for k in range(1, n // 2 + 1)]
+    assert len(verdicts) == 220 + 3 + 6 + 36
+    for v in verdicts:
+        assert type(v) is Verdict, v
+        assert any(v.holds is x for x in (True, False, None)), v
+        assert v.certificate is None or _plain(v.certificate), v
+    assert {v.holds for v in verdicts} == {True, False, None}
 
 
 def test_polynomials_are_tuples_of_exact_coefficients(capsys, monkeypatch):
