@@ -231,7 +231,9 @@ def _cmd_qh_charpoly(args) -> dict:
     }
     # the box and the degree are refused before anything is built
     if args.section:
-        k, r = args.k, section.q_degree(args.k, args.n)
+        # Gr(k, n) = Gr(n - k, n) fixes e_1 and sends e_2 to sigma_2: e_1 alone reads the twin
+        k = args.n - args.k if (args.n - args.k, args.n) in section.SUPPORTED and not args.with_e2 else args.k
+        r = section.q_degree(k, args.n)
     else:
         box = _ambient_box(args)
         k, r = box.k, box.n
@@ -244,7 +246,7 @@ def _cmd_qh_charpoly(args) -> dict:
     if args.power < 0:
         raise InvalidInputError(f"matrix power needs a nonnegative exponent, got {args.power}")
     if args.section:
-        ring = section.build_ring(args.k, args.n)
+        ring = section.build_ring(k, args.n)
         piece, e_ops = ring.pieces[0], ring.e_ops
     else:
         # the refusals and the charpoly read only e_1 (and e_2) and the

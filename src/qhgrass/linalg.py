@@ -13,7 +13,9 @@ blocks and the section's self-adjointness check of e_1 read them through
 one kernel, sparse_mul_sum: a sum of products c * (a @ b) accumulated row by
 row, in which a term with a = I adds c * b.  No whole e-operator is made
 dense, and the dense readers refuse sparse rows; section.radical_and_perp
-slices each residue block of E_1 into a dense list for kernel_basis.
+slices each residue block of E_1 into a dense list for kernel_basis.  The
+commutativity and self-adjointness checks multiply int multiples of the
+e-operators (integral_multiple), not the Fractions.
 Both Pieri recursions keep their blocks seed-major, one row per seed
 vector, so in each step a is a block of s rows (the rows s^T L_lam', or
 the images of H_(m-i)) and b is E_p, or E_i^T held as E_i's columns for
@@ -39,6 +41,7 @@ elimination (rref), of the matrix with its columns reversed (kernel_basis).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalConsistencyError, InvalidInputError
 
@@ -137,6 +140,17 @@ def sparse_mul_sum(terms) -> list[dict]:
                     acc[j] = acc[j] + cx * y if j in acc else cx * y
         out.append(_integral_row(acc))
     return out
+
+
+def integral_multiple(rows: list[dict]) -> list[dict]:
+    """The rows times the lcm of their denominators, as ints; int rows come
+    back themselves after one type test, summed row by row so that only the
+    rows holding a Fraction add Fractions."""
+    if {int}.issuperset(map(type, map(sum, map(dict.values, rows)))):
+        return rows
+    d = lcm(*{x.denominator for row in rows for x in row.values() if type(x) is not int})
+    return [{j: x * d if type(x) is int else x.numerator * (d // x.denominator) for j, x in row.items()}
+            for row in rows]
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:

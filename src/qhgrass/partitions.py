@@ -60,9 +60,11 @@ class Box(namedtuple("Box", "k n")):
 
     def dual(self, lam: Partition) -> Partition:
         """Complement inside the box, rotated: the Poincare-dual label."""
-        lam = self.require(lam)
-        padded = lam + (0,) * (self.k - len(lam))
-        return canonical(tuple(self.cols - padded[self.k - 1 - i] for i in range(self.k)))
+        return self.complement(self.require(lam))
+
+    def complement(self, lam: Partition) -> Partition:
+        """dual(lam) for a lam known to fit, with no re-validation."""
+        return tuple(self.cols - a for a in reversed(lam + (0,) * (self.k - len(lam))) if a < self.cols)
 
 
 def log10_box_count(k: int, n: int) -> float:

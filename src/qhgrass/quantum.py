@@ -34,9 +34,10 @@ splits the entries into the classical part C_p and the q part for the
 section ring, is the one reader of the q power.  The tests compare the
 entries with the vertical-strip and rim rule on every box with n <= 12.
 
-GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting)
-and that E_p raises degree by p mod r (require_graded), the one place each is
-checked.  Label operators come from one triangular Pieri recursion
+GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting,
+on integral multiples D_p E_p, since D_a D_b (ab - ba) = 0 exactly when
+ab = ba) and that E_p raises degree by p mod r (require_graded), the one place
+each is checked.  Label operators come from one triangular Pieri recursion
 (label_recursion), L_lam = E_p L_lam' - sum c L_mu, run on a seed block S and
 stored seed-major: for each label, one sparse row per seed vector s_j, the
 row s_j^T L_lam, so a step costs s rows and not d.  Its order, images and
@@ -92,9 +93,7 @@ itself.  Pieri matrices that do not commute are therefore refused by the
 constructor (exit 1), not reported as a relation that fails.  Both
 recursions and the commutativity check read the e-operators as sparse rows,
 one fused linalg.sparse_mul_sum a step, and so do e_power_charpoly's thin
-blocks: no whole E_p is made dense.  section.radical_and_perp(ring) reads
-E_1 through sparse_mul_sum only to check it self-adjoint; it slices each
-residue block of E_1 into a dense list for kernel_basis.
+blocks: no whole E_p is made dense.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ from itertools import combinations
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
-from .partitions import Box, Partition, box_partitions_of_size, canonical, size
+from .partitions import Box, Partition, box_partitions_of_size, size
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +272,7 @@ def label_plan(alg: GradedAlgebra) -> tuple:
     built, steps = {()}, []
     partitions = [lab for lab in alg.basis if isinstance(lab, tuple) and lab]
     for lam in sorted(partitions, key=lambda lab: (size(lab), lab)):
-        p, lam_prime = len(lam), canonical(tuple(a - 1 for a in lam))
+        p, lam_prime = len(lam), tuple(a - 1 for a in lam if a > 1)
         col = alg.index.get(lam_prime)
         image = {alg.basis[i]: x for i, x in columns[p][col].items()} if col is not None else {}
         if image.pop(lam, 0) != 1 or lam_prime not in built or any(mu not in built for mu in image):
@@ -395,7 +394,8 @@ def presentation_check(box: Box) -> bool:
 
 def commuting(ops: list[list[dict]]) -> bool:
     """Whether every two operators, given as sparse rows, commute, checked
-    entry by entry: ab - ba has no nonzero entry."""
+    entry by entry on their integral multiples: D_a D_b (ab - ba) = 0."""
+    ops = list(map(linalg.integral_multiple, ops))
     return not any(
         any(linalg.sparse_mul_sum([(1, a, b), (-1, b, a)])) for i, a in enumerate(ops) for b in ops[i + 1 :]
     )

@@ -26,7 +26,8 @@ pivot to its relation and the top ambient degree, which restricts to zero on
 Y, to 0.  It is assembled on sparse rows from the Pieri entries
 (quantum.pieri_entries), split once per p into C_p, the entries with no q,
 and P_p - C_p, the entries with q.  C_1 is built once, and the quotient's
-cup-sigma_1 blocks, the pairing and C_1 J read it.
+cup-sigma_1 blocks, the pairing and E_p read it.  J only selects columns, a
+re-indexing, so C_p + (P_p - C_p) C_1 and R times it are the products.
 
 SectionRing is the second constructor of quantum.GradedAlgebra, whose
 constructor asserts e_1..e_k commute and are graded, so no ring is handed out
@@ -56,10 +57,10 @@ seeds prove them on the whole ring).
 
 The Poincare pairing <a, b> = integral over X of s_a s_b s_1 vanishes by
 degree unless |a| + |b| = dim Y, so each a is paired only with the labels of
-degree dim Y - |a|, and each dual(b) is computed once.  It is kept as sparse
-rows, like the e-operators, and checked nondegenerate on the blocks of
-degree m against degree dim Y - m (linalg.block_nonsingular), outside which
-a nonzero raises.
+degree dim Y - |a|, and each dual(b) is computed once, unchecked
+(Box.complement).  It is kept as sparse rows, like the e-operators, and
+checked nondegenerate on the blocks of degree m against degree dim Y - m
+(linalg.block_nonsingular), outside which a nonzero raises.
 
 beta * beta is not determined by the source material and is deliberately not
 modeled; beta gets no operator of its own, and every implemented operator is
@@ -166,23 +167,23 @@ class SectionRing(GradedAlgebra):
 
     def _e_operators(self, index, pieri) -> dict[int, list[dict]]:
         """E_p = R (C_p + (P_p - C_p) C_1) J for p = 1..k, the section Pieri
-        rule, on sparse rows, with pieri[p] = (C_p, P_p - C_p), J a selection
-        of columns and index the position of each basis label."""
+        rule, on sparse rows, with pieri[p] = (C_p, P_p - C_p) and index the
+        position of each basis label; J, a column selection, re-indexes."""
         ambient = schubert_basis(self.box)
+        keep = [index.get(lam) for lam in ambient]
         # R: a basis label to itself, a relation pivot to its relation, the
-        # top ambient degree to 0; J: each partition label to its ambient class
+        # top ambient degree to 0
         reduction = [{} for _ in index]
         for col, lam in enumerate(ambient):
             if lam in index:
                 reduction[index[lam]][col] = 1
             for lab, c in self.relations.get(lam, {}).items():
                 reduction[index[lab]][col] = c
-        inclusion = [{index[lam]: 1} if lam in index else {} for lam in ambient]
-        cup1_j = linalg.sparse_mul_sum([(1, pieri[1][0], inclusion)])
-        e_ops = {}
+        unit, e_ops = [{col: 1} for col in range(len(ambient))], {}
         for p, (classical, quantum) in pieri.items():
-            raw = linalg.sparse_mul_sum([(1, classical, inclusion), (1, quantum, cup1_j)])
-            e_ops[p] = linalg.sparse_mul_sum([(1, reduction, raw)])
+            raw = linalg.sparse_mul_sum([(1, unit, classical), (1, quantum, pieri[1][0])])
+            raw_j = [{keep[col]: x for col, x in row.items() if keep[col] is not None} for row in raw]
+            e_ops[p] = linalg.sparse_mul_sum([(1, reduction, raw_j)])
         return e_ops
 
     # -- quotient structure ------------------------------------------------
@@ -234,7 +235,7 @@ class SectionRing(GradedAlgebra):
         itself and 0 with the rest.  As sparse rows, over the basis labels at
         their positions in index."""
         at = self._ambient_index
-        dual = {b: at[self.box.dual(b)] for b in index if b != BETA}
+        dual = {b: at[self.box.complement(b)] for b in index if b != BETA}
         rows: list[dict] = [{} for _ in index]
         for a in dual:
             for b in self.degree_basis[self.dim_y - size(a)]:
@@ -294,8 +295,9 @@ def radical_and_perp(ring: SectionRing) -> list[dict]:
     matrix on ker e_1 proves ker e_1 = ker e_1^dim; a singular one raises.
     """
     pairing, e1, pieces = ring.pairing, ring.e_ops[1], ring.pieces
-    # <e_1 u, v> = <u, e_1 v>: pairing @ e_1 = e_1^T @ pairing
-    if any(linalg.sparse_mul_sum([(1, pairing, e1), (-1, ring.columns[1], pairing)])):
+    # pairing @ e_1 = e_1^T @ pairing on integral multiples; E_1, E_1^T share one lcm
+    p, a, at = map(linalg.integral_multiple, (pairing, e1, ring.columns[1]))
+    if any(linalg.sparse_mul_sum([(1, p, a), (-1, at, p)])):
         raise InternalConsistencyError("e_1 is not self-adjoint for the section pairing")
     rad = []
     for rho, cols in enumerate(pieces):

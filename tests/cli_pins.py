@@ -132,6 +132,11 @@ PINS = [
         results={"semisimple": True, "method": "trace-form+monodromy",
                  "detail": "nondegenerate trace form on the 49-dimensional perp subalgebra; "
                            "2-dimensional radical semisimple by the external monodromy argument"}),
+    # the e_1 charpolys of the wide sides (5, 8) and (4, 7), those of (3, 8) and (3, 7)
+    Pin("qh charpoly --section --k 5 --n 8 --power 7 --format json",
+        results={"charpoly": [0, 0, -6561, 7591111, -22779765, 22859427, -7712387, 49365, -1191, 1]}),
+    Pin("qh charpoly --section --k 4 --n 7 --power 6 --format json",
+        results={"charpoly": [128, -7309, -36250, 3828, -302, 1]}),
     # charpolys of Gr(5, 10), at power 100, at power 58 with e_2, and at power
     # 150, the largest the charpoly work bound admits (power 160 is refused)
     Pin("qh charpoly --k 5 --n 10 --power 100 --format json", timeout=5,

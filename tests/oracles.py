@@ -49,6 +49,10 @@ route:
   independent column family through one inverted subblock, are the solve
   route; perp_piece_operators reads coordinates off the pivots of an
   echelon basis instead.
+- commuting_in_fractions takes each commutator ab - ba of the operators as
+  given, Fraction entries included; quantum.commuting takes those of their
+  integral multiples (linalg.integral_multiple), so its products run over
+  the ints.
 - mat_combine sums scaled dense matrices, the oracles' way to combine
   operators; production combines sparse rows with linalg.sparse_mul_sum.
   dense_square makes a square operator given as sparse rows, such as an
@@ -1054,6 +1058,14 @@ def h_relations_on_every_unit_vector(columns: dict[int, list[dict]], n: int, tar
 def sparse_mul(a: list[dict], b: list[dict]) -> list[dict]:
     """a @ b on sparse rows, one product at a time."""
     return linalg.sparse_mul_sum([(1, a, b)])
+
+
+def commuting_in_fractions(ops: list[list[dict]]) -> bool:
+    """Whether every two operators, given as sparse rows, commute: ab - ba
+    has no nonzero entry, with the entries as they are."""
+    return not any(
+        any(linalg.sparse_mul_sum([(1, a, b), (-1, b, a)])) for i, a in enumerate(ops) for b in ops[i + 1 :]
+    )
 
 
 def sparse_combine(terms, base: list[dict]) -> list[dict]:

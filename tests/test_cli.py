@@ -92,6 +92,23 @@ def test_qh_charpoly_section(capsys):
     assert doc["results"]["charpoly"] == [128, -7309, -36250, 3828, -302, 1]
 
 
+def test_section_charpoly_of_e1_reads_the_wide_side_on_its_narrow_twin(capsys):
+    # Gr(k, n) = Gr(n - k, n) fixes e_1 = sigma_1, so (5, 8) and (4, 7) give the
+    # (3, n) charpolys, with the k given echoed
+    for (k, n), powers in (((5, 8), (0, 7, 14)), ((4, 7), (6, 12))):
+        for power in powers:
+            docs = []
+            for side in (k, n - k):
+                code, out, err = run_cli(capsys, "qh", "charpoly", "--section", "--k", str(side), "--n", str(n),
+                                         "--power", str(power), "--format", "json")
+                assert (code, err) == (0, "")
+                docs.append(json.loads(out))
+            assert docs[0]["results"] == docs[1]["results"] and docs[0]["inputs"]["k"] == k, (k, n, power)
+    # e_2 goes to sigma_2, so a charpoly with e_2 stays refused on the wide side
+    code, out, err = run_cli(capsys, "qh", "charpoly", "--section", "--k", "4", "--n", "7", "--power", "4", "--with-e2")
+    assert (code, out, err) == (2, "", "error: no section ring for (k, n) = (4, 7)\n")
+
+
 def test_qh_semisimple_section(capsys):
     code, out, _ = run_cli(
         capsys, "qh", "semisimple", "--k", "3", "--n", "6", "--section",

@@ -600,6 +600,18 @@ def test_sparse_product_equals_mat_mul_entry_types_included(case):
     assert all(x for row in combined for x in row.values())
 
 
+def test_integral_multiple_scales_by_the_lcm_and_leaves_int_rows_alone():
+    rows = [{0: Fraction(1, 2), 2: 3}, {}, {1: Fraction(-2, 3)}]
+    scaled = linalg.integral_multiple(rows)
+    assert scaled == [{0: 3, 2: 18}, {}, {1: -4}] and all(type(x) is int for row in scaled for x in row.values())
+    assert rows == [{0: Fraction(1, 2), 2: 3}, {}, {1: Fraction(-2, 3)}]  # the input is not touched
+    ints = [{0: 1, 1: -2}, {}]
+    assert linalg.integral_multiple(ints) is ints
+    # an integral Fraction has denominator 1 and comes back an int
+    [[(j, x)]] = [list(row.items()) for row in linalg.integral_multiple([{0: Fraction(4, 2)}])]
+    assert (j, x, type(x)) == (0, 2, int)
+
+
 def test_mat_pow_of_section_e1_is_int_first():
     from qhgrass import section
 

@@ -159,6 +159,10 @@ def test_box_membership_and_dual():
     assert box.dual(box.dual((3, 1))) == (3, 1)
     with pytest.raises(InvalidInputError):
         box.require((5, 1))
+    # dual checks its input before taking the unchecked complement
+    for bad in [(5, 1), (1, 2), (1,) * 4, (-1,)]:
+        with pytest.raises(InvalidInputError):
+            box.dual(bad)
 
 
 def test_box_partitions_order_and_count():

@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cli_pins import lru_caches
@@ -16,6 +17,7 @@ from oracles import (
     UniPoly,
     charpoly_on_piece,
     classical_grassmannian,
+    commuting_in_fractions,
     cup_e,
     dense_square,
     evaluate_e_polynomials,
@@ -1002,3 +1004,31 @@ def test_cup_e_is_classical_part():
         cl = cup_e(2, ClassVector.schubert(box, lam))
         qp = quantum_pieri(2, lam, box)
         assert cl.terms == {key: c for key, c in qp.items() if key[1] == 0}
+
+
+_entries = st.one_of(
+    st.just(0), st.integers(-3, 3), st.builds(linalg.exact_div, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4]))
+)
+
+
+@st.composite
+def _sparse_operators(draw):
+    """One to three random square operators on sparse rows, int and Fraction
+    entries mixed, and two polynomials c_0 + c_1 a + c_2 a^2 in the first."""
+    dim = draw(st.integers(1, 4))
+    ops = [sparse_rows([[draw(_entries) for _ in range(dim)] for _ in range(dim)])
+           for _ in range(draw(st.integers(1, 3)))]
+    unit = [{i: 1} for i in range(dim)]
+    powers = [unit, ops[0], linalg.sparse_mul_sum([(1, ops[0], ops[0])])]
+    polys = [linalg.sparse_mul_sum([(draw(_entries), unit, m) for m in powers]) for _ in range(2)]
+    return ops, polys
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_operators())
+def test_commuting_on_integral_multiples_agrees_with_the_fraction_commutator(case):
+    ops, polys = case
+    assert commuting(ops) == commuting_in_fractions(ops)
+    # polynomials in one operator commute with it and with each other
+    assert commuting(polys + ops[:1]) is commuting_in_fractions(polys + ops[:1]) is True
+    assert commuting(polys + ops[1:]) == commuting_in_fractions(polys + ops[1:])

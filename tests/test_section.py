@@ -48,7 +48,7 @@ from oracles import (
 )
 from qhgrass import hodge, linalg, quantum, screen, section
 from qhgrass.errors import InternalConsistencyError, InvalidInputError
-from qhgrass.partitions import Box, box_partitions_of_size, size
+from qhgrass.partitions import Box, box_partitions_of_size, canonical, size
 from qhgrass.quantum import (
     GradedAlgebra,
     commuting,
@@ -689,21 +689,59 @@ def test_noncommuting_e_operators_are_refused_when_the_ring_is_built(capsys, mon
     from qhgrass import cli
 
     e_operators = SectionRing._e_operators
+    # commutativity is checked on integral multiples, and a skew of 1/2 must
+    # survive the scaling as a skew of 1 does
+    for skew in (1, Fraction(1, 2)):
 
-    def skewed(self, *args):
-        e_ops = e_operators(self, *args)
-        last = len(e_ops[2]) - 1
-        e_ops[2][0][last] = e_ops[2][0].get(last, 0) + 1
-        return e_ops
+        def skewed(self, *args, skew=skew):
+            e_ops = e_operators(self, *args)
+            last = len(e_ops[2]) - 1
+            e_ops[2][0][last] = e_ops[2][0].get(last, 0) + skew
+            return e_ops
 
-    monkeypatch.setattr(SectionRing, "_e_operators", skewed)
-    build_ring.cache_clear()
-    with pytest.raises(InternalConsistencyError, match="e_1..e_k do not commute"):
-        SectionRing(3, 8)
-    # qh lefschetz reads no label operator, and still exits 1
-    assert cli.run(["qh", "lefschetz", "--n", "8"]) == 1
-    out, err = capsys.readouterr()
-    assert not out and err == "internal consistency failure: inconsistent Pieri images: e_1..e_k do not commute\n"
+        monkeypatch.setattr(SectionRing, "_e_operators", skewed)
+        build_ring.cache_clear()
+        with pytest.raises(InternalConsistencyError, match="e_1..e_k do not commute"):
+            SectionRing(3, 8)
+        # qh lefschetz reads no label operator, and still exits 1
+        assert cli.run(["qh", "lefschetz", "--n", "8"]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err == "internal consistency failure: inconsistent Pieri images: e_1..e_k do not commute\n"
+
+
+def _fraction_entries(terms) -> int:
+    return sum(type(x) is Fraction for _, a, b in terms for m in (a, b) for row in m for x in row.values())
+
+
+def test_commutativity_and_self_adjointness_products_run_over_the_ints(monkeypatch):
+    # the (3, 8) ring carries half-integer entries, and no certificate
+    # product of the build or of the perp route takes a Fraction operand
+    ring = build_ring(3, 8)
+    assert any(type(x) is Fraction for op in ring.e_ops.values() for row in op for x in row.values())
+    calls = []
+    sparse_mul_sum = linalg.sparse_mul_sum
+    monkeypatch.setattr(linalg, "sparse_mul_sum", lambda terms: calls.append(terms) or sparse_mul_sum(terms))
+    assert commuting(list(ring.e_ops.values()))
+    assert len(calls) == 3 and sum(map(_fraction_entries, calls)) == 0
+    calls.clear()
+    radical_and_perp(ring)
+    # the first product is pairing @ E_1 - E_1^T @ pairing
+    assert [c for c, _, _ in calls[0]] == [1, -1] and _fraction_entries(calls[0]) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_unchecked_duals_and_first_column_removals_match_the_checked_ones(n):
+    # _pairing's Box.complement and label_plan's lam' skip canonical(); on
+    # every label of every box they equal the canonical complement and
+    # first-column removal
+    for k in range(1, n):
+        box = Box(k, n)
+        for lam in schubert_basis(box):
+            padded = lam + (0,) * (k - len(lam))
+            dual = canonical(tuple(box.cols - padded[k - 1 - i] for i in range(k)))
+            assert box.complement(lam) == box.dual(lam) == dual, (box, lam)
+        for lam, p, lam_prime, _ in grassmannian(box).plan:
+            assert (p, lam_prime) == (len(lam), canonical(tuple(a - 1 for a in lam))), (box, lam)
 
 
 def test_misaligned_section_power_is_refused_before_the_ring_is_built(capsys, monkeypatch):

@@ -113,7 +113,7 @@ def test_polynomials_are_tuples_of_exact_coefficients(capsys, monkeypatch):
     for argv in argvs:
         assert cli.run(argv) == 0, argv
     capsys.readouterr()
-    assert len(argvs) == 6 and len(polys) == 2 * 66 + 220 + 2 * 6
+    assert len(argvs) == 8 and len(polys) == 2 * 66 + 220 + 2 * 8
     for poly in polys:
         assert type(poly) is tuple and poly and poly[-1] != 0, poly
         assert all(type(c) is int or type(c) is Fraction and c.denominator != 1 for c in poly), poly
