@@ -285,7 +285,7 @@ def _cmd_qh_semisimple(args) -> dict:
     if args.section:
         verdict = section.section_semisimplicity(args.k, args.n)
     else:
-        verdict = screen.Verdict(quantum.qh_semisimple(_ambient_box(args)), "trace-form", None)
+        verdict = quantum.qh_semisimple(_ambient_box(args))
     results = {"semisimple": verdict.holds, "method": verdict.method, "detail": _detail(verdict, args.n - 1)}
     return _document("qh semisimple", inputs, results)
 

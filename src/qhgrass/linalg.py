@@ -107,17 +107,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def dense(rows: list[dict], cols: int) -> Matrix:
-    """The matrix with these sparse rows and cols columns."""
-    out = []
-    for row in rows:
-        full = [0] * cols
-        for j, x in row.items():
-            full[j] = x
-        out.append(full)
-    return out
-
-
 def _integral_row(acc: dict) -> dict:
     """The nonzeros of a sparse row, integral Fractions turned into ints."""
     if type(sum(acc.values())) is int:

@@ -13,10 +13,10 @@ basis indices of degree rho mod r (residue_pieces, the one place a piece is
 read off the degrees).  It holds the e-operators as sparse rows (row i of
 e_ops[p], as of each Pieri matrix, is {column j: value} over its nonzeros)
 and their transposes (columns[p], the rows of E_p^T), and, when first read,
-the label plan and the multiplication operator of every label that has one.
-Its constructors are grassmannian(box) for Gr(k, n) and section.build_ring
-for a smooth hyperplane section of Gr(3, n), which alone carries a Poincare
-pairing.  Both take the characteristic polynomial of a power of e_1 on the
+the label plan; it holds no label operator.  Its constructors are
+grassmannian(box) for Gr(k, n) and section.build_ring for a smooth
+hyperplane section of Gr(3, n), which alone carries a Poincare pairing.
+Both take the characteristic polynomial of a power of e_1 on the
 residue-0 piece from e_power_charpoly, which reads only the e-operators and
 the piece's coordinates.
 
@@ -37,14 +37,14 @@ entries with the vertical-strip and rim rule on every box with n <= 12.
 GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting,
 on integral multiples D_p E_p, since D_a D_b (ab - ba) = 0 exactly when
 ab = ba) and that E_p raises degree by p mod r (require_graded), the one place
-each is checked.  Label operators come from one triangular Pieri recursion
-(label_recursion), L_lam = E_p L_lam' - sum c L_mu, run on a seed block S and
-stored seed-major: for each label, one sparse row per seed vector s_j, the
-row s_j^T L_lam, so a step costs s rows and not d.  Its order, images and
-checks are the algebra's plan (label_plan), made when first read, kept on
-the algebra and shared by every run on it.  It relies on that assertion and reads each image it needs off a
-column of an e-operator, so no Littlewood-Richardson rule is needed; the
-Giambelli route lives with the tests as an independent check, so the
+each is checked.  One triangular Pieri recursion (label_recursion),
+L_lam = E_p L_lam' - sum c L_mu, runs on a seed block S, stored seed-major:
+for each label, one sparse row per seed vector s_j, the row s_j^T L_lam, so
+a step costs s rows and not d.  Its order, images and checks are the
+algebra's plan (label_plan), made when first read, kept on the algebra and
+shared by every run on it.  It relies on that assertion and reads each image
+off a column of an e-operator, so no Littlewood-Richardson rule is needed;
+the Giambelli route lives with the tests as an independent check, so the
 quantum Giambelli property is a checked invariant rather than an input.
 
 The ambient verdict (qh_semisimple) is the trace-form criterion: QH is
@@ -61,16 +61,14 @@ is zero outside the blocks of residue rho against -rho (residue_blocks),
 and trace_form_nonsingular decides det != 0 block by block
 (linalg.block_nonsingular), raising on a nonzero outside them and taking
 one determinant for each pair of mirrored blocks of the symmetric form; no
-verdict makes a d x d matrix.  Both section verdicts take the ring and make
-the same pass and run on it: one with no beta
-(section.full_ring_semisimple(ring)) as Gr(k, n) does, and one with beta
-(section.perp_subalgebra_semisimple(ring)) with the run seeded with
-E_1^T t, which composes the trace form with multiplication by e_1, its
-blocks residue rho against -1 - rho.
-semisimple_test, the Gram matrix by its definition, has no verdict calling
-it.  No command builds a label operator; mult_operators, the run seeded
-with the identity and made dense, is read through label_ops only by the
-tests and the benchmark's spans.
+verdict makes a d x d matrix.  qh_semisimple returns
+screen.Verdict(ok, "trace-form", None).  Both section verdicts make the same
+pass and run on the ring: section.full_ring_semisimple as Gr(k, n) does, and
+section.perp_subalgebra_semisimple with the run seeded with E_1^T t, which
+composes the trace form with multiplication by e_1, its blocks residue rho
+against -1 - rho.  No command builds a label operator: semisimple_test (the
+Gram matrix by its definition) and mult_operators (the run seeded with the
+identity, made dense) are kept for the tests and the benchmark's spans.
 
 The presentation relations h_{n-k+1} = ... = h_{n-1} = 0 and
 h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section (the
@@ -105,6 +103,7 @@ from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError
 from .linalg import Matrix
 from .partitions import Box, Partition, box_partitions_of_size, size
+from .screen import Verdict
 
 
 @lru_cache(maxsize=None)
@@ -177,10 +176,8 @@ class GradedAlgebra:
     its nonzeros.  The algebra holds its residue pieces (pieces[rho], the
     basis indices of degree rho mod r) and the rows of each E_p^T
     (columns[p]).  The constructor asserts, once, that the e-operators
-    commute and are graded.  plan (label_plan) and label_ops, the
-    multiplication operator of every partition label (mult_operators), are
-    made when first read and live with the algebra.  grassmannian builds
-    Gr(k, n); section.SectionRing builds a section.
+    commute and are graded; plan (label_plan) is made when first read.
+    grassmannian builds Gr(k, n); section.SectionRing builds a section.
     """
 
     def __init__(self, box: Box, basis, degrees, r: int, e_ops: dict[int, list[dict]]):
@@ -196,11 +193,6 @@ class GradedAlgebra:
     def plan(self) -> tuple:
         """The steps of label_recursion (label_plan)."""
         return label_plan(self)
-
-    @cached_property
-    def label_ops(self) -> dict:
-        """Multiplication operator of every partition label (mult_operators)."""
-        return mult_operators(self)
 
 
 def _piece_block(columns: dict[int, list[dict]], cols: list[int], steps: list[int]) -> Matrix:
@@ -341,14 +333,12 @@ def trace_row(alg: GradedAlgebra) -> dict:
 
 
 def mult_operators(alg: GradedAlgebra) -> dict:
-    """Multiplication operator of every partition label: label_recursion
-    seeded with the identity, whose row block for lam is
-    L_lam's rows, each operator made dense, in basis order.  No command
-    reads a label operator; alg.label_ops, read only by the tests and the
-    benchmark's spans, makes them once per algebra."""
+    """Multiplication operator of every partition label, dense, in basis
+    order: label_recursion seeded with the identity, whose row block for lam
+    is L_lam's rows.  No command calls it."""
     dim = len(alg.basis)
     ops = label_recursion(alg, [{i: 1} for i in range(dim)])
-    return {lab: linalg.dense(ops[lab], dim) for lab in alg.basis if lab in ops}
+    return {lab: [[row.get(j, 0) for j in range(dim)] for row in ops[lab]] for lab in alg.basis if lab in ops}
 
 
 def h_operators(columns: dict[int, list[dict]], top: int, seeds: list[dict]) -> list[list[dict]]:
@@ -420,10 +410,10 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     return linalg.det_bareiss(gram) != 0
 
 
-def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, list[dict]]:
-    """The trace vector t_c = trace(L_c) and the trace-form Gram matrix
-    trace(L_a L_b) as sparse rows, in basis order, from one reverse pass
-    over the label plan, one thin label recursion and no label operator.
+def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> list[dict]:
+    """The trace-form Gram matrix trace(L_a L_b) as sparse rows, in basis
+    order, from the trace vector t_c = trace(L_c) of one reverse pass over
+    the label plan, one thin label recursion and no label operator.
 
     t^T = sum over labels lam of e_lam^T L_lam (trace_row), so t_c = sum
     over i of (L_i e_c)_i, which commutativity (L_i e_c = L_c e_i) makes
@@ -442,8 +432,7 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, li
     (section.perp_subalgebra_semisimple): there e_1 kills beta, so t^T x
     is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
     """
-    dim = len(alg.basis)
-    if len(alg.plan) + 1 != dim and not shifted:
+    if len(alg.plan) + 1 != len(alg.basis) and not shifted:
         raise InternalConsistencyError("the trace form needs every basis class's operator")
     row = trace_row(alg)
     piece = set(alg.pieces[0])
@@ -453,7 +442,7 @@ def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> tuple[list, li
     if shifted:
         seed = linalg.sparse_mul_sum([(1, seed, alg.e_ops[1])])
     rows = label_recursion(alg, seed)
-    return [row.get(c, 0) for c in range(dim)], [rows[lab][0] if lab in rows else {} for lab in alg.basis]
+    return [rows[lab][0] if lab in rows else {} for lab in alg.basis]
 
 
 def residue_blocks(alg: GradedAlgebra, shift: int = 0, keep=None) -> list[tuple[list[int], list[int]]]:
@@ -471,11 +460,10 @@ def trace_form_nonsingular(alg: GradedAlgebra) -> bool:
     Gram matrix of trace_form_rows on the residue blocks rho against -rho
     (residue_blocks), outside which a nonzero raises
     (linalg.block_nonsingular).  No d x d matrix is made."""
-    _, gram = trace_form_rows(alg)
-    return linalg.block_nonsingular(gram, residue_blocks(alg))
+    return linalg.block_nonsingular(trace_form_rows(alg), residue_blocks(alg))
 
 
-def qh_semisimple(box: Box) -> bool:
+def qh_semisimple(box: Box) -> Verdict:
     """Trace-form semisimplicity of QH(Gr(k, n)): the trace form is
     nondegenerate (trace_form_nonsingular)."""
-    return trace_form_nonsingular(grassmannian(box))
+    return Verdict(trace_form_nonsingular(grassmannian(box)), "trace-form", None)

@@ -33,21 +33,14 @@ SectionRing is the second constructor of quantum.GradedAlgebra, whose
 constructor asserts e_1..e_k commute and are graded, so no ring is handed out
 uncertified.  It passes the degree of each basis label, dim Y / 2 for beta,
 so beta lies in the algebra's residue piece of that degree, and it overrides
-no method of the algebra.  It builds nothing more than its e-operators and
-pairing.  The operator L_lam of every ambient basis class, which only the
-tests and the benchmark's spans read, is built the first time label_ops is
-read, by the triangular recursion of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu
-(quantum.mult_operators, the label recursion seeded with the identity and
-made dense), with e_p * lam' read off column lam' of E_p.  Two facts
-certify it on the ambient classes: by induction L_lam is a polynomial in
-e_1..e_k sending the unit to lam, and e_1..e_k commute.  So every Pieri
-identity e_p L_mu = sum c L_lab holds there, both sides being polynomials in
-e_1..e_k that agree on the unit.  Every e_p kills beta, so each L_lam acts on
-beta by the constant term of its polynomial; the tests check the identities
-on the whole ring, beta's row and column included, and check E_p against the
-section Pieri rule applied class by class.  The recursion also checks that
-lam has coefficient 1 in e_p * lam' and that every correction is a class it
-has already built.
+no method of the algebra.  It builds its e-operators and pairing and no label
+operator.  The label plan of Gr(k, n), L_lam = E_p L_lam' - sum c L_mu with
+e_p * lam' read off column lam' of E_p, serves it unchanged: by induction
+L_lam is a polynomial in e_1..e_k sending the unit to lam, and e_1..e_k
+commute, so every Pieri identity e_p L_mu = sum c L_lab holds on the ambient
+classes, and every e_p kills beta.  The tests check those identities on the
+whole ring, beta's row and column included, and E_p against the section
+Pieri rule applied class by class.
 
 The quantum Lefschetz identities h_{n-2} = h_{n-1} = 0 and h_n = q e_1 are
 the presentation relations of Gr(k, n) with q e_1 in place of q, and
@@ -73,19 +66,17 @@ by what it finds, not by n.  It screens the Betti numbers of Y first
 ring is built (n = 6), certified by screen.asymmetry when that is at i = 1
 and by the witness otherwise.  With no witness it builds the ring once, and
 the route follows beta; each verdict below is a function of that ring, not
-of (k, n).  A ring with no beta (n = 7) has an operator for every class, so
-full_ring_semisimple(ring) decides it as quantum.qh_semisimple decides
-Gr(k, n), from the trace vector of a reverse pass over the label plan and
-one thin label recursion (quantum.trace_form_rows), block by block
+of (k, n), and each route returns its own Verdict.  A ring with no beta
+(n = 7) has an operator for every class, so full_ring_semisimple(ring)
+decides it as quantum.qh_semisimple decides Gr(k, n), block by block
 (quantum.trace_form_nonsingular): method "trace-form", certificate
-(dim A,).  A ring A with beta (n = 8) has
-no operator for beta, since beta * beta is undetermined, so
-perp_subalgebra_semisimple(ring) tests the trace form on the perp subalgebra
-S = A / R, R = ker e_1 the radical, by the same pass and run, and the
-radical's half of the verdict rests on the source's external monodromy
-argument: method "trace-form+monodromy", certificate (dim S, dim R).  No
-command builds a section label operator.  On n = 7 the radical is empty and
-S is the whole ring, so the tests run both routes there and compare them.
+(dim A,).  A ring A with beta (n = 8) has no operator for beta, since
+beta * beta is undetermined, so perp_subalgebra_semisimple(ring) tests the
+trace form on the perp subalgebra S = A / R, R = ker e_1 the radical, by the
+same pass and run, and the radical's half of the verdict rests on the
+source's external monodromy argument: method "trace-form+monodromy",
+certificate (dim S, dim R).  On n = 7 the radical is empty and S is the
+whole ring, so the tests run both routes there and compare them.
 
 The perp route rests on this argument.  R = ker E_1 is an ideal, since
 E_1 L_a u = L_a E_1 u, and it holds beta, since e_1 * beta = 0.
@@ -312,35 +303,32 @@ def radical_and_perp(ring: SectionRing) -> list[dict]:
     return rad
 
 
-def perp_subalgebra_semisimple(ring: SectionRing) -> tuple[bool, int, int]:
+def perp_subalgebra_semisimple(ring: SectionRing) -> screen.Verdict:
     """Trace-form test on the perp subalgebra S = A / R of the section ring
     A, R = ker e_1 (see the module docstring): det B[C][C] != 0, with B the
     shifted Gram matrix (quantum.trace_form_rows) and C the labels off the
     leads of R's reduced echelon basis.  B(a, b) = phi(e_1 a b) vanishes
     unless deg a + deg b = -1 mod r, so the determinant is decided on the
     blocks of C of residue rho against -1 - rho (quantum.residue_blocks).
-    Returns the verdict, dim S = dim A - dim R and dim R.
+    The certificate is (dim S, dim R), dim S = dim A - dim R.
     """
     rad = radical_and_perp(ring)
     leads = set(map(min, rad))
     if ring.prim_dim and ring.index[BETA] not in leads:
         raise InternalConsistencyError("beta is not a lead of the radical ker e_1")
-    _, gram = trace_form_rows(ring, shifted=True)
     rest = {i for i in range(len(ring.basis)) if i not in leads}
-    return linalg.block_nonsingular(gram, residue_blocks(ring, -1, rest)), len(rest), len(rad)
+    ok = linalg.block_nonsingular(trace_form_rows(ring, shifted=True), residue_blocks(ring, -1, rest))
+    return screen.Verdict(ok, "trace-form+monodromy", (len(rest), len(rad)))
 
 
-def full_ring_semisimple(ring: SectionRing) -> bool:
+def full_ring_semisimple(ring: SectionRing) -> screen.Verdict:
     """Trace-form test on the whole section ring it is given, the verdict of
-    a ring with no beta: det trace(L_a L_b) != 0, decided on the residue
-    blocks rho against -rho of the Gram matrix from a reverse pass over the
-    label plan and one thin label recursion
-    (quantum.trace_form_nonsingular), as for Gr(k, n), and no label
-    operator built.  Every label operator is a polynomial in e_1,
-    e_2, e_3, whose commutativity the ring build asserted.  beta has no
-    operator, so a ring with beta, which no command sends here, raises
-    InternalConsistencyError."""
-    return trace_form_nonsingular(ring)
+    a ring with no beta: det trace(L_a L_b) != 0, decided block by block as
+    for Gr(k, n) (quantum.trace_form_nonsingular), with certificate (dim A,).
+    Every label operator is a polynomial in e_1, e_2, e_3, whose
+    commutativity the ring build asserted.  beta has no operator, so a ring
+    with beta, which no command sends here, raises InternalConsistencyError."""
+    return screen.Verdict(trace_form_nonsingular(ring), "trace-form", (len(ring.basis),))
 
 
 def section_semisimplicity(k: int, n: int) -> screen.Verdict:
@@ -359,7 +347,4 @@ def section_semisimplicity(k: int, n: int) -> screen.Verdict:
         asym = screen.asymmetry(profile)
         return verdict._replace(certificate=asym) if asym and asym[0] == 1 else verdict
     ring = build_ring(narrow, n)
-    if not ring.prim_dim:
-        return screen.Verdict(full_ring_semisimple(ring), "trace-form", (len(ring.basis),))
-    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(ring)
-    return screen.Verdict(ok, "trace-form+monodromy", (sub_dim, rad_dim))
+    return perp_subalgebra_semisimple(ring) if ring.prim_dim else full_ring_semisimple(ring)

@@ -53,10 +53,13 @@ route:
   given, Fraction entries included; quantum.commuting takes those of their
   integral multiples (linalg.integral_multiple), so its products run over
   the ints.
+- label_ops is the dense operator of every partition label of an algebra,
+  quantum.mult_operators made once per algebra and kept in a weak-keyed
+  memo while the algebra lives; no command builds a label operator.
 - mat_combine sums scaled dense matrices, the oracles' way to combine
   operators; production combines sparse rows with linalg.sparse_mul_sum.
-  dense_square makes a square operator given as sparse rows, such as an
-  e-operator or a Pieri matrix, dense for that algebra.
+  dense makes sparse rows a dense matrix, and dense_square a square
+  operator given as sparse rows, such as an e-operator or a Pieri matrix.
   mat_vec is the dense matrix-vector product; production applies operators
   to thin blocks of sparse rows.  sparse_rows turns a dense matrix into
   sparse rows; no command needs that.
@@ -151,6 +154,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from math import prod
 from fractions import Fraction
 from collections import Counter
@@ -361,10 +365,35 @@ def charpoly_by_polynomial_bareiss(a: Matrix) -> tuple:
 # -- dense combinations and the regular-representation Gram --------------------
 
 
+def dense(rows: list[dict], cols: int) -> Matrix:
+    """The matrix with these sparse rows and cols columns."""
+    out = []
+    for row in rows:
+        full = [0] * cols
+        for j, x in row.items():
+            full[j] = x
+        out.append(full)
+    return out
+
+
 def dense_square(op: list[dict]) -> Matrix:
     """The square matrix with these sparse rows: row i of e_ops[p] or of a
     Pieri matrix, made dense for the oracles' dense algebra."""
-    return linalg.dense(op, len(op))
+    return dense(op, len(op))
+
+
+_LABEL_OPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def label_ops(alg) -> dict:
+    """The dense multiplication operator of every partition label of alg
+    (quantum.mult_operators), made on the first read and kept while alg
+    lives.  The memo is keyed by the algebra object, so a copy of it
+    (ring_with_e_ops) gets operators of its own."""
+    ops = _LABEL_OPS.get(alg)
+    if ops is None:
+        ops = _LABEL_OPS[alg] = quantum.mult_operators(alg)
+    return ops
 
 
 def sparse_rows(a: Matrix) -> list[dict]:
@@ -1104,7 +1133,7 @@ def evaluate_e_polynomials(polys, generators: dict[int, list[dict]]) -> list[Mat
                         built[key] = generators[p] if term is None else sparse_mul(generators[p], term)
                     term = built[key]
             terms.append((coeff, unit if term is None else term))
-        out.append(linalg.dense(sparse_combine(terms, [{} for _ in range(dim)]), dim))
+        out.append(dense(sparse_combine(terms, [{} for _ in range(dim)]), dim))
     return out
 
 
@@ -1315,11 +1344,9 @@ def ring_with_e_ops(ring: SectionRing, e_ops: dict[int, list[dict]]) -> SectionR
     """A copy of the section ring with these e-operators, through
     GradedAlgebra's constructor, whose certificates then read the ring's own
     degrees, beta's among them.  The copy is a new algebra: its E_p^T are
-    made afresh, and nothing the ring made when first read (plan,
-    label_ops) carries over."""
+    made afresh, and neither the plan nor label_ops carries over."""
     alg = copy.copy(ring)
-    for cached in ("plan", "label_ops"):
-        vars(alg).pop(cached, None)
+    vars(alg).pop("plan", None)
     GradedAlgebra.__init__(alg, ring.box, ring.basis, ring.degrees, ring.r, e_ops)
     return alg
 
@@ -1375,7 +1402,7 @@ def mult_operator(alg, coords) -> Matrix:
     """Multiplication operator of the element with these basis coordinates,
     combined from the label operators; perp_piece_operators reads the perp
     products off the label recursion run on the perp vectors instead."""
-    ops, terms = alg.label_ops, []
+    ops, terms = label_ops(alg), []
     for coeff, lab in zip(coords, alg.basis):
         if not coeff:
             continue
@@ -1490,7 +1517,7 @@ def perp_space(alg, rad: list[dict], pairing: Matrix) -> list[list]:
     off its pivots."""
     idx, piece = alg.index, label_piece(alg)
     constraints = []
-    for u in linalg.dense(rad, len(alg.basis)):
+    for u in dense(rad, len(alg.basis)):
         pu = mat_vec(pairing, u)
         constraints.append([pu[idx[lam]] for lam in piece])
     if constraints:
@@ -1683,7 +1710,7 @@ def perp_piece_operators(ring: SectionRing, perp: list[list]) -> tuple[list, Mat
     generators = []
     for v in perp:
         products = linalg.sparse_mul_sum([(c, unit, on_perp[lab]) for lab, c in zip(ring.basis, v) if c])
-        generators.append(on_piece(linalg.dense(products, len(ring.basis))))
+        generators.append(on_piece(dense(products, len(ring.basis))))
     shifted, e1 = perp, dense_square(ring.e_ops[1])
     for _ in range(ring.r):
         shifted = [mat_vec(e1, u) for u in shifted]
@@ -1762,7 +1789,7 @@ def _perp_projector(ring: SectionRing, rad: list[dict]):
     """Projection onto the pairing-orthogonal complement of the radical."""
     if not rad:
         return lambda v: list(v)
-    rad = linalg.dense(rad, len(ring.basis))
+    rad = dense(rad, len(ring.basis))
     gram = [[_pair_vec(ring, u, w) for w in rad] for u in rad]
     if linalg.det_bareiss(gram) == 0:
         raise InternalConsistencyError("pairing is degenerate on the radical")

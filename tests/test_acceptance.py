@@ -13,6 +13,7 @@ from oracles import (
     dense_square,
     hodge_number,
     label_degree,
+    label_ops,
     label_piece,
     mat_vec,
     pieri_on_label,
@@ -213,10 +214,9 @@ def test_criterion_8_quantum_lefschetz_identities():
 def test_criterion_9_semisimplicity_verdicts():
     t0 = time.time()
     for box in AMBIENT_BOXES:
-        assert qh_semisimple(box), box
-    assert full_ring_semisimple(build_ring(3, 7))
-    ok, sub_dim, rad_dim = perp_subalgebra_semisimple(build_ring(3, 8))
-    assert ok and sub_dim == 49 and rad_dim == 2
+        assert qh_semisimple(box).holds is True, box
+    assert full_ring_semisimple(build_ring(3, 7)).holds is True
+    assert perp_subalgebra_semisimple(build_ring(3, 8)) == (True, "trace-form+monodromy", (49, 2))
     # Betti witnesses with the tabulated dimension counts
     from qhgrass.hodge import section_profile
 
@@ -245,7 +245,7 @@ def test_criterion_10_property_suites():
     # Frobenius symmetry: all triples of basis classes on Gr(2,4) and Gr(3,6)
     for box in [Box(2, 4), Box(3, 6)]:
         basis = schubert_basis(box)
-        ops = grassmannian(box).label_ops
+        ops = label_ops(grassmannian(box))
         idx = {lam: i for i, lam in enumerate(basis)}
         vecs = {lam: vector(grassmannian(box), ClassVector.schubert(box, lam)) for lam in basis}
 
@@ -265,7 +265,7 @@ def test_criterion_10_property_suites():
         for lab in ring.basis:
             if lab == BETA:
                 continue
-            op = ring.label_ops[lab]
+            op = label_ops(ring)[lab]
             transposed = [list(r) for r in zip(*op)]
             assert linalg.mat_mul(transposed, dense_square(ring.pairing)) == linalg.mat_mul(
                 dense_square(ring.pairing), op

@@ -27,10 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qhgrass"
 # "<module>.<function>" or "<module>.<class>.<method>" -> why it stays
 KEPT = {
     "quantum.semisimple_test": "benchmark/spans.py traces it; no command calls it",
-    "quantum.GradedAlgebra.label_ops": "benchmark/spans.py counts entries through it; no command reads it",
-    "quantum.mult_operators": "benchmark/spans.py traces it, reached through label_ops; no command calls it",
+    "quantum.mult_operators": "benchmark/spans.py traces it; no command calls it, the tests read label operators",
     "linalg.trace_product": "benchmark/spans.py traces it, reached through semisimple_test; no command calls it",
-    "linalg.dense": "mult_operators, kept for its benchmark span, makes each label operator dense with it",
     "hodge.is_hodge_tate": "ROADMAP item 2a makes it the not-Hodge-Tate verdict; no command calls it yet",
 }
 

@@ -10,9 +10,11 @@ from oracles import (
     UniPoly,
     charpoly_by_interpolation,
     charpoly_by_polynomial_bareiss,
+    dense,
     dense_square,
     interpolate,
     kernel_basis,
+    label_ops,
     mat_combine,
     mat_inverse,
     mat_vec,
@@ -464,14 +466,12 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     perp = perp_space(ring8, rad, dense_square(ring8.pairing))
     leads = set(map(min, rad))
     rest = [i for i in range(len(ring8.basis)) if i not in leads]
-    _, shifted = quantum.trace_form_rows(ring8, shifted=True)
+    shifted = quantum.trace_form_rows(ring8, shifted=True)
     box = Box(4, 8)
-    ambient = quantum.grassmannian(box).label_ops
+    ambient = label_ops(quantum.grassmannian(box))
     matrices = {
         "(3,8) pairing": dense_square(ring8.pairing),
-        "(3,7) trace form": trace_form_gram(
-            [ring7.label_ops[lab] for lab in ring7.basis]
-        ),
+        "(3,7) trace form": trace_form_gram([label_ops(ring7)[lab] for lab in ring7.basis]),
         "(3,8) perp trace form": trace_form_gram(perp_subalgebra_operators(ring8, perp)[0]),
         "(3,8) shifted trace form off the radical's leads": [[shifted[a].get(b, 0) for b in rest] for a in rest],
         "Gr(4,8) trace form": trace_form_gram([ambient[lam] for lam in quantum.schubert_basis(box)]),
@@ -585,7 +585,7 @@ def test_sparse_product_equals_mat_mul_entry_types_included(case):
     cols = len(b[0])
     product = linalg.sparse_mul_sum([(1, sparse_rows(a), sparse_rows(b))])
     expected = linalg.mat_mul(a, b)
-    got = linalg.dense(product, cols)
+    got = dense(product, cols)
     assert got == expected and _types(got) == _types(expected)
     assert all(x for row in product for x in row.values())  # zeros are never stored
     # a term (c, I, m) adds c * m: the label recursion's corrections, fused
@@ -595,7 +595,7 @@ def test_sparse_product_equals_mat_mul_entry_types_included(case):
     )
     assert combined == sparse_combine([(c, sparse_rows(extra))], product)
     expected = mat_combine([(c, extra)], expected)
-    got = linalg.dense(combined, cols)
+    got = dense(combined, cols)
     assert got == expected and _types(got) == _types(expected)
     assert all(x for row in combined for x in row.values())
 

@@ -15,10 +15,12 @@ from oracles import (
     classical_section_e_ops,
     classical_section_ring,
     cup_e,
+    dense,
     dense_square,
     evaluate_e_polynomials,
     h_relations_on_every_unit_vector,
     label_degree,
+    label_ops,
     lift_operator,
     mat_combine,
     mat_vec,
@@ -223,7 +225,7 @@ def test_frobenius_property_of_operators():
         ring = build_ring(3, n)
         ambient = [lab for lab in ring.basis if lab != BETA]
         for lab in ambient:
-            op = ring.label_ops[lab]
+            op = label_ops(ring)[lab]
             transposed = [list(r) for r in zip(*op)]
             assert linalg.mat_mul(transposed, dense_square(ring.pairing)) == linalg.mat_mul(
                 dense_square(ring.pairing), op
@@ -232,8 +234,8 @@ def test_frobenius_property_of_operators():
             ix = ring.index[x]
             for y in ambient:
                 iy = ring.index[y]
-                col_xy = [row[iy] for row in ring.label_ops[x]]
-                col_yx = [row[ix] for row in ring.label_ops[y]]
+                col_xy = [row[iy] for row in label_ops(ring)[x]]
+                col_yx = [row[ix] for row in label_ops(ring)[y]]
                 assert col_xy == col_yx, (n, x, y)
 
 
@@ -271,7 +273,7 @@ def test_h_recursion_matches_the_monomial_evaluation_on_the_section(n):
     ring = build_ring(3, n)
     dim = len(ring.basis)
     for top in (n, n + 1):
-        got = [linalg.dense(h, dim) for h in quantum.h_operators(ring.columns, top, _identity_seeds(ring))]
+        got = [dense(h, dim) for h in quantum.h_operators(ring.columns, top, _identity_seeds(ring))]
         polys = [sigma_e_polynomial(m, 3) for m in range(top - 2, top + 1)]
         assert got == [[list(col) for col in zip(*mat)] for mat in evaluate_e_polynomials(polys, ring.e_ops)], top
 
@@ -393,7 +395,7 @@ def test_radical_38_matches_source_vector():
     beta_vec[ring.index[BETA]] = 1
     gamma = reduce(ring, ClassVector(ring.box, {(lam, 0): c for lam, c in GAMMA_38.items()}))
     gamma_vec = vector(ring, gamma)
-    span = [list(col) for col in zip(*linalg.dense(rad, len(ring.basis)))]
+    span = [list(col) for col in zip(*dense(rad, len(ring.basis)))]
     for target in (beta_vec, gamma_vec):
         coords = solve(span, target)  # raises if outside the radical
         assert any(coords)
@@ -435,9 +437,8 @@ def test_perp_isomorphism_checks():
 
 
 def test_semisimplicity_routes():
-    assert full_ring_semisimple(build_ring(3, 7))
-    ok, dim, rad_dim = perp_subalgebra_semisimple(build_ring(3, 8))
-    assert ok and dim == 49 and rad_dim == 2
+    assert full_ring_semisimple(build_ring(3, 7)) == screen.Verdict(True, "trace-form", (30,))
+    assert perp_subalgebra_semisimple(build_ring(3, 8)) == screen.Verdict(True, "trace-form+monodromy", (49, 2))
     # no command sends a ring with beta to the full-ring route, so reaching
     # it is a fault of the program
     with pytest.raises(InternalConsistencyError, match="every basis class's operator"):
@@ -449,15 +450,16 @@ def test_semisimplicity_routes():
 def test_perp_route_on_the_37_section_is_the_whole_ring():
     # the radical is empty, so S is the whole 30-dimensional ring
     ring = build_ring(3, 7)
-    assert perp_subalgebra_semisimple(ring) == (True, 30, 0)
-    assert full_ring_semisimple(ring)
+    assert perp_subalgebra_semisimple(ring) == screen.Verdict(True, "trace-form+monodromy", (30, 0))
+    assert full_ring_semisimple(ring) == screen.Verdict(True, "trace-form", (30,))
 
 
 @pytest.mark.parametrize("n, expected", [(6, (True, 15, 3)), (7, (True, 30, 0)), (8, (True, 49, 2))])
 def test_perp_route_agrees_with_the_oracle(n, expected):
     # A / ker e_1 from the shifted Gram matrix against S = sum e_1^i P decided
     # on P by the det G_S identity: verdict, dim S and dim R
-    assert perp_subalgebra_semisimple(build_ring(3, n)) == perp_route_semisimple(3, n) == expected
+    verdict = perp_subalgebra_semisimple(build_ring(3, n))
+    assert (verdict.holds, *verdict.certificate) == perp_route_semisimple(3, n) == expected
 
 
 def test_shifted_gram_of_a_section_ring():
@@ -466,12 +468,12 @@ def test_shifted_gram_of_a_section_ring():
     # are zero
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     ring7 = build_ring(3, 7)
-    shifted = dense_square(quantum.trace_form_rows(ring7, shifted=True)[1])
-    gram = dense_square(quantum.trace_form_rows(ring7)[1])
+    shifted = dense_square(quantum.trace_form_rows(ring7, shifted=True))
+    gram = dense_square(quantum.trace_form_rows(ring7))
     assert typed(shifted) == typed(linalg.mat_mul(gram, dense_square(ring7.e_ops[1])))
     assert shifted == [list(col) for col in zip(*shifted)]
     ring8 = build_ring(3, 8)
-    shifted = dense_square(quantum.trace_form_rows(ring8, shifted=True)[1])
+    shifted = dense_square(quantum.trace_form_rows(ring8, shifted=True))
     b = ring8.index[BETA]
     assert not any(shifted[b]) and not any(row[b] for row in shifted)
     assert shifted == [list(col) for col in zip(*shifted)]
@@ -597,11 +599,10 @@ def test_a_zero_shifted_gram_row_off_the_leads_gives_a_degenerate_verdict(capsys
     unit = ring.index[()]
 
     def zeroed(alg, shifted=False):
-        t, gram = original(alg, shifted)
-        return t, [{} if i == unit else row for i, row in enumerate(gram)]
+        return [{} if i == unit else row for i, row in enumerate(original(alg, shifted))]
 
     monkeypatch.setattr(section, "trace_form_rows", zeroed)
-    assert perp_subalgebra_semisimple(ring) == (False, 49, 2)
+    assert perp_subalgebra_semisimple(ring) == screen.Verdict(False, "trace-form+monodromy", (49, 2))
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert '"semisimple": false' in out and "degenerate trace form on the perp subalgebra" in out and not err
@@ -623,7 +624,7 @@ def test_full_ring_semisimple_checks_commutativity_on_e1_e2_e3(monkeypatch):
     build_ring.cache_clear()
     ring = build_ring(3, 7)
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
-    assert full_ring_semisimple(ring)
+    assert full_ring_semisimple(ring).holds is True
     assert seen == [[ring.e_ops[1], ring.e_ops[2], ring.e_ops[3]]]
     # every label operator is a polynomial in e_1, e_2, e_3, so an algebra
     # whose generators fail to commute must be refused when it is built
@@ -768,7 +769,7 @@ def test_section_semisimplicity_reports():
     assert "3" in cli._detail(r6, 5) and "4" in cli._detail(r6, 5)
     # no beta: the whole-ring trace form of all 30 classes decides it
     r7 = section_semisimplicity(3, 7)
-    assert r7.holds is full_ring_semisimple(build_ring(3, 7)) is True and r7.method == "trace-form"
+    assert r7 == full_ring_semisimple(build_ring(3, 7)) and r7.holds is True and r7.method == "trace-form"
     assert r7.certificate == (30,)
     assert cli._detail(r7, 6) == "nondegenerate trace form on the 30-dimensional ring"
     r8 = section_semisimplicity(3, 8)
@@ -857,7 +858,10 @@ def test_the_route_follows_the_screen_and_beta(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert calls == [] and not err
     assert '"method": "trace-form"' in out and "30-dimensional ring" in out
-    monkeypatch.setattr(section, "full_ring_semisimple", lambda *args: calls.append(("full ring", args)) or False)
+    full_ring = section.full_ring_semisimple
+    monkeypatch.setattr(section, "trace_form_nonsingular", lambda ring: False)
+    monkeypatch.setattr(section, "full_ring_semisimple",
+                        lambda *args: calls.append(("full ring", args)) or full_ring(*args))
     report = section_semisimplicity(3, 7)
     assert report == (False, "trace-form", (30,)) and cli._detail(report, 6) == "degenerate trace form"
     assert calls == [("full ring", (build_ring(3, 7),))]
@@ -965,9 +969,8 @@ def test_a_shifted_gram_entry_outside_its_residue_block_exits_1(capsys, monkeypa
     original = section.trace_form_rows
 
     def perturbed(alg, shifted=False):
-        t, gram = original(alg, shifted)
         unit, sigma1 = alg.index[()], alg.index[(1,)]
-        return t, [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(gram)]
+        return [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(original(alg, shifted))]
 
     monkeypatch.setattr(section, "trace_form_rows", perturbed)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
@@ -989,7 +992,7 @@ def test_lift_operator_agrees_with_recursion():
     for lab in ring.basis:
         coords = [0] * len(ring.basis)
         coords[ring.index[lab]] = 1
-        assert lift_operator(ring, lifts, coords) == ring.label_ops[lab], lab
+        assert lift_operator(ring, lifts, coords) == label_ops(ring)[lab], lab
     ring8 = build_ring(3, 8)
     lifts8 = build_lifts(ring8)
     for lab in ring8.basis:
@@ -997,7 +1000,7 @@ def test_lift_operator_agrees_with_recursion():
             continue
         coords = [0] * len(ring8.basis)
         coords[ring8.index[lab]] = 1
-        assert lift_operator(ring8, lifts8, coords) == ring8.label_ops[lab], lab
+        assert lift_operator(ring8, lifts8, coords) == label_ops(ring8)[lab], lab
 
 
 def test_operator_solve_refuses_underdetermined_and_inconsistent_equations(monkeypatch):
@@ -1058,14 +1061,14 @@ def test_label_operators_satisfy_every_pieri_identity():
         ring = build_ring(3, n)
         dim = len(ring.basis)
         for p in (1, 2, 3):
-            for mu, op in ring.label_ops.items():
+            for mu, op in label_ops(ring).items():
                 image = pieri_on_label(ring, p, mu).terms
                 expected = mat_combine(
-                    [(c, ring.label_ops[lab]) for (lab, _), c in image.items()],
+                    [(c, label_ops(ring)[lab]) for (lab, _), c in image.items()],
                     linalg.zeros(dim, dim),
                 )
                 assert linalg.mat_mul(dense_square(ring.e_ops[p]), op) == expected, (n, p, mu)
-        assert set(ring.label_ops) == set(ring.basis) - {BETA}
+        assert set(label_ops(ring)) == set(ring.basis) - {BETA}
 
 
 def test_reduce_kills_top_ambient_degree():
@@ -1113,8 +1116,9 @@ def test_built_ring_is_int_first(n):
     # integral values are ints and only genuinely non-integral ones are
     # Fractions; no float anywhere
     ring = build_ring(3, n)
-    for name in ("label_ops", "e_ops", "pairing", "relations"):
-        for e in _entries(getattr(ring, name)):
+    tables = {"label_ops": label_ops(ring), "e_ops": ring.e_ops, "pairing": ring.pairing, "relations": ring.relations}
+    for name, table in tables.items():
+        for e in _entries(table):
             assert type(e) is int or (type(e) is Fraction and e.denominator != 1), (name, e)
 
 
@@ -1125,11 +1129,11 @@ def _trace_product_gram(ops):
 def test_trace_form_gram_matches_trace_products():
     for k, n in [(2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 5), (3, 6), (3, 7)]:
         box = Box(k, n)
-        table = grassmannian(box).label_ops
+        table = label_ops(grassmannian(box))
         ops = [table[lam] for lam in schubert_basis(box)]
         assert trace_form_gram(ops) == _trace_product_gram(ops), (k, n)
     ring7 = build_ring(3, 7)
-    ops7 = [ring7.label_ops[lab] for lab in ring7.basis]
+    ops7 = [label_ops(ring7)[lab] for lab in ring7.basis]
     assert trace_form_gram(ops7) == _trace_product_gram(ops7)
     ring8 = build_ring(3, 8)
     ops8, _ = perp_subalgebra_operators(ring8, perp_space(ring8, radical_and_perp(ring8), dense_square(ring8.pairing)))
@@ -1148,7 +1152,7 @@ def test_e_operators_match_the_symbolic_section_pieri_rule(n, q):
     ring = build_ring(3, n)
     alg = ring if q else classical_section_ring(ring)
     assert {p: dense_square(op) for p, op in alg.e_ops.items()} == symbolic_e_ops(ring, q)
-    assert alg.label_ops == symbolic_label_ops(ring, q)
+    assert label_ops(alg) == symbolic_label_ops(ring, q)
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -1171,8 +1175,8 @@ def test_section_operators_hold_no_integral_fraction(n, q):
     # linalg's rule: a Fraction entry is always genuinely non-integral
     ring = build_ring(3, n)
     alg = ring if q else classical_section_ring(ring)
-    for name in ("e_ops", "label_ops"):
-        for e in _entries(getattr(alg, name)):
+    for name, table in (("e_ops", alg.e_ops), ("label_ops", label_ops(alg))):
+        for e in _entries(table):
             assert type(e) is int or (type(e) is Fraction and e.denominator != 1), (name, e)
 
 

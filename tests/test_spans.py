@@ -1,24 +1,31 @@
-"""The benchmark's span list must name live functions of the package.
+"""The benchmark's span list must name live functions of the package, and
+tracing must build nothing the program does not.
 
 benchmark/spans.py wraps each TRACED "<module>.<function>" by module binding,
-and its traced CI run fails on a name that no longer resolves.  This test
-loads that file by path, only reads it, and fails in pytest first.
+and its traced CI run fails on a name that no longer resolves.  These tests
+load that file by path, only read it, and fail in pytest first.
 """
 
 import importlib
 import importlib.util
+import time
 from pathlib import Path
 
+from qhgrass import section
 from qhgrass.section import build_ring
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
 
 
-def _traced_names() -> list[str]:
+def _spans():
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [name for name, _ in module.TRACED]
+    return module
+
+
+def _traced_names() -> list[str]:
+    return [name for name, _ in _spans().TRACED]
 
 
 def test_every_traced_span_resolves_to_a_function():
@@ -30,11 +37,15 @@ def test_every_traced_span_resolves_to_a_function():
         assert callable(getattr(module, func_name, None)), name
 
 
-def test_section_ring_label_ops_are_a_dict_of_matrices():
-    # what the span counters read off build_ring's result
-    ring = build_ring(3, 8)
-    dim = len(ring.basis)
-    assert isinstance(ring.label_ops, dict) and ring.label_ops
-    for op in ring.label_ops.values():
-        assert isinstance(op, list) and len(op) == dim
-        assert all(isinstance(row, list) and len(row) == dim for row in op)
+def test_a_traced_cold_ring_build_makes_no_label_operator():
+    # the span counters read build_ring's result; tracing must build no more
+    # than the program does, so a cold (3, 8) build runs mult_operators 0 times
+    tracer = _spans().Tracer("qhgrass", time.process_time)
+    build_ring.cache_clear()
+    tracer.install()
+    try:
+        section.build_ring(3, 8)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == [] and section.build_ring is build_ring
+    assert tracer.counts["section.build_ring"] == 1 and tracer.counts["quantum.mult_operators"] == 0

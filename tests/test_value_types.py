@@ -2,11 +2,13 @@
 and equal and hashed by value; and the polynomials, plain tuples of
 coefficients."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from cli_pins import PINS
+from cli_pins import PINS, run_pin
 from oracles import SMALL_TYPES, euler_number
 from qhgrass import cli, hodge, linalg, quantum, screen, section
 from qhgrass.errors import InvalidInputError
@@ -100,6 +102,28 @@ def test_every_golden_verdict_holds_true_false_or_none_by_identity():
     assert {v.holds for v in verdicts} == {True, False, None}
 
 
+def test_every_semisimple_document_is_worded_from_its_returned_verdict(monkeypatch):
+    # every exit-0 qh semisimple pin, run as JSON: its results are the record
+    # that quantum.qh_semisimple or section.section_semisimplicity returned
+    returned = []
+    for module, name in [(quantum, "qh_semisimple"), (section, "section_semisimplicity")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original: returned.append(f(*args)) or returned[-1])
+    argvs = [re.sub(r" --format \w+", "", pin.argv) + " --format json" for pin in PINS
+             if pin.argv.startswith("qh semisimple ") and pin.code == 0 and "--help" not in pin.argv]
+    # ten rows, seven commands: three are pinned in both formats
+    argvs = list(dict.fromkeys(argvs))
+    assert len(argvs) >= 7
+    for argv in argvs:
+        returned.clear()
+        code, out, err = run_pin(argv)
+        assert (code, err, len(returned)) == (0, "", 1), argv
+        v, doc = returned[0], json.loads(out)
+        assert type(v) is Verdict, argv
+        expected = {"semisimple": v.holds, "method": v.method, "detail": cli._detail(v, doc["inputs"]["n"] - 1)}
+        assert doc["results"] == expected, argv
+
+
 def test_polynomials_are_tuples_of_exact_coefficients(capsys, monkeypatch):
     # every polynomial is its coefficients, lowest degree first: a tuple whose
     # last entry is nonzero, each entry an int or a Fraction that is not one
@@ -113,7 +137,7 @@ def test_polynomials_are_tuples_of_exact_coefficients(capsys, monkeypatch):
     for argv in argvs:
         assert cli.run(argv) == 0, argv
     capsys.readouterr()
-    assert len(argvs) == 8 and len(polys) == 2 * 66 + 220 + 2 * 8
+    assert len(argvs) >= 8 and len(polys) == 2 * 66 + 220 + 2 * len(argvs)
     for poly in polys:
         assert type(poly) is tuple and poly and poly[-1] != 0, poly
         assert all(type(c) is int or type(c) is Fraction and c.denominator != 1 for c in poly), poly
