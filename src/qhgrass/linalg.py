@@ -4,36 +4,34 @@ Matrices are plain lists of rows; entries are ints or Fractions and never
 floats.  Integral values stay ints: every division goes through exact_div,
 which refuses floats and returns an int whenever the quotient is integral, and
 products and elimination steps hand back ints for integral entries, so a
-Fraction entry is always genuinely non-integral.  The kernels skip what the
-nonzero pattern rules out: mat_mul runs over nonzeros, det_bareiss over the
-connected blocks of the pattern.  The e-operators are sparse rows
-{column: value}; the Pieri recursions quantum.label_recursion and
-quantum.h_operators, the commutativity check, e_power_charpoly's thin
-blocks and the section's self-adjointness check of e_1 read them through
-one kernel, sparse_mul_sum: a sum of products c * (a @ b) accumulated row by
-row, in which a term with a = I adds c * b.  No whole e-operator is made
-dense, and the dense readers refuse sparse rows; section.radical_and_perp
-slices each residue block of E_1 into a dense list for kernel_basis.  The
-commutativity and self-adjointness checks multiply int multiples of the
-e-operators (integral_multiple), not the Fractions.
+Fraction entry is always genuinely non-integral.  mat_mul runs over the
+nonzeros of its factors.  The e-operators are sparse rows {column: value};
+the Pieri recursions quantum.label_recursion and quantum.h_operators,
+the commutativity check, e_power_charpoly's thin blocks and the section's
+self-adjointness check of e_1 read them through one kernel, sparse_mul_sum:
+a sum of products c * (a @ b) accumulated row by row, in which a term with
+a = I adds c * b.  No whole e-operator is made dense, and the dense readers
+refuse sparse rows; section.radical_and_perp slices each residue block of
+E_1 into a dense list for kernel_basis.  The commutativity and
+self-adjointness checks multiply int multiples of the e-operators
+(integral_multiple), not the Fractions.
 Both Pieri recursions keep their blocks seed-major, one row per seed
 vector, so in each step a is a block of s rows (the rows s^T L_lam', or
 the images of H_(m-i)) and b is E_p, or E_i^T held as E_i's columns for
 the h-recursion: the step loops over the s seed rows, not over d.
 The relation check of either ring seeds at most two rows, the unit and beta;
 the trace vector's reverse pass (quantum.trace_row) takes one row per label.
-Determinants take one fraction-free (Bareiss) elimination, _bareiss, over
-ints or Fractions.  A Gram matrix or pairing whose grading fixes its blocks
-comes as sparse rows to block_nonsingular, which checks that every nonzero
-lies in its block and runs _bareiss on each block alone, so no d x d matrix
-is made; a block that is, entry by entry, the transpose of one already
-decided nonsingular shares its determinant and takes no elimination, which
-halves the off-diagonal blocks of a symmetric form.  det_bareiss, which
-finds the blocks of a dense matrix from its nonzero pattern, serves the
-small radical Gram and the tests.  The characteristic polynomial takes no
-division at all: charpoly is the Berkowitz recursion, and the tests check
-it against two routes through _bareiss, evaluation and interpolation over
-the integers, and elimination over the polynomial ring.
+A determinant is one fraction-free (Bareiss) elimination of the whole
+matrix, det_bareiss, over ints or Fractions.  A Gram matrix or pairing
+whose grading fixes its blocks comes as sparse rows to block_nonsingular,
+which checks that every nonzero lies in its block and calls det_bareiss on
+each block alone, so no d x d matrix is made; a block that is, entry by
+entry, the transpose of one already decided nonsingular shares its
+determinant and takes no elimination, which halves the off-diagonal blocks
+of a symmetric form.  The characteristic polynomial takes no division at
+all: charpoly is the Berkowitz recursion, and the tests check it against
+two routes through _bareiss, evaluation and interpolation over the
+integers, and elimination over the polynomial ring.
 There is no inverse and no solver.  A kernel takes one Gauss-Jordan
 elimination (rref), of the matrix with its columns reversed (kernel_basis).
 """
@@ -224,56 +222,14 @@ def kernel_basis(a: Matrix) -> list[list]:
     return vecs
 
 
-def _nonzero_blocks(a: Matrix) -> list[tuple[list[int], list[int]]]:
-    """(rows, columns) of each connected block of a's nonzero pattern, where
-    row i and column j are joined when a[i][j] != 0; ascending within a block."""
-    n = len(a)
-    parent = list(range(2 * n))  # union-find: rows are 0..n-1, columns n..2n-1
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                parent[root(i)] = root(n + j)
-    blocks: dict = {}
-    for v in range(2 * n):
-        blocks.setdefault(root(v), ([], []))[v >= n].append(v % n)
-    return list(blocks.values())
-
-
-def _sign(perm: list[int]) -> int:
-    return (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
-
-
 def det_bareiss(a: Matrix):
-    """Determinant over the connected blocks of the nonzero pattern.
-
-    Permuting rows and columns block by block makes a block diagonal, so the
-    determinant is the product of the blocks' Bareiss determinants times the
-    signs of the two permutations, or 0 if a block is not square (a zero row
-    or column is one).  Grams and pairings that vanish by residue or degree
-    split into many small blocks this way.
-    """
+    """Determinant by one Bareiss elimination of the whole matrix, over the
+    ints when every entry is an int, with checked divisions; an integral
+    value is an int."""
     if any(len(row) != len(a) for row in a):
         raise InvalidInputError("determinant of a non-square matrix")
-    blocks = _nonzero_blocks(a)
-    if any(len(rows) != len(cols) for rows, cols in blocks):
-        return 0
-    det = _sign([i for rows, _ in blocks for i in rows]) * _sign([j for _, cols in blocks for j in cols])
-    for rows, cols in blocks:
-        det *= _block_det([[a[i][j] for j in cols] for i in rows])
-    return _integral(det)
-
-
-def _block_det(block: Matrix):
-    """The Bareiss determinant of a square block, over the ints when every
-    entry is an int, with checked divisions."""
-    integral = all(type(x) is int for row in block for x in row)
-    return _bareiss(block, _int_div if integral else exact_div)
+    integral = all(type(x) is int for row in a for x in row)
+    return _integral(_bareiss(a, _int_div if integral else exact_div))
 
 
 def block_nonsingular(rows: list[dict], blocks) -> bool:
@@ -287,7 +243,7 @@ def block_nonsingular(rows: list[dict], blocks) -> bool:
     outside its row's block contradicts the grading and raises.  Permuting
     rows and columns block by block makes the matrix block diagonal, so it
     is nonsingular exactly when every block is square with a nonzero
-    Bareiss determinant.  A block whose entries are those of a decided
+    determinant (det_bareiss).  A block whose entries are those of a decided
     block (C, R) transposed, compared entry by entry, has that block's
     nonzero determinant and takes no elimination: a symmetric form, such as
     a Gram matrix or a pairing, decides half its off-diagonal blocks so.
@@ -301,7 +257,7 @@ def block_nonsingular(rows: list[dict], blocks) -> bool:
         block = [[rows[i].get(j, 0) for j in cols] for i in block_rows]
         mirror = decided.get((tuple(cols), tuple(block_rows)))
         if mirror is None or block != [list(col) for col in zip(*mirror)]:
-            if len(block_rows) != len(cols) or _block_det(block) == 0:
+            if len(block_rows) != len(cols) or det_bareiss(block) == 0:
                 return False
         decided[tuple(block_rows), tuple(cols)] = block
     return True

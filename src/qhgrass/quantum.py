@@ -195,33 +195,35 @@ class GradedAlgebra:
         return label_plan(self)
 
 
-def _piece_block(columns: dict[int, list[dict]], cols: list[int], steps: list[int]) -> Matrix:
-    """The product of E_p over p in steps on the span of the coordinates
-    cols, as an s x s matrix, from a thin block: row j is the image of the
-    unit vector of cols[j], stepped through E_p's columns (columns[p]).  The
-    CLI refuses a misaligned power before any operator is built, so an image
-    leaving the piece is a fault of the program, not of its input."""
+def _piece_block(e_ops: dict[int, list[dict]], cols: list[int], steps: list[int]) -> Matrix:
+    """The product of E_p over p in steps, in that order, on the span of the
+    coordinates cols, as an s x s matrix, from a thin block: row j is the
+    unit row of cols[j] stepped through the rows of E_p (e_ops[p]), so it is
+    row cols[j] of the product.  A product of degree 0 mod r keeps each
+    residue piece and its complement, and the CLI refuses a misaligned power
+    before any operator is built, so a row with a nonzero off the piece is a
+    fault of the program, not of its input."""
     block = [{c: 1} for c in cols]
     for p in steps:
-        block = linalg.sparse_mul_sum([(1, block, columns[p])])
+        block = linalg.sparse_mul_sum([(1, block, e_ops[p])])
     inside = set(cols)
     if any(j not in inside for row in block for j in row):
         raise InternalConsistencyError("operator does not preserve the requested piece")
-    return [[row.get(i, 0) for row in block] for i in cols]
+    return [[row.get(j, 0) for j in cols] for row in block]
 
 
 def e_power_charpoly(e_ops: dict[int, list[dict]], cols: list[int], r: int, power: int, with_e2=False) -> tuple:
     """Characteristic polynomial of e_1^power (optionally * e_2) on the span
-    of the basis coordinates cols, r the degree of q.  It reads only e_ops[1]
-    (and e_ops[2]), so a caller holding just those needs no whole algebra.
-    With power = m r + lead the operator is B^m C, B = E_1^r and
-    C = E_1^lead (* E_2); each preserves the piece, so on it the operator is
-    the s x s product of their thin blocks (_piece_block), s = len(cols)."""
-    columns = {p: _transpose(e_ops[p]) for p in ([1, 2] if with_e2 else [1])}
+    of the basis coordinates cols, r the degree of q.  It reads only the rows
+    of e_ops[1] (and e_ops[2]), so a caller holding just those needs no
+    whole algebra.  With power = m r + lead the operator is B^m C, B = E_1^r
+    and C = E_1^lead (* E_2); each preserves the piece, so on it the
+    operator is the s x s product of their thin blocks (_piece_block),
+    s = len(cols)."""
     m, lead = divmod(power, r)
-    op = _piece_block(columns, cols, [2] * with_e2 + [1] * lead)
+    op = _piece_block(e_ops, cols, [1] * lead + [2] * with_e2)
     if m:
-        op = linalg.mat_mul(linalg.mat_pow(_piece_block(columns, cols, [1] * r), m), op)
+        op = linalg.mat_mul(linalg.mat_pow(_piece_block(e_ops, cols, [1] * r), m), op)
     return linalg.charpoly(op)
 
 

@@ -256,9 +256,9 @@ def test_misaligned_charpoly_power_is_refused_before_any_power(capsys, monkeypat
     blocks, powers = [], []
     original_block, original_pow = quantum._piece_block, linalg.mat_pow
 
-    def recording_block(columns, cols, steps):
+    def recording_block(e_ops, cols, steps):
         blocks.append(list(steps))
-        return original_block(columns, cols, steps)
+        return original_block(e_ops, cols, steps)
 
     def recording_pow(a, e):
         powers.append(e)

@@ -398,7 +398,7 @@ def test_integral_results_are_ints(entries):
     assert all(type(v) is int for row in linalg.rref(fractional)[1] for v in row)
 
 
-# -- block-split determinant, sparse products, scaled span solver -------------
+# -- determinants, sparse products, scaled span solver -----------------------
 
 
 def _leibniz(a):
@@ -412,11 +412,6 @@ def _leibniz(a):
             term *= a[i][j]
         total += term
     return total
-
-
-def _single_block_det(a):
-    """The determinant by Bareiss elimination on the whole matrix, unsplit."""
-    return linalg._integral(linalg._bareiss(a, linalg.exact_div))
 
 
 @st.composite
@@ -434,11 +429,17 @@ def _permuted_block_diagonal(draw):
     return [[a[i][j] for j in cols] for i in rows]
 
 
+def _berkowitz_det(a):
+    """det(a) = (-1)^n det(0 I - a), the constant term of the Berkowitz
+    charpoly, which takes no division."""
+    return (-1) ** len(a) * linalg.charpoly(a)[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_permuted_block_diagonal())
-def test_det_splits_into_blocks_like_the_single_block_oracle(a):
+def test_det_of_a_permuted_block_diagonal_matches_leibniz_and_berkowitz(a):
     det = linalg.det_bareiss(a)
-    assert det == _single_block_det(a) and _int_first([det])
+    assert det == _berkowitz_det(a) and _int_first([det])
     if len(a) <= 6:
         assert det == _leibniz(a)
 
@@ -449,10 +450,9 @@ def test_det_block_split_edge_cases():
     assert linalg.det_bareiss([[0]]) == 0
     assert type(linalg.det_bareiss([[Fraction(4, 2)]])) is int
     assert linalg.det_bareiss([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0  # zero row
-    assert linalg.det_bareiss([[0, 1], [1, 0]]) == -1  # two 1 x 1 blocks, odd column order
-    # rows {0, 1} meet column {0} only, row 2 meets columns {1, 2}: det 0
-    non_square = [[1, 0, 0], [2, 0, 0], [0, 3, 4]]
-    assert linalg.det_bareiss(non_square) == 0 == _single_block_det(non_square)
+    assert linalg.det_bareiss([[0, 1], [1, 0]]) == -1
+    singular = [[1, 0, 0], [2, 0, 0], [0, 3, 4]]
+    assert linalg.det_bareiss(singular) == 0 == _berkowitz_det(singular)
     with pytest.raises(InvalidInputError):
         linalg.det_bareiss([[1, 2]])
 
@@ -478,13 +478,12 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     }
     for name, mat in matrices.items():
         det = linalg.det_bareiss(mat)
-        assert det != 0 and det == _single_block_det(mat), name
-        assert len(linalg._nonzero_blocks(mat)) > 1, name  # the split route is taken
-    # the matrices the oracle's perp route decides on, one block or several
+        assert det != 0 and det == _berkowitz_det(mat), name
+    # the matrices the oracle's perp route decides on
     generators, shift = perp_piece_operators(ring8, perp)
     for name, mat in {"(3,8) G_P": trace_form_gram(generators), "(3,8) M_z": shift}.items():
         det = linalg.det_bareiss(mat)
-        assert det != 0 and det == _single_block_det(mat), name
+        assert det != 0 and det == _berkowitz_det(mat), name
 
 
 @st.composite

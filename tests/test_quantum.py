@@ -824,6 +824,17 @@ def test_a_symmetric_gram_decides_each_mirrored_pair_of_blocks_once(monkeypatch)
     assert len(calls) == 6 and sorted(calls) == sorted(len(alg.pieces[rho]) for rho in (0, 1, 2, 3, 4, 5))
 
 
+def test_a_grams_blocks_are_decided_by_det_bareiss(monkeypatch):
+    # the verdict's block determinants are the one determinant routine's
+    # calls, one per block that no mirror decides
+    calls, original = [], linalg.det_bareiss
+    monkeypatch.setattr(linalg, "det_bareiss", lambda a: calls.append(len(a)) or original(a))
+    for cache in lru_caches():
+        cache.cache_clear()
+    assert quantum.qh_semisimple(Box(5, 10)).holds is True
+    assert calls == [26, 25, 25, 25, 25, 26]
+
+
 @pytest.mark.parametrize("box", BOXES_8, ids=str)
 def test_shifted_gram_is_the_gram_times_e1(box):
     # t^T E_1 L_a e_b = t^T L_a E_1 e_b: the run seeded with E_1^T t gives

@@ -11,7 +11,8 @@ import importlib.util
 import time
 from pathlib import Path
 
-from qhgrass import section
+from qhgrass import quantum, section
+from qhgrass.partitions import Box
 from qhgrass.section import build_ring
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmark" / "spans.py"
@@ -49,3 +50,16 @@ def test_a_traced_cold_ring_build_makes_no_label_operator():
         tracer.uninstall()
     assert tracer.absent == [] and section.build_ring is build_ring
     assert tracer.counts["section.build_ring"] == 1 and tracer.counts["quantum.mult_operators"] == 0
+
+
+def test_a_traced_ambient_verdict_bills_its_block_determinants_to_det_bareiss():
+    # Gr(5, 10)'s Gram takes 6 block determinants (residues 0 and 5, and one
+    # of each mirrored pair), each inside the linalg.det_bareiss span
+    tracer = _spans().Tracer("qhgrass", time.process_time)
+    tracer.install()
+    try:
+        assert quantum.qh_semisimple(Box(5, 10)).holds is True
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == [] and tracer.counts["linalg.det_bareiss"] == 6
+    assert tracer.self_times()["linalg.det_bareiss"] > 0
