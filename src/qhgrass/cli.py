@@ -3,8 +3,9 @@
 Each run builds one OutputDocument (a plain JSON-serializable dict with exact
 rationals rendered as "numerator/denominator" strings); --format json writes
 it, every integer in full, with the bytes json.dumps(doc, indent=2) gives,
-through the small writer _json; --format table renders it through a pure
-function of the document, so the two modes always agree.
+through the small writer _json, which escapes strings with module _json's C
+encode_basestring_ascii, as json.dumps does; --format table renders it through
+a pure function of the document, so the two modes always agree.
 
 Every decision arrives as a screen.Verdict, put into its document here
 alone: a screen's outcome is Witness exactly when holds is False, and
@@ -13,16 +14,16 @@ _detail words a semisimplicity verdict's certificate.
 One table, COMMANDS, names every command's help, arguments, handler and table
 renderer.  A run reads a well-formed command line straight from that table,
 with no argparse parser, since building one costs more than most commands
-compute.  argparse itself is imported only inside build_parser, so such a line
-never loads it.  Well formed means the command's words, then only exact
-`--flag value` and `--flag` tokens of that command (and --format), each at
-most once, every required flag given, each value converted by the flag's type
-and within its choices, and a value starting with "-" only when it is a
-negative number.  Any other argv (-h, an abbreviation, --flag=value, a
-repeated flag, a bad value, a missing flag, a leftover token, an unknown
-command) goes to the whole tree (build_parser), which owns all help, usage
-and error text.  Handlers are looked up by name at each parse, so a patched
-module-level `_cmd_*` function is the one that runs.
+compute.  argparse is imported only inside build_parser and the json package
+nowhere, so such a line loads neither.  Well formed means the command's words,
+then only exact `--flag value` and `--flag` tokens of that command (and
+--format), each at most once, every required flag given, each value converted
+by the flag's type and within its choices, and a value starting with "-" only
+when it is a negative number.  Any other argv (-h, an abbreviation,
+--flag=value, a repeated flag, a bad value, a missing flag, a leftover token,
+an unknown command) goes to the whole tree (build_parser), which owns all
+help, usage and error text.  Handlers are looked up by name at each parse, so
+a patched module-level `_cmd_*` function is the one that runs.
 
 Exit codes: 0 success, 2 invalid input or usage, 1 internal consistency
 failure (which is always a bug, never bad user input), and 141 (128 + SIGPIPE,
@@ -35,8 +36,8 @@ import math
 import os
 import re
 import sys
+from _json import encode_basestring_ascii
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import hodge, quantum, screen, section
@@ -97,7 +98,7 @@ def _cmd_betti(args) -> dict:
     poly = poincare_polynomial(g)
     return _document(
         "betti",
-        {"type": args.type.upper(), "node": args.node},
+        {"type": str(g.type), "node": args.node},
         {
             "label": str(g),
             "dim": dimension(g),
@@ -155,8 +156,9 @@ def _cmd_screen(args) -> dict:
         seed = hodge.DEFAULT_SEED if args.seed is None else args.seed
         inputs = {"section": True, "k": args.k, "n": args.n, "seed": seed}
     else:
-        profile = screen.profile_of(GrassmannianId(parse_type(args.type), args.node))
-        inputs = {"section": False, "type": args.type.upper(), "node": args.node}
+        g = GrassmannianId(parse_type(args.type), args.node)
+        profile = screen.profile_of(g)
+        inputs = {"section": False, "type": str(g.type), "node": args.node}
     return _document("screen", inputs, _verdict_payload(profile))
 
 
@@ -415,8 +417,9 @@ def render_table(doc: dict) -> str:
 
 
 _FORMAT = ("--format", {"choices": ("table", "json"), "default": "table"})
-# argparse reads a token that starts with "-" as a value only when it matches this
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# argparse reads a token that starts with "-" as a value only when it matches
+# this; re's own cache compiles it at the first such token, not at import
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _add_arguments(parser, name: str):
@@ -482,7 +485,7 @@ def _parse_table(name: str, tokens: list[str]) -> SimpleNamespace | None:
             values[dest] = True
             continue
         text = next(rest, None)
-        if text is None or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
+        if text is None or (text.startswith("-") and not re.match(_NEGATIVE_NUMBER, text)):
             return None
         try:
             value = spec.get("type", str)(text)
@@ -514,7 +517,8 @@ def _json(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2) writes it, for the types a document
     holds: dicts with str keys, lists, str, int, bool and None.  json.dumps
     runs its pure-Python encoder whenever indent is set, which costs more than
-    this writer.  Any other type, or a non-str key, is a TypeError."""
+    this writer; both escape strings with the C encode_basestring_ascii of
+    the module _json.  Any other type, or a non-str key, is a TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:

@@ -172,7 +172,7 @@ def snow_witnesses(box: Box, p: int, ell: int) -> list[tuple[Partition, int]]:
     the bound, and otherwise by an enumeration that stops at either bound.
     """
     if p < 0 or ell < 0:
-        raise InvalidInputError("p and ell must be nonnegative")
+        raise InvalidInputError(f"snow needs a nonnegative --p and --twist, got p={p}, twist={ell}")
     name = f"snow({box.k}, {box.n}, p={p})"
     if (fewest := -(-p // box.cols)) > MAX_SNOW_PARTS:
         raise InvalidInputError(f"{name} has partitions of at least {fewest} parts, over {MAX_SNOW_PARTS}")

@@ -86,6 +86,11 @@ PINS = [
     Pin("core-search --k 3 --n 300 --format json", timeout=5, results={"witnesses": []}),
     Pin("betti --type E8 --node 4 --format json"),
     Pin("screen --type F4 --node 4 --format json"),
+    # a type parse_type normalizes echoes as parsed: these are the E6/P2 documents
+    Pin("betti --type E06 --node 2 --format json",
+        sha256="ac07d6278313baaad2fa3abd6dfdde47dad6dd1d43a1d4f49fe55331084d3429"),
+    Pin("screen --type e06 --node 2 --format json",
+        sha256="8939818a9513956ce322102eb49b26e98b235d291dff4eea206f09c8edd5eb62"),
     Pin("exceptional-table --format json"),
     Pin("qh semisimple --section --k 3 --n 6"),
     Pin("qh semisimple --section --k 3 --n 8"),
@@ -187,7 +192,8 @@ PINS = [
     Pin("snow --k 1 --n 100000000 --p 3000000 --twist 0", timeout=5),
     # refused up front with one line on stderr: a misaligned charpoly power, a
     # charpoly over the work bound, an oversized Dynkin type, core search, snow
-    # and chi_y, and the other mode's flags given to screen, a --seed among them
+    # (a negative twist among them) and chi_y, and the other mode's flags given
+    # to screen, a --seed among them
     Pin("qh charpoly --k 5 --n 10 --power 11", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --k 5 --n 10 --power 160", code=2, timeout=5, stderr_lines=1),
     Pin("qh charpoly --section --k 3 --n 8 --power 6", code=2, timeout=5, stderr_lines=1),
@@ -200,6 +206,7 @@ PINS = [
     Pin("core-search --k 3 --n 100000", code=2, timeout=5, stderr_lines=1),
     Pin("core-search --k 3 --n 100000000", code=2, timeout=5, stderr_lines=1),
     Pin("snow --k 10 --n 40 --p 100 --twist 1", code=2, timeout=5, stderr_lines=1),
+    Pin("snow --k 3 --n 6 --p 2 --twist -1", code=2, timeout=5, stderr_lines=1),
     Pin("snow --k 3 --n 100000000 --p 10000000 --twist 1", code=2, timeout=5, stderr_lines=1),
     Pin("hodge --k 5 --n 20", code=2, timeout=5, stderr_lines=1),
     Pin("hodge --section --k 7 --n 30", code=2, timeout=5, stderr_lines=1),

@@ -604,13 +604,28 @@ def _fresh_run(argv: list[str]) -> tuple[int, set]:
 
 
 def test_start_up_loads_neither_dataclasses_nor_argparse():
-    # a well-formed command line pays for no dataclass machinery and no parser
-    code, loaded = _fresh_run(["core-search", "--k", "3", "--n", "9", "--format", "json"])
-    assert code == 0 and "qhgrass.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "argparse"}, loaded
+    # a well-formed command line pays for no dataclass machinery, no parser and
+    # no json package, in either format: the writer escapes strings with the C
+    # function json.encoder itself binds
+    assert cli.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+    for fmt in ("json", "table"):
+        code, loaded = _fresh_run(["core-search", "--k", "3", "--n", "9", "--format", fmt])
+        assert code == 0 and "qhgrass.cli" in loaded
+        unwanted = {"dataclasses", "inspect", "argparse", "json", "json.encoder", "json.decoder", "json.scanner"}
+        assert not loaded & unwanted, loaded
     # help goes through the whole tree, the one place argparse is imported
     code, loaded = _fresh_run(["--help"])
     assert code == 0 and "argparse" in loaded
+
+
+def test_betti_and_screen_echo_the_type_they_parsed(capsys):
+    # the echoed type is the one parse_type read: no spaces, no leading zeros
+    for command in ("betti", "screen"):
+        outs = {run_cli(capsys, command, "--type", text, "--node", "2", "--format", "json")[1]
+                for text in ("E6", "e6", " E6", "E06", "e06 ")}
+        assert len(outs) == 1 and json.loads(outs.pop())["inputs"]["type"] == "E6", command
+        code, out, _ = run_cli(capsys, command, "--type", " A5", "--node", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["inputs"]["type"] == "A5", command
 
 
 def test_build_parser_without_argv_builds_every_command(capsys, monkeypatch):

@@ -229,6 +229,13 @@ def test_snow_witnesses_twist_extremes():
         ]
 
 
+def test_snow_refusal_names_the_flags_and_their_values():
+    for p, twist in ((2, -1), (-2, 1), (-1, -1)):
+        with pytest.raises(InvalidInputError) as info:
+            snow_witnesses(Box(3, 6), p, twist)
+        assert str(info.value) == f"snow needs a nonnegative --p and --twist, got p={p}, twist={twist}"
+
+
 def test_core_search_golden():
     assert core_search(Box(3, 6)) == [((3, 2, 1), 4)]
     assert core_search(Box(3, 9)) == [((6, 4, 2), 6)]
