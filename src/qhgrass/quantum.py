@@ -34,8 +34,8 @@ splits the entries into the classical part C_p and the q part for the
 section ring, is the one reader of the q power.  The tests compare the
 entries with the vertical-strip and rim rule on every box with n <= 12.
 
-GradedAlgebra's constructor asserts that e_1..e_k commute (require_commuting,
-on integral multiples D_p E_p, since D_a D_b (ab - ba) = 0 exactly when
+GradedAlgebra's constructor asserts that e_1..e_k commute (commuting, on
+integral multiples D_p E_p, since D_a D_b (ab - ba) = 0 exactly when
 ab = ba) and that E_p raises degree by p mod r (require_graded), the one place
 each is checked.  One triangular Pieri recursion (label_recursion),
 L_lam = E_p L_lam' - sum c L_mu, runs on a seed block S, stored seed-major:
@@ -57,18 +57,15 @@ t vanishes off the residue-0 piece, since L_c shifts the degree by |c| mod
 r (the constructor checks E_p on its nonzeros); a nonzero there raises.
 Gram row a is t^T L_a: the label run seeded with t, kept as a sparse
 row.  phi(a b) vanishes unless deg a + deg b = 0 mod r, so the Gram matrix
-is zero outside the blocks of residue rho against -rho (residue_blocks),
-and trace_form_nonsingular decides det != 0 block by block
+is zero outside the blocks of residue rho against -rho, and
+trace_form_nonsingular decides det != 0 block by block
 (linalg.block_nonsingular), raising on a nonzero outside them and taking
 one determinant for each pair of mirrored blocks of the symmetric form; no
 verdict makes a d x d matrix.  qh_semisimple returns
-screen.Verdict(ok, "trace-form", None).  Both section verdicts make the same
-pass and run on the ring: section.full_ring_semisimple as Gr(k, n) does, and
-section.perp_subalgebra_semisimple with the run seeded with E_1^T t, which
-composes the trace form with multiplication by e_1, its blocks residue rho
-against -1 - rho.  No command builds a label operator: semisimple_test (the
-Gram matrix by its definition) and mult_operators (the run seeded with the
-identity, made dense) are kept for the tests and the benchmark's spans.
+screen.Verdict(ok, "trace-form", None).  No command builds a label
+operator: semisimple_test (the Gram matrix by its definition) and
+mult_operators (the run seeded with the identity, made dense) are kept for
+the tests and the benchmark's spans.
 
 The presentation relations h_{n-k+1} = ... = h_{n-1} = 0 and
 h_n = (-1)^(k+1) T, with T = q for Gr(k, n) and q e_1 for a section (the
@@ -184,7 +181,8 @@ class GradedAlgebra:
         self.box, self.k, self.basis, self.degrees, self.r = box, box.k, tuple(basis), tuple(degrees), r
         self.index = {lab: i for i, lab in enumerate(self.basis)}
         self.pieces = residue_pieces(self.degrees, r)
-        require_commuting(e_ops)
+        if not commuting(list(e_ops.values())):
+            raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
         self.e_ops = e_ops
         require_graded(self)
         self.columns = {p: _transpose(op) for p, op in e_ops.items()}
@@ -322,6 +320,9 @@ def trace_row(alg: GradedAlgebra) -> dict:
     y_lam is complete when its own step comes, one single-row
     linalg.sparse_mul_sum of its pending terms, and y_() is the sum.
     Labels without an operator (the section's beta) get no term.
+    Multiplication by c shifts the residue of the degree mod r by |c| (the
+    constructor's require_graded checks this), so the sum vanishes off the
+    residue-0 piece, and a nonzero there raises.
     """
     unit = [{0: 1}]
     labels = [()] + [lam for lam, *_ in alg.plan]
@@ -331,7 +332,10 @@ def trace_row(alg: GradedAlgebra) -> dict:
         pending[lam_prime].append((1, y, alg.e_ops[p]))
         for mu, c in corrections:
             pending[mu].append((c, unit, y))
-    return linalg.sparse_mul_sum(pending[()])[0]
+    row = linalg.sparse_mul_sum(pending[()])[0]
+    if any(alg.degrees[c] % alg.r for c in row):
+        raise InternalConsistencyError("the trace vector has a nonzero off the residue-0 piece")
+    return row
 
 
 def mult_operators(alg: GradedAlgebra) -> dict:
@@ -393,12 +397,6 @@ def commuting(ops: list[list[dict]]) -> bool:
     )
 
 
-def require_commuting(e_ops: dict[int, list[dict]]) -> None:
-    """Raise unless the e-operators e_1..e_k commute."""
-    if not commuting(list(e_ops.values())):
-        raise InternalConsistencyError("inconsistent Pieri images: e_1..e_k do not commute")
-
-
 def semisimple_test(ops: list[Matrix]) -> bool:
     """Trace-form criterion: a commutative algebra is semisimple iff the Gram
     matrix trace(ops_i ops_j) of its regular representation is nonsingular.
@@ -406,63 +404,39 @@ def semisimple_test(ops: list[Matrix]) -> bool:
     ops[c] multiplies by the c-th basis element, in that basis, and the
     operators commute.  The Gram matrix is taken by its definition, one
     linalg.trace_product per pair.  No verdict calls it: every ring's verdict
-    reads trace_form_rows, and the tests compare the two.
+    reads the trace vector, and the tests compare the two.
     """
     gram = [[linalg.trace_product(a, b) for b in ops] for a in ops]
     return linalg.det_bareiss(gram) != 0
 
 
-def trace_form_rows(alg: GradedAlgebra, shifted: bool = False) -> list[dict]:
+def trace_form_rows(alg: GradedAlgebra) -> list[dict]:
     """The trace-form Gram matrix trace(L_a L_b) as sparse rows, in basis
     order, from the trace vector t_c = trace(L_c) of one reverse pass over
-    the label plan, one thin label recursion and no label operator.
+    the label plan (trace_row), one thin label recursion and no label
+    operator.
 
-    t^T = sum over labels lam of e_lam^T L_lam (trace_row), so t_c = sum
-    over i of (L_i e_c)_i, which commutativity (L_i e_c = L_c e_i) makes
-    trace(L_c).  Multiplication by c shifts the residue of the degree mod r
-    by |c| (the constructor's require_graded checks this), so t vanishes off
-    the residue-0 piece, and a nonzero there raises.  With phi(x) =
-    trace(L_x), the pairing with the quantum Euler class (Abrams),
-    trace(L_a L_b) = phi(a b), so Gram row a is t^T L_a: the label
-    recursion seeded with t alone.  Every basis label must have an
-    operator; the section's beta raises.
-
-    With shifted=True the Gram matrix is composed with multiplication by
-    e_1, G E_1: row a is w^T L_a with w = E_1^T t, the label recursion
-    seeded with w.  A label with no operator is then left out of the sum
-    for t and gets an empty row.  This is the section's perp-subalgebra form
-    (section.perp_subalgebra_semisimple): there e_1 kills beta, so t^T x
-    is trace(L_x) for every x = e_1 y, and beta's row and column are zero.
+    t^T = sum over labels lam of e_lam^T L_lam, so t_c = sum over i of
+    (L_i e_c)_i, which commutativity (L_i e_c = L_c e_i) makes trace(L_c).
+    With phi(x) = trace(L_x), the pairing with the quantum Euler class
+    (Abrams), trace(L_a L_b) = phi(a b), so Gram row a is t^T L_a: the label
+    recursion seeded with t alone.  A label with no operator (the section's
+    beta) gets an empty row.
     """
-    if len(alg.plan) + 1 != len(alg.basis) and not shifted:
-        raise InternalConsistencyError("the trace form needs every basis class's operator")
-    row = trace_row(alg)
-    piece = set(alg.pieces[0])
-    if any(c not in piece for c in row):
-        raise InternalConsistencyError("the trace vector has a nonzero off the residue-0 piece")
-    seed = [row]
-    if shifted:
-        seed = linalg.sparse_mul_sum([(1, seed, alg.e_ops[1])])
-    rows = label_recursion(alg, seed)
+    rows = label_recursion(alg, [trace_row(alg)])
     return [rows[lab][0] if lab in rows else {} for lab in alg.basis]
-
-
-def residue_blocks(alg: GradedAlgebra, shift: int = 0, keep=None) -> list[tuple[list[int], list[int]]]:
-    """For each residue rho mod r, the basis indices of residue rho against
-    those of residue shift - rho, both within keep when it is given: a form
-    b(x, y) that vanishes unless deg x + deg y = shift mod r is zero
-    outside these (rows, columns) blocks.  The trace form phi(x y) has
-    shift 0 and the shifted one phi(e_1 x y) shift -1."""
-    pieces = alg.pieces if keep is None else [[i for i in piece if i in keep] for piece in alg.pieces]
-    return [(pieces[rho], pieces[(shift - rho) % alg.r]) for rho in range(alg.r)]
 
 
 def trace_form_nonsingular(alg: GradedAlgebra) -> bool:
     """Whether the trace form of alg is nondegenerate, block by block: the
-    Gram matrix of trace_form_rows on the residue blocks rho against -rho
-    (residue_blocks), outside which a nonzero raises
-    (linalg.block_nonsingular).  No d x d matrix is made."""
-    return linalg.block_nonsingular(trace_form_rows(alg), residue_blocks(alg))
+    Gram matrix of trace_form_rows on the residue blocks rho against -rho,
+    outside which a nonzero raises (linalg.block_nonsingular).  Every basis
+    label must have an operator; the section's beta raises.  No d x d
+    matrix is made."""
+    if len(alg.plan) + 1 != len(alg.basis):
+        raise InternalConsistencyError("the trace form needs every basis class's operator")
+    blocks = [(piece, alg.pieces[-rho % alg.r]) for rho, piece in enumerate(alg.pieces)]
+    return linalg.block_nonsingular(trace_form_rows(alg), blocks)
 
 
 def qh_semisimple(box: Box) -> Verdict:

@@ -86,12 +86,12 @@ ker E_1 = ker E_1^2, so e_1 is invertible on A / R and A = R + im E_1^N is a
 direct sum of ideals (N = dim A); A / R is isomorphic to im E_1^N, the
 source's perp subalgebra S.  A / R is spanned by partition labels and needs no
 beta * beta.  For x = e_1 y, L_x = E_1 L_y kills R and beta, so t^T x, with
-the t of quantum.trace_form_rows that leaves beta's diagonal entry out of
-its sum, is trace(L_x) on A.  The shifted Gram matrix
-B(a, b) = t^T E_1 L_a e_b (trace_form_rows with shifted=True) is therefore
-the trace form of A / R composed with multiplication by the unit e_1.  B is
-symmetric and R lies in its kernel, and beta is a lead of R's reduced
-echelon basis (asserted), so with C the labels off those leads,
+the trace vector t of quantum.trace_row, which leaves beta's diagonal entry
+out of its sum, is trace(L_x) on A.  The Gram matrix
+B(a, b) = t^T E_1 L_a e_b, row a the label run seeded with E_1^T t, is
+therefore the trace form of A / R composed with multiplication by the unit
+e_1.  B is symmetric and R lies in its kernel, and beta is a lead of R's
+reduced echelon basis (asserted), so with C the labels off those leads,
 det B[C][C] != 0 exactly when A / R is semisimple
 (perp_subalgebra_semisimple).  B(a, b) = phi(e_1 a b) vanishes unless
 deg a + deg b = -1 mod r, so that determinant is decided on the blocks of C
@@ -104,7 +104,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import hodge, linalg, screen
+from . import hodge, linalg, quantum, screen
 from .errors import InternalConsistencyError, InvalidInputError
 from .partitions import Box, Partition, box_partitions_of_size, size
 from .quantum import (
@@ -112,11 +112,9 @@ from .quantum import (
     e_power_charpoly,
     h_relation_check,
     pieri_entries,
-    residue_blocks,
     residue_pieces,
     schubert_basis,
     trace_form_nonsingular,
-    trace_form_rows,
 )
 
 BETA = "beta"
@@ -305,20 +303,23 @@ def radical_and_perp(ring: SectionRing) -> list[dict]:
 
 def perp_subalgebra_semisimple(ring: SectionRing) -> screen.Verdict:
     """Trace-form test on the perp subalgebra S = A / R of the section ring
-    A, R = ker e_1 (see the module docstring): det B[C][C] != 0, with B the
-    shifted Gram matrix (quantum.trace_form_rows) and C the labels off the
-    leads of R's reduced echelon basis.  B(a, b) = phi(e_1 a b) vanishes
-    unless deg a + deg b = -1 mod r, so the determinant is decided on the
-    blocks of C of residue rho against -1 - rho (quantum.residue_blocks).
-    The certificate is (dim S, dim R), dim S = dim A - dim R.
+    A, R = ker e_1 (see the module docstring): det B[C][C] != 0, with C the
+    labels off the leads of R's reduced echelon basis and row a of B the
+    label run seeded with w = E_1^T t, t the trace vector (quantum.trace_row).
+    B(a, b) = phi(e_1 a b) vanishes unless deg a + deg b = -1 mod r, so the
+    determinant is decided on the blocks of C of residue rho against
+    -1 - rho (linalg.block_nonsingular).  The certificate is (dim S, dim R),
+    dim S = dim A - dim R.
     """
     rad = radical_and_perp(ring)
     leads = set(map(min, rad))
     if ring.prim_dim and ring.index[BETA] not in leads:
         raise InternalConsistencyError("beta is not a lead of the radical ker e_1")
-    rest = {i for i in range(len(ring.basis)) if i not in leads}
-    ok = linalg.block_nonsingular(trace_form_rows(ring, shifted=True), residue_blocks(ring, -1, rest))
-    return screen.Verdict(ok, "trace-form+monodromy", (len(rest), len(rad)))
+    rest = [[i for i in piece if i not in leads] for piece in ring.pieces]
+    w = linalg.sparse_mul_sum([(1, [quantum.trace_row(ring)], ring.e_ops[1])])
+    gram = {ring.index[lab]: row for lab, (row,) in quantum.label_recursion(ring, w).items()}
+    ok = linalg.block_nonsingular(gram, [(piece, rest[(-1 - rho) % ring.r]) for rho, piece in enumerate(rest)])
+    return screen.Verdict(ok, "trace-form+monodromy", (len(ring.basis) - len(rad), len(rad)))
 
 
 def full_ring_semisimple(ring: SectionRing) -> screen.Verdict:

@@ -37,8 +37,8 @@ route:
   quantum.semisimple_test takes their Gram matrix by definition.
   perp_subalgebra_basis and perp_subalgebra_operators build the whole of S,
   with one operator per basis vector e_1^i v_j.  Production decides S as
-  A / ker e_1 from the shifted Gram matrix of quantum.trace_form_rows
-  (section.perp_subalgebra_semisimple).
+  A / ker e_1 from the shifted Gram matrix, the label run seeded with
+  E_1^T t (section.perp_subalgebra_semisimple).
 - betti_numbers reads the even Betti numbers of a section off its graded
   ring; section_semisimplicity takes them from the Hodge diamond.
 - rank and solve are exact row reduction through linalg.rref.
@@ -72,6 +72,8 @@ route:
   L_lam e_c of forward_label_recursion, seeded with the residue-0 piece's
   unit vectors; quantum.trace_row takes it by one reverse pass over the
   plan, and quantum.label_recursion runs the plan on rows s^T L_lam.
+  shifted_gram_rows reads the perp verdict's rows t^T E_1 L_a off that run
+  seeded with E_1^T t.
 - label_degree and label_piece read a label's degree and a residue piece
   off the labels, beta's degree dim Y / 2 among them; production passes
   GradedAlgebra the degrees and reads alg.pieces.
@@ -478,6 +480,15 @@ def trace_vector_forward(alg) -> list:
     for j, c in enumerate(piece):
         t[c] = linalg._integral(sum(images[lab][j].get(i, 0) for i, lab in enumerate(alg.basis) if lab in images))
     return t
+
+
+def shifted_gram_rows(alg) -> list[dict]:
+    """The rows t^T E_1 L_a of the trace form composed with e_1, in basis
+    order, as section.perp_subalgebra_semisimple makes them: the label run
+    seeded with E_1^T t, t = quantum.trace_row(alg).  A label with no
+    operator (the section's beta) gets an empty row."""
+    runs = quantum.label_recursion(alg, linalg.sparse_mul_sum([(1, [quantum.trace_row(alg)], alg.e_ops[1])]))
+    return [runs[lab][0] if lab in runs else {} for lab in alg.basis]
 
 
 # -- exact linear systems -------------------------------------------------------

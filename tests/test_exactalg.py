@@ -23,6 +23,7 @@ from oracles import (
     perp_subalgebra_operators,
     poly_from_roots,
     rank,
+    shifted_gram_rows,
     solve,
     sparse_combine,
     sparse_rows,
@@ -466,7 +467,7 @@ def test_det_of_ring_grams_and_pairing_matches_the_oracle():
     perp = perp_space(ring8, rad, dense_square(ring8.pairing))
     leads = set(map(min, rad))
     rest = [i for i in range(len(ring8.basis)) if i not in leads]
-    shifted = quantum.trace_form_rows(ring8, shifted=True)
+    shifted = shifted_gram_rows(ring8)
     box = Box(4, 8)
     ambient = label_ops(quantum.grassmannian(box))
     matrices = {

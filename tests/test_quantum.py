@@ -33,6 +33,7 @@ from oracles import (
     quantum_pieri,
     radical,
     restrict,
+    shifted_gram_rows,
     sigma1_triple_integral,
     sigma_e_polynomial,
     sparse_rows,
@@ -778,18 +779,24 @@ def test_the_reverse_pass_is_the_forward_trace_vector(box):
 
 
 @pytest.mark.parametrize("n, shifted", [(7, False), (7, True), (8, True)])
-def test_the_reverse_pass_is_the_forward_trace_vector_on_a_section(n, shifted):
+def test_the_reverse_pass_is_the_forward_trace_vector_on_a_section(monkeypatch, n, shifted):
     # (3, 8): beta has no operator and is left out of both sums; its entry,
     # in the residue-0 piece, is 0 both ways.  The forward sums of
     # Fractions there are integral at three labels, which are ints both ways.
-    # The Gram rows are seeded with it: the unit's row is t^T, or t^T E_1
+    # The Gram rows are seeded with it: the unit's row of trace_form_rows is
+    # t^T, and the perp verdict seeds its one label run with t^T E_1
     ring = section.build_ring(3, n)
     typed = lambda v: [(type(x), x) for x in v]
     row = quantum.trace_row(ring)
     t = dense([row], len(ring.basis))[0]
     assert typed(t) == typed(trace_vector_forward(ring))
-    seed = linalg.sparse_mul_sum([(1, [row], ring.e_ops[1])])[0] if shifted else row
-    assert trace_form_rows(ring, shifted)[ring.index[()]] == seed
+    if shifted:
+        seeds, recursion = [], quantum.label_recursion
+        monkeypatch.setattr(quantum, "label_recursion", lambda alg, seed: seeds.append(seed) or recursion(alg, seed))
+        section.perp_subalgebra_semisimple(ring)
+        assert seeds == [linalg.sparse_mul_sum([(1, [row], ring.e_ops[1])])]
+    else:
+        assert trace_form_rows(ring)[ring.index[()]] == row
     if n == 8:
         assert t[ring.index[section.BETA]] == 0
         assert any(type(x) is Fraction for op in ring.e_ops.values() for row in op for x in row.values())
@@ -840,21 +847,21 @@ def test_shifted_gram_is_the_gram_times_e1(box):
     # t^T E_1 L_a e_b = t^T L_a E_1 e_b: the run seeded with E_1^T t gives
     # G E_1, entry for entry and type for type
     alg = grassmannian(box)
-    gram, shifted = trace_form_rows(alg), trace_form_rows(alg, shifted=True)
+    gram, shifted = trace_form_rows(alg), shifted_gram_rows(alg)
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     assert typed(dense_square(shifted)) == typed(linalg.mat_mul(dense_square(gram), dense_square(alg.e_ops[1])))
 
 
 def test_trace_vector_and_gram_of_a_section_ring():
     # (3, 7) has no beta: its Gram is the whole ring's; (3, 8)'s beta has no
-    # operator, so its trace vector is undetermined, and since no command
-    # asks for it there, asking is a fault of the program
+    # operator, so its trace form is undetermined, and since no command
+    # asks the full-ring verdict for it, asking is a fault of the program
     ring = section.build_ring(3, 7)
     t, gram = dense([quantum.trace_row(ring)], len(ring.basis))[0], trace_form_rows(ring)
     ops = [label_ops(ring)[lab] for lab in ring.basis]
     assert t == [linalg.trace(op) for op in ops] and dense_square(gram) == trace_form_gram(ops)
     with pytest.raises(InternalConsistencyError, match="every basis class's operator"):
-        trace_form_rows(section.build_ring(3, 8))
+        quantum.trace_form_nonsingular(section.build_ring(3, 8))
 
 
 @pytest.mark.parametrize("box", [Box(4, 9), Box(4, 10), Box(5, 10)], ids=str)
@@ -894,9 +901,9 @@ def test_a_gram_entry_outside_its_residue_block_exits_1(capsys, monkeypatch, arg
     # an entry between the unit and sigma_1 contradicts that grading
     original = quantum.trace_form_rows
 
-    def perturbed(alg, shifted=False):
+    def perturbed(alg):
         unit, sigma1 = alg.index[()], alg.index[(1,)]
-        return [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(original(alg, shifted))]
+        return [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(original(alg))]
 
     monkeypatch.setattr(quantum, "trace_form_rows", perturbed)
     assert cli.run(argv.split()) == 1

@@ -39,6 +39,7 @@ from oracles import (
     ring_with_e_ops,
     schubert,
     section_pieri,
+    shifted_gram_rows,
     sigma_e_polynomial,
     solve,
     sparse_rows,
@@ -468,15 +469,25 @@ def test_shifted_gram_of_a_section_ring():
     # are zero
     typed = lambda op: [[(type(x), x) for x in row] for row in op]
     ring7 = build_ring(3, 7)
-    shifted = dense_square(quantum.trace_form_rows(ring7, shifted=True))
+    shifted = dense_square(shifted_gram_rows(ring7))
     gram = dense_square(quantum.trace_form_rows(ring7))
     assert typed(shifted) == typed(linalg.mat_mul(gram, dense_square(ring7.e_ops[1])))
     assert shifted == [list(col) for col in zip(*shifted)]
     ring8 = build_ring(3, 8)
-    shifted = dense_square(quantum.trace_form_rows(ring8, shifted=True))
+    shifted = dense_square(shifted_gram_rows(ring8))
     b = ring8.index[BETA]
     assert not any(shifted[b]) and not any(row[b] for row in shifted)
     assert shifted == [list(col) for col in zip(*shifted)]
+
+
+def test_the_38_trace_form_rows_leave_beta_empty():
+    # beta has no operator: its row is empty, with no raise, and every other
+    # row is that label's row of the run seeded with the trace vector
+    ring = build_ring(3, 8)
+    rows = quantum.trace_form_rows(ring)
+    runs = quantum.label_recursion(ring, [quantum.trace_row(ring)])
+    assert rows[ring.index[BETA]] == {}
+    assert all(rows[ring.index[lab]] == runs[lab][0] for lab in ring.basis if lab != BETA)
 
 
 def test_the_38_verdict_makes_one_reverse_pass_and_one_thin_label_run(capsys, monkeypatch):
@@ -593,15 +604,15 @@ def test_a_zero_shifted_gram_row_off_the_leads_gives_a_degenerate_verdict(capsys
     from qhgrass import cli
 
     # the unit is off the radical's leads; with its row of the shifted Gram
-    # (sparse rows) emptied, B[C][C] is singular
-    original = section.trace_form_rows
+    # (the perp verdict's label run, seeded with E_1^T t) emptied, B[C][C]
+    # is singular
+    original = quantum.label_recursion
     ring = build_ring(3, 8)
-    unit = ring.index[()]
 
-    def zeroed(alg, shifted=False):
-        return [{} if i == unit else row for i, row in enumerate(original(alg, shifted))]
+    def zeroed(alg, seed):
+        return {**original(alg, seed), (): [{}]}
 
-    monkeypatch.setattr(section, "trace_form_rows", zeroed)
+    monkeypatch.setattr(quantum, "label_recursion", zeroed)
     assert perp_subalgebra_semisimple(ring) == screen.Verdict(False, "trace-form+monodromy", (49, 2))
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8", "--format", "json"]) == 0
     out, err = capsys.readouterr()
@@ -965,14 +976,15 @@ def test_a_shifted_gram_entry_outside_its_residue_block_exits_1(capsys, monkeypa
 
     # B(a, b) = phi(e_1 a b) vanishes unless deg a + deg b = -1 mod r; the
     # unit and sigma_1 are both off the radical's leads, and an entry of B
-    # between them contradicts that grading
-    original = section.trace_form_rows
+    # between them contradicts that grading; B's rows are the perp
+    # verdict's label run, seeded with E_1^T t
+    original = quantum.label_recursion
 
-    def perturbed(alg, shifted=False):
-        unit, sigma1 = alg.index[()], alg.index[(1,)]
-        return [{**row, sigma1: 1} if i == unit else row for i, row in enumerate(original(alg, shifted))]
+    def perturbed(alg, seed):
+        runs = original(alg, seed)
+        return {**runs, (): [{**runs[()][0], alg.index[(1,)]: 1}]}
 
-    monkeypatch.setattr(section, "trace_form_rows", perturbed)
+    monkeypatch.setattr(quantum, "label_recursion", perturbed)
     assert cli.run(["qh", "semisimple", "--section", "--k", "3", "--n", "8"]) == 1
     out, err = capsys.readouterr()
     assert not out and err == "internal consistency failure: a nonzero entry lies outside the blocks its grading allows\n"
